@@ -44,14 +44,31 @@ from .verify import SUITES, VerifyConfig, run_suite
 
 def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name)
-    return int(raw) if raw else default
+    if not raw:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{name}={raw!r} is not an integer") from None
 
 
 def _env_ks(default: tuple[int, ...]) -> tuple[int, ...]:
     raw = os.environ.get("QPAIR_KSET")
     if not raw:
         return default
-    return tuple(int(tok) for tok in raw.split(",") if tok.strip())
+    try:
+        return tuple(int(tok) for tok in raw.split(",") if tok.strip())
+    except ValueError:
+        raise ValueError(f"QPAIR_KSET={raw!r} is not a comma-separated list of integers") from None
+
+
+def _setting(flag_value: int | None, flag: str, env: str, default: int, minimum: int) -> int:
+    """A flag's value, else the environment's, else the default; a value
+    below ``minimum`` would check nothing and is a usage error."""
+    value = flag_value if flag_value is not None else _env_int(env, default)
+    if value < minimum:
+        raise ValueError(f"{flag} (or {env}) must be at least {minimum}, got {value}")
+    return value
 
 
 def _parse_sub(expr: str) -> tuple:
@@ -107,7 +124,8 @@ SERIES_FAMILIES = (
 
 
 def cmd_series(args) -> int:
-    k, i, c = args.k, args.i, args.cutoff
+    k, i = args.k, args.i
+    c = _setting(args.cutoff, "--cutoff", "QPAIR_CUTOFF", 12, 1)
     builders = {
         "R": lambda: series_R(k, i, c, var_cap=args.var_cap, x_one=args.x_one),
         "Rtilde": lambda: series_R_tilde(k, i, c, var_cap=args.var_cap, x_one=args.x_one),
@@ -213,6 +231,8 @@ def _enum_table(args) -> CountTable:
 def cmd_enumerate(args) -> int:
     if args.family in _NEEDS_KI and (args.k is None or args.i is None):
         raise ValueError(f"family {args.family} needs -k and -i")
+    if args.n < 0:
+        raise ValueError(f"-n must be at least 0, got {args.n}")
     limit = args.bound if args.bound is not None else _env_int("QPAIR_BOUND", 14)
     if args.n > limit:
         raise BoundExceededError(f"n={args.n} exceeds the enumeration bound {limit}")
@@ -267,8 +287,8 @@ def cmd_verify(args) -> int:
     ks = tuple(args.k) if args.k else _env_ks((2, 3, 4))
     cfg = VerifyConfig(
         k_values=ks,
-        cutoff=args.cutoff if args.cutoff is not None else _env_int("QPAIR_CUTOFF", 12),
-        n_max=args.n_max if args.n_max is not None else _env_int("QPAIR_NMAX", 10),
+        cutoff=_setting(args.cutoff, "--cutoff", "QPAIR_CUTOFF", 12, 1),
+        n_max=_setting(args.n_max, "--n-max", "QPAIR_NMAX", 10, 0),
         deep=args.deep,
     )
     reports = [run_suite(name, cfg) for name in names]
@@ -290,7 +310,7 @@ def _add_common_series_args(p):
     p.add_argument("--family", required=True, choices=SERIES_FAMILIES)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-i", type=int, required=True)
-    p.add_argument("--cutoff", type=int, default=_env_int("QPAIR_CUTOFF", 12))
+    p.add_argument("--cutoff", type=int, default=None)
     p.add_argument("--var-cap", type=int, default=None)
     p.add_argument("--x-one", action="store_true", help="build at x = 1")
     p.add_argument("--sub-a", default=None, metavar="EXPR", help="substitute a (e.g. 1, -i, q^-1)")

@@ -10,9 +10,10 @@ families.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .counts import BoundExceededError, CountTable
-from .frobenius import FrobeniusSymbol, joichi_stanton, joichi_stanton_inverse, symbols_of
+from .frobenius import FrobeniusSymbol, Row, joichi_stanton_inverse, row_split, symbols_of
 from .overpartitions import DEFAULT_BOUND, check_ki
 
 Partition = tuple[int, ...]
@@ -54,7 +55,8 @@ class DurfeeDecomposition:
         return tuple(rows)
 
 
-def durfee_squares(parts) -> DurfeeDecomposition:
+@lru_cache(maxsize=None)
+def durfee_squares(parts: Partition) -> DurfeeDecomposition:
     """Peel successive Durfee squares until nothing remains."""
     rest = tuple(int(p) for p in parts if p > 0)
     sizes = []
@@ -96,16 +98,28 @@ def _square_tuples(n2_max: int, depth: int):
             yield (first,) + rest
 
 
-def _lam2_prime(f: FrobeniusSymbol) -> Partition:
-    assoc, _marks = joichi_stanton(f.bottom)
-    return conjugate(assoc)
+@lru_cache(maxsize=None)
+def _insertions(n1: int, k: int, i: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Each candidate square tuple with the part sizes the (k, i) family
+    inserts under it (the 0th square size is the column count n1)."""
+    out = []
+    for tup in _square_tuples(n1, k - 2):
+        removals = tup[max(i, 2) - 2: k - 1]
+        out.append((tup, removals + (n1,) if i == 1 else removals))
+    return tuple(out)
 
 
-def _rebuild_with_lam2_prime(f: FrobeniusSymbol, lam2p: Partition) -> FrobeniusSymbol:
-    _assoc, marks = joichi_stanton(f.bottom)
-    assoc = conjugate(lam2p)
-    assoc = assoc + (0,) * (f.columns - len(assoc))
-    return FrobeniusSymbol(f.top, joichi_stanton_inverse(assoc, marks))
+@lru_cache(maxsize=None)
+def _lam_prime(row: Row) -> Partition:
+    """Conjugate of the associated partition of a canonical row."""
+    return conjugate(row_split(row)[0])
+
+
+def _row_with_lam_prime(row: Row, lam_p: Partition) -> Row:
+    """The row with the same marks whose conjugated associated partition is lam_p."""
+    assoc = conjugate(lam_p)
+    assoc = assoc + (0,) * (len(row) - len(assoc))
+    return joichi_stanton_inverse(assoc, row_split(row)[1])
 
 
 def is_ki_admissible(f: FrobeniusSymbol, k: int, i: int, sequential: bool = False) -> bool:
@@ -119,19 +133,21 @@ def is_ki_admissible(f: FrobeniusSymbol, k: int, i: int, sequential: bool = Fals
     squares reproduce the tuple exactly with nothing left below.
     """
     check_ki(k, i)
-    lam2p = _lam2_prime(f)
+    return _bottom_admissible(f.bottom, k, i, sequential)
+
+
+@lru_cache(maxsize=None)
+def _bottom_admissible(bottom: Row, k: int, i: int, sequential: bool) -> bool:
+    """:func:`is_ki_admissible`, which reads only the bottom row."""
+    lam2p = _lam_prime(bottom)
+    n1 = len(bottom)
     if sequential:
-        return _seq_admissible(lam2p, f.columns, k, i)
-    n1 = f.columns
-    for tup in _square_tuples(n1, k - 2):
-        removals = list(tup[max(i, 2) - 2: k - 1])
-        if i == 1:
-            removals.append(n1)
+        return _seq_admissible(lam2p, n1, k, i)
+    for tup, removals in _insertions(n1, k, i):
         nu = _remove_parts(lam2p, removals)
         if nu is None:
             continue
-        dec = durfee_squares(nu)
-        if len(dec.sizes) > k - 2:
+        if len(durfee_squares(nu).sizes) > k - 2:
             continue
         if successive_sizes(nu, k - 2) == tup:
             return True
@@ -166,19 +182,19 @@ def conjugation_regions(f: FrobeniusSymbol, k: int) -> tuple[Partition, Partitio
     """
     if k < 2:
         raise ValueError("need k >= 2")
-    assoc1, _ = joichi_stanton(f.top)
-    lam1p = conjugate(assoc1)
-    lam2p = _lam2_prime(f)
+    return _regions(_lam_prime(f.top), _lam_prime(f.bottom), k)
+
+
+def _regions(lam1p: Partition, lam2p: Partition, k: int) -> tuple[Partition, Partition] | None:
+    """:func:`conjugation_regions` from the two conjugated associated partitions."""
     if k == 2:
         return lam1p, lam2p
-    dec = durfee_squares(lam2p)
-    if len(dec.sizes) < k - 2:
+    sizes = durfee_squares(lam2p).sizes
+    if len(sizes) < k - 2:
         return None
-    rows_consumed = sum(dec.sizes[: k - 2])
-    cut = dec.sizes[k - 3]
-    g2 = lam2p[rows_consumed:]
+    cut = sizes[k - 3]
     g1 = tuple(p for p in lam1p if p <= cut)
-    return g1, g2
+    return g1, lam2p[sum(sizes[: k - 2]):]
 
 
 def k_conjugate(f: FrobeniusSymbol, k: int) -> FrobeniusSymbol:
@@ -188,46 +204,49 @@ def k_conjugate(f: FrobeniusSymbol, k: int) -> FrobeniusSymbol:
     if regions is None:
         return f
     g1, g2 = regions
-    assoc1, marks1 = joichi_stanton(f.top)
-    lam1p = conjugate(assoc1)
-    lam2p = _lam2_prime(f)
-    if k == 2:
-        new1p, new2p = g2, g1
-    else:
-        cut = durfee_squares(lam2p).sizes[k - 3]
-        rows_consumed = sum(durfee_squares(lam2p).sizes[: k - 2])
-        new1p = tuple(p for p in lam1p if p > cut) + g2
-        new2p = lam2p[:rows_consumed] + g1
-    new_assoc1 = conjugate(new1p)
-    new_assoc1 = new_assoc1 + (0,) * (f.columns - len(new_assoc1))
-    new_top = joichi_stanton_inverse(new_assoc1, marks1)
-    out = _rebuild_with_lam2_prime(FrobeniusSymbol(new_top, f.bottom), new2p)
-    return out
+    # Each region is a suffix of its (weakly decreasing) partition.
+    lam1p, lam2p = _lam_prime(f.top), _lam_prime(f.bottom)
+    new1p = lam1p[: len(lam1p) - len(g1)] + g2
+    new2p = lam2p[: len(lam2p) - len(g2)] + g1
+    return FrobeniusSymbol(_row_with_lam_prime(f.top, new1p), _row_with_lam_prime(f.bottom, new2p))
 
 
 def is_self_k_conjugate(f: FrobeniusSymbol, k: int) -> bool:
-    return k_conjugate(f, k) == f
+    """Whether ``k_conjugate(f, k) == f``.
+
+    The conjugation keeps both rows' marks and swaps the region suffixes of
+    the two partitions, so it fixes f exactly when it is the identity or
+    the two regions are equal.
+    """
+    regions = conjugation_regions(f, k)
+    return regions is None or regions[0] == regions[1]
+
+
+def _self_conjugate(lam1p: Partition, lam2p: Partition, k: int) -> bool:
+    """:func:`is_self_k_conjugate` from the two conjugated associated partitions."""
+    regions = _regions(lam1p, lam2p, k)
+    return regions is None or regions[0] == regions[1]
 
 
 def is_self_ki_conjugate(f: FrobeniusSymbol, k: int, i: int) -> bool:
     """Whether f arises from a self-conjugate symbol by the designated
-    part insertions into the conjugated bottom partition."""
+    part insertions into the conjugated bottom partition.
+
+    A candidate keeps f's top row and bottom marks, so its conjugated
+    bottom partition is the reduced partition itself.
+    """
     check_ki(k, i)
+    lam1p, lam2p = _lam_prime(f.top), _lam_prime(f.bottom)
     if i == k:
-        return is_self_k_conjugate(f, k)
-    lam2p = _lam2_prime(f)
+        return _self_conjugate(lam1p, lam2p, k)
     n1 = f.columns
-    for tup in _square_tuples(n1, k - 2):
-        removals = list(tup[max(i, 2) - 2: k - 1])
-        if i == 1:
-            removals.append(n1)
+    for tup, removals in _insertions(n1, k, i):
         reduced = _remove_parts(lam2p, removals)
         if reduced is None:
             continue
         if successive_sizes(reduced, k - 2) != tup:
             continue
-        candidate = _rebuild_with_lam2_prime(f, reduced)
-        if is_self_k_conjugate(candidate, k):
+        if _self_conjugate(lam1p, reduced, k):
             return True
     return False
 

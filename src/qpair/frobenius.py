@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from operator import sub
 
 from .counts import BoundExceededError, CountTable
 from .overpartitions import DEFAULT_BOUND, canonical_parts, partitions
@@ -18,12 +19,29 @@ from .overpartitions import DEFAULT_BOUND, canonical_parts, partitions
 Row = tuple[tuple[int, bool], ...]
 
 
+def canonical_row(row) -> Row:
+    """The canonical form of a row of (size, overlined) parts.
+
+    Equal rows come back as one shared tuple, so the row-keyed caches below
+    and in :mod:`qpair.durfee` see each distinct row once.
+    """
+    if type(row) is not tuple:
+        row = tuple(tuple(part) for part in row)
+    return _canonical_row(row)
+
+
+@lru_cache(maxsize=None)
+def _canonical_row(row: tuple) -> Row:
+    out = canonical_parts(row, min_part=0)
+    return out if out == row else _canonical_row(out)
+
+
 class FrobeniusSymbol:
     __slots__ = ("top", "bottom")
 
     def __init__(self, top, bottom):
-        self.top: Row = canonical_parts(top, min_part=0)
-        self.bottom: Row = canonical_parts(bottom, min_part=0)
+        self.top: Row = canonical_row(top)
+        self.bottom: Row = canonical_row(bottom)
         if len(self.top) != len(self.bottom):
             raise ValueError(
                 f"rows must have equal length, got {len(self.top)} and {len(self.bottom)}"
@@ -38,11 +56,11 @@ class FrobeniusSymbol:
 
     def s_stat(self) -> int:
         """Non-overlined entries in the bottom row."""
-        return sum(1 for _, o in self.bottom if not o)
+        return _plain_count(self.bottom)
 
     def t_stat(self) -> int:
         """Non-overlined entries in the top row."""
-        return sum(1 for _, o in self.top if not o)
+        return _plain_count(self.top)
 
     def __eq__(self, other):
         return (
@@ -74,25 +92,25 @@ class FrobeniusSymbol:
         )
 
 
+@lru_cache(maxsize=None)
+def _plain_count(row: Row) -> int:
+    return sum(1 for _, o in row if not o)
+
+
 def successive_ranks(f: FrobeniusSymbol) -> tuple[int, ...]:
     """Per-column ranks: entry difference corrected by later non-overlined counts."""
-    n = f.columns
-    ranks = []
-    top_plain_after = 0
-    bottom_plain_after = 0
-    # suffix counts, computed right to left
-    suffix = []
-    for idx in range(n - 1, -1, -1):
-        suffix.append((top_plain_after, bottom_plain_after))
-        if not f.top[idx][1]:
-            top_plain_after += 1
-        if not f.bottom[idx][1]:
-            bottom_plain_after += 1
-    suffix.reverse()
-    for idx in range(n):
-        top_after, bottom_after = suffix[idx]
-        ranks.append(f.top[idx][0] - f.bottom[idx][0] - bottom_after + top_after)
-    return tuple(ranks)
+    return tuple(map(sub, _rank_profile(f.top), _rank_profile(f.bottom)))
+
+
+@lru_cache(maxsize=None)
+def _rank_profile(row: Row) -> tuple[int, ...]:
+    """Each entry of a canonical row plus the non-overlined entries after it."""
+    out = []
+    plain_after = 0
+    for size, over in reversed(row):
+        out.append(size + plain_after)
+        plain_after += not over
+    return tuple(reversed(out))
 
 
 @lru_cache(maxsize=None)
@@ -115,7 +133,7 @@ def rows_of(length: int, total: int) -> tuple[Row, ...]:
                         seen.add(v)
                     else:
                         parts.append((v, False))
-                out.append(tuple(parts))
+                out.append(canonical_row(tuple(parts)))
     return tuple(sorted(out))
 
 
@@ -179,7 +197,12 @@ def joichi_stanton(row) -> tuple[tuple[int, ...], tuple[int, ...]]:
     associated partition (same length as the row) and the marks sorted
     decreasingly; all marks are distinct and below the row length.
     """
-    row = canonical_parts(row, min_part=0)
+    return row_split(canonical_row(row))
+
+
+@lru_cache(maxsize=None)
+def row_split(row: Row) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """:func:`joichi_stanton` of a row already in canonical form."""
     n = len(row)
     marked = [m for m in range(1, n + 1) if row[m - 1][1]]
     marks = tuple(sorted((m - 1 for m in marked), reverse=True))
@@ -208,4 +231,4 @@ def joichi_stanton_inverse(assoc, marks) -> Row:
     for p in range(1, n + 1):
         gain = sum(1 for m in marks if m >= p)
         row.append((assoc[p - 1] + gain, p in overlined_positions))
-    return canonical_parts(row, min_part=0)
+    return canonical_row(tuple(row))

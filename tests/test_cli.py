@@ -7,10 +7,12 @@ import sys
 import pytest
 
 CLI = [sys.executable, "-m", "qpair.cli"]
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(*args, stdin=None, env_extra=None):
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -185,6 +187,35 @@ class TestVerifyCommand:
     def test_unknown_suite_usage_error(self):
         r = run("verify", "--suite", "nonsense")
         assert r.returncode == 2
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("name,value", [
+        ("QPAIR_CUTOFF", "abc"), ("QPAIR_NMAX", "1.5"), ("QPAIR_KSET", "2,x"),
+    ])
+    def test_bad_environment_value(self, name, value):
+        r = run("verify", "--suite", "jtp", env_extra={name: value})
+        assert r.returncode == 2
+        assert r.stderr.startswith(f"error: {name}=") and "Traceback" not in r.stderr
+
+    def test_bad_bound_environment_value(self):
+        r = run("enumerate", "--family", "pairs", "-n", "1", env_extra={"QPAIR_BOUND": "big"})
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: QPAIR_BOUND=")
+
+    @pytest.mark.parametrize("args,env", [
+        (("verify", "--suite", "four-way", "--n-max", "-1"), None),
+        (("verify", "--suite", "four-way"), {"QPAIR_NMAX": "-1"}),
+        (("verify", "--suite", "jtp", "--cutoff", "0"), None),
+        (("verify", "--suite", "jtp"), {"QPAIR_CUTOFF": "0"}),
+        (("series", "--family", "R", "-k", "2", "-i", "2", "--cutoff", "0"), None),
+        (("enumerate", "--family", "pairs", "-n", "-1"), None),
+    ])
+    def test_degenerate_bound_refused(self, args, env):
+        r = run(*args, env_extra=env)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error:") and "must be at least" in r.stderr
+        assert r.stdout == ""
 
 
 class TestExportCommand:

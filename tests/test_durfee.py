@@ -1,3 +1,5 @@
+import pytest
+
 from qpair.durfee import (
     DurfeeDecomposition,
     conjugate,
@@ -12,8 +14,9 @@ from qpair.durfee import (
     k_conjugate,
     successive_sizes,
 )
-from qpair.frobenius import FrobeniusSymbol, joichi_stanton, symbols_of
-from qpair.overpartitions import count_frequency_pairs, partitions
+from qpair.durfee import _lam_prime, _remove_parts, _square_tuples
+from qpair.frobenius import FrobeniusSymbol, joichi_stanton, row_split, symbols_of
+from qpair.overpartitions import canonical_parts, count_frequency_pairs, partitions
 
 
 def row(*parts):
@@ -124,11 +127,9 @@ class TestAdmissibility:
     def test_zero_size_insertions_are_neutral(self):
         # With at most i-2 successive squares, the required insertion sizes
         # are all zero and admissibility holds with no actual insertion.
-        from qpair.durfee import _lam2_prime
-
         for n in range(8):
             for f in symbols_of(n):
-                squares = durfee_squares(_lam2_prime(f)).sizes
+                squares = durfee_squares(conjugate(joichi_stanton(f.bottom)[0])).sizes
                 for k in (3, 4):
                     for i in range(2, k + 1):
                         if len(squares) <= i - 2:
@@ -145,3 +146,122 @@ class TestAdmissibility:
                     if is_ki_admissible(f, k, i) != is_ki_admissible(f, k, i, sequential=True):
                         diffs += 1
         assert diffs == 0
+
+
+# A cache-free copy of the Durfee layer as first written, on plain rows:
+# every row is split afresh and every Durfee decomposition recomputed.
+
+
+def ref_sizes(parts, count=None):
+    rest = tuple(p for p in parts if p > 0)
+    sizes = []
+    while rest:
+        d = durfee_size(rest)
+        sizes.append(d)
+        rest = rest[d:]
+    return tuple(sizes) if count is None else (tuple(sizes) + (0,) * count)[:count]
+
+
+def ref_lam_prime(row):
+    return conjugate(row_split.__wrapped__(canonical_parts(list(row), min_part=0))[0])
+
+
+def ref_with_lam_prime(row, lam_p):
+    marks = row_split.__wrapped__(canonical_parts(list(row), min_part=0))[1]
+    assoc = conjugate(lam_p)
+    assoc += (0,) * (len(row) - len(assoc))
+    rebuilt = [(a + sum(1 for m in marks if m >= p), p - 1 in marks)
+               for p, a in enumerate(assoc, start=1)]
+    return canonical_parts(rebuilt, min_part=0)
+
+
+def ref_k_conjugate(top, bottom, k):
+    lam1p, lam2p = ref_lam_prime(top), ref_lam_prime(bottom)
+    if k == 2:
+        new1p, new2p = lam2p, lam1p
+    else:
+        sizes = ref_sizes(lam2p)
+        if len(sizes) < k - 2:
+            return top, bottom
+        cut, consumed = sizes[k - 3], sum(sizes[: k - 2])
+        new1p = tuple(p for p in lam1p if p > cut) + lam2p[consumed:]
+        new2p = lam2p[:consumed] + tuple(p for p in lam1p if p <= cut)
+    return ref_with_lam_prime(top, new1p), ref_with_lam_prime(bottom, new2p)
+
+
+def ref_insertions(n1, k, i):
+    for tup in _square_tuples(n1, k - 2):
+        yield tup, list(tup[max(i, 2) - 2: k - 1]) + ([n1] if i == 1 else [])
+
+
+def ref_admissible(bottom, k, i):
+    lam2p = ref_lam_prime(bottom)
+    for tup, removals in ref_insertions(len(bottom), k, i):
+        nu = _remove_parts(lam2p, removals)
+        if nu is not None and len(ref_sizes(nu)) <= k - 2 and ref_sizes(nu, k - 2) == tup:
+            return True
+    return False
+
+
+def ref_seq_admissible(bottom, k, i):
+    n1 = len(bottom)
+
+    def peel(parts, j):
+        if j > k - 1:
+            return len(ref_sizes(parts)) <= k - 2
+        for v in ({n1} if j == 1 else set(parts) | {0}):
+            rest = _remove_parts(parts, [v])
+            if rest is None:
+                continue
+            expected = n1 if j == 1 else ref_sizes(rest, k - 1)[j - 2]
+            if v == expected and peel(rest, j + 1):
+                return True
+        return False
+
+    return peel(ref_lam_prime(bottom), i)
+
+
+def ref_self_ki_conjugate(top, bottom, k, i):
+    if i == k:
+        return ref_k_conjugate(top, bottom, k) == (top, bottom)
+    lam2p = ref_lam_prime(bottom)
+    for tup, removals in ref_insertions(len(bottom), k, i):
+        reduced = _remove_parts(lam2p, removals)
+        if reduced is None or ref_sizes(reduced, k - 2) != tup:
+            continue
+        candidate = ref_with_lam_prime(bottom, reduced)
+        if ref_k_conjugate(top, candidate, k) == (top, candidate):
+            return True
+    return False
+
+
+class TestCachedLayerOracle:
+    def test_matches_cache_free_reference(self):
+        for n in range(9):
+            for f in symbols_of(n):
+                top = canonical_parts(list(f.top), min_part=0)
+                bottom = canonical_parts(list(f.bottom), min_part=0)
+                for k in (2, 3, 4):
+                    g = k_conjugate(f, k)
+                    assert (g.top, g.bottom) == ref_k_conjugate(top, bottom, k)
+                    assert is_self_k_conjugate(f, k) == (g == f)
+                    for i in range(1, k + 1):
+                        assert is_ki_admissible(f, k, i) == ref_admissible(bottom, k, i)
+                        assert (is_ki_admissible(f, k, i, sequential=True)
+                                == ref_seq_admissible(bottom, k, i))
+                        assert is_self_ki_conjugate(f, k, i) == ref_self_ki_conjugate(top, bottom, k, i)
+
+    def test_cached_values_are_immutable(self):
+        dec = durfee_squares((5, 3, 3, 1))
+        assert type(dec.sizes) is tuple and all(type(r) is tuple for r in dec.rights)
+        with pytest.raises(AttributeError):
+            dec.sizes = ()
+        assert type(conjugation_regions(PI, 4)[0]) is tuple
+
+    def test_row_split_runs_once_per_row(self):
+        row_split.cache_clear()
+        _lam_prime.cache_clear()
+        count_self_conjugate(3, 2, 8)
+        info = row_split.cache_info()
+        rows = {r for n in range(9) for f in symbols_of(n) for r in (f.top, f.bottom)}
+        assert info.misses == info.currsize == len(rows)

@@ -152,3 +152,42 @@ class TestRankBoundedCounts:
         tilde = count_rank_bounded(3, 2, 8, tilde=True)
         for key, w in tilde.entries.items():
             assert w <= plain.entries.get(key, 0)
+
+
+def reference_successive_ranks(top, bottom):
+    """Cache-free per-column ranks, right-to-left suffix counts."""
+    ranks = []
+    top_after = bottom_after = 0
+    for (t, t_over), (b, b_over) in zip(reversed(top), reversed(bottom)):
+        ranks.append(t - b - bottom_after + top_after)
+        top_after += not t_over
+        bottom_after += not b_over
+    return tuple(reversed(ranks))
+
+
+class TestCanonicalRows:
+    def test_list_built_symbols_match_enumeration(self):
+        for n in range(9):
+            for f in symbols_of(n):
+                rebuilt = FrobeniusSymbol(list(reversed(f.top)), [list(p) for p in f.bottom])
+                assert rebuilt == f and hash(rebuilt) == hash(f)
+                assert rebuilt.top is f.top and rebuilt.bottom is f.bottom
+                for r in (f.top, f.bottom):
+                    assoc, marks = joichi_stanton(list(reversed(r)))
+                    assert (assoc, marks) == reference_joichi_stanton(r)
+                    assert type(assoc) is tuple and type(marks) is tuple
+                ranks = successive_ranks(f)
+                assert type(ranks) is tuple
+                assert ranks == reference_successive_ranks(f.top, f.bottom)
+
+    def test_inverse_returns_the_shared_row(self):
+        r = rows_of(3, 4)[5]
+        assert joichi_stanton_inverse(*joichi_stanton(r)) is r
+
+
+def reference_joichi_stanton(row):
+    """Cache-free row split, as first written."""
+    n = len(row)
+    marked = [m for m in range(1, n + 1) if row[m - 1][1]]
+    assoc = tuple(row[p - 1][0] - sum(1 for m in marked if m > p) for p in range(1, n + 1))
+    return assoc, tuple(sorted((m - 1 for m in marked), reverse=True))
