@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .counts import BoundExceededError, CountTable
+from .counts import DEFAULT_BOUND, BoundExceededError, CountTable, check_bound
 from .durfee import count_admissible, count_self_conjugate, is_ki_admissible, is_self_ki_conjugate, k_conjugate
 from .frobenius import (
     FrobeniusSymbol,
@@ -233,10 +233,9 @@ def cmd_enumerate(args) -> int:
         raise ValueError(f"family {args.family} needs -k and -i")
     if args.n < 0:
         raise ValueError(f"-n must be at least 0, got {args.n}")
-    limit = args.bound if args.bound is not None else _env_int("QPAIR_BOUND", 14)
-    if args.n > limit:
-        raise BoundExceededError(f"n={args.n} exceeds the enumeration bound {limit}")
-    args.bound = limit
+    if args.bound is None:
+        args.bound = _env_int("QPAIR_BOUND", DEFAULT_BOUND)
+    check_bound(args.n, args.bound)
     if args.mode == "objects":
         objs = _enum_objects(args)
         if args.format == "csv":

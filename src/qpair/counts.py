@@ -16,8 +16,18 @@ from .gaussint import Coeff, cadd, as_pair
 from .series import TruncatedSeries
 
 
+DEFAULT_BOUND = 14
+
+
 class BoundExceededError(ValueError):
     """An enumeration was asked to go beyond its configured bound."""
+
+
+def check_bound(n: int, bound: int | None) -> None:
+    """Refuse an enumeration up to weight ``n`` beyond ``bound`` (default DEFAULT_BOUND)."""
+    limit = DEFAULT_BOUND if bound is None else bound
+    if n > limit:
+        raise BoundExceededError(f"n={n} exceeds the enumeration bound {limit}")
 
 
 class CountTable:

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .counts import BoundExceededError, CountTable
+from .counts import CountTable, check_bound
 from .frobenius import FrobeniusSymbol, Row, joichi_stanton_inverse, row_split, symbols_of
-from .overpartitions import DEFAULT_BOUND, check_ki
+from .overpartitions import check_ki
 
 Partition = tuple[int, ...]
 
@@ -263,9 +263,7 @@ def count_self_conjugate(k: int, i: int, n_max: int, bound: int | None = None) -
 
 def _count_by(pred, k, i, n_max, bound) -> CountTable:
     check_ki(k, i)
-    limit = DEFAULT_BOUND if bound is None else bound
-    if n_max > limit:
-        raise BoundExceededError(f"n_max={n_max} exceeds the enumeration bound {limit}")
+    check_bound(n_max, bound)
     table = CountTable(n_max)
     for n in range(n_max + 1):
         for f in symbols_of(n):

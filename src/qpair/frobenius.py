@@ -13,8 +13,8 @@ from functools import lru_cache
 from itertools import combinations
 from operator import sub
 
-from .counts import BoundExceededError, CountTable
-from .overpartitions import DEFAULT_BOUND, canonical_parts, partitions
+from .counts import CountTable, check_bound
+from .overpartitions import canonical_parts, partitions
 
 Row = tuple[tuple[int, bool], ...]
 
@@ -150,14 +150,6 @@ def symbols_of(n: int) -> tuple[FrobeniusSymbol, ...]:
     return tuple(out)
 
 
-def enumerate_symbols(n: int, bound: int | None = None):
-    """Stream every symbol of weight n exactly once."""
-    limit = DEFAULT_BOUND if bound is None else bound
-    if n > limit:
-        raise BoundExceededError(f"n={n} exceeds the enumeration bound {limit}")
-    yield from symbols_of(n)
-
-
 def rank_interval(k: int, i: int, tilde: bool = False) -> tuple[int, int]:
     """The closed rank window for the rank-bounded family."""
     hi = 2 * k - i - 2 if tilde else 2 * k - i - 1
@@ -174,9 +166,7 @@ def count_rank_bounded(k: int, i: int, n_max: int, tilde: bool = False,
     from .overpartitions import check_ki
 
     check_ki(k, i)
-    limit = DEFAULT_BOUND if bound is None else bound
-    if n_max > limit:
-        raise BoundExceededError(f"n_max={n_max} exceeds the enumeration bound {limit}")
+    check_bound(n_max, bound)
     lo, hi = interval if interval is not None else rank_interval(k, i, tilde)
     table = CountTable(n_max)
     for n in range(n_max + 1):

@@ -76,11 +76,6 @@ I = GaussInt(0, 1)
 Coeff = int | GaussInt
 
 
-def as_gauss(c: Coeff) -> GaussInt:
-    """Promote an ``int`` to a :class:`GaussInt` (no-op otherwise)."""
-    return c if isinstance(c, GaussInt) else GaussInt(c)
-
-
 def as_pair(c: Coeff) -> tuple[int, int]:
     if isinstance(c, GaussInt):
         return c.re, c.im

@@ -19,23 +19,15 @@ from dataclasses import dataclass
 from .gaussint import Coeff, cneg, is_unit, unit_pow
 from .overpartitions import check_ki
 from .qtools import f_poly, inv_qfactors, inv_qpoch
-from .series import Monomial, TruncatedSeries, geometric, mono, one_minus
+from .series import Monomial, TruncatedSeries, geometric, mono, one_minus, pochhammer, qproduct
+
+# Bases of (-aq, -bq; q)_inf / (q, abq; q)_inf, the x = 1 prefactor.  The
+# Bailey lattice prefactor and its undoing in the verify suites regroup them.
+NEG_AQ, NEG_BQ, Q, ABQ = mono(-1, a=1, q=1), mono(-1, b=1, q=1), mono(1, q=1), mono(1, a=1, b=1, q=1)
 
 
 def _vm(x_one: bool, coeff: Coeff = 1, a: int = 0, b: int = 0, x: int = 0, q: int = 0) -> Monomial:
     return mono(coeff, a, b, 0 if x_one else x, q)
-
-
-def _apply_R_prefactor(total: TruncatedSeries, q_cutoff: int, var_cap: int, x_one: bool,
-                       with_abx_inverse: bool = True) -> TruncatedSeries:
-    """Multiply by (-axq, -bxq)_inf / (xq)_inf, and optionally 1/(abxq)_inf."""
-    for j in range(1, q_cutoff):
-        total = total * TruncatedSeries.poly([mono(1), _vm(x_one, 1, a=1, x=1, q=j)])
-        total = total * TruncatedSeries.poly([mono(1), _vm(x_one, 1, b=1, x=1, q=j)])
-        total = total * geometric(_vm(x_one, 1, x=1, q=j), q_cutoff, var_cap)
-        if with_abx_inverse:
-            total = total * geometric(_vm(x_one, 1, a=1, b=1, x=1, q=j), q_cutoff, var_cap)
-    return total
 
 
 def _bracket_numerator(n: int, i: int, q_cutoff: int, var_cap: int, x_one: bool) -> TruncatedSeries:
@@ -54,6 +46,43 @@ def _bracket_numerator(n: int, i: int, q_cutoff: int, var_cap: int, x_one: bool)
     return TruncatedSeries.poly(monos).truncated(q_cutoff, var_cap)
 
 
+def _R_family(k: int, i: int, q_cutoff: int, var_cap: int | None, x_one: bool,
+              tilde: bool) -> TruncatedSeries:
+    """The plain (``tilde=False``) or even-moduli four-variable family member.
+
+    The two differ in the summand exponent, the x-power (k or k-1), the
+    factor (xq; q)_n or (x^2q^2; q^2)_n, and the q^n or q^2n step of the
+    inverse chain.
+    """
+    check_ki(k, i)
+    cap = q_cutoff if var_cap is None else var_cap
+    step = 2 if tilde else 1
+    total = TruncatedSeries.zero(q_cutoff, cap)
+    x_poch = TruncatedSeries.one(q_cutoff, cap)
+    inv_chain = geometric(_vm(x_one, -1, a=1, x=1, q=1), q_cutoff, cap) * geometric(
+        _vm(x_one, -1, b=1, x=1, q=1), q_cutoff, cap
+    )
+    n = 0
+    while True:
+        if tilde:
+            e_n = k * n * n + (k - i) * n - n * (n - 1)
+        else:
+            e_n = k * n * n + (k - i + 1) * n - n * (n - 1) // 2
+        if e_n >= q_cutoff:
+            break
+        term = f_poly(n, q_cutoff, cap) * x_poch * inv_chain
+        term = term * _bracket_numerator(n, i, q_cutoff, cap, x_one)
+        total = total + term.times_monomial(_vm(x_one, -1 if n % 2 else 1, x=(k - 1 if tilde else k) * n, q=e_n))
+        n += 1
+        x_poch = x_poch * one_minus(_vm(x_one, 1, x=step, q=step * n))
+        inv_chain = inv_chain * geometric(mono(1, q=step * n), q_cutoff, cap)
+        inv_chain = inv_chain * geometric(_vm(x_one, -1, a=1, x=1, q=n + 1), q_cutoff, cap)
+        inv_chain = inv_chain * geometric(_vm(x_one, -1, b=1, x=1, q=n + 1), q_cutoff, cap)
+    # Times (-axq, -bxq)_inf / (xq, abxq)_inf.
+    return qproduct(total, (_vm(x_one, -1, a=1, x=1, q=1), _vm(x_one, -1, b=1, x=1, q=1)),
+                    (_vm(x_one, 1, x=1, q=1), _vm(x_one, 1, a=1, b=1, x=1, q=1)))
+
+
 def series_R(k: int, i: int, q_cutoff: int, var_cap: int | None = None,
              x_one: bool = False) -> TruncatedSeries:
     """The plain four-variable family member, truncated at ``q_cutoff``.
@@ -61,59 +90,13 @@ def series_R(k: int, i: int, q_cutoff: int, var_cap: int | None = None,
     With ``x_one=True`` the series is built at x = 1 (x-degrees dropped),
     which is cheaper when only the part-count-summed coefficients matter.
     """
-    check_ki(k, i)
-    cap = q_cutoff if var_cap is None else var_cap
-    total = TruncatedSeries.zero(q_cutoff, cap)
-    fn = TruncatedSeries.one(q_cutoff, cap)
-    xq_n = TruncatedSeries.one(q_cutoff, cap)
-    inv_chain = geometric(_vm(x_one, -1, a=1, x=1, q=1), q_cutoff, cap) * geometric(
-        _vm(x_one, -1, b=1, x=1, q=1), q_cutoff, cap
-    )
-    n = 0
-    while True:
-        e_n = k * n * n + (k - i + 1) * n - n * (n - 1) // 2
-        if e_n >= q_cutoff:
-            break
-        term = fn * xq_n * inv_chain
-        term = term * _bracket_numerator(n, i, q_cutoff, cap, x_one)
-        total = total + term.times_monomial(_vm(x_one, -1 if n % 2 else 1, x=k * n, q=e_n))
-        n += 1
-        fn = fn * TruncatedSeries.poly([mono(1, a=1), mono(1, q=n - 1)])
-        fn = fn * TruncatedSeries.poly([mono(1, b=1), mono(1, q=n - 1)])
-        xq_n = xq_n * one_minus(_vm(x_one, 1, x=1, q=n))
-        inv_chain = inv_chain * geometric(mono(1, q=n), q_cutoff, cap)
-        inv_chain = inv_chain * geometric(_vm(x_one, -1, a=1, x=1, q=n + 1), q_cutoff, cap)
-        inv_chain = inv_chain * geometric(_vm(x_one, -1, b=1, x=1, q=n + 1), q_cutoff, cap)
-    return _apply_R_prefactor(total, q_cutoff, cap, x_one)
+    return _R_family(k, i, q_cutoff, var_cap, x_one, tilde=False)
 
 
 def series_R_tilde(k: int, i: int, q_cutoff: int, var_cap: int | None = None,
                    x_one: bool = False) -> TruncatedSeries:
     """The even-moduli four-variable family member."""
-    check_ki(k, i)
-    cap = q_cutoff if var_cap is None else var_cap
-    total = TruncatedSeries.zero(q_cutoff, cap)
-    fn = TruncatedSeries.one(q_cutoff, cap)
-    x2q2_n = TruncatedSeries.one(q_cutoff, cap)
-    inv_chain = geometric(_vm(x_one, -1, a=1, x=1, q=1), q_cutoff, cap) * geometric(
-        _vm(x_one, -1, b=1, x=1, q=1), q_cutoff, cap
-    )
-    n = 0
-    while True:
-        e_n = k * n * n + (k - i) * n - n * (n - 1)
-        if e_n >= q_cutoff:
-            break
-        term = fn * x2q2_n * inv_chain
-        term = term * _bracket_numerator(n, i, q_cutoff, cap, x_one)
-        total = total + term.times_monomial(_vm(x_one, -1 if n % 2 else 1, x=(k - 1) * n, q=e_n))
-        n += 1
-        fn = fn * TruncatedSeries.poly([mono(1, a=1), mono(1, q=n - 1)])
-        fn = fn * TruncatedSeries.poly([mono(1, b=1), mono(1, q=n - 1)])
-        x2q2_n = x2q2_n * one_minus(_vm(x_one, 1, x=2, q=2 * n))
-        inv_chain = inv_chain * geometric(mono(1, q=2 * n), q_cutoff, cap)
-        inv_chain = inv_chain * geometric(_vm(x_one, -1, a=1, x=1, q=n + 1), q_cutoff, cap)
-        inv_chain = inv_chain * geometric(_vm(x_one, -1, b=1, x=1, q=n + 1), q_cutoff, cap)
-    return _apply_R_prefactor(total, q_cutoff, cap, x_one)
+    return _R_family(k, i, q_cutoff, var_cap, x_one, tilde=True)
 
 
 def series_H_tilde(k: int, i: int, q_cutoff: int, var_cap: int | None = None) -> TruncatedSeries:
@@ -133,7 +116,6 @@ def series_H_tilde(k: int, i: int, q_cutoff: int, var_cap: int | None = None) ->
     xshift = absi if i < 0 else 0
 
     total = TruncatedSeries.zero(q_cutoff, cap)
-    fn = TruncatedSeries.one(q_cutoff, cap)
     x2q2_prev = TruncatedSeries.one(q_cutoff, cap)  # (x^2 q^2; q^2)_{n-1}
     inv_chain = TruncatedSeries.one(q_cutoff, cap)
     n = 0
@@ -156,17 +138,16 @@ def series_H_tilde(k: int, i: int, q_cutoff: int, var_cap: int | None = None) ->
             else:
                 factor = TruncatedSeries.poly([mono(1, x=absi), mono(-1, q=2 * n * i)])
             t_n = (x2q2_prev * one_plus_x * factor).truncated(q_cutoff, cap)
-        term = fn * t_n * inv_chain
+        term = f_poly(n, q_cutoff, cap) * t_n * inv_chain
         total = total + term.times_monomial(mono(-1 if n % 2 else 1, x=(k - 1) * n, q=d_n))
         n += 1
-        fn = fn * TruncatedSeries.poly([mono(1, a=1), mono(1, q=n - 1)])
-        fn = fn * TruncatedSeries.poly([mono(1, b=1), mono(1, q=n - 1)])
         if n >= 2:
             x2q2_prev = x2q2_prev * one_minus(mono(1, x=2, q=2 * (n - 1)))
         inv_chain = inv_chain * geometric(mono(1, q=2 * n), q_cutoff, cap)
         inv_chain = inv_chain * geometric(mono(-1, a=1, x=1, q=n), q_cutoff, cap)
         inv_chain = inv_chain * geometric(mono(-1, b=1, x=1, q=n), q_cutoff, cap)
-    return _apply_R_prefactor(total, q_cutoff, cap, x_one=False, with_abx_inverse=False)
+    # Times (-axq, -bxq)_inf / (xq)_inf.
+    return qproduct(total, (mono(-1, a=1, x=1, q=1), mono(-1, b=1, x=1, q=1)), (mono(1, x=1, q=1),))
 
 
 def series_J_tilde(k: int, i: int, q_cutoff: int, var_cap: int | None = None,
@@ -177,10 +158,7 @@ def series_J_tilde(k: int, i: int, q_cutoff: int, var_cap: int | None = None,
     check_ki(k, i)
     cap = q_cutoff if var_cap is None else var_cap
     if route == "product":
-        total = series_R_tilde(k, i, q_cutoff, cap)
-        for j in range(1, q_cutoff):
-            total = total * one_minus(mono(1, a=1, b=1, x=1, q=j))
-        return total
+        return qproduct(series_R_tilde(k, i, q_cutoff, cap), (mono(1, a=1, b=1, x=1, q=1),))
     if route != "difference":
         raise ValueError(f"unknown route {route!r}")
     h_i = series_H_tilde(k, i, q_cutoff, cap).shift_x(1)
@@ -210,7 +188,6 @@ def _bilateral(k: int, i: int, q_cutoff: int, cap: int, tilde: bool) -> Truncate
         return k * m * m - (k - i - 1) * m - m * (m + 1) // 2
 
     total = TruncatedSeries.zero(q_cutoff, cap)
-    fn = TruncatedSeries.one(q_cutoff, cap)
     inv_chain = TruncatedSeries.one(q_cutoff, cap)
     n = 0
     while True:
@@ -219,21 +196,15 @@ def _bilateral(k: int, i: int, q_cutoff: int, cap: int, tilde: bool) -> Truncate
         if e_pos >= q_cutoff and (e_neg is None or e_neg >= q_cutoff) and n >= 1:
             break
         sign = -1 if n % 2 else 1
+        term = f_poly(n, q_cutoff, cap) * inv_chain
         if e_pos < q_cutoff:
-            total = total + (fn * inv_chain).times_monomial(mono(sign, q=e_pos))
+            total = total + term.times_monomial(mono(sign, q=e_pos))
         if e_neg is not None and e_neg < q_cutoff:
-            total = total + (fn * inv_chain).times_monomial(mono(sign, q=e_neg))
+            total = total + term.times_monomial(mono(sign, q=e_neg))
         n += 1
-        fn = fn * TruncatedSeries.poly([mono(1, a=1), mono(1, q=n - 1)])
-        fn = fn * TruncatedSeries.poly([mono(1, b=1), mono(1, q=n - 1)])
         inv_chain = inv_chain * geometric(mono(-1, a=1, q=n), q_cutoff, cap)
         inv_chain = inv_chain * geometric(mono(-1, b=1, q=n), q_cutoff, cap)
-    for j in range(1, q_cutoff):
-        total = total * TruncatedSeries.poly([mono(1), mono(1, a=1, q=j)])
-        total = total * TruncatedSeries.poly([mono(1), mono(1, b=1, q=j)])
-        total = total * geometric(mono(1, q=j), q_cutoff, cap)
-        total = total * geometric(mono(1, a=1, b=1, q=j), q_cutoff, cap)
-    return total
+    return qproduct(total, (NEG_AQ, NEG_BQ), (Q, ABQ))
 
 
 def series_R_bilateral(k: int, i: int, q_cutoff: int, var_cap: int | None = None) -> TruncatedSeries:
@@ -274,12 +245,8 @@ def jacobi_triple_product(z: Monomial, q_cutoff: int) -> tuple[TruncatedSeries, 
         n += 1
     lhs = TruncatedSeries.poly(terms).truncated(q_cutoff, cap)
     lhs = TruncatedSeries(lhs.terms, lhs.q_floor, q_cutoff, cap)
-
-    from .series import qproduct
-
-    rhs = qproduct(Monomial(cneg(u), 0, 0, 0, e + 1), q_cutoff, cap, step=2)
-    rhs = rhs * qproduct(Monomial(cneg(unit_pow(u, -1)), 0, 0, 0, 1 - e), q_cutoff, cap, step=2)
-    rhs = rhs * qproduct(mono(1, q=2), q_cutoff, cap, step=2)
+    rhs = qproduct(TruncatedSeries.one(q_cutoff, cap),
+                   (mono(cneg(u), q=e + 1), mono(cneg(unit_pow(u, -1)), q=1 - e), mono(1, q=2)), step=2)
     return lhs, rhs
 
 
@@ -293,10 +260,7 @@ def q_gauss_sides(n: int, q_cutoff: int, var_cap: int | None = None
     """
     cap = q_cutoff if var_cap is None else var_cap
     m = abs(n)
-    poch_ab_m = TruncatedSeries.one(q_cutoff, cap)
-    for j in range(1, m + 1):
-        poch_ab_m = poch_ab_m * TruncatedSeries.poly([mono(1), mono(1, a=1, q=j)])
-        poch_ab_m = poch_ab_m * TruncatedSeries.poly([mono(1), mono(1, b=1, q=j)])
+    poch_ab_m = pochhammer(NEG_AQ, m, q_cutoff, cap) * pochhammer(NEG_BQ, m, q_cutoff, cap)
     lhs = TruncatedSeries.zero(q_cutoff, cap)
     running = TruncatedSeries.one(q_cutoff, cap)  # prod_{j=m}^{N-1} (a+q^j)(b+q^j)
     inv_lo = TruncatedSeries.one(q_cutoff, cap)  # 1/(q)_{N-m}
@@ -311,13 +275,7 @@ def q_gauss_sides(n: int, q_cutoff: int, var_cap: int | None = None
         running = running * TruncatedSeries.poly([mono(1, b=1), mono(1, q=j)])
         inv_lo = inv_lo * geometric(mono(1, q=big_n - m), q_cutoff, cap)
         inv_hi = inv_hi * geometric(mono(1, q=big_n + m), q_cutoff, cap)
-    rhs = TruncatedSeries.one(q_cutoff, cap)
-    for j in range(1, q_cutoff):
-        rhs = rhs * TruncatedSeries.poly([mono(1), mono(1, a=1, q=j)])
-        rhs = rhs * TruncatedSeries.poly([mono(1), mono(1, b=1, q=j)])
-        rhs = rhs * geometric(mono(1, q=j), q_cutoff, cap)
-        rhs = rhs * geometric(mono(1, a=1, b=1, q=j), q_cutoff, cap)
-    return lhs, rhs
+    return lhs, qproduct(TruncatedSeries.one(q_cutoff, cap), (NEG_AQ, NEG_BQ), (Q, ABQ))
 
 
 # ------------------------------------------------------------------ Bailey machinery
@@ -424,12 +382,7 @@ def bailey_lattice_sides(pair: BaileyPair, k: int, i: int, q_cutoff: int,
     if not (0 <= i <= k):
         raise ValueError(f"need 0 <= i <= k, got i={i}, k={k}")
     cap = q_cutoff if var_cap is None else var_cap
-    prefactor = TruncatedSeries.one(q_cutoff, cap)
-    for j in range(1, q_cutoff):
-        prefactor = prefactor * one_minus(mono(1, a=1, b=1, q=j))
-        prefactor = prefactor * geometric(mono(1, q=j), q_cutoff, cap)
-        prefactor = prefactor * geometric(mono(-1, a=1, q=j), q_cutoff, cap)
-        prefactor = prefactor * geometric(mono(-1, b=1, q=j), q_cutoff, cap)
+    prefactor = qproduct(TruncatedSeries.one(q_cutoff, cap), (ABQ,), (Q, NEG_AQ, NEG_BQ))
     if k == 0:
         lhs = prefactor * pair.betas[0]
         return lhs, lhs
@@ -445,10 +398,7 @@ def bailey_lattice_sides(pair: BaileyPair, k: int, i: int, q_cutoff: int,
 
     lhs = prefactor * _nested_multisum(k, i, lambda m: pair.betas[m], q_cutoff, cap)
 
-    inv_q_inf_sq = TruncatedSeries.one(q_cutoff, cap)
-    for j in range(1, q_cutoff):
-        g = geometric(mono(1, q=j), q_cutoff, cap)
-        inv_q_inf_sq = inv_q_inf_sq * g * g
+    inv_q_inf_sq = qproduct(TruncatedSeries.one(q_cutoff, cap), (), (Q, Q))
     rhs = inv_q_inf_sq * pair.alphas[0]
     one_minus_q = one_minus(mono(1, q=1))
     inv_chain = TruncatedSeries.one(q_cutoff, cap)

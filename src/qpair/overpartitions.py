@@ -15,10 +15,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .counts import BoundExceededError, CountTable
+from .counts import CountTable, check_bound
 from .gaussint import Coeff, GaussInt, cadd, cmul, unit_pow
-
-DEFAULT_BOUND = 14
 
 Part = tuple[int, bool]
 
@@ -186,12 +184,6 @@ def check_ki(k: int, i: int) -> None:
         raise ValueError(f"need k >= 2 and 1 <= i <= k, got k={k}, i={i}")
 
 
-def _check_bound(n: int, bound: int | None) -> None:
-    limit = DEFAULT_BOUND if bound is None else bound
-    if n > limit:
-        raise BoundExceededError(f"n={n} exceeds the enumeration bound {limit}")
-
-
 def partitions(n: int, max_part: int | None = None):
     """Partitions of n as weakly decreasing tuples."""
     if n == 0:
@@ -237,7 +229,7 @@ def pairs_of(n: int) -> tuple[OverpartitionPair, ...]:
 
 def enumerate_pairs(n: int, bound: int | None = None):
     """Stream every overpartition pair of weight n exactly once."""
-    _check_bound(n, bound)
+    check_bound(n, bound)
     yield from pairs_of(n)
 
 
@@ -249,7 +241,7 @@ def count_frequency_pairs(k: int, i: int, n_max: int, parity: bool = False,
     (the even-moduli refinement of the family).
     """
     check_ki(k, i)
-    _check_bound(n_max, bound)
+    check_bound(n_max, bound)
     table = CountTable(n_max)
     for n in range(n_max + 1):
         for pair in pairs_of(n):
@@ -291,7 +283,7 @@ def overpartition_identity_sides(k: int, n_max: int, i: int | None = None,
     if k < 2:
         raise ValueError("need k >= 2")
     i = k if i is None else i
-    _check_bound(n_max, bound)
+    check_bound(n_max, bound)
     mod = 2 * k - 1
     a_counts = []
     b_counts = []
@@ -322,7 +314,7 @@ def weighted_pair_identity_sides(k: int, n_max: int, bound: int | None = None
     """
     if k < 3:
         raise ValueError("need k >= 3 so that i = k-1 >= 2")
-    _check_bound(n_max, bound)
+    check_bound(n_max, bound)
     iu = GaussInt(0, 1)
     a_counts: list[int] = []
     even_sums: list[Coeff] = []
@@ -378,7 +370,7 @@ def partition_pair_identity_sides(k: int, i: int, n_max: int, bound: int | None 
     """
     if k < 2 or not (2 <= i <= k):
         raise ValueError(f"need k >= 2 and 2 <= i <= k, got k={k}, i={i}")
-    _check_bound(n_max, bound)
+    check_bound(n_max, bound)
     mod = 4 * k - 2
     banned = {0, (2 * i - 2) % mod, (mod - (2 * i - 2)) % mod}
 

@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .counts import BoundExceededError, CountTable
+from .counts import CountTable, check_bound
 from .frobenius import FrobeniusSymbol, successive_ranks
-from .overpartitions import DEFAULT_BOUND, check_ki
+from .overpartitions import check_ki
 from .qtools import f_poly as _f_poly, inv_qfactors as _inv_qfactors, inv_qpoch as _inv_qpoch
 from .series import TruncatedSeries, mono
 
@@ -246,9 +246,7 @@ def _paths_up_to(k: int, i: int, n_max: int) -> tuple[LatticePath, ...]:
 
 def enumerate_paths(k: int, i: int, n: int, even: bool = False, bound: int | None = None):
     """Stream every (k, i)-path of major index n, odd conditions (or even)."""
-    limit = DEFAULT_BOUND if bound is None else bound
-    if n > limit:
-        raise BoundExceededError(f"n={n} exceeds the enumeration bound {limit}")
+    check_bound(n, bound)
     for path in _paths_up_to(k, i, n):
         if path.major_index() != n:
             continue
@@ -260,9 +258,7 @@ def enumerate_paths(k: int, i: int, n: int, even: bool = False, bound: int | Non
 def count_paths(k: int, i: int, n_max: int, even: bool = False,
                 bound: int | None = None) -> CountTable:
     """Table of path counts by (marked-a, marked-b, major index)."""
-    limit = DEFAULT_BOUND if bound is None else bound
-    if n_max > limit:
-        raise BoundExceededError(f"n_max={n_max} exceeds the enumeration bound {limit}")
+    check_bound(n_max, bound)
     table = CountTable(n_max)
     for path in _paths_up_to(k, i, n_max):
         if even and not satisfies_even_conditions(path, k, i):

@@ -9,8 +9,9 @@ support).  The window semantics are:
 * it is stored exactly for ``q_floor <= dq < q_cutoff``,
 * nothing is claimed at or above ``q_cutoff``.
 
-All operations are pure; instances are immutable by convention and can be
-shared freely.  Window bookkeeping follows the rules
+All operations are pure and ``terms`` is a read-only mapping, so instances,
+including the cached ones in :mod:`~qpair.qtools`, can be shared freely.
+Window bookkeeping follows the rules
 
 * ``add``:  floor ``min``, cutoff ``min``;
 * ``mul``:  floor ``f1+f2``, cutoff ``min(c1+f2, c2+f1)``,
@@ -22,7 +23,8 @@ sentinel cutoff :data:`INF` and combine with any finite window.
 from __future__ import annotations
 
 import json
-from typing import Iterable, NamedTuple
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 from .gaussint import Coeff, GaussInt, as_pair, cadd, cmul, cneg, is_unit, unit_inverse, unit_pow
 
@@ -67,10 +69,10 @@ def _combine_caps(c1: int, c2: int) -> int:
 class TruncatedSeries:
     __slots__ = ("terms", "q_floor", "q_cutoff", "var_cap")
 
-    def __init__(self, terms: dict[Key, Coeff], q_floor: int, q_cutoff: int, var_cap: int):
+    def __init__(self, terms: Mapping[Key, Coeff], q_floor: int, q_cutoff: int, var_cap: int):
         if q_cutoff <= q_floor:
             raise ValueError(f"empty window: q_floor={q_floor}, q_cutoff={q_cutoff}")
-        self.terms = terms
+        self.terms = terms if isinstance(terms, MappingProxyType) else MappingProxyType(terms)
         self.q_floor = q_floor
         self.q_cutoff = q_cutoff
         self.var_cap = var_cap
@@ -475,20 +477,40 @@ def pochhammer(base: Monomial, n: int, q_cutoff: int = INF, var_cap: int = INF) 
     return out
 
 
-def qproduct(base: Monomial, q_cutoff: int, var_cap: int, step: int = 1) -> TruncatedSeries:
-    """``prod_{j>=0} (1 - c q^(step*j))`` truncated; factors beyond the cutoff are 1.
+def qproduct(s: TruncatedSeries, num: tuple[Monomial, ...] = (), den: tuple[Monomial, ...] = (),
+             step: int = 1) -> TruncatedSeries:
+    """``s * prod_{m in num} (m; q^step)_inf / prod_{m in den} (m; q^step)_inf``.
 
-    Internal helper: allows bases of nonpositive q-degree (Laurent factors),
-    as long as ``step >= 1`` so that only finitely many factors matter.
+    The result is truncated at ``s``'s own window; factors of q-degree at or
+    above its cutoff are 1.  Numerator bases may have q-degree <= 0 (Laurent
+    factors, as in the triple product); denominator bases need a positive
+    q-degree.  The factors are applied one at a time, j outer and bases
+    inner: each binomial or geometric factor is sparse, so this is cheaper
+    than forming the product first and multiplying once.
     """
     if step < 1:
         raise ValueError("qproduct needs step >= 1")
-    out = TruncatedSeries.one(q_cutoff, var_cap)
+    if any(m.q <= 0 for m in den):
+        raise ValueError("qproduct needs denominator bases of positive q-degree")
+    cutoff, cap = s.q_cutoff, s.var_cap
+    if cutoff >= INF:
+        raise ValueError("qproduct needs a series with a finite cutoff")
     j = 0
-    while base.q + step * j < q_cutoff:
-        out = out * one_minus(Monomial(base.coeff, base.a, base.b, base.x, base.q + step * j))
+    while True:
+        live = False
+        for m in num:
+            e = m.q + step * j
+            if e < cutoff:
+                s = s * one_minus(Monomial(m.coeff, m.a, m.b, m.x, e))
+                live = True
+        for m in den:
+            e = m.q + step * j
+            if e < cutoff:
+                s = s * geometric(Monomial(m.coeff, m.a, m.b, m.x, e), cutoff, cap)
+                live = True
+        if not live:
+            return s
         j += 1
-    return out
 
 
 def pochhammer_inf(base: Monomial, q_cutoff: int, var_cap: int | None = None, step: int = 1) -> TruncatedSeries:
@@ -498,7 +520,7 @@ def pochhammer_inf(base: Monomial, q_cutoff: int, var_cap: int | None = None, st
     """
     if base.q <= 0:
         raise ValueError(f"pochhammer_inf needs a base of positive q-degree, got q^{base.q}")
-    return qproduct(base, q_cutoff, q_cutoff if var_cap is None else var_cap, step=step)
+    return qproduct(TruncatedSeries.one(q_cutoff, q_cutoff if var_cap is None else var_cap), (base,), step=step)
 
 
 def q_binomial(n: int, k: int, q_cutoff: int) -> TruncatedSeries:

@@ -16,6 +16,10 @@ from .durfee import count_admissible, count_self_conjugate
 from .frobenius import count_rank_bounded, rank_interval
 from .gaussint import GaussInt
 from .hyperg import (
+    ABQ,
+    NEG_AQ,
+    NEG_BQ,
+    Q,
     bailey_lattice_sides,
     bailey_pair_b3,
     bailey_pair_e3,
@@ -37,7 +41,7 @@ from .overpartitions import (
     count_frequency_pairs,
 )
 from .paths import count_paths, gf_closed, gf_gamma_closed, gf_gamma_recurrence, gf_recurrence
-from .series import TruncatedSeries, geometric, mono, one_minus, pochhammer_inf
+from .series import TruncatedSeries, geometric, mono, qproduct
 
 
 @dataclass
@@ -334,15 +338,9 @@ def suite_jtp(cfg: VerifyConfig) -> VerificationReport:
     return rep
 
 
-def _dress_lattice_rhs(rhs: TruncatedSeries, c: int, cap: int) -> TruncatedSeries:
+def _dress_lattice_rhs(rhs: TruncatedSeries) -> TruncatedSeries:
     """Multiply by (q)inf (-aq)inf (-bq)inf / (abq)inf."""
-    out = rhs
-    for j in range(1, c):
-        out = out * one_minus(mono(1, q=j))
-        out = out * TruncatedSeries.poly([mono(1), mono(1, a=1, q=j)])
-        out = out * TruncatedSeries.poly([mono(1), mono(1, b=1, q=j)])
-        out = out * geometric(mono(1, a=1, b=1, q=j), c, cap)
-    return out
+    return qproduct(rhs, (Q, NEG_AQ, NEG_BQ), (ABQ,))
 
 
 def suite_bailey(cfg: VerifyConfig) -> VerificationReport:
@@ -368,10 +366,10 @@ def suite_bailey(cfg: VerifyConfig) -> VerificationReport:
         for i in range(1, k + 1):
             _, rhs = bailey_lattice_sides(pairs["B3"], k - 1, i - 1, c)
             rep.series_check("lattice-reproduces-bilateral", {"k": k, "i": i},
-                             _dress_lattice_rhs(rhs, c, c), series_R_bilateral(k, i, c))
+                             _dress_lattice_rhs(rhs), series_R_bilateral(k, i, c))
             _, rhs_t = bailey_lattice_sides(pairs["E3"], k - 1, i - 1, c)
             rep.series_check("lattice-reproduces-bilateral-even", {"k": k, "i": i},
-                             _dress_lattice_rhs(rhs_t, c, c), series_R_tilde_bilateral(k, i, c))
+                             _dress_lattice_rhs(rhs_t), series_R_tilde_bilateral(k, i, c))
             d_series = multisum_admissible(k, i, n_max + 1)
             rep.table_check("multisum-vs-durfee-enum", {"k": k, "i": i},
                             CountTable.from_series(d_series, n_max),
@@ -390,30 +388,21 @@ def suite_bailey(cfg: VerifyConfig) -> VerificationReport:
 
 def _product_odd_modulus(k: int, c: int) -> TruncatedSeries:
     m = 2 * k - 1
-    prod = pochhammer_inf(mono(-1, q=1), c)
-    prod = prod * pochhammer_inf(mono(1, q=m), c, step=m)
-    prod = prod * pochhammer_inf(mono(1, q=1), c).invert()
-    return prod * pochhammer_inf(mono(-1, q=m), c, step=m).invert()
+    prod = qproduct(TruncatedSeries.one(c, c), (mono(-1, q=1),), (mono(1, q=1),))
+    return qproduct(prod, (mono(1, q=m),), (mono(-1, q=m),), step=m)
 
 
 def _product_root_of_unity(k: int, c: int) -> TruncatedSeries:
     m = k - 1
-    prod = pochhammer_inf(mono(-1, q=1), c)
-    prod = prod * pochhammer_inf(mono(-1, q=2), c, step=2)
-    prod = prod * pochhammer_inf(mono(1, q=m), c, step=m)
-    prod = prod * pochhammer_inf(mono(1, q=1), c).invert()
-    prod = prod * pochhammer_inf(mono(1, q=2), c, step=2).invert()
-    return prod * pochhammer_inf(mono(-1, q=m), c, step=m).invert()
+    prod = qproduct(TruncatedSeries.one(c, c), (mono(-1, q=1),), (mono(1, q=1),))
+    prod = qproduct(prod, (mono(-1, q=2),), (mono(1, q=2),), step=2)
+    return qproduct(prod, (mono(1, q=m),), (mono(-1, q=m),), step=m)
 
 
 def _product_even_modulus(k: int, i: int, c: int) -> TruncatedSeries:
     m = 4 * k - 2
-    g = pochhammer_inf(mono(-1, q=1), c, step=2)
-    g = g * g
-    for e in (2 * i - 2, 4 * k - 2 * i, m):
-        g = g * pochhammer_inf(mono(1, q=e), c, step=m)
-    inv = pochhammer_inf(mono(1, q=2), c, step=2).invert()
-    return g * inv * inv
+    g = qproduct(TruncatedSeries.one(c, c), (mono(-1, q=1),) * 2, (mono(1, q=2),) * 2, step=2)
+    return qproduct(g, tuple(mono(1, q=e) for e in (2 * i - 2, 4 * k - 2 * i, m)), step=m)
 
 
 def specialized_odd_modulus_series(k: int, target: int) -> TruncatedSeries:

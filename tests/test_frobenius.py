@@ -4,7 +4,6 @@ from qpair.counts import BoundExceededError
 from qpair.frobenius import (
     FrobeniusSymbol,
     count_rank_bounded,
-    enumerate_symbols,
     joichi_stanton,
     joichi_stanton_inverse,
     rank_interval,
@@ -80,10 +79,10 @@ class TestSymbolBasics:
 
 class TestEnumeration:
     def test_weight_zero(self):
-        assert list(enumerate_symbols(0)) == [FrobeniusSymbol([], [])]
+        assert symbols_of(0) == (FrobeniusSymbol([], []),)
 
     def test_weight_one(self):
-        symbols = list(enumerate_symbols(1))
+        symbols = symbols_of(1)
         assert len(symbols) == 4
         for f in symbols:
             assert f.columns == 1
@@ -101,7 +100,10 @@ class TestEnumeration:
 
     def test_bound_guard(self):
         with pytest.raises(BoundExceededError):
-            list(enumerate_symbols(15))
+            count_rank_bounded(2, 1, 15)
+        with pytest.raises(BoundExceededError):
+            count_rank_bounded(2, 1, 4, bound=3)
+        assert count_rank_bounded(2, 1, 3, bound=3).n_max == 3
 
 
 class TestJoichiStanton:

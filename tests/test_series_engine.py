@@ -9,7 +9,9 @@ from qpair.series import (
     pochhammer,
     pochhammer_inf,
     q_binomial,
+    qproduct,
 )
+from qpair.qtools import f_poly, inv_qfactors
 
 
 def ts(*monomials, cutoff=10, cap=10):
@@ -176,6 +178,69 @@ class TestPochhammer:
     def test_nonpositive_degree_errors(self):
         with pytest.raises(ValueError, match="positive q-degree"):
             pochhammer_inf(mono(1, q=0), 5)
+
+
+def reference_qproduct(s, num, den, step):
+    """Base by base, factor by factor: each (1 - m q^e) as a binomial, each
+    inverse by ``invert``, and factors past the window multiplied in too."""
+    cutoff = s.q_cutoff
+    out = s
+    for m in num:
+        for j in range(cutoff - m.q + 1):
+            out = out * poly((1,), (-m.coeff, m.a, m.b, m.x, m.q + step * j))
+    for m in den:
+        for j in range(cutoff - m.q + 1):
+            out = out * poly((1,), (-m.coeff, m.a, m.b, m.x, m.q + step * j)).invert(cutoff)
+    return out
+
+
+KERNEL_CASES = {
+    "x=1 prefactor": (TruncatedSeries.one(12, 12), [(-1, 1, 0, 0, 1), (-1, 0, 1, 0, 1)],
+                      [(1, 0, 0, 0, 1), (1, 1, 1, 0, 1)], 1),
+    "x bases, cap below cutoff": (ts((1,), (2, 1, 0, 1, 3), (-1, 0, 1, 0, 2), cutoff=10, cap=4),
+                                  [(-1, 1, 0, 1, 1), (-1, 0, 1, 1, 1)],
+                                  [(1, 0, 0, 1, 1), (1, 1, 1, 1, 1)], 1),
+    "Laurent numerator, step 2": (TruncatedSeries.one(14, 14),
+                                  [(-1, 0, 0, 0, 4), (-1, 0, 0, 0, -2), (1, 0, 0, 0, 2)], [], 2),
+    "units, step 3, positive floor": (ts((1, 0, 0, 0, 2), (3, 1, 0, 0, 4), cutoff=12, cap=3),
+                                      [(GaussInt(0, 1), 0, 0, 0, 1)],
+                                      [(-1, 0, 0, 0, 3), (GaussInt(0, -1), 1, 0, 0, 2)], 3),
+    "denominators only, repeated": (ts((1,), (1, 0, 1, 0, 1), cutoff=9, cap=9), [],
+                                    [(1, 0, 0, 0, 1), (1, 0, 0, 0, 1)], 1),
+    "no factors": (ts((5, 0, 0, 1, 2), cutoff=7, cap=7), [], [], 2),
+}
+
+
+class TestQProduct:
+    @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+    def test_matches_factor_by_factor_reference(self, name):
+        s, num, den, step = KERNEL_CASES[name]
+        num = tuple(mono(*m) for m in num)
+        den = tuple(mono(*m) for m in den)
+        got = qproduct(s, num, den, step=step)
+        want = reference_qproduct(s, num, den, step)
+        assert dict(got.terms) == dict(want.terms)
+        assert (got.q_floor, got.q_cutoff, got.var_cap) == (want.q_floor, want.q_cutoff, want.var_cap)
+
+    def test_rejects_bad_step_and_denominator(self):
+        one = TruncatedSeries.one(8, 8)
+        with pytest.raises(ValueError, match="step"):
+            qproduct(one, (mono(1, q=1),), step=0)
+        with pytest.raises(ValueError, match="positive q-degree"):
+            qproduct(one, (), (mono(1, a=1),))
+
+
+class TestImmutability:
+    def test_cached_series_reject_writes(self):
+        for build in (lambda: f_poly(2, 6, 6), lambda: inv_qfactors((1, 2), 6, 6)):
+            s = build()
+            before = dict(s.terms)
+            key = next(iter(before))
+            with pytest.raises(TypeError):
+                s.terms[key] = 7
+            with pytest.raises(TypeError):
+                del s.terms[key]
+            assert dict(build().terms) == before
 
 
 def _partitions_in_box(rows: int, cols: int):
