@@ -14,16 +14,14 @@ import json
 import os
 import sys
 
-from .counts import DEFAULT_BOUND, BoundExceededError, CountTable, check_bound
-from .durfee import count_admissible, count_self_conjugate, is_ki_admissible, is_self_ki_conjugate, k_conjugate
+from .counts import DEFAULT_BOUND, BoundExceededError, check_bound, tally
+from .durfee import admissible_symbols, k_conjugate, self_conjugate_symbols
 from .frobenius import (
     FrobeniusSymbol,
-    count_rank_bounded,
     joichi_stanton,
     joichi_stanton_inverse,
-    rank_interval,
-    successive_ranks,
-    symbols_of,
+    rank_bounded_symbols,
+    symbols_up_to,
 )
 from .gaussint import GaussInt
 from .hyperg import (
@@ -36,8 +34,8 @@ from .hyperg import (
     series_R_tilde,
     series_R_tilde_bilateral,
 )
-from .overpartitions import count_frequency_pairs, pairs_of
-from .paths import LatticePath, count_paths, enumerate_paths
+from .overpartitions import frequency_pairs, pairs_up_to
+from .paths import LatticePath, paths_up_to
 from .series import TruncatedSeries
 from .verify import SUITES, VerifyConfig, run_suite
 
@@ -156,10 +154,6 @@ def cmd_series(args) -> int:
     return 0
 
 
-ENUM_FAMILIES = ("B", "Btilde", "C", "Ctilde", "D", "Dtilde", "E", "Etilde", "pairs", "symbols", "paths")
-_NEEDS_KI = {"B", "Btilde", "C", "Ctilde", "D", "Dtilde", "E", "Etilde", "paths"}
-
-
 def _pair_obj(pair) -> dict:
     return {
         "lam": [{"size": s, "over": o} for s, o in pair.lam.parts],
@@ -167,90 +161,53 @@ def _pair_obj(pair) -> dict:
     }
 
 
-def _enum_objects(args) -> list:
-    fam, n, k, i = args.family, args.n, args.k, args.i
-    if fam == "pairs":
-        return [_pair_obj(p) for p in pairs_of(n)]
-    if fam == "symbols":
-        return [f.to_obj() for f in symbols_of(n)]
-    if fam in ("B", "Btilde"):
-        parity = fam.endswith("tilde")
-        pred = (lambda p: p.satisfies_parity_conditions(k, i)) if parity else (
-            lambda p: p.satisfies_frequency_conditions(k, i))
-        return [_pair_obj(p) for p in pairs_of(n) if pred(p)]
-    if fam in ("C", "Ctilde"):
-        lo, hi = rank_interval(k, i, tilde=fam.endswith("tilde"))
-        return [
-            f.to_obj()
-            for f in symbols_of(n)
-            if all(lo <= r <= hi for r in successive_ranks(f))
-        ]
-    if fam == "D":
-        return [f.to_obj() for f in symbols_of(n) if is_ki_admissible(f, k, i)]
-    if fam == "Dtilde":
-        return [f.to_obj() for f in symbols_of(n) if is_self_ki_conjugate(f, k, i)]
-    if fam in ("E", "Etilde", "paths"):
-        even = fam == "Etilde"
-        return [p.to_obj() for p in enumerate_paths(k, i, n, even=even, bound=args.bound)]
-    raise ValueError(f"unknown family {fam!r}")
+def _own_obj(obj) -> dict:
+    return obj.to_obj()
 
 
-def _enum_table(args) -> CountTable:
-    fam, n, k, i, bound = args.family, args.n, args.k, args.i, args.bound
-    if fam == "B":
-        return count_frequency_pairs(k, i, n, bound=bound)
-    if fam == "Btilde":
-        return count_frequency_pairs(k, i, n, parity=True, bound=bound)
-    if fam == "C":
-        return count_rank_bounded(k, i, n, bound=bound)
-    if fam == "Ctilde":
-        return count_rank_bounded(k, i, n, tilde=True, bound=bound)
-    if fam == "D":
-        return count_admissible(k, i, n, bound=bound)
-    if fam == "Dtilde":
-        return count_self_conjugate(k, i, n, bound=bound)
-    if fam in ("E", "paths"):
-        return count_paths(k, i, n, bound=bound)
-    if fam == "Etilde":
-        return count_paths(k, i, n, even=True, bound=bound)
-    if fam == "pairs":
-        table = CountTable(n)
-        for m in range(n + 1):
-            for p in pairs_of(m):
-                table.add(p.s_stat(), p.t_stat(), m)
-        return table
-    if fam == "symbols":
-        table = CountTable(n)
-        for m in range(n + 1):
-            for f in symbols_of(m):
-                table.add(f.s_stat(), f.t_stat(), m)
-        return table
-    raise ValueError(f"unknown family {fam!r}")
+# family -> (stream of (weight, object) members up to weight n, object -> JSON).
+# The lambdas look the streams up when called, never at import.
+ENUM_FAMILIES = {
+    "B": (lambda k, i, n: frequency_pairs(k, i, n), _pair_obj),
+    "Btilde": (lambda k, i, n: frequency_pairs(k, i, n, parity=True), _pair_obj),
+    "C": (lambda k, i, n: rank_bounded_symbols(k, i, n), _own_obj),
+    "Ctilde": (lambda k, i, n: rank_bounded_symbols(k, i, n, tilde=True), _own_obj),
+    "D": (lambda k, i, n: admissible_symbols(k, i, n), _own_obj),
+    "Dtilde": (lambda k, i, n: self_conjugate_symbols(k, i, n), _own_obj),
+    "E": (lambda k, i, n: paths_up_to(k, i, n), _own_obj),
+    "Etilde": (lambda k, i, n: paths_up_to(k, i, n, even=True), _own_obj),
+    "pairs": (lambda k, i, n: pairs_up_to(n), _pair_obj),
+    "symbols": (lambda k, i, n: symbols_up_to(n), _own_obj),
+    "paths": (lambda k, i, n: paths_up_to(k, i, n), _own_obj),
+}
 
 
 def cmd_enumerate(args) -> int:
-    if args.family in _NEEDS_KI and (args.k is None or args.i is None):
+    if args.family not in ("pairs", "symbols") and (args.k is None or args.i is None):
         raise ValueError(f"family {args.family} needs -k and -i")
     if args.n < 0:
         raise ValueError(f"-n must be at least 0, got {args.n}")
     if args.bound is None:
         args.bound = _env_int("QPAIR_BOUND", DEFAULT_BOUND)
     check_bound(args.n, args.bound)
+    if args.mode == "objects" and args.format == "csv":
+        raise ValueError("objects mode only supports --format json")
+    stream, to_obj = ENUM_FAMILIES[args.family]
+    members = stream(args.k, args.i, args.n)
     if args.mode == "objects":
-        objs = _enum_objects(args)
-        if args.format == "csv":
-            raise ValueError("objects mode only supports --format json")
+        objs = [to_obj(obj) for m, obj in members if m == args.n]
         _emit(args, _dump({"family": args.family, "n": args.n, "objects": objs}))
     else:
-        table = _enum_table(args)
-        if args.format == "csv":
-            _emit(args, table.to_csv())
-        else:
-            _emit(args, _dump(table.to_obj()))
+        table = tally(members, args.n)
+        _emit(args, table.to_csv() if args.format == "csv" else _dump(table.to_obj()))
     return 0
 
 
-BIJECT_MAPS = ("path-to-symbol", "symbol-to-path", "k-conjugate", "joichi-stanton", "js-inverse")
+# Each map with the flags it needs.
+BIJECT_MAPS = {
+    "path-to-symbol": ("k", "i"), "symbol-to-path": ("k", "i"), "k-conjugate": ("k",),
+    "joichi-stanton": (), "js-inverse": (),
+}
 
 
 def _row_from_obj(obj) -> list[tuple[int, bool]]:
@@ -260,21 +217,26 @@ def _row_from_obj(obj) -> list[tuple[int, bool]]:
 def cmd_biject(args) -> int:
     from .paths import path_to_symbol, symbol_to_path
 
+    missing = [f"-{flag}" for flag in BIJECT_MAPS[args.map] if getattr(args, flag) is None]
+    if missing:
+        raise ValueError(f"--map {args.map} needs {' and '.join(missing)}")
     payload = json.load(sys.stdin)
-    if args.map == "path-to-symbol":
-        out = path_to_symbol(LatticePath.from_obj(payload), args.k, args.i).to_obj()
-    elif args.map == "symbol-to-path":
-        out = symbol_to_path(FrobeniusSymbol.from_obj(payload), args.k, args.i).to_obj()
-    elif args.map == "k-conjugate":
-        out = k_conjugate(FrobeniusSymbol.from_obj(payload), args.k).to_obj()
-    elif args.map == "joichi-stanton":
-        assoc, marks = joichi_stanton(_row_from_obj(payload))
-        out = {"associated": list(assoc), "marks": list(marks)}
-    elif args.map == "js-inverse":
-        row = joichi_stanton_inverse(payload["associated"], payload["marks"])
-        out = [{"size": s, "over": o} for s, o in row]
-    else:
-        raise ValueError(f"unknown map {args.map!r}")
+    try:
+        if args.map == "path-to-symbol":
+            out = path_to_symbol(LatticePath.from_obj(payload), args.k, args.i).to_obj()
+        elif args.map == "symbol-to-path":
+            out = symbol_to_path(FrobeniusSymbol.from_obj(payload), args.k, args.i).to_obj()
+        elif args.map == "k-conjugate":
+            out = k_conjugate(FrobeniusSymbol.from_obj(payload), args.k).to_obj()
+        elif args.map == "joichi-stanton":
+            assoc, marks = joichi_stanton(_row_from_obj(payload))
+            out = {"associated": list(assoc), "marks": list(marks)}
+        else:
+            row = joichi_stanton_inverse(payload["associated"], payload["marks"])
+            out = [{"size": s, "over": o} for s, o in row]
+    except (TypeError, IndexError) as exc:
+        # The JSON parsed but has the wrong shape for this map.
+        raise ValueError(f"--map {args.map} cannot read its input: {exc}") from None
     _emit(args, _dump(out))
     return 0
 

@@ -112,3 +112,11 @@ class CountTable:
             if 0 <= n <= n_max:
                 table.add(s, t, n, c)
         return table
+
+
+def tally(members, n_max: int) -> CountTable:
+    """Table of ``(weight, obj)`` members keyed by (obj.s_stat(), obj.t_stat(), weight)."""
+    table = CountTable(n_max)
+    for n, obj in members:
+        table.add(obj.s_stat(), obj.t_stat(), n)
+    return table

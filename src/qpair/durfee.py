@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .counts import CountTable, check_bound
-from .frobenius import FrobeniusSymbol, Row, joichi_stanton_inverse, row_split, symbols_of
+from .counts import CountTable, check_bound, tally
+from .frobenius import FrobeniusSymbol, Row, joichi_stanton_inverse, row_split, symbols_up_to
 from .overpartitions import check_ki
 
 Partition = tuple[int, ...]
@@ -251,22 +251,25 @@ def is_self_ki_conjugate(f: FrobeniusSymbol, k: int, i: int) -> bool:
     return False
 
 
+def admissible_symbols(k: int, i: int, n_max: int):
+    """``(n, symbol)`` for each (k, i)-admissible symbol of weight n <= n_max, in listing order."""
+    check_ki(k, i)
+    return ((n, f) for n, f in symbols_up_to(n_max) if is_ki_admissible(f, k, i))
+
+
+def self_conjugate_symbols(k: int, i: int, n_max: int):
+    """``(n, symbol)`` for each self-(k, i)-conjugate symbol of weight n <= n_max, in listing order."""
+    check_ki(k, i)
+    return ((n, f) for n, f in symbols_up_to(n_max) if is_self_ki_conjugate(f, k, i))
+
+
 def count_admissible(k: int, i: int, n_max: int, bound: int | None = None) -> CountTable:
     """Table of (k, i)-admissible symbols by (s, t, n)."""
-    return _count_by(lambda f: is_ki_admissible(f, k, i), k, i, n_max, bound)
+    check_bound(n_max, bound)
+    return tally(admissible_symbols(k, i, n_max), n_max)
 
 
 def count_self_conjugate(k: int, i: int, n_max: int, bound: int | None = None) -> CountTable:
     """Table of self-(k, i)-conjugate symbols by (s, t, n)."""
-    return _count_by(lambda f: is_self_ki_conjugate(f, k, i), k, i, n_max, bound)
-
-
-def _count_by(pred, k, i, n_max, bound) -> CountTable:
-    check_ki(k, i)
     check_bound(n_max, bound)
-    table = CountTable(n_max)
-    for n in range(n_max + 1):
-        for f in symbols_of(n):
-            if pred(f):
-                table.add(f.s_stat(), f.t_stat(), n)
-    return table
+    return tally(self_conjugate_symbols(k, i, n_max), n_max)

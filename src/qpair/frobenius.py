@@ -10,11 +10,10 @@ of distinct marks (used heavily by :mod:`qpair.durfee`).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 from operator import sub
 
-from .counts import CountTable, check_bound
-from .overpartitions import canonical_parts, partitions
+from .counts import CountTable, check_bound, tally
+from .overpartitions import canonical_parts, check_ki, overlinings, partitions
 
 Row = tuple[tuple[int, bool], ...]
 
@@ -118,22 +117,8 @@ def rows_of(length: int, total: int) -> tuple[Row, ...]:
     """All overpartitions into ``length`` nonnegative parts summing to ``total``."""
     out = []
     for p in partitions(total):
-        if len(p) > length:
-            continue
-        padded = p + (0,) * (length - len(p))
-        values = sorted(set(padded))
-        for r in range(len(values) + 1):
-            for marked in combinations(values, r):
-                marked_set = set(marked)
-                parts = []
-                seen = set()
-                for v in padded:
-                    if v in marked_set and v not in seen:
-                        parts.append((v, True))
-                        seen.add(v)
-                    else:
-                        parts.append((v, False))
-                out.append(canonical_row(tuple(parts)))
+        if len(p) <= length:
+            out.extend(map(canonical_row, overlinings(p + (0,) * (length - len(p)))))
     return tuple(sorted(out))
 
 
@@ -150,30 +135,36 @@ def symbols_of(n: int) -> tuple[FrobeniusSymbol, ...]:
     return tuple(out)
 
 
+def symbols_up_to(n_max: int):
+    """``(n, symbol)`` for every Frobenius symbol of weight n <= n_max, in listing order."""
+    return ((n, f) for n in range(n_max + 1) for f in symbols_of(n))
+
+
 def rank_interval(k: int, i: int, tilde: bool = False) -> tuple[int, int]:
     """The closed rank window for the rank-bounded family."""
     hi = 2 * k - i - 2 if tilde else 2 * k - i - 1
     return (-i + 2, hi)
 
 
+def rank_bounded_symbols(k: int, i: int, n_max: int, tilde: bool = False,
+                         interval: tuple[int, int] | None = None):
+    """``(n, symbol)`` for each symbol of weight n <= n_max whose successive
+    ranks stay in the (k, i) window (or in ``interval``), in listing order."""
+    check_ki(k, i)
+    lo, hi = interval if interval is not None else rank_interval(k, i, tilde)
+    return ((n, f) for n, f in symbols_up_to(n_max)
+            if all(lo <= r <= hi for r in successive_ranks(f)))
+
+
 def count_rank_bounded(k: int, i: int, n_max: int, tilde: bool = False,
                        bound: int | None = None,
                        interval: tuple[int, int] | None = None) -> CountTable:
-    """Table of symbols whose successive ranks stay in the (k, i) window.
+    """Table of :func:`rank_bounded_symbols` by (s, t, n).
 
     s counts non-overlined bottom entries, t non-overlined top entries.
     """
-    from .overpartitions import check_ki
-
-    check_ki(k, i)
     check_bound(n_max, bound)
-    lo, hi = interval if interval is not None else rank_interval(k, i, tilde)
-    table = CountTable(n_max)
-    for n in range(n_max + 1):
-        for f in symbols_of(n):
-            if all(lo <= r <= hi for r in successive_ranks(f)):
-                table.add(f.s_stat(), f.t_stat(), n)
-    return table
+    return tally(rank_bounded_symbols(k, i, n_max, tilde, interval), n_max)
 
 
 # ------------------------------------------------------------------ row bijection

@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .counts import CountTable, check_bound
+from .counts import CountTable, check_bound, tally
 from .gaussint import Coeff, GaussInt, cadd, cmul, unit_pow
 
 Part = tuple[int, bool]
@@ -195,24 +195,20 @@ def partitions(n: int, max_part: int | None = None):
             yield (first,) + rest
 
 
+def overlinings(p: tuple[int, ...]):
+    """Each way of overlining the first occurrences of some of the distinct
+    values of the weakly decreasing ``p``, as a tuple of (size, overlined) parts."""
+    values = sorted(set(p))
+    firsts = [j == 0 or p[j - 1] != v for j, v in enumerate(p)]
+    for r in range(len(values) + 1):
+        for marked in combinations(values, r):
+            yield tuple((v, first and v in marked) for v, first in zip(p, firsts))
+
+
 @lru_cache(maxsize=None)
 def overpartitions_of(n: int) -> tuple[Overpartition, ...]:
     """All overpartitions of n, in a fixed deterministic order."""
-    out = []
-    for p in partitions(n):
-        values = sorted(set(p))
-        for r in range(len(values) + 1):
-            for marked in combinations(values, r):
-                marked_set = set(marked)
-                parts = []
-                seen = set()
-                for v in p:
-                    if v in marked_set and v not in seen:
-                        parts.append((v, True))
-                        seen.add(v)
-                    else:
-                        parts.append((v, False))
-                out.append(Overpartition(parts))
+    out = [Overpartition(parts) for p in partitions(n) for parts in overlinings(p)]
     return tuple(sorted(out, key=lambda o: o.parts))
 
 
@@ -227,32 +223,35 @@ def pairs_of(n: int) -> tuple[OverpartitionPair, ...]:
     return tuple(out)
 
 
+def pairs_up_to(n_max: int):
+    """``(n, pair)`` for every overpartition pair of weight n <= n_max, in listing order."""
+    return ((n, pair) for n in range(n_max + 1) for pair in pairs_of(n))
+
+
 def enumerate_pairs(n: int, bound: int | None = None):
     """Stream every overpartition pair of weight n exactly once."""
     check_bound(n, bound)
     yield from pairs_of(n)
 
 
-def count_frequency_pairs(k: int, i: int, n_max: int, parity: bool = False,
-                          bound: int | None = None) -> CountTable:
-    """Table of (s, t, n) counts of pairs meeting the frequency conditions.
+def frequency_pairs(k: int, i: int, n_max: int, parity: bool = False):
+    """``(n, pair)`` for each pair of weight n <= n_max meeting the frequency
+    conditions, in listing order.
 
     With ``parity=True`` the parity constraint on tight levels is added
     (the even-moduli refinement of the family).
     """
     check_ki(k, i)
+    return ((n, p) for n, p in pairs_up_to(n_max)
+            if (p.satisfies_parity_conditions(k, i) if parity
+                else p.satisfies_frequency_conditions(k, i)))
+
+
+def count_frequency_pairs(k: int, i: int, n_max: int, parity: bool = False,
+                          bound: int | None = None) -> CountTable:
+    """Table of (s, t, n) counts of :func:`frequency_pairs`."""
     check_bound(n_max, bound)
-    table = CountTable(n_max)
-    for n in range(n_max + 1):
-        for pair in pairs_of(n):
-            ok = (
-                pair.satisfies_parity_conditions(k, i)
-                if parity
-                else pair.satisfies_frequency_conditions(k, i)
-            )
-            if ok:
-                table.add(pair.s_stat(), pair.t_stat(), n)
-    return table
+    return tally(frequency_pairs(k, i, n_max, parity), n_max)
 
 
 # ------------------------------------------------------------------ corollaries

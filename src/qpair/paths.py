@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .counts import CountTable, check_bound
+from .counts import CountTable, check_bound, tally
 from .frobenius import FrobeniusSymbol, successive_ranks
 from .overpartitions import check_ki
 from .qtools import f_poly as _f_poly, inv_qfactors as _inv_qfactors, inv_qpoch as _inv_qpoch
@@ -133,6 +133,8 @@ class LatticePath:
     def marked_b(self) -> int:
         return sum(1 for p in self.peaks() if p.mark in ("b", "ab"))
 
+    s_stat, t_stat = marked_a, marked_b
+
     def max_height(self) -> int:
         x, y = 0, self.start_height
         top = y
@@ -244,27 +246,24 @@ def _paths_up_to(k: int, i: int, n_max: int) -> tuple[LatticePath, ...]:
     return tuple(out)
 
 
+def paths_up_to(k: int, i: int, n_max: int, even: bool = False):
+    """``(major index, path)`` for each (k, i)-path of major index <= n_max
+    meeting the odd conditions (or the even ones), in listing order."""
+    return ((path.major_index(), path) for path in _paths_up_to(k, i, n_max)
+            if not even or satisfies_even_conditions(path, k, i))
+
+
 def enumerate_paths(k: int, i: int, n: int, even: bool = False, bound: int | None = None):
     """Stream every (k, i)-path of major index n, odd conditions (or even)."""
     check_bound(n, bound)
-    for path in _paths_up_to(k, i, n):
-        if path.major_index() != n:
-            continue
-        if even and not satisfies_even_conditions(path, k, i):
-            continue
-        yield path
+    return (path for m, path in paths_up_to(k, i, n, even) if m == n)
 
 
 def count_paths(k: int, i: int, n_max: int, even: bool = False,
                 bound: int | None = None) -> CountTable:
     """Table of path counts by (marked-a, marked-b, major index)."""
     check_bound(n_max, bound)
-    table = CountTable(n_max)
-    for path in _paths_up_to(k, i, n_max):
-        if even and not satisfies_even_conditions(path, k, i):
-            continue
-        table.add(path.marked_a(), path.marked_b(), path.major_index())
-    return table
+    return tally(paths_up_to(k, i, n_max, even), n_max)
 
 
 # ------------------------------------------------------------------ bijection

@@ -196,23 +196,21 @@ def suite_htilde(cfg: VerifyConfig) -> VerificationReport:
     x_poly = TruncatedSeries.poly([mono(1, x=1)])
     one_plus_x = TruncatedSeries.poly([mono(1), mono(1, x=1)])
     for k in cfg.k_values:
-        rep.series_check("h-vanishes-at-0", {"k": k}, series_H_tilde(k, 0, c), zero)
+        h = {i: series_H_tilde(k, i, c) for i in range(-k, k + 1)}
+        j = {i: series_J_tilde(k, i, c) for i in range(1, k + 1)}
+        rep.series_check("h-vanishes-at-0", {"k": k}, h[0], zero)
         for i in range(1, k + 1):
-            rep.series_check(
-                "h-reflection", {"k": k, "i": i},
-                series_H_tilde(k, -i, c), -series_H_tilde(k, i, c),
-            )
-            j = series_J_tilde(k, k - i + 1, c)
+            rep.series_check("h-reflection", {"k": k, "i": i}, h[-i], -h[i])
             if i >= 2:
-                lhs = series_H_tilde(k, i, c) - series_H_tilde(k, i - 2, c)
-                rhs = (one_plus_x * j).times_monomial(mono(1, x=i - 2))
+                lhs = h[i] - h[i - 2]
+                rhs = (one_plus_x * j[k - i + 1]).times_monomial(mono(1, x=i - 2))
             else:
-                lhs = x_poly * series_H_tilde(k, 1, c) - series_H_tilde(k, -1, c)
-                rhs = one_plus_x * j
+                lhs = x_poly * h[1] - h[-1]
+                rhs = one_plus_x * j[k]
             rep.series_check("h-difference", {"k": k, "i": i}, lhs, rhs)
             rep.series_check(
                 "j-dual-route", {"k": k, "i": i},
-                series_J_tilde(k, i, c), series_J_tilde(k, i, c, route="difference"),
+                j[i], series_J_tilde(k, i, c, route="difference"),
             )
     rep.wall_time = time.time() - start
     return rep
@@ -239,42 +237,24 @@ def _chain_k_values(cfg: VerifyConfig) -> list[int]:
     return [k for k in cfg.k_values if 2 <= k <= 3]
 
 
-def suite_four_way(cfg: VerifyConfig) -> VerificationReport:
+def _four_way(cfg: VerifyConfig, even: bool) -> VerificationReport:
+    """B = C, B = D and B = E, or with ``even`` their even/tilde variants."""
     cfg = cfg.effective()
     n_max = cfg.n_max
     ks = _chain_k_values(cfg)
-    rep = VerificationReport("four-way", {"k": ks, "n_max": n_max})
+    tag = "-even" if even else ""
+    rep = VerificationReport("four-way" + tag, {"k": ks, "n_max": n_max})
     start = time.time()
     for k in ks:
         for i in range(1, k + 1):
-            b = count_frequency_pairs(k, i, n_max, bound=n_max)
-            c = count_rank_bounded(k, i, n_max, bound=n_max,
-                                   interval=_mutated_interval(k, i, False))
-            d = count_admissible(k, i, n_max, bound=n_max)
-            e = count_paths(k, i, n_max, bound=n_max)
-            rep.table_check("ranks-vs-freq", {"k": k, "i": i}, c, b)
-            rep.table_check("durfee-vs-freq", {"k": k, "i": i}, d, b)
-            rep.table_check("paths-vs-freq", {"k": k, "i": i}, e, b)
-    rep.wall_time = time.time() - start
-    return rep
-
-
-def suite_four_way_even(cfg: VerifyConfig) -> VerificationReport:
-    cfg = cfg.effective()
-    n_max = cfg.n_max
-    ks = _chain_k_values(cfg)
-    rep = VerificationReport("four-way-even", {"k": ks, "n_max": n_max})
-    start = time.time()
-    for k in ks:
-        for i in range(1, k + 1):
-            b = count_frequency_pairs(k, i, n_max, parity=True, bound=n_max)
-            c = count_rank_bounded(k, i, n_max, tilde=True, bound=n_max,
-                                   interval=_mutated_interval(k, i, True))
-            d = count_self_conjugate(k, i, n_max, bound=n_max)
-            e = count_paths(k, i, n_max, even=True, bound=n_max)
-            rep.table_check("ranks-vs-freq-even", {"k": k, "i": i}, c, b)
-            rep.table_check("durfee-vs-freq-even", {"k": k, "i": i}, d, b)
-            rep.table_check("paths-vs-freq-even", {"k": k, "i": i}, e, b)
+            b = count_frequency_pairs(k, i, n_max, parity=even, bound=n_max)
+            c = count_rank_bounded(k, i, n_max, tilde=even, bound=n_max,
+                                   interval=_mutated_interval(k, i, even))
+            d = (count_self_conjugate if even else count_admissible)(k, i, n_max, bound=n_max)
+            e = count_paths(k, i, n_max, even=even, bound=n_max)
+            rep.table_check("ranks-vs-freq" + tag, {"k": k, "i": i}, c, b)
+            rep.table_check("durfee-vs-freq" + tag, {"k": k, "i": i}, d, b)
+            rep.table_check("paths-vs-freq" + tag, {"k": k, "i": i}, e, b)
     rep.wall_time = time.time() - start
     return rep
 
@@ -364,12 +344,14 @@ def suite_bailey(cfg: VerifyConfig) -> VerificationReport:
                                  lhs, rhs)
     for k in _chain_k_values(cfg):
         for i in range(1, k + 1):
+            bilateral = series_R_bilateral(k, i, c)
+            bilateral_t = series_R_tilde_bilateral(k, i, c)
             _, rhs = bailey_lattice_sides(pairs["B3"], k - 1, i - 1, c)
             rep.series_check("lattice-reproduces-bilateral", {"k": k, "i": i},
-                             _dress_lattice_rhs(rhs), series_R_bilateral(k, i, c))
+                             _dress_lattice_rhs(rhs), bilateral)
             _, rhs_t = bailey_lattice_sides(pairs["E3"], k - 1, i - 1, c)
             rep.series_check("lattice-reproduces-bilateral-even", {"k": k, "i": i},
-                             _dress_lattice_rhs(rhs_t), series_R_tilde_bilateral(k, i, c))
+                             _dress_lattice_rhs(rhs_t), bilateral_t)
             d_series = multisum_admissible(k, i, n_max + 1)
             rep.table_check("multisum-vs-durfee-enum", {"k": k, "i": i},
                             CountTable.from_series(d_series, n_max),
@@ -379,9 +361,9 @@ def suite_bailey(cfg: VerifyConfig) -> VerificationReport:
                             CountTable.from_series(dt_series, n_max),
                             count_self_conjugate(k, i, n_max, bound=n_max))
             rep.series_check("multisum-vs-bilateral", {"k": k, "i": i},
-                             multisum_admissible(k, i, c), series_R_bilateral(k, i, c))
+                             multisum_admissible(k, i, c), bilateral)
             rep.series_check("multisum-vs-bilateral-even", {"k": k, "i": i},
-                             multisum_self_conjugate(k, i, c), series_R_tilde_bilateral(k, i, c))
+                             multisum_self_conjugate(k, i, c), bilateral_t)
     rep.wall_time = time.time() - start
     return rep
 
@@ -459,8 +441,8 @@ SUITES = {
     "qdiff-Rtilde": suite_qdiff_R_tilde,
     "htilde-identities": suite_htilde,
     "series-vs-enum": suite_series_vs_enum,
-    "four-way": suite_four_way,
-    "four-way-even": suite_four_way_even,
+    "four-way": lambda cfg: _four_way(cfg, even=False),
+    "four-way-even": lambda cfg: _four_way(cfg, even=True),
     "gf-paths": suite_gf_paths,
     "q-gauss": suite_q_gauss,
     "jtp": suite_jtp,

@@ -6,6 +6,11 @@ import sys
 
 import pytest
 
+from qpair.cli import ENUM_FAMILIES, main
+from qpair.counts import CountTable
+from qpair.frobenius import FrobeniusSymbol
+from qpair.paths import LatticePath
+
 CLI = [sys.executable, "-m", "qpair.cli"]
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -97,14 +102,67 @@ class TestEnumerateCommand:
         ("paths", 1, 4, "dc3023f2cef2ec1c"),
         ("paths", 2, 8, "7d188755d2389884"),
         ("paths", 3, 20, "47b3105f3a723a44"),
+        # The filtered families at k=3, i=2.
+        ("B", 4, 48, "0ba32fe85d90d880"),
+        ("Btilde", 4, 44, "d6c2d30fc72eddbe"),
+        ("C", 4, 48, "c8960aee1e9848f5"),
+        ("Ctilde", 4, 44, "ff4a591dc7e16454"),
+        ("D", 4, 48, "16f96fdbef09948a"),
+        ("Dtilde", 4, 44, "219014765dfbdfd5"),
+        ("E", 4, 48, "f82253f3dc652dd9"),
+        ("Etilde", 4, 44, "17c8f78775974941"),
     ]
 
     @pytest.mark.parametrize("family,n,count,digest", GOLDEN)
     def test_golden_listings(self, family, n, count, digest):
-        extra = ["-k", "2", "-i", "2"] if family == "paths" else []
+        if family in ("pairs", "symbols"):
+            extra = []
+        else:
+            extra = ["-k", "2", "-i", "2"] if family == "paths" else ["-k", "3", "-i", "2"]
         r = run("enumerate", "--family", family, *extra, "-n", str(n), "--mode", "objects")
         assert len(json.loads(r.stdout)["objects"]) == count
         assert hashlib.sha256(r.stdout.encode()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("family", ["C", "Ctilde"])
+    @pytest.mark.parametrize("k,i", [(2, 0), (2, 3), (1, 1)])
+    def test_invalid_ki_listing_exit_2(self, family, k, i):
+        r = run("enumerate", "--family", family, "-k", str(k), "-i", str(i), "-n", "3",
+                "--mode", "objects")
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: need k >= 2 and 1 <= i <= k") and r.stdout == ""
+
+    @pytest.mark.parametrize("family", sorted(ENUM_FAMILIES))
+    def test_listing_matches_table(self, family, capsys):
+        for k in (2, 3):
+            for i in range(1, k + 1):
+                for n in range(6):
+                    args = ["enumerate", "--family", family, "-k", str(k), "-i", str(i),
+                            "-n", str(n)]
+                    assert main(args + ["--mode", "objects"]) == 0
+                    listed = json.loads(capsys.readouterr().out)["objects"]
+                    assert main(args) == 0
+                    table = CountTable(n)
+                    for e in json.loads(capsys.readouterr().out)["entries"]:
+                        table.add(e["s"], e["t"], e["n"], e["re"])
+                    assert len(listed) == table.total(n)
+                    got = CountTable(n)
+                    for obj in listed:
+                        got.add(*_stats(obj), n)
+                    assert got.entries == {key: c for key, c in table.entries.items()
+                                           if key[2] == n}
+
+
+def _stats(obj) -> tuple[int, int]:
+    """(s, t) of a listed object, read from its JSON form."""
+    if "lam" in obj:
+        lam_over = sum(p["over"] for p in obj["lam"])
+        mu_plain = sum(not p["over"] for p in obj["mu"])
+        return lam_over + mu_plain, len(obj["mu"])
+    if "top" in obj:
+        f = FrobeniusSymbol.from_obj(obj)
+        return f.s_stat(), f.t_stat()
+    path = LatticePath.from_obj(obj)
+    return path.marked_a(), path.marked_b()
 
 
 class TestBijectCommand:
@@ -202,6 +260,25 @@ class TestUsageErrors:
         r = run("enumerate", "--family", "pairs", "-n", "1", env_extra={"QPAIR_BOUND": "big"})
         assert r.returncode == 2
         assert r.stderr.startswith("error: QPAIR_BOUND=")
+
+    @pytest.mark.parametrize("args,stdin,message", [
+        (("--map", "path-to-symbol"), "{}", "needs -k and -i"),
+        (("--map", "symbol-to-path", "-k", "2"), "{}", "needs -i"),
+        (("--map", "k-conjugate"), "{}", "needs -k"),
+        (("--map", "joichi-stanton"), "[1, 2]", "cannot read its input"),
+        (("--map", "js-inverse"), '{"associated": 5, "marks": []}', "cannot read its input"),
+    ])
+    def test_biject_usage_error(self, args, stdin, message):
+        r = run("biject", *args, stdin=stdin)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error:") and message in r.stderr
+        assert "Traceback" not in r.stderr and r.stdout == ""
+
+    def test_objects_csv_refused_before_enumeration(self):
+        r = run("enumerate", "--family", "B", "-k", "1", "-i", "1", "-n", "2",
+                "--mode", "objects", "--format", "csv")
+        assert r.returncode == 2
+        assert r.stderr == "error: objects mode only supports --format json\n"
 
     @pytest.mark.parametrize("args,env", [
         (("verify", "--suite", "four-way", "--n-max", "-1"), None),
