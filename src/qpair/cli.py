@@ -115,26 +115,23 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-SERIES_FAMILIES = (
-    "R", "Rtilde", "Htilde", "Jtilde",
-    "bilateral-R", "bilateral-Rtilde", "multisum-D", "multisum-Dtilde",
-)
+# family -> builder(k, i, cutoff, var_cap, x_one); only R and Rtilde have an
+# x = 1 form.  The lambdas look the builders up when called, never at import.
+SERIES_FAMILIES = {
+    "R": lambda k, i, c, cap, x_one: series_R(k, i, c, var_cap=cap, x_one=x_one),
+    "Rtilde": lambda k, i, c, cap, x_one: series_R_tilde(k, i, c, var_cap=cap, x_one=x_one),
+    "Htilde": lambda k, i, c, cap, x_one: series_H_tilde(k, i, c, var_cap=cap),
+    "Jtilde": lambda k, i, c, cap, x_one: series_J_tilde(k, i, c, var_cap=cap),
+    "bilateral-R": lambda k, i, c, cap, x_one: series_R_bilateral(k, i, c, var_cap=cap),
+    "bilateral-Rtilde": lambda k, i, c, cap, x_one: series_R_tilde_bilateral(k, i, c, var_cap=cap),
+    "multisum-D": lambda k, i, c, cap, x_one: multisum_admissible(k, i, c, var_cap=cap),
+    "multisum-Dtilde": lambda k, i, c, cap, x_one: multisum_self_conjugate(k, i, c, var_cap=cap),
+}
 
 
 def cmd_series(args) -> int:
-    k, i = args.k, args.i
     c = _setting(args.cutoff, "--cutoff", "QPAIR_CUTOFF", 12, 1)
-    builders = {
-        "R": lambda: series_R(k, i, c, var_cap=args.var_cap, x_one=args.x_one),
-        "Rtilde": lambda: series_R_tilde(k, i, c, var_cap=args.var_cap, x_one=args.x_one),
-        "Htilde": lambda: series_H_tilde(k, i, c, var_cap=args.var_cap),
-        "Jtilde": lambda: series_J_tilde(k, i, c, var_cap=args.var_cap),
-        "bilateral-R": lambda: series_R_bilateral(k, i, c, var_cap=args.var_cap),
-        "bilateral-Rtilde": lambda: series_R_tilde_bilateral(k, i, c, var_cap=args.var_cap),
-        "multisum-D": lambda: multisum_admissible(k, i, c, var_cap=args.var_cap),
-        "multisum-Dtilde": lambda: multisum_self_conjugate(k, i, c, var_cap=args.var_cap),
-    }
-    series = builders[args.family]()
+    series = SERIES_FAMILIES[args.family](args.k, args.i, c, args.var_cap, args.x_one)
     subs = {}
     for name in ("a", "b", "x"):
         expr = getattr(args, f"sub_{name}")
@@ -246,12 +243,11 @@ def cmd_verify(args) -> int:
     if "all" in names:
         names = list(SUITES)
     ks = tuple(args.k) if args.k else _env_ks((2, 3, 4))
-    cfg = VerifyConfig(
-        k_values=ks,
-        cutoff=_setting(args.cutoff, "--cutoff", "QPAIR_CUTOFF", 12, 1),
-        n_max=_setting(args.n_max, "--n-max", "QPAIR_NMAX", 10, 0),
-        deep=args.deep,
-    )
+    cutoff = _setting(args.cutoff, "--cutoff", "QPAIR_CUTOFF", 12, 1)
+    n_max = _setting(args.n_max, "--n-max", "QPAIR_NMAX", 10, 0)
+    if args.deep:
+        cutoff, n_max = 2 * cutoff, 2 * n_max
+    cfg = VerifyConfig(k_values=ks, cutoff=cutoff, n_max=n_max)
     reports = [run_suite(name, cfg) for name in names]
     ok = all(r.ok for r in reports)
     payload = {"ok": ok, "reports": [r.to_obj() for r in reports]}
@@ -324,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("-k", type=int, action="append")
     p_verify.add_argument("--cutoff", type=int, default=None)
     p_verify.add_argument("--n-max", type=int, default=None)
-    p_verify.add_argument("--deep", action="store_true", help="double the bounds")
+    p_verify.add_argument("--deep", action="store_true", help="double --cutoff and --n-max")
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
     p_verify.set_defaults(fn=cmd_verify, out=None)
 

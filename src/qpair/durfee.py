@@ -122,7 +122,7 @@ def _row_with_lam_prime(row: Row, lam_p: Partition) -> Row:
     return joichi_stanton_inverse(assoc, row_split(row)[1])
 
 
-def is_ki_admissible(f: FrobeniusSymbol, k: int, i: int, sequential: bool = False) -> bool:
+def is_ki_admissible(f: FrobeniusSymbol, k: int, i: int) -> bool:
     """Whether the bottom row's conjugated associated partition is built
     from a partition with at most k-2 Durfee squares by inserting one part
     of each designated square size (sizes taken from the inner partition;
@@ -133,17 +133,14 @@ def is_ki_admissible(f: FrobeniusSymbol, k: int, i: int, sequential: bool = Fals
     squares reproduce the tuple exactly with nothing left below.
     """
     check_ki(k, i)
-    return _bottom_admissible(f.bottom, k, i, sequential)
+    return _bottom_admissible(f.bottom, k, i)
 
 
 @lru_cache(maxsize=None)
-def _bottom_admissible(bottom: Row, k: int, i: int, sequential: bool) -> bool:
+def _bottom_admissible(bottom: Row, k: int, i: int) -> bool:
     """:func:`is_ki_admissible`, which reads only the bottom row."""
     lam2p = _lam_prime(bottom)
-    n1 = len(bottom)
-    if sequential:
-        return _seq_admissible(lam2p, n1, k, i)
-    for tup, removals in _insertions(n1, k, i):
+    for tup, removals in _insertions(len(bottom), k, i):
         nu = _remove_parts(lam2p, removals)
         if nu is None:
             continue
@@ -152,24 +149,6 @@ def _bottom_admissible(bottom: Row, k: int, i: int, sequential: bool) -> bool:
         if successive_sizes(nu, k - 2) == tup:
             return True
     return False
-
-
-def _seq_admissible(lam2p: Partition, n1: int, k: int, i: int) -> bool:
-    """Alternative reading: insertions peeled one at a time, sizes recomputed."""
-    def peel(parts: Partition, j: int) -> bool:
-        if j > k - 1:
-            return len(durfee_squares(parts).sizes) <= k - 2
-        candidates = {n1} if j == 1 else set(parts) | {0}
-        for v in candidates:
-            rest = _remove_parts(parts, [v])
-            if rest is None:
-                continue
-            expected = n1 if j == 1 else successive_sizes(rest, k - 1)[j - 2]
-            if v == expected and peel(rest, j + 1):
-                return True
-        return False
-
-    return peel(lam2p, i)
 
 
 def conjugation_regions(f: FrobeniusSymbol, k: int) -> tuple[Partition, Partition] | None:

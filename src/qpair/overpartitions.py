@@ -70,9 +70,6 @@ class Overpartition:
             return 1 if j in self.over else 0
         return self.plain.get(j, 0)
 
-    def occurs(self, j: int) -> bool:
-        return j in self.over or j in self.plain
-
     def overlined_count(self) -> int:
         return len(self.over)
 

@@ -103,19 +103,10 @@ class TruncatedSeries:
         floor = min((k[3] for k in terms), default=0)
         return cls(terms, floor, INF, INF)
 
-    @classmethod
-    def monomial(cls, m: Monomial) -> "TruncatedSeries":
-        return cls.poly([m])
-
     # ---------------------------------------------------------------- basics
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def min_q_degree(self) -> int | None:
-        if not self.terms:
-            return None
-        return min(k[3] for k in self.terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -305,9 +296,6 @@ class TruncatedSeries:
             if lhs != rhs:
                 return key, lhs, rhs
         return None
-
-    def agrees_with(self, other: "TruncatedSeries") -> bool:
-        return self.first_mismatch(other) is None
 
     # ---------------------------------------------------------------- substitutions
 

@@ -1,8 +1,9 @@
 """Identity-verification suites with machine-readable reports.
 
-Each suite runs a grid of exact coefficient comparisons and returns a
-:class:`VerificationReport`; an empty failure list is the single source of
-truth for success.  Reports are deterministic apart from ``wall_time``.
+Each suite states its parameters and runs a grid of exact coefficient
+comparisons into the :class:`VerificationReport` that :func:`run_suite`
+builds and times; an empty failure list is the single source of truth for
+success.  Reports are deterministic apart from ``wall_time``.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class CheckFailure:
 @dataclass
 class VerificationReport:
     suite: str
-    params: dict
+    params: dict = field(default_factory=dict)
     checks_run: int = 0
     identities: set[str] = field(default_factory=set)
     failures: list[CheckFailure] = field(default_factory=list)
@@ -91,15 +92,9 @@ class VerificationReport:
 
     # -- recording helpers -------------------------------------------------
 
-    def series_check(self, identity: str, params: dict, lhs: TruncatedSeries, rhs: TruncatedSeries):
-        self.checks_run += 1
-        self.identities.add(identity)
-        mm = lhs.first_mismatch(rhs)
-        if mm is not None:
-            key, lv, rv = mm
-            self.failures.append(CheckFailure(identity, params, key, str(lv), str(rv)))
-
-    def table_check(self, identity: str, params: dict, lhs: CountTable, rhs: CountTable):
+    def coeff_check(self, identity: str, params: dict,
+                    lhs: TruncatedSeries | CountTable, rhs: TruncatedSeries | CountTable):
+        """Compare two series or two count tables; record their first differing coefficient."""
         self.checks_run += 1
         self.identities.add(identity)
         mm = lhs.first_mismatch(rhs)
@@ -119,12 +114,6 @@ class VerifyConfig:
     k_values: tuple[int, ...] = (2, 3, 4)
     cutoff: int = 12
     n_max: int = 10
-    deep: bool = False
-
-    def effective(self) -> "VerifyConfig":
-        if not self.deep:
-            return self
-        return VerifyConfig(self.k_values, 2 * self.cutoff, 2 * self.n_max, False)
 
 
 def _mutated_interval(k: int, i: int, tilde: bool) -> tuple[int, int] | None:
@@ -138,113 +127,95 @@ def _mutated_interval(k: int, i: int, tilde: bool) -> tuple[int, int] | None:
 # ---------------------------------------------------------------------- suites
 
 
-def suite_qdiff_R(cfg: VerifyConfig) -> VerificationReport:
-    cfg = cfg.effective()
+def suite_qdiff_R(rep: VerificationReport, cfg: VerifyConfig) -> None:
     c = cfg.cutoff
-    rep = VerificationReport("qdiff-R", {"k": list(cfg.k_values), "cutoff": c})
-    start = time.time()
+    rep.params = {"k": list(cfg.k_values), "cutoff": c}
     inv_abxq = geometric(mono(1, a=1, b=1, x=1, q=1), c, c)
     ab_sum = TruncatedSeries.poly([mono(1, a=1), mono(1, b=1)])
     for k in cfg.k_values:
         r = {i: series_R(k, i, c) for i in range(1, k + 1)}
         shifted = {i: r[i].shift_x(1) for i in range(1, k + 1)}
-        rep.series_check("index-1-shift", {"k": k}, r[1], shifted[k])
+        rep.coeff_check("index-1-shift", {"k": k}, r[1], shifted[k])
         rhs = shifted[k - 1].times_monomial(mono(1, x=1, q=1)) + shifted[k] * TruncatedSeries.poly(
             [mono(1, a=1, x=1, q=1), mono(1, b=1, x=1, q=1), mono(1, a=1, b=1, x=1, q=1)]
         )
-        rep.series_check("index-2-step", {"k": k}, r[2] - r[1], rhs * inv_abxq)
+        rep.coeff_check("index-2-step", {"k": k}, r[2] - r[1], rhs * inv_abxq)
         for i in range(3, k + 1):
             inner = shifted[k - i + 1] + shifted[k - i + 2] * ab_sum
             inner = inner + shifted[k - i + 3].times_monomial(mono(1, a=1, b=1))
             rhs = inner.times_monomial(mono(1, x=i - 1, q=i - 1)) * inv_abxq
-            rep.series_check("index-step", {"k": k, "i": i}, r[i] - r[i - 1], rhs)
-    rep.wall_time = time.time() - start
-    return rep
+            rep.coeff_check("index-step", {"k": k, "i": i}, r[i] - r[i - 1], rhs)
 
 
-def suite_qdiff_R_tilde(cfg: VerifyConfig) -> VerificationReport:
-    cfg = cfg.effective()
+def suite_qdiff_R_tilde(rep: VerificationReport, cfg: VerifyConfig) -> None:
     c = cfg.cutoff
-    rep = VerificationReport("qdiff-Rtilde", {"k": list(cfg.k_values), "cutoff": c})
-    start = time.time()
+    rep.params = {"k": list(cfg.k_values), "cutoff": c}
     inv_abxq = geometric(mono(1, a=1, b=1, x=1, q=1), c, c)
     ab_sum = TruncatedSeries.poly([mono(1, a=1), mono(1, b=1)])
     one_plus_xq = TruncatedSeries.poly([mono(1), mono(1, x=1, q=1)])
     for k in cfg.k_values:
         r = {i: series_R_tilde(k, i, c) for i in range(1, k + 1)}
         shifted = {i: r[i].shift_x(1) for i in range(1, k + 1)}
-        rep.series_check("index-1-shift", {"k": k}, r[1], shifted[k])
+        rep.coeff_check("index-1-shift", {"k": k}, r[1], shifted[k])
         rhs = shifted[k - 1] * one_plus_xq + shifted[k] * TruncatedSeries.poly(
             [mono(1, a=1, x=1, q=1), mono(1, b=1, x=1, q=1)]
         )
-        rep.series_check("index-2-value", {"k": k}, r[2], rhs * inv_abxq)
+        rep.coeff_check("index-2-value", {"k": k}, r[2], rhs * inv_abxq)
         for i in range(3, k + 1):
             inner = shifted[k - i + 1] + shifted[k - i + 2] * ab_sum
             inner = inner + shifted[k - i + 3].times_monomial(mono(1, a=1, b=1))
             rhs = (inner * one_plus_xq).times_monomial(mono(1, x=i - 2, q=i - 2)) * inv_abxq
-            rep.series_check("index-double-step", {"k": k, "i": i}, r[i] - r[i - 2], rhs)
-    rep.wall_time = time.time() - start
-    return rep
+            rep.coeff_check("index-double-step", {"k": k, "i": i}, r[i] - r[i - 2], rhs)
 
 
-def suite_htilde(cfg: VerifyConfig) -> VerificationReport:
-    cfg = cfg.effective()
+def suite_htilde(rep: VerificationReport, cfg: VerifyConfig) -> None:
     c = cfg.cutoff
-    rep = VerificationReport("htilde-identities", {"k": list(cfg.k_values), "cutoff": c})
-    start = time.time()
+    rep.params = {"k": list(cfg.k_values), "cutoff": c}
     zero = TruncatedSeries.zero(c, c)
     x_poly = TruncatedSeries.poly([mono(1, x=1)])
     one_plus_x = TruncatedSeries.poly([mono(1), mono(1, x=1)])
     for k in cfg.k_values:
         h = {i: series_H_tilde(k, i, c) for i in range(-k, k + 1)}
         j = {i: series_J_tilde(k, i, c) for i in range(1, k + 1)}
-        rep.series_check("h-vanishes-at-0", {"k": k}, h[0], zero)
+        rep.coeff_check("h-vanishes-at-0", {"k": k}, h[0], zero)
         for i in range(1, k + 1):
-            rep.series_check("h-reflection", {"k": k, "i": i}, h[-i], -h[i])
+            rep.coeff_check("h-reflection", {"k": k, "i": i}, h[-i], -h[i])
             if i >= 2:
                 lhs = h[i] - h[i - 2]
                 rhs = (one_plus_x * j[k - i + 1]).times_monomial(mono(1, x=i - 2))
             else:
                 lhs = x_poly * h[1] - h[-1]
                 rhs = one_plus_x * j[k]
-            rep.series_check("h-difference", {"k": k, "i": i}, lhs, rhs)
-            rep.series_check(
+            rep.coeff_check("h-difference", {"k": k, "i": i}, lhs, rhs)
+            rep.coeff_check(
                 "j-dual-route", {"k": k, "i": i},
                 j[i], series_J_tilde(k, i, c, route="difference"),
             )
-    rep.wall_time = time.time() - start
-    return rep
 
 
-def suite_series_vs_enum(cfg: VerifyConfig) -> VerificationReport:
-    cfg = cfg.effective()
+def suite_series_vs_enum(rep: VerificationReport, cfg: VerifyConfig) -> None:
     n_max = cfg.n_max
-    rep = VerificationReport("series-vs-enum", {"k": list(cfg.k_values), "n_max": n_max})
-    start = time.time()
+    rep.params = {"k": list(cfg.k_values), "n_max": n_max}
     for k in cfg.k_values:
         for i in range(1, k + 1):
             got = CountTable.from_series(series_R(k, i, n_max + 1, x_one=True), n_max)
-            rep.table_check("series-counts-pairs", {"k": k, "i": i},
+            rep.coeff_check("series-counts-pairs", {"k": k, "i": i},
                             got, count_frequency_pairs(k, i, n_max, bound=n_max))
             got_t = CountTable.from_series(series_R_tilde(k, i, n_max + 1, x_one=True), n_max)
-            rep.table_check("series-counts-pairs-even", {"k": k, "i": i},
+            rep.coeff_check("series-counts-pairs-even", {"k": k, "i": i},
                             got_t, count_frequency_pairs(k, i, n_max, parity=True, bound=n_max))
-    rep.wall_time = time.time() - start
-    return rep
 
 
 def _chain_k_values(cfg: VerifyConfig) -> list[int]:
     return [k for k in cfg.k_values if 2 <= k <= 3]
 
 
-def _four_way(cfg: VerifyConfig, even: bool) -> VerificationReport:
+def _four_way(rep: VerificationReport, cfg: VerifyConfig, even: bool) -> None:
     """B = C, B = D and B = E, or with ``even`` their even/tilde variants."""
-    cfg = cfg.effective()
     n_max = cfg.n_max
     ks = _chain_k_values(cfg)
     tag = "-even" if even else ""
-    rep = VerificationReport("four-way" + tag, {"k": ks, "n_max": n_max})
-    start = time.time()
+    rep.params = {"k": ks, "n_max": n_max}
     for k in ks:
         for i in range(1, k + 1):
             b = count_frequency_pairs(k, i, n_max, parity=even, bound=n_max)
@@ -252,31 +223,27 @@ def _four_way(cfg: VerifyConfig, even: bool) -> VerificationReport:
                                    interval=_mutated_interval(k, i, even))
             d = (count_self_conjugate if even else count_admissible)(k, i, n_max, bound=n_max)
             e = count_paths(k, i, n_max, even=even, bound=n_max)
-            rep.table_check("ranks-vs-freq" + tag, {"k": k, "i": i}, c, b)
-            rep.table_check("durfee-vs-freq" + tag, {"k": k, "i": i}, d, b)
-            rep.table_check("paths-vs-freq" + tag, {"k": k, "i": i}, e, b)
-    rep.wall_time = time.time() - start
-    return rep
+            rep.coeff_check("ranks-vs-freq" + tag, {"k": k, "i": i}, c, b)
+            rep.coeff_check("durfee-vs-freq" + tag, {"k": k, "i": i}, d, b)
+            rep.coeff_check("paths-vs-freq" + tag, {"k": k, "i": i}, e, b)
 
 
-def suite_gf_paths(cfg: VerifyConfig) -> VerificationReport:
-    cfg = cfg.effective()
+def suite_gf_paths(rep: VerificationReport, cfg: VerifyConfig) -> None:
     c = cfg.cutoff
-    rep = VerificationReport("gf-paths", {"k": list(cfg.k_values), "cutoff": c})
-    start = time.time()
+    rep.params = {"k": list(cfg.k_values), "cutoff": c}
     for k in cfg.k_values:
         for even in (False, True):
             tag = "even" if even else "odd"
             for i in range(1, k + 1):
                 for n_peaks in range(5):
-                    rep.series_check(
+                    rep.coeff_check(
                         f"gf-dual-route-{tag}", {"k": k, "i": i, "peaks": n_peaks},
                         gf_recurrence(k, i, n_peaks, c, even=even),
                         gf_closed(k, i, n_peaks, c, even=even),
                     )
             for i in range(0, k):
                 for n_peaks in range(5):
-                    rep.series_check(
+                    rep.coeff_check(
                         f"gf-companion-dual-route-{tag}", {"k": k, "i": i, "peaks": n_peaks},
                         gf_gamma_recurrence(k, i, n_peaks, c, even=even),
                         gf_gamma_closed(k, i, n_peaks, c, even=even),
@@ -286,36 +253,26 @@ def suite_gf_paths(cfg: VerifyConfig) -> VerificationReport:
                 for n_peaks in range(c):
                     total = total + gf_closed(k, i, n_peaks, c, even=even)
                 bilateral = (series_R_tilde_bilateral if even else series_R_bilateral)(k, i, c)
-                rep.series_check(f"gf-sum-vs-bilateral-{tag}", {"k": k, "i": i}, total, bilateral)
-    rep.wall_time = time.time() - start
-    return rep
+                rep.coeff_check(f"gf-sum-vs-bilateral-{tag}", {"k": k, "i": i}, total, bilateral)
 
 
-def suite_q_gauss(cfg: VerifyConfig) -> VerificationReport:
-    cfg = cfg.effective()
+def suite_q_gauss(rep: VerificationReport, cfg: VerifyConfig) -> None:
     c = cfg.cutoff
-    rep = VerificationReport("q-gauss", {"cutoff": c})
-    start = time.time()
+    rep.params = {"cutoff": c}
     for n in (-2, -1, 0, 1, 2):
         lhs, rhs = q_gauss_sides(n, c)
-        rep.series_check("summation-lemma", {"n": n}, lhs, rhs)
+        rep.coeff_check("summation-lemma", {"n": n}, lhs, rhs)
     lp, _ = q_gauss_sides(2, c)
     ln, _ = q_gauss_sides(-2, c)
-    rep.series_check("summand-reflection", {"n": 2}, lp, ln)
-    rep.wall_time = time.time() - start
-    return rep
+    rep.coeff_check("summand-reflection", {"n": 2}, lp, ln)
 
 
-def suite_jtp(cfg: VerifyConfig) -> VerificationReport:
-    cfg = cfg.effective()
+def suite_jtp(rep: VerificationReport, cfg: VerifyConfig) -> None:
     c = max(cfg.cutoff, 20)
-    rep = VerificationReport("jtp", {"cutoff": c})
-    start = time.time()
+    rep.params = {"cutoff": c}
     for label, z in (("1", mono(1)), ("-1", mono(-1)), ("i", mono(GaussInt(0, 1))), ("q", mono(1, q=1))):
         lhs, rhs = jacobi_triple_product(z, c)
-        rep.series_check("triple-product", {"z": label}, lhs, rhs)
-    rep.wall_time = time.time() - start
-    return rep
+        rep.coeff_check("triple-product", {"z": label}, lhs, rhs)
 
 
 def _dress_lattice_rhs(rhs: TruncatedSeries) -> TruncatedSeries:
@@ -323,15 +280,11 @@ def _dress_lattice_rhs(rhs: TruncatedSeries) -> TruncatedSeries:
     return qproduct(rhs, (Q, NEG_AQ, NEG_BQ), (ABQ,))
 
 
-def suite_bailey(cfg: VerifyConfig) -> VerificationReport:
-    cfg = cfg.effective()
+def suite_bailey(rep: VerificationReport, cfg: VerifyConfig) -> None:
     c = cfg.cutoff
-    lattice_c = min(c, 10) if not cfg.deep else c
+    lattice_c = min(c, 10)
     n_max = cfg.n_max
-    rep = VerificationReport(
-        "bailey", {"k": list(cfg.k_values), "cutoff": c, "n_max": n_max}
-    )
-    start = time.time()
+    rep.params = {"k": list(cfg.k_values), "cutoff": c, "n_max": n_max}
     depth = max(4, c)
     pairs = {"B3": bailey_pair_b3(depth, c), "E3": bailey_pair_e3(depth, c)}
     for label in pairs:
@@ -340,32 +293,30 @@ def suite_bailey(cfg: VerifyConfig) -> VerificationReport:
         for k_lat in range(0, 4):
             for i_lat in range(0, k_lat + 1):
                 lhs, rhs = bailey_lattice_sides(pair, k_lat, i_lat, lattice_c)
-                rep.series_check("lattice-transform", {"pair": label, "k": k_lat, "i": i_lat},
-                                 lhs, rhs)
+                rep.coeff_check("lattice-transform", {"pair": label, "k": k_lat, "i": i_lat},
+                                lhs, rhs)
     for k in _chain_k_values(cfg):
         for i in range(1, k + 1):
             bilateral = series_R_bilateral(k, i, c)
             bilateral_t = series_R_tilde_bilateral(k, i, c)
             _, rhs = bailey_lattice_sides(pairs["B3"], k - 1, i - 1, c)
-            rep.series_check("lattice-reproduces-bilateral", {"k": k, "i": i},
-                             _dress_lattice_rhs(rhs), bilateral)
+            rep.coeff_check("lattice-reproduces-bilateral", {"k": k, "i": i},
+                            _dress_lattice_rhs(rhs), bilateral)
             _, rhs_t = bailey_lattice_sides(pairs["E3"], k - 1, i - 1, c)
-            rep.series_check("lattice-reproduces-bilateral-even", {"k": k, "i": i},
-                             _dress_lattice_rhs(rhs_t), bilateral_t)
+            rep.coeff_check("lattice-reproduces-bilateral-even", {"k": k, "i": i},
+                            _dress_lattice_rhs(rhs_t), bilateral_t)
             d_series = multisum_admissible(k, i, n_max + 1)
-            rep.table_check("multisum-vs-durfee-enum", {"k": k, "i": i},
+            rep.coeff_check("multisum-vs-durfee-enum", {"k": k, "i": i},
                             CountTable.from_series(d_series, n_max),
                             count_admissible(k, i, n_max, bound=n_max))
             dt_series = multisum_self_conjugate(k, i, n_max + 1)
-            rep.table_check("multisum-vs-selfconj-enum", {"k": k, "i": i},
+            rep.coeff_check("multisum-vs-selfconj-enum", {"k": k, "i": i},
                             CountTable.from_series(dt_series, n_max),
                             count_self_conjugate(k, i, n_max, bound=n_max))
-            rep.series_check("multisum-vs-bilateral", {"k": k, "i": i},
-                             multisum_admissible(k, i, c), bilateral)
-            rep.series_check("multisum-vs-bilateral-even", {"k": k, "i": i},
-                             multisum_self_conjugate(k, i, c), bilateral_t)
-    rep.wall_time = time.time() - start
-    return rep
+            rep.coeff_check("multisum-vs-bilateral", {"k": k, "i": i},
+                            multisum_admissible(k, i, c), bilateral)
+            rep.coeff_check("multisum-vs-bilateral-even", {"k": k, "i": i},
+                            multisum_self_conjugate(k, i, c), bilateral_t)
 
 
 def _product_odd_modulus(k: int, c: int) -> TruncatedSeries:
@@ -404,17 +355,15 @@ def specialized_odd_modulus_series(k: int, target: int) -> TruncatedSeries:
     return s.specialize(sub_a=(1, 0), sub_b=(1, -1), q_power=2, slack={"b": sig})
 
 
-def suite_corollaries(cfg: VerifyConfig) -> VerificationReport:
-    cfg = cfg.effective()
-    n_max = min(cfg.n_max + 2, 12) if not cfg.deep else cfg.n_max
+def suite_corollaries(rep: VerificationReport, cfg: VerifyConfig) -> None:
+    n_max = min(cfg.n_max + 2, 12)
     prod_cutoff = max(cfg.cutoff, 16)
-    rep = VerificationReport("corollaries", {"n_max": n_max, "product_cutoff": prod_cutoff})
-    start = time.time()
+    rep.params = {"n_max": n_max, "product_cutoff": prod_cutoff}
     for k in (2, 3):
         a, b = overpartition_identity_sides(k, n_max, bound=n_max)
         rep.value_check("odd-modulus-sides", {"k": k}, None, a, b)
         spec = specialized_odd_modulus_series(k, prod_cutoff)
-        rep.series_check("odd-modulus-product", {"k": k}, spec, _product_odd_modulus(k, prod_cutoff))
+        rep.coeff_check("odd-modulus-product", {"k": k}, spec, _product_odd_modulus(k, prod_cutoff))
         rep.value_check("odd-modulus-series-vs-counts", {"k": k}, None,
                         [spec.coeff_q(n) for n in range(n_max + 1)], a)
     for k in (3, 4):
@@ -423,7 +372,7 @@ def suite_corollaries(cfg: VerifyConfig) -> VerificationReport:
         rep.value_check("root-of-unity-odd-class", {"k": k}, None, odd, [0] * (n_max + 1))
         bil = series_R_tilde_bilateral(k, k - 1, prod_cutoff)
         spec = bil.specialize(sub_a=(GaussInt(0, 1), 0), sub_b=(GaussInt(0, -1), 0))
-        rep.series_check("root-of-unity-product", {"k": k}, spec, _product_root_of_unity(k, prod_cutoff))
+        rep.coeff_check("root-of-unity-product", {"k": k}, spec, _product_root_of_unity(k, prod_cutoff))
     for k in (2, 3):
         for i in range(2, k + 1):
             a, b = partition_pair_identity_sides(k, i, n_max, bound=n_max)
@@ -432,8 +381,6 @@ def suite_corollaries(cfg: VerifyConfig) -> VerificationReport:
             prod = _product_even_modulus(k, i, prod_cutoff)
             rep.value_check("even-modulus-product", {"k": k, "i": i}, None,
                             a16, [prod.coeff_q(n) for n in range(prod_cutoff)])
-    rep.wall_time = time.time() - start
-    return rep
 
 
 SUITES = {
@@ -441,8 +388,8 @@ SUITES = {
     "qdiff-Rtilde": suite_qdiff_R_tilde,
     "htilde-identities": suite_htilde,
     "series-vs-enum": suite_series_vs_enum,
-    "four-way": lambda cfg: _four_way(cfg, even=False),
-    "four-way-even": lambda cfg: _four_way(cfg, even=True),
+    "four-way": lambda rep, cfg: _four_way(rep, cfg, even=False),
+    "four-way-even": lambda rep, cfg: _four_way(rep, cfg, even=True),
     "gf-paths": suite_gf_paths,
     "q-gauss": suite_q_gauss,
     "jtp": suite_jtp,
@@ -454,4 +401,8 @@ SUITES = {
 def run_suite(name: str, cfg: VerifyConfig) -> VerificationReport:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](cfg)
+    rep = VerificationReport(name)
+    start = time.time()
+    SUITES[name](rep, cfg)
+    rep.wall_time = time.time() - start
+    return rep

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from qpair.cli import ENUM_FAMILIES, main
+from qpair.cli import ENUM_FAMILIES, SERIES_FAMILIES, main
 from qpair.counts import CountTable
 from qpair.frobenius import FrobeniusSymbol
 from qpair.paths import LatticePath
@@ -60,6 +60,23 @@ class TestSeriesCommand:
         r = run("series", "--family", "R", "-k", "2", "-i", "5", "--cutoff", "6")
         assert r.returncode == 2
         assert "error" in r.stderr
+
+    @pytest.mark.parametrize("family", sorted(SERIES_FAMILIES))
+    def test_every_family_prints_its_builder(self, family, capsys):
+        from qpair import hyperg
+
+        builders = {
+            "R": hyperg.series_R, "Rtilde": hyperg.series_R_tilde,
+            "Htilde": hyperg.series_H_tilde, "Jtilde": hyperg.series_J_tilde,
+            "bilateral-R": hyperg.series_R_bilateral,
+            "bilateral-Rtilde": hyperg.series_R_tilde_bilateral,
+            "multisum-D": hyperg.multisum_admissible,
+            "multisum-Dtilde": hyperg.multisum_self_conjugate,
+        }
+        assert sorted(builders) == sorted(SERIES_FAMILIES)
+        assert main(["series", "--family", family, "-k", "3", "-i", "2", "--cutoff", "6"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed == json.loads(json.dumps(builders[family](3, 2, 6).to_obj()))
 
 
 class TestEnumerateCommand:
@@ -245,6 +262,19 @@ class TestVerifyCommand:
     def test_unknown_suite_usage_error(self):
         r = run("verify", "--suite", "nonsense")
         assert r.returncode == 2
+
+    def test_deep_is_the_doubled_grid(self, capsys):
+        grid = ["verify", "--suite", "q-gauss", "--suite", "four-way", "-k", "2"]
+        payloads = []
+        for bounds in (["--cutoff", "4", "--n-max", "3", "--deep"], ["--cutoff", "8", "--n-max", "6"]):
+            assert main(grid + bounds) == 0
+            payload = json.loads(capsys.readouterr().out)
+            for report in payload["reports"]:
+                del report["wall_time"]
+            payloads.append(payload)
+        assert payloads[0] == payloads[1]
+        assert [r["params"] for r in payloads[0]["reports"]] == [
+            {"cutoff": 8}, {"k": [2], "n_max": 6}]
 
 
 class TestUsageErrors:

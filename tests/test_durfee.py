@@ -143,7 +143,7 @@ class TestAdmissibility:
         for n in range(7):
             for f in symbols_of(n):
                 for k, i in ((3, 2), (3, 3)):
-                    if is_ki_admissible(f, k, i) != is_ki_admissible(f, k, i, sequential=True):
+                    if is_ki_admissible(f, k, i) != ref_seq_admissible(f.bottom, k, i):
                         diffs += 1
         assert diffs == 0
 
@@ -247,8 +247,6 @@ class TestCachedLayerOracle:
                     assert is_self_k_conjugate(f, k) == (g == f)
                     for i in range(1, k + 1):
                         assert is_ki_admissible(f, k, i) == ref_admissible(bottom, k, i)
-                        assert (is_ki_admissible(f, k, i, sequential=True)
-                                == ref_seq_admissible(bottom, k, i))
                         assert is_self_ki_conjugate(f, k, i) == ref_self_ki_conjugate(top, bottom, k, i)
 
     def test_cached_values_are_immutable(self):
