@@ -115,23 +115,32 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-# family -> builder(k, i, cutoff, var_cap, x_one); only R and Rtilde have an
-# x = 1 form.  The lambdas look the builders up when called, never at import.
+# family -> builder(k, i, cutoff, var_cap).  The lambdas look the builders up
+# when called, never at import.
 SERIES_FAMILIES = {
-    "R": lambda k, i, c, cap, x_one: series_R(k, i, c, var_cap=cap, x_one=x_one),
-    "Rtilde": lambda k, i, c, cap, x_one: series_R_tilde(k, i, c, var_cap=cap, x_one=x_one),
-    "Htilde": lambda k, i, c, cap, x_one: series_H_tilde(k, i, c, var_cap=cap),
-    "Jtilde": lambda k, i, c, cap, x_one: series_J_tilde(k, i, c, var_cap=cap),
-    "bilateral-R": lambda k, i, c, cap, x_one: series_R_bilateral(k, i, c, var_cap=cap),
-    "bilateral-Rtilde": lambda k, i, c, cap, x_one: series_R_tilde_bilateral(k, i, c, var_cap=cap),
-    "multisum-D": lambda k, i, c, cap, x_one: multisum_admissible(k, i, c, var_cap=cap),
-    "multisum-Dtilde": lambda k, i, c, cap, x_one: multisum_self_conjugate(k, i, c, var_cap=cap),
+    "R": lambda k, i, c, cap, x_one=False: series_R(k, i, c, var_cap=cap, x_one=x_one),
+    "Rtilde": lambda k, i, c, cap, x_one=False: series_R_tilde(k, i, c, var_cap=cap, x_one=x_one),
+    "Htilde": lambda k, i, c, cap: series_H_tilde(k, i, c, var_cap=cap),
+    "Jtilde": lambda k, i, c, cap: series_J_tilde(k, i, c, var_cap=cap),
+    "bilateral-R": lambda k, i, c, cap: series_R_bilateral(k, i, c, var_cap=cap),
+    "bilateral-Rtilde": lambda k, i, c, cap: series_R_tilde_bilateral(k, i, c, var_cap=cap),
+    "multisum-D": lambda k, i, c, cap: multisum_admissible(k, i, c, var_cap=cap),
+    "multisum-Dtilde": lambda k, i, c, cap: multisum_self_conjugate(k, i, c, var_cap=cap),
 }
+# The families with an x = 1 form; their builders take x_one.
+X_ONE_FAMILIES = ("R", "Rtilde")
 
 
 def cmd_series(args) -> int:
     c = _setting(args.cutoff, "--cutoff", "QPAIR_CUTOFF", 12, 1)
-    series = SERIES_FAMILIES[args.family](args.k, args.i, c, args.var_cap, args.x_one)
+    build = SERIES_FAMILIES[args.family]
+    if not args.x_one:
+        series = build(args.k, args.i, c, args.var_cap)
+    elif args.family in X_ONE_FAMILIES:
+        series = build(args.k, args.i, c, args.var_cap, x_one=True)
+    else:
+        raise ValueError(f"--x-one needs --family {' or '.join(X_ONE_FAMILIES)}: "
+                         f"{args.family} has no x = 1 form")
     subs = {}
     for name in ("a", "b", "x"):
         expr = getattr(args, f"sub_{name}")
@@ -269,7 +278,7 @@ def _add_common_series_args(p):
     p.add_argument("-i", type=int, required=True)
     p.add_argument("--cutoff", type=int, default=None)
     p.add_argument("--var-cap", type=int, default=None)
-    p.add_argument("--x-one", action="store_true", help="build at x = 1")
+    p.add_argument("--x-one", action="store_true", help="build at x = 1 (R and Rtilde only)")
     p.add_argument("--sub-a", default=None, metavar="EXPR", help="substitute a (e.g. 1, -i, q^-1)")
     p.add_argument("--sub-b", default=None, metavar="EXPR")
     p.add_argument("--sub-x", default=None, metavar="EXPR")

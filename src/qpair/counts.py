@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 
 from .gaussint import Coeff, cadd, as_pair
 from .series import TruncatedSeries
@@ -117,6 +118,5 @@ class CountTable:
 def tally(members, n_max: int) -> CountTable:
     """Table of ``(weight, obj)`` members keyed by (obj.s_stat(), obj.t_stat(), weight)."""
     table = CountTable(n_max)
-    for n, obj in members:
-        table.add(obj.s_stat(), obj.t_stat(), n)
+    table.entries = dict(Counter((obj.s_stat(), obj.t_stat(), n) for n, obj in members))
     return table

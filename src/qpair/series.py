@@ -47,6 +47,11 @@ def mono(coeff: Coeff = 1, a: int = 0, b: int = 0, x: int = 0, q: int = 0) -> Mo
     return Monomial(coeff, a, b, x, q)
 
 
+def var_cap_for(q_cutoff: int, var_cap: int | None) -> int:
+    """The a, b, x degree cap of a builder: ``var_cap``, else ``q_cutoff``."""
+    return q_cutoff if var_cap is None else var_cap
+
+
 def _sat_add(u: int, v: int) -> int:
     if u >= INF or v >= INF:
         return INF
@@ -508,7 +513,7 @@ def pochhammer_inf(base: Monomial, q_cutoff: int, var_cap: int | None = None, st
     """
     if base.q <= 0:
         raise ValueError(f"pochhammer_inf needs a base of positive q-degree, got q^{base.q}")
-    return qproduct(TruncatedSeries.one(q_cutoff, q_cutoff if var_cap is None else var_cap), (base,), step=step)
+    return qproduct(TruncatedSeries.one(q_cutoff, var_cap_for(q_cutoff, var_cap)), (base,), step=step)
 
 
 def q_binomial(n: int, k: int, q_cutoff: int) -> TruncatedSeries:

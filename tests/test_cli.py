@@ -304,6 +304,23 @@ class TestUsageErrors:
         assert r.stderr.startswith("error:") and message in r.stderr
         assert "Traceback" not in r.stderr and r.stdout == ""
 
+    def test_x_one_refused_without_an_x_one_form(self, capsys):
+        from qpair import hyperg
+
+        others = sorted(set(SERIES_FAMILIES) - {"R", "Rtilde"})
+        assert len(others) == 6
+        for family in others:
+            code = main(["series", "--family", family, "-k", "2", "-i", "1", "--cutoff", "4",
+                         "--x-one"])
+            out, err = capsys.readouterr()
+            assert code == 2, family
+            assert err.startswith("error: --x-one") and out == ""
+        for family, builder in (("R", hyperg.series_R), ("Rtilde", hyperg.series_R_tilde)):
+            assert main(["series", "--family", family, "-k", "2", "-i", "1", "--cutoff", "4",
+                         "--x-one"]) == 0
+            printed = json.loads(capsys.readouterr().out)
+            assert printed == json.loads(json.dumps(builder(2, 1, 4, x_one=True).to_obj()))
+
     def test_objects_csv_refused_before_enumeration(self):
         r = run("enumerate", "--family", "B", "-k", "1", "-i", "1", "-n", "2",
                 "--mode", "objects", "--format", "csv")

@@ -6,10 +6,12 @@ from qpair.frobenius import (
     count_rank_bounded,
     joichi_stanton,
     joichi_stanton_inverse,
+    rank_bounded_symbols,
     rank_interval,
     rows_of,
     successive_ranks,
     symbols_of,
+    symbols_up_to,
 )
 from qpair.overpartitions import count_frequency_pairs, pairs_of
 
@@ -154,6 +156,44 @@ class TestRankBoundedCounts:
         tilde = count_rank_bounded(3, 2, 8, tilde=True)
         for key, w in tilde.entries.items():
             assert w <= plain.entries.get(key, 0)
+
+
+def ref_rank_bounded(n_max, lo, hi):
+    """Cache-free rank window: every successive rank of the symbol in [lo, hi]."""
+    return [(n, f) for n, f in symbols_up_to(n_max)
+            if all(lo <= r <= hi for r in successive_ranks(f))]
+
+
+class TestRankRangeOracle:
+    def test_windows_match_cache_free_reference(self):
+        for k in (2, 3, 4):
+            for i in range(1, k + 1):
+                for tilde in (False, True):
+                    lo, hi = rank_interval(k, i, tilde)
+                    # The (k, i) window, and one widened as by the verify self-test hook.
+                    for window in ((lo, hi), (lo, hi + 1)):
+                        got = list(rank_bounded_symbols(k, i, 8, tilde, interval=window))
+                        assert got == ref_rank_bounded(8, *window), (k, i, tilde, window)
+
+    def test_empty_symbol_in_every_window(self):
+        empty = FrobeniusSymbol([], [])
+        assert symbols_of(0) == (empty,)
+        for k in (2, 3, 4):
+            for i in range(1, k + 1):
+                for tilde in (False, True):
+                    assert list(rank_bounded_symbols(k, i, 0, tilde)) == [(0, empty)]
+
+    def test_filled_range_keeps_identity(self):
+        list(rank_bounded_symbols(3, 1, 6))
+        for n in range(7):
+            for f in symbols_of(n):
+                fresh = FrobeniusSymbol(f.top, f.bottom)
+                assert fresh._rank_range is None
+                assert fresh == f and hash(fresh) == hash(f)
+                assert type(f._rank_range) is tuple
+                fresh._ranks_within(0, 0)
+                # Equal ranges are one shared tuple.
+                assert fresh._rank_range is f._rank_range
 
 
 def reference_successive_ranks(top, bottom):

@@ -8,7 +8,6 @@ from qpair.overpartitions import (
     weighted_pair_identity_sides,
     partition_pair_identity_sides,
     count_frequency_pairs,
-    enumerate_pairs,
     overpartitions_of,
     pairs_of,
     partitions_odd_distinct,
@@ -143,12 +142,59 @@ class TestParityConditions:
                         assert pair.satisfies_parity_conditions(k, i)
 
 
+def ref_frequency_conditions(pair, k, i):
+    """Cache-free frequency conditions: one scan over j for each (k, i)."""
+    if pair.valuation(1) > i - 1:
+        return False
+    for j in range(1, pair.max_part() + 2):
+        if pair.lam.freq(j) + pair.valuation(j + 1) > k - 1:
+            return False
+    return True
+
+
+def ref_parity_conditions(pair, k, i):
+    """Cache-free parity conditions: the parity test at every tight j."""
+    if not ref_frequency_conditions(pair, k, i):
+        return False
+    for j in range(1, pair.max_part() + 2):
+        fj = pair.lam.freq(j)
+        vj1 = pair.valuation(j + 1)
+        if fj + vj1 == k - 1:
+            over = sum(1 for v in pair.lam.over if v <= j) + sum(1 for v in pair.mu.over if v <= j)
+            if (j * fj + (j + 1) * vj1 - (i - 1 + over)) % 2 != 0:
+                return False
+    return True
+
+
+class TestProfileOracle:
+    def test_predicates_match_cache_free_reference(self):
+        for n in range(9):
+            for pair in pairs_of(n):
+                for k in (2, 3, 4):
+                    for i in range(1, k + 1):
+                        assert pair.satisfies_frequency_conditions(k, i) == \
+                            ref_frequency_conditions(pair, k, i), (pair, k, i)
+                        assert pair.satisfies_parity_conditions(k, i) == \
+                            ref_parity_conditions(pair, k, i), (pair, k, i)
+
+    def test_filled_profile_keeps_identity(self):
+        for n in range(6):
+            for pair in pairs_of(n):
+                pair.satisfies_parity_conditions(3, 2)
+                fresh = OverpartitionPair(O(pair.lam.parts), O(pair.mu.parts))
+                assert fresh._profile is None
+                assert fresh == pair and hash(fresh) == hash(pair)
+                assert type(pair._profile) is tuple
+                # Equal profiles are one shared tuple.
+                assert fresh._facts() is pair._profile
+
+
 class TestEnumeration:
     def test_weight_zero(self):
-        assert list(enumerate_pairs(0)) == [OverpartitionPair(O.empty(), O.empty())]
+        assert list(pairs_of(0)) == [OverpartitionPair(O.empty(), O.empty())]
 
     def test_weight_one(self):
-        pairs = list(enumerate_pairs(1))
+        pairs = list(pairs_of(1))
         assert len(pairs) == 4
         assert len(set(pairs)) == 4
 
@@ -167,7 +213,7 @@ class TestEnumeration:
 
     def test_bound_guard(self):
         with pytest.raises(BoundExceededError):
-            list(enumerate_pairs(15))
+            count_frequency_pairs(2, 1, 15)
 
     def test_canonical_overline_rules(self):
         with pytest.raises(ValueError):

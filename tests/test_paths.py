@@ -3,7 +3,9 @@ import pytest
 from qpair.frobenius import FrobeniusSymbol, successive_ranks
 from qpair.overpartitions import count_frequency_pairs
 from qpair.paths import (
+    MARKS,
     LatticePath,
+    _paths_up_to,
     count_paths,
     enumerate_paths,
     gf_closed,
@@ -131,6 +133,81 @@ class TestEnumeration:
             e = count_paths(k, i, 8, even=True)
             b = count_frequency_pairs(k, i, 8, parity=True)
             assert e.first_mismatch(b) is None
+
+
+_REF_MOVES = {"NE": (1, 1), "SE": (1, -1), "S": (0, -1), "SW": (-1, -1), "E": (1, 0)}
+
+
+def ref_peaks(path):
+    """Cache-free peak scan: (x, y, mark, east_odd, u, v) for each peak."""
+    out = []
+    x, y = 0, path.start_height
+    prev = None
+    east = u = v = 0
+    for step in path.steps:
+        if prev == "NE" and step in ("S", "SW", "SE"):
+            mark = path.marks[len(out)]
+            out.append((x, y, mark, east % 2 == 1, u, v))
+            u += mark == "a"
+            v += mark == "b"
+        east += step == "E"
+        dx, dy = _REF_MOVES[step]
+        x, y = x + dx, y + dy
+        prev = step
+    return out
+
+
+def ref_max_height(path):
+    y = top = path.start_height
+    for step in path.steps:
+        y += _REF_MOVES[step][1]
+        top = max(top, y)
+    return top
+
+
+def ref_marks_fit(steps, marks):
+    """Whether each peak's mark fits the step that leaves it."""
+    allowed = {"S": ("a", "b"), "SW": ("ab",), "SE": ("one",)}
+    leaving = [step for prev, step in zip(steps, steps[1:]) if prev == "NE" and step in allowed]
+    return all(mark in allowed[step] for mark, step in zip(marks, leaving))
+
+
+class TestScanOracle:
+    def test_statistics_match_cache_free_reference(self):
+        for k in (2, 3, 4):
+            for i in range(1, k + 1):
+                for path in _paths_up_to(k, i, 8):
+                    peaks = ref_peaks(path)
+                    assert list(path.peaks()) == peaks
+                    assert path.major_index() == sum(p[0] for p in peaks)
+                    assert path.marked_a() == sum(p[2] in ("a", "ab") for p in peaks)
+                    assert path.marked_b() == sum(p[2] in ("b", "ab") for p in peaks)
+                    assert path.max_height() == ref_max_height(path)
+                    assert satisfies_even_conditions(path, k, i) == all(
+                        (x - u + v - (i - 1)) % 2 == 0
+                        for x, y, _mark, _east, u, v in peaks if y == k - 1)
+
+    def test_every_mark_is_checked(self):
+        # Re-mark each peak with every mark: the path is built iff each mark fits.
+        for k, i in ((2, 1), (3, 2), (4, 4)):
+            for path in _paths_up_to(k, i, 6):
+                for idx in range(len(path.marks)):
+                    for mark in MARKS:
+                        marks = path.marks[:idx] + (mark,) + path.marks[idx + 1:]
+                        if ref_marks_fit(path.steps, marks):
+                            LatticePath(path.start_height, path.steps, marks)
+                        else:
+                            with pytest.raises(ValueError, match="must be marked"):
+                                LatticePath(path.start_height, path.steps, marks)
+
+    def test_scanned_path_keeps_identity(self):
+        for path in _paths_up_to(3, 2, 6):
+            fresh = LatticePath(path.start_height, list(path.steps), list(path.marks))
+            assert fresh == path and hash(fresh) == hash(path)
+            assert type(path._stats) is tuple and type(path._peaks) is tuple
+            # Equal statistics and equal peak records are one shared tuple.
+            assert fresh._stats is path._stats
+            assert all(a is b for a, b in zip(fresh._peaks, path._peaks))
 
 
 class TestBijection:
