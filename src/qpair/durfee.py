@@ -9,7 +9,6 @@ families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .counts import CountTable, check_bound, tally
@@ -40,43 +39,32 @@ def durfee_size(parts) -> int:
     return d
 
 
-@dataclass(frozen=True)
-class DurfeeDecomposition:
-    """Successive squares with, for each, the rows' overhang to its right."""
-
-    sizes: tuple[int, ...]
-    rights: tuple[Partition, ...]
-
-    def reassemble(self) -> Partition:
-        rows: list[int] = []
-        for d, right in zip(self.sizes, self.rights):
-            padded = right + (0,) * (d - len(right))
-            rows.extend(d + r for r in padded)
-        return tuple(rows)
-
-
 @lru_cache(maxsize=None)
-def durfee_squares(parts: Partition) -> DurfeeDecomposition:
-    """Peel successive Durfee squares until nothing remains."""
+def durfee_squares(parts: Partition) -> tuple[int, ...]:
+    """Sizes of the successive Durfee squares, peeled until nothing remains."""
     rest = tuple(int(p) for p in parts if p > 0)
     sizes = []
-    rights = []
     while rest:
         d = durfee_size(rest)
         sizes.append(d)
-        rights.append(tuple(p - d for p in rest[:d] if p > d))
         rest = rest[d:]
-    return DurfeeDecomposition(tuple(sizes), tuple(rights))
+    return tuple(sizes)
 
 
 def successive_sizes(parts, count: int) -> tuple[int, ...]:
     """The first ``count`` successive Durfee square sizes, zero-padded."""
-    sizes = durfee_squares(parts).sizes
+    sizes = durfee_squares(parts)
     return (sizes + (0,) * count)[:count]
 
 
 def _remove_parts(parts: Partition, removals) -> Partition | None:
-    """Remove one occurrence of each requested value (zeros are free)."""
+    """Remove one occurrence of each requested value (zeros are free).
+
+    With nothing to remove, ``parts`` itself comes back, so the reductions
+    that :func:`_reduction` caches share the cached conjugated partitions.
+    """
+    if not any(removals):
+        return parts
     out = list(parts)
     for v in removals:
         if v == 0:
@@ -122,33 +110,34 @@ def _row_with_lam_prime(row: Row, lam_p: Partition) -> Row:
     return joichi_stanton_inverse(assoc, row_split(row)[1])
 
 
+@lru_cache(maxsize=None)
+def _reduction(bottom: Row, k: int, i: int) -> Partition | None:
+    """The partition the (k, i) family reduces the bottom row to, or None.
+
+    Remove the would-be inserted parts of a candidate square-size tuple from
+    the conjugated associated partition; the residue counts when its first
+    k-2 successive squares reproduce the tuple.  The first such residue is
+    returned.  No symbol of weight <= 10 at k <= 5 has two, and
+    ``tests/test_durfee.py`` compares both predicates with a reference that
+    tries every tuple.
+    """
+    lam2p = _lam_prime(bottom)
+    for tup, removals in _insertions(len(bottom), k, i):
+        nu = _remove_parts(lam2p, removals)
+        if nu is not None and successive_sizes(nu, k - 2) == tup:
+            return nu
+    return None
+
+
 def is_ki_admissible(f: FrobeniusSymbol, k: int, i: int) -> bool:
     """Whether the bottom row's conjugated associated partition is built
     from a partition with at most k-2 Durfee squares by inserting one part
     of each designated square size (sizes taken from the inner partition;
     the 0th square size is the column count).
-
-    The check is satisfiability over candidate square-size tuples: remove
-    the would-be inserted parts and demand that the residue's successive
-    squares reproduce the tuple exactly with nothing left below.
     """
     check_ki(k, i)
-    return _bottom_admissible(f.bottom, k, i)
-
-
-@lru_cache(maxsize=None)
-def _bottom_admissible(bottom: Row, k: int, i: int) -> bool:
-    """:func:`is_ki_admissible`, which reads only the bottom row."""
-    lam2p = _lam_prime(bottom)
-    for tup, removals in _insertions(len(bottom), k, i):
-        nu = _remove_parts(lam2p, removals)
-        if nu is None:
-            continue
-        if len(durfee_squares(nu).sizes) > k - 2:
-            continue
-        if successive_sizes(nu, k - 2) == tup:
-            return True
-    return False
+    nu = _reduction(f.bottom, k, i)
+    return nu is not None and len(durfee_squares(nu)) <= k - 2
 
 
 def conjugation_regions(f: FrobeniusSymbol, k: int) -> tuple[Partition, Partition] | None:
@@ -168,7 +157,7 @@ def _regions(lam1p: Partition, lam2p: Partition, k: int) -> tuple[Partition, Par
     """:func:`conjugation_regions` from the two conjugated associated partitions."""
     if k == 2:
         return lam1p, lam2p
-    sizes = durfee_squares(lam2p).sizes
+    sizes = durfee_squares(lam2p)
     if len(sizes) < k - 2:
         return None
     cut = sizes[k - 3]
@@ -215,19 +204,8 @@ def is_self_ki_conjugate(f: FrobeniusSymbol, k: int, i: int) -> bool:
     bottom partition is the reduced partition itself.
     """
     check_ki(k, i)
-    lam1p, lam2p = _lam_prime(f.top), _lam_prime(f.bottom)
-    if i == k:
-        return _self_conjugate(lam1p, lam2p, k)
-    n1 = f.columns
-    for tup, removals in _insertions(n1, k, i):
-        reduced = _remove_parts(lam2p, removals)
-        if reduced is None:
-            continue
-        if successive_sizes(reduced, k - 2) != tup:
-            continue
-        if _self_conjugate(lam1p, reduced, k):
-            return True
-    return False
+    nu = _reduction(f.bottom, k, i)
+    return nu is not None and _self_conjugate(_lam_prime(f.top), nu, k)
 
 
 def admissible_symbols(k: int, i: int, n_max: int):

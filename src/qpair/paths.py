@@ -46,86 +46,115 @@ class PeakRecord(NamedTuple):
     v: int
 
 
-# The step leaving a peak, with the marks it allows and the error otherwise.
+# The step leaving a peak, with the marks it allows and the error otherwise,
+# in listing order.
 _PEAK_MARKS = {
+    SE: (("one",), "a SE-followed peak must be marked one"),
     S: (("a", "b"), "an S-followed peak must be marked a or b"),
     SW: (("ab",), "a SW-followed peak must be marked ab"),
-    SE: (("one",), "a SE-followed peak must be marked one"),
 }
 # Equal peak records and equal statistics tuples are one shared object (the
 # two have different lengths, so they never collide): the 42,501 paths that
 # the four-way suites build at n_max 12 hold 178,924 peaks, 920 distinct.
 _INTERNED: dict[tuple, tuple] = {}
+# A mark that records a peak without being checked against the step.
+_UNCHECKED = object()
+
+
+def _start(height: int) -> tuple:
+    """The empty prefix of a path starting at ``height`` on the y-axis."""
+    stats = (0, 0, 0, height)
+    return (0, height, None, False, 0, 0, _INTERNED.setdefault(stats, stats), ())
+
+
+def _step(prefix: tuple, step, mark):
+    """``prefix`` extended by ``step``, or the message of the rule it breaks.
+
+    A prefix is (x, y, last step, East parity, u, v, stats, peaks), with
+    stats (major index, marked a, marked b, max height) and peaks the
+    :class:`PeakRecord` of each peak so far, all interned.  When ``step``
+    leaves a peak, the peak is recorded with ``mark``, which must fit the
+    step unless it is ``_UNCHECKED``; otherwise ``mark`` is ignored.
+    """
+    x, y, last, east_odd, u, v, stats, peaks = prefix
+    move = _MOVES.get(step)
+    if move is None:
+        return f"unknown step {step!r}"
+    if step == E:
+        if y != 0:
+            return "E step only allowed at height 0"
+        east_odd = not east_odd
+    elif last == NE and step != NE:  # (x, y) is a peak
+        allowed, message = _PEAK_MARKS[step]
+        if mark not in allowed and mark is not _UNCHECKED:
+            return message
+        peak = PeakRecord(x, y, mark, east_odd, u, v)
+        peaks += (_INTERNED.setdefault(peak, peak),)
+        major, marked_a, marked_b, top = stats
+        stats = (major + x, marked_a + (mark in ("a", "ab")), marked_b + (mark in ("b", "ab")), top)
+        u += mark == "a"
+        v += mark == "b"
+    elif step in (S, SW):
+        return f"{step} step must follow a NE step"
+    x, y = x + move[0], y + move[1]
+    if y < 0 or x < 0:
+        return "path leaves the first quadrant"
+    if y > stats[3]:
+        stats = stats[:3] + (y,)
+    if stats is not prefix[6]:
+        stats = _INTERNED.setdefault(stats, stats)
+    return (x, y, step, east_odd, u, v, stats, peaks)
 
 
 class LatticePath:
     __slots__ = ("start_height", "steps", "marks", "_peaks", "_stats")
 
     def __init__(self, start_height: int, steps, marks):
-        self.start_height = int(start_height)
-        self.steps = tuple(steps)
-        self.marks = tuple(marks)
-        self._scan()
-
-    def _scan(self):
-        """Validate the path, record its peaks and fill ``_stats`` with
-        (major index, marked a, marked b, max height), in one pass.
+        """Validate the path by folding :func:`_step` over its steps.
 
         Faults are reported in a fixed order: the first bad step, the end
         point, a trailing E, the number of marks, then the first peak whose
         mark does not fit the step leaving it.
         """
+        self.start_height = int(start_height)
+        self.steps = tuple(steps)
+        self.marks = marks = tuple(marks)
         if self.start_height < 0:
             raise ValueError("start height must be nonnegative")
-        marks = self.marks
-        x, y = 0, self.start_height
-        top = y
-        prev = None
-        east = u = v = major = marked_a = marked_b = n_peaks = 0
-        peaks = []
+        prefix = _start(self.start_height)
         bad_mark = None
         for step in self.steps:
-            move = _MOVES.get(step)
-            if move is None:
-                raise ValueError(f"unknown step {step!r}")
-            if step in (S, SW) and prev != NE:
-                raise ValueError(f"{step} step must follow a NE step")
-            if step == E:
-                if y != 0:
-                    raise ValueError("E step only allowed at height 0")
-                east += 1
-            elif prev == NE and step != NE:  # (x, y) is a peak
-                if n_peaks < len(marks):
-                    mark = marks[n_peaks]
-                    allowed, message = _PEAK_MARKS[step]
-                    if mark in allowed:
-                        peak = PeakRecord(x, y, mark, east % 2 == 1, u, v)
-                        peaks.append(_INTERNED.setdefault(peak, peak))
-                    elif bad_mark is None:
-                        bad_mark = message
-                    u += mark == "a"
-                    v += mark == "b"
-                    marked_a += mark in ("a", "ab")
-                    marked_b += mark in ("b", "ab")
-                n_peaks += 1
-                major += x
-            x, y = x + move[0], y + move[1]
-            if y < 0 or x < 0:
-                raise ValueError("path leaves the first quadrant")
-            if y > top:
-                top = y
-            prev = step
+            n_peaks = len(prefix[7])
+            mark = marks[n_peaks] if n_peaks < len(marks) else _UNCHECKED
+            extended = _step(prefix, step, mark)
+            if type(extended) is str and mark is not _UNCHECKED:
+                # Either an ill-fitting mark, which waits for the shape
+                # faults, or a bad step, which fails again without the mark.
+                bad_mark = bad_mark or extended
+                extended = _step(prefix, step, _UNCHECKED)
+            if type(extended) is str:
+                raise ValueError(extended)
+            prefix = extended
+        _x, y, last, *_, peaks = prefix
         if y != 0:
             raise ValueError(f"path must end on the x-axis, ended at height {y}")
-        if prev == E:
+        if last == E:
             raise ValueError("path may not end with an E step")
-        if len(marks) != n_peaks:
-            raise ValueError(f"expected {n_peaks} peak marks, got {len(marks)}")
+        if len(marks) != len(peaks):
+            raise ValueError(f"expected {len(peaks)} peak marks, got {len(marks)}")
         if bad_mark is not None:
             raise ValueError(bad_mark)
-        self._peaks = tuple(peaks)
-        stats = (major, marked_a, marked_b, top)
-        self._stats = _INTERNED.setdefault(stats, stats)
+        self._stats, self._peaks = prefix[6:]
+
+    @classmethod
+    def _walked(cls, start_height: int, steps, prefix: tuple) -> "LatticePath":
+        """The path whose steps ``_step`` has already taken to ``prefix``."""
+        path = cls.__new__(cls)
+        path.start_height = start_height
+        path.steps = tuple(steps)
+        path._stats, path._peaks = prefix[6:]
+        path.marks = tuple(peak.mark for peak in path._peaks)
+        return path
 
     def peaks(self) -> tuple[PeakRecord, ...]:
         return self._peaks
@@ -189,60 +218,42 @@ def satisfies_even_conditions(path: LatticePath, k: int, i: int) -> bool:
     return True
 
 
+# The (step, mark) choices in listing order: at a peak NE or a way down with
+# each mark it allows, elsewhere NE, SE or E (``_step`` refuses the rest).
+_AT_PEAK = ((NE, None),) + tuple(
+    (step, mark) for step, (allowed, _) in _PEAK_MARKS.items() for mark in allowed)
+_OFF_PEAK = ((NE, None), (SE, None), (E, None))
+
+
 @lru_cache(maxsize=None)
 def _paths_up_to(k: int, i: int, n_max: int) -> tuple[LatticePath, ...]:
     """All paths meeting the odd (k, i)-conditions with major index <= n_max.
 
-    Depth-first construction, pruned by the remaining major-index budget;
-    deterministic order (steps explored NE, SE, S(a), S(b), SW, E).
+    Depth-first over :func:`_step`, pruned by the height bound and by the
+    least major index a completion can reach: after NE to x a peak lies at
+    x or beyond, after E to x at x + 1 or beyond.  Deterministic order
+    (steps explored NE, SE, S(a), S(b), SW, E).
     """
     check_ki(k, i)
     out: list[LatticePath] = []
     steps: list[str] = []
-    marks: list[str] = []
 
-    def emit():
-        out.append(LatticePath(k - i, tuple(steps), tuple(marks)))
-
-    def walk(x: int, y: int, prev: str | None, major: int):
-        if y == 0 and prev != E:
-            emit()
-        # NE: a later peak will sit at x+1 or beyond.
-        if y + 1 <= k - 1 and major + x + 1 <= n_max:
-            steps.append(NE)
-            walk(x + 1, y + 1, NE, major)
+    def walk(prefix: tuple):
+        last = prefix[2]
+        if prefix[1] == 0 and last != E:
+            out.append(LatticePath._walked(k - i, steps, prefix))
+        for step, mark in _AT_PEAK if last == NE else _OFF_PEAK:
+            extended = _step(prefix, step, mark)
+            if type(extended) is str or extended[1] >= k:
+                continue
+            x, major = extended[0], extended[6][0]
+            if major + (x if step == NE else x + 1 if step == E else 0) > n_max:
+                continue
+            steps.append(step)
+            walk(extended)
             steps.pop()
-        if prev == NE:
-            # Leaving a peak at (x, y): charge its x-coordinate now.
-            if major + x <= n_max:
-                steps.append(SE)
-                marks.append("one")
-                walk(x + 1, y - 1, SE, major + x)
-                marks.pop()
-                steps.pop()
-                for mark in ("a", "b"):
-                    steps.append(S)
-                    marks.append(mark)
-                    walk(x, y - 1, S, major + x)
-                    marks.pop()
-                    steps.pop()
-                if x >= 1:
-                    steps.append(SW)
-                    marks.append("ab")
-                    walk(x - 1, y - 1, SW, major + x)
-                    marks.pop()
-                    steps.pop()
-        else:
-            if y >= 1:
-                steps.append(SE)
-                walk(x + 1, y - 1, SE, major)
-                steps.pop()
-            if y == 0 and x + 1 <= n_max + k:
-                steps.append(E)
-                walk(x + 1, 0, E, major)
-                steps.pop()
 
-    walk(0, k - i, None, 0)
+    walk(_start(k - i))
     return tuple(out)
 
 

@@ -1,7 +1,4 @@
-import pytest
-
 from qpair.durfee import (
-    DurfeeDecomposition,
     conjugate,
     conjugation_regions,
     count_admissible,
@@ -41,8 +38,8 @@ class TestPartitionBasics:
                 assert conjugate(conjugate(p)) == p
 
     def test_durfee_empty_and_square(self):
-        assert durfee_squares(()).sizes == ()
-        assert durfee_squares((2, 2)).sizes == (2,)
+        assert durfee_squares(()) == ()
+        assert durfee_squares((2, 2)) == (2,)
 
     def test_worked_conjugates(self):
         assoc1, _ = joichi_stanton(PI.top)
@@ -52,15 +49,8 @@ class TestPartitionBasics:
 
     def test_worked_successive_sizes(self):
         lam2p = (8, 8, 7, 6, 5, 4, 4, 3, 2, 1, 1)
-        assert durfee_squares(lam2p).sizes[:2] == (5, 3)
+        assert durfee_squares(lam2p)[:2] == (5, 3)
         assert successive_sizes(lam2p, 2) == (5, 3)
-
-    def test_reassembly(self):
-        for n in range(11):
-            for p in partitions(n):
-                assert durfee_squares(p).reassemble() == p
-        dec = DurfeeDecomposition((2,), ((1,),))
-        assert dec.reassemble() == (3, 2)
 
     def test_durfee_size(self):
         assert durfee_size((5, 4, 3, 2)) == 3
@@ -129,7 +119,7 @@ class TestAdmissibility:
         # are all zero and admissibility holds with no actual insertion.
         for n in range(8):
             for f in symbols_of(n):
-                squares = durfee_squares(conjugate(joichi_stanton(f.bottom)[0])).sizes
+                squares = durfee_squares(conjugate(joichi_stanton(f.bottom)[0]))
                 for k in (3, 4):
                     for i in range(2, k + 1):
                         if len(squares) <= i - 2:
@@ -250,10 +240,7 @@ class TestCachedLayerOracle:
                         assert is_self_ki_conjugate(f, k, i) == ref_self_ki_conjugate(top, bottom, k, i)
 
     def test_cached_values_are_immutable(self):
-        dec = durfee_squares((5, 3, 3, 1))
-        assert type(dec.sizes) is tuple and all(type(r) is tuple for r in dec.rights)
-        with pytest.raises(AttributeError):
-            dec.sizes = ()
+        assert type(durfee_squares((5, 3, 3, 1))) is tuple
         assert type(conjugation_regions(PI, 4)[0]) is tuple
 
     def test_row_split_runs_once_per_row(self):

@@ -88,6 +88,18 @@ class TestValidation:
             LatticePath(0, ["NE", "SW"], ["a"])
         with pytest.raises(ValueError, match="marked a or b"):
             LatticePath(0, ["NE", "S"], ["one"])
+        with pytest.raises(ValueError, match="marked a or b"):  # a peak missing from JSON
+            LatticePath(0, ["NE", "S"], [None])
+
+    def test_fault_order(self):
+        # A bad step, then the end point, then the mark count come before an
+        # ill-fitting mark, whichever lies first along the path.
+        with pytest.raises(ValueError, match="must follow"):
+            LatticePath(0, ["NE", "SW", "S"], ["a"])
+        with pytest.raises(ValueError, match="x-axis"):
+            LatticePath(0, ["NE", "S", "NE"], ["one"])
+        with pytest.raises(ValueError, match="expected 1 peak marks"):
+            LatticePath(0, ["NE", "S"], [])
 
     def test_json_round_trip(self):
         for p in (FIG1, FIG2, FIG3):
