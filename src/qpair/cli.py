@@ -172,7 +172,9 @@ def _own_obj(obj) -> dict:
 
 
 # family -> (stream of (weight, object) members up to weight n, object -> JSON).
-# The lambdas look the streams up when called, never at import.
+# The lambdas look the streams up when called, never at import.  ``paths`` is
+# another name for the E entry itself.
+_E_FAMILY = (lambda k, i, n: paths_up_to(k, i, n), _own_obj)
 ENUM_FAMILIES = {
     "B": (lambda k, i, n: frequency_pairs(k, i, n), _pair_obj),
     "Btilde": (lambda k, i, n: frequency_pairs(k, i, n, parity=True), _pair_obj),
@@ -180,11 +182,11 @@ ENUM_FAMILIES = {
     "Ctilde": (lambda k, i, n: rank_bounded_symbols(k, i, n, tilde=True), _own_obj),
     "D": (lambda k, i, n: admissible_symbols(k, i, n), _own_obj),
     "Dtilde": (lambda k, i, n: self_conjugate_symbols(k, i, n), _own_obj),
-    "E": (lambda k, i, n: paths_up_to(k, i, n), _own_obj),
+    "E": _E_FAMILY,
     "Etilde": (lambda k, i, n: paths_up_to(k, i, n, even=True), _own_obj),
     "pairs": (lambda k, i, n: pairs_up_to(n), _pair_obj),
     "symbols": (lambda k, i, n: symbols_up_to(n), _own_obj),
-    "paths": (lambda k, i, n: paths_up_to(k, i, n), _own_obj),
+    "paths": _E_FAMILY,
 }
 
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from .gaussint import Coeff, cneg, is_unit, unit_pow
 from .overpartitions import check_ki
 from .qtools import f_poly, inv_qfactors, inv_qpoch
-from .series import (Monomial, TruncatedSeries, geometric, mono, one_minus, pochhammer, qproduct,
-                     var_cap_for)
+from .series import (Monomial, TruncatedSeries, geometric, mono, over_one_minus, pochhammer, qproduct,
+                     times_one_minus, var_cap_for)
 
 # Bases of (-aq, -bq; q)_inf / (q, abq; q)_inf, the x = 1 prefactor.  The
 # Bailey lattice prefactor and its undoing in the verify suites regroup them.
@@ -60,9 +60,8 @@ def _R_family(k: int, i: int, q_cutoff: int, var_cap: int | None, x_one: bool,
     step = 2 if tilde else 1
     total = TruncatedSeries.zero(q_cutoff, cap)
     x_poch = TruncatedSeries.one(q_cutoff, cap)
-    inv_chain = geometric(_vm(x_one, -1, a=1, x=1, q=1), q_cutoff, cap) * geometric(
-        _vm(x_one, -1, b=1, x=1, q=1), q_cutoff, cap
-    )
+    inv_chain = over_one_minus(geometric(_vm(x_one, -1, a=1, x=1, q=1), q_cutoff, cap),
+                               _vm(x_one, -1, b=1, x=1, q=1))
     n = 0
     while True:
         if tilde:
@@ -75,10 +74,10 @@ def _R_family(k: int, i: int, q_cutoff: int, var_cap: int | None, x_one: bool,
         term = term * _bracket_numerator(n, i, q_cutoff, cap, x_one)
         total = total + term.times_monomial(_vm(x_one, -1 if n % 2 else 1, x=(k - 1 if tilde else k) * n, q=e_n))
         n += 1
-        x_poch = x_poch * one_minus(_vm(x_one, 1, x=step, q=step * n))
-        inv_chain = inv_chain * geometric(mono(1, q=step * n), q_cutoff, cap)
-        inv_chain = inv_chain * geometric(_vm(x_one, -1, a=1, x=1, q=n + 1), q_cutoff, cap)
-        inv_chain = inv_chain * geometric(_vm(x_one, -1, b=1, x=1, q=n + 1), q_cutoff, cap)
+        x_poch = times_one_minus(x_poch, _vm(x_one, 1, x=step, q=step * n))
+        inv_chain = over_one_minus(inv_chain, mono(1, q=step * n))
+        inv_chain = over_one_minus(inv_chain, _vm(x_one, -1, a=1, x=1, q=n + 1))
+        inv_chain = over_one_minus(inv_chain, _vm(x_one, -1, b=1, x=1, q=n + 1))
     # Times (-axq, -bxq)_inf / (xq, abxq)_inf.
     return qproduct(total, (_vm(x_one, -1, a=1, x=1, q=1), _vm(x_one, -1, b=1, x=1, q=1)),
                     (_vm(x_one, 1, x=1, q=1), _vm(x_one, 1, a=1, b=1, x=1, q=1)))
@@ -143,10 +142,10 @@ def series_H_tilde(k: int, i: int, q_cutoff: int, var_cap: int | None = None) ->
         total = total + term.times_monomial(mono(-1 if n % 2 else 1, x=(k - 1) * n, q=d_n))
         n += 1
         if n >= 2:
-            x2q2_prev = x2q2_prev * one_minus(mono(1, x=2, q=2 * (n - 1)))
-        inv_chain = inv_chain * geometric(mono(1, q=2 * n), q_cutoff, cap)
-        inv_chain = inv_chain * geometric(mono(-1, a=1, x=1, q=n), q_cutoff, cap)
-        inv_chain = inv_chain * geometric(mono(-1, b=1, x=1, q=n), q_cutoff, cap)
+            x2q2_prev = times_one_minus(x2q2_prev, mono(1, x=2, q=2 * (n - 1)))
+        inv_chain = over_one_minus(inv_chain, mono(1, q=2 * n))
+        inv_chain = over_one_minus(inv_chain, mono(-1, a=1, x=1, q=n))
+        inv_chain = over_one_minus(inv_chain, mono(-1, b=1, x=1, q=n))
     # Times (-axq, -bxq)_inf / (xq)_inf.
     return qproduct(total, (mono(-1, a=1, x=1, q=1), mono(-1, b=1, x=1, q=1)), (mono(1, x=1, q=1),))
 
@@ -203,8 +202,8 @@ def _bilateral(k: int, i: int, q_cutoff: int, cap: int, tilde: bool) -> Truncate
         if e_neg is not None and e_neg < q_cutoff:
             total = total + term.times_monomial(mono(sign, q=e_neg))
         n += 1
-        inv_chain = inv_chain * geometric(mono(-1, a=1, q=n), q_cutoff, cap)
-        inv_chain = inv_chain * geometric(mono(-1, b=1, q=n), q_cutoff, cap)
+        inv_chain = over_one_minus(inv_chain, mono(-1, a=1, q=n))
+        inv_chain = over_one_minus(inv_chain, mono(-1, b=1, q=n))
     return qproduct(total, (NEG_AQ, NEG_BQ), (Q, ABQ))
 
 
@@ -274,8 +273,8 @@ def q_gauss_sides(n: int, q_cutoff: int, var_cap: int | None = None
         j = big_n - 1
         running = running * TruncatedSeries.poly([mono(1, a=1), mono(1, q=j)])
         running = running * TruncatedSeries.poly([mono(1, b=1), mono(1, q=j)])
-        inv_lo = inv_lo * geometric(mono(1, q=big_n - m), q_cutoff, cap)
-        inv_hi = inv_hi * geometric(mono(1, q=big_n + m), q_cutoff, cap)
+        inv_lo = over_one_minus(inv_lo, mono(1, q=big_n - m))
+        inv_hi = over_one_minus(inv_hi, mono(1, q=big_n + m))
     return lhs, qproduct(TruncatedSeries.one(q_cutoff, cap), (NEG_AQ, NEG_BQ), (Q, ABQ))
 
 
@@ -401,7 +400,6 @@ def bailey_lattice_sides(pair: BaileyPair, k: int, i: int, q_cutoff: int,
 
     inv_q_inf_sq = qproduct(TruncatedSeries.one(q_cutoff, cap), (), (Q, Q))
     rhs = inv_q_inf_sq * pair.alphas[0]
-    one_minus_q = one_minus(mono(1, q=1))
     inv_chain = TruncatedSeries.one(q_cutoff, cap)
     n = 1
     while True:
@@ -413,9 +411,9 @@ def bailey_lattice_sides(pair: BaileyPair, k: int, i: int, q_cutoff: int,
             break
         if n > pair.depth():
             raise ValueError(f"pair depth {pair.depth()} insufficient for the alpha side")
-        inv_chain = inv_chain * geometric(mono(-1, a=1, q=n), q_cutoff, cap)
-        inv_chain = inv_chain * geometric(mono(-1, b=1, q=n), q_cutoff, cap)
-        outer = f_poly(n, q_cutoff, cap) * inv_chain * one_minus_q
+        inv_chain = over_one_minus(inv_chain, mono(-1, a=1, q=n))
+        inv_chain = over_one_minus(inv_chain, mono(-1, b=1, q=n))
+        outer = times_one_minus(f_poly(n, q_cutoff, cap) * inv_chain, mono(1, q=1))
         outer = outer.times_monomial(mono(1, q=base))
         branch1 = pair.alphas[n] * geometric(mono(1, q=2 * n + 1), q_cutoff, cap)
         branch1 = branch1.times_monomial(mono(1, q=(n * n + n) * (k - i)))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .series import TruncatedSeries, geometric, mono
+from .series import TruncatedSeries, mono, over_one_minus
 
 
 @lru_cache(maxsize=None)
@@ -23,7 +23,7 @@ def inv_qfactors(exponents: tuple[int, ...], q_cutoff: int, var_cap: int) -> Tru
     if not exponents:
         return TruncatedSeries.one(q_cutoff, var_cap)
     head = inv_qfactors(exponents[:-1], q_cutoff, var_cap)
-    return head * geometric(mono(1, q=exponents[-1]), q_cutoff, var_cap)
+    return over_one_minus(head, mono(1, q=exponents[-1]))
 
 
 def inv_qpoch(m: int, q_cutoff: int, var_cap: int, step: int = 1) -> TruncatedSeries:

@@ -18,6 +18,18 @@ Window bookkeeping follows the rules
 
 so no retained coefficient is ever wrong.  Exact polynomials carry the
 sentinel cutoff :data:`INF` and combine with any finite window.
+
+Two sparse-factor kernels apply the factors every product identity is made
+of in one pass, with the window the general product would give:
+
+* ``times_one_minus(s, m)`` is ``s`` times the exact polynomial ``1 - m``:
+  floor and cutoff both move by ``min(0, deg_q m)`` (0 when the
+  coefficient of ``m`` is 0);
+* ``over_one_minus(s, m)``, for ``deg_q m > 0``, is
+  ``s * geometric(m, s.q_cutoff, s.var_cap)``: floor ``f``, cutoff
+  ``min(c, c+f)``.
+
+Both keep ``s``'s cap.
 """
 
 from __future__ import annotations
@@ -58,6 +70,10 @@ def _sat_add(u: int, v: int) -> int:
     if u <= -INF or v <= -INF:
         return -INF
     return u + v
+
+
+def _q_of(item: tuple[Key, Coeff]) -> int:
+    return item[0][3]
 
 
 def _combine_caps(c1: int, c2: int) -> int:
@@ -141,7 +157,7 @@ class TruncatedSeries:
             for key, c in src.items():
                 if key[3] >= cutoff or key[0] > cap or key[1] > cap or key[2] > cap:
                     continue
-                acc = cadd(terms.get(key, 0), c)
+                acc = terms.get(key, 0) + c
                 if acc:
                     terms[key] = acc
                 else:
@@ -161,20 +177,27 @@ class TruncatedSeries:
         lhs, rhs = self.terms, other.terms
         if len(lhs) > len(rhs):
             lhs, rhs = rhs, lhs
+        # Inner terms in q order, so each row stops at the first pair past
+        # the cutoff.
+        row = sorted(rhs.items(), key=_q_of)
         terms: dict[Key, Coeff] = {}
         get = terms.get
         for (a1, b1, x1, q1), c1 in lhs.items():
-            for (a2, b2, x2, q2), c2 in rhs.items():
-                dq = q1 + q2
-                if dq >= cutoff:
-                    continue
+            room = cutoff - q1
+            for (a2, b2, x2, q2), c2 in row:
+                if q2 >= room:
+                    break
                 da = a1 + a2
-                db = b1 + b2
-                dx = x1 + x2
-                if da > cap or db > cap or dx > cap:
+                if da > cap:
                     continue
-                key = (da, db, dx, dq)
-                acc = cadd(get(key, 0), cmul(c1, c2))
+                db = b1 + b2
+                if db > cap:
+                    continue
+                dx = x1 + x2
+                if dx > cap:
+                    continue
+                key = (da, db, dx, q1 + q2)
+                acc = get(key, 0) + c1 * c2
                 if acc:
                     terms[key] = acc
                 else:
@@ -194,7 +217,7 @@ class TruncatedSeries:
             da, db, dx, dq = a + da0, b + db0, x + dx0, q + dq0
             if dq >= cutoff or da > cap or db > cap or dx > cap:
                 continue
-            terms[(da, db, dx, dq)] = cmul(c, c0)
+            terms[(da, db, dx, dq)] = c * c0
         return TruncatedSeries(terms, floor, cutoff, cap)
 
     def truncated(self, q_cutoff: int | None = None, var_cap: int | None = None) -> "TruncatedSeries":
@@ -440,24 +463,99 @@ class TruncatedSeries:
 # -------------------------------------------------------------------- products
 
 
+def times_one_minus(s: TruncatedSeries, base: Monomial) -> TruncatedSeries:
+    """``s * (1 - base)`` in one pass: ``s`` plus a shifted, scaled copy.
+
+    Equal to the general product of ``s`` and the exact polynomial
+    ``1 - base`` in every term and in its window.
+    """
+    c, da, db, dx, dq = base
+    low = min(dq, 0) if c else 0
+    floor, cutoff = _sat_add(s.q_floor, low), _sat_add(s.q_cutoff, low)
+    cap = s.var_cap
+    terms = dict(s.terms) if low == 0 else {key: v for key, v in s.terms.items() if key[3] < cutoff}
+    if c:
+        neg_c = cneg(c)
+        get = terms.get
+        for (a, b, x, q), v in s.terms.items():
+            a, b, x, q = a + da, b + db, x + dx, q + dq
+            if q >= cutoff or a > cap or b > cap or x > cap:
+                continue
+            key = (a, b, x, q)
+            acc = get(key, 0) + neg_c * v
+            if acc:
+                terms[key] = acc
+            else:
+                del terms[key]
+    return TruncatedSeries(terms, floor, cutoff, cap)
+
+
+def over_one_minus(s: TruncatedSeries, base: Monomial) -> TruncatedSeries:
+    """``s / (1 - base)`` for a base of positive q-degree.
+
+    Solves ``t = s + base * t`` one q-layer at a time, lowest first: a term
+    of ``t`` is final once its layer is reached, and is pushed once, to the
+    layer ``deg_q base`` above.  So the work is linear in the terms of ``t``.
+    Equal to ``s * geometric(base, s.q_cutoff, s.var_cap)`` in every term
+    and in its window.
+    """
+    c, da, db, dx, dq = base
+    if dq <= 0:
+        raise ValueError("geometric inverse needs a base of positive q-degree")
+    if s.q_cutoff >= INF:
+        raise ValueError("geometric inverse needs a series with a finite cutoff")
+    cap, floor = s.var_cap, s.q_floor
+    cutoff = min(s.q_cutoff, s.q_cutoff + floor)
+    terms = dict(s.terms) if floor >= 0 else {k: v for k, v in s.terms.items() if k[3] < cutoff}
+    if not c:
+        return TruncatedSeries(terms, floor, cutoff, cap)
+    # Keys per layer that still pushes below the cutoff.  A coefficient that
+    # cancels is kept as 0 until the end, so no key is listed twice.
+    last = cutoff - dq
+    layers: dict[int, list[Key]] = {}
+    for key in terms:
+        q = key[3]
+        if q < last:
+            layers.setdefault(q, []).append(key)
+    cancelled = False
+    get = terms.get
+    for q in range(min(layers, default=last), last):
+        keys = layers.get(q)
+        if keys is None:
+            continue
+        up = q + dq
+        for key in keys:
+            v = terms[key]
+            if not v:
+                continue
+            a, b, x, _ = key
+            a += da
+            if a > cap:
+                continue
+            b += db
+            if b > cap:
+                continue
+            x += dx
+            if x > cap:
+                continue
+            key = (a, b, x, up)
+            old = get(key)
+            if old is None:
+                terms[key] = c * v
+                if up < last:
+                    layers.setdefault(up, []).append(key)
+            else:
+                acc = old + c * v
+                terms[key] = acc
+                cancelled = cancelled or not acc
+    if cancelled:
+        terms = {k: v for k, v in terms.items() if v}
+    return TruncatedSeries(terms, floor, cutoff, cap)
+
+
 def geometric(base: Monomial, q_cutoff: int, var_cap: int) -> TruncatedSeries:
     """``1/(1 - base)`` as the geometric series, for base of positive q-degree."""
-    c, a, b, x, q = base
-    if q <= 0:
-        raise ValueError("geometric inverse needs a base of positive q-degree")
-    terms: dict[Key, Coeff] = {}
-    m = 0
-    coeff: Coeff = 1
-    while m * q < q_cutoff and m * max(a, b, x, 0) <= var_cap:
-        terms[(m * a, m * b, m * x, m * q)] = coeff
-        m += 1
-        coeff = cmul(coeff, c)
-    return TruncatedSeries(terms, 0, q_cutoff, var_cap)
-
-
-def one_minus(base: Monomial) -> TruncatedSeries:
-    """The exact polynomial ``1 - base``."""
-    return TruncatedSeries.poly([mono(1), Monomial(cneg(base.coeff), base.a, base.b, base.x, base.q)])
+    return over_one_minus(TruncatedSeries.one(q_cutoff, var_cap), base)
 
 
 def pochhammer(base: Monomial, n: int, q_cutoff: int = INF, var_cap: int = INF) -> TruncatedSeries:
@@ -466,7 +564,7 @@ def pochhammer(base: Monomial, n: int, q_cutoff: int = INF, var_cap: int = INF) 
         raise ValueError("pochhammer needs n >= 0")
     out = TruncatedSeries.one(q_cutoff, var_cap) if q_cutoff < INF else TruncatedSeries.poly([mono(1)])
     for j in range(n):
-        out = out * one_minus(Monomial(base.coeff, base.a, base.b, base.x, base.q + j))
+        out = times_one_minus(out, Monomial(base.coeff, base.a, base.b, base.x, base.q + j))
     return out
 
 
@@ -478,8 +576,10 @@ def qproduct(s: TruncatedSeries, num: tuple[Monomial, ...] = (), den: tuple[Mono
     above its cutoff are 1.  Numerator bases may have q-degree <= 0 (Laurent
     factors, as in the triple product); denominator bases need a positive
     q-degree.  The factors are applied one at a time, j outer and bases
-    inner: each binomial or geometric factor is sparse, so this is cheaper
-    than forming the product first and multiplying once.
+    inner, each by its sparse-factor kernel.  Once the cutoff has moved (a
+    Laurent numerator, or a denominator on a series with a negative floor),
+    the later denominators are general products with the geometric series at
+    the original cutoff, so the window is the one the factors give.
     """
     if step < 1:
         raise ValueError("qproduct needs step >= 1")
@@ -494,12 +594,16 @@ def qproduct(s: TruncatedSeries, num: tuple[Monomial, ...] = (), den: tuple[Mono
         for m in num:
             e = m.q + step * j
             if e < cutoff:
-                s = s * one_minus(Monomial(m.coeff, m.a, m.b, m.x, e))
+                s = times_one_minus(s, Monomial(m.coeff, m.a, m.b, m.x, e))
                 live = True
         for m in den:
             e = m.q + step * j
             if e < cutoff:
-                s = s * geometric(Monomial(m.coeff, m.a, m.b, m.x, e), cutoff, cap)
+                factor = Monomial(m.coeff, m.a, m.b, m.x, e)
+                if s.q_cutoff == cutoff:
+                    s = over_one_minus(s, factor)
+                else:
+                    s = s * geometric(factor, cutoff, cap)
                 live = True
         if not live:
             return s

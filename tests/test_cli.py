@@ -140,6 +140,19 @@ class TestEnumerateCommand:
         assert len(json.loads(r.stdout)["objects"]) == count
         assert hashlib.sha256(r.stdout.encode()).hexdigest()[:16] == digest
 
+    def test_paths_is_the_E_family(self, capsys):
+        assert ENUM_FAMILIES["paths"] is ENUM_FAMILIES["E"]
+        printed = {}
+        for family in ("paths", "E"):
+            args = ["enumerate", "--family", family, "-k", "2", "-i", "2", "-n", "4"]
+            assert main(args + ["--mode", "objects"]) == 0
+            listing = json.loads(capsys.readouterr().out)
+            assert listing.pop("family") == family
+            assert main(args) == 0
+            printed[family] = (listing, capsys.readouterr().out)
+        assert printed["paths"] == printed["E"]
+        assert printed["E"][0]["objects"]
+
     @pytest.mark.parametrize("family", ["C", "Ctilde"])
     @pytest.mark.parametrize("k,i", [(2, 0), (2, 3), (1, 1)])
     def test_invalid_ki_listing_exit_2(self, family, k, i):

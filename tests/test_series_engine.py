@@ -6,10 +6,12 @@ from qpair.series import (
     TruncatedSeries,
     geometric,
     mono,
+    over_one_minus,
     pochhammer,
     pochhammer_inf,
     q_binomial,
     qproduct,
+    times_one_minus,
 )
 from qpair.qtools import f_poly, inv_qfactors
 
@@ -208,6 +210,10 @@ KERNEL_CASES = {
     "denominators only, repeated": (ts((1,), (1, 0, 1, 0, 1), cutoff=9, cap=9), [],
                                     [(1, 0, 0, 0, 1), (1, 0, 0, 0, 1)], 1),
     "no factors": (ts((5, 0, 0, 1, 2), cutoff=7, cap=7), [], [], 2),
+    "Laurent numerator, then denominators": (TruncatedSeries.one(10, 10), [(-1, 0, 0, 0, -1)],
+                                             [(1, 0, 0, 0, 1), (1, 1, 0, 0, 2)], 2),
+    "Laurent series, denominators": (ts((1, 0, 0, 0, -2), (3, 0, 1, 0, 1), cutoff=9, cap=5), [],
+                                     [(1, 0, 0, 0, 1), (-1, 1, 0, 0, 2)], 1),
 }
 
 
@@ -360,20 +366,17 @@ small_coeff = st.one_of(
     st.integers(min_value=-4, max_value=4).filter(bool),
     st.builds(GaussInt, st.integers(-2, 2), st.integers(-2, 2).filter(bool)),
 )
-small_monomial = st.builds(
-    lambda c, a, b, x, q: mono(c, a, b, x, q),
-    small_coeff,
-    st.integers(0, 2),
-    st.integers(0, 2),
-    st.integers(0, 2),
-    st.integers(0, 4),
-)
+
+
+def small_monomials(coeffs=small_coeff, q_min=0, q_max=4):
+    return st.builds(mono, coeffs, st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),
+                     st.integers(q_min, q_max))
 
 
 @st.composite
-def small_series(draw):
-    monos = draw(st.lists(small_monomial, min_size=0, max_size=5))
-    return TruncatedSeries.poly(monos).truncated(8, 6)
+def small_series(draw, q_min=0, cutoff=st.just(8), cap=st.just(6), max_size=5):
+    monos = draw(st.lists(small_monomials(q_min=q_min), min_size=0, max_size=max_size))
+    return TruncatedSeries.poly(monos).truncated(draw(cutoff), draw(cap))
 
 
 class TestRingLaws:
@@ -396,3 +399,77 @@ class TestRingLaws:
         lhs2 = (s + t).specialize(**spec)
         rhs2 = s.specialize(**spec) + t.specialize(**spec)
         assert lhs2.first_mismatch(rhs2) is None
+
+
+# Laurent floors, cutoffs from 1 to 10 and caps from 1 to 6, so the cap is
+# often below the cutoff.
+windowed_series = small_series(q_min=-3, cutoff=st.integers(1, 10), cap=st.integers(1, 6), max_size=8)
+unit = st.sampled_from([1, -1, GaussInt(0, 1), GaussInt(0, -1)])
+
+
+def kernel_bases(q_min):
+    """Gaussian-unit or small integer coefficient times a, b, x and q powers."""
+    return small_monomials(st.one_of(unit, small_coeff), q_min=q_min, q_max=5)
+
+
+def one_minus(m):
+    """The exact polynomial ``1 - m``, the factor ``times_one_minus`` applies."""
+    return TruncatedSeries.poly([mono(1), mono(-m.coeff, m.a, m.b, m.x, m.q)])
+
+
+def same_window(got, want):
+    return (got.q_floor, got.q_cutoff, got.var_cap) == (want.q_floor, want.q_cutoff, want.var_cap)
+
+
+class TestSparseFactorKernels:
+    """Each kernel is the general product with the factor it stands for."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(windowed_series, kernel_bases(q_min=-3))
+    def test_times_one_minus_is_the_product(self, s, base):
+        want = s * one_minus(base)
+        got = times_one_minus(s, base)
+        assert same_window(got, want)
+        assert got == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(windowed_series, kernel_bases(q_min=1))
+    def test_over_one_minus_is_the_product(self, s, base):
+        want = s * geometric(base, s.q_cutoff, s.var_cap)
+        got = over_one_minus(s, base)
+        assert same_window(got, want)
+        assert got == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(kernel_bases(q_min=1), st.integers(1, 12), st.integers(0, 6))
+    def test_geometric_is_the_power_list(self, base, cutoff, cap):
+        c, a, b, x, q = base
+        want = {}
+        m, coeff = 0, 1
+        while m * q < cutoff and m * max(a, b, x) <= cap:
+            want[(m * a, m * b, m * x, m * q)] = coeff
+            m, coeff = m + 1, coeff * c
+        got = geometric(base, cutoff, cap)
+        assert dict(got.terms) == want
+        assert (got.q_floor, got.q_cutoff, got.var_cap) == (0, cutoff, cap)
+
+    def test_laurent_numerator_lowers_the_window(self):
+        s = ts((1,), (2, 1, 0, 0, 3), cutoff=6, cap=4)
+        got = times_one_minus(s, mono(GaussInt(0, 1), b=1, q=-2))
+        assert (got.q_floor, got.q_cutoff) == (-2, 4)
+        assert got == s * one_minus(mono(GaussInt(0, 1), b=1, q=-2))
+
+    def test_negative_floor_shrinks_the_inverse_window(self):
+        s = ts((1, 0, 0, 0, -2), (1,), cutoff=7, cap=7)
+        got = over_one_minus(s, mono(-1, a=1, q=1))
+        assert (got.q_floor, got.q_cutoff) == (-2, 5)
+        assert got == s * geometric(mono(-1, a=1, q=1), 7, 7)
+
+    def test_cancellation_leaves_no_zero_terms(self):
+        s = ts((1,), (-1, 0, 0, 0, 1), cutoff=9, cap=9)  # 1 - q
+        assert over_one_minus(s, mono(1, q=1)).terms == {(0, 0, 0, 0): 1}
+        assert times_one_minus(geometric(mono(1, q=2), 9, 9), mono(1, q=2)).terms == {(0, 0, 0, 0): 1}
+
+    def test_rejects_bases_that_do_not_raise_q(self):
+        with pytest.raises(ValueError, match="positive q-degree"):
+            over_one_minus(TruncatedSeries.one(5, 5), mono(1, a=1))
