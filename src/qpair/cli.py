@@ -260,6 +260,9 @@ def cmd_verify(args) -> int:
         cutoff, n_max = 2 * cutoff, 2 * n_max
     cfg = VerifyConfig(k_values=ks, cutoff=cutoff, n_max=n_max)
     reports = [run_suite(name, cfg) for name in names]
+    for r in reports:
+        if not r.checks_run:
+            raise ValueError(f"suite {r.suite} runs no checks for k in {list(ks)}")
     ok = all(r.ok for r in reports)
     payload = {"ok": ok, "reports": [r.to_obj() for r in reports]}
     if args.format == "csv":

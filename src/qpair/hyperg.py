@@ -10,6 +10,14 @@ through ``first_mismatch``.
 Sign conventions used throughout: ``(-ab)^n (-1/a, -1/b)_n`` is expanded as
 ``(-1)^n prod_{j<n} (a + q^j)(b + q^j)``, which keeps every numerator a
 polynomial; denominators are unrolled into geometric inverse factors.
+
+Summand rule: a summand shifted by ``q^shift`` is formed only at
+``q_cutoff - shift`` (less any negative floor of its other factors), by
+truncating its factors before they are multiplied, since nothing of it at or
+above ``q_cutoff`` survives the sum.  A running chain (a Pochhammer product or
+inverse carried from one summand to the next) is carried at the current
+summand's room; the rooms never grow with the index.  Every builder returns
+the series, window included, that full-cutoff summands would give.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from dataclasses import dataclass
 from .gaussint import Coeff, cneg, is_unit, unit_pow
 from .overpartitions import check_ki
 from .qtools import f_poly, inv_qfactors, inv_qpoch
-from .series import (Monomial, TruncatedSeries, geometric, mono, over_one_minus, pochhammer, qproduct,
+from .series import (INF, Monomial, TruncatedSeries, geometric, mono, over_one_minus, pochhammer, qproduct,
                      times_one_minus, var_cap_for)
 
 # Bases of (-aq, -bq; q)_inf / (q, abq; q)_inf, the x = 1 prefactor.  The
@@ -70,8 +78,10 @@ def _R_family(k: int, i: int, q_cutoff: int, var_cap: int | None, x_one: bool,
             e_n = k * n * n + (k - i + 1) * n - n * (n - 1) // 2
         if e_n >= q_cutoff:
             break
-        term = f_poly(n, q_cutoff, cap) * x_poch * inv_chain
-        term = term * _bracket_numerator(n, i, q_cutoff, cap, x_one)
+        room = q_cutoff - e_n
+        x_poch, inv_chain = x_poch.truncated(room), inv_chain.truncated(room)
+        term = f_poly(n, q_cutoff, cap).truncated(room) * x_poch * inv_chain
+        term = term * _bracket_numerator(n, i, room, cap, x_one)
         total = total + term.times_monomial(_vm(x_one, -1 if n % 2 else 1, x=(k - 1 if tilde else k) * n, q=e_n))
         n += 1
         x_poch = times_one_minus(x_poch, _vm(x_one, 1, x=step, q=step * n))
@@ -124,6 +134,11 @@ def series_H_tilde(k: int, i: int, q_cutoff: int, var_cap: int | None = None) ->
         if low >= q_cutoff and (k - 1) * (2 * n + 1) + 2 - absi >= 0:
             break
         d_n = (k - 1) * n * n + 2 * n - i * n
+        # low is the summand's floor: d_n plus the floor 2ni of the i < 0
+        # factor.  The break keeps it below the cutoff, and max(low, 0) never
+        # falls as n grows, so the chains can be cut to each room in turn.
+        room = q_cutoff - max(low, 0)
+        x2q2_prev, inv_chain = x2q2_prev.truncated(room), inv_chain.truncated(room)
         if n == 0:
             if i == 0:
                 t_n = TruncatedSeries.zero(q_cutoff, cap)
@@ -138,7 +153,7 @@ def series_H_tilde(k: int, i: int, q_cutoff: int, var_cap: int | None = None) ->
             else:
                 factor = TruncatedSeries.poly([mono(1, x=absi), mono(-1, q=2 * n * i)])
             t_n = (x2q2_prev * one_plus_x * factor).truncated(q_cutoff, cap)
-        term = f_poly(n, q_cutoff, cap) * t_n * inv_chain
+        term = f_poly(n, q_cutoff, cap).truncated(room) * t_n * inv_chain
         total = total + term.times_monomial(mono(-1 if n % 2 else 1, x=(k - 1) * n, q=d_n))
         n += 1
         if n >= 2:
@@ -196,7 +211,10 @@ def _bilateral(k: int, i: int, q_cutoff: int, cap: int, tilde: bool) -> Truncate
         if e_pos >= q_cutoff and (e_neg is None or e_neg >= q_cutoff) and n >= 1:
             break
         sign = -1 if n % 2 else 1
-        term = f_poly(n, q_cutoff, cap) * inv_chain
+        # Both exponents are nonnegative and only grow with n.
+        room = q_cutoff - (e_pos if e_neg is None else min(e_pos, e_neg))
+        inv_chain = inv_chain.truncated(room)
+        term = f_poly(n, q_cutoff, cap).truncated(room) * inv_chain
         if e_pos < q_cutoff:
             total = total + term.times_monomial(mono(sign, q=e_pos))
         if e_neg is not None and e_neg < q_cutoff:
@@ -267,6 +285,9 @@ def q_gauss_sides(n: int, q_cutoff: int, var_cap: int | None = None
     inv_hi = inv_qpoch(2 * m, q_cutoff, cap)  # 1/(q)_{N+m}
     big_n = m
     while big_n - m < q_cutoff:
+        room = q_cutoff - (big_n - m)
+        poch_ab_m, running = poch_ab_m.truncated(room), running.truncated(room)
+        inv_lo, inv_hi = inv_lo.truncated(room), inv_hi.truncated(room)
         term = (poch_ab_m * running * inv_lo * inv_hi).times_monomial(mono(1, q=big_n - m))
         lhs = lhs + term
         big_n += 1
@@ -312,8 +333,6 @@ def _verify_bailey(pair: BaileyPair) -> None:
 
 
 def _make_pair(label: str, valuation, n_max: int, q_cutoff: int) -> BaileyPair:
-    from .series import INF
-
     alphas = []
     for n in range(n_max + 1):
         sign = -1 if n % 2 else 1
@@ -351,22 +370,24 @@ def _nested_multisum(depth: int, i_level: int, beta, q_cutoff: int, cap: int) ->
 
     def rec(level: int, prev: int, expo: int, partial: TruncatedSeries):
         nonlocal total
+        # ``partial`` carries its shift q^expo, so each new factor is cut to
+        # the room above it and the product stops at q_cutoff.
         if level > depth:
-            total = total + partial * beta(prev)
+            total = total + partial * beta(prev).truncated(q_cutoff - expo)
             return
         for nj in range(prev, -1, -1):
             e = nj * nj + (nj if level > i_level else 0)
             if expo + e >= q_cutoff:
                 continue
-            rec(level + 1, nj, expo + e,
-                partial.times_monomial(mono(1, q=e)) * inv_qpoch(prev - nj, q_cutoff, cap))
+            rec(level + 1, nj, expo + e, partial.times_monomial(mono(1, q=e))
+                * inv_qpoch(prev - nj, q_cutoff, cap).truncated(q_cutoff - expo - e))
 
     n1 = 0
     while True:
         e1 = n1 + (n1 if 1 > i_level else 0)
         if e1 >= q_cutoff:
             break
-        rec(2, n1, e1, f_poly(n1, q_cutoff, cap).times_monomial(mono(1, q=e1)))
+        rec(2, n1, e1, f_poly(n1, q_cutoff, cap).truncated(q_cutoff - e1).times_monomial(mono(1, q=e1)))
         n1 += 1
     return total
 
@@ -411,15 +432,20 @@ def bailey_lattice_sides(pair: BaileyPair, k: int, i: int, q_cutoff: int,
             break
         if n > pair.depth():
             raise ValueError(f"pair depth {pair.depth()} insufficient for the alpha side")
-        inv_chain = over_one_minus(inv_chain, mono(-1, a=1, q=n))
+        # The outer factor is cut to the room above q^base (base only grows
+        # when positive, so the chain can follow it) and the branches and
+        # 1/(q)_inf^2 to what the product can still reach.
+        room = q_cutoff - max(base, 0)
+        inv_chain = over_one_minus(inv_chain.truncated(room), mono(-1, a=1, q=n))
         inv_chain = over_one_minus(inv_chain, mono(-1, b=1, q=n))
-        outer = times_one_minus(f_poly(n, q_cutoff, cap) * inv_chain, mono(1, q=1))
+        outer = times_one_minus(f_poly(n, q_cutoff, cap).truncated(room) * inv_chain, mono(1, q=1))
         outer = outer.times_monomial(mono(1, q=base))
         branch1 = pair.alphas[n] * geometric(mono(1, q=2 * n + 1), q_cutoff, cap)
         branch1 = branch1.times_monomial(mono(1, q=(n * n + n) * (k - i)))
         branch2 = pair.alphas[n - 1] * geometric(mono(1, q=2 * n - 1), q_cutoff, cap)
         branch2 = branch2.times_monomial(mono(-1, q=((n - 1) ** 2 + (n - 1)) * (k - i) + 2 * n - 1))
-        rhs = rhs + inv_q_inf_sq * (outer * (branch1 + branch2))
+        product = outer * (branch1 + branch2).truncated(q_cutoff - base)
+        rhs = rhs + inv_q_inf_sq.truncated(q_cutoff - product.q_floor) * product
         n += 1
     return lhs, rhs
 

@@ -460,6 +460,15 @@ def _closed_exponent(k: int, shift: int, n: int, even: bool) -> int:
     return n * ((2 * k - 1) * n + 3) // 2 + shift * n
 
 
+def _closed_summand(m1: int, m2: int, n: int, e: int, q_cutoff: int) -> TruncatedSeries:
+    """``(-1)^n q^e / ((q)_m1 (q)_m2)``, its product formed only below
+    ``q_cutoff - e`` (a negative e leaves the factors whole)."""
+    room = q_cutoff - e
+    term = (_inv_qpoch(m1, q_cutoff, q_cutoff).truncated(room)
+            * _inv_qpoch(m2, q_cutoff, q_cutoff).truncated(room))
+    return term.times_monomial(mono(-1 if n % 2 else 1, q=e))
+
+
 def gf_closed(k: int, i: int, n_peaks: int, q_cutoff: int, even: bool = False) -> TruncatedSeries:
     """Closed-form peak-count generating function (alternating finite sum)."""
     check_ki(k, i)
@@ -469,8 +478,7 @@ def gf_closed(k: int, i: int, n_peaks: int, q_cutoff: int, even: bool = False) -
         e = _closed_exponent(k, k - i - 1, n, even) + n_peaks
         if e >= q_cutoff:
             continue
-        term = _inv_qpoch(n_peaks - n, q_cutoff, cap) * _inv_qpoch(n_peaks + n, q_cutoff, cap)
-        total = total + term.times_monomial(mono(-1 if n % 2 else 1, q=e))
+        total = total + _closed_summand(n_peaks - n, n_peaks + n, n, e, q_cutoff)
     return _f_poly(n_peaks, q_cutoff, cap) * total
 
 
@@ -483,6 +491,5 @@ def gf_gamma_closed(k: int, i: int, n_peaks: int, q_cutoff: int, even: bool = Fa
         e = _closed_exponent(k, k - i - 2, n, even)
         if e >= q_cutoff:
             continue
-        term = _inv_qpoch(n_peaks - n - 1, q_cutoff, cap) * _inv_qpoch(n_peaks + n, q_cutoff, cap)
-        total = total + term.times_monomial(mono(-1 if n % 2 else 1, q=e))
+        total = total + _closed_summand(n_peaks - n - 1, n_peaks + n, n, e, q_cutoff)
     return _f_poly(n_peaks, q_cutoff, cap) * total

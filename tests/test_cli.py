@@ -299,6 +299,13 @@ class TestUsageErrors:
         assert r.returncode == 2
         assert r.stderr.startswith(f"error: {name}=") and "Traceback" not in r.stderr
 
+    def test_suite_with_no_checks_at_k_refused(self):
+        # four-way only runs at k in {2, 3}: an empty run is not a PASS.
+        r = run("verify", "--suite", "four-way", "-k", "5", "--n-max", "3")
+        assert r.returncode == 2
+        assert r.stderr == "error: suite four-way runs no checks for k in [5]\n"
+        assert r.stdout == ""
+
     def test_bad_bound_environment_value(self):
         r = run("enumerate", "--family", "pairs", "-n", "1", env_extra={"QPAIR_BOUND": "big"})
         assert r.returncode == 2

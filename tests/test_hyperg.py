@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from qpair.counts import CountTable
@@ -18,6 +20,7 @@ from qpair.hyperg import (
     series_R_tilde_bilateral,
 )
 from qpair.overpartitions import count_frequency_pairs, pairs_of
+from qpair.paths import gf_closed, gf_gamma_closed
 from qpair.series import TruncatedSeries, geometric, mono, pochhammer_inf
 
 C = 10
@@ -214,3 +217,123 @@ class TestBaileyLattice:
     def test_multisum_constant_terms(self):
         assert multisum_admissible(3, 2, 6).coeff(0, 0, 0, 0) == 1
         assert multisum_self_conjugate(3, 2, 6).coeff(0, 0, 0, 0) == 1
+
+
+# ---------------------------------------------------------------- summand windows
+#
+# The builders form each summand only up to the q-degree it can reach after
+# its shift.  The identity checks compare two series on their common window,
+# so a room one too small would only shrink a cutoff and still pass them.
+# These two tests pin the windows themselves.
+
+B3_DEEP, E3_DEEP = bailey_pair_b3(13, 13), bailey_pair_e3(13, 13)
+KI = [(k, i) for k in (2, 3, 4) for i in range(1, k + 1)]
+
+
+def _all(builder, params):
+    return lambda c, cap: [builder(*p, c, cap) for p in params]
+
+
+def _sides(builder, params):
+    return lambda c, cap: [side for p in params for side in builder(*p, c, cap)]
+
+
+def _capped(builder, params):
+    # These builders cap a, b, x at the cutoff.
+    return lambda c, cap: [builder(*p[:-1], c, even=p[-1]).truncated(c, cap) for p in params]
+
+
+WINDOW_BUILDERS = {
+    "R": _all(series_R, KI),
+    "R-x-one": _all(lambda k, i, c, cap: series_R(k, i, c, cap, x_one=True), KI),
+    "Rtilde": _all(series_R_tilde, KI),
+    "Rtilde-x-one": _all(lambda k, i, c, cap: series_R_tilde(k, i, c, cap, x_one=True), KI),
+    # Below i = -(k + 1) the summand floors dip under 0 and the cutoff
+    # shrinks with them, so a cut-back series has a wider window by design;
+    # the pinned H~(3, -5) output covers that case.
+    "Htilde": _all(series_H_tilde, [(1, i) for i in (-1, 0, 1)]
+                   + [(k, i) for k in (2, 3, 4) for i in range(-k - 1, k + 1)]),
+    "Jtilde-difference": _all(lambda k, i, c, cap: series_J_tilde(k, i, c, cap, route="difference"), KI),
+    "R-bilateral": _all(series_R_bilateral, KI),
+    "Rtilde-bilateral": _all(series_R_tilde_bilateral, KI),
+    "q-gauss": _sides(q_gauss_sides, [(n,) for n in range(-2, 4)]),
+    "bailey-lattice": _sides(bailey_lattice_sides, [(pair, k, i) for pair in (B3_DEEP, E3_DEEP)
+                                                    for k in (2, 3, 4) for i in range(k + 1)]),
+    "multisum-admissible": _all(multisum_admissible, KI),
+    "multisum-self-conjugate": _all(multisum_self_conjugate, KI),
+    "gf-closed": _capped(gf_closed, [(k, i, peaks, even) for k, i in KI for peaks in (1, 3)
+                                     for even in (False, True)]),
+    "gf-gamma-closed": _capped(gf_gamma_closed, [(k, i, peaks, even) for k in (2, 3, 4) for i in range(k)
+                                                 for peaks in (1, 3) for even in (False, True)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_BUILDERS))
+def test_window_oracle(name):
+    # Built past the cutoff and cut back, every series equals the one built
+    # at the cutoff: same terms, same floor, cutoff and cap.
+    build = WINDOW_BUILDERS[name]
+    for c in (4, 7, 10):
+        want = build(c, c)
+        for d in (1, 3):
+            got = [s.truncated(c) for s in build(c + d, c)]
+            assert got == want, (name, c, d)
+
+
+PINNED = [  # (label, builder, sha256 of to_json() at the commit before the summand rule)
+    ("R(3,2,9)", lambda: series_R(3, 2, 9),
+     "8a287b2b89fd76ae591c037b86e66ef1bb92ad8e615aea3d87395d0defcf0522"),
+    ("R(2,1,9,x_one)", lambda: series_R(2, 1, 9, x_one=True),
+     "78716406f535e14577224aa10bae584c6029ba73c11a3b9b3dec5daa7de925c2"),
+    ("Rtilde(3,1,9)", lambda: series_R_tilde(3, 1, 9),
+     "5919be2a97e2c20a61491b7d65ff5091c726152f66df7a60a19b90e2e0cb6405"),
+    ("Rtilde(2,2,9,cap=4)", lambda: series_R_tilde(2, 2, 9, var_cap=4),
+     "b7983037e257f0cdc3274d21c8e263e693fb32f5256c6fa065eb00aafaabb068"),
+    ("Htilde(1,1,9)", lambda: series_H_tilde(1, 1, 9),
+     "c199202ff0915107761c98d6d8c084b569e73db09d99db8af0b2a93e46be1252"),
+    ("Htilde(2,0,9)", lambda: series_H_tilde(2, 0, 9),
+     "50a16aa063641d7c668497f603f7063fcdc0e460bfb6ab8ffbab04f11fe9df38"),
+    ("Htilde(3,2,9)", lambda: series_H_tilde(3, 2, 9),
+     "587689739c1cf44458c6a679fee9e71f6b38b1bee0cdc426f85bb8ca1bcb908d"),
+    ("Htilde(2,-1,9)", lambda: series_H_tilde(2, -1, 9),
+     "d3dc1ed68905b9f600ec4923c61baeef6511c0fe5cfb7c094901f39a7947bdbf"),
+    ("Htilde(3,-5,9)", lambda: series_H_tilde(3, -5, 9),
+     "f8e16295efe613f6893fbd712c6f1de1ee9c6791add57693998a3d354ed2ba3f"),
+    ("Jtilde(3,2,9,difference)", lambda: series_J_tilde(3, 2, 9, route="difference"),
+     "9474f3b6643c5d0361c448e2253f3793240bd36215e9d980ee684952903fb050"),
+    ("Rbilateral(3,1,9)", lambda: series_R_bilateral(3, 1, 9),
+     "c5c34917b8cba206164d698c077726df21a05969f01a1e5bc41385548c8c0d1a"),
+    ("Rtildebilateral(2,2,9)", lambda: series_R_tilde_bilateral(2, 2, 9),
+     "e10c97bbe179d86f2b3b79d8c5715aadb51d27e905f6f704b8c553c31436e115"),
+    ("qgauss(2,9)", lambda: q_gauss_sides(2, 9)[0],
+     "bd079ec03813c96c3b380f179f874cdb49442a4300d3393ba9c1e611f8925e56"),
+    ("qgauss(-1,9)", lambda: q_gauss_sides(-1, 9)[0],
+     "bd079ec03813c96c3b380f179f874cdb49442a4300d3393ba9c1e611f8925e56"),
+    ("bailey(B3,2,1,9)", lambda: bailey_lattice_sides(bailey_pair_b3(9, 9), 2, 1, 9)[0],
+     "f28b936b97df3161bdbf6e8b83c61ef9750949291a25c8d57e8cd12f33cabca3"),
+    ("bailey(B3,2,1,9).rhs", lambda: bailey_lattice_sides(bailey_pair_b3(9, 9), 2, 1, 9)[1],
+     "f28b936b97df3161bdbf6e8b83c61ef9750949291a25c8d57e8cd12f33cabca3"),
+    ("bailey(E3,3,0,9).rhs", lambda: bailey_lattice_sides(bailey_pair_e3(9, 9), 3, 0, 9)[1],
+     "914c2c35e9d8e44c8a8062e03b8037084e60e288868be7a95a27754573f62d54"),
+    ("bailey(E3,3,3,9).rhs", lambda: bailey_lattice_sides(bailey_pair_e3(9, 9), 3, 3, 9)[1],
+     "f1b2bf3bd84664534d1e7defc188cf54de17918abca6c8850f4ef18a8bb886d2"),
+    ("multisum_admissible(3,2,9)", lambda: multisum_admissible(3, 2, 9),
+     "7602f73b2196dfd450c794f302f8c44f57f24bb876952fa6ab1ee03e5ee78e0d"),
+    ("multisum_self_conjugate(4,1,9)", lambda: multisum_self_conjugate(4, 1, 9),
+     "b65da2a13754d36df22231d37840a9d77916979b5ccff579d11d8d4530d8ba28"),
+    ("gf_closed(3,1,3,9)", lambda: gf_closed(3, 1, 3, 9),
+     "5056501417624404da7200291cf83c11188a67f1e4f419174c23bfb70153cd9a"),
+    ("gf_closed(2,2,4,9,even)", lambda: gf_closed(2, 2, 4, 9, even=True),
+     "6038088aab5ac0292923075a659ce21c456aa8bd6e777e22018758813640f2cd"),
+    ("gf_gamma_closed(4,1,3,9)", lambda: gf_gamma_closed(4, 1, 3, 9),
+     "e5ca05b219d8cec9fe6e472905297182c05499585f64c82e2a0c6da123a0b986"),
+    ("gf_gamma_closed(3,2,4,9,even)", lambda: gf_gamma_closed(3, 2, 4, 9, even=True),
+     "6982511a9a43619b7782d8b33a6952107ca8b788d42856c2391219f044735320"),
+]
+
+
+@pytest.mark.parametrize("label,build,digest", PINNED, ids=[case[0] for case in PINNED])
+def test_pinned_builder_output(label, build, digest):
+    # to_json() holds the terms, floor, cutoff and cap, so these match byte
+    # for byte or not at all.
+    assert hashlib.sha256(build().to_json().encode()).hexdigest() == digest

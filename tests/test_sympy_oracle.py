@@ -131,3 +131,51 @@ def test_over_one_minus(seed):
     powers = (s.q_cutoff - s.q_floor) // base.q + 1
     geometric = sp.Add(*(_sym([base]) ** j for j in range(powers + 1)))
     assert_on_window(got, _sym_terms(_sym(p) * geometric))
+
+
+def _slack_series(seed: int) -> tuple[random.Random, list[Monomial], TruncatedSeries, int]:
+    """A random polynomial with deg_b <= deg_q + slack in every monomial, and
+    its truncation at a cap that clips nothing below the cutoff.
+
+    Some monomials lie past the cutoff, so the truncation drops terms whose
+    images the provable cutoff has to exclude; half sit on the bound
+    deg_b = deg_q + slack, where those images come closest to it.  a and x
+    stay at degree <= 2.
+    """
+    rng = random.Random(seed)
+    slack, cutoff = rng.randint(0, 2), rng.randint(4, 8)
+    monos = []
+    for _ in range(rng.randint(2, 8)):
+        dq = rng.randint(0, cutoff + 3)
+        db = rng.choice((dq + slack, rng.randint(0, dq + slack)))
+        monos.append(mono(rng.choice((rng.randint(-3, 3) or 1, rng.choice(UNITS))),
+                          rng.randint(0, 2), db, rng.randint(0, 2), dq))
+    cap = cutoff + slack + rng.randint(0, 1)
+    return rng, monos, TruncatedSeries.poly(monos).truncated(cutoff, cap), slack
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_specialize_negative_shift_with_slack(seed):
+    # b -> u q^-1 lowers a monomial's q-degree by deg_b <= deg_q + slack,
+    # so with q -> q^p the images of the terms cut at q_cutoff all land at
+    # or above (p - 1) q_cutoff - slack: that is the provable cutoff.
+    rng, p, s, slack = _slack_series(seed)
+    u, q_power = rng.choice(UNITS), rng.randint(2, 3)
+    subs, sym_subs = {"sub_b": (u, -1)}, {B: _sym_coeff(u) / Q}
+    if rng.random() < 0.5:
+        ua, ea = rng.choice(UNITS + (0,)), rng.randint(0, 2)
+        subs["sub_a"], sym_subs[A] = (ua, ea), _sym_coeff(ua) * Q**ea
+    got = s.specialize(q_power=q_power, slack={"b": slack}, **subs)
+    assert got.q_cutoff == (q_power - 1) * s.q_cutoff - slack
+    exact = sp.expand(_sym(p).subs(Q, Q**q_power)).subs(sym_subs, simultaneous=True)
+    assert_on_window(got, _sym_terms(exact))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_specialize_negative_shift_refusals(seed):
+    _, _, s, slack = _slack_series(seed)
+    with pytest.raises(ValueError, match=r"needs slack\['b'\]"):
+        s.specialize(sub_b=(1, -1), q_power=2)
+    short = s.truncated(var_cap=s.q_cutoff + slack - 1)
+    with pytest.raises(ValueError, match="var_cap too small"):
+        short.specialize(sub_b=(1, -1), q_power=2, slack={"b": slack})

@@ -18,7 +18,8 @@ from qpair.verify import VerifyConfig, run_suite
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
 
 
-@pytest.mark.parametrize("suite", ["jtp", "q-gauss", "qdiff-R", "qdiff-Rtilde", "corollaries"])
+@pytest.mark.parametrize("suite", ["jtp", "q-gauss", "qdiff-R", "qdiff-Rtilde", "corollaries",
+                                   "htilde-identities", "gf-paths", "bailey"])
 def test_series_suite_report_matches_golden(suite):
     expected = json.loads(GOLDEN.read_text())["verify-default"]["suites"][suite]
     body = {k: v for k, v in run_suite(suite, VerifyConfig()).to_obj().items() if k != "wall_time"}
