@@ -133,6 +133,8 @@ X_ONE_FAMILIES = ("R", "Rtilde")
 
 def cmd_series(args) -> int:
     c = _setting(args.cutoff, "--cutoff", "QPAIR_CUTOFF", 12, 1)
+    if args.var_cap is not None and args.var_cap < 0:
+        raise ValueError(f"--var-cap must be at least 0, got {args.var_cap}")
     build = SERIES_FAMILIES[args.family]
     if not args.x_one:
         series = build(args.k, args.i, c, args.var_cap)

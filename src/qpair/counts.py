@@ -12,6 +12,8 @@ import csv
 import io
 import json
 from collections import Counter
+from collections.abc import Mapping
+from types import MappingProxyType
 
 from .gaussint import Coeff, cadd, as_pair
 from .series import TruncatedSeries
@@ -32,17 +34,12 @@ def check_bound(n: int, bound: int | None) -> None:
 
 
 class CountTable:
-    def __init__(self, n_max: int):
-        self.n_max = n_max
-        self.entries: dict[tuple[int, int, int], Coeff] = {}
+    """A read-only table: ``entries`` is a mapping proxy over nonzero counts, so
+    a table can be shared freely."""
 
-    def add(self, s: int, t: int, n: int, weight: Coeff = 1) -> None:
-        key = (s, t, n)
-        acc = cadd(self.entries.get(key, 0), weight)
-        if acc:
-            self.entries[key] = acc
-        else:
-            self.entries.pop(key, None)
+    def __init__(self, n_max: int, entries: Mapping[tuple[int, int, int], Coeff]):
+        self.n_max = n_max
+        self.entries = MappingProxyType({key: c for key, c in entries.items() if c})
 
     def get(self, s: int, t: int, n: int) -> Coeff:
         if n > self.n_max:
@@ -108,15 +105,13 @@ class CountTable:
         """Coefficients of a^s b^t q^n, summed over the x-degree."""
         if series.q_cutoff <= n_max:
             raise ValueError(f"series cutoff {series.q_cutoff} cannot cover n_max={n_max}")
-        table = cls(n_max)
+        entries: dict[tuple[int, int, int], Coeff] = {}
         for (s, t, _m, n), c in series.terms.items():
             if 0 <= n <= n_max:
-                table.add(s, t, n, c)
-        return table
+                entries[s, t, n] = cadd(entries.get((s, t, n), 0), c)
+        return cls(n_max, entries)
 
 
 def tally(members, n_max: int) -> CountTable:
     """Table of ``(weight, obj)`` members keyed by (obj.s_stat(), obj.t_stat(), weight)."""
-    table = CountTable(n_max)
-    table.entries = dict(Counter((obj.s_stat(), obj.t_stat(), n) for n, obj in members))
-    return table
+    return CountTable(n_max, Counter((obj.s_stat(), obj.t_stat(), n) for n, obj in members))

@@ -186,8 +186,9 @@ def is_self_k_conjugate(f: FrobeniusSymbol, k: int) -> bool:
     the two partitions, so it fixes f exactly when it is the identity or
     the two regions are equal.
     """
-    regions = conjugation_regions(f, k)
-    return regions is None or regions[0] == regions[1]
+    if k < 2:
+        raise ValueError("need k >= 2")
+    return _self_conjugate(_lam_prime(f.top), _lam_prime(f.bottom), k)
 
 
 def _self_conjugate(lam1p: Partition, lam2p: Partition, k: int) -> bool:

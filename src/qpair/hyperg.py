@@ -165,27 +165,26 @@ def series_H_tilde(k: int, i: int, q_cutoff: int, var_cap: int | None = None) ->
     return qproduct(total, (mono(-1, a=1, x=1, q=1), mono(-1, b=1, x=1, q=1)), (mono(1, x=1, q=1),))
 
 
-def series_J_tilde(k: int, i: int, q_cutoff: int, var_cap: int | None = None,
-                   route: str = "product") -> TruncatedSeries:
-    """The J-series, either as (abxq)_inf times the even-moduli series
-    (route "product", the canonical one) or from the shifted H-series
-    three-term relation (route "difference")."""
+def series_J_tilde(k: int, i: int, q_cutoff: int, var_cap: int | None = None) -> TruncatedSeries:
+    """The J-series, (abxq)_inf times the even-moduli series."""
     check_ki(k, i)
     cap = var_cap_for(q_cutoff, var_cap)
-    if route == "product":
-        return qproduct(series_R_tilde(k, i, q_cutoff, cap), (mono(1, a=1, b=1, x=1, q=1),))
-    if route != "difference":
-        raise ValueError(f"unknown route {route!r}")
-    h_i = series_H_tilde(k, i, q_cutoff, cap).shift_x(1)
-    h_i1 = series_H_tilde(k, i - 1, q_cutoff, cap).shift_x(1)
-    out = h_i + h_i1 * TruncatedSeries.poly([mono(1, a=1, x=1, q=1), mono(1, b=1, x=1, q=1)])
-    h_i2 = series_H_tilde(k, i - 2, q_cutoff, cap).shift_x(1)
-    if i >= 2:
-        out = out + h_i2.times_monomial(mono(1, a=1, b=1, x=2, q=2))
-    else:
-        # i = 1: the stored object is x * H(-1); abx^2q^2 H(-1)(xq) = abxq * it.
-        out = out + h_i2.times_monomial(mono(1, a=1, b=1, x=1, q=1))
-    return out
+    return qproduct(series_R_tilde(k, i, q_cutoff, cap), (mono(1, a=1, b=1, x=1, q=1),))
+
+
+def j_tilde_from_h(h_i: TruncatedSeries, h_i1: TruncatedSeries, h_i2: TruncatedSeries,
+                   i: int) -> TruncatedSeries:
+    """The J-series at index i >= 1 from the shifted H-series three-term relation.
+
+    ``h_i``, ``h_i1`` and ``h_i2`` are :func:`series_H_tilde` at i, i-1 and
+    i-2 for the same k, cutoff and cap.  For i = 1 the last is stored as
+    x * H(-1), and abx^2q^2 H(-1)(xq) = abxq times it, shifted.
+    """
+    if i < 1:
+        raise ValueError(f"need i >= 1, got i={i}")
+    ab_xq = TruncatedSeries.poly([mono(1, a=1, x=1, q=1), mono(1, b=1, x=1, q=1)])
+    lift = mono(1, a=1, b=1, x=2, q=2) if i >= 2 else mono(1, a=1, b=1, x=1, q=1)
+    return h_i.shift_x(1) + h_i1.shift_x(1) * ab_xq + h_i2.shift_x(1).times_monomial(lift)
 
 
 # ------------------------------------------------------------------ bilateral forms
@@ -262,7 +261,6 @@ def jacobi_triple_product(z: Monomial, q_cutoff: int) -> tuple[TruncatedSeries, 
             break
         n += 1
     lhs = TruncatedSeries.poly(terms).truncated(q_cutoff, cap)
-    lhs = TruncatedSeries(lhs.terms, lhs.q_floor, q_cutoff, cap)
     rhs = qproduct(TruncatedSeries.one(q_cutoff, cap),
                    (mono(cneg(u), q=e + 1), mono(cneg(unit_pow(u, -1)), q=1 - e), mono(1, q=2)), step=2)
     return lhs, rhs
@@ -392,33 +390,22 @@ def _nested_multisum(depth: int, i_level: int, beta, q_cutoff: int, cap: int) ->
     return total
 
 
-def bailey_lattice_sides(pair: BaileyPair, k: int, i: int, q_cutoff: int,
-                         var_cap: int | None = None
-                         ) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """Both sides of the lattice transform for a pair relative to q.
+def _lattice_prefactor(q_cutoff: int, cap: int) -> TruncatedSeries:
+    """(abq)_inf / (q, -aq, -bq)_inf."""
+    return qproduct(TruncatedSeries.one(q_cutoff, cap), (ABQ,), (Q, NEG_AQ, NEG_BQ))
 
-    The k = 0 case degenerates to prefactor times beta_0 on both sides by
-    the empty-sum conventions.
+
+def bailey_lattice_rhs(pair: BaileyPair, k: int, i: int, q_cutoff: int,
+                       var_cap: int | None = None) -> TruncatedSeries:
+    """The alpha side of the lattice transform for a pair relative to q.
+
+    For k = 0 it is the prefactor times beta_0, by the empty-sum conventions.
     """
     if not (0 <= i <= k):
         raise ValueError(f"need 0 <= i <= k, got i={i}, k={k}")
     cap = var_cap_for(q_cutoff, var_cap)
-    prefactor = qproduct(TruncatedSeries.one(q_cutoff, cap), (ABQ,), (Q, NEG_AQ, NEG_BQ))
     if k == 0:
-        lhs = prefactor * pair.betas[0]
-        return lhs, lhs
-
-    if k == 1:
-        needed = q_cutoff - 1
-    else:
-        needed = 0
-        while needed * needed < q_cutoff:
-            needed += 1
-    if pair.depth() < needed:
-        raise ValueError(f"pair depth {pair.depth()} insufficient: need n_max >= {needed}")
-
-    lhs = prefactor * _nested_multisum(k, i, lambda m: pair.betas[m], q_cutoff, cap)
-
+        return _lattice_prefactor(q_cutoff, cap) * pair.betas[0]
     inv_q_inf_sq = qproduct(TruncatedSeries.one(q_cutoff, cap), (), (Q, Q))
     rhs = inv_q_inf_sq * pair.alphas[0]
     inv_chain = TruncatedSeries.one(q_cutoff, cap)
@@ -447,7 +434,33 @@ def bailey_lattice_sides(pair: BaileyPair, k: int, i: int, q_cutoff: int,
         product = outer * (branch1 + branch2).truncated(q_cutoff - base)
         rhs = rhs + inv_q_inf_sq.truncated(q_cutoff - product.q_floor) * product
         n += 1
-    return lhs, rhs
+    return rhs
+
+
+def bailey_lattice_sides(pair: BaileyPair, k: int, i: int, q_cutoff: int,
+                         var_cap: int | None = None
+                         ) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """Both sides of the lattice transform for a pair relative to q: the beta
+    side and :func:`bailey_lattice_rhs`, both prefactor times beta_0 at k = 0."""
+    if not (0 <= i <= k):
+        raise ValueError(f"need 0 <= i <= k, got i={i}, k={k}")
+    cap = var_cap_for(q_cutoff, var_cap)
+    prefactor = _lattice_prefactor(q_cutoff, cap)
+    if k == 0:
+        lhs = prefactor * pair.betas[0]
+        return lhs, lhs
+
+    if k == 1:
+        needed = q_cutoff - 1
+    else:
+        needed = 0
+        while needed * needed < q_cutoff:
+            needed += 1
+    if pair.depth() < needed:
+        raise ValueError(f"pair depth {pair.depth()} insufficient: need n_max >= {needed}")
+
+    lhs = prefactor * _nested_multisum(k, i, lambda m: pair.betas[m], q_cutoff, cap)
+    return lhs, bailey_lattice_rhs(pair, k, i, q_cutoff, cap)
 
 
 def multisum_admissible(k: int, i: int, q_cutoff: int, var_cap: int | None = None) -> TruncatedSeries:

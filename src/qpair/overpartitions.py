@@ -314,38 +314,27 @@ def weighted_pair_identity_sides(k: int, n_max: int, bound: int | None = None
     """The fourth-root-of-unity weighted identity at i = k-1.
 
     Returns (A, B_even, B_odd): A counts pairs with mu even and lam free of
-    multiples of k-1; B_even is the weighted count over pairs meeting the
-    parity conditions with an even number of overlined parts, weighted by
+    multiples of k-1; B_even is the weighted count over the pairs of
+    :func:`frequency_pairs` at (k, k-1) with ``parity=True`` that have an
+    even number of overlined parts, weighted by
     i^(overlined in lam) * (-i)^(overlined in mu); B_odd is the weighted sum
     over the odd class, which must vanish.
     """
     if k < 3:
         raise ValueError("need k >= 3 so that i = k-1 >= 2")
     check_bound(n_max, bound)
-    iu = GaussInt(0, 1)
-    a_counts: list[int] = []
-    even_sums: list[Coeff] = []
-    odd_sums: list[Coeff] = []
-    for n in range(n_max + 1):
-        a = 0
-        even_sum: Coeff = 0
-        odd_sum: Coeff = 0
-        for pair in pairs_of(n):
-            if all(s % 2 == 0 for s, _ in pair.mu.parts) and all(
-                s % (k - 1) != 0 for s, _ in pair.lam.parts
-            ):
-                a += 1
-            if pair.satisfies_parity_conditions(k, k - 1):
-                o_lam = pair.lam.overlined_count()
-                o_mu = pair.mu.overlined_count()
-                w = cmul(unit_pow(iu, o_lam), unit_pow(GaussInt(0, -1), o_mu))
-                if (o_lam + o_mu) % 2 == 0:
-                    even_sum = cadd(even_sum, w)
-                else:
-                    odd_sum = cadd(odd_sum, w)
-        a_counts.append(a)
-        even_sums.append(even_sum)
-        odd_sums.append(odd_sum)
+    a_counts = [sum(1 for pair in pairs_of(n)
+                    if all(s % 2 == 0 for s, _ in pair.mu.parts)
+                    and all(s % (k - 1) != 0 for s, _ in pair.lam.parts))
+                for n in range(n_max + 1)]
+    even_sums: list[Coeff] = [0] * (n_max + 1)
+    odd_sums: list[Coeff] = [0] * (n_max + 1)
+    for n, pair in frequency_pairs(k, k - 1, n_max, parity=True):
+        o_lam = pair.lam.overlined_count()
+        o_mu = pair.mu.overlined_count()
+        w = cmul(unit_pow(GaussInt(0, 1), o_lam), unit_pow(GaussInt(0, -1), o_mu))
+        sums = even_sums if (o_lam + o_mu) % 2 == 0 else odd_sums
+        sums[n] = cadd(sums[n], w)
     return a_counts, even_sums, odd_sums
 
 

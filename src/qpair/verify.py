@@ -21,9 +21,11 @@ from .hyperg import (
     NEG_AQ,
     NEG_BQ,
     Q,
+    bailey_lattice_rhs,
     bailey_lattice_sides,
     bailey_pair_b3,
     bailey_pair_e3,
+    j_tilde_from_h,
     jacobi_triple_product,
     multisum_admissible,
     multisum_self_conjugate,
@@ -187,10 +189,8 @@ def suite_htilde(rep: VerificationReport, cfg: VerifyConfig) -> None:
                 lhs = x_poly * h[1] - h[-1]
                 rhs = one_plus_x * j[k]
             rep.coeff_check("h-difference", {"k": k, "i": i}, lhs, rhs)
-            rep.coeff_check(
-                "j-dual-route", {"k": k, "i": i},
-                j[i], series_J_tilde(k, i, c, route="difference"),
-            )
+            rep.coeff_check("j-dual-route", {"k": k, "i": i},
+                            j[i], j_tilde_from_h(h[i], h[i - 1], h[i - 2], i))
 
 
 def suite_series_vs_enum(rep: VerificationReport, cfg: VerifyConfig) -> None:
@@ -234,12 +234,14 @@ def suite_gf_paths(rep: VerificationReport, cfg: VerifyConfig) -> None:
     for k in cfg.k_values:
         for even in (False, True):
             tag = "even" if even else "odd"
+            # One build of each closed form serves both the dual-route and the sum check.
+            closed = {i: [gf_closed(k, i, n_peaks, c, even=even) for n_peaks in range(max(c, 5))]
+                      for i in range(1, k + 1)}
             for i in range(1, k + 1):
                 for n_peaks in range(5):
                     rep.coeff_check(
                         f"gf-dual-route-{tag}", {"k": k, "i": i, "peaks": n_peaks},
-                        gf_recurrence(k, i, n_peaks, c, even=even),
-                        gf_closed(k, i, n_peaks, c, even=even),
+                        gf_recurrence(k, i, n_peaks, c, even=even), closed[i][n_peaks],
                     )
             for i in range(0, k):
                 for n_peaks in range(5):
@@ -249,9 +251,7 @@ def suite_gf_paths(rep: VerificationReport, cfg: VerifyConfig) -> None:
                         gf_gamma_closed(k, i, n_peaks, c, even=even),
                     )
             for i in range(1, k + 1):
-                total = TruncatedSeries.zero(c, c)
-                for n_peaks in range(c):
-                    total = total + gf_closed(k, i, n_peaks, c, even=even)
+                total = sum(closed[i][:c], TruncatedSeries.zero(c, c))
                 bilateral = (series_R_tilde_bilateral if even else series_R_bilateral)(k, i, c)
                 rep.coeff_check(f"gf-sum-vs-bilateral-{tag}", {"k": k, "i": i}, total, bilateral)
 
@@ -259,12 +259,10 @@ def suite_gf_paths(rep: VerificationReport, cfg: VerifyConfig) -> None:
 def suite_q_gauss(rep: VerificationReport, cfg: VerifyConfig) -> None:
     c = cfg.cutoff
     rep.params = {"cutoff": c}
-    for n in (-2, -1, 0, 1, 2):
-        lhs, rhs = q_gauss_sides(n, c)
+    sides = {n: q_gauss_sides(n, c) for n in (-2, -1, 0, 1, 2)}
+    for n, (lhs, rhs) in sides.items():
         rep.coeff_check("summation-lemma", {"n": n}, lhs, rhs)
-    lp, _ = q_gauss_sides(2, c)
-    ln, _ = q_gauss_sides(-2, c)
-    rep.coeff_check("summand-reflection", {"n": 2}, lp, ln)
+    rep.coeff_check("summand-reflection", {"n": 2}, sides[2][0], sides[-2][0])
 
 
 def suite_jtp(rep: VerificationReport, cfg: VerifyConfig) -> None:
@@ -299,10 +297,10 @@ def suite_bailey(rep: VerificationReport, cfg: VerifyConfig) -> None:
         for i in range(1, k + 1):
             bilateral = series_R_bilateral(k, i, c)
             bilateral_t = series_R_tilde_bilateral(k, i, c)
-            _, rhs = bailey_lattice_sides(pairs["B3"], k - 1, i - 1, c)
+            rhs = bailey_lattice_rhs(pairs["B3"], k - 1, i - 1, c)
             rep.coeff_check("lattice-reproduces-bilateral", {"k": k, "i": i},
                             _dress_lattice_rhs(rhs), bilateral)
-            _, rhs_t = bailey_lattice_sides(pairs["E3"], k - 1, i - 1, c)
+            rhs_t = bailey_lattice_rhs(pairs["E3"], k - 1, i - 1, c)
             rep.coeff_check("lattice-reproduces-bilateral-even", {"k": k, "i": i},
                             _dress_lattice_rhs(rhs_t), bilateral_t)
             d_series = multisum_admissible(k, i, n_max + 1)
@@ -375,12 +373,11 @@ def suite_corollaries(rep: VerificationReport, cfg: VerifyConfig) -> None:
         rep.coeff_check("root-of-unity-product", {"k": k}, spec, _product_root_of_unity(k, prod_cutoff))
     for k in (2, 3):
         for i in range(2, k + 1):
-            a, b = partition_pair_identity_sides(k, i, n_max, bound=n_max)
-            rep.value_check("even-modulus-sides", {"k": k, "i": i}, None, a, b)
-            a16, _ = partition_pair_identity_sides(k, i, prod_cutoff - 1, bound=prod_cutoff)
+            a, b = partition_pair_identity_sides(k, i, prod_cutoff - 1, bound=prod_cutoff)
+            rep.value_check("even-modulus-sides", {"k": k, "i": i}, None, a[:n_max + 1], b[:n_max + 1])
             prod = _product_even_modulus(k, i, prod_cutoff)
             rep.value_check("even-modulus-product", {"k": k, "i": i}, None,
-                            a16, [prod.coeff_q(n) for n in range(prod_cutoff)])
+                            a, [prod.coeff_q(n) for n in range(prod_cutoff)])
 
 
 SUITES = {

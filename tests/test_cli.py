@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -171,13 +172,10 @@ class TestEnumerateCommand:
                     assert main(args + ["--mode", "objects"]) == 0
                     listed = json.loads(capsys.readouterr().out)["objects"]
                     assert main(args) == 0
-                    table = CountTable(n)
-                    for e in json.loads(capsys.readouterr().out)["entries"]:
-                        table.add(e["s"], e["t"], e["n"], e["re"])
+                    table = CountTable(n, {(e["s"], e["t"], e["n"]): e["re"]
+                                           for e in json.loads(capsys.readouterr().out)["entries"]})
                     assert len(listed) == table.total(n)
-                    got = CountTable(n)
-                    for obj in listed:
-                        got.add(*_stats(obj), n)
+                    got = CountTable(n, Counter((*_stats(obj), n) for obj in listed))
                     assert got.entries == {key: c for key, c in table.entries.items()
                                            if key[2] == n}
 
@@ -340,6 +338,19 @@ class TestUsageErrors:
                          "--x-one"]) == 0
             printed = json.loads(capsys.readouterr().out)
             assert printed == json.loads(json.dumps(builder(2, 1, 4, x_one=True).to_obj()))
+
+    def test_negative_var_cap_refused(self, tmp_path, capsys):
+        # A negative cap used to print an empty series that claimed exactness.
+        base = ["--family", "R", "-k", "2", "-i", "2", "--cutoff", "4"]
+        out = tmp_path / "series.json"
+        for argv in (["series"] + base, ["export", "series"] + base + ["--out", str(out)]):
+            assert main(argv + ["--var-cap", "-1"]) == 2
+            printed, err = capsys.readouterr()
+            assert err == "error: --var-cap must be at least 0, got -1\n" and printed == ""
+        assert not out.exists()
+        assert main(["series"] + base + ["--var-cap", "0"]) == 0
+        terms = json.loads(capsys.readouterr().out)["terms"]
+        assert {"a": 0, "b": 0, "x": 0, "q": 0, "re": 1, "im": 0} in terms
 
     def test_objects_csv_refused_before_enumeration(self):
         r = run("enumerate", "--family", "B", "-k", "1", "-i", "1", "-n", "2",

@@ -1,3 +1,5 @@
+import pytest
+
 from qpair.counts import CountTable, tally
 from qpair.frobenius import FrobeniusSymbol
 from qpair.overpartitions import Overpartition, OverpartitionPair
@@ -18,3 +20,21 @@ def test_tally_keys_s_before_t():
 def test_from_series_reads_a_as_s_and_b_as_t():
     table = CountTable.from_series(TruncatedSeries.poly([mono(5, a=2, q=3), mono(1, b=1, x=4, q=2)]), 4)
     assert table.entries == {(2, 0, 3): 5, (0, 1, 2): 1}
+
+
+def test_from_series_drops_entries_that_cancel_over_x():
+    series = TruncatedSeries.poly([mono(1, a=1, q=1), mono(-1, a=1, x=1, q=1), mono(3, q=2)])
+    assert CountTable.from_series(series, 4).entries == {(0, 0, 2): 3}
+
+
+def test_table_is_read_only():
+    pair = OverpartitionPair(Overpartition([(1, True)]), Overpartition([]))
+    for table in (tally([(1, pair)], 1), CountTable.from_series(TruncatedSeries.poly([mono(2, q=1)]), 1)):
+        with pytest.raises(TypeError):
+            table.entries[(0, 0, 0)] = 1
+        with pytest.raises(TypeError):
+            del table.entries[next(iter(table.entries))]
+    given = {(0, 0, 1): 1}
+    table = CountTable(1, given)
+    given[(0, 0, 0)] = 1
+    assert table.entries == {(0, 0, 1): 1}

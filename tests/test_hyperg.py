@@ -5,9 +5,11 @@ import pytest
 from qpair.counts import CountTable
 from qpair.gaussint import GaussInt
 from qpair.hyperg import (
+    bailey_lattice_rhs,
     bailey_lattice_sides,
     bailey_pair_b3,
     bailey_pair_e3,
+    j_tilde_from_h,
     jacobi_triple_product,
     multisum_admissible,
     multisum_self_conjugate,
@@ -74,6 +76,11 @@ class TestSeriesR:
             series_R_tilde(1, 1, 6)
 
 
+def _j_from_h(k, i, c, cap=None):
+    """J~ from the shifted H~ relation, given freshly built H~ series."""
+    return j_tilde_from_h(*(series_H_tilde(k, m, c, cap) for m in (i, i - 1, i - 2)), i)
+
+
 class TestAuxiliarySeries:
     def test_h_vanishes_at_index_zero(self):
         for k in (1, 2, 3):
@@ -103,7 +110,7 @@ class TestAuxiliarySeries:
         for k in (2, 3):
             for i in range(1, k + 1):
                 prod = series_J_tilde(k, i, C)
-                diff = series_J_tilde(k, i, C, route="difference")
+                diff = _j_from_h(k, i, C)
                 assert prod.first_mismatch(diff) is None, (k, i)
 
     def test_h_rejects_nontruncating_parameters(self):
@@ -202,6 +209,13 @@ class TestBaileyLattice:
         lhs, rhs = bailey_lattice_sides(b3, 0, 0, 8)
         assert lhs.first_mismatch(rhs) is None
 
+    def test_rhs_is_the_alpha_side(self):
+        b3, e3 = bailey_pair_b3(9, 9), bailey_pair_e3(9, 9)
+        for pair in (b3, e3):
+            for k in range(4):
+                for i in range(k + 1):
+                    assert bailey_lattice_rhs(pair, k, i, 9) == bailey_lattice_sides(pair, k, i, 9)[1]
+
     def test_insufficient_depth_reported(self):
         b3 = bailey_pair_b3(1, 10)
         with pytest.raises(ValueError, match="n_max"):
@@ -253,7 +267,7 @@ WINDOW_BUILDERS = {
     # the pinned H~(3, -5) output covers that case.
     "Htilde": _all(series_H_tilde, [(1, i) for i in (-1, 0, 1)]
                    + [(k, i) for k in (2, 3, 4) for i in range(-k - 1, k + 1)]),
-    "Jtilde-difference": _all(lambda k, i, c, cap: series_J_tilde(k, i, c, cap, route="difference"), KI),
+    "Jtilde-difference": _all(_j_from_h, KI),
     "R-bilateral": _all(series_R_bilateral, KI),
     "Rtilde-bilateral": _all(series_R_tilde_bilateral, KI),
     "q-gauss": _sides(q_gauss_sides, [(n,) for n in range(-2, 4)]),
@@ -299,7 +313,7 @@ PINNED = [  # (label, builder, sha256 of to_json() at the commit before the summ
      "d3dc1ed68905b9f600ec4923c61baeef6511c0fe5cfb7c094901f39a7947bdbf"),
     ("Htilde(3,-5,9)", lambda: series_H_tilde(3, -5, 9),
      "f8e16295efe613f6893fbd712c6f1de1ee9c6791add57693998a3d354ed2ba3f"),
-    ("Jtilde(3,2,9,difference)", lambda: series_J_tilde(3, 2, 9, route="difference"),
+    ("Jtilde(3,2,9,difference)", lambda: _j_from_h(3, 2, 9),
      "9474f3b6643c5d0361c448e2253f3793240bd36215e9d980ee684952903fb050"),
     ("Rbilateral(3,1,9)", lambda: series_R_bilateral(3, 1, 9),
      "c5c34917b8cba206164d698c077726df21a05969f01a1e5bc41385548c8c0d1a"),
@@ -311,11 +325,11 @@ PINNED = [  # (label, builder, sha256 of to_json() at the commit before the summ
      "bd079ec03813c96c3b380f179f874cdb49442a4300d3393ba9c1e611f8925e56"),
     ("bailey(B3,2,1,9)", lambda: bailey_lattice_sides(bailey_pair_b3(9, 9), 2, 1, 9)[0],
      "f28b936b97df3161bdbf6e8b83c61ef9750949291a25c8d57e8cd12f33cabca3"),
-    ("bailey(B3,2,1,9).rhs", lambda: bailey_lattice_sides(bailey_pair_b3(9, 9), 2, 1, 9)[1],
+    ("bailey(B3,2,1,9).rhs", lambda: bailey_lattice_rhs(bailey_pair_b3(9, 9), 2, 1, 9),
      "f28b936b97df3161bdbf6e8b83c61ef9750949291a25c8d57e8cd12f33cabca3"),
-    ("bailey(E3,3,0,9).rhs", lambda: bailey_lattice_sides(bailey_pair_e3(9, 9), 3, 0, 9)[1],
+    ("bailey(E3,3,0,9).rhs", lambda: bailey_lattice_rhs(bailey_pair_e3(9, 9), 3, 0, 9),
      "914c2c35e9d8e44c8a8062e03b8037084e60e288868be7a95a27754573f62d54"),
-    ("bailey(E3,3,3,9).rhs", lambda: bailey_lattice_sides(bailey_pair_e3(9, 9), 3, 3, 9)[1],
+    ("bailey(E3,3,3,9).rhs", lambda: bailey_lattice_rhs(bailey_pair_e3(9, 9), 3, 3, 9),
      "f1b2bf3bd84664534d1e7defc188cf54de17918abca6c8850f4ef18a8bb886d2"),
     ("multisum_admissible(3,2,9)", lambda: multisum_admissible(3, 2, 9),
      "7602f73b2196dfd450c794f302f8c44f57f24bb876952fa6ab1ee03e5ee78e0d"),
