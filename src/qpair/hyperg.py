@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gaussint import Coeff, cneg, is_unit, unit_pow
+from .gaussint import cneg, is_unit, unit_pow
 from .overpartitions import check_ki
 from .qtools import f_poly, inv_qfactors, inv_qpoch
 from .series import (INF, Monomial, TruncatedSeries, geometric, mono, over_one_minus, pochhammer, qproduct,
@@ -35,28 +35,35 @@ from .series import (INF, Monomial, TruncatedSeries, geometric, mono, over_one_m
 NEG_AQ, NEG_BQ, Q, ABQ = mono(-1, a=1, q=1), mono(-1, b=1, q=1), mono(1, q=1), mono(1, a=1, b=1, q=1)
 
 
-def _vm(x_one: bool, coeff: Coeff = 1, a: int = 0, b: int = 0, x: int = 0, q: int = 0) -> Monomial:
-    return mono(coeff, a, b, 0 if x_one else x, q)
+def r_exponent(k: int, i: int, n: int, tilde: bool) -> int:
+    """The q-exponent of the n-th summand of the plain or even-moduli series,
+    for every integer n.
+
+    The bilateral forms take e(n) for n >= 0 and e(-m) + 2m for m >= 1; the
+    path generating functions take e(n) - n.
+    """
+    if tilde:
+        return k * n * n + (k - i) * n - n * (n - 1)
+    return k * n * n + (k - i + 1) * n - n * (n - 1) // 2
 
 
-def _bracket_numerator(n: int, i: int, q_cutoff: int, var_cap: int, x_one: bool) -> TruncatedSeries:
+def _bracket_numerator(n: int, i: int, q_cutoff: int, var_cap: int) -> TruncatedSeries:
     """(1 + axq^(n+1))(1 + bxq^(n+1)) - x^i q^(2n(i-1)+i) (a + q^n)(b + q^n)."""
     g = 2 * n * (i - 1) + i
     monos = [
         mono(1),
-        _vm(x_one, 1, a=1, x=1, q=n + 1),
-        _vm(x_one, 1, b=1, x=1, q=n + 1),
-        _vm(x_one, 1, a=1, b=1, x=2, q=2 * n + 2),
-        _vm(x_one, -1, a=1, b=1, x=i, q=g),
-        _vm(x_one, -1, a=1, x=i, q=g + n),
-        _vm(x_one, -1, b=1, x=i, q=g + n),
-        _vm(x_one, -1, x=i, q=g + 2 * n),
+        mono(1, a=1, x=1, q=n + 1),
+        mono(1, b=1, x=1, q=n + 1),
+        mono(1, a=1, b=1, x=2, q=2 * n + 2),
+        mono(-1, a=1, b=1, x=i, q=g),
+        mono(-1, a=1, x=i, q=g + n),
+        mono(-1, b=1, x=i, q=g + n),
+        mono(-1, x=i, q=g + 2 * n),
     ]
     return TruncatedSeries.poly(monos).truncated(q_cutoff, var_cap)
 
 
-def _R_family(k: int, i: int, q_cutoff: int, var_cap: int | None, x_one: bool,
-              tilde: bool) -> TruncatedSeries:
+def _R_family(k: int, i: int, q_cutoff: int, var_cap: int | None, tilde: bool) -> TruncatedSeries:
     """The plain (``tilde=False``) or even-moduli four-variable family member.
 
     The two differ in the summand exponent, the x-power (k or k-1), the
@@ -68,45 +75,45 @@ def _R_family(k: int, i: int, q_cutoff: int, var_cap: int | None, x_one: bool,
     step = 2 if tilde else 1
     total = TruncatedSeries.zero(q_cutoff, cap)
     x_poch = TruncatedSeries.one(q_cutoff, cap)
-    inv_chain = over_one_minus(geometric(_vm(x_one, -1, a=1, x=1, q=1), q_cutoff, cap),
-                               _vm(x_one, -1, b=1, x=1, q=1))
+    inv_chain = over_one_minus(geometric(mono(-1, a=1, x=1, q=1), q_cutoff, cap), mono(-1, b=1, x=1, q=1))
     n = 0
     while True:
-        if tilde:
-            e_n = k * n * n + (k - i) * n - n * (n - 1)
-        else:
-            e_n = k * n * n + (k - i + 1) * n - n * (n - 1) // 2
+        e_n = r_exponent(k, i, n, tilde)
         if e_n >= q_cutoff:
             break
         room = q_cutoff - e_n
         x_poch, inv_chain = x_poch.truncated(room), inv_chain.truncated(room)
         term = f_poly(n, q_cutoff, cap).truncated(room) * x_poch * inv_chain
-        term = term * _bracket_numerator(n, i, room, cap, x_one)
-        total = total + term.times_monomial(_vm(x_one, -1 if n % 2 else 1, x=(k - 1 if tilde else k) * n, q=e_n))
+        term = term * _bracket_numerator(n, i, room, cap)
+        total = total + term.times_monomial(mono(-1 if n % 2 else 1, x=(k - 1 if tilde else k) * n, q=e_n))
         n += 1
-        x_poch = times_one_minus(x_poch, _vm(x_one, 1, x=step, q=step * n))
+        x_poch = times_one_minus(x_poch, mono(1, x=step, q=step * n))
         inv_chain = over_one_minus(inv_chain, mono(1, q=step * n))
-        inv_chain = over_one_minus(inv_chain, _vm(x_one, -1, a=1, x=1, q=n + 1))
-        inv_chain = over_one_minus(inv_chain, _vm(x_one, -1, b=1, x=1, q=n + 1))
+        inv_chain = over_one_minus(inv_chain, mono(-1, a=1, x=1, q=n + 1))
+        inv_chain = over_one_minus(inv_chain, mono(-1, b=1, x=1, q=n + 1))
     # Times (-axq, -bxq)_inf / (xq, abxq)_inf.
-    return qproduct(total, (_vm(x_one, -1, a=1, x=1, q=1), _vm(x_one, -1, b=1, x=1, q=1)),
-                    (_vm(x_one, 1, x=1, q=1), _vm(x_one, 1, a=1, b=1, x=1, q=1)))
+    return qproduct(total, (mono(-1, a=1, x=1, q=1), mono(-1, b=1, x=1, q=1)),
+                    (mono(1, x=1, q=1), mono(1, a=1, b=1, x=1, q=1)))
 
 
 def series_R(k: int, i: int, q_cutoff: int, var_cap: int | None = None,
              x_one: bool = False) -> TruncatedSeries:
     """The plain four-variable family member, truncated at ``q_cutoff``.
 
-    With ``x_one=True`` the series is built at x = 1 (x-degrees dropped),
-    which is cheaper when only the part-count-summed coefficients matter.
+    At x = 1 (the flag) it is the two-sided sum :func:`series_R_bilateral`.
     """
-    return _R_family(k, i, q_cutoff, var_cap, x_one, tilde=False)
+    if x_one:
+        return series_R_bilateral(k, i, q_cutoff, var_cap)
+    return _R_family(k, i, q_cutoff, var_cap, tilde=False)
 
 
 def series_R_tilde(k: int, i: int, q_cutoff: int, var_cap: int | None = None,
                    x_one: bool = False) -> TruncatedSeries:
-    """The even-moduli four-variable family member."""
-    return _R_family(k, i, q_cutoff, var_cap, x_one, tilde=True)
+    """The even-moduli four-variable family member; at x = 1 (the flag),
+    :func:`series_R_tilde_bilateral`."""
+    if x_one:
+        return series_R_tilde_bilateral(k, i, q_cutoff, var_cap)
+    return _R_family(k, i, q_cutoff, var_cap, tilde=True)
 
 
 def series_H_tilde(k: int, i: int, q_cutoff: int, var_cap: int | None = None) -> TruncatedSeries:
@@ -191,22 +198,12 @@ def j_tilde_from_h(h_i: TruncatedSeries, h_i1: TruncatedSeries, h_i2: TruncatedS
 
 
 def _bilateral(k: int, i: int, q_cutoff: int, cap: int, tilde: bool) -> TruncatedSeries:
-    def expo_pos(n):
-        if tilde:
-            return (k - 1) * n * n + (k - i + 1) * n
-        return k * n * n + (k - i + 1) * n - n * (n - 1) // 2
-
-    def expo_neg(m):
-        if tilde:
-            return (k - 1) * m * m - (k - i - 1) * m
-        return k * m * m - (k - i - 1) * m - m * (m + 1) // 2
-
     total = TruncatedSeries.zero(q_cutoff, cap)
     inv_chain = TruncatedSeries.one(q_cutoff, cap)
     n = 0
     while True:
-        e_pos = expo_pos(n)
-        e_neg = expo_neg(n) if n >= 1 else None
+        e_pos = r_exponent(k, i, n, tilde)
+        e_neg = r_exponent(k, i, -n, tilde) + 2 * n if n >= 1 else None
         if e_pos >= q_cutoff and (e_neg is None or e_neg >= q_cutoff) and n >= 1:
             break
         sign = -1 if n % 2 else 1
@@ -419,10 +416,10 @@ def bailey_lattice_rhs(pair: BaileyPair, k: int, i: int, q_cutoff: int,
             break
         if n > pair.depth():
             raise ValueError(f"pair depth {pair.depth()} insufficient for the alpha side")
-        # The outer factor is cut to the room above q^base (base only grows
-        # when positive, so the chain can follow it) and the branches and
-        # 1/(q)_inf^2 to what the product can still reach.
-        room = q_cutoff - max(base, 0)
+        # The product starts at q^min(b1, b2), which never falls as n grows,
+        # so the outer factor and its chain are cut to the room above it, and
+        # the branches and 1/(q)_inf^2 to what the product can still reach.
+        room = q_cutoff - min(b1, b2)
         inv_chain = over_one_minus(inv_chain.truncated(room), mono(-1, a=1, q=n))
         inv_chain = over_one_minus(inv_chain, mono(-1, b=1, q=n))
         outer = times_one_minus(f_poly(n, q_cutoff, cap).truncated(room) * inv_chain, mono(1, q=1))

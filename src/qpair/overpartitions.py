@@ -265,25 +265,14 @@ def count_frequency_pairs(k: int, i: int, n_max: int, parity: bool = False,
 # ------------------------------------------------------------------ corollaries
 
 
-def _v1(lam: Overpartition, two_j: int) -> int:
-    """Valuation at even levels for single overpartitions."""
-    j2 = two_j
-    odd = j2 - 1
-    unattached = (
-        lam.freq(odd) >= 1
-        and not lam.freq(odd, True)
-        and lam.freq(j2) == 0
-        and not lam.freq(j2, True)
-    )
-    return lam.freq(j2) + lam.freq(odd, True) + lam.freq(j2, True) + (1 if unattached else 0)
-
-
 def overpartition_identity_sides(k: int, n_max: int, i: int | None = None,
                       bound: int | None = None) -> tuple[list[int], list[int]]:
     """Both sides of the overpartition identity at modulus 2k-1.
 
-    Side A counts overpartitions into parts not divisible by 2k-1; side B
-    counts overpartitions obeying the even-level frequency conditions.  The
+    Side A counts overpartitions into parts not divisible by 2k-1.  Side B
+    counts the images of :func:`frequency_pairs` under the part map
+    lam_j -> 2j, mu_j -> 2j - 1 (overlines kept), which sends a pair of
+    weight w with t parts in mu to an overpartition of 2w - t >= w.  The
     parameter i defaults to k, the case in which side A is an infinite
     product.
     """
@@ -292,20 +281,13 @@ def overpartition_identity_sides(k: int, n_max: int, i: int | None = None,
     i = k if i is None else i
     check_bound(n_max, bound)
     mod = 2 * k - 1
-    a_counts = []
-    b_counts = []
-    for n in range(n_max + 1):
-        a = 0
-        b = 0
-        for lam in overpartitions_of(n):
-            if all(s % mod != 0 for s, _ in lam.parts):
-                a += 1
-            if _v1(lam, 2) <= i - 1:
-                top = lam.max_part() // 2 + 2
-                if all(lam.freq(2 * j) + _v1(lam, 2 * j + 2) <= k - 1 for j in range(1, top)):
-                    b += 1
-        a_counts.append(a)
-        b_counts.append(b)
+    a_counts = [sum(1 for lam in overpartitions_of(n) if all(s % mod != 0 for s, _ in lam.parts))
+                for n in range(n_max + 1)]
+    b_counts = [0] * (n_max + 1)
+    for w, pair in frequency_pairs(k, i, n_max):
+        image = 2 * w - pair.t_stat()
+        if image <= n_max:
+            b_counts[image] += 1
     return a_counts, b_counts
 
 

@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 from .counts import CountTable, check_bound, tally
 from .frobenius import FrobeniusSymbol, successive_ranks
+from .hyperg import r_exponent
 from .overpartitions import check_ki
 from .qtools import f_poly as _f_poly, inv_qfactors as _inv_qfactors, inv_qpoch as _inv_qpoch
 from .series import TruncatedSeries, mono
@@ -454,12 +455,6 @@ def gf_gamma_recurrence(k: int, i: int, n_peaks: int, q_cutoff: int, even: bool 
     return G[(i, n_peaks)]
 
 
-def _closed_exponent(k: int, shift: int, n: int, even: bool) -> int:
-    if even:
-        return k * n * n + shift * n - 2 * (n * (n - 1) // 2)
-    return n * ((2 * k - 1) * n + 3) // 2 + shift * n
-
-
 def _closed_summand(m1: int, m2: int, n: int, e: int, q_cutoff: int) -> TruncatedSeries:
     """``(-1)^n q^e / ((q)_m1 (q)_m2)``, its product formed only below
     ``q_cutoff - e`` (a negative e leaves the factors whole)."""
@@ -475,7 +470,7 @@ def gf_closed(k: int, i: int, n_peaks: int, q_cutoff: int, even: bool = False) -
     cap = q_cutoff
     total = TruncatedSeries.zero(q_cutoff, cap)
     for n in range(-n_peaks, n_peaks + 1):
-        e = _closed_exponent(k, k - i - 1, n, even) + n_peaks
+        e = r_exponent(k, i, n, even) - n + n_peaks
         if e >= q_cutoff:
             continue
         total = total + _closed_summand(n_peaks - n, n_peaks + n, n, e, q_cutoff)
@@ -488,7 +483,7 @@ def gf_gamma_closed(k: int, i: int, n_peaks: int, q_cutoff: int, even: bool = Fa
     cap = q_cutoff
     total = TruncatedSeries.zero(q_cutoff, cap)
     for n in range(-n_peaks, n_peaks):
-        e = _closed_exponent(k, k - i - 2, n, even)
+        e = r_exponent(k, i + 1, n, even) - n
         if e >= q_cutoff:
             continue
         total = total + _closed_summand(n_peaks - n - 1, n_peaks + n, n, e, q_cutoff)

@@ -198,10 +198,10 @@ def suite_series_vs_enum(rep: VerificationReport, cfg: VerifyConfig) -> None:
     rep.params = {"k": list(cfg.k_values), "n_max": n_max}
     for k in cfg.k_values:
         for i in range(1, k + 1):
-            got = CountTable.from_series(series_R(k, i, n_max + 1, x_one=True), n_max)
+            got = CountTable.from_series(series_R(k, i, n_max + 1), n_max)
             rep.coeff_check("series-counts-pairs", {"k": k, "i": i},
                             got, count_frequency_pairs(k, i, n_max, bound=n_max))
-            got_t = CountTable.from_series(series_R_tilde(k, i, n_max + 1, x_one=True), n_max)
+            got_t = CountTable.from_series(series_R_tilde(k, i, n_max + 1), n_max)
             rep.coeff_check("series-counts-pairs-even", {"k": k, "i": i},
                             got_t, count_frequency_pairs(k, i, n_max, parity=True, bound=n_max))
 
@@ -349,7 +349,7 @@ def specialized_odd_modulus_series(k: int, target: int) -> TruncatedSeries:
     while c - depth(c) < target:
         c += 1
     sig = depth(c)
-    s = series_R(k, k, c, var_cap=c + sig, x_one=True)
+    s = series_R_bilateral(k, k, c, var_cap=c + sig)
     return s.specialize(sub_a=(1, 0), sub_b=(1, -1), q_power=2, slack={"b": sig})
 
 

@@ -26,6 +26,7 @@ from qpair.paths import gf_closed, gf_gamma_closed
 from qpair.series import TruncatedSeries, geometric, mono, pochhammer_inf
 
 C = 10
+KI = [(k, i) for k in (2, 3, 4) for i in range(1, k + 1)]
 X = TruncatedSeries.poly([mono(1, x=1)])
 ONE_PLUS_X = TruncatedSeries.poly([mono(1), mono(1, x=1)])
 
@@ -120,13 +121,15 @@ class TestAuxiliarySeries:
 
 class TestBilateral:
     def test_matches_x_one_specialization(self):
-        for k, i in ((2, 2), (3, 1)):
-            bil = series_R_bilateral(k, i, C)
-            full = series_R(k, i, C).specialize(sub_x=(1, 0))
-            assert bil.first_mismatch(full) is None
-            bilt = series_R_tilde_bilateral(k, i, C)
-            fullt = series_R_tilde(k, i, C).specialize(sub_x=(1, 0))
-            assert bilt.first_mismatch(fullt) is None
+        # The two-sided sum is the only x = 1 builder: it must equal the full
+        # series at x = 1, window and all.  The full series is built at the
+        # default cap, which clips no x-degree, and then cut to ``cap``.
+        for bilateral, full in ((series_R_bilateral, series_R), (series_R_tilde_bilateral, series_R_tilde)):
+            for k, i in KI:
+                at_x_one = full(k, i, C).specialize(sub_x=(1, 0))
+                for cap in (None, 3):
+                    want = at_x_one.truncated(C, C if cap is None else cap)
+                    assert bilateral(k, i, C, cap) == want, (bilateral.__name__, k, i, cap)
 
     def test_constant_term(self):
         assert series_R_bilateral(2, 2, 6).coeff(0, 0, 0, 0) == 1
@@ -241,7 +244,6 @@ class TestBaileyLattice:
 # These two tests pin the windows themselves.
 
 B3_DEEP, E3_DEEP = bailey_pair_b3(13, 13), bailey_pair_e3(13, 13)
-KI = [(k, i) for k in (2, 3, 4) for i in range(1, k + 1)]
 
 
 def _all(builder, params):

@@ -222,7 +222,37 @@ class TestEnumeration:
             O([(0, False)])
 
 
+def _even_level_b_side(k, i, n_max):
+    """Reference B side: overpartitions obeying the even-level frequency
+    conditions, checked part by part on each overpartition."""
+
+    def v_even(lam, two_j):
+        # The valuation at level 2j, with parts 2j - 1 in the role of mu.
+        odd = two_j - 1
+        unattached = (lam.freq(odd) >= 1 and not lam.freq(odd, True)
+                      and lam.freq(two_j) == 0 and not lam.freq(two_j, True))
+        return lam.freq(two_j) + lam.freq(odd, True) + lam.freq(two_j, True) + unattached
+
+    counts = []
+    for n in range(n_max + 1):
+        counts.append(sum(
+            1 for lam in overpartitions_of(n)
+            if v_even(lam, 2) <= i - 1
+            and all(lam.freq(2 * j) + v_even(lam, 2 * j + 2) <= k - 1
+                    for j in range(1, lam.max_part() // 2 + 2))))
+    return counts
+
+
 class TestOddModulusIdentity:
+    def test_b_side_is_the_even_level_count(self):
+        # Side B is the image of the frequency pairs under lam_j -> 2j,
+        # mu_j -> 2j - 1; it must count the overpartitions that obey the
+        # even-level conditions directly.
+        for k in (2, 3, 4):
+            for i in range(1, k + 1):
+                _, b = overpartition_identity_sides(k, 10, i=i)
+                assert b == _even_level_b_side(k, i, 10), (k, i)
+
     def test_sides_agree(self):
         for k in (2, 3):
             a, b = overpartition_identity_sides(k, 10)
