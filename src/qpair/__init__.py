@@ -23,6 +23,7 @@ from .hyperg import (
     bailey_lattice_sides,
     bailey_pair_b3,
     bailey_pair_e3,
+    bailey_relation_mismatch,
     jacobi_triple_product,
     multisum_admissible,
     multisum_self_conjugate,
@@ -60,6 +61,7 @@ __all__ = [
     "bailey_lattice_sides",
     "bailey_pair_b3",
     "bailey_pair_e3",
+    "bailey_relation_mismatch",
     "enumerate_paths",
     "is_ki_admissible",
     "is_self_ki_conjugate",

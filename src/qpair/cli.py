@@ -118,8 +118,8 @@ def _dump(obj) -> str:
 # family -> builder(k, i, cutoff, var_cap).  The lambdas look the builders up
 # when called, never at import.
 SERIES_FAMILIES = {
-    "R": lambda k, i, c, cap, x_one=False: series_R(k, i, c, var_cap=cap, x_one=x_one),
-    "Rtilde": lambda k, i, c, cap, x_one=False: series_R_tilde(k, i, c, var_cap=cap, x_one=x_one),
+    "R": lambda k, i, c, cap: series_R(k, i, c, var_cap=cap),
+    "Rtilde": lambda k, i, c, cap: series_R_tilde(k, i, c, var_cap=cap),
     "Htilde": lambda k, i, c, cap: series_H_tilde(k, i, c, var_cap=cap),
     "Jtilde": lambda k, i, c, cap: series_J_tilde(k, i, c, var_cap=cap),
     "bilateral-R": lambda k, i, c, cap: series_R_bilateral(k, i, c, var_cap=cap),
@@ -127,22 +127,13 @@ SERIES_FAMILIES = {
     "multisum-D": lambda k, i, c, cap: multisum_admissible(k, i, c, var_cap=cap),
     "multisum-Dtilde": lambda k, i, c, cap: multisum_self_conjugate(k, i, c, var_cap=cap),
 }
-# The families with an x = 1 form; their builders take x_one.
-X_ONE_FAMILIES = ("R", "Rtilde")
 
 
 def cmd_series(args) -> int:
     c = _setting(args.cutoff, "--cutoff", "QPAIR_CUTOFF", 12, 1)
     if args.var_cap is not None and args.var_cap < 0:
         raise ValueError(f"--var-cap must be at least 0, got {args.var_cap}")
-    build = SERIES_FAMILIES[args.family]
-    if not args.x_one:
-        series = build(args.k, args.i, c, args.var_cap)
-    elif args.family in X_ONE_FAMILIES:
-        series = build(args.k, args.i, c, args.var_cap, x_one=True)
-    else:
-        raise ValueError(f"--x-one needs --family {' or '.join(X_ONE_FAMILIES)}: "
-                         f"{args.family} has no x = 1 form")
+    series = SERIES_FAMILIES[args.family](args.k, args.i, c, args.var_cap)
     subs = {}
     for name in ("a", "b", "x"):
         expr = getattr(args, f"sub_{name}")
@@ -285,7 +276,6 @@ def _add_common_series_args(p):
     p.add_argument("-i", type=int, required=True)
     p.add_argument("--cutoff", type=int, default=None)
     p.add_argument("--var-cap", type=int, default=None)
-    p.add_argument("--x-one", action="store_true", help="build at x = 1 (R and Rtilde only)")
     p.add_argument("--sub-a", default=None, metavar="EXPR", help="substitute a (e.g. 1, -i, q^-1)")
     p.add_argument("--sub-b", default=None, metavar="EXPR")
     p.add_argument("--sub-x", default=None, metavar="EXPR")

@@ -299,11 +299,8 @@ def q_gauss_sides(n: int, q_cutoff: int, var_cap: int | None = None
 
 @dataclass(frozen=True)
 class BaileyPair:
-    """A pair of alpha/beta sequences relative to base q.
-
-    The defining relation beta_n = sum_r alpha_r / ((q)_{n-r} (q^2; q)_{n+r})
-    is verified at construction for every stored index.
-    """
+    """A pair of alpha/beta sequences relative to base q, meant to satisfy
+    the defining relation that :func:`bailey_relation_mismatch` checks."""
 
     label: str
     alphas: tuple[TruncatedSeries, ...]
@@ -314,7 +311,10 @@ class BaileyPair:
         return len(self.alphas) - 1
 
 
-def _verify_bailey(pair: BaileyPair) -> None:
+def bailey_relation_mismatch(pair: BaileyPair) -> tuple | None:
+    """The first failure of beta_n = sum_r alpha_r / ((q)_{n-r} (q^2; q)_{n+r})
+    over the stored indices n, as ``((n, a, b, x, q), sum side, beta_n)``;
+    None when the relation holds at every n."""
     c, cap = pair.q_cutoff, pair.q_cutoff
     for n in range(pair.depth() + 1):
         acc = TruncatedSeries.zero(c, cap)
@@ -324,34 +324,34 @@ def _verify_bailey(pair: BaileyPair) -> None:
             acc = acc + term
         bad = acc.first_mismatch(pair.betas[n])
         if bad is not None:
-            raise ValueError(f"pair {pair.label}: defining relation fails at n={n}: {bad}")
+            key, lhs, rhs = bad
+            return (n,) + key, lhs, rhs
+    return None
 
 
-def _make_pair(label: str, valuation, n_max: int, q_cutoff: int) -> BaileyPair:
+def _make_pair(label: str, valuation, step: int, n_max: int, q_cutoff: int) -> BaileyPair:
+    """alpha_n = (-1)^n q^valuation(n) (1-q^(2n+1))/(1-q), beta_n = 1/(q^step; q^step)_n."""
     alphas = []
     for n in range(n_max + 1):
         sign = -1 if n % 2 else 1
         monos = [mono(sign, q=valuation(n) + l) for l in range(2 * n + 1)]
         alphas.append(TruncatedSeries.poly(monos).truncated(q_cutoff))
-    step = 2 if label == "E3" else 1
     # Pure q-series: leave the variable cap unconstrained so the pair can
     # feed computations at any cap.
     betas = [inv_qpoch(n, q_cutoff, INF, step=step) for n in range(n_max + 1)]
-    pair = BaileyPair(label, tuple(alphas), tuple(betas), q_cutoff)
-    _verify_bailey(pair)
-    return pair
+    return BaileyPair(label, tuple(alphas), tuple(betas), q_cutoff)
 
 
 def bailey_pair_b3(n_max: int, q_cutoff: int) -> BaileyPair:
     """Slater's pair B3: alpha_n = (-1)^n q^(n(3n+1)/2) (1-q^(2n+1))/(1-q),
     beta_n = 1/(q)_n."""
-    return _make_pair("B3", lambda n: n * (3 * n + 1) // 2, n_max, q_cutoff)
+    return _make_pair("B3", lambda n: n * (3 * n + 1) // 2, 1, n_max, q_cutoff)
 
 
 def bailey_pair_e3(n_max: int, q_cutoff: int) -> BaileyPair:
     """Slater's pair E3: alpha_n = (-1)^n q^(n^2) (1-q^(2n+1))/(1-q),
     beta_n = 1/(q^2;q^2)_n."""
-    return _make_pair("E3", lambda n: n * n, n_max, q_cutoff)
+    return _make_pair("E3", lambda n: n * n, 2, n_max, q_cutoff)
 
 
 def _nested_multisum(depth: int, i_level: int, beta, q_cutoff: int, cap: int) -> TruncatedSeries:

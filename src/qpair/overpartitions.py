@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .counts import CountTable, check_bound, tally
-from .gaussint import Coeff, GaussInt, cadd, cmul, unit_pow
+from .gaussint import Coeff, I, cadd, unit_pow
 
 Part = tuple[int, bool]
 
@@ -265,16 +265,46 @@ def count_frequency_pairs(k: int, i: int, n_max: int, parity: bool = False,
 # ------------------------------------------------------------------ corollaries
 
 
+def _pair_counts(parts_of, lam_ok, mu_ok, n_max: int) -> list[int]:
+    """Pairs (lam, mu) from ``parts_of`` of each weight n <= n_max with lam
+    passing ``lam_ok`` and mu ``mu_ok``: a convolution of one-component counts."""
+    lam = [sum(map(lam_ok, parts_of(n))) for n in range(n_max + 1)]
+    mu = [sum(map(mu_ok, parts_of(n))) for n in range(n_max + 1)]
+    return [sum(lam[w] * mu[n - w] for w in range(n + 1)) for n in range(n_max + 1)]
+
+
+def _tally_images(pairs, image_weight, n_max: int) -> list[int]:
+    """Counts by weight of the images of ``(w, pair)`` under a part map whose
+    image weight ``image_weight(w, pair)`` is never below w."""
+    counts = [0] * (n_max + 1)
+    for w, pair in pairs:
+        image = image_weight(w, pair)
+        if image <= n_max:
+            counts[image] += 1
+    return counts
+
+
+def odd_modulus_image_weight(w: int, pair: OverpartitionPair) -> int:
+    """2w - t: the weight of the image of a pair of weight w under
+    lam_j -> 2j, mu_j -> 2j - 1 (overlines kept)."""
+    return 2 * w - pair.t_stat()
+
+
+def even_modulus_image_weight(w: int, pair: OverpartitionPair) -> int:
+    """2w - s - t: the weight of the image of a pair of weight w (no plain 1
+    in mu) under lam_j -> 2j, lam~_j -> 2j - 1, mu_j -> 2j - 2, mu~_j -> 2j - 1."""
+    return 2 * w - pair.s_stat() - pair.t_stat()
+
+
 def overpartition_identity_sides(k: int, n_max: int, i: int | None = None,
                       bound: int | None = None) -> tuple[list[int], list[int]]:
     """Both sides of the overpartition identity at modulus 2k-1.
 
     Side A counts overpartitions into parts not divisible by 2k-1.  Side B
-    counts the images of :func:`frequency_pairs` under the part map
-    lam_j -> 2j, mu_j -> 2j - 1 (overlines kept), which sends a pair of
-    weight w with t parts in mu to an overpartition of 2w - t >= w.  The
-    parameter i defaults to k, the case in which side A is an infinite
-    product.
+    counts the images of :func:`frequency_pairs` under the part map of
+    :func:`odd_modulus_image_weight`, which is onto the overpartitions that
+    obey the even-level conditions.  The parameter i defaults to k, the case
+    in which side A is an infinite product.
     """
     if k < 2:
         raise ValueError("need k >= 2")
@@ -283,12 +313,7 @@ def overpartition_identity_sides(k: int, n_max: int, i: int | None = None,
     mod = 2 * k - 1
     a_counts = [sum(1 for lam in overpartitions_of(n) if all(s % mod != 0 for s, _ in lam.parts))
                 for n in range(n_max + 1)]
-    b_counts = [0] * (n_max + 1)
-    for w, pair in frequency_pairs(k, i, n_max):
-        image = 2 * w - pair.t_stat()
-        if image <= n_max:
-            b_counts[image] += 1
-    return a_counts, b_counts
+    return a_counts, _tally_images(frequency_pairs(k, i, n_max), odd_modulus_image_weight, n_max)
 
 
 def weighted_pair_identity_sides(k: int, n_max: int, bound: int | None = None
@@ -305,18 +330,16 @@ def weighted_pair_identity_sides(k: int, n_max: int, bound: int | None = None
     if k < 3:
         raise ValueError("need k >= 3 so that i = k-1 >= 2")
     check_bound(n_max, bound)
-    a_counts = [sum(1 for pair in pairs_of(n)
-                    if all(s % 2 == 0 for s, _ in pair.mu.parts)
-                    and all(s % (k - 1) != 0 for s, _ in pair.lam.parts))
-                for n in range(n_max + 1)]
+    a_counts = _pair_counts(overpartitions_of,
+                            lambda lam: all(s % (k - 1) != 0 for s, _ in lam.parts),
+                            lambda mu: all(s % 2 == 0 for s, _ in mu.parts), n_max)
     even_sums: list[Coeff] = [0] * (n_max + 1)
     odd_sums: list[Coeff] = [0] * (n_max + 1)
     for n, pair in frequency_pairs(k, k - 1, n_max, parity=True):
         o_lam = pair.lam.overlined_count()
         o_mu = pair.mu.overlined_count()
-        w = cmul(unit_pow(GaussInt(0, 1), o_lam), unit_pow(GaussInt(0, -1), o_mu))
         sums = even_sums if (o_lam + o_mu) % 2 == 0 else odd_sums
-        sums[n] = cadd(sums[n], w)
+        sums[n] = cadd(sums[n], unit_pow(I, o_lam - o_mu))
     return a_counts, even_sums, odd_sums
 
 
@@ -338,55 +361,29 @@ def _odd_distinct_of(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(partitions_odd_distinct(n))
 
 
+def partition_pair_product_side(k: int, i: int, n_max: int) -> list[int]:
+    """Side A of the partition-pair identity at modulus 4k-2 (i >= 2), the
+    product side: pairs of partitions with distinct odd parts in which the
+    even parts of mu avoid 0 and +-(2i-2) modulo 4k-2."""
+    if k < 2 or not (2 <= i <= k):
+        raise ValueError(f"need k >= 2 and 2 <= i <= k, got k={k}, i={i}")
+    mod = 4 * k - 2
+    banned = {0, (2 * i - 2) % mod, (mod - (2 * i - 2)) % mod}
+    return _pair_counts(_odd_distinct_of, lambda lam: True,
+                        lambda mu: all(s % 2 == 1 or (s % mod) not in banned for s in mu), n_max)
+
+
 def partition_pair_identity_sides(k: int, i: int, n_max: int, bound: int | None = None
                       ) -> tuple[list[int], list[int]]:
     """Both sides of the partition-pair identity at modulus 4k-2 (i >= 2).
 
-    Side A restricts the even parts of mu away from 0 and +-(2i-2) modulo
-    4k-2; side B imposes the even-level frequency conditions.  Odd parts are
-    distinct within each component on both sides.
+    Side A is :func:`partition_pair_product_side`.  Side B counts the pairs
+    of partitions with distinct odd parts that obey the even-level frequency
+    conditions, as the images of the pairs of :func:`frequency_pairs` with
+    no non-overlined 1 in mu under the part map of
+    :func:`even_modulus_image_weight`.
     """
-    if k < 2 or not (2 <= i <= k):
-        raise ValueError(f"need k >= 2 and 2 <= i <= k, got k={k}, i={i}")
     check_bound(n_max, bound)
-    mod = 4 * k - 2
-    banned = {0, (2 * i - 2) % mod, (mod - (2 * i - 2)) % mod}
-
-    def freq(p: tuple[int, ...], v: int) -> int:
-        return sum(1 for s in p if s == v)
-
-    def v3(lam, mu, two_j):
-        # An even part 2m of mu is unattached when 2m+1 occurs in neither
-        # component and 2m+2 does not occur in lam (the image of the
-        # "only non-overlined, only in mu" condition under the part map).
-        even = two_j
-        below = even - 2
-        unatt = (
-            below >= 2
-            and freq(mu, below) >= 1
-            and freq(lam, below + 1) == 0
-            and freq(mu, below + 1) == 0
-            and freq(lam, even) == 0
-        )
-        return freq(lam, even) + freq(lam, even - 1) + freq(mu, even - 1) + (1 if unatt else 0)
-
-    a_counts = []
-    b_counts = []
-    for n in range(n_max + 1):
-        a = 0
-        b = 0
-        for w in range(n + 1):
-            for lam in _odd_distinct_of(w):
-                for mu in _odd_distinct_of(n - w):
-                    if all(s % 2 == 1 or (s % mod) not in banned for s in mu):
-                        a += 1
-                    if freq(lam, 1) + freq(lam, 2) + freq(mu, 1) <= i - 1:
-                        top = max(lam[0] if lam else 0, mu[0] if mu else 0) // 2 + 2
-                        if all(
-                            freq(lam, 2 * j) + v3(lam, mu, 2 * j + 2) <= k - 1
-                            for j in range(1, top)
-                        ):
-                            b += 1
-        a_counts.append(a)
-        b_counts.append(b)
-    return a_counts, b_counts
+    a_counts = partition_pair_product_side(k, i, n_max)
+    pairs = ((w, p) for w, p in frequency_pairs(k, i, n_max) if not p.mu.freq(1))
+    return a_counts, _tally_images(pairs, even_modulus_image_weight, n_max)

@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .counts import CountTable, check_bound, tally
-from .frobenius import FrobeniusSymbol, successive_ranks
+from .frobenius import FrobeniusSymbol, rank_interval, successive_ranks
 from .hyperg import r_exponent
 from .overpartitions import check_ki
 from .qtools import f_poly as _f_poly, inv_qfactors as _inv_qfactors, inv_qpoch as _inv_qpoch
@@ -325,7 +325,7 @@ def path_to_symbol(path: LatticePath, k: int, i: int) -> FrobeniusSymbol:
 def symbol_to_path(f: FrobeniusSymbol, k: int, i: int) -> LatticePath:
     """Inverse map: rebuild the unique path from a rank-bounded symbol."""
     check_ki(k, i)
-    lo, hi = -i + 2, 2 * k - i - 1
+    lo, hi = rank_interval(k, i)
     ranks = successive_ranks(f)
     for idx, r in enumerate(ranks):
         if not (lo <= r <= hi):

@@ -25,6 +25,7 @@ from .hyperg import (
     bailey_lattice_sides,
     bailey_pair_b3,
     bailey_pair_e3,
+    bailey_relation_mismatch,
     j_tilde_from_h,
     jacobi_triple_product,
     multisum_admissible,
@@ -41,6 +42,7 @@ from .overpartitions import (
     overpartition_identity_sides,
     weighted_pair_identity_sides,
     partition_pair_identity_sides,
+    partition_pair_product_side,
     count_frequency_pairs,
 )
 from .paths import count_paths, gf_closed, gf_gamma_closed, gf_gamma_recurrence, gf_recurrence
@@ -97,11 +99,14 @@ class VerificationReport:
     def coeff_check(self, identity: str, params: dict,
                     lhs: TruncatedSeries | CountTable, rhs: TruncatedSeries | CountTable):
         """Compare two series or two count tables; record their first differing coefficient."""
+        self.mismatch_check(identity, params, lhs.first_mismatch(rhs))
+
+    def mismatch_check(self, identity: str, params: dict, mismatch: tuple | None):
+        """Record a check whose first mismatch ``(key, lhs, rhs)``, or None, is already found."""
         self.checks_run += 1
         self.identities.add(identity)
-        mm = lhs.first_mismatch(rhs)
-        if mm is not None:
-            key, lv, rv = mm
+        if mismatch is not None:
+            key, lv, rv = mismatch
             self.failures.append(CheckFailure(identity, params, key, str(lv), str(rv)))
 
     def value_check(self, identity: str, params: dict, key, lhs, rhs):
@@ -285,9 +290,8 @@ def suite_bailey(rep: VerificationReport, cfg: VerifyConfig) -> None:
     rep.params = {"k": list(cfg.k_values), "cutoff": c, "n_max": n_max}
     depth = max(4, c)
     pairs = {"B3": bailey_pair_b3(depth, c), "E3": bailey_pair_e3(depth, c)}
-    for label in pairs:
-        rep.value_check("pair-relation-verified", {"pair": label}, None, True, True)
     for label, pair in pairs.items():
+        rep.mismatch_check("pair-relation-verified", {"pair": label}, bailey_relation_mismatch(pair))
         for k_lat in range(0, 4):
             for i_lat in range(0, k_lat + 1):
                 lhs, rhs = bailey_lattice_sides(pair, k_lat, i_lat, lattice_c)
@@ -373,11 +377,12 @@ def suite_corollaries(rep: VerificationReport, cfg: VerifyConfig) -> None:
         rep.coeff_check("root-of-unity-product", {"k": k}, spec, _product_root_of_unity(k, prod_cutoff))
     for k in (2, 3):
         for i in range(2, k + 1):
-            a, b = partition_pair_identity_sides(k, i, prod_cutoff - 1, bound=prod_cutoff)
-            rep.value_check("even-modulus-sides", {"k": k, "i": i}, None, a[:n_max + 1], b[:n_max + 1])
+            a, b = partition_pair_identity_sides(k, i, n_max, bound=n_max)
+            rep.value_check("even-modulus-sides", {"k": k, "i": i}, None, a, b)
             prod = _product_even_modulus(k, i, prod_cutoff)
             rep.value_check("even-modulus-product", {"k": k, "i": i}, None,
-                            a, [prod.coeff_q(n) for n in range(prod_cutoff)])
+                            partition_pair_product_side(k, i, prod_cutoff - 1),
+                            [prod.coeff_q(n) for n in range(prod_cutoff)])
 
 
 SUITES = {

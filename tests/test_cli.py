@@ -270,6 +270,27 @@ class TestVerifyCommand:
         assert failure["identity"] == "ranks-vs-freq"
         assert failure["key"] is not None
 
+    def test_planted_bailey_pair_defect_fails_the_report(self, monkeypatch, capsys):
+        # One extra q^9 term in E3's alpha_2 breaks the defining relation at
+        # n = 2: the report records it, and the exit code is 1, not 2.
+        import dataclasses
+
+        from qpair import hyperg, verify
+        from qpair.series import TruncatedSeries, mono
+
+        def planted_e3(n_max, q_cutoff):
+            pair = hyperg.bailey_pair_e3(n_max, q_cutoff)
+            alphas = list(pair.alphas)
+            alphas[2] = alphas[2] + TruncatedSeries.poly([mono(1, q=9)]).truncated(q_cutoff)
+            return dataclasses.replace(pair, alphas=tuple(alphas))
+
+        monkeypatch.setattr(verify, "bailey_pair_e3", planted_e3)
+        assert main(["verify", "--suite", "bailey", "-k", "2", "-k", "3"]) == 1
+        report = json.loads(capsys.readouterr().out)["reports"][0]
+        relation = [f for f in report["failures"] if f["identity"] == "pair-relation-verified"]
+        assert relation == [{"identity": "pair-relation-verified", "params": {"pair": "E3"},
+                             "key": [2, 0, 0, 0, 9], "lhs": "1", "rhs": "0"}]
+
     def test_unknown_suite_usage_error(self):
         r = run("verify", "--suite", "nonsense")
         assert r.returncode == 2
@@ -322,20 +343,18 @@ class TestUsageErrors:
         assert r.stderr.startswith("error:") and message in r.stderr
         assert "Traceback" not in r.stderr and r.stdout == ""
 
-    def test_x_one_refused_without_an_x_one_form(self, capsys):
+    def test_x_one_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["series", "--family", "R", "-k", "2", "-i", "1", "--cutoff", "4", "--x-one"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --x-one" in capsys.readouterr().err
+
+    def test_bilateral_families_are_the_x_one_series(self, capsys):
         from qpair import hyperg
 
-        others = sorted(set(SERIES_FAMILIES) - {"R", "Rtilde"})
-        assert len(others) == 6
-        for family in others:
-            code = main(["series", "--family", family, "-k", "2", "-i", "1", "--cutoff", "4",
-                         "--x-one"])
-            out, err = capsys.readouterr()
-            assert code == 2, family
-            assert err.startswith("error: --x-one") and out == ""
-        for family, builder in (("R", hyperg.series_R), ("Rtilde", hyperg.series_R_tilde)):
-            assert main(["series", "--family", family, "-k", "2", "-i", "1", "--cutoff", "4",
-                         "--x-one"]) == 0
+        for family, builder in (("bilateral-R", hyperg.series_R),
+                                ("bilateral-Rtilde", hyperg.series_R_tilde)):
+            assert main(["series", "--family", family, "-k", "2", "-i", "1", "--cutoff", "4"]) == 0
             printed = json.loads(capsys.readouterr().out)
             assert printed == json.loads(json.dumps(builder(2, 1, 4, x_one=True).to_obj()))
 

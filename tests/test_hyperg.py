@@ -9,6 +9,7 @@ from qpair.hyperg import (
     bailey_lattice_sides,
     bailey_pair_b3,
     bailey_pair_e3,
+    bailey_relation_mismatch,
     j_tilde_from_h,
     jacobi_triple_product,
     multisum_admissible,
@@ -173,6 +174,8 @@ class TestBaileyPairs:
         e3 = bailey_pair_e3(4, 12)
         assert b3.alphas[0].terms == {(0, 0, 0, 0): 1}
         assert e3.alphas[0].terms == {(0, 0, 0, 0): 1}
+        assert bailey_relation_mismatch(b3) is None
+        assert bailey_relation_mismatch(e3) is None
 
     def test_beta_zero_is_one(self):
         # beta_0 = alpha_0 = 1; the constant-in-n form 1/(q)_inf would
@@ -189,12 +192,12 @@ class TestBaileyPairs:
         assert e3.betas[1].first_mismatch(geometric(mono(1, q=2), 10, 10)) is None
 
     def test_corrupted_pair_rejected(self):
-        from qpair.hyperg import BaileyPair, _verify_bailey
+        from qpair.hyperg import BaileyPair
 
         b3 = bailey_pair_b3(3, 10)
         bad = BaileyPair("bad", b3.alphas, b3.alphas, 10)
-        with pytest.raises(ValueError, match="n="):
-            _verify_bailey(bad)
+        (n, *_), lhs, rhs = bailey_relation_mismatch(bad)
+        assert n == 1 and lhs != rhs
 
 
 class TestBaileyLattice:

@@ -8,6 +8,8 @@ from qpair.overpartitions import (
     weighted_pair_identity_sides,
     partition_pair_identity_sides,
     count_frequency_pairs,
+    even_modulus_image_weight,
+    odd_modulus_image_weight,
     overpartitions_of,
     pairs_of,
     partitions_odd_distinct,
@@ -222,25 +224,113 @@ class TestEnumeration:
             O([(0, False)])
 
 
-def _even_level_b_side(k, i, n_max):
-    """Reference B side: overpartitions obeying the even-level frequency
-    conditions, checked part by part on each overpartition."""
+def _even_level_ok(lam, k, i):
+    """The even-level frequency conditions, checked part by part on one
+    overpartition."""
 
-    def v_even(lam, two_j):
+    def v_even(two_j):
         # The valuation at level 2j, with parts 2j - 1 in the role of mu.
         odd = two_j - 1
         unattached = (lam.freq(odd) >= 1 and not lam.freq(odd, True)
                       and lam.freq(two_j) == 0 and not lam.freq(two_j, True))
         return lam.freq(two_j) + lam.freq(odd, True) + lam.freq(two_j, True) + unattached
 
-    counts = []
-    for n in range(n_max + 1):
-        counts.append(sum(
-            1 for lam in overpartitions_of(n)
-            if v_even(lam, 2) <= i - 1
-            and all(lam.freq(2 * j) + v_even(lam, 2 * j + 2) <= k - 1
-                    for j in range(1, lam.max_part() // 2 + 2))))
-    return counts
+    return v_even(2) <= i - 1 and all(lam.freq(2 * j) + v_even(2 * j + 2) <= k - 1
+                                      for j in range(1, lam.max_part() // 2 + 2))
+
+
+def _even_level_b_side(k, i, n_max):
+    """Reference B side: overpartitions obeying the even-level frequency
+    conditions."""
+    return [sum(1 for lam in overpartitions_of(n) if _even_level_ok(lam, k, i))
+            for n in range(n_max + 1)]
+
+
+def _even_level_pair_ok(lam, mu, k, i):
+    """The even-level frequency conditions on a pair of partitions with
+    distinct odd parts, checked part by part."""
+
+    def freq(p, v):
+        return sum(1 for s in p if s == v)
+
+    def v3(two_j):
+        # An even part 2j - 2 of mu is unattached when 2j - 1 occurs in
+        # neither component and 2j does not occur in lam.
+        below = two_j - 2
+        unattached = (below >= 2 and freq(mu, below) >= 1 and freq(lam, below + 1) == 0
+                      and freq(mu, below + 1) == 0 and freq(lam, two_j) == 0)
+        return freq(lam, two_j) + freq(lam, two_j - 1) + freq(mu, two_j - 1) + unattached
+
+    if freq(lam, 1) + freq(lam, 2) + freq(mu, 1) > i - 1:
+        return False
+    top = max(lam[0] if lam else 0, mu[0] if mu else 0) // 2 + 2
+    return all(freq(lam, 2 * j) + v3(2 * j + 2) <= k - 1 for j in range(1, top))
+
+
+def _partition_pair_b_side(k, i, n_max):
+    """Reference B side of the partition-pair identity: every pair of
+    partitions with distinct odd parts, checked part by part."""
+    return [sum(1 for w in range(n + 1) for lam in partitions_odd_distinct(w)
+                for mu in partitions_odd_distinct(n - w) if _even_level_pair_ok(lam, mu, k, i))
+            for n in range(n_max + 1)]
+
+
+def _odd_modulus_image(pair):
+    """lam_j -> 2j, mu_j -> 2j - 1, overlines kept: one overpartition."""
+    return O([(2 * s, o) for s, o in pair.lam.parts] + [(2 * s - 1, o) for s, o in pair.mu.parts])
+
+
+def _even_modulus_image(pair):
+    """lam_j -> 2j, lam~_j -> 2j - 1 and mu_j -> 2j - 2, mu~_j -> 2j - 1: a
+    pair of partitions."""
+    lam = [2 * s - o for s, o in pair.lam.parts]
+    mu = [2 * s - 1 if o else 2 * s - 2 for s, o in pair.mu.parts]
+    return tuple(sorted(lam, reverse=True)), tuple(sorted(mu, reverse=True))
+
+
+def _odd_parts_distinct(p):
+    odd = [s for s in p if s % 2]
+    return len(odd) == len(set(odd))
+
+
+class TestPartMaps:
+    # Each pair of weight <= 8 is mapped part by part, so the statistic
+    # that the image weight subtracts is checked pair by pair, not only
+    # through counts that are symmetric in (s, t).
+    W = 8
+
+    def test_odd_modulus_map(self):
+        for w in range(self.W + 1):
+            for pair in pairs_of(w):
+                image = _odd_modulus_image(pair)
+                assert image.weight() == odd_modulus_image_weight(w, pair) == 2 * w - pair.t_stat()
+                for k in (2, 3, 4):
+                    for i in range(1, k + 1):
+                        assert (pair.satisfies_frequency_conditions(k, i)
+                                == _even_level_ok(image, k, i)), (pair, k, i)
+
+    def test_even_modulus_map(self):
+        images = {}
+        for w in range(self.W + 1):
+            for pair in pairs_of(w):
+                if pair.mu.freq(1):
+                    continue
+                lam, mu = _even_modulus_image(pair)
+                weight = sum(lam) + sum(mu)
+                assert weight == even_modulus_image_weight(w, pair)
+                assert weight == 2 * w - pair.s_stat() - pair.t_stat() >= w
+                assert 0 not in mu and _odd_parts_distinct(lam) and _odd_parts_distinct(mu)
+                assert images.setdefault((lam, mu), pair) is pair, pair
+                for k in (2, 3, 4):
+                    for i in range(1, k + 1):
+                        assert (pair.satisfies_frequency_conditions(k, i)
+                                == _even_level_pair_ok(lam, mu, k, i)), (pair, k, i)
+        # The images of weight <= W are all the pairs of partitions with
+        # distinct odd parts of weight <= W.
+        for m in range(self.W + 1):
+            want = {(lam, mu) for w in range(m + 1) for lam in partitions_odd_distinct(w)
+                    for mu in partitions_odd_distinct(m - w)}
+            assert {im for im in images if sum(map(sum, im)) == m} == want, m
 
 
 class TestOddModulusIdentity:
@@ -290,6 +380,12 @@ class TestEvenModulusIdentity:
         for k, i in ((2, 2), (3, 2), (3, 3)):
             a, b = partition_pair_identity_sides(k, i, 10)
             assert a == b
+
+    def test_b_side_is_the_even_level_count(self):
+        for k in (2, 3, 4, 5):
+            for i in range(2, k + 1):
+                _, b = partition_pair_identity_sides(k, i, 10)
+                assert b == _partition_pair_b_side(k, i, 10), (k, i)
 
     def test_odd_distinct_enumeration(self):
         # gf prod (1+q^(2j-1))/(1-q^(2j)) = sum of counts
