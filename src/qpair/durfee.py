@@ -221,13 +221,27 @@ def self_conjugate_symbols(k: int, i: int, n_max: int):
     return ((n, f) for n, f in symbols_up_to(n_max) if is_self_ki_conjugate(f, k, i))
 
 
+# A CountTable is read-only, so each Durfee table is built once per process:
+# the four-way and bailey suites ask for the same ones.
+
+
 def count_admissible(k: int, i: int, n_max: int, bound: int | None = None) -> CountTable:
     """Table of (k, i)-admissible symbols by (s, t, n)."""
     check_bound(n_max, bound)
+    return _admissible_table(k, i, n_max)
+
+
+@lru_cache(maxsize=None)
+def _admissible_table(k: int, i: int, n_max: int) -> CountTable:
     return tally(admissible_symbols(k, i, n_max), n_max)
 
 
 def count_self_conjugate(k: int, i: int, n_max: int, bound: int | None = None) -> CountTable:
     """Table of self-(k, i)-conjugate symbols by (s, t, n)."""
     check_bound(n_max, bound)
+    return _self_conjugate_table(k, i, n_max)
+
+
+@lru_cache(maxsize=None)
+def _self_conjugate_table(k: int, i: int, n_max: int) -> CountTable:
     return tally(self_conjugate_symbols(k, i, n_max), n_max)

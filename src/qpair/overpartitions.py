@@ -5,17 +5,19 @@ size may be overlined.  Parts here are strictly positive; rows of Frobenius
 symbols (which allow zero parts) live in :mod:`qpair.frobenius` and share the
 validation helper below.
 
-This module is pure combinatorics: exhaustive enumeration and the part
-frequency conditions that carve out the families counted by the series in
-:mod:`qpair.hyperg`.
+This module is pure combinatorics: enumeration of overpartitions and pairs,
+the part frequency conditions that carve out the families counted by the
+series in :mod:`qpair.hyperg`, and a transfer matrix that counts the
+frequency-conditioned pairs without building them.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
-from .counts import CountTable, check_bound, tally
+from .counts import CountTable, check_bound
 from .gaussint import Coeff, I, cadd, unit_pow
 
 Part = tuple[int, bool]
@@ -116,22 +118,17 @@ class OverpartitionPair:
     def max_part(self) -> int:
         return max(self.lam.max_part(), self.mu.max_part())
 
+    def _counts(self, j: int) -> tuple[int, int, int, int]:
+        """(f_j(lam), lam~_j, mu~_j, f_j(mu)): how often j occurs in each role."""
+        lam, mu = self.lam, self.mu
+        return lam.plain.get(j, 0), j in lam.over, j in mu.over, mu.plain.get(j, 0)
+
     def unattached(self, j: int) -> bool:
         """j occurs, only non-overlined, and only in mu."""
-        return (
-            self.mu.freq(j) >= 1
-            and self.lam.freq(j) == 0
-            and not self.lam.freq(j, True)
-            and not self.mu.freq(j, True)
-        )
+        return _unattached(*self._counts(j))
 
     def valuation(self, j: int) -> int:
-        return (
-            self.lam.freq(j)
-            + self.lam.freq(j, True)
-            + self.mu.freq(j, True)
-            + (1 if self.unattached(j) else 0)
-        )
+        return _valuation(*self._counts(j))
 
     def _facts(self) -> tuple[int, int, int | None]:
         """``(v_1, h, p)``: everything the (k, i) conditions read.
@@ -148,10 +145,7 @@ class OverpartitionPair:
             h, p, overlined = -1, None, 0
             for j in range(1, self.max_part() + 2):
                 overlined += (j in lam_over) + (j in mu_over)
-                fj = lam_plain.get(j, 0)
-                v_next = valuation(j + 1)
-                level = fj + v_next
-                parity = (j * fj + (j + 1) * v_next - overlined) % 2
+                level, parity = _level(j, lam_plain.get(j, 0), valuation(j + 1), overlined)
                 if level > h:
                     h, p = level, parity
                 elif level == h and parity != p:
@@ -191,6 +185,24 @@ class OverpartitionPair:
 
     def __repr__(self):
         return f"OverpartitionPair({self.lam!r}, {self.mu!r})"
+
+
+def _unattached(f_lam: int, lam_over: int, mu_over: int, f_mu: int) -> bool:
+    """Whether a part size with these counts (see ``OverpartitionPair._counts``)
+    occurs, only non-overlined, and only in mu."""
+    return f_mu >= 1 and not (f_lam or lam_over or mu_over)
+
+
+def _valuation(f_lam: int, lam_over: int, mu_over: int, f_mu: int) -> int:
+    """v_j from the counts of j: f_j(lam) + lam~_j + mu~_j, plus one when j is
+    unattached.  It reads f_j(mu) only through f_j(mu) >= 1."""
+    return f_lam + lam_over + mu_over + _unattached(f_lam, lam_over, mu_over, f_mu)
+
+
+def _level(j: int, f_j: int, v_next: int, overlined: int) -> tuple[int, int]:
+    """The level f_j(lam) + v_{j+1} at j and the parity of
+    j f_j + (j+1) v_{j+1} - ``overlined`` (the overlined parts <= j)."""
+    return f_j + v_next, (j * f_j + (j + 1) * v_next - overlined) % 2
 
 
 def check_ki(k: int, i: int) -> None:
@@ -257,9 +269,59 @@ def frequency_pairs(k: int, i: int, n_max: int, parity: bool = False):
 
 def count_frequency_pairs(k: int, i: int, n_max: int, parity: bool = False,
                           bound: int | None = None) -> CountTable:
-    """Table of (s, t, n) counts of :func:`frequency_pairs`."""
+    """Table of (s, t, n) counts of :func:`frequency_pairs`, built by a
+    transfer matrix over the part sizes without forming any pair.
+
+    The level at j - 1 reads f_{j-1}(lam), the overlined parts <= j - 1 and
+    v_j, so the scan over j = 1 .. n_max + 1 carries the state
+    (f_{j-1}(lam), parity of the overlined parts <= j - 1), each with its
+    counts by (s, t, n).  At j it chooses f_j(lam), lam~_j, mu~_j and
+    f_j(mu), which give v_j, and keeps the choice when the level at j - 1
+    passes.  Starting from f_0 = k - i makes level 0 the condition
+    v_1 <= i - 1, whose parity always matches when it is tight.
+    """
     check_bound(n_max, bound)
-    return tally(frequency_pairs(k, i, n_max, parity), n_max)
+    check_ki(k, i)
+    states = {(k - i, 0): Counter({(0, 0, 0): 1})}
+    for j in range(1, n_max + 2):
+        following = defaultdict(Counter)
+        for (f_prev, odd_prev), table in states.items():
+            # f_j(mu) enters v_j only through f_j(mu) >= 1: one value stands
+            # for all of them, with the table summed over every such f_j(mu).
+            by_mu = ((0, table), (1, _with_plain_parts(table, j, n_max)))
+            for f_lam, lam_over, mu_over in product(range(k), (0, 1), (0, 1)):
+                weight = j * (f_lam + lam_over + mu_over)
+                if weight > n_max:
+                    continue
+                for f_mu, counts in by_mu:
+                    v = _valuation(f_lam, lam_over, mu_over, f_mu)
+                    level, par = _level(j - 1, f_prev, v, odd_prev)
+                    if level > k - 1 or parity and level == k - 1 and par != (i - 1) % 2:
+                        continue
+                    state = (f_lam, (odd_prev + lam_over + mu_over) % 2)
+                    _add_shifted(following[state], counts, lam_over, mu_over, weight, n_max)
+        states = following
+    total: Counter = Counter()
+    for table in states.values():
+        total.update(table)
+    return CountTable(n_max, total)
+
+
+def _add_shifted(into: Counter, counts, ds: int, dt: int, dn: int, n_max: int) -> None:
+    """Add ``counts`` shifted by (ds, dt, dn) into ``into``, up to weight n_max."""
+    for (s, t, n), c in counts.items():
+        if n + dn <= n_max:
+            into[s + ds, t + dt, n + dn] += c
+
+
+def _with_plain_parts(counts, j: int, n_max: int) -> Counter:
+    """``counts`` after adding f >= 1 plain parts j to mu, summed over f: each
+    part adds 1 to s and t and j to the weight."""
+    out: Counter = Counter()
+    for (s, t, n), c in counts.items():
+        for f in range(1, (n_max - n) // j + 1):
+            out[s + f, t + f, n + j * f] += c
+    return out
 
 
 # ------------------------------------------------------------------ corollaries

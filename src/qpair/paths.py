@@ -13,10 +13,11 @@ closed form) and the bijection with rank-bounded Frobenius symbols.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple
 
-from .counts import CountTable, check_bound, tally
+from .counts import CountTable, check_bound
 from .frobenius import FrobeniusSymbol, rank_interval, successive_ranks
 from .hyperg import r_exponent
 from .overpartitions import check_ki
@@ -211,12 +212,14 @@ def satisfies_odd_conditions(path: LatticePath, k: int, i: int) -> bool:
 
 def satisfies_even_conditions(path: LatticePath, k: int, i: int) -> bool:
     """Odd conditions plus the parity constraint at peaks of height k-1."""
-    if not satisfies_odd_conditions(path, k, i):
-        return False
-    for p in path.peaks():
-        if p.y == k - 1 and (p.x - p.u + p.v - (i - 1)) % 2 != 0:
-            return False
-    return True
+    return satisfies_odd_conditions(path, k, i) and not any(
+        _breaks_parity(peak, k, i) for peak in path.peaks())
+
+
+def _breaks_parity(peak: PeakRecord, k: int, i: int) -> bool:
+    """Whether ``peak`` breaks the even (k, i)-conditions: it lies at height
+    k-1 and x - u + v differs from i - 1 in parity."""
+    return peak.y == k - 1 and (peak.x - peak.u + peak.v - (i - 1)) % 2 != 0
 
 
 # The (step, mark) choices in listing order: at a peak NE or a way down with
@@ -224,6 +227,17 @@ def satisfies_even_conditions(path: LatticePath, k: int, i: int) -> bool:
 _AT_PEAK = ((NE, None),) + tuple(
     (step, mark) for step, (allowed, _) in _PEAK_MARKS.items() for mark in allowed)
 _OFF_PEAK = ((NE, None), (SE, None), (E, None))
+
+
+def _kept(extended, step, k: int, budget: int) -> bool:
+    """Whether a (k, i)-walk keeps ``extended``, what :func:`_step` made of a
+    prefix by ``step``: a prefix below height k whose major index, plus the
+    least that a completion adds, is within ``budget``.  After NE to x a peak
+    lies at x or beyond, after E to x at x + 1 or beyond."""
+    if type(extended) is str or extended[1] >= k:
+        return False
+    x, major = extended[0], extended[6][0]
+    return major + (x if step == NE else x + 1 if step == E else 0) <= budget
 
 
 @lru_cache(maxsize=None)
@@ -245,10 +259,7 @@ def _paths_up_to(k: int, i: int, n_max: int) -> tuple[LatticePath, ...]:
             out.append(LatticePath._walked(k - i, steps, prefix))
         for step, mark in _AT_PEAK if last == NE else _OFF_PEAK:
             extended = _step(prefix, step, mark)
-            if type(extended) is str or extended[1] >= k:
-                continue
-            x, major = extended[0], extended[6][0]
-            if major + (x if step == NE else x + 1 if step == E else 0) > n_max:
+            if not _kept(extended, step, k, n_max):
                 continue
             steps.append(step)
             walk(extended)
@@ -273,9 +284,40 @@ def enumerate_paths(k: int, i: int, n: int, even: bool = False, bound: int | Non
 
 def count_paths(k: int, i: int, n_max: int, even: bool = False,
                 bound: int | None = None) -> CountTable:
-    """Table of path counts by (marked-a, marked-b, major index)."""
+    """Table of path counts by (marked-a, marked-b, major index), counted
+    without building any path.
+
+    How a prefix can be completed depends only on its (x, y, last step), on
+    (u - v) mod 2 for the even conditions, and on the major index it has
+    left to spend.  So the walk of :func:`_paths_up_to` is memoised on those:
+    each state steps by :func:`_step` from a prefix whose u, v, East parity,
+    statistics and peaks are reset, and reads what a step adds from the new
+    statistics and the peak it records.
+    """
     check_bound(n_max, bound)
-    return tally(paths_up_to(k, i, n_max, even), n_max)
+    check_ki(k, i)
+
+    @lru_cache(maxsize=None)
+    def completions(x: int, y: int, last, odd: int, budget: int) -> Counter:
+        out: Counter = Counter()
+        if y == 0 and last != E:
+            out[0, 0, 0] = 1
+        prefix = (x, y, last, False, odd, 0) + _start(y)[6:]
+        for step, mark in _AT_PEAK if last == NE else _OFF_PEAK:
+            extended = _step(prefix, step, mark)
+            if not _kept(extended, step, k, budget):
+                continue
+            peaks = extended[7]
+            if even and peaks and _breaks_parity(peaks[0], k, i):
+                continue
+            major, ds, dt, _top = extended[6]
+            odd_next = (extended[4] - extended[5]) % 2 if even else 0
+            rest = completions(extended[0], extended[1], step, odd_next, budget - major)
+            for (s, t, m), c in rest.items():
+                out[s + ds, t + dt, m + major] += c
+        return out
+
+    return CountTable(n_max, completions(0, k - i, None, 0, n_max))
 
 
 # ------------------------------------------------------------------ bijection

@@ -1,3 +1,5 @@
+import pytest
+
 from qpair.durfee import (
     conjugate,
     conjugation_regions,
@@ -11,7 +13,8 @@ from qpair.durfee import (
     k_conjugate,
     successive_sizes,
 )
-from qpair.durfee import _lam_prime, _remove_parts, _square_tuples
+from qpair.counts import BoundExceededError
+from qpair.durfee import _lam_prime, _remove_parts, _self_conjugate_table, _square_tuples
 from qpair.frobenius import FrobeniusSymbol, joichi_stanton, row_split, symbols_of
 from qpair.overpartitions import canonical_parts, count_frequency_pairs, partitions
 
@@ -239,6 +242,13 @@ class TestCachedLayerOracle:
                         assert is_ki_admissible(f, k, i) == ref_admissible(bottom, k, i)
                         assert is_self_ki_conjugate(f, k, i) == ref_self_ki_conjugate(top, bottom, k, i)
 
+    def test_tables_are_built_once_and_bounded_on_every_call(self):
+        for count in (count_admissible, count_self_conjugate):
+            table = count(3, 2, 6)
+            assert count(3, 2, 6, bound=6) is table
+            with pytest.raises(BoundExceededError):
+                count(3, 2, 6, bound=5)
+
     def test_cached_values_are_immutable(self):
         assert type(durfee_squares((5, 3, 3, 1))) is tuple
         assert type(conjugation_regions(PI, 4)[0]) is tuple
@@ -246,6 +256,7 @@ class TestCachedLayerOracle:
     def test_row_split_runs_once_per_row(self):
         row_split.cache_clear()
         _lam_prime.cache_clear()
+        _self_conjugate_table.cache_clear()
         count_self_conjugate(3, 2, 8)
         info = row_split.cache_info()
         rows = {r for n in range(9) for f in symbols_of(n) for r in (f.top, f.bottom)}

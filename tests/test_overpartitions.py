@@ -1,6 +1,6 @@
 import pytest
 
-from qpair.counts import BoundExceededError
+from qpair.counts import BoundExceededError, tally
 from qpair.overpartitions import (
     Overpartition,
     OverpartitionPair,
@@ -9,6 +9,7 @@ from qpair.overpartitions import (
     partition_pair_identity_sides,
     count_frequency_pairs,
     even_modulus_image_weight,
+    frequency_pairs,
     odd_modulus_image_weight,
     overpartitions_of,
     pairs_of,
@@ -222,6 +223,19 @@ class TestEnumeration:
             O([(3, True), (3, True)])
         with pytest.raises(ValueError):
             O([(0, False)])
+
+
+class TestTransferMatrix:
+    """The transfer matrix against the tally of the pairs it counts, which
+    ties the B tables to the objects."""
+
+    @pytest.mark.parametrize("parity", [False, True])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_equals_tally_of_the_stream(self, k, parity):
+        for i in range(1, k + 1):
+            for n in (0, 1, 5, 10):
+                want = tally(frequency_pairs(k, i, n, parity), n)
+                assert count_frequency_pairs(k, i, n, parity) == want, (i, n)
 
 
 def _even_level_ok(lam, k, i):

@@ -1,5 +1,6 @@
 import pytest
 
+from qpair.counts import tally
 from qpair.frobenius import FrobeniusSymbol, successive_ranks
 from qpair.overpartitions import count_frequency_pairs
 from qpair.paths import (
@@ -13,6 +14,7 @@ from qpair.paths import (
     gf_gamma_recurrence,
     gf_recurrence,
     path_to_symbol,
+    paths_up_to,
     satisfies_even_conditions,
     satisfies_odd_conditions,
     symbol_to_path,
@@ -145,6 +147,19 @@ class TestEnumeration:
             e = count_paths(k, i, 8, even=True)
             b = count_frequency_pairs(k, i, 8, parity=True)
             assert e.first_mismatch(b) is None
+
+
+class TestMemoisedWalk:
+    """The memoised walk against the tally of the paths it counts, which
+    ties the E tables to the objects."""
+
+    @pytest.mark.parametrize("even", [False, True])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_equals_tally_of_the_stream(self, k, even):
+        for i in range(1, k + 1):
+            for n in (0, 1, 5, 10):
+                want = tally(paths_up_to(k, i, n, even), n)
+                assert count_paths(k, i, n, even) == want, (i, n)
 
 
 _REF_MOVES = {"NE": (1, 1), "SE": (1, -1), "S": (0, -1), "SW": (-1, -1), "E": (1, 0)}
