@@ -5,10 +5,13 @@ size may be overlined.  Parts here are strictly positive; rows of Frobenius
 symbols (which allow zero parts) live in :mod:`qpair.frobenius` and share the
 validation helper below.
 
-This module is pure combinatorics: enumeration of overpartitions and pairs,
-the part frequency conditions that carve out the families counted by the
-series in :mod:`qpair.hyperg`, and a transfer matrix that counts the
-frequency-conditioned pairs without building them.
+This module is pure combinatorics: the part frequency conditions that carve
+out the families counted by the series in :mod:`qpair.hyperg`, a transfer
+matrix that counts the frequency-conditioned pairs by (s, t, n) without
+building them, and the specialization identities, whose B sides are
+transforms of those count tables.  The enumeration of overpartitions and
+pairs serves the listings and is the reference the counts are tested
+against.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from .counts import CountTable, check_bound
-from .gaussint import Coeff, I, cadd, unit_pow
+from .gaussint import Coeff, I, cadd, cmul, unit_pow
 
 Part = tuple[int, bool]
 
@@ -72,9 +75,6 @@ class Overpartition:
             return 1 if j in self.over else 0
         return self.plain.get(j, 0)
 
-    def overlined_count(self) -> int:
-        return len(self.over)
-
     def __eq__(self, other):
         return isinstance(other, Overpartition) and self.parts == other.parts
 
@@ -109,7 +109,7 @@ class OverpartitionPair:
 
     def s_stat(self) -> int:
         """Parts that are overlined-and-in-lam or non-overlined-and-in-mu."""
-        return self.lam.overlined_count() + (self.mu.num_parts() - self.mu.overlined_count())
+        return len(self.lam.over) + self.mu.num_parts() - len(self.mu.over)
 
     def t_stat(self) -> int:
         """Parts in mu."""
@@ -335,73 +335,69 @@ def _pair_counts(parts_of, lam_ok, mu_ok, n_max: int) -> list[int]:
     return [sum(lam[w] * mu[n - w] for w in range(n + 1)) for n in range(n_max + 1)]
 
 
-def _tally_images(pairs, image_weight, n_max: int) -> list[int]:
-    """Counts by weight of the images of ``(w, pair)`` under a part map whose
-    image weight ``image_weight(w, pair)`` is never below w."""
+def _image_counts(entries, image_weight, n_max: int) -> list[int]:
+    """Counts by image weight of the pairs ``entries`` counts by (s, t, n); no image weighs below n."""
     counts = [0] * (n_max + 1)
-    for w, pair in pairs:
-        image = image_weight(w, pair)
+    for (s, t, n), c in entries.items():
+        image = image_weight(s, t, n)
         if image <= n_max:
-            counts[image] += 1
+            counts[image] += c
     return counts
 
 
-def odd_modulus_image_weight(w: int, pair: OverpartitionPair) -> int:
-    """2w - t: the weight of the image of a pair of weight w under
+def odd_modulus_image_weight(s: int, t: int, n: int) -> int:
+    """2n - t: the weight of the image of a pair of weight n under
     lam_j -> 2j, mu_j -> 2j - 1 (overlines kept)."""
-    return 2 * w - pair.t_stat()
+    return 2 * n - t
 
 
-def even_modulus_image_weight(w: int, pair: OverpartitionPair) -> int:
-    """2w - s - t: the weight of the image of a pair of weight w (no plain 1
+def even_modulus_image_weight(s: int, t: int, n: int) -> int:
+    """2n - s - t: the weight of the image of a pair of weight n (no plain 1
     in mu) under lam_j -> 2j, lam~_j -> 2j - 1, mu_j -> 2j - 2, mu~_j -> 2j - 1."""
-    return 2 * w - pair.s_stat() - pair.t_stat()
+    return 2 * n - s - t
 
 
-def overpartition_identity_sides(k: int, n_max: int, i: int | None = None,
-                      bound: int | None = None) -> tuple[list[int], list[int]]:
+def root_of_unity_weight(s: int, t: int, n: int) -> Coeff:
+    """i^(s - t) = i^(o_lam - o_mu): s - t is the overlined parts of lam less those of mu."""
+    return unit_pow(I, s - t)
+
+
+def overpartition_identity_sides(k: int, n_max: int, i: int | None = None) -> tuple[list[int], list[int]]:
     """Both sides of the overpartition identity at modulus 2k-1.
 
     Side A counts overpartitions into parts not divisible by 2k-1.  Side B
-    counts the images of :func:`frequency_pairs` under the part map of
-    :func:`odd_modulus_image_weight`, which is onto the overpartitions that
-    obey the even-level conditions.  The parameter i defaults to k, the case
-    in which side A is an infinite product.
+    counts the images of the pairs of :func:`count_frequency_pairs` under
+    the part map of :func:`odd_modulus_image_weight`, which is onto the
+    overpartitions that obey the even-level conditions.  The parameter i
+    defaults to k, the case in which side A is an infinite product.
     """
     if k < 2:
         raise ValueError("need k >= 2")
     i = k if i is None else i
-    check_bound(n_max, bound)
     mod = 2 * k - 1
     a_counts = [sum(1 for lam in overpartitions_of(n) if all(s % mod != 0 for s, _ in lam.parts))
                 for n in range(n_max + 1)]
-    return a_counts, _tally_images(frequency_pairs(k, i, n_max), odd_modulus_image_weight, n_max)
+    b_pairs = count_frequency_pairs(k, i, n_max).entries
+    return a_counts, _image_counts(b_pairs, odd_modulus_image_weight, n_max)
 
 
-def weighted_pair_identity_sides(k: int, n_max: int, bound: int | None = None
-                      ) -> tuple[list[int], list[Coeff], list[Coeff]]:
+def weighted_pair_identity_sides(k: int, n_max: int) -> tuple[list[int], list[Coeff], list[Coeff]]:
     """The fourth-root-of-unity weighted identity at i = k-1.
 
     Returns (A, B_even, B_odd): A counts pairs with mu even and lam free of
-    multiples of k-1; B_even is the weighted count over the pairs of
-    :func:`frequency_pairs` at (k, k-1) with ``parity=True`` that have an
-    even number of overlined parts, weighted by
-    i^(overlined in lam) * (-i)^(overlined in mu); B_odd is the weighted sum
-    over the odd class, which must vanish.
+    multiples of k-1; B_even and B_odd sum :func:`root_of_unity_weight` over
+    the parity-refined (k, k-1) pairs with an even and an odd number of
+    overlined parts (s - t even, odd).  B_odd must vanish.
     """
     if k < 3:
         raise ValueError("need k >= 3 so that i = k-1 >= 2")
-    check_bound(n_max, bound)
     a_counts = _pair_counts(overpartitions_of,
                             lambda lam: all(s % (k - 1) != 0 for s, _ in lam.parts),
                             lambda mu: all(s % 2 == 0 for s, _ in mu.parts), n_max)
-    even_sums: list[Coeff] = [0] * (n_max + 1)
-    odd_sums: list[Coeff] = [0] * (n_max + 1)
-    for n, pair in frequency_pairs(k, k - 1, n_max, parity=True):
-        o_lam = pair.lam.overlined_count()
-        o_mu = pair.mu.overlined_count()
-        sums = even_sums if (o_lam + o_mu) % 2 == 0 else odd_sums
-        sums[n] = cadd(sums[n], unit_pow(I, o_lam - o_mu))
+    even_sums, odd_sums = ([0] * (n_max + 1) for _ in range(2))
+    for (s, t, n), c in count_frequency_pairs(k, k - 1, n_max, parity=True).entries.items():
+        sums = even_sums if (s - t) % 2 == 0 else odd_sums
+        sums[n] = cadd(sums[n], cmul(c, root_of_unity_weight(s, t, n)))
     return a_counts, even_sums, odd_sums
 
 
@@ -435,17 +431,17 @@ def partition_pair_product_side(k: int, i: int, n_max: int) -> list[int]:
                         lambda mu: all(s % 2 == 1 or (s % mod) not in banned for s in mu), n_max)
 
 
-def partition_pair_identity_sides(k: int, i: int, n_max: int, bound: int | None = None
-                      ) -> tuple[list[int], list[int]]:
+def partition_pair_identity_sides(k: int, i: int, n_max: int) -> tuple[list[int], list[int]]:
     """Both sides of the partition-pair identity at modulus 4k-2 (i >= 2).
 
     Side A is :func:`partition_pair_product_side`.  Side B counts the pairs
-    of partitions with distinct odd parts that obey the even-level frequency
-    conditions, as the images of the pairs of :func:`frequency_pairs` with
-    no non-overlined 1 in mu under the part map of
-    :func:`even_modulus_image_weight`.
+    of partitions with distinct odd parts that obey the even-level conditions:
+    the images under :func:`even_modulus_image_weight` of the (k, i) pairs
+    with no plain 1 in mu.  Adding a plain 1 to mu maps the (k, i) pairs
+    onto those with one, shifting (s, t, n) by (1, 1, 1), as i >= 2.
     """
-    check_bound(n_max, bound)
     a_counts = partition_pair_product_side(k, i, n_max)
-    pairs = ((w, p) for w, p in frequency_pairs(k, i, n_max) if not p.mu.freq(1))
-    return a_counts, _tally_images(pairs, even_modulus_image_weight, n_max)
+    b_pairs = count_frequency_pairs(k, i, n_max).entries
+    no_plain_one = {(s, t, n): c - b_pairs.get((s - 1, t - 1, n - 1), 0)
+                    for (s, t, n), c in b_pairs.items()}
+    return a_counts, _image_counts(no_plain_one, even_modulus_image_weight, n_max)

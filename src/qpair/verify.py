@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 from .counts import CountTable
 from .durfee import count_admissible, count_self_conjugate
@@ -53,18 +54,18 @@ from .series import TruncatedSeries, geometric, mono, qproduct
 class CheckFailure:
     identity: str
     params: dict
-    key: tuple | None
+    key: tuple
     lhs: str
     rhs: str
 
     def sort_key(self):
-        return (self.identity, sorted(self.params.items()), self.key or ())
+        return (self.identity, sorted(self.params.items()), self.key)
 
     def to_obj(self) -> dict:
         return {
             "identity": self.identity,
             "params": dict(sorted(self.params.items())),
-            "key": list(self.key) if self.key is not None else None,
+            "key": list(self.key),
             "lhs": self.lhs,
             "rhs": self.rhs,
         }
@@ -109,11 +110,14 @@ class VerificationReport:
             key, lv, rv = mismatch
             self.failures.append(CheckFailure(identity, params, key, str(lv), str(rv)))
 
-    def value_check(self, identity: str, params: dict, key, lhs, rhs):
-        self.checks_run += 1
-        self.identities.add(identity)
-        if lhs != rhs:
-            self.failures.append(CheckFailure(identity, params, key, str(lhs), str(rhs)))
+
+def list_mismatch(lhs: list, rhs: list) -> tuple | None:
+    """First mismatch ``((n,), lhs[n], rhs[n])`` of two coefficient lists
+    indexed by weight, or None; an entry past the end of a list reads None."""
+    for n, (lv, rv) in enumerate(zip_longest(lhs, rhs)):
+        if lv != rv:
+            return (n,), lv, rv
+    return None
 
 
 @dataclass(frozen=True)
@@ -362,27 +366,27 @@ def suite_corollaries(rep: VerificationReport, cfg: VerifyConfig) -> None:
     prod_cutoff = max(cfg.cutoff, 16)
     rep.params = {"n_max": n_max, "product_cutoff": prod_cutoff}
     for k in (2, 3):
-        a, b = overpartition_identity_sides(k, n_max, bound=n_max)
-        rep.value_check("odd-modulus-sides", {"k": k}, None, a, b)
+        a, b = overpartition_identity_sides(k, n_max)
+        rep.mismatch_check("odd-modulus-sides", {"k": k}, list_mismatch(a, b))
         spec = specialized_odd_modulus_series(k, prod_cutoff)
         rep.coeff_check("odd-modulus-product", {"k": k}, spec, _product_odd_modulus(k, prod_cutoff))
-        rep.value_check("odd-modulus-series-vs-counts", {"k": k}, None,
-                        [spec.coeff_q(n) for n in range(n_max + 1)], a)
+        rep.mismatch_check("odd-modulus-series-vs-counts", {"k": k},
+                           list_mismatch([spec.coeff_q(n) for n in range(n_max + 1)], a))
     for k in (3, 4):
-        a, even, odd = weighted_pair_identity_sides(k, n_max, bound=n_max)
-        rep.value_check("root-of-unity-sides", {"k": k}, None, a, even)
-        rep.value_check("root-of-unity-odd-class", {"k": k}, None, odd, [0] * (n_max + 1))
+        a, even, odd = weighted_pair_identity_sides(k, n_max)
+        rep.mismatch_check("root-of-unity-sides", {"k": k}, list_mismatch(a, even))
+        rep.mismatch_check("root-of-unity-odd-class", {"k": k}, list_mismatch(odd, [0] * len(a)))
         bil = series_R_tilde_bilateral(k, k - 1, prod_cutoff)
         spec = bil.specialize(sub_a=(GaussInt(0, 1), 0), sub_b=(GaussInt(0, -1), 0))
         rep.coeff_check("root-of-unity-product", {"k": k}, spec, _product_root_of_unity(k, prod_cutoff))
     for k in (2, 3):
         for i in range(2, k + 1):
-            a, b = partition_pair_identity_sides(k, i, n_max, bound=n_max)
-            rep.value_check("even-modulus-sides", {"k": k, "i": i}, None, a, b)
+            a, b = partition_pair_identity_sides(k, i, n_max)
+            rep.mismatch_check("even-modulus-sides", {"k": k, "i": i}, list_mismatch(a, b))
             prod = _product_even_modulus(k, i, prod_cutoff)
-            rep.value_check("even-modulus-product", {"k": k, "i": i}, None,
-                            partition_pair_product_side(k, i, prod_cutoff - 1),
-                            [prod.coeff_q(n) for n in range(prod_cutoff)])
+            rep.mismatch_check("even-modulus-product", {"k": k, "i": i}, list_mismatch(
+                partition_pair_product_side(k, i, prod_cutoff - 1),
+                [prod.coeff_q(n) for n in range(prod_cutoff)]))
 
 
 SUITES = {

@@ -291,6 +291,45 @@ class TestVerifyCommand:
         assert relation == [{"identity": "pair-relation-verified", "params": {"pair": "E3"},
                              "key": [2, 0, 0, 0, 9], "lhs": "1", "rhs": "0"}]
 
+    def test_planted_corollary_defect_names_its_weight(self, monkeypatch, capsys):
+        # One extra entry at weight 4 in the odd-modulus B side: the report
+        # keys the failure by that weight and shows both entries there.  The
+        # suite counts to n_max + 2 = 6.
+        from qpair import overpartitions, verify
+
+        def planted(k, n_max):
+            a, b = overpartitions.overpartition_identity_sides(k, n_max)
+            b[4] += 1
+            return a, b
+
+        monkeypatch.setattr(verify, "overpartition_identity_sides", planted)
+        assert main(["verify", "--suite", "corollaries", "--n-max", "4"]) == 1
+        report = json.loads(capsys.readouterr().out)["reports"][0]
+        want = []
+        for k in (2, 3):
+            a, _ = overpartitions.overpartition_identity_sides(k, 6)
+            want.append({"identity": "odd-modulus-sides", "params": {"k": k},
+                         "key": [4], "lhs": str(a[4]), "rhs": str(a[4] + 1)})
+        assert report["failures"] == want
+
+    def test_list_mismatch_sees_a_length_difference(self):
+        from qpair.verify import list_mismatch
+
+        assert list_mismatch([1, 2], [1, 2]) is None
+        assert list_mismatch([1, 2], [1, 3]) == ((1,), 2, 3)
+        assert list_mismatch([1, 2], [1, 2, 0]) == ((2,), None, 0)
+
+    def test_no_suite_builds_a_pair(self):
+        # Every B table and corollary side comes from the transfer matrix:
+        # a verify run over all suites enumerates no overpartition pair.
+        from qpair.overpartitions import pairs_of
+        from qpair.verify import SUITES, VerifyConfig, run_suite
+
+        pairs_of.cache_clear()
+        cfg = VerifyConfig(k_values=(2, 3), cutoff=6, n_max=4)
+        assert all(run_suite(name, cfg).ok for name in SUITES)
+        assert pairs_of.cache_info().currsize == 0
+
     def test_unknown_suite_usage_error(self):
         r = run("verify", "--suite", "nonsense")
         assert r.returncode == 2

@@ -1,6 +1,7 @@
 import pytest
 
 from qpair.counts import BoundExceededError, tally
+from qpair.gaussint import I, cadd, cmul, unit_pow
 from qpair.overpartitions import (
     Overpartition,
     OverpartitionPair,
@@ -14,6 +15,7 @@ from qpair.overpartitions import (
     overpartitions_of,
     pairs_of,
     partitions_odd_distinct,
+    root_of_unity_weight,
 )
 
 O = Overpartition
@@ -307,6 +309,21 @@ def _odd_parts_distinct(p):
     return len(odd) == len(set(odd))
 
 
+def _stats(w, pair):
+    """The (s, t, n) a count table files the pair of weight w under."""
+    return pair.s_stat(), pair.t_stat(), w
+
+
+def _with_plain_one(pair):
+    """The pair with one more non-overlined 1 in mu."""
+    return OverpartitionPair(pair.lam, O(pair.mu.parts + ((1, False),)))
+
+
+def _fourth_root_weight(pair):
+    """i^(overlined in lam) * (-i)^(overlined in mu), read off the parts."""
+    return cmul(unit_pow(I, len(pair.lam.over)), unit_pow(-I, len(pair.mu.over)))
+
+
 class TestPartMaps:
     # Each pair of weight <= 8 is mapped part by part, so the statistic
     # that the image weight subtracts is checked pair by pair, not only
@@ -317,7 +334,7 @@ class TestPartMaps:
         for w in range(self.W + 1):
             for pair in pairs_of(w):
                 image = _odd_modulus_image(pair)
-                assert image.weight() == odd_modulus_image_weight(w, pair) == 2 * w - pair.t_stat()
+                assert image.weight() == odd_modulus_image_weight(*_stats(w, pair))
                 for k in (2, 3, 4):
                     for i in range(1, k + 1):
                         assert (pair.satisfies_frequency_conditions(k, i)
@@ -331,8 +348,7 @@ class TestPartMaps:
                     continue
                 lam, mu = _even_modulus_image(pair)
                 weight = sum(lam) + sum(mu)
-                assert weight == even_modulus_image_weight(w, pair)
-                assert weight == 2 * w - pair.s_stat() - pair.t_stat() >= w
+                assert weight == even_modulus_image_weight(*_stats(w, pair)) >= w
                 assert 0 not in mu and _odd_parts_distinct(lam) and _odd_parts_distinct(mu)
                 assert images.setdefault((lam, mu), pair) is pair, pair
                 for k in (2, 3, 4):
@@ -345,6 +361,84 @@ class TestPartMaps:
             want = {(lam, mu) for w in range(m + 1) for lam in partitions_odd_distinct(w)
                     for mu in partitions_odd_distinct(m - w)}
             assert {im for im in images if sum(map(sum, im)) == m} == want, m
+
+    def test_root_of_unity_weight(self):
+        # s - t is the overlined parts of lam less those of mu.
+        for w in range(self.W + 1):
+            for pair in pairs_of(w):
+                assert root_of_unity_weight(*_stats(w, pair)) == _fourth_root_weight(pair), pair
+
+    def test_plain_one_in_mu_keeps_the_conditions(self):
+        # For i >= 2, adding one plain 1 to mu keeps the (k, i) conditions
+        # and shifts (s, t, n) by (1, 1, 1); every pair of weight <= W with a
+        # plain 1 in mu is such an image, so removing one keeps them too.
+        # The even-modulus side subtracts the shifted table.
+        for w in range(self.W):
+            for pair in pairs_of(w):
+                more = _with_plain_one(pair)
+                s, t, n = _stats(w, pair)
+                assert _stats(w + 1, more) == (s + 1, t + 1, n + 1)
+                for k in (2, 3, 4):
+                    for i in range(2, k + 1):
+                        assert (more.satisfies_frequency_conditions(k, i)
+                                == pair.satisfies_frequency_conditions(k, i)), (pair, k, i)
+
+
+def _stream_odd_side(k, i, n_max):
+    """Reference odd-modulus B side: the images of the stream's pairs, mapped
+    part by part and tallied by weight."""
+    counts = [0] * (n_max + 1)
+    for _, pair in frequency_pairs(k, i, n_max):
+        image = _odd_modulus_image(pair).weight()
+        if image <= n_max:
+            counts[image] += 1
+    return counts
+
+
+def _stream_even_side(k, i, n_max):
+    """Reference even-modulus B side: the images of the stream's pairs with
+    no plain 1 in mu, mapped part by part and tallied by weight."""
+    counts = [0] * (n_max + 1)
+    for _, pair in frequency_pairs(k, i, n_max):
+        image = sum(map(sum, _even_modulus_image(pair)))
+        if not pair.mu.freq(1) and image <= n_max:
+            counts[image] += 1
+    return counts
+
+
+def _stream_weighted_sides(k, n_max):
+    """Reference root-of-unity B sides: the parity-refined (k, k - 1) stream
+    summed with its fourth-root weights, split by the parity of the
+    overlined parts."""
+    sums = {0: [0] * (n_max + 1), 1: [0] * (n_max + 1)}
+    for n, pair in frequency_pairs(k, k - 1, n_max, parity=True):
+        row = sums[(len(pair.lam.over) + len(pair.mu.over)) % 2]
+        row[n] = cadd(row[n], _fourth_root_weight(pair))
+    return sums[0], sums[1]
+
+
+class TestBSidesFromTables:
+    """Each B side, read from the count tables, equals the tally of the pair
+    stream it replaces."""
+
+    N = (0, 1, 5, 10, 12)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_odd_modulus(self, k):
+        for i in range(1, k + 1):
+            for n in self.N:
+                assert overpartition_identity_sides(k, n, i=i)[1] == _stream_odd_side(k, i, n), (i, n)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_even_modulus(self, k):
+        for i in range(2, k + 1):
+            for n in self.N:
+                assert partition_pair_identity_sides(k, i, n)[1] == _stream_even_side(k, i, n), (i, n)
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_root_of_unity(self, k):
+        for n in self.N:
+            assert weighted_pair_identity_sides(k, n)[1:] == _stream_weighted_sides(k, n), n
 
 
 class TestOddModulusIdentity:
