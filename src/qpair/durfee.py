@@ -117,9 +117,10 @@ def _reduction(bottom: Row, k: int, i: int) -> Partition | None:
     Remove the would-be inserted parts of a candidate square-size tuple from
     the conjugated associated partition; the residue counts when its first
     k-2 successive squares reproduce the tuple.  The first such residue is
-    returned.  No symbol of weight <= 10 at k <= 5 has two, and
-    ``tests/test_durfee.py`` compares both predicates with a reference that
-    tries every tuple.
+    returned.  At k <= 5 no bottom row of length L and entry sum w has two
+    when L + w <= 20 (26,341 rows, the ``--deep`` grid).
+    ``tests/test_durfee.py`` checks this for L + w <= 12 and compares both
+    predicates with a reference that tries every tuple.
     """
     lam2p = _lam_prime(bottom)
     for tup, removals in _insertions(len(bottom), k, i):

@@ -198,7 +198,6 @@ def joichi_stanton(row) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return row_split(canonical_row(row))
 
 
-@lru_cache(maxsize=None)
 def row_split(row: Row) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """:func:`joichi_stanton` of a row already in canonical form."""
     n = len(row)

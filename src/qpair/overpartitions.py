@@ -8,10 +8,11 @@ validation helper below.
 This module is pure combinatorics: the part frequency conditions that carve
 out the families counted by the series in :mod:`qpair.hyperg`, a transfer
 matrix that counts the frequency-conditioned pairs by (s, t, n) without
-building them, and the specialization identities, whose B sides are
-transforms of those count tables.  The enumeration of overpartitions and
-pairs serves the listings and is the reference the counts are tested
-against.
+building them, and the specialization identities.  Their A sides are
+products over the allowed part sizes, and their B sides are transforms of
+the count tables; neither builds an object.  The enumeration of
+overpartitions and pairs serves the listings and is the reference the
+counts are tested against.
 """
 
 from __future__ import annotations
@@ -86,11 +87,6 @@ class Overpartition:
         return f"Overpartition({inner})"
 
 
-# Equal pair profiles are one shared tuple: the 32,173 pairs of weight <= 12
-# have 98 distinct profiles.
-_PROFILES: dict[tuple, tuple] = {}
-
-
 class OverpartitionPair:
     """A pair (lam, mu) of overpartitions; weight is the sum of weights."""
 
@@ -136,7 +132,7 @@ class OverpartitionPair:
         h is the highest level f_j(lam) + v_{j+1} over j = 1..max_part+1, and
         p the common parity of j f_j + (j+1) v_{j+1} - (overlined parts <= j
         in lam and mu) over the j at level h, or None when those differ.
-        Computed once per pair; equal profiles are one shared tuple.
+        Computed once per pair and kept on it.
         """
         if self._profile is None:
             lam_plain, lam_over, mu_over = self.lam.plain, self.lam.over, self.mu.over
@@ -150,8 +146,7 @@ class OverpartitionPair:
                     h, p = level, parity
                 elif level == h and parity != p:
                     p = None
-            profile = (v1, h, p)
-            self._profile = _PROFILES.setdefault(profile, profile)
+            self._profile = (v1, h, p)
         return self._profile
 
     def satisfies_frequency_conditions(self, k: int, i: int) -> bool:
@@ -279,9 +274,17 @@ def count_frequency_pairs(k: int, i: int, n_max: int, parity: bool = False,
     f_j(mu), which give v_j, and keeps the choice when the level at j - 1
     passes.  Starting from f_0 = k - i makes level 0 the condition
     v_1 <= i - 1, whose parity always matches when it is tight.
+
+    A CountTable is read-only, so each table is built once per process: the
+    series-vs-enum, four-way and corollaries suites ask for the same ones.
     """
     check_bound(n_max, bound)
     check_ki(k, i)
+    return _frequency_table(k, i, n_max, parity)
+
+
+@lru_cache(maxsize=None)
+def _frequency_table(k: int, i: int, n_max: int, parity: bool) -> CountTable:
     states = {(k - i, 0): Counter({(0, 0, 0): 1})}
     for j in range(1, n_max + 2):
         following = defaultdict(Counter)
@@ -327,12 +330,19 @@ def _with_plain_parts(counts, j: int, n_max: int) -> Counter:
 # ------------------------------------------------------------------ corollaries
 
 
-def _pair_counts(parts_of, lam_ok, mu_ok, n_max: int) -> list[int]:
-    """Pairs (lam, mu) from ``parts_of`` of each weight n <= n_max with lam
-    passing ``lam_ok`` and mu ``mu_ok``: a convolution of one-component counts."""
-    lam = [sum(map(lam_ok, parts_of(n))) for n in range(n_max + 1)]
-    mu = [sum(map(mu_ok, parts_of(n))) for n in range(n_max + 1)]
-    return [sum(lam[w] * mu[n - w] for w in range(n + 1)) for n in range(n_max + 1)]
+def _product_counts(n_max: int, distinct, repeated) -> list[int]:
+    """Coefficients of q^0 .. q^n_max in the product of (1 + q^j) over the
+    part sizes j in ``distinct`` and 1/(1 - q^j) over those in ``repeated``:
+    each j in ``distinct`` is used at most once, each in ``repeated`` any
+    number of times.  A size listed twice is two kinds of part."""
+    counts = [1] + [0] * n_max
+    for j in distinct:
+        for n in range(n_max, j - 1, -1):
+            counts[n] += counts[n - j]
+    for j in repeated:
+        for n in range(j, n_max + 1):
+            counts[n] += counts[n - j]
+    return counts
 
 
 def _image_counts(entries, image_weight, n_max: int) -> list[int]:
@@ -365,7 +375,8 @@ def root_of_unity_weight(s: int, t: int, n: int) -> Coeff:
 def overpartition_identity_sides(k: int, n_max: int, i: int | None = None) -> tuple[list[int], list[int]]:
     """Both sides of the overpartition identity at modulus 2k-1.
 
-    Side A counts overpartitions into parts not divisible by 2k-1.  Side B
+    Side A counts overpartitions into parts not divisible by 2k-1: each
+    such size may occur once overlined and any number of times plain.  Side B
     counts the images of the pairs of :func:`count_frequency_pairs` under
     the part map of :func:`odd_modulus_image_weight`, which is onto the
     overpartitions that obey the even-level conditions.  The parameter i
@@ -374,9 +385,8 @@ def overpartition_identity_sides(k: int, n_max: int, i: int | None = None) -> tu
     if k < 2:
         raise ValueError("need k >= 2")
     i = k if i is None else i
-    mod = 2 * k - 1
-    a_counts = [sum(1 for lam in overpartitions_of(n) if all(s % mod != 0 for s, _ in lam.parts))
-                for n in range(n_max + 1)]
+    sizes = [j for j in range(1, n_max + 1) if j % (2 * k - 1)]
+    a_counts = _product_counts(n_max, sizes, sizes)
     b_pairs = count_frequency_pairs(k, i, n_max).entries
     return a_counts, _image_counts(b_pairs, odd_modulus_image_weight, n_max)
 
@@ -391,32 +401,13 @@ def weighted_pair_identity_sides(k: int, n_max: int) -> tuple[list[int], list[Co
     """
     if k < 3:
         raise ValueError("need k >= 3 so that i = k-1 >= 2")
-    a_counts = _pair_counts(overpartitions_of,
-                            lambda lam: all(s % (k - 1) != 0 for s, _ in lam.parts),
-                            lambda mu: all(s % 2 == 0 for s, _ in mu.parts), n_max)
+    sizes = [j for j in range(1, n_max + 1) if j % (k - 1)] + list(range(2, n_max + 1, 2))
+    a_counts = _product_counts(n_max, sizes, sizes)
     even_sums, odd_sums = ([0] * (n_max + 1) for _ in range(2))
     for (s, t, n), c in count_frequency_pairs(k, k - 1, n_max, parity=True).entries.items():
         sums = even_sums if (s - t) % 2 == 0 else odd_sums
         sums[n] = cadd(sums[n], cmul(c, root_of_unity_weight(s, t, n)))
     return a_counts, even_sums, odd_sums
-
-
-def partitions_odd_distinct(n: int):
-    """Partitions of n whose odd parts are distinct."""
-    def rec(m, max_part):
-        if m == 0:
-            yield ()
-            return
-        for first in range(min(m, max_part), 0, -1):
-            cap = first - 1 if first % 2 == 1 else first
-            for rest in rec(m - first, cap):
-                yield (first,) + rest
-    yield from rec(n, n)
-
-
-@lru_cache(maxsize=None)
-def _odd_distinct_of(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(partitions_odd_distinct(n))
 
 
 def partition_pair_product_side(k: int, i: int, n_max: int) -> list[int]:
@@ -427,8 +418,8 @@ def partition_pair_product_side(k: int, i: int, n_max: int) -> list[int]:
         raise ValueError(f"need k >= 2 and 2 <= i <= k, got k={k}, i={i}")
     mod = 4 * k - 2
     banned = {0, (2 * i - 2) % mod, (mod - (2 * i - 2)) % mod}
-    return _pair_counts(_odd_distinct_of, lambda lam: True,
-                        lambda mu: all(s % 2 == 1 or (s % mod) not in banned for s in mu), n_max)
+    odd, even = range(1, n_max + 1, 2), range(2, n_max + 1, 2)
+    return _product_counts(n_max, [*odd, *odd], [*even, *(j for j in even if j % mod not in banned)])
 
 
 def partition_pair_identity_sides(k: int, i: int, n_max: int) -> tuple[list[int], list[int]]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .counts import CountTable, check_bound
@@ -55,18 +56,13 @@ _PEAK_MARKS = {
     S: (("a", "b"), "an S-followed peak must be marked a or b"),
     SW: (("ab",), "a SW-followed peak must be marked ab"),
 }
-# Equal peak records and equal statistics tuples are one shared object (the
-# two have different lengths, so they never collide): the 42,501 paths that
-# the four-way suites build at n_max 12 hold 178,924 peaks, 920 distinct.
-_INTERNED: dict[tuple, tuple] = {}
 # A mark that records a peak without being checked against the step.
 _UNCHECKED = object()
 
 
 def _start(height: int) -> tuple:
     """The empty prefix of a path starting at ``height`` on the y-axis."""
-    stats = (0, 0, 0, height)
-    return (0, height, None, False, 0, 0, _INTERNED.setdefault(stats, stats), ())
+    return (0, height, None, False, 0, 0, (0, 0, 0, height), ())
 
 
 def _step(prefix: tuple, step, mark):
@@ -74,9 +70,9 @@ def _step(prefix: tuple, step, mark):
 
     A prefix is (x, y, last step, East parity, u, v, stats, peaks), with
     stats (major index, marked a, marked b, max height) and peaks the
-    :class:`PeakRecord` of each peak so far, all interned.  When ``step``
-    leaves a peak, the peak is recorded with ``mark``, which must fit the
-    step unless it is ``_UNCHECKED``; otherwise ``mark`` is ignored.
+    :class:`PeakRecord` of each peak so far.  When ``step`` leaves a peak,
+    the peak is recorded with ``mark``, which must fit the step unless it is
+    ``_UNCHECKED``; otherwise ``mark`` is ignored.
     """
     x, y, last, east_odd, u, v, stats, peaks = prefix
     move = _MOVES.get(step)
@@ -90,8 +86,7 @@ def _step(prefix: tuple, step, mark):
         allowed, message = _PEAK_MARKS[step]
         if mark not in allowed and mark is not _UNCHECKED:
             return message
-        peak = PeakRecord(x, y, mark, east_odd, u, v)
-        peaks += (_INTERNED.setdefault(peak, peak),)
+        peaks += (PeakRecord(x, y, mark, east_odd, u, v),)
         major, marked_a, marked_b, top = stats
         stats = (major + x, marked_a + (mark in ("a", "ab")), marked_b + (mark in ("b", "ab")), top)
         u += mark == "a"
@@ -103,8 +98,6 @@ def _step(prefix: tuple, step, mark):
         return "path leaves the first quadrant"
     if y > stats[3]:
         stats = stats[:3] + (y,)
-    if stats is not prefix[6]:
-        stats = _INTERNED.setdefault(stats, stats)
     return (x, y, step, east_odd, u, v, stats, peaks)
 
 
@@ -240,7 +233,6 @@ def _kept(extended, step, k: int, budget: int) -> bool:
     return major + (x if step == NE else x + 1 if step == E else 0) <= budget
 
 
-@lru_cache(maxsize=None)
 def _paths_up_to(k: int, i: int, n_max: int) -> tuple[LatticePath, ...]:
     """All paths meeting the odd (k, i)-conditions with major index <= n_max.
 
@@ -447,8 +439,9 @@ def symbol_to_path(f: FrobeniusSymbol, k: int, i: int) -> LatticePath:
 def _gf_tables(k: int, even: bool, q_cutoff: int, n_peaks: int):
     """Peak-count generating functions from the step-removal recurrences.
 
-    Returns (E, G) dicts keyed by (i, N).  Grounding: one path with no
-    peaks, and no start-with-NE paths from height k-1.
+    Returns (E, G) read-only mappings keyed by (i, N), since the tables are
+    cached for the life of the process.  Grounding: one path with no peaks,
+    and no start-with-NE paths from height k-1.
     """
     cap = q_cutoff
     one = TruncatedSeries.one(q_cutoff, cap)
@@ -479,7 +472,7 @@ def _gf_tables(k: int, even: bool, q_cutoff: int, n_peaks: int):
             E[(k, N)] = (E[(k - 1, N)] + G[(k - 1, N)]).times_monomial(qN)
         for i in range(k - 1 if not even else k - 2, 0, -1):
             E[(i, N)] = (G[(i - 1, N)] + E[(i + 1, N)]).times_monomial(qN)
-    return E, G
+    return MappingProxyType(E), MappingProxyType(G)
 
 
 def gf_recurrence(k: int, i: int, n_peaks: int, q_cutoff: int, even: bool = False) -> TruncatedSeries:

@@ -319,16 +319,33 @@ class TestVerifyCommand:
         assert list_mismatch([1, 2], [1, 3]) == ((1,), 2, 3)
         assert list_mismatch([1, 2], [1, 2, 0]) == ((2,), None, 0)
 
-    def test_no_suite_builds_a_pair(self):
-        # Every B table and corollary side comes from the transfer matrix:
-        # a verify run over all suites enumerates no overpartition pair.
-        from qpair.overpartitions import pairs_of
+    def test_no_suite_builds_a_pair(self, monkeypatch):
+        # Every B table comes from the transfer matrix and every corollary
+        # A side from a product over part sizes: a verify run over all
+        # suites builds no overpartition, pair or path, and each B table once.
+        from qpair import overpartitions, paths
         from qpair.verify import SUITES, VerifyConfig, run_suite
 
-        pairs_of.cache_clear()
+        calls = []
+
+        def spy(module, name):
+            fn = getattr(module, name)
+
+            def record(*args, **kwargs):
+                calls.append((name, args))
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, record)
+
+        table = overpartitions._frequency_table
+        table.cache_clear()
+        for module, name in ((overpartitions, "overpartitions_of"), (overpartitions, "pairs_of"),
+                             (paths, "_paths_up_to"), (overpartitions, "_frequency_table")):
+            spy(module, name)
         cfg = VerifyConfig(k_values=(2, 3), cutoff=6, n_max=4)
         assert all(run_suite(name, cfg).ok for name in SUITES)
-        assert pairs_of.cache_info().currsize == 0
+        keys = [args for name, args in calls if name == "_frequency_table"]
+        assert [name for name, _ in calls if name != "_frequency_table"] == []
+        assert len(keys) > len(set(keys)) and table.cache_info().misses == len(set(keys))
 
     def test_unknown_suite_usage_error(self):
         r = run("verify", "--suite", "nonsense")

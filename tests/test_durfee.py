@@ -1,5 +1,8 @@
+from functools import partial
+
 import pytest
 
+from qpair import durfee
 from qpair.durfee import (
     conjugate,
     conjugation_regions,
@@ -15,7 +18,7 @@ from qpair.durfee import (
 )
 from qpair.counts import BoundExceededError
 from qpair.durfee import _lam_prime, _remove_parts, _self_conjugate_table, _square_tuples
-from qpair.frobenius import FrobeniusSymbol, joichi_stanton, row_split, symbols_of
+from qpair.frobenius import FrobeniusSymbol, joichi_stanton, row_split, rows_of, symbols_of
 from qpair.overpartitions import canonical_parts, count_frequency_pairs, partitions
 
 
@@ -156,11 +159,11 @@ def ref_sizes(parts, count=None):
 
 
 def ref_lam_prime(row):
-    return conjugate(row_split.__wrapped__(canonical_parts(list(row), min_part=0))[0])
+    return conjugate(row_split(canonical_parts(list(row), min_part=0))[0])
 
 
 def ref_with_lam_prime(row, lam_p):
-    marks = row_split.__wrapped__(canonical_parts(list(row), min_part=0))[1]
+    marks = row_split(canonical_parts(list(row), min_part=0))[1]
     assoc = conjugate(lam_p)
     assoc += (0,) * (len(row) - len(assoc))
     rebuilt = [(a + sum(1 for m in marks if m >= p), p - 1 in marks)
@@ -243,7 +246,9 @@ class TestCachedLayerOracle:
                         assert is_self_ki_conjugate(f, k, i) == ref_self_ki_conjugate(top, bottom, k, i)
 
     def test_tables_are_built_once_and_bounded_on_every_call(self):
-        for count in (count_admissible, count_self_conjugate):
+        for count in (count_admissible, count_self_conjugate,
+                      partial(count_frequency_pairs, parity=False),
+                      partial(count_frequency_pairs, parity=True)):
             table = count(3, 2, 6)
             assert count(3, 2, 6, bound=6) is table
             with pytest.raises(BoundExceededError):
@@ -253,11 +258,26 @@ class TestCachedLayerOracle:
         assert type(durfee_squares((5, 3, 3, 1))) is tuple
         assert type(conjugation_regions(PI, 4)[0]) is tuple
 
-    def test_row_split_runs_once_per_row(self):
-        row_split.cache_clear()
+    def test_row_split_runs_once_per_row(self, monkeypatch):
+        split = []
+        monkeypatch.setattr(durfee, "row_split", lambda row: split.append(row) or row_split(row))
         _lam_prime.cache_clear()
         _self_conjugate_table.cache_clear()
         count_self_conjugate(3, 2, 8)
-        info = row_split.cache_info()
         rows = {r for n in range(9) for f in symbols_of(n) for r in (f.top, f.bottom)}
-        assert info.misses == info.currsize == len(rows)
+        assert len(split) == len(set(split)) == len(rows)
+
+    def test_at_most_one_tuple_leaves_a_residue(self):
+        # _reduction returns the first residue it finds.  Every bottom row
+        # of length L and entry sum w with L + w <= 12, so every bottom row
+        # of a symbol of weight <= 12, leaves at most one.
+        for length in range(13):
+            for total in range(13 - length):
+                for bottom in rows_of(length, total):
+                    lam2p = ref_lam_prime(bottom)
+                    for k in (2, 3, 4, 5):
+                        for i in range(1, k + 1):
+                            residues = [tup for tup, removals in ref_insertions(length, k, i)
+                                        if (nu := _remove_parts(lam2p, removals)) is not None
+                                        and ref_sizes(nu, k - 2) == tup]
+                            assert len(residues) <= 1, (bottom, k, i, residues)

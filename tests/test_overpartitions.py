@@ -14,7 +14,7 @@ from qpair.overpartitions import (
     odd_modulus_image_weight,
     overpartitions_of,
     pairs_of,
-    partitions_odd_distinct,
+    partition_pair_product_side,
     root_of_unity_weight,
 )
 
@@ -190,8 +190,7 @@ class TestProfileOracle:
                 assert fresh._profile is None
                 assert fresh == pair and hash(fresh) == hash(pair)
                 assert type(pair._profile) is tuple
-                # Equal profiles are one shared tuple.
-                assert fresh._facts() is pair._profile
+                assert fresh._facts() == pair._profile
 
 
 class TestEnumeration:
@@ -281,6 +280,57 @@ def _even_level_pair_ok(lam, mu, k, i):
         return False
     top = max(lam[0] if lam else 0, mu[0] if mu else 0) // 2 + 2
     return all(freq(lam, 2 * j) + v3(2 * j + 2) <= k - 1 for j in range(1, top))
+
+
+def partitions_odd_distinct(n):
+    """Partitions of n whose odd parts are distinct."""
+    def rec(m, max_part):
+        if m == 0:
+            yield ()
+            return
+        for first in range(min(m, max_part), 0, -1):
+            cap = first - 1 if first % 2 == 1 else first
+            for rest in rec(m - first, cap):
+                yield (first,) + rest
+    yield from rec(n, n)
+
+
+def _pair_counts(parts_of, lam_ok, mu_ok, n_max):
+    """Pairs (lam, mu) from ``parts_of`` of each weight n <= n_max with lam
+    passing ``lam_ok`` and mu ``mu_ok``: a convolution of one-component counts."""
+    lam = [sum(map(lam_ok, parts_of(n))) for n in range(n_max + 1)]
+    mu = [sum(map(mu_ok, parts_of(n))) for n in range(n_max + 1)]
+    return [sum(lam[w] * mu[n - w] for w in range(n + 1)) for n in range(n_max + 1)]
+
+
+class TestASidesFromProducts:
+    """Each A side, a product over part sizes, equals the count of the
+    objects it stands for, enumerated and tested part by part."""
+
+    N = 14  # the default enumeration bound, which the B tables of the sides obey
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_odd_modulus(self, k):
+        want = [sum(1 for lam in overpartitions_of(n) if all(s % (2 * k - 1) for s, _ in lam.parts))
+                for n in range(self.N + 1)]
+        for i in range(1, k + 1):
+            assert overpartition_identity_sides(k, self.N, i=i)[0] == want, i
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_root_of_unity(self, k):
+        want = _pair_counts(overpartitions_of,
+                            lambda lam: all(s % (k - 1) for s, _ in lam.parts),
+                            lambda mu: all(s % 2 == 0 for s, _ in mu.parts), self.N)
+        assert weighted_pair_identity_sides(k, self.N)[0] == want
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_even_modulus(self, k):
+        mod = 4 * k - 2
+        for i in range(2, k + 1):
+            banned = {0, (2 * i - 2) % mod, -(2 * i - 2) % mod}
+            want = _pair_counts(partitions_odd_distinct, lambda lam: True,
+                                lambda mu: all(s % 2 or s % mod not in banned for s in mu), self.N + 1)
+            assert partition_pair_product_side(k, i, self.N + 1) == want, i
 
 
 def _partition_pair_b_side(k, i, n_max):

@@ -6,6 +6,7 @@ from qpair.overpartitions import count_frequency_pairs
 from qpair.paths import (
     MARKS,
     LatticePath,
+    _gf_tables,
     _paths_up_to,
     count_paths,
     enumerate_paths,
@@ -232,9 +233,7 @@ class TestScanOracle:
             fresh = LatticePath(path.start_height, list(path.steps), list(path.marks))
             assert fresh == path and hash(fresh) == hash(path)
             assert type(path._stats) is tuple and type(path._peaks) is tuple
-            # Equal statistics and equal peak records are one shared tuple.
-            assert fresh._stats is path._stats
-            assert all(a is b for a, b in zip(fresh._peaks, path._peaks))
+            assert fresh._stats == path._stats and fresh._peaks == path._peaks
 
 
 class TestBijection:
@@ -282,6 +281,12 @@ class TestGeneratingFunctions:
                 assert g.terms == {(0, 0, 0, 0): 1}
                 c = gf_closed(k, i, 0, 8, even=even)
                 assert c.terms == {(0, 0, 0, 0): 1}
+
+    def test_cached_tables_are_read_only(self):
+        E, G = _gf_tables(3, False, 8, 2)
+        for table in (E, G):
+            with pytest.raises(TypeError):
+                table[(1, 2)] = table[(1, 1)]
 
     def test_gamma_at_zero_index(self):
         assert gf_gamma_recurrence(3, 0, 2, 8).is_zero()
