@@ -17,12 +17,16 @@ truncating its factors before they are multiplied, since nothing of it at or
 above ``q_cutoff`` survives the sum.  A running chain (a Pochhammer product or
 inverse carried from one summand to the next) is carried at the current
 summand's room; the rooms never grow with the index.  Every builder returns
-the series, window included, that full-cutoff summands would give.
+the series, window included, that full-cutoff summands would give.  The same
+rule governs the path recurrence tables in :mod:`qpair.paths`: a series
+shifted by ``q^e`` onto another is cut to the other's cutoff less e first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import isqrt
 
 from .gaussint import cneg, is_unit, unit_pow
 from .overpartitions import check_ki
@@ -63,15 +67,15 @@ def _bracket_numerator(n: int, i: int, q_cutoff: int, var_cap: int) -> Truncated
     return TruncatedSeries.poly(monos).truncated(q_cutoff, var_cap)
 
 
-def _R_family(k: int, i: int, q_cutoff: int, var_cap: int | None, tilde: bool) -> TruncatedSeries:
+@lru_cache(maxsize=None)
+def _R_family(k: int, i: int, q_cutoff: int, cap: int, tilde: bool) -> TruncatedSeries:
     """The plain (``tilde=False``) or even-moduli four-variable family member.
 
     The two differ in the summand exponent, the x-power (k or k-1), the
     factor (xq; q)_n or (x^2q^2; q^2)_n, and the q^n or q^2n step of the
-    inverse chain.
+    inverse chain.  Built once per process for the suites that share it;
+    callers pass the resolved cap and ``tilde`` positionally, one key each.
     """
-    check_ki(k, i)
-    cap = var_cap_for(q_cutoff, var_cap)
     step = 2 if tilde else 1
     total = TruncatedSeries.zero(q_cutoff, cap)
     x_poch = TruncatedSeries.one(q_cutoff, cap)
@@ -104,7 +108,8 @@ def series_R(k: int, i: int, q_cutoff: int, var_cap: int | None = None,
     """
     if x_one:
         return series_R_bilateral(k, i, q_cutoff, var_cap)
-    return _R_family(k, i, q_cutoff, var_cap, tilde=False)
+    check_ki(k, i)
+    return _R_family(k, i, q_cutoff, var_cap_for(q_cutoff, var_cap), False)
 
 
 def series_R_tilde(k: int, i: int, q_cutoff: int, var_cap: int | None = None,
@@ -113,7 +118,8 @@ def series_R_tilde(k: int, i: int, q_cutoff: int, var_cap: int | None = None,
     :func:`series_R_tilde_bilateral`."""
     if x_one:
         return series_R_tilde_bilateral(k, i, q_cutoff, var_cap)
-    return _R_family(k, i, q_cutoff, var_cap, tilde=True)
+    check_ki(k, i)
+    return _R_family(k, i, q_cutoff, var_cap_for(q_cutoff, var_cap), True)
 
 
 def series_H_tilde(k: int, i: int, q_cutoff: int, var_cap: int | None = None) -> TruncatedSeries:
@@ -174,9 +180,7 @@ def series_H_tilde(k: int, i: int, q_cutoff: int, var_cap: int | None = None) ->
 
 def series_J_tilde(k: int, i: int, q_cutoff: int, var_cap: int | None = None) -> TruncatedSeries:
     """The J-series, (abxq)_inf times the even-moduli series."""
-    check_ki(k, i)
-    cap = var_cap_for(q_cutoff, var_cap)
-    return qproduct(series_R_tilde(k, i, q_cutoff, cap), (mono(1, a=1, b=1, x=1, q=1),))
+    return qproduct(series_R_tilde(k, i, q_cutoff, var_cap), (mono(1, a=1, b=1, x=1, q=1),))
 
 
 def j_tilde_from_h(h_i: TruncatedSeries, h_i1: TruncatedSeries, h_i2: TruncatedSeries,
@@ -267,9 +271,10 @@ def q_gauss_sides(n: int, q_cutoff: int, var_cap: int | None = None
                   ) -> tuple[TruncatedSeries, TruncatedSeries]:
     """Both sides of the two-variable summation lemma, for any integer n.
 
-    The left side sums over N >= |n|; for n < 0 the summand is assembled
-    through the negative-index product conversions, which reduce it to the
-    reflected positive form.
+    The left side sums over N >= |n|.  The negative-index product
+    conversions reduce the n < 0 summand to the n > 0 one, so both sides
+    are built from m = |n| alone: the sides at -n and n are one computation,
+    and comparing them cannot fail.
     """
     cap = var_cap_for(q_cutoff, var_cap)
     m = abs(n)
@@ -439,23 +444,16 @@ def bailey_lattice_sides(pair: BaileyPair, k: int, i: int, q_cutoff: int,
                          ) -> tuple[TruncatedSeries, TruncatedSeries]:
     """Both sides of the lattice transform for a pair relative to q: the beta
     side and :func:`bailey_lattice_rhs`, both prefactor times beta_0 at k = 0."""
+    if k == 0:
+        rhs = bailey_lattice_rhs(pair, k, i, q_cutoff, var_cap)
+        return rhs, rhs
     if not (0 <= i <= k):
         raise ValueError(f"need 0 <= i <= k, got i={i}, k={k}")
     cap = var_cap_for(q_cutoff, var_cap)
     prefactor = _lattice_prefactor(q_cutoff, cap)
-    if k == 0:
-        lhs = prefactor * pair.betas[0]
-        return lhs, lhs
-
-    if k == 1:
-        needed = q_cutoff - 1
-    else:
-        needed = 0
-        while needed * needed < q_cutoff:
-            needed += 1
+    needed = q_cutoff - 1 if k == 1 else isqrt(q_cutoff - 1) + 1
     if pair.depth() < needed:
         raise ValueError(f"pair depth {pair.depth()} insufficient: need n_max >= {needed}")
-
     lhs = prefactor * _nested_multisum(k, i, lambda m: pair.betas[m], q_cutoff, cap)
     return lhs, bailey_lattice_rhs(pair, k, i, q_cutoff, cap)
 

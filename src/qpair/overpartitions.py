@@ -372,37 +372,47 @@ def root_of_unity_weight(s: int, t: int, n: int) -> Coeff:
     return unit_pow(I, s - t)
 
 
+def odd_modulus_product_side(k: int, n_max: int) -> list[int]:
+    """Side A of the identity at modulus 2k-1: overpartitions into parts not
+    divisible by 2k-1, each such size once overlined and any number of times plain."""
+    if k < 2:
+        raise ValueError("need k >= 2")
+    sizes = [j for j in range(1, n_max + 1) if j % (2 * k - 1)]
+    return _product_counts(n_max, sizes, sizes)
+
+
 def overpartition_identity_sides(k: int, n_max: int, i: int | None = None) -> tuple[list[int], list[int]]:
     """Both sides of the overpartition identity at modulus 2k-1.
 
-    Side A counts overpartitions into parts not divisible by 2k-1: each
-    such size may occur once overlined and any number of times plain.  Side B
-    counts the images of the pairs of :func:`count_frequency_pairs` under
-    the part map of :func:`odd_modulus_image_weight`, which is onto the
-    overpartitions that obey the even-level conditions.  The parameter i
-    defaults to k, the case in which side A is an infinite product.
+    Side A is :func:`odd_modulus_product_side`.  Side B counts the images
+    of the pairs of :func:`count_frequency_pairs` under the part map of
+    :func:`odd_modulus_image_weight`, which is onto the overpartitions that
+    obey the even-level conditions.  The parameter i defaults to k, the case
+    in which side A is an infinite product.
     """
-    if k < 2:
-        raise ValueError("need k >= 2")
-    i = k if i is None else i
-    sizes = [j for j in range(1, n_max + 1) if j % (2 * k - 1)]
-    a_counts = _product_counts(n_max, sizes, sizes)
-    b_pairs = count_frequency_pairs(k, i, n_max).entries
+    a_counts = odd_modulus_product_side(k, n_max)
+    b_pairs = count_frequency_pairs(k, k if i is None else i, n_max).entries
     return a_counts, _image_counts(b_pairs, odd_modulus_image_weight, n_max)
+
+
+def root_of_unity_product_side(k: int, n_max: int) -> list[int]:
+    """Side A of the fourth-root-of-unity weighted identity: overpartition
+    pairs with mu even and lam free of multiples of k-1."""
+    if k < 3:
+        raise ValueError("need k >= 3 so that i = k-1 >= 2")
+    sizes = [j for j in range(1, n_max + 1) if j % (k - 1)] + list(range(2, n_max + 1, 2))
+    return _product_counts(n_max, sizes, sizes)
 
 
 def weighted_pair_identity_sides(k: int, n_max: int) -> tuple[list[int], list[Coeff], list[Coeff]]:
     """The fourth-root-of-unity weighted identity at i = k-1.
 
-    Returns (A, B_even, B_odd): A counts pairs with mu even and lam free of
-    multiples of k-1; B_even and B_odd sum :func:`root_of_unity_weight` over
-    the parity-refined (k, k-1) pairs with an even and an odd number of
-    overlined parts (s - t even, odd).  B_odd must vanish.
+    Returns (A, B_even, B_odd): A is :func:`root_of_unity_product_side`;
+    B_even and B_odd sum :func:`root_of_unity_weight` over the parity-refined
+    (k, k-1) pairs with an even and an odd number of overlined parts
+    (s - t even, odd).  B_odd must vanish.
     """
-    if k < 3:
-        raise ValueError("need k >= 3 so that i = k-1 >= 2")
-    sizes = [j for j in range(1, n_max + 1) if j % (k - 1)] + list(range(2, n_max + 1, 2))
-    a_counts = _product_counts(n_max, sizes, sizes)
+    a_counts = root_of_unity_product_side(k, n_max)
     even_sums, odd_sums = ([0] * (n_max + 1) for _ in range(2))
     for (s, t, n), c in count_frequency_pairs(k, k - 1, n_max, parity=True).entries.items():
         sums = even_sums if (s - t) % 2 == 0 else odd_sums

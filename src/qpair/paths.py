@@ -435,43 +435,45 @@ def symbol_to_path(f: FrobeniusSymbol, k: int, i: int) -> LatticePath:
 # ------------------------------------------------------------------ generating functions
 
 
+def _plus_shifted(s: TruncatedSeries, shifted: TruncatedSeries, e: int) -> TruncatedSeries:
+    """``s + shifted * q^e``, with ``shifted`` cut to ``s``'s cutoff less e
+    before the shift: the sum keeps nothing of it at or above that cutoff."""
+    return s + shifted.truncated(s.q_cutoff - e).times_monomial(mono(1, q=e))
+
+
 @lru_cache(maxsize=None)
 def _gf_tables(k: int, even: bool, q_cutoff: int, n_peaks: int):
     """Peak-count generating functions from the step-removal recurrences.
 
-    Returns (E, G) read-only mappings keyed by (i, N), since the tables are
-    cached for the life of the process.  Grounding: one path with no peaks,
-    and no start-with-NE paths from height k-1.
+    Returns (E, G) read-only mappings keyed by (i, N) for N <= n_peaks,
+    since the tables are cached for the life of the process.  Level N is
+    added to the cached tables of level N - 1.  Grounding: one path with no
+    peaks, and no start-with-NE paths from height k-1.
     """
     cap = q_cutoff
-    one = TruncatedSeries.one(q_cutoff, cap)
-    zero = TruncatedSeries.zero(q_cutoff, cap)
-    E: dict[tuple[int, int], TruncatedSeries] = {}
-    G: dict[tuple[int, int], TruncatedSeries] = {}
-    for i in range(1, k + 1):
-        E[(i, 0)] = one
-    for N in range(0, n_peaks + 1):
-        G[(0, N)] = zero
-        if N == 0:
-            for i in range(1, k):
-                G[(i, 0)] = zero
-            continue
-        qN = mono(1, q=N)
-        step_weights = TruncatedSeries.poly(
-            [mono(1, a=1), mono(1, b=1), mono(1, q=N - 1), mono(1, a=1, b=1, q=1 - N)]
-        )
-        for i in range(1, k):
-            G[(i, N)] = G[(i - 1, N)].times_monomial(qN) + step_weights * E[(i + 1, N - 1)]
-        if not even:
-            E[(k, N)] = G[(k - 1, N)].times_monomial(qN) * _inv_qfactors((N,), q_cutoff, cap)
-        else:
-            if k < 2:
-                raise ValueError("even-conditions tables need k >= 2")
-            rhs = G[(k - 2, N)].times_monomial(qN) + G[(k - 1, N)].times_monomial(mono(1, q=2 * N))
-            E[(k - 1, N)] = rhs * _inv_qfactors((2 * N,), q_cutoff, cap)
-            E[(k, N)] = (E[(k - 1, N)] + G[(k - 1, N)]).times_monomial(qN)
-        for i in range(k - 1 if not even else k - 2, 0, -1):
-            E[(i, N)] = (G[(i - 1, N)] + E[(i + 1, N)]).times_monomial(qN)
+    if n_peaks == 0:
+        E = {(i, 0): TruncatedSeries.one(q_cutoff, cap) for i in range(1, k + 1)}
+        G = {(i, 0): TruncatedSeries.zero(q_cutoff, cap) for i in range(0, k)}
+        return MappingProxyType(E), MappingProxyType(G)
+    if even and k < 2:
+        raise ValueError("even-conditions tables need k >= 2")
+    N = n_peaks
+    E, G = (dict(table) for table in _gf_tables(k, even, q_cutoff, N - 1))
+    qN = mono(1, q=N)
+    step_weights = TruncatedSeries.poly(
+        [mono(1, a=1), mono(1, b=1), mono(1, q=N - 1), mono(1, a=1, b=1, q=1 - N)]
+    )
+    G[(0, N)] = TruncatedSeries.zero(q_cutoff, cap)
+    for i in range(1, k):
+        G[(i, N)] = _plus_shifted(step_weights * E[(i + 1, N - 1)], G[(i - 1, N)], N)
+    if not even:
+        E[(k, N)] = G[(k - 1, N)].times_monomial(qN) * _inv_qfactors((N,), q_cutoff, cap)
+    else:
+        rhs = _plus_shifted(G[(k - 2, N)].times_monomial(qN), G[(k - 1, N)], 2 * N)
+        E[(k - 1, N)] = rhs * _inv_qfactors((2 * N,), q_cutoff, cap)
+        E[(k, N)] = (E[(k - 1, N)] + G[(k - 1, N)]).times_monomial(qN)
+    for i in range(k - 1 if not even else k - 2, 0, -1):
+        E[(i, N)] = (G[(i - 1, N)] + E[(i + 1, N)]).times_monomial(qN)
     return MappingProxyType(E), MappingProxyType(G)
 
 
@@ -490,36 +492,30 @@ def gf_gamma_recurrence(k: int, i: int, n_peaks: int, q_cutoff: int, even: bool 
     return G[(i, n_peaks)]
 
 
-def _closed_summand(m1: int, m2: int, n: int, e: int, q_cutoff: int) -> TruncatedSeries:
-    """``(-1)^n q^e / ((q)_m1 (q)_m2)``, its product formed only below
+def _closed_sum(n_peaks: int, summands, q_cutoff: int) -> TruncatedSeries:
+    """f_poly(n_peaks) times the sum of ``(-1)^n q^e / ((q)_m1 (q)_m2)`` over
+    the ``(m1, m2, n, e)`` in ``summands``, each formed only below
     ``q_cutoff - e`` (a negative e leaves the factors whole)."""
-    room = q_cutoff - e
-    term = (_inv_qpoch(m1, q_cutoff, q_cutoff).truncated(room)
-            * _inv_qpoch(m2, q_cutoff, q_cutoff).truncated(room))
-    return term.times_monomial(mono(-1 if n % 2 else 1, q=e))
+    cap = q_cutoff
+    total = TruncatedSeries.zero(q_cutoff, cap)
+    for m1, m2, n, e in summands:
+        if e >= q_cutoff:
+            continue
+        room = q_cutoff - e
+        term = _inv_qpoch(m1, q_cutoff, cap).truncated(room) * _inv_qpoch(m2, q_cutoff, cap).truncated(room)
+        total = total + term.times_monomial(mono(-1 if n % 2 else 1, q=e))
+    return _f_poly(n_peaks, q_cutoff, cap) * total
 
 
 def gf_closed(k: int, i: int, n_peaks: int, q_cutoff: int, even: bool = False) -> TruncatedSeries:
     """Closed-form peak-count generating function (alternating finite sum)."""
     check_ki(k, i)
-    cap = q_cutoff
-    total = TruncatedSeries.zero(q_cutoff, cap)
-    for n in range(-n_peaks, n_peaks + 1):
-        e = r_exponent(k, i, n, even) - n + n_peaks
-        if e >= q_cutoff:
-            continue
-        total = total + _closed_summand(n_peaks - n, n_peaks + n, n, e, q_cutoff)
-    return _f_poly(n_peaks, q_cutoff, cap) * total
+    return _closed_sum(n_peaks, ((n_peaks - n, n_peaks + n, n, r_exponent(k, i, n, even) - n + n_peaks)
+                                 for n in range(-n_peaks, n_peaks + 1)), q_cutoff)
 
 
 def gf_gamma_closed(k: int, i: int, n_peaks: int, q_cutoff: int, even: bool = False) -> TruncatedSeries:
     if not (0 <= i < k):
         raise ValueError(f"need 0 <= i < k, got i={i}, k={k}")
-    cap = q_cutoff
-    total = TruncatedSeries.zero(q_cutoff, cap)
-    for n in range(-n_peaks, n_peaks):
-        e = r_exponent(k, i + 1, n, even) - n
-        if e >= q_cutoff:
-            continue
-        total = total + _closed_summand(n_peaks - n - 1, n_peaks + n, n, e, q_cutoff)
-    return _f_poly(n_peaks, q_cutoff, cap) * total
+    return _closed_sum(n_peaks, ((n_peaks - n - 1, n_peaks + n, n, r_exponent(k, i + 1, n, even) - n)
+                                 for n in range(-n_peaks, n_peaks)), q_cutoff)

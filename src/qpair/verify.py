@@ -45,6 +45,8 @@ from .overpartitions import (
     partition_pair_identity_sides,
     partition_pair_product_side,
     count_frequency_pairs,
+    odd_modulus_product_side,
+    root_of_unity_product_side,
 )
 from .paths import count_paths, gf_closed, gf_gamma_closed, gf_gamma_recurrence, gf_recurrence
 from .series import TruncatedSeries, geometric, mono, qproduct
@@ -204,13 +206,15 @@ def suite_htilde(rep: VerificationReport, cfg: VerifyConfig) -> None:
 
 def suite_series_vs_enum(rep: VerificationReport, cfg: VerifyConfig) -> None:
     n_max = cfg.n_max
+    # The q-difference suites' cutoff when it covers n_max, so their builds serve here.
+    c = max(cfg.cutoff, n_max + 1)
     rep.params = {"k": list(cfg.k_values), "n_max": n_max}
     for k in cfg.k_values:
         for i in range(1, k + 1):
-            got = CountTable.from_series(series_R(k, i, n_max + 1), n_max)
+            got = CountTable.from_series(series_R(k, i, c), n_max)
             rep.coeff_check("series-counts-pairs", {"k": k, "i": i},
                             got, count_frequency_pairs(k, i, n_max, bound=n_max))
-            got_t = CountTable.from_series(series_R_tilde(k, i, n_max + 1), n_max)
+            got_t = CountTable.from_series(series_R_tilde(k, i, c), n_max)
             rep.coeff_check("series-counts-pairs-even", {"k": k, "i": i},
                             got_t, count_frequency_pairs(k, i, n_max, parity=True, bound=n_max))
 
@@ -291,6 +295,7 @@ def suite_bailey(rep: VerificationReport, cfg: VerifyConfig) -> None:
     c = cfg.cutoff
     lattice_c = min(c, 10)
     n_max = cfg.n_max
+    multisum_c = max(c, n_max + 1)
     rep.params = {"k": list(cfg.k_values), "cutoff": c, "n_max": n_max}
     depth = max(4, c)
     pairs = {"B3": bailey_pair_b3(depth, c), "E3": bailey_pair_e3(depth, c)}
@@ -311,31 +316,17 @@ def suite_bailey(rep: VerificationReport, cfg: VerifyConfig) -> None:
             rhs_t = bailey_lattice_rhs(pairs["E3"], k - 1, i - 1, c)
             rep.coeff_check("lattice-reproduces-bilateral-even", {"k": k, "i": i},
                             _dress_lattice_rhs(rhs_t), bilateral_t)
-            d_series = multisum_admissible(k, i, n_max + 1)
+            # One build serves the count and the bilateral check (common window).
+            d_series = multisum_admissible(k, i, multisum_c)
             rep.coeff_check("multisum-vs-durfee-enum", {"k": k, "i": i},
                             CountTable.from_series(d_series, n_max),
                             count_admissible(k, i, n_max, bound=n_max))
-            dt_series = multisum_self_conjugate(k, i, n_max + 1)
+            dt_series = multisum_self_conjugate(k, i, multisum_c)
             rep.coeff_check("multisum-vs-selfconj-enum", {"k": k, "i": i},
                             CountTable.from_series(dt_series, n_max),
                             count_self_conjugate(k, i, n_max, bound=n_max))
-            rep.coeff_check("multisum-vs-bilateral", {"k": k, "i": i},
-                            multisum_admissible(k, i, c), bilateral)
-            rep.coeff_check("multisum-vs-bilateral-even", {"k": k, "i": i},
-                            multisum_self_conjugate(k, i, c), bilateral_t)
-
-
-def _product_odd_modulus(k: int, c: int) -> TruncatedSeries:
-    m = 2 * k - 1
-    prod = qproduct(TruncatedSeries.one(c, c), (mono(-1, q=1),), (mono(1, q=1),))
-    return qproduct(prod, (mono(1, q=m),), (mono(-1, q=m),), step=m)
-
-
-def _product_root_of_unity(k: int, c: int) -> TruncatedSeries:
-    m = k - 1
-    prod = qproduct(TruncatedSeries.one(c, c), (mono(-1, q=1),), (mono(1, q=1),))
-    prod = qproduct(prod, (mono(-1, q=2),), (mono(1, q=2),), step=2)
-    return qproduct(prod, (mono(1, q=m),), (mono(-1, q=m),), step=m)
+            rep.coeff_check("multisum-vs-bilateral", {"k": k, "i": i}, d_series, bilateral)
+            rep.coeff_check("multisum-vs-bilateral-even", {"k": k, "i": i}, dt_series, bilateral_t)
 
 
 def _product_even_modulus(k: int, i: int, c: int) -> TruncatedSeries:
@@ -369,16 +360,19 @@ def suite_corollaries(rep: VerificationReport, cfg: VerifyConfig) -> None:
         a, b = overpartition_identity_sides(k, n_max)
         rep.mismatch_check("odd-modulus-sides", {"k": k}, list_mismatch(a, b))
         spec = specialized_odd_modulus_series(k, prod_cutoff)
-        rep.coeff_check("odd-modulus-product", {"k": k}, spec, _product_odd_modulus(k, prod_cutoff))
+        spec_counts = [spec.coeff_q(n) for n in range(prod_cutoff)]
+        rep.mismatch_check("odd-modulus-product", {"k": k},
+                           list_mismatch(spec_counts, odd_modulus_product_side(k, prod_cutoff - 1)))
         rep.mismatch_check("odd-modulus-series-vs-counts", {"k": k},
-                           list_mismatch([spec.coeff_q(n) for n in range(n_max + 1)], a))
+                           list_mismatch(spec_counts[:n_max + 1], a))
     for k in (3, 4):
         a, even, odd = weighted_pair_identity_sides(k, n_max)
         rep.mismatch_check("root-of-unity-sides", {"k": k}, list_mismatch(a, even))
         rep.mismatch_check("root-of-unity-odd-class", {"k": k}, list_mismatch(odd, [0] * len(a)))
         bil = series_R_tilde_bilateral(k, k - 1, prod_cutoff)
         spec = bil.specialize(sub_a=(GaussInt(0, 1), 0), sub_b=(GaussInt(0, -1), 0))
-        rep.coeff_check("root-of-unity-product", {"k": k}, spec, _product_root_of_unity(k, prod_cutoff))
+        rep.mismatch_check("root-of-unity-product", {"k": k}, list_mismatch(
+            [spec.coeff_q(n) for n in range(prod_cutoff)], root_of_unity_product_side(k, prod_cutoff - 1)))
     for k in (2, 3):
         for i in range(2, k + 1):
             a, b = partition_pair_identity_sides(k, i, n_max)

@@ -5,6 +5,7 @@ import pytest
 from qpair.counts import CountTable
 from qpair.gaussint import GaussInt
 from qpair.hyperg import (
+    _R_family,
     bailey_lattice_rhs,
     bailey_lattice_sides,
     bailey_pair_b3,
@@ -25,6 +26,7 @@ from qpair.hyperg import (
 from qpair.overpartitions import count_frequency_pairs, pairs_of
 from qpair.paths import gf_closed, gf_gamma_closed
 from qpair.series import TruncatedSeries, geometric, mono, pochhammer_inf
+from qpair.verify import VerifyConfig, run_suite
 
 C = 10
 KI = [(k, i) for k in (2, 3, 4) for i in range(1, k + 1)]
@@ -70,6 +72,22 @@ class TestSeriesR:
             got = CountTable.from_series(series_R_tilde(k, i, 9, x_one=True), 8)
             want = count_frequency_pairs(k, i, 8, parity=True)
             assert got.first_mismatch(want) is None
+
+    def test_each_member_built_once_per_run(self):
+        _R_family.cache_clear()
+        cfg = VerifyConfig()
+        for suite in ("qdiff-R", "qdiff-Rtilde", "htilde-identities", "series-vs-enum"):
+            assert run_suite(suite, cfg).ok
+        # One R and one R-tilde per (k, i), k in {2, 3, 4}.
+        assert _R_family.cache_info().misses == 18
+
+    def test_cache_key_is_the_resolved_member(self):
+        _R_family.cache_clear()
+        assert series_R(3, 2, 8) is series_R(3, 2, 8, var_cap=8)
+        assert series_R_tilde(3, 2, 8) is series_R_tilde(3, 2, 8, var_cap=8)
+        assert series_R_tilde(3, 2, 8) != series_R(3, 2, 8)
+        assert _R_family.cache_info().misses == 2
+        assert series_R(3, 2, 8, var_cap=4) is not series_R(3, 2, 8)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

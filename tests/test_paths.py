@@ -20,6 +20,8 @@ from qpair.paths import (
     satisfies_odd_conditions,
     symbol_to_path,
 )
+from qpair.qtools import inv_qfactors
+from qpair.series import TruncatedSeries, mono
 
 
 def row(*parts):
@@ -273,7 +275,51 @@ class TestBijection:
             symbol_to_path(bad, 2, 2)
 
 
+def whole_tables(k, even, q_cutoff, n_peaks):
+    """Reference: the recurrence tables built for levels 0..n_peaks in one
+    pass, each shifted operand formed whole and cut by the sum."""
+    cap = q_cutoff
+    one = TruncatedSeries.one(q_cutoff, cap)
+    zero = TruncatedSeries.zero(q_cutoff, cap)
+    E, G = {}, {}
+    for i in range(1, k + 1):
+        E[(i, 0)] = one
+    for N in range(0, n_peaks + 1):
+        G[(0, N)] = zero
+        if N == 0:
+            for i in range(1, k):
+                G[(i, 0)] = zero
+            continue
+        qN = mono(1, q=N)
+        step_weights = TruncatedSeries.poly(
+            [mono(1, a=1), mono(1, b=1), mono(1, q=N - 1), mono(1, a=1, b=1, q=1 - N)]
+        )
+        for i in range(1, k):
+            G[(i, N)] = G[(i - 1, N)].times_monomial(qN) + step_weights * E[(i + 1, N - 1)]
+        if not even:
+            E[(k, N)] = G[(k - 1, N)].times_monomial(qN) * inv_qfactors((N,), q_cutoff, cap)
+        else:
+            rhs = G[(k - 2, N)].times_monomial(qN) + G[(k - 1, N)].times_monomial(mono(1, q=2 * N))
+            E[(k - 1, N)] = rhs * inv_qfactors((2 * N,), q_cutoff, cap)
+            E[(k, N)] = (E[(k - 1, N)] + G[(k - 1, N)]).times_monomial(qN)
+        for i in range(k - 1 if not even else k - 2, 0, -1):
+            E[(i, N)] = (G[(i - 1, N)] + E[(i + 1, N)]).times_monomial(qN)
+    return E, G
+
+
 class TestGeneratingFunctions:
+    @pytest.mark.parametrize("q_cutoff", [1, 6, 12])
+    @pytest.mark.parametrize("even", [False, True])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_level_tables_equal_whole_build(self, k, even, q_cutoff):
+        # == compares terms, floor, cutoff and cap, so a shifted operand cut
+        # too low shows even where the terms still agree.
+        for n_peaks in range(7):
+            E, G = _gf_tables(k, even, q_cutoff, n_peaks)
+            ref_E, ref_G = whole_tables(k, even, q_cutoff, n_peaks)
+            assert dict(E) == ref_E
+            assert dict(G) == ref_G
+
     def test_zero_peaks_is_one(self):
         for k, i in ((2, 2), (3, 1), (4, 3)):
             for even in (False, True):
