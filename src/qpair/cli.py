@@ -15,9 +15,16 @@ import os
 import sys
 
 from .counts import DEFAULT_BOUND, BoundExceededError, check_bound, tally
-from .durfee import admissible_symbols, k_conjugate, self_conjugate_symbols
+from .durfee import (
+    admissible_symbols,
+    count_admissible,
+    count_self_conjugate,
+    k_conjugate,
+    self_conjugate_symbols,
+)
 from .frobenius import (
     FrobeniusSymbol,
+    count_rank_bounded,
     joichi_stanton,
     joichi_stanton_inverse,
     rank_bounded_symbols,
@@ -34,8 +41,8 @@ from .hyperg import (
     series_R_tilde,
     series_R_tilde_bilateral,
 )
-from .overpartitions import frequency_pairs, pairs_up_to
-from .paths import LatticePath, paths_up_to
+from .overpartitions import count_frequency_pairs, frequency_pairs, pairs_up_to
+from .paths import LatticePath, count_paths, paths_up_to
 from .series import TruncatedSeries
 from .verify import SUITES, VerifyConfig, run_suite
 
@@ -164,21 +171,30 @@ def _own_obj(obj) -> dict:
     return obj.to_obj()
 
 
-# family -> (stream of (weight, object) members up to weight n, object -> JSON).
-# The lambdas look the streams up when called, never at import.  ``paths`` is
-# another name for the E entry itself.
-_E_FAMILY = (lambda k, i, n: paths_up_to(k, i, n), _own_obj)
+# family -> (stream of (weight, object) members up to weight n, object -> JSON,
+# the family's count table up to weight n under a bound, or None to tally the
+# stream).  The lambdas look the functions up when called, never at import.
+# ``paths`` is another name for the E entry itself.
+_E_FAMILY = (lambda k, i, n: paths_up_to(k, i, n), _own_obj,
+             lambda k, i, n, bound: count_paths(k, i, n, bound=bound))
 ENUM_FAMILIES = {
-    "B": (lambda k, i, n: frequency_pairs(k, i, n), _pair_obj),
-    "Btilde": (lambda k, i, n: frequency_pairs(k, i, n, parity=True), _pair_obj),
-    "C": (lambda k, i, n: rank_bounded_symbols(k, i, n), _own_obj),
-    "Ctilde": (lambda k, i, n: rank_bounded_symbols(k, i, n, tilde=True), _own_obj),
-    "D": (lambda k, i, n: admissible_symbols(k, i, n), _own_obj),
-    "Dtilde": (lambda k, i, n: self_conjugate_symbols(k, i, n), _own_obj),
+    "B": (lambda k, i, n: frequency_pairs(k, i, n), _pair_obj,
+          lambda k, i, n, bound: count_frequency_pairs(k, i, n, bound=bound)),
+    "Btilde": (lambda k, i, n: frequency_pairs(k, i, n, parity=True), _pair_obj,
+               lambda k, i, n, bound: count_frequency_pairs(k, i, n, parity=True, bound=bound)),
+    "C": (lambda k, i, n: rank_bounded_symbols(k, i, n), _own_obj,
+          lambda k, i, n, bound: count_rank_bounded(k, i, n, bound=bound)),
+    "Ctilde": (lambda k, i, n: rank_bounded_symbols(k, i, n, tilde=True), _own_obj,
+               lambda k, i, n, bound: count_rank_bounded(k, i, n, tilde=True, bound=bound)),
+    "D": (lambda k, i, n: admissible_symbols(k, i, n), _own_obj,
+          lambda k, i, n, bound: count_admissible(k, i, n, bound=bound)),
+    "Dtilde": (lambda k, i, n: self_conjugate_symbols(k, i, n), _own_obj,
+               lambda k, i, n, bound: count_self_conjugate(k, i, n, bound=bound)),
     "E": _E_FAMILY,
-    "Etilde": (lambda k, i, n: paths_up_to(k, i, n, even=True), _own_obj),
-    "pairs": (lambda k, i, n: pairs_up_to(n), _pair_obj),
-    "symbols": (lambda k, i, n: symbols_up_to(n), _own_obj),
+    "Etilde": (lambda k, i, n: paths_up_to(k, i, n, even=True), _own_obj,
+               lambda k, i, n, bound: count_paths(k, i, n, even=True, bound=bound)),
+    "pairs": (lambda k, i, n: pairs_up_to(n), _pair_obj, None),
+    "symbols": (lambda k, i, n: symbols_up_to(n), _own_obj, None),
     "paths": _E_FAMILY,
 }
 
@@ -193,13 +209,15 @@ def cmd_enumerate(args) -> int:
     check_bound(args.n, args.bound)
     if args.mode == "objects" and args.format == "csv":
         raise ValueError("objects mode only supports --format json")
-    stream, to_obj = ENUM_FAMILIES[args.family]
-    members = stream(args.k, args.i, args.n)
+    stream, to_obj, count = ENUM_FAMILIES[args.family]
     if args.mode == "objects":
-        objs = [to_obj(obj) for m, obj in members if m == args.n]
+        objs = [to_obj(obj) for m, obj in stream(args.k, args.i, args.n) if m == args.n]
         _emit(args, _dump({"family": args.family, "n": args.n, "objects": objs}))
     else:
-        table = tally(members, args.n)
+        if count is None:
+            table = tally(stream(args.k, args.i, args.n), args.n)
+        else:
+            table = count(args.k, args.i, args.n, args.bound)
         _emit(args, table.to_csv() if args.format == "csv" else _dump(table.to_obj()))
     return 0
 

@@ -5,14 +5,30 @@ Everything here works through the row decomposition of
 and its successive Durfee squares drive admissibility, the symbol
 conjugation that swaps the two small-part regions, and the fixed-point
 families.
+
+Both families are decided row by row: admissibility reads only the bottom
+row, and self-conjugacy compares a region of the top row with one of the
+bottom row.  So their count tables pair the rows of each length, a
+convolution for D and a hash join on the swap region for D~, and form no
+symbol.  The symbol streams serve the listings and are the reference the
+tables are tested against.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from functools import lru_cache
 
-from .counts import CountTable, check_bound, tally
-from .frobenius import FrobeniusSymbol, Row, joichi_stanton_inverse, row_split, symbols_up_to
+from .counts import CountTable, check_bound
+from .frobenius import (
+    FrobeniusSymbol,
+    Row,
+    _plain_count,
+    joichi_stanton_inverse,
+    row_split,
+    rows_of,
+    symbols_up_to,
+)
 from .overpartitions import check_ki
 
 Partition = tuple[int, ...]
@@ -137,7 +153,12 @@ def is_ki_admissible(f: FrobeniusSymbol, k: int, i: int) -> bool:
     the 0th square size is the column count).
     """
     check_ki(k, i)
-    nu = _reduction(f.bottom, k, i)
+    return _admissible_bottom(f.bottom, k, i)
+
+
+def _admissible_bottom(bottom: Row, k: int, i: int) -> bool:
+    """:func:`is_ki_admissible` of any symbol with this bottom row."""
+    nu = _reduction(bottom, k, i)
     return nu is not None and len(durfee_squares(nu)) <= k - 2
 
 
@@ -156,14 +177,28 @@ def conjugation_regions(f: FrobeniusSymbol, k: int) -> tuple[Partition, Partitio
 
 def _regions(lam1p: Partition, lam2p: Partition, k: int) -> tuple[Partition, Partition] | None:
     """:func:`conjugation_regions` from the two conjugated associated partitions."""
+    split = _bottom_region(lam2p, k)
+    if split is None:
+        return None
+    cut, g2 = split
+    return _top_region(lam1p, cut), g2
+
+
+def _bottom_region(lam2p: Partition, k: int) -> tuple[int | None, Partition] | None:
+    """The cut that G1 is read at and G2, both from the bottom partition
+    alone, or None when the conjugation is the identity.  The cut is the
+    (k-2)nd square's size, or None for k = 2, where G1 is all of lam1p."""
     if k == 2:
-        return lam1p, lam2p
+        return None, lam2p
     sizes = durfee_squares(lam2p)
     if len(sizes) < k - 2:
         return None
-    cut = sizes[k - 3]
-    g1 = tuple(p for p in lam1p if p <= cut)
-    return g1, lam2p[sum(sizes[: k - 2]):]
+    return sizes[k - 3], lam2p[sum(sizes[: k - 2]):]
+
+
+def _top_region(lam1p: Partition, cut: int | None) -> Partition:
+    """G1: the parts of lam1p at most the cut."""
+    return lam1p if cut is None else tuple(p for p in lam1p if p <= cut)
 
 
 def k_conjugate(f: FrobeniusSymbol, k: int) -> FrobeniusSymbol:
@@ -227,22 +262,79 @@ def self_conjugate_symbols(k: int, i: int, n_max: int):
 
 
 def count_admissible(k: int, i: int, n_max: int, bound: int | None = None) -> CountTable:
-    """Table of (k, i)-admissible symbols by (s, t, n)."""
+    """Table of (k, i)-admissible symbols by (s, t, n), without forming any.
+
+    Admissibility reads only the bottom row, so the table is a convolution
+    over L of all rows with the admissible bottom rows of length L.
+    """
     check_bound(n_max, bound)
+    check_ki(k, i)
     return _admissible_table(k, i, n_max)
 
 
 @lru_cache(maxsize=None)
 def _admissible_table(k: int, i: int, n_max: int) -> CountTable:
-    return tally(admissible_symbols(k, i, n_max), n_max)
+    total: Counter = Counter()
+    for length in range(n_max + 1):
+        rows = _rows_by_weight(length, n_max)
+        bottoms = Counter((_plain_count(r), w) for w, r in rows if _admissible_bottom(r, k, i))
+        _pair_rows(total, _by_stats(rows), bottoms, length, n_max)
+    return CountTable(n_max, total)
 
 
 def count_self_conjugate(k: int, i: int, n_max: int, bound: int | None = None) -> CountTable:
-    """Table of self-(k, i)-conjugate symbols by (s, t, n)."""
+    """Table of self-(k, i)-conjugate symbols by (s, t, n), without forming any.
+
+    A hash join of the rows of each length on the swap region: the bottom
+    rows are grouped by (cut, G2) of their reduced partition, and the top
+    rows by G1 at each cut that occurs.  A bottom row whose conjugation is
+    the identity pairs with every top row.
+    """
     check_bound(n_max, bound)
+    check_ki(k, i)
     return _self_conjugate_table(k, i, n_max)
 
 
 @lru_cache(maxsize=None)
 def _self_conjugate_table(k: int, i: int, n_max: int) -> CountTable:
-    return tally(self_conjugate_symbols(k, i, n_max), n_max)
+    total: Counter = Counter()
+    for length in range(n_max + 1):
+        rows = _rows_by_weight(length, n_max)
+        identity: Counter = Counter()
+        by_region = defaultdict(Counter)
+        for w, bottom in rows:
+            nu = _reduction(bottom, k, i)
+            if nu is not None:
+                split = _bottom_region(nu, k)
+                (identity if split is None else by_region[split])[_plain_count(bottom), w] += 1
+        _pair_rows(total, _by_stats(rows), identity, length, n_max)
+        tops = [(_lam_prime(r), _plain_count(r), w) for w, r in rows]
+        by_cut = {}
+        for cut in {cut for cut, _ in by_region}:
+            groups = by_cut[cut] = defaultdict(Counter)
+            for lam1p, t, w in tops:
+                groups[_top_region(lam1p, cut)][t, w] += 1
+        for (cut, g2), bottoms in by_region.items():
+            _pair_rows(total, by_cut[cut].get(g2, {}), bottoms, length, n_max)
+    return CountTable(n_max, total)
+
+
+def _rows_by_weight(length: int, n_max: int) -> list[tuple[int, Row]]:
+    """``(entry sum, row)`` for each row of the given length that fits in a
+    symbol of weight <= n_max."""
+    return [(w, r) for w in range(n_max - length + 1) for r in rows_of(length, w)]
+
+
+def _by_stats(rows) -> Counter:
+    """Rows counted by (non-overlined entries, entry sum)."""
+    return Counter((_plain_count(r), w) for w, r in rows)
+
+
+def _pair_rows(into: Counter, tops, bottoms, length: int, n_max: int) -> None:
+    """Add each top row counted by (t, w1) paired with each bottom row
+    counted by (s, w2) into ``into`` at (s, t, length + w1 + w2) <= n_max."""
+    for (t, w1), top in tops.items():
+        for (s, w2), bottom in bottoms.items():
+            n = length + w1 + w2
+            if n <= n_max:
+                into[s, t, n] += top * bottom

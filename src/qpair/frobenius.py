@@ -5,15 +5,28 @@ into nonnegative parts; its weight is the number of columns plus the sum of
 all entries.  Successive ranks live here, as does the row bijection that
 splits an overpartition into an associated plain partition plus a partition
 of distinct marks (used heavily by :mod:`qpair.durfee`).
+
+The rank-bounded table is counted by a scan over the columns that forms no
+symbol.  The enumeration of symbols serves the listings and is the
+reference the tables are tested against.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from functools import lru_cache
+from itertools import product
 from operator import sub
 
-from .counts import CountTable, check_bound, tally
-from .overpartitions import canonical_parts, check_ki, overlinings, partitions
+from .counts import CountTable, check_bound
+from .overpartitions import (
+    _add_shifted,
+    canonical_parts,
+    check_ki,
+    least_left,
+    overlinings,
+    partitions,
+)
 
 Row = tuple[tuple[int, bool], ...]
 
@@ -173,15 +186,46 @@ def rank_bounded_symbols(k: int, i: int, n_max: int, tilde: bool = False,
     return ((n, f) for n, f in symbols_up_to(n_max) if f._ranks_within(lo, hi))
 
 
+_OVERLINE_PAIRS = tuple(product((False, True), repeat=2))
+
+
 def count_rank_bounded(k: int, i: int, n_max: int, tilde: bool = False,
                        bound: int | None = None,
                        interval: tuple[int, int] | None = None) -> CountTable:
-    """Table of :func:`rank_bounded_symbols` by (s, t, n).
+    """Table of :func:`rank_bounded_symbols` by (s, t, n), built by a
+    right-to-left scan over the columns without forming any symbol.
 
-    s counts non-overlined bottom entries, t non-overlined top entries.
+    s counts non-overlined bottom entries, t non-overlined top entries.  By
+    :func:`_rank_profile` the rank at a column is e_top - e_bot + d, where d
+    is the number of plain entries right of it in the top row less those in
+    the bottom row.  An entry left of (e, overlined) is at least
+    :func:`least_left` of it, the row rule of ``canonical_parts``.  So the
+    scan carries that least entry of each row and d, each state with its
+    counts by (s, t, n), and adds one column on the left at each step.
     """
     check_bound(n_max, bound)
-    return tally(rank_bounded_symbols(k, i, n_max, tilde, interval), n_max)
+    check_ki(k, i)
+    lo, hi = interval if interval is not None else rank_interval(k, i, tilde)
+    # The empty symbol lies in every window; a column may take any entries
+    # when nothing lies right of it.
+    total = Counter({(0, 0, 0): 1})
+    states = {(0, 0, 0): total.copy()}
+    while states:
+        following = defaultdict(Counter)
+        for (least_top, least_bot, d), counts in states.items():
+            room = n_max - 1 - min(n for _, _, n in counts)
+            for e_top in range(least_top, room + 1):
+                # The column's rank e_top - e_bot + d must lie in [lo, hi].
+                for e_bot in range(max(least_bot, e_top + d - hi),
+                                   min(room - e_top, e_top + d - lo) + 1):
+                    for o_top, o_bot in _OVERLINE_PAIRS:
+                        ds, dt = not o_bot, not o_top
+                        state = (least_left(e_top, o_top), least_left(e_bot, o_bot), d + dt - ds)
+                        _add_shifted(following[state], counts, ds, dt, 1 + e_top + e_bot, n_max)
+        states = following
+        for counts in states.values():
+            total.update(counts)
+    return CountTable(n_max, total)
 
 
 # ------------------------------------------------------------------ row bijection

@@ -37,10 +37,17 @@ def canonical_parts(parts, min_part: int = 1) -> tuple[Part, ...]:
     for size, _ in out:
         if size < min_part:
             raise ValueError(f"part {size} below minimum {min_part}")
-    for (s1, o1), (s2, o2) in zip(out, out[1:]):
-        if s1 == s2 and o2:
-            raise ValueError(f"value {s2} overlined more than once or out of order")
+    for (s1, _), right in zip(out, out[1:]):
+        if s1 < least_left(*right):
+            raise ValueError(f"value {right[0]} overlined more than once or out of order")
     return out
+
+
+def least_left(size: int, overlined: bool) -> int:
+    """The least size of a part just left of (size, overlined) in canonical
+    order: a value equal to its right neighbour only when that one is plain,
+    since the one overlined copy of a value comes first."""
+    return size + overlined
 
 
 class Overpartition:

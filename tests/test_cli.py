@@ -179,6 +179,23 @@ class TestEnumerateCommand:
                     assert got.entries == {key: c for key, c in table.entries.items()
                                            if key[2] == n}
 
+    @pytest.mark.parametrize("family", ["B", "Btilde", "C", "Ctilde", "D", "Dtilde", "E", "Etilde"])
+    def test_table_reads_the_counter(self, family, capsys, monkeypatch):
+        # A family's table comes from its counter, not from tallying its
+        # stream, and prints as the tally would.
+        from qpair import cli, counts
+
+        monkeypatch.setattr(cli, "tally", None)
+        stream = ENUM_FAMILIES[family][0]
+        for k in (2, 3):
+            for i in range(1, k + 1):
+                want = counts.tally(stream(k, i, 6), 6)
+                args = ["enumerate", "--family", family, "-k", str(k), "-i", str(i), "-n", "6"]
+                assert main(args) == 0
+                assert capsys.readouterr().out == want.to_json() + "\n"
+                assert main(args + ["--format", "csv"]) == 0
+                assert capsys.readouterr().out == want.to_csv()
+
 
 def _stats(obj) -> tuple[int, int]:
     """(s, t) of a listed object, read from its JSON form."""
@@ -320,10 +337,11 @@ class TestVerifyCommand:
         assert list_mismatch([1, 2], [1, 2, 0]) == ((2,), None, 0)
 
     def test_no_suite_builds_a_pair(self, monkeypatch):
-        # Every B table comes from the transfer matrix and every corollary
-        # A side from a product over part sizes: a verify run over all
-        # suites builds no overpartition, pair or path, and each B table once.
-        from qpair import overpartitions, paths
+        # Every B, C and D table is counted without objects and every
+        # corollary A side comes from a product over part sizes: a verify run
+        # over all suites builds no overpartition, pair, symbol or path, and
+        # each B table once.
+        from qpair import frobenius, overpartitions, paths
         from qpair.verify import SUITES, VerifyConfig, run_suite
 
         calls = []
@@ -339,7 +357,8 @@ class TestVerifyCommand:
         table = overpartitions._frequency_table
         table.cache_clear()
         for module, name in ((overpartitions, "overpartitions_of"), (overpartitions, "pairs_of"),
-                             (paths, "_paths_up_to"), (overpartitions, "_frequency_table")):
+                             (frobenius, "symbols_of"), (paths, "_paths_up_to"),
+                             (overpartitions, "_frequency_table")):
             spy(module, name)
         cfg = VerifyConfig(k_values=(2, 3), cutoff=6, n_max=4)
         assert all(run_suite(name, cfg).ok for name in SUITES)

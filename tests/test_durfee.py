@@ -4,6 +4,7 @@ import pytest
 
 from qpair import durfee
 from qpair.durfee import (
+    admissible_symbols,
     conjugate,
     conjugation_regions,
     count_admissible,
@@ -14,9 +15,10 @@ from qpair.durfee import (
     is_self_k_conjugate,
     is_self_ki_conjugate,
     k_conjugate,
+    self_conjugate_symbols,
     successive_sizes,
 )
-from qpair.counts import BoundExceededError
+from qpair.counts import BoundExceededError, tally
 from qpair.durfee import _lam_prime, _remove_parts, _self_conjugate_table, _square_tuples
 from qpair.frobenius import FrobeniusSymbol, joichi_stanton, row_split, rows_of, symbols_of
 from qpair.overpartitions import canonical_parts, count_frequency_pairs, partitions
@@ -229,6 +231,27 @@ def ref_self_ki_conjugate(top, bottom, k, i):
         if ref_k_conjugate(top, candidate, k) == (top, candidate):
             return True
     return False
+
+
+class TestRowPairing:
+    """The D convolution and the D~ hash join against the tally of the
+    symbols they count, which ties the D tables to the objects."""
+
+    @pytest.mark.parametrize("count,stream", [(count_admissible, admissible_symbols),
+                                              (count_self_conjugate, self_conjugate_symbols)])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_equals_tally_of_the_stream(self, k, count, stream):
+        for i in range(1, k + 1):
+            for n in (0, 1, 5, 10, 12):
+                assert count(k, i, n) == tally(stream(k, i, n), n), (i, n)
+
+    @pytest.mark.parametrize("count", [count_admissible, count_self_conjugate])
+    def test_bound_is_checked_before_ki(self, count):
+        with pytest.raises(BoundExceededError):
+            count(1, 1, 8, bound=5)
+        with pytest.raises(ValueError, match="need k >= 2") as err:
+            count(1, 1, 8)
+        assert not isinstance(err.value, BoundExceededError)
 
 
 class TestCachedLayerOracle:

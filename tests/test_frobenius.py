@@ -1,6 +1,6 @@
 import pytest
 
-from qpair.counts import BoundExceededError
+from qpair.counts import BoundExceededError, CountTable, tally
 from qpair.frobenius import (
     FrobeniusSymbol,
     count_rank_bounded,
@@ -156,6 +156,45 @@ class TestRankBoundedCounts:
         tilde = count_rank_bounded(3, 2, 8, tilde=True)
         for key, w in tilde.entries.items():
             assert w <= plain.entries.get(key, 0)
+
+
+class TestColumnScan:
+    """The column scan against the tally of the symbols it counts, which
+    ties the C tables to the objects."""
+
+    @pytest.mark.parametrize("tilde", [False, True])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_equals_tally_of_the_stream(self, k, tilde):
+        for i in range(1, k + 1):
+            for n in (0, 1, 5, 10, 12):
+                want = tally(rank_bounded_symbols(k, i, n, tilde), n)
+                assert count_rank_bounded(k, i, n, tilde) == want, (i, n)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_equals_tally_in_the_widened_window(self, k, monkeypatch):
+        from qpair.verify import _mutated_interval
+
+        monkeypatch.setenv("QPAIR_SELFTEST_MUTATION", "rank-interval")
+        for i in range(1, k + 1):
+            for tilde in (False, True):
+                lo, hi = rank_interval(k, i, tilde)
+                window = _mutated_interval(k, i, tilde)
+                assert window == (lo, hi + 1)
+                want = tally(rank_bounded_symbols(k, i, 10, tilde, interval=window), 10)
+                assert count_rank_bounded(k, i, 10, tilde, interval=window) == want, (i, tilde)
+
+    def test_empty_window_admits_only_the_empty_symbol(self):
+        # No rank lies in [1, 0], and the empty symbol has no ranks.
+        only_empty = CountTable(10, {(0, 0, 0): 1})
+        assert tally(rank_bounded_symbols(3, 2, 10, interval=(1, 0)), 10) == only_empty
+        assert count_rank_bounded(3, 2, 10, interval=(1, 0)) == only_empty
+
+    def test_bound_is_checked_before_ki(self):
+        with pytest.raises(BoundExceededError):
+            count_rank_bounded(1, 1, 8, bound=5)
+        with pytest.raises(ValueError, match="need k >= 2") as err:
+            count_rank_bounded(1, 1, 8)
+        assert not isinstance(err.value, BoundExceededError)
 
 
 def ref_rank_bounded(n_max, lo, hi):
