@@ -6,12 +6,13 @@ and its successive Durfee squares drive admissibility, the symbol
 conjugation that swaps the two small-part regions, and the fixed-point
 families.
 
-Both families are decided row by row: admissibility reads only the bottom
-row, and self-conjugacy compares a region of the top row with one of the
-bottom row.  So their count tables pair the rows of each length, a
-convolution for D and a hash join on the swap region for D~, and form no
-symbol.  The symbol streams serve the listings and are the reference the
-tables are tested against.
+Both families are decided row by row, each through the conjugated
+associated partition of a row: admissibility reads only the bottom row, and
+self-conjugacy compares a region of the top row with one of the bottom row.
+So their count tables pair partitions, a convolution for D and a hash join
+on the swap region for D~, add the rows' marks once, and form no row.  The
+symbol streams serve the listings and are the reference the tables are
+tested against.
 """
 
 from __future__ import annotations
@@ -23,13 +24,11 @@ from .counts import CountTable, check_bound
 from .frobenius import (
     FrobeniusSymbol,
     Row,
-    _plain_count,
     joichi_stanton_inverse,
     row_split,
-    rows_of,
     symbols_up_to,
 )
-from .overpartitions import check_ki
+from .overpartitions import check_ki, partitions
 
 Partition = tuple[int, ...]
 
@@ -76,20 +75,15 @@ def successive_sizes(parts, count: int) -> tuple[int, ...]:
 def _remove_parts(parts: Partition, removals) -> Partition | None:
     """Remove one occurrence of each requested value (zeros are free).
 
-    With nothing to remove, ``parts`` itself comes back, so the reductions
-    that :func:`_reduction` caches share the cached conjugated partitions.
+    With nothing to remove, ``parts`` itself comes back, so a reduction that
+    :func:`_reduction` caches is then its key, not a copy of it.
     """
-    if not any(removals):
-        return parts
     out = list(parts)
-    for v in removals:
-        if v == 0:
-            continue
-        if v in out:
-            out.remove(v)
-        else:
+    for v in filter(None, removals):
+        if v not in out:
             return None
-    return tuple(out)
+        out.remove(v)
+    return parts if len(out) == len(parts) else tuple(out)
 
 
 def _square_tuples(n2_max: int, depth: int):
@@ -127,23 +121,27 @@ def _row_with_lam_prime(row: Row, lam_p: Partition) -> Row:
 
 
 @lru_cache(maxsize=None)
-def _reduction(bottom: Row, k: int, i: int) -> Partition | None:
-    """The partition the (k, i) family reduces the bottom row to, or None.
+def _reduction(lam2p: Partition, length: int, k: int, i: int) -> Partition | None:
+    """The partition the (k, i) family reduces a bottom row of ``length``
+    entries and conjugated associated partition lam2p to, or None.
 
     Remove the would-be inserted parts of a candidate square-size tuple from
-    the conjugated associated partition; the residue counts when its first
-    k-2 successive squares reproduce the tuple.  The first such residue is
-    returned.  At k <= 5 no bottom row of length L and entry sum w has two
-    when L + w <= 20 (26,341 rows, the ``--deep`` grid).
-    ``tests/test_durfee.py`` checks this for L + w <= 12 and compares both
-    predicates with a reference that tries every tuple.
+    lam2p; the residue counts when its first k-2 successive squares
+    reproduce the tuple.  The first such residue is returned.  At k <= 5 no
+    lam2p of size w with parts <= L has two when L + w <= 20 (the ``--deep``
+    grid); ``tests/test_durfee.py`` checks this and compares both predicates
+    with a reference that tries every tuple.
     """
-    lam2p = _lam_prime(bottom)
-    for tup, removals in _insertions(len(bottom), k, i):
+    for tup, removals in _insertions(length, k, i):
         nu = _remove_parts(lam2p, removals)
         if nu is not None and successive_sizes(nu, k - 2) == tup:
             return nu
     return None
+
+
+def _admissible(nu: Partition | None, k: int) -> bool:
+    """Whether a bottom row with this reduction is (k, i)-admissible."""
+    return nu is not None and len(durfee_squares(nu)) <= k - 2
 
 
 def is_ki_admissible(f: FrobeniusSymbol, k: int, i: int) -> bool:
@@ -153,13 +151,7 @@ def is_ki_admissible(f: FrobeniusSymbol, k: int, i: int) -> bool:
     the 0th square size is the column count).
     """
     check_ki(k, i)
-    return _admissible_bottom(f.bottom, k, i)
-
-
-def _admissible_bottom(bottom: Row, k: int, i: int) -> bool:
-    """:func:`is_ki_admissible` of any symbol with this bottom row."""
-    nu = _reduction(bottom, k, i)
-    return nu is not None and len(durfee_squares(nu)) <= k - 2
+    return _admissible(_reduction(_lam_prime(f.bottom), f.columns, k, i), k)
 
 
 def conjugation_regions(f: FrobeniusSymbol, k: int) -> tuple[Partition, Partition] | None:
@@ -241,7 +233,7 @@ def is_self_ki_conjugate(f: FrobeniusSymbol, k: int, i: int) -> bool:
     bottom partition is the reduced partition itself.
     """
     check_ki(k, i)
-    nu = _reduction(f.bottom, k, i)
+    nu = _reduction(_lam_prime(f.bottom), f.columns, k, i)
     return nu is not None and _self_conjugate(_lam_prime(f.top), nu, k)
 
 
@@ -257,10 +249,6 @@ def self_conjugate_symbols(k: int, i: int, n_max: int):
     return ((n, f) for n, f in symbols_up_to(n_max) if is_self_ki_conjugate(f, k, i))
 
 
-# A CountTable is read-only, so each Durfee table is built once per process:
-# the four-way and bailey suites ask for the same ones.
-
-
 def count_admissible(k: int, i: int, n_max: int, bound: int | None = None) -> CountTable:
     """Table of (k, i)-admissible symbols by (s, t, n), without forming any.
 
@@ -269,17 +257,7 @@ def count_admissible(k: int, i: int, n_max: int, bound: int | None = None) -> Co
     """
     check_bound(n_max, bound)
     check_ki(k, i)
-    return _admissible_table(k, i, n_max)
-
-
-@lru_cache(maxsize=None)
-def _admissible_table(k: int, i: int, n_max: int) -> CountTable:
-    total: Counter = Counter()
-    for length in range(n_max + 1):
-        rows = _rows_by_weight(length, n_max)
-        bottoms = Counter((_plain_count(r), w) for w, r in rows if _admissible_bottom(r, k, i))
-        _pair_rows(total, _by_stats(rows), bottoms, length, n_max)
-    return CountTable(n_max, total)
+    return _durfee_table(k, i, n_max, False)
 
 
 def count_self_conjugate(k: int, i: int, n_max: int, bound: int | None = None) -> CountTable:
@@ -292,49 +270,64 @@ def count_self_conjugate(k: int, i: int, n_max: int, bound: int | None = None) -
     """
     check_bound(n_max, bound)
     check_ki(k, i)
-    return _self_conjugate_table(k, i, n_max)
+    return _durfee_table(k, i, n_max, True)
 
 
 @lru_cache(maxsize=None)
-def _self_conjugate_table(k: int, i: int, n_max: int) -> CountTable:
+def _durfee_table(k: int, i: int, n_max: int, tilde: bool) -> CountTable:
+    """The D table, or with ``tilde`` the D~ table, built once per process:
+    a CountTable is read-only, and the four-way and bailey suites share it.
+
+    By :func:`row_split` the rows of length L are the pairs of a partition
+    lam' with parts <= L, the conjugated associated partition, and a set of
+    distinct marks below L.  So the rows are paired by lam' alone, counted
+    by size, and the marks are added once per length.
+    """
     total: Counter = Counter()
     for length in range(n_max + 1):
-        rows = _rows_by_weight(length, n_max)
-        identity: Counter = Counter()
-        by_region = defaultdict(Counter)
-        for w, bottom in rows:
-            nu = _reduction(bottom, k, i)
-            if nu is not None:
-                split = _bottom_region(nu, k)
-                (identity if split is None else by_region[split])[_plain_count(bottom), w] += 1
-        _pair_rows(total, _by_stats(rows), identity, length, n_max)
-        tops = [(_lam_prime(r), _plain_count(r), w) for w, r in rows]
+        room = n_max - length
+        lams = [(size, lam) for size in range(room + 1) for lam in partitions(size, length)]
+        # Bottom partitions by size, keyed by the tops they pair with: None
+        # for every top, or for D~ the (cut, G2) that a top's G1 must match.
+        bottoms = defaultdict(Counter)
+        for size, lam in lams:
+            nu = _reduction(lam, length, k, i)
+            if nu is not None and (tilde or _admissible(nu, k)):
+                bottoms[_bottom_region(nu, k) if tilde else None][size] += 1
         by_cut = {}
-        for cut in {cut for cut, _ in by_region}:
-            groups = by_cut[cut] = defaultdict(Counter)
-            for lam1p, t, w in tops:
-                groups[_top_region(lam1p, cut)][t, w] += 1
-        for (cut, g2), bottoms in by_region.items():
-            _pair_rows(total, by_cut[cut].get(g2, {}), bottoms, length, n_max)
+        pairs: Counter = Counter()
+        for key, below in bottoms.items():
+            if key is None:
+                above = Counter(size for size, _ in lams)
+            else:
+                cut, g2 = key
+                if cut not in by_cut:
+                    by_cut[cut] = defaultdict(Counter)
+                    for size, lam in lams:
+                        by_cut[cut][_top_region(lam, cut)][size] += 1
+                above = by_cut[cut].get(g2, {})
+            for w1, top in above.items():
+                for w2, bottom in below.items():
+                    pairs[w1 + w2] += top * bottom
+        for (s, t, m), ways in _marks(length, room).items():
+            for size, count in pairs.items():
+                if size + m <= room:
+                    total[s, t, length + size + m] += count * ways
     return CountTable(n_max, total)
 
 
-def _rows_by_weight(length: int, n_max: int) -> list[tuple[int, Row]]:
-    """``(entry sum, row)`` for each row of the given length that fits in a
-    symbol of weight <= n_max."""
-    return [(w, r) for w in range(n_max - length + 1) for r in rows_of(length, w)]
-
-
-def _by_stats(rows) -> Counter:
-    """Rows counted by (non-overlined entries, entry sum)."""
-    return Counter((_plain_count(r), w) for w, r in rows)
-
-
-def _pair_rows(into: Counter, tops, bottoms, length: int, n_max: int) -> None:
-    """Add each top row counted by (t, w1) paired with each bottom row
-    counted by (s, w2) into ``into`` at (s, t, length + w1 + w2) <= n_max."""
-    for (t, w1), top in tops.items():
-        for (s, w2), bottom in bottoms.items():
-            n = length + w1 + w2
-            if n <= n_max:
-                into[s, t, n] += top * bottom
+def _marks(length: int, room: int) -> Counter:
+    """The ways to mark a top and a bottom row of ``length`` entries by
+    (s, t, m <= room), m the sum of all marks: c marks leave a row
+    length - c plain entries."""
+    row = Counter({(0, 0): 1})
+    for v in range(length):
+        for (c, m), ways in list(row.items()):
+            if m + v <= room:
+                row[c + 1, m + v] += ways
+    both: Counter = Counter()
+    for (c1, m1), top in row.items():
+        for (c2, m2), bottom in row.items():
+            if m1 + m2 <= room:
+                both[length - c2, length - c1, m1 + m2] += top * bottom
+    return both

@@ -41,7 +41,8 @@ def canonical_row(row) -> Row:
     """The canonical form of a row of (size, overlined) parts.
 
     Equal rows come back as one shared tuple, so the row-keyed caches below
-    and in :mod:`qpair.durfee` see each distinct row once.
+    and in :mod:`qpair.durfee` see each distinct row once: a canonical row
+    of (int, bool) parts is its own key, since (3, 1) == (3, True).
     """
     if type(row) is not tuple:
         row = tuple(tuple(part) for part in row)
@@ -51,7 +52,9 @@ def canonical_row(row) -> Row:
 @lru_cache(maxsize=None)
 def _canonical_row(row: tuple) -> Row:
     out = canonical_parts(row, min_part=0)
-    return out if out == row else _canonical_row(out)
+    if out == row and all(type(s) is int and type(o) is bool for s, o in row):
+        return row
+    return _canonical_row(out)
 
 
 class FrobeniusSymbol:

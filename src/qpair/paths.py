@@ -309,7 +309,10 @@ def count_paths(k: int, i: int, n_max: int, even: bool = False,
                 out[s + ds, t + dt, m + major] += c
         return out
 
-    return CountTable(n_max, completions(0, k - i, None, 0, n_max))
+    try:
+        return CountTable(n_max, completions(0, k - i, None, 0, n_max))
+    finally:  # The memo refers to itself: a cycle that would outlive the call.
+        completions.cache_clear()
 
 
 # ------------------------------------------------------------------ bijection

@@ -339,12 +339,16 @@ class TestVerifyCommand:
     def test_no_suite_builds_a_pair(self, monkeypatch):
         # Every B, C and D table is counted without objects and every
         # corollary A side comes from a product over part sizes: a verify run
-        # over all suites builds no overpartition, pair, symbol or path, and
-        # each B table once.
-        from qpair import frobenius, overpartitions, paths
+        # over all suites builds no overpartition, pair, row, symbol or path,
+        # and each B table once.
+        from qpair import durfee, frobenius, overpartitions, paths
         from qpair.verify import SUITES, VerifyConfig, run_suite
 
         calls = []
+        # A module holding its own name for rows_of would pass the spy, but
+        # would still look rows up in its cache.
+        rows_of = frobenius.rows_of
+        rows_looked_up = rows_of.cache_info()
 
         def spy(module, name):
             fn = getattr(module, name)
@@ -356,14 +360,16 @@ class TestVerifyCommand:
 
         table = overpartitions._frequency_table
         table.cache_clear()
+        durfee._durfee_table.cache_clear()
         for module, name in ((overpartitions, "overpartitions_of"), (overpartitions, "pairs_of"),
-                             (frobenius, "symbols_of"), (paths, "_paths_up_to"),
-                             (overpartitions, "_frequency_table")):
+                             (frobenius, "rows_of"), (frobenius, "symbols_of"),
+                             (paths, "_paths_up_to"), (overpartitions, "_frequency_table")):
             spy(module, name)
         cfg = VerifyConfig(k_values=(2, 3), cutoff=6, n_max=4)
         assert all(run_suite(name, cfg).ok for name in SUITES)
         keys = [args for name, args in calls if name == "_frequency_table"]
         assert [name for name, _ in calls if name != "_frequency_table"] == []
+        assert rows_of.cache_info() == rows_looked_up
         assert len(keys) > len(set(keys)) and table.cache_info().misses == len(set(keys))
 
     def test_unknown_suite_usage_error(self):

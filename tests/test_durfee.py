@@ -1,4 +1,7 @@
+import hashlib
+from collections import Counter
 from functools import partial
+from itertools import combinations
 
 import pytest
 
@@ -19,8 +22,15 @@ from qpair.durfee import (
     successive_sizes,
 )
 from qpair.counts import BoundExceededError, tally
-from qpair.durfee import _lam_prime, _remove_parts, _self_conjugate_table, _square_tuples
-from qpair.frobenius import FrobeniusSymbol, joichi_stanton, row_split, rows_of, symbols_of
+from qpair.durfee import _remove_parts, _square_tuples
+from qpair.frobenius import (
+    FrobeniusSymbol,
+    _plain_count,
+    joichi_stanton,
+    row_split,
+    rows_of,
+    symbols_of,
+)
 from qpair.overpartitions import canonical_parts, count_frequency_pairs, partitions
 
 
@@ -281,26 +291,64 @@ class TestCachedLayerOracle:
         assert type(durfee_squares((5, 3, 3, 1))) is tuple
         assert type(conjugation_regions(PI, 4)[0]) is tuple
 
-    def test_row_split_runs_once_per_row(self, monkeypatch):
-        split = []
-        monkeypatch.setattr(durfee, "row_split", lambda row: split.append(row) or row_split(row))
-        _lam_prime.cache_clear()
-        _self_conjugate_table.cache_clear()
-        count_self_conjugate(3, 2, 8)
-        rows = {r for n in range(9) for f in symbols_of(n) for r in (f.top, f.bottom)}
-        assert len(split) == len(set(split)) == len(rows)
+    def test_tables_build_no_row(self, monkeypatch):
+        calls = []
+        for name in ("row_split", "_lam_prime"):
+            fn = getattr(durfee, name)
+            monkeypatch.setattr(durfee, name, lambda row, fn=fn: calls.append(row) or fn(row))
+        durfee._durfee_table.cache_clear()
+        count_admissible(3, 2, 10)
+        count_self_conjugate(3, 2, 10)
+        assert calls == []
+        is_ki_admissible(PI, 3, 2)
+        assert calls, "the spies see the predicates, which read rows"
 
     def test_at_most_one_tuple_leaves_a_residue(self):
-        # _reduction returns the first residue it finds.  Every bottom row
-        # of length L and entry sum w with L + w <= 12, so every bottom row
-        # of a symbol of weight <= 12, leaves at most one.
+        # _reduction returns the first residue it finds.  No conjugated
+        # associated partition of size w with parts <= L, so no bottom row
+        # of length L and entry sum at least w, leaves two when
+        # L + w <= 20: every bottom row of a symbol of weight <= 20.
+        for length in range(21):
+            lams = [lam for size in range(21 - length) for lam in partitions(size, length)]
+            for k in (2, 3, 4, 5):
+                for i in range(1, k + 1):
+                    insertions = list(ref_insertions(length, k, i))
+                    for lam2p in lams:
+                        residues = [tup for tup, removals in insertions
+                                    if (nu := _remove_parts(lam2p, removals)) is not None
+                                    and ref_sizes(nu, k - 2) == tup]
+                        assert len(residues) <= 1, (lam2p, length, k, i, residues)
+
+
+class TestPartitionsAndMarks:
+    """The row split that the Durfee tables count by, and the tables past
+    the weights the symbol streams reach."""
+
+    def test_rows_are_partitions_times_marks(self):
+        # The rows of length L and entry sum w with p plain entries are the
+        # partitions with parts <= L of size w - m times the sets of L - p
+        # distinct marks below L of sum m.
         for length in range(13):
             for total in range(13 - length):
-                for bottom in rows_of(length, total):
-                    lam2p = ref_lam_prime(bottom)
-                    for k in (2, 3, 4, 5):
-                        for i in range(1, k + 1):
-                            residues = [tup for tup, removals in ref_insertions(length, k, i)
-                                        if (nu := _remove_parts(lam2p, removals)) is not None
-                                        and ref_sizes(nu, k - 2) == tup]
-                            assert len(residues) <= 1, (bottom, k, i, residues)
+                want = Counter()
+                for c in range(length + 1):
+                    for marks in combinations(range(length), c):
+                        rest = total - sum(marks)
+                        if rest >= 0:
+                            want[length - c] += sum(1 for _ in partitions(rest, length))
+                got = Counter(_plain_count(r) for r in rows_of(length, total))
+                assert got == want, (length, total)
+
+    @pytest.mark.parametrize("count,k,i,digest", [
+        (count_admissible, 2, 2, "3d2c5cd2c3d8ba5aaebd2823ff846797fabdc220f2441808d1e3feb279445b3c"),
+        (count_admissible, 3, 2, "f4d9509412fb8cce1ac34b44cc3b12898015e2be89174e1b49e8ba652279fb99"),
+        (count_admissible, 3, 3, "02536f5e62977036bbb993fa05547026b86238ab3a577f415a4addf8453afc16"),
+        (count_self_conjugate, 2, 2, "59ca0bf04656992708fbfd6f969470ed3c189f8ec53a030b33d13285e9fd25a0"),
+        (count_self_conjugate, 3, 2, "d769707dcc6d6019e496029ed44b6d6ac6ce2264012a0373bdeb1f39d2039b7b"),
+        (count_self_conjugate, 3, 3, "354139b4995786e4b4078bc8851a4c82b10a1f3cf8993977bbf3a628e597a47a"),
+    ])
+    def test_pinned_tables_at_weight_20(self, count, k, i, digest):
+        # Pinned from the row-by-row tables, which the tally tests above
+        # tie to the symbol streams.
+        table = count(k, i, 20, bound=20)
+        assert hashlib.sha256(table.to_json().encode()).hexdigest() == digest

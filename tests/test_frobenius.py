@@ -3,6 +3,7 @@ import pytest
 from qpair.counts import BoundExceededError, CountTable, tally
 from qpair.frobenius import (
     FrobeniusSymbol,
+    canonical_row,
     count_rank_bounded,
     joichi_stanton,
     joichi_stanton_inverse,
@@ -264,6 +265,18 @@ class TestCanonicalRows:
     def test_inverse_returns_the_shared_row(self):
         r = rows_of(3, 4)[5]
         assert joichi_stanton_inverse(*joichi_stanton(r)) is r
+
+    def test_a_new_canonical_row_is_its_own_key(self):
+        # No second copy of a row that is already canonical.
+        r = tuple((size, over) for size, over in [(103, True), (103, False), (101, False)])
+        assert canonical_row(r) is r
+        assert canonical_row(list(r)) is r
+
+    def test_int_flags_come_back_as_bools(self):
+        # (3, 1) == (3, True), so the canonical form must not be the key.
+        r = canonical_row(((3, 1),))
+        assert r == ((3, True),) and type(r[0][1]) is bool
+        assert canonical_row([(3, True)]) is r
 
 
 def reference_joichi_stanton(row):

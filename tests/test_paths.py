@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 
 from qpair.counts import tally
@@ -163,6 +166,20 @@ class TestMemoisedWalk:
             for n in (0, 1, 5, 10):
                 want = tally(paths_up_to(k, i, n, even), n)
                 assert count_paths(k, i, n, even) == want, (i, n)
+
+    def test_memo_does_not_outlive_the_call(self):
+        # The memo refers to itself; with the cycle collector off, a memo
+        # kept after the call held 3.7 MB here.
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            count_paths(3, 2, 16, bound=16)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert held < 1_000_000
 
 
 _REF_MOVES = {"NE": (1, 1), "SE": (1, -1), "S": (0, -1), "SW": (-1, -1), "E": (1, 0)}
