@@ -122,25 +122,23 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-# family -> builder(k, i, cutoff, var_cap).  The lambdas look the builders up
+# family -> builder(k, i, cutoff).  The lambdas look the builders up
 # when called, never at import.
 SERIES_FAMILIES = {
-    "R": lambda k, i, c, cap: series_R(k, i, c, var_cap=cap),
-    "Rtilde": lambda k, i, c, cap: series_R_tilde(k, i, c, var_cap=cap),
-    "Htilde": lambda k, i, c, cap: series_H_tilde(k, i, c, var_cap=cap),
-    "Jtilde": lambda k, i, c, cap: series_J_tilde(k, i, c, var_cap=cap),
-    "bilateral-R": lambda k, i, c, cap: series_R_bilateral(k, i, c, var_cap=cap),
-    "bilateral-Rtilde": lambda k, i, c, cap: series_R_tilde_bilateral(k, i, c, var_cap=cap),
-    "multisum-D": lambda k, i, c, cap: multisum_admissible(k, i, c, var_cap=cap),
-    "multisum-Dtilde": lambda k, i, c, cap: multisum_self_conjugate(k, i, c, var_cap=cap),
+    "R": lambda k, i, c: series_R(k, i, c),
+    "Rtilde": lambda k, i, c: series_R_tilde(k, i, c),
+    "Htilde": lambda k, i, c: series_H_tilde(k, i, c),
+    "Jtilde": lambda k, i, c: series_J_tilde(k, i, c),
+    "bilateral-R": lambda k, i, c: series_R_bilateral(k, i, c),
+    "bilateral-Rtilde": lambda k, i, c: series_R_tilde_bilateral(k, i, c),
+    "multisum-D": lambda k, i, c: multisum_admissible(k, i, c),
+    "multisum-Dtilde": lambda k, i, c: multisum_self_conjugate(k, i, c),
 }
 
 
 def cmd_series(args) -> int:
     c = _setting(args.cutoff, "--cutoff", "QPAIR_CUTOFF", 12, 1)
-    if args.var_cap is not None and args.var_cap < 0:
-        raise ValueError(f"--var-cap must be at least 0, got {args.var_cap}")
-    series = SERIES_FAMILIES[args.family](args.k, args.i, c, args.var_cap)
+    series = SERIES_FAMILIES[args.family](args.k, args.i, c)
     subs = {}
     for name in ("a", "b", "x"):
         expr = getattr(args, f"sub_{name}")
@@ -293,7 +291,6 @@ def _add_common_series_args(p):
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-i", type=int, required=True)
     p.add_argument("--cutoff", type=int, default=None)
-    p.add_argument("--var-cap", type=int, default=None)
     p.add_argument("--sub-a", default=None, metavar="EXPR", help="substitute a (e.g. 1, -i, q^-1)")
     p.add_argument("--sub-b", default=None, metavar="EXPR")
     p.add_argument("--sub-x", default=None, metavar="EXPR")

@@ -75,8 +75,7 @@ def successive_sizes(parts, count: int) -> tuple[int, ...]:
 def _remove_parts(parts: Partition, removals) -> Partition | None:
     """Remove one occurrence of each requested value (zeros are free).
 
-    With nothing to remove, ``parts`` itself comes back, so a reduction that
-    :func:`_reduction` caches is then its key, not a copy of it.
+    With nothing to remove, ``parts`` itself comes back, not a copy of it.
     """
     out = list(parts)
     for v in filter(None, removals):
@@ -120,7 +119,6 @@ def _row_with_lam_prime(row: Row, lam_p: Partition) -> Row:
     return joichi_stanton_inverse(assoc, row_split(row)[1])
 
 
-@lru_cache(maxsize=None)
 def _reduction(lam2p: Partition, length: int, k: int, i: int) -> Partition | None:
     """The partition the (k, i) family reduces a bottom row of ``length``
     entries and conjugated associated partition lam2p to, or None.
@@ -130,13 +128,21 @@ def _reduction(lam2p: Partition, length: int, k: int, i: int) -> Partition | Non
     reproduce the tuple.  The first such residue is returned.  At k <= 5 no
     lam2p of size w with parts <= L has two when L + w <= 20 (the ``--deep``
     grid); ``tests/test_durfee.py`` checks this and compares both predicates
-    with a reference that tries every tuple.
+    with a reference that tries every tuple.  Not cached: the Durfee tables
+    ask for each (lam2p, length) once per table.
     """
     for tup, removals in _insertions(length, k, i):
         nu = _remove_parts(lam2p, removals)
         if nu is not None and successive_sizes(nu, k - 2) == tup:
             return nu
     return None
+
+
+@lru_cache(maxsize=None)
+def _row_reduction(row: Row, k: int, i: int) -> Partition | None:
+    """:func:`_reduction` of a bottom row, cached by row for the predicates,
+    which the symbol streams ask about every symbol sharing that row."""
+    return _reduction(_lam_prime(row), len(row), k, i)
 
 
 def _admissible(nu: Partition | None, k: int) -> bool:
@@ -151,7 +157,7 @@ def is_ki_admissible(f: FrobeniusSymbol, k: int, i: int) -> bool:
     the 0th square size is the column count).
     """
     check_ki(k, i)
-    return _admissible(_reduction(_lam_prime(f.bottom), f.columns, k, i), k)
+    return _admissible(_row_reduction(f.bottom, k, i), k)
 
 
 def conjugation_regions(f: FrobeniusSymbol, k: int) -> tuple[Partition, Partition] | None:
@@ -233,7 +239,7 @@ def is_self_ki_conjugate(f: FrobeniusSymbol, k: int, i: int) -> bool:
     bottom partition is the reduced partition itself.
     """
     check_ki(k, i)
-    nu = _reduction(_lam_prime(f.bottom), f.columns, k, i)
+    nu = _row_reduction(f.bottom, k, i)
     return nu is not None and _self_conjugate(_lam_prime(f.top), nu, k)
 
 

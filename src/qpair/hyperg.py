@@ -31,8 +31,7 @@ from math import isqrt
 from .gaussint import cneg, is_unit, unit_pow
 from .overpartitions import check_ki
 from .qtools import f_poly, inv_qfactors, inv_qpoch
-from .series import (INF, Monomial, TruncatedSeries, geometric, mono, over_one_minus, pochhammer, qproduct,
-                     times_one_minus, var_cap_for)
+from .series import Monomial, TruncatedSeries, geometric, mono, over_one_minus, pochhammer, qproduct, times_one_minus
 
 # Bases of (-aq, -bq; q)_inf / (q, abq; q)_inf, the x = 1 prefactor.  The
 # Bailey lattice prefactor and its undoing in the verify suites regroup them.
@@ -51,7 +50,7 @@ def r_exponent(k: int, i: int, n: int, tilde: bool) -> int:
     return k * n * n + (k - i + 1) * n - n * (n - 1) // 2
 
 
-def _bracket_numerator(n: int, i: int, q_cutoff: int, var_cap: int) -> TruncatedSeries:
+def _bracket_numerator(n: int, i: int, q_cutoff: int) -> TruncatedSeries:
     """(1 + axq^(n+1))(1 + bxq^(n+1)) - x^i q^(2n(i-1)+i) (a + q^n)(b + q^n)."""
     g = 2 * n * (i - 1) + i
     monos = [
@@ -64,22 +63,22 @@ def _bracket_numerator(n: int, i: int, q_cutoff: int, var_cap: int) -> Truncated
         mono(-1, b=1, x=i, q=g + n),
         mono(-1, x=i, q=g + 2 * n),
     ]
-    return TruncatedSeries.poly(monos).truncated(q_cutoff, var_cap)
+    return TruncatedSeries.poly(monos).truncated(q_cutoff)
 
 
 @lru_cache(maxsize=None)
-def _R_family(k: int, i: int, q_cutoff: int, cap: int, tilde: bool) -> TruncatedSeries:
+def _R_family(k: int, i: int, q_cutoff: int, tilde: bool) -> TruncatedSeries:
     """The plain (``tilde=False``) or even-moduli four-variable family member.
 
     The two differ in the summand exponent, the x-power (k or k-1), the
     factor (xq; q)_n or (x^2q^2; q^2)_n, and the q^n or q^2n step of the
     inverse chain.  Built once per process for the suites that share it;
-    callers pass the resolved cap and ``tilde`` positionally, one key each.
+    callers pass ``tilde`` positionally, one key each.
     """
     step = 2 if tilde else 1
-    total = TruncatedSeries.zero(q_cutoff, cap)
-    x_poch = TruncatedSeries.one(q_cutoff, cap)
-    inv_chain = over_one_minus(geometric(mono(-1, a=1, x=1, q=1), q_cutoff, cap), mono(-1, b=1, x=1, q=1))
+    total = TruncatedSeries.zero(q_cutoff)
+    x_poch = TruncatedSeries.one(q_cutoff)
+    inv_chain = over_one_minus(geometric(mono(-1, a=1, x=1, q=1), q_cutoff), mono(-1, b=1, x=1, q=1))
     n = 0
     while True:
         e_n = r_exponent(k, i, n, tilde)
@@ -87,8 +86,8 @@ def _R_family(k: int, i: int, q_cutoff: int, cap: int, tilde: bool) -> Truncated
             break
         room = q_cutoff - e_n
         x_poch, inv_chain = x_poch.truncated(room), inv_chain.truncated(room)
-        term = f_poly(n, q_cutoff, cap).truncated(room) * x_poch * inv_chain
-        term = term * _bracket_numerator(n, i, room, cap)
+        term = f_poly(n, q_cutoff).truncated(room) * x_poch * inv_chain
+        term = term * _bracket_numerator(n, i, room)
         total = total + term.times_monomial(mono(-1 if n % 2 else 1, x=(k - 1 if tilde else k) * n, q=e_n))
         n += 1
         x_poch = times_one_minus(x_poch, mono(1, x=step, q=step * n))
@@ -100,29 +99,27 @@ def _R_family(k: int, i: int, q_cutoff: int, cap: int, tilde: bool) -> Truncated
                     (mono(1, x=1, q=1), mono(1, a=1, b=1, x=1, q=1)))
 
 
-def series_R(k: int, i: int, q_cutoff: int, var_cap: int | None = None,
-             x_one: bool = False) -> TruncatedSeries:
+def series_R(k: int, i: int, q_cutoff: int, x_one: bool = False) -> TruncatedSeries:
     """The plain four-variable family member, truncated at ``q_cutoff``.
 
     At x = 1 (the flag) it is the two-sided sum :func:`series_R_bilateral`.
     """
     if x_one:
-        return series_R_bilateral(k, i, q_cutoff, var_cap)
+        return series_R_bilateral(k, i, q_cutoff)
     check_ki(k, i)
-    return _R_family(k, i, q_cutoff, var_cap_for(q_cutoff, var_cap), False)
+    return _R_family(k, i, q_cutoff, False)
 
 
-def series_R_tilde(k: int, i: int, q_cutoff: int, var_cap: int | None = None,
-                   x_one: bool = False) -> TruncatedSeries:
+def series_R_tilde(k: int, i: int, q_cutoff: int, x_one: bool = False) -> TruncatedSeries:
     """The even-moduli four-variable family member; at x = 1 (the flag),
     :func:`series_R_tilde_bilateral`."""
     if x_one:
-        return series_R_tilde_bilateral(k, i, q_cutoff, var_cap)
+        return series_R_tilde_bilateral(k, i, q_cutoff)
     check_ki(k, i)
-    return _R_family(k, i, q_cutoff, var_cap_for(q_cutoff, var_cap), True)
+    return _R_family(k, i, q_cutoff, True)
 
 
-def series_H_tilde(k: int, i: int, q_cutoff: int, var_cap: int | None = None) -> TruncatedSeries:
+def series_H_tilde(k: int, i: int, q_cutoff: int) -> TruncatedSeries:
     """The auxiliary H-series (k >= 1, any integer i).
 
     The engine keeps x-degrees nonnegative, so for i < 0 the returned
@@ -132,15 +129,14 @@ def series_H_tilde(k: int, i: int, q_cutoff: int, var_cap: int | None = None) ->
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got k={k}")
-    cap = var_cap_for(q_cutoff, var_cap)
     absi = abs(i)
     if k == 1 and absi >= 2:
         raise ValueError(f"summand exponents do not grow for k=1, |i|={absi}: no truncation")
     xshift = absi if i < 0 else 0
 
-    total = TruncatedSeries.zero(q_cutoff, cap)
-    x2q2_prev = TruncatedSeries.one(q_cutoff, cap)  # (x^2 q^2; q^2)_{n-1}
-    inv_chain = TruncatedSeries.one(q_cutoff, cap)
+    total = TruncatedSeries.zero(q_cutoff)
+    x2q2_prev = TruncatedSeries.one(q_cutoff)  # (x^2 q^2; q^2)_{n-1}
+    inv_chain = TruncatedSeries.one(q_cutoff)
     n = 0
     while True:
         low = (k - 1) * n * n + (2 - absi) * n
@@ -154,19 +150,19 @@ def series_H_tilde(k: int, i: int, q_cutoff: int, var_cap: int | None = None) ->
         x2q2_prev, inv_chain = x2q2_prev.truncated(room), inv_chain.truncated(room)
         if n == 0:
             if i == 0:
-                t_n = TruncatedSeries.zero(q_cutoff, cap)
+                t_n = TruncatedSeries.zero(q_cutoff)
             elif i > 0:
-                t_n = TruncatedSeries.poly([mono(1, x=l) for l in range(i)]).truncated(q_cutoff, cap)
+                t_n = TruncatedSeries.poly([mono(1, x=l) for l in range(i)]).truncated(q_cutoff)
             else:
-                t_n = TruncatedSeries.poly([mono(-1, x=l) for l in range(absi)]).truncated(q_cutoff, cap)
+                t_n = TruncatedSeries.poly([mono(-1, x=l) for l in range(absi)]).truncated(q_cutoff)
         else:
             one_plus_x = TruncatedSeries.poly([mono(1), mono(1, x=1)])
             if i >= 0:
                 factor = TruncatedSeries.poly([mono(1, x=xshift), mono(-1, x=xshift + i, q=2 * n * i)])
             else:
                 factor = TruncatedSeries.poly([mono(1, x=absi), mono(-1, q=2 * n * i)])
-            t_n = (x2q2_prev * one_plus_x * factor).truncated(q_cutoff, cap)
-        term = f_poly(n, q_cutoff, cap).truncated(room) * t_n * inv_chain
+            t_n = (x2q2_prev * one_plus_x * factor).truncated(q_cutoff)
+        term = f_poly(n, q_cutoff).truncated(room) * t_n * inv_chain
         total = total + term.times_monomial(mono(-1 if n % 2 else 1, x=(k - 1) * n, q=d_n))
         n += 1
         if n >= 2:
@@ -178,9 +174,9 @@ def series_H_tilde(k: int, i: int, q_cutoff: int, var_cap: int | None = None) ->
     return qproduct(total, (mono(-1, a=1, x=1, q=1), mono(-1, b=1, x=1, q=1)), (mono(1, x=1, q=1),))
 
 
-def series_J_tilde(k: int, i: int, q_cutoff: int, var_cap: int | None = None) -> TruncatedSeries:
+def series_J_tilde(k: int, i: int, q_cutoff: int) -> TruncatedSeries:
     """The J-series, (abxq)_inf times the even-moduli series."""
-    return qproduct(series_R_tilde(k, i, q_cutoff, var_cap), (mono(1, a=1, b=1, x=1, q=1),))
+    return qproduct(series_R_tilde(k, i, q_cutoff), (mono(1, a=1, b=1, x=1, q=1),))
 
 
 def j_tilde_from_h(h_i: TruncatedSeries, h_i1: TruncatedSeries, h_i2: TruncatedSeries,
@@ -188,7 +184,7 @@ def j_tilde_from_h(h_i: TruncatedSeries, h_i1: TruncatedSeries, h_i2: TruncatedS
     """The J-series at index i >= 1 from the shifted H-series three-term relation.
 
     ``h_i``, ``h_i1`` and ``h_i2`` are :func:`series_H_tilde` at i, i-1 and
-    i-2 for the same k, cutoff and cap.  For i = 1 the last is stored as
+    i-2 for the same k and cutoff.  For i = 1 the last is stored as
     x * H(-1), and abx^2q^2 H(-1)(xq) = abxq times it, shifted.
     """
     if i < 1:
@@ -201,9 +197,9 @@ def j_tilde_from_h(h_i: TruncatedSeries, h_i1: TruncatedSeries, h_i2: TruncatedS
 # ------------------------------------------------------------------ bilateral forms
 
 
-def _bilateral(k: int, i: int, q_cutoff: int, cap: int, tilde: bool) -> TruncatedSeries:
-    total = TruncatedSeries.zero(q_cutoff, cap)
-    inv_chain = TruncatedSeries.one(q_cutoff, cap)
+def _bilateral(k: int, i: int, q_cutoff: int, tilde: bool) -> TruncatedSeries:
+    total = TruncatedSeries.zero(q_cutoff)
+    inv_chain = TruncatedSeries.one(q_cutoff)
     n = 0
     while True:
         e_pos = r_exponent(k, i, n, tilde)
@@ -214,7 +210,7 @@ def _bilateral(k: int, i: int, q_cutoff: int, cap: int, tilde: bool) -> Truncate
         # Both exponents are nonnegative and only grow with n.
         room = q_cutoff - (e_pos if e_neg is None else min(e_pos, e_neg))
         inv_chain = inv_chain.truncated(room)
-        term = f_poly(n, q_cutoff, cap).truncated(room) * inv_chain
+        term = f_poly(n, q_cutoff).truncated(room) * inv_chain
         if e_pos < q_cutoff:
             total = total + term.times_monomial(mono(sign, q=e_pos))
         if e_neg is not None and e_neg < q_cutoff:
@@ -225,15 +221,15 @@ def _bilateral(k: int, i: int, q_cutoff: int, cap: int, tilde: bool) -> Truncate
     return qproduct(total, (NEG_AQ, NEG_BQ), (Q, ABQ))
 
 
-def series_R_bilateral(k: int, i: int, q_cutoff: int, var_cap: int | None = None) -> TruncatedSeries:
+def series_R_bilateral(k: int, i: int, q_cutoff: int) -> TruncatedSeries:
     """The x = 1 form as a two-sided sum in three variables."""
     check_ki(k, i)
-    return _bilateral(k, i, q_cutoff, var_cap_for(q_cutoff, var_cap), tilde=False)
+    return _bilateral(k, i, q_cutoff, tilde=False)
 
 
-def series_R_tilde_bilateral(k: int, i: int, q_cutoff: int, var_cap: int | None = None) -> TruncatedSeries:
+def series_R_tilde_bilateral(k: int, i: int, q_cutoff: int) -> TruncatedSeries:
     check_ki(k, i)
-    return _bilateral(k, i, q_cutoff, var_cap_for(q_cutoff, var_cap), tilde=True)
+    return _bilateral(k, i, q_cutoff, tilde=True)
 
 
 # ------------------------------------------------------------------ classic identities
@@ -248,7 +244,6 @@ def jacobi_triple_product(z: Monomial, q_cutoff: int) -> tuple[TruncatedSeries, 
     u, e = z.coeff, z.q
     if z.a or z.b or z.x or not is_unit(u):
         raise ValueError("z must be a Gaussian unit times a power of q")
-    cap = q_cutoff
     terms = []
     n = 0
     while True:
@@ -261,14 +256,13 @@ def jacobi_triple_product(z: Monomial, q_cutoff: int) -> tuple[TruncatedSeries, 
         if not hit and n * n - abs(e) * n >= q_cutoff:
             break
         n += 1
-    lhs = TruncatedSeries.poly(terms).truncated(q_cutoff, cap)
-    rhs = qproduct(TruncatedSeries.one(q_cutoff, cap),
+    lhs = TruncatedSeries.poly(terms).truncated(q_cutoff)
+    rhs = qproduct(TruncatedSeries.one(q_cutoff),
                    (mono(cneg(u), q=e + 1), mono(cneg(unit_pow(u, -1)), q=1 - e), mono(1, q=2)), step=2)
     return lhs, rhs
 
 
-def q_gauss_sides(n: int, q_cutoff: int, var_cap: int | None = None
-                  ) -> tuple[TruncatedSeries, TruncatedSeries]:
+def q_gauss_sides(n: int, q_cutoff: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     """Both sides of the two-variable summation lemma, for any integer n.
 
     The left side sums over N >= |n|.  The negative-index product
@@ -276,13 +270,12 @@ def q_gauss_sides(n: int, q_cutoff: int, var_cap: int | None = None
     are built from m = |n| alone: the sides at -n and n are one computation,
     and comparing them cannot fail.
     """
-    cap = var_cap_for(q_cutoff, var_cap)
     m = abs(n)
-    poch_ab_m = pochhammer(NEG_AQ, m, q_cutoff, cap) * pochhammer(NEG_BQ, m, q_cutoff, cap)
-    lhs = TruncatedSeries.zero(q_cutoff, cap)
-    running = TruncatedSeries.one(q_cutoff, cap)  # prod_{j=m}^{N-1} (a+q^j)(b+q^j)
-    inv_lo = TruncatedSeries.one(q_cutoff, cap)  # 1/(q)_{N-m}
-    inv_hi = inv_qpoch(2 * m, q_cutoff, cap)  # 1/(q)_{N+m}
+    poch_ab_m = pochhammer(NEG_AQ, m, q_cutoff) * pochhammer(NEG_BQ, m, q_cutoff)
+    lhs = TruncatedSeries.zero(q_cutoff)
+    running = TruncatedSeries.one(q_cutoff)  # prod_{j=m}^{N-1} (a+q^j)(b+q^j)
+    inv_lo = TruncatedSeries.one(q_cutoff)  # 1/(q)_{N-m}
+    inv_hi = inv_qpoch(2 * m, q_cutoff)  # 1/(q)_{N+m}
     big_n = m
     while big_n - m < q_cutoff:
         room = q_cutoff - (big_n - m)
@@ -296,7 +289,7 @@ def q_gauss_sides(n: int, q_cutoff: int, var_cap: int | None = None
         running = running * TruncatedSeries.poly([mono(1, b=1), mono(1, q=j)])
         inv_lo = over_one_minus(inv_lo, mono(1, q=big_n - m))
         inv_hi = over_one_minus(inv_hi, mono(1, q=big_n + m))
-    return lhs, qproduct(TruncatedSeries.one(q_cutoff, cap), (NEG_AQ, NEG_BQ), (Q, ABQ))
+    return lhs, qproduct(TruncatedSeries.one(q_cutoff), (NEG_AQ, NEG_BQ), (Q, ABQ))
 
 
 # ------------------------------------------------------------------ Bailey machinery
@@ -320,12 +313,12 @@ def bailey_relation_mismatch(pair: BaileyPair) -> tuple | None:
     """The first failure of beta_n = sum_r alpha_r / ((q)_{n-r} (q^2; q)_{n+r})
     over the stored indices n, as ``((n, a, b, x, q), sum side, beta_n)``;
     None when the relation holds at every n."""
-    c, cap = pair.q_cutoff, pair.q_cutoff
+    c = pair.q_cutoff
     for n in range(pair.depth() + 1):
-        acc = TruncatedSeries.zero(c, cap)
+        acc = TruncatedSeries.zero(c)
         for r in range(n + 1):
-            term = pair.alphas[r] * inv_qpoch(n - r, c, cap)
-            term = term * inv_qfactors(tuple(range(2, n + r + 2)), c, cap)
+            term = pair.alphas[r] * inv_qpoch(n - r, c)
+            term = term * inv_qfactors(tuple(range(2, n + r + 2)), c)
             acc = acc + term
         bad = acc.first_mismatch(pair.betas[n])
         if bad is not None:
@@ -341,9 +334,7 @@ def _make_pair(label: str, valuation, step: int, n_max: int, q_cutoff: int) -> B
         sign = -1 if n % 2 else 1
         monos = [mono(sign, q=valuation(n) + l) for l in range(2 * n + 1)]
         alphas.append(TruncatedSeries.poly(monos).truncated(q_cutoff))
-    # Pure q-series: leave the variable cap unconstrained so the pair can
-    # feed computations at any cap.
-    betas = [inv_qpoch(n, q_cutoff, INF, step=step) for n in range(n_max + 1)]
+    betas = [inv_qpoch(n, q_cutoff, step=step) for n in range(n_max + 1)]
     return BaileyPair(label, tuple(alphas), tuple(betas), q_cutoff)
 
 
@@ -359,14 +350,14 @@ def bailey_pair_e3(n_max: int, q_cutoff: int) -> BaileyPair:
     return _make_pair("E3", lambda n: n * n, 2, n_max, q_cutoff)
 
 
-def _nested_multisum(depth: int, i_level: int, beta, q_cutoff: int, cap: int) -> TruncatedSeries:
+def _nested_multisum(depth: int, i_level: int, beta, q_cutoff: int) -> TruncatedSeries:
     """``sum_{n_1 >= ... >= n_depth >= 0}`` of the standard lattice summand.
 
     The exponent is n_1 + n_2^2 + ... + n_depth^2 plus n_j for every level
     j > i_level; between levels the difference Pochhammer inverses appear,
     and the innermost index feeds ``beta``.
     """
-    total = TruncatedSeries.zero(q_cutoff, cap)
+    total = TruncatedSeries.zero(q_cutoff)
 
     def rec(level: int, prev: int, expo: int, partial: TruncatedSeries):
         nonlocal total
@@ -380,37 +371,35 @@ def _nested_multisum(depth: int, i_level: int, beta, q_cutoff: int, cap: int) ->
             if expo + e >= q_cutoff:
                 continue
             rec(level + 1, nj, expo + e, partial.times_monomial(mono(1, q=e))
-                * inv_qpoch(prev - nj, q_cutoff, cap).truncated(q_cutoff - expo - e))
+                * inv_qpoch(prev - nj, q_cutoff).truncated(q_cutoff - expo - e))
 
     n1 = 0
     while True:
         e1 = n1 + (n1 if 1 > i_level else 0)
         if e1 >= q_cutoff:
             break
-        rec(2, n1, e1, f_poly(n1, q_cutoff, cap).truncated(q_cutoff - e1).times_monomial(mono(1, q=e1)))
+        rec(2, n1, e1, f_poly(n1, q_cutoff).truncated(q_cutoff - e1).times_monomial(mono(1, q=e1)))
         n1 += 1
     return total
 
 
-def _lattice_prefactor(q_cutoff: int, cap: int) -> TruncatedSeries:
+def _lattice_prefactor(q_cutoff: int) -> TruncatedSeries:
     """(abq)_inf / (q, -aq, -bq)_inf."""
-    return qproduct(TruncatedSeries.one(q_cutoff, cap), (ABQ,), (Q, NEG_AQ, NEG_BQ))
+    return qproduct(TruncatedSeries.one(q_cutoff), (ABQ,), (Q, NEG_AQ, NEG_BQ))
 
 
-def bailey_lattice_rhs(pair: BaileyPair, k: int, i: int, q_cutoff: int,
-                       var_cap: int | None = None) -> TruncatedSeries:
+def bailey_lattice_rhs(pair: BaileyPair, k: int, i: int, q_cutoff: int) -> TruncatedSeries:
     """The alpha side of the lattice transform for a pair relative to q.
 
     For k = 0 it is the prefactor times beta_0, by the empty-sum conventions.
     """
     if not (0 <= i <= k):
         raise ValueError(f"need 0 <= i <= k, got i={i}, k={k}")
-    cap = var_cap_for(q_cutoff, var_cap)
     if k == 0:
-        return _lattice_prefactor(q_cutoff, cap) * pair.betas[0]
-    inv_q_inf_sq = qproduct(TruncatedSeries.one(q_cutoff, cap), (), (Q, Q))
+        return _lattice_prefactor(q_cutoff) * pair.betas[0]
+    inv_q_inf_sq = qproduct(TruncatedSeries.one(q_cutoff), (), (Q, Q))
     rhs = inv_q_inf_sq * pair.alphas[0]
-    inv_chain = TruncatedSeries.one(q_cutoff, cap)
+    inv_chain = TruncatedSeries.one(q_cutoff)
     n = 1
     while True:
         # Alpha valuations are nonnegative, so these bound both branches.
@@ -427,11 +416,11 @@ def bailey_lattice_rhs(pair: BaileyPair, k: int, i: int, q_cutoff: int,
         room = q_cutoff - min(b1, b2)
         inv_chain = over_one_minus(inv_chain.truncated(room), mono(-1, a=1, q=n))
         inv_chain = over_one_minus(inv_chain, mono(-1, b=1, q=n))
-        outer = times_one_minus(f_poly(n, q_cutoff, cap).truncated(room) * inv_chain, mono(1, q=1))
+        outer = times_one_minus(f_poly(n, q_cutoff).truncated(room) * inv_chain, mono(1, q=1))
         outer = outer.times_monomial(mono(1, q=base))
-        branch1 = pair.alphas[n] * geometric(mono(1, q=2 * n + 1), q_cutoff, cap)
+        branch1 = pair.alphas[n] * geometric(mono(1, q=2 * n + 1), q_cutoff)
         branch1 = branch1.times_monomial(mono(1, q=(n * n + n) * (k - i)))
-        branch2 = pair.alphas[n - 1] * geometric(mono(1, q=2 * n - 1), q_cutoff, cap)
+        branch2 = pair.alphas[n - 1] * geometric(mono(1, q=2 * n - 1), q_cutoff)
         branch2 = branch2.times_monomial(mono(-1, q=((n - 1) ** 2 + (n - 1)) * (k - i) + 2 * n - 1))
         product = outer * (branch1 + branch2).truncated(q_cutoff - base)
         rhs = rhs + inv_q_inf_sq.truncated(q_cutoff - product.q_floor) * product
@@ -439,34 +428,30 @@ def bailey_lattice_rhs(pair: BaileyPair, k: int, i: int, q_cutoff: int,
     return rhs
 
 
-def bailey_lattice_sides(pair: BaileyPair, k: int, i: int, q_cutoff: int,
-                         var_cap: int | None = None
+def bailey_lattice_sides(pair: BaileyPair, k: int, i: int, q_cutoff: int
                          ) -> tuple[TruncatedSeries, TruncatedSeries]:
     """Both sides of the lattice transform for a pair relative to q: the beta
     side and :func:`bailey_lattice_rhs`, both prefactor times beta_0 at k = 0."""
     if k == 0:
-        rhs = bailey_lattice_rhs(pair, k, i, q_cutoff, var_cap)
+        rhs = bailey_lattice_rhs(pair, k, i, q_cutoff)
         return rhs, rhs
     if not (0 <= i <= k):
         raise ValueError(f"need 0 <= i <= k, got i={i}, k={k}")
-    cap = var_cap_for(q_cutoff, var_cap)
-    prefactor = _lattice_prefactor(q_cutoff, cap)
+    prefactor = _lattice_prefactor(q_cutoff)
     needed = q_cutoff - 1 if k == 1 else isqrt(q_cutoff - 1) + 1
     if pair.depth() < needed:
         raise ValueError(f"pair depth {pair.depth()} insufficient: need n_max >= {needed}")
-    lhs = prefactor * _nested_multisum(k, i, lambda m: pair.betas[m], q_cutoff, cap)
-    return lhs, bailey_lattice_rhs(pair, k, i, q_cutoff, cap)
+    lhs = prefactor * _nested_multisum(k, i, lambda m: pair.betas[m], q_cutoff)
+    return lhs, bailey_lattice_rhs(pair, k, i, q_cutoff)
 
 
-def multisum_admissible(k: int, i: int, q_cutoff: int, var_cap: int | None = None) -> TruncatedSeries:
+def multisum_admissible(k: int, i: int, q_cutoff: int) -> TruncatedSeries:
     """Generating function for the Durfee-admissible family, as a multisum."""
     check_ki(k, i)
-    cap = var_cap_for(q_cutoff, var_cap)
-    return _nested_multisum(k - 1, i - 1, lambda m: inv_qpoch(m, q_cutoff, cap), q_cutoff, cap)
+    return _nested_multisum(k - 1, i - 1, lambda m: inv_qpoch(m, q_cutoff), q_cutoff)
 
 
-def multisum_self_conjugate(k: int, i: int, q_cutoff: int, var_cap: int | None = None) -> TruncatedSeries:
+def multisum_self_conjugate(k: int, i: int, q_cutoff: int) -> TruncatedSeries:
     """Generating function for the self-conjugate family, as a multisum."""
     check_ki(k, i)
-    cap = var_cap_for(q_cutoff, var_cap)
-    return _nested_multisum(k - 1, i - 1, lambda m: inv_qpoch(m, q_cutoff, cap, step=2), q_cutoff, cap)
+    return _nested_multisum(k - 1, i - 1, lambda m: inv_qpoch(m, q_cutoff, step=2), q_cutoff)

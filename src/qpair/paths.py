@@ -453,10 +453,9 @@ def _gf_tables(k: int, even: bool, q_cutoff: int, n_peaks: int):
     added to the cached tables of level N - 1.  Grounding: one path with no
     peaks, and no start-with-NE paths from height k-1.
     """
-    cap = q_cutoff
     if n_peaks == 0:
-        E = {(i, 0): TruncatedSeries.one(q_cutoff, cap) for i in range(1, k + 1)}
-        G = {(i, 0): TruncatedSeries.zero(q_cutoff, cap) for i in range(0, k)}
+        E = {(i, 0): TruncatedSeries.one(q_cutoff) for i in range(1, k + 1)}
+        G = {(i, 0): TruncatedSeries.zero(q_cutoff) for i in range(0, k)}
         return MappingProxyType(E), MappingProxyType(G)
     if even and k < 2:
         raise ValueError("even-conditions tables need k >= 2")
@@ -466,14 +465,14 @@ def _gf_tables(k: int, even: bool, q_cutoff: int, n_peaks: int):
     step_weights = TruncatedSeries.poly(
         [mono(1, a=1), mono(1, b=1), mono(1, q=N - 1), mono(1, a=1, b=1, q=1 - N)]
     )
-    G[(0, N)] = TruncatedSeries.zero(q_cutoff, cap)
+    G[(0, N)] = TruncatedSeries.zero(q_cutoff)
     for i in range(1, k):
         G[(i, N)] = _plus_shifted(step_weights * E[(i + 1, N - 1)], G[(i - 1, N)], N)
     if not even:
-        E[(k, N)] = G[(k - 1, N)].times_monomial(qN) * _inv_qfactors((N,), q_cutoff, cap)
+        E[(k, N)] = G[(k - 1, N)].times_monomial(qN) * _inv_qfactors((N,), q_cutoff)
     else:
         rhs = _plus_shifted(G[(k - 2, N)].times_monomial(qN), G[(k - 1, N)], 2 * N)
-        E[(k - 1, N)] = rhs * _inv_qfactors((2 * N,), q_cutoff, cap)
+        E[(k - 1, N)] = rhs * _inv_qfactors((2 * N,), q_cutoff)
         E[(k, N)] = (E[(k - 1, N)] + G[(k - 1, N)]).times_monomial(qN)
     for i in range(k - 1 if not even else k - 2, 0, -1):
         E[(i, N)] = (G[(i - 1, N)] + E[(i + 1, N)]).times_monomial(qN)
@@ -499,15 +498,14 @@ def _closed_sum(n_peaks: int, summands, q_cutoff: int) -> TruncatedSeries:
     """f_poly(n_peaks) times the sum of ``(-1)^n q^e / ((q)_m1 (q)_m2)`` over
     the ``(m1, m2, n, e)`` in ``summands``, each formed only below
     ``q_cutoff - e`` (a negative e leaves the factors whole)."""
-    cap = q_cutoff
-    total = TruncatedSeries.zero(q_cutoff, cap)
+    total = TruncatedSeries.zero(q_cutoff)
     for m1, m2, n, e in summands:
         if e >= q_cutoff:
             continue
         room = q_cutoff - e
-        term = _inv_qpoch(m1, q_cutoff, cap).truncated(room) * _inv_qpoch(m2, q_cutoff, cap).truncated(room)
+        term = _inv_qpoch(m1, q_cutoff).truncated(room) * _inv_qpoch(m2, q_cutoff).truncated(room)
         total = total + term.times_monomial(mono(-1 if n % 2 else 1, q=e))
-    return _f_poly(n_peaks, q_cutoff, cap) * total
+    return _f_poly(n_peaks, q_cutoff) * total
 
 
 def gf_closed(k: int, i: int, n_peaks: int, q_cutoff: int, even: bool = False) -> TruncatedSeries:

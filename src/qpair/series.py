@@ -2,8 +2,10 @@
 
 A :class:`TruncatedSeries` stores monomials ``c * a^da * b^db * x^dx * q^dq``
 with exact :mod:`~qpair.gaussint` coefficients.  The degrees in a, b, x are
-nonnegative and capped by ``var_cap``; the q-degree may be negative (Laurent
-support).  The window semantics are:
+nonnegative; the q-degree may be negative (Laurent support).  The builders'
+series are generating functions whose q^n coefficient counts finitely many
+objects of weight n, a polynomial in a, b and x, so a series is truncated in
+q alone.  The window semantics are:
 
 * the series is identically zero below ``q_floor`` (a true valuation bound),
 * it is stored exactly for ``q_floor <= dq < q_cutoff``,
@@ -26,10 +28,7 @@ of in one pass, with the window the general product would give:
   floor and cutoff both move by ``min(0, deg_q m)`` (0 when the
   coefficient of ``m`` is 0);
 * ``over_one_minus(s, m)``, for ``deg_q m > 0``, is
-  ``s * geometric(m, s.q_cutoff, s.var_cap)``: floor ``f``, cutoff
-  ``min(c, c+f)``.
-
-Both keep ``s``'s cap.
+  ``s * geometric(m, s.q_cutoff)``: floor ``f``, cutoff ``min(c, c+f)``.
 """
 
 from __future__ import annotations
@@ -59,11 +58,6 @@ def mono(coeff: Coeff = 1, a: int = 0, b: int = 0, x: int = 0, q: int = 0) -> Mo
     return Monomial(coeff, a, b, x, q)
 
 
-def var_cap_for(q_cutoff: int, var_cap: int | None) -> int:
-    """The a, b, x degree cap of a builder: ``var_cap``, else ``q_cutoff``."""
-    return q_cutoff if var_cap is None else var_cap
-
-
 def _sat_add(u: int, v: int) -> int:
     if u >= INF or v >= INF:
         return INF
@@ -76,37 +70,25 @@ def _q_of(item: tuple[Key, Coeff]) -> int:
     return item[0][3]
 
 
-def _combine_caps(c1: int, c2: int) -> int:
-    """Caps are compatible when equal or when either is uncapped (INF)."""
-    if c1 == c2:
-        return c1
-    if c1 >= INF:
-        return c2
-    if c2 >= INF:
-        return c1
-    raise ValueError(f"var_cap mismatch: {c1} vs {c2}")
-
-
 class TruncatedSeries:
-    __slots__ = ("terms", "q_floor", "q_cutoff", "var_cap")
+    __slots__ = ("terms", "q_floor", "q_cutoff")
 
-    def __init__(self, terms: Mapping[Key, Coeff], q_floor: int, q_cutoff: int, var_cap: int):
+    def __init__(self, terms: Mapping[Key, Coeff], q_floor: int, q_cutoff: int):
         if q_cutoff <= q_floor:
             raise ValueError(f"empty window: q_floor={q_floor}, q_cutoff={q_cutoff}")
         self.terms = terms if isinstance(terms, MappingProxyType) else MappingProxyType(terms)
         self.q_floor = q_floor
         self.q_cutoff = q_cutoff
-        self.var_cap = var_cap
 
     # ---------------------------------------------------------------- constructors
 
     @classmethod
-    def zero(cls, q_cutoff: int, var_cap: int, q_floor: int = 0) -> "TruncatedSeries":
-        return cls({}, q_floor, q_cutoff, var_cap)
+    def zero(cls, q_cutoff: int, q_floor: int = 0) -> "TruncatedSeries":
+        return cls({}, q_floor, q_cutoff)
 
     @classmethod
-    def one(cls, q_cutoff: int, var_cap: int) -> "TruncatedSeries":
-        return cls({(0, 0, 0, 0): 1}, 0, q_cutoff, var_cap)
+    def one(cls, q_cutoff: int) -> "TruncatedSeries":
+        return cls({(0, 0, 0, 0): 1}, 0, q_cutoff)
 
     @classmethod
     def poly(cls, monomials: Iterable[Monomial]) -> "TruncatedSeries":
@@ -122,7 +104,7 @@ class TruncatedSeries:
             else:
                 terms.pop(key, None)
         floor = min((k[3] for k in terms), default=0)
-        return cls(terms, floor, INF, INF)
+        return cls(terms, floor, INF)
 
     # ---------------------------------------------------------------- basics
 
@@ -136,42 +118,39 @@ class TruncatedSeries:
             self.terms == other.terms
             and self.q_floor == other.q_floor
             and self.q_cutoff == other.q_cutoff
-            and self.var_cap == other.var_cap
         )
 
     def __hash__(self):
-        return hash((frozenset(self.terms.items()), self.q_floor, self.q_cutoff, self.var_cap))
+        return hash((frozenset(self.terms.items()), self.q_floor, self.q_cutoff))
 
     def __repr__(self) -> str:
         n = len(self.terms)
-        return f"<TruncatedSeries {n} terms, window [{self.q_floor},{self.q_cutoff}), cap {self.var_cap}>"
+        return f"<TruncatedSeries {n} terms, window [{self.q_floor},{self.q_cutoff})>"
 
     # ---------------------------------------------------------------- arithmetic
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        cap = _combine_caps(self.var_cap, other.var_cap)
         floor = min(self.q_floor, other.q_floor)
         cutoff = min(self.q_cutoff, other.q_cutoff)
         terms = {}
         for src in (self.terms, other.terms):
             for key, c in src.items():
-                if key[3] >= cutoff or key[0] > cap or key[1] > cap or key[2] > cap:
+                if key[3] >= cutoff:
                     continue
                 acc = terms.get(key, 0) + c
                 if acc:
                     terms[key] = acc
                 else:
                     del terms[key]
-        return TruncatedSeries(terms, floor, cutoff, cap)
+        return TruncatedSeries(terms, floor, cutoff)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries({k: cneg(c) for k, c in self.terms.items()}, self.q_floor, self.q_cutoff, self.var_cap)
+        return TruncatedSeries({k: cneg(c) for k, c in self.terms.items()}, self.q_floor, self.q_cutoff)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self + (-other)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        cap = _combine_caps(self.var_cap, other.var_cap)
         floor = _sat_add(self.q_floor, other.q_floor)
         cutoff = min(_sat_add(self.q_cutoff, other.q_floor), _sat_add(other.q_cutoff, self.q_floor))
         lhs, rhs = self.terms, other.terms
@@ -187,49 +166,33 @@ class TruncatedSeries:
             for (a2, b2, x2, q2), c2 in row:
                 if q2 >= room:
                     break
-                da = a1 + a2
-                if da > cap:
-                    continue
-                db = b1 + b2
-                if db > cap:
-                    continue
-                dx = x1 + x2
-                if dx > cap:
-                    continue
-                key = (da, db, dx, q1 + q2)
+                key = (a1 + a2, b1 + b2, x1 + x2, q1 + q2)
                 acc = get(key, 0) + c1 * c2
                 if acc:
                     terms[key] = acc
                 else:
                     del terms[key]
-        return TruncatedSeries(terms, floor, cutoff, cap)
+        return TruncatedSeries(terms, floor, cutoff)
 
     def times_monomial(self, m: Monomial) -> "TruncatedSeries":
         """Fast path for multiplication by a single monomial."""
         c0, da0, db0, dx0, dq0 = m
         if not c0:
-            return TruncatedSeries.zero(_sat_add(self.q_cutoff, dq0), self.var_cap, _sat_add(self.q_floor, dq0))
-        cap = self.var_cap
+            return TruncatedSeries.zero(_sat_add(self.q_cutoff, dq0), _sat_add(self.q_floor, dq0))
         cutoff = _sat_add(self.q_cutoff, dq0)
         floor = _sat_add(self.q_floor, dq0)
         terms = {}
         for (a, b, x, q), c in self.terms.items():
-            da, db, dx, dq = a + da0, b + db0, x + dx0, q + dq0
-            if dq >= cutoff or da > cap or db > cap or dx > cap:
-                continue
-            terms[(da, db, dx, dq)] = c * c0
-        return TruncatedSeries(terms, floor, cutoff, cap)
+            dq = q + dq0
+            if dq < cutoff:
+                terms[(a + da0, b + db0, x + dx0, dq)] = c * c0
+        return TruncatedSeries(terms, floor, cutoff)
 
-    def truncated(self, q_cutoff: int | None = None, var_cap: int | None = None) -> "TruncatedSeries":
-        """Restrict to a smaller window or cap (never enlarges)."""
-        cutoff = self.q_cutoff if q_cutoff is None else min(self.q_cutoff, q_cutoff)
-        cap = self.var_cap if var_cap is None else min(self.var_cap, var_cap)
-        terms = {
-            k: c
-            for k, c in self.terms.items()
-            if k[3] < cutoff and k[0] <= cap and k[1] <= cap and k[2] <= cap
-        }
-        return TruncatedSeries(terms, min(self.q_floor, cutoff - 1), cutoff, cap)
+    def truncated(self, q_cutoff: int) -> "TruncatedSeries":
+        """Restrict to a smaller window (never enlarges)."""
+        cutoff = min(self.q_cutoff, q_cutoff)
+        terms = {k: c for k, c in self.terms.items() if k[3] < cutoff}
+        return TruncatedSeries(terms, min(self.q_floor, cutoff - 1), cutoff)
 
     def invert(self, q_cutoff: int | None = None) -> "TruncatedSeries":
         """Multiplicative inverse up to the cutoff.
@@ -253,7 +216,6 @@ class TruncatedSeries:
             raise ValueError(f"cannot invert: constant term {const!r} is not a Gaussian unit "
                              f"(q^0 layer has {len(zero_layer)} terms)")
         u_inv = unit_inverse(const)
-        cap = self.var_cap
         inv_layers: dict[int, dict[tuple[int, int, int], Coeff]] = {0: {(0, 0, 0): u_inv}}
         for g in range(1, cutoff):
             acc: dict[tuple[int, int, int], Coeff] = {}
@@ -263,10 +225,7 @@ class TruncatedSeries:
                     continue
                 for (a1, b1, x1), c1 in t_layer.items():
                     for (a2, b2, x2), c2 in s_layer.items():
-                        da, db, dx = a1 + a2, b1 + b2, x1 + x2
-                        if da > cap or db > cap or dx > cap:
-                            continue
-                        key = (da, db, dx)
+                        key = (a1 + a2, b1 + b2, x1 + x2)
                         val = cadd(acc.get(key, 0), cmul(c1, c2))
                         if val:
                             acc[key] = val
@@ -283,7 +242,7 @@ class TruncatedSeries:
         for g, layer in inv_layers.items():
             for (a, b, x), c in layer.items():
                 terms[(a, b, x, g)] = c
-        return TruncatedSeries(terms, 0, cutoff, cap)
+        return TruncatedSeries(terms, 0, cutoff)
 
     # ---------------------------------------------------------------- queries
 
@@ -298,8 +257,6 @@ class TruncatedSeries:
             raise ValueError(
                 f"q-degree {n_deg} at or above the trusted cutoff {self.q_cutoff}"
             )
-        if max(s_deg, t_deg, m_deg) > self.var_cap:
-            raise ValueError(f"variable degree above var_cap={self.var_cap}")
         return self.terms.get((s_deg, t_deg, m_deg, n_deg), 0)
 
     def coeff_q(self, n_deg: int) -> Coeff:
@@ -311,13 +268,12 @@ class TruncatedSeries:
 
         Both series are known exactly below their cutoffs (and zero below
         their floors), so the comparison covers every q-degree below the
-        smaller cutoff, at variable degrees up to the smaller cap.
+        smaller cutoff.
         """
         cutoff = min(self.q_cutoff, other.q_cutoff)
-        cap = min(self.var_cap, other.var_cap)
         keys = set(self.terms) | set(other.terms)
         for key in sorted(keys, key=lambda k: (k[3], k[0], k[1], k[2])):
-            if key[3] >= cutoff or key[0] > cap or key[1] > cap or key[2] > cap:
+            if key[3] >= cutoff:
                 continue
             lhs = self.terms.get(key, 0)
             rhs = other.terms.get(key, 0)
@@ -339,7 +295,7 @@ class TruncatedSeries:
             dq = q + e * x
             if dq < cutoff:
                 terms[(a, b, x, dq)] = c
-        return TruncatedSeries(terms, self.q_floor, cutoff, self.var_cap)
+        return TruncatedSeries(terms, self.q_floor, cutoff)
 
     def specialize(
         self,
@@ -357,9 +313,10 @@ class TruncatedSeries:
 
         A substitution with ``e < 0`` needs a structural guarantee to remain
         provable: ``slack[v]`` asserts that every monomial of the underlying
-        (untruncated) series satisfies ``deg_v <= deg_q + slack[v]``, and the
-        input must have been built with ``var_cap >= q_cutoff + slack[v]`` so
-        that nothing below the q-cutoff was ever clipped by the cap.
+        (untruncated) series satisfies ``deg_v <= deg_q + slack[v]``, so no
+        unknown term at or above the q-cutoff lands below the result's
+        cutoff.  A stored term that breaks the bound refutes the assertion
+        and is refused.
         """
         if q_power < 1:
             raise ValueError("q_power must be a positive integer")
@@ -379,7 +336,7 @@ class TruncatedSeries:
             drop = 0
             slack_total = 0
             slack = slack or {}
-            for _, name, u, e in subs:
+            for idx, name, u, e in subs:
                 if u == 0 or e >= 0:
                     continue
                 if name not in slack:
@@ -388,11 +345,11 @@ class TruncatedSeries:
                         f"(a bound with deg_{name} <= deg_q + slack)"
                     )
                 sigma = slack[name]
-                need = self.q_cutoff + sigma
-                if self.var_cap < need:
+                excess = max((key[idx] - key[3] for key in self.terms), default=sigma)
+                if excess > sigma:
                     raise ValueError(
-                        f"var_cap too small for the q-shift on {name}: need var_cap >= {need}, "
-                        f"got {self.var_cap}"
+                        f"slack[{name!r}] = {sigma} is contradicted by a stored term "
+                        f"with deg_{name} - deg_q = {excess}"
                     )
                 drop += -e
                 slack_total += -e * sigma
@@ -433,7 +390,7 @@ class TruncatedSeries:
             floor = provable - 1
         else:
             floor = 0
-        return TruncatedSeries(terms, floor, provable, self.var_cap)
+        return TruncatedSeries(terms, floor, provable)
 
     # ---------------------------------------------------------------- serialization
 
@@ -445,7 +402,7 @@ class TruncatedSeries:
         for (a, b, x, q), c in self.sorted_terms():
             re, im = as_pair(c)
             out.append({"re": re, "im": im, "a": a, "b": b, "x": x, "q": q})
-        return {"q_floor": self.q_floor, "q_cutoff": self.q_cutoff, "var_cap": self.var_cap, "terms": out}
+        return {"q_floor": self.q_floor, "q_cutoff": self.q_cutoff, "terms": out}
 
     def to_json(self) -> str:
         return json.dumps(self.to_obj(), sort_keys=True, separators=(",", ":"))
@@ -457,7 +414,7 @@ class TruncatedSeries:
             c: Coeff = t["re"] if t["im"] == 0 else GaussInt(t["re"], t["im"])
             if c:
                 terms[(t["a"], t["b"], t["x"], t["q"])] = c
-        return cls(terms, obj["q_floor"], obj["q_cutoff"], obj["var_cap"])
+        return cls(terms, obj["q_floor"], obj["q_cutoff"])
 
 
 # -------------------------------------------------------------------- products
@@ -472,22 +429,21 @@ def times_one_minus(s: TruncatedSeries, base: Monomial) -> TruncatedSeries:
     c, da, db, dx, dq = base
     low = min(dq, 0) if c else 0
     floor, cutoff = _sat_add(s.q_floor, low), _sat_add(s.q_cutoff, low)
-    cap = s.var_cap
     terms = dict(s.terms) if low == 0 else {key: v for key, v in s.terms.items() if key[3] < cutoff}
     if c:
         neg_c = cneg(c)
         get = terms.get
         for (a, b, x, q), v in s.terms.items():
-            a, b, x, q = a + da, b + db, x + dx, q + dq
-            if q >= cutoff or a > cap or b > cap or x > cap:
+            q += dq
+            if q >= cutoff:
                 continue
-            key = (a, b, x, q)
+            key = (a + da, b + db, x + dx, q)
             acc = get(key, 0) + neg_c * v
             if acc:
                 terms[key] = acc
             else:
                 del terms[key]
-    return TruncatedSeries(terms, floor, cutoff, cap)
+    return TruncatedSeries(terms, floor, cutoff)
 
 
 def over_one_minus(s: TruncatedSeries, base: Monomial) -> TruncatedSeries:
@@ -496,7 +452,7 @@ def over_one_minus(s: TruncatedSeries, base: Monomial) -> TruncatedSeries:
     Solves ``t = s + base * t`` one q-layer at a time, lowest first: a term
     of ``t`` is final once its layer is reached, and is pushed once, to the
     layer ``deg_q base`` above.  So the work is linear in the terms of ``t``.
-    Equal to ``s * geometric(base, s.q_cutoff, s.var_cap)`` in every term
+    Equal to ``s * geometric(base, s.q_cutoff)`` in every term
     and in its window.
     """
     c, da, db, dx, dq = base
@@ -504,11 +460,11 @@ def over_one_minus(s: TruncatedSeries, base: Monomial) -> TruncatedSeries:
         raise ValueError("geometric inverse needs a base of positive q-degree")
     if s.q_cutoff >= INF:
         raise ValueError("geometric inverse needs a series with a finite cutoff")
-    cap, floor = s.var_cap, s.q_floor
+    floor = s.q_floor
     cutoff = min(s.q_cutoff, s.q_cutoff + floor)
     terms = dict(s.terms) if floor >= 0 else {k: v for k, v in s.terms.items() if k[3] < cutoff}
     if not c:
-        return TruncatedSeries(terms, floor, cutoff, cap)
+        return TruncatedSeries(terms, floor, cutoff)
     # Keys per layer that still pushes below the cutoff.  A coefficient that
     # cancels is kept as 0 until the end, so no key is listed twice.
     last = cutoff - dq
@@ -529,16 +485,7 @@ def over_one_minus(s: TruncatedSeries, base: Monomial) -> TruncatedSeries:
             if not v:
                 continue
             a, b, x, _ = key
-            a += da
-            if a > cap:
-                continue
-            b += db
-            if b > cap:
-                continue
-            x += dx
-            if x > cap:
-                continue
-            key = (a, b, x, up)
+            key = (a + da, b + db, x + dx, up)
             old = get(key)
             if old is None:
                 terms[key] = c * v
@@ -550,19 +497,19 @@ def over_one_minus(s: TruncatedSeries, base: Monomial) -> TruncatedSeries:
                 cancelled = cancelled or not acc
     if cancelled:
         terms = {k: v for k, v in terms.items() if v}
-    return TruncatedSeries(terms, floor, cutoff, cap)
+    return TruncatedSeries(terms, floor, cutoff)
 
 
-def geometric(base: Monomial, q_cutoff: int, var_cap: int) -> TruncatedSeries:
+def geometric(base: Monomial, q_cutoff: int) -> TruncatedSeries:
     """``1/(1 - base)`` as the geometric series, for base of positive q-degree."""
-    return over_one_minus(TruncatedSeries.one(q_cutoff, var_cap), base)
+    return over_one_minus(TruncatedSeries.one(q_cutoff), base)
 
 
-def pochhammer(base: Monomial, n: int, q_cutoff: int = INF, var_cap: int = INF) -> TruncatedSeries:
+def pochhammer(base: Monomial, n: int, q_cutoff: int = INF) -> TruncatedSeries:
     """The finite product ``(c; q)_n = prod_{j<n} (1 - c q^j)``."""
     if n < 0:
         raise ValueError("pochhammer needs n >= 0")
-    out = TruncatedSeries.one(q_cutoff, var_cap) if q_cutoff < INF else TruncatedSeries.poly([mono(1)])
+    out = TruncatedSeries.one(q_cutoff) if q_cutoff < INF else TruncatedSeries.poly([mono(1)])
     for j in range(n):
         out = times_one_minus(out, Monomial(base.coeff, base.a, base.b, base.x, base.q + j))
     return out
@@ -585,7 +532,7 @@ def qproduct(s: TruncatedSeries, num: tuple[Monomial, ...] = (), den: tuple[Mono
         raise ValueError("qproduct needs step >= 1")
     if any(m.q <= 0 for m in den):
         raise ValueError("qproduct needs denominator bases of positive q-degree")
-    cutoff, cap = s.q_cutoff, s.var_cap
+    cutoff = s.q_cutoff
     if cutoff >= INF:
         raise ValueError("qproduct needs a series with a finite cutoff")
     j = 0
@@ -603,33 +550,32 @@ def qproduct(s: TruncatedSeries, num: tuple[Monomial, ...] = (), den: tuple[Mono
                 if s.q_cutoff == cutoff:
                     s = over_one_minus(s, factor)
                 else:
-                    s = s * geometric(factor, cutoff, cap)
+                    s = s * geometric(factor, cutoff)
                 live = True
         if not live:
             return s
         j += 1
 
 
-def pochhammer_inf(base: Monomial, q_cutoff: int, var_cap: int | None = None, step: int = 1) -> TruncatedSeries:
+def pochhammer_inf(base: Monomial, q_cutoff: int, step: int = 1) -> TruncatedSeries:
     """``(c; q^step)_inf`` truncated at ``q_cutoff``.
 
     The base must have positive q-degree so the product stabilizes.
     """
     if base.q <= 0:
         raise ValueError(f"pochhammer_inf needs a base of positive q-degree, got q^{base.q}")
-    return qproduct(TruncatedSeries.one(q_cutoff, var_cap_for(q_cutoff, var_cap)), (base,), step=step)
+    return qproduct(TruncatedSeries.one(q_cutoff), (base,), step=step)
 
 
 def q_binomial(n: int, k: int, q_cutoff: int) -> TruncatedSeries:
     """Gaussian binomial coefficient as a polynomial in q (zero series if k > n)."""
-    cap = q_cutoff
     if k < 0 or k > n:
-        return TruncatedSeries.zero(q_cutoff, cap)
-    row: list[TruncatedSeries] = [TruncatedSeries.one(q_cutoff, cap)]
+        return TruncatedSeries.zero(q_cutoff)
+    row: list[TruncatedSeries] = [TruncatedSeries.one(q_cutoff)]
     for m in range(1, n + 1):
-        new = [TruncatedSeries.one(q_cutoff, cap)]
+        new = [TruncatedSeries.one(q_cutoff)]
         for j in range(1, m):
             new.append(row[j - 1] + row[j].times_monomial(mono(1, q=j)))
-        new.append(TruncatedSeries.one(q_cutoff, cap))
+        new.append(TruncatedSeries.one(q_cutoff))
         row = new
     return row[k]

@@ -143,7 +143,7 @@ def _mutated_interval(k: int, i: int, tilde: bool) -> tuple[int, int] | None:
 def suite_qdiff_R(rep: VerificationReport, cfg: VerifyConfig) -> None:
     c = cfg.cutoff
     rep.params = {"k": list(cfg.k_values), "cutoff": c}
-    inv_abxq = geometric(mono(1, a=1, b=1, x=1, q=1), c, c)
+    inv_abxq = geometric(mono(1, a=1, b=1, x=1, q=1), c)
     ab_sum = TruncatedSeries.poly([mono(1, a=1), mono(1, b=1)])
     for k in cfg.k_values:
         r = {i: series_R(k, i, c) for i in range(1, k + 1)}
@@ -163,7 +163,7 @@ def suite_qdiff_R(rep: VerificationReport, cfg: VerifyConfig) -> None:
 def suite_qdiff_R_tilde(rep: VerificationReport, cfg: VerifyConfig) -> None:
     c = cfg.cutoff
     rep.params = {"k": list(cfg.k_values), "cutoff": c}
-    inv_abxq = geometric(mono(1, a=1, b=1, x=1, q=1), c, c)
+    inv_abxq = geometric(mono(1, a=1, b=1, x=1, q=1), c)
     ab_sum = TruncatedSeries.poly([mono(1, a=1), mono(1, b=1)])
     one_plus_xq = TruncatedSeries.poly([mono(1), mono(1, x=1, q=1)])
     for k in cfg.k_values:
@@ -184,7 +184,7 @@ def suite_qdiff_R_tilde(rep: VerificationReport, cfg: VerifyConfig) -> None:
 def suite_htilde(rep: VerificationReport, cfg: VerifyConfig) -> None:
     c = cfg.cutoff
     rep.params = {"k": list(cfg.k_values), "cutoff": c}
-    zero = TruncatedSeries.zero(c, c)
+    zero = TruncatedSeries.zero(c)
     x_poly = TruncatedSeries.poly([mono(1, x=1)])
     one_plus_x = TruncatedSeries.poly([mono(1), mono(1, x=1)])
     for k in cfg.k_values:
@@ -264,7 +264,7 @@ def suite_gf_paths(rep: VerificationReport, cfg: VerifyConfig) -> None:
                         gf_gamma_closed(k, i, n_peaks, c, even=even),
                     )
             for i in range(1, k + 1):
-                total = sum(closed[i][:c], TruncatedSeries.zero(c, c))
+                total = sum(closed[i][:c], TruncatedSeries.zero(c))
                 bilateral = (series_R_tilde_bilateral if even else series_R_bilateral)(k, i, c)
                 rep.coeff_check(f"gf-sum-vs-bilateral-{tag}", {"k": k, "i": i}, total, bilateral)
 
@@ -331,7 +331,7 @@ def suite_bailey(rep: VerificationReport, cfg: VerifyConfig) -> None:
 
 def _product_even_modulus(k: int, i: int, c: int) -> TruncatedSeries:
     m = 4 * k - 2
-    g = qproduct(TruncatedSeries.one(c, c), (mono(-1, q=1),) * 2, (mono(1, q=2),) * 2, step=2)
+    g = qproduct(TruncatedSeries.one(c), (mono(-1, q=1),) * 2, (mono(1, q=2),) * 2, step=2)
     return qproduct(g, tuple(mono(1, q=e) for e in (2 * i - 2, 4 * k - 2 * i, m)), step=m)
 
 
@@ -348,8 +348,7 @@ def specialized_odd_modulus_series(k: int, target: int) -> TruncatedSeries:
     while c - depth(c) < target:
         c += 1
     sig = depth(c)
-    s = series_R_bilateral(k, k, c, var_cap=c + sig)
-    return s.specialize(sub_a=(1, 0), sub_b=(1, -1), q_power=2, slack={"b": sig})
+    return series_R_bilateral(k, k, c).specialize(sub_a=(1, 0), sub_b=(1, -1), q_power=2, slack={"b": sig})
 
 
 def suite_corollaries(rep: VerificationReport, cfg: VerifyConfig) -> None:

@@ -164,7 +164,7 @@ def test_criterion_8_structural_properties():
                      rng.randint(0, 2), rng.randint(0, 4))
                 for _ in range(rng.randint(0, 5))
             ]
-            return TruncatedSeries.poly([m for m in monos if m.coeff]).truncated(8, 6)
+            return TruncatedSeries.poly([m for m in monos if m.coeff]).truncated(8)
 
         for _ in range(60):
             r, s, t = rand_series(), rand_series(), rand_series()

@@ -439,18 +439,20 @@ class TestUsageErrors:
             printed = json.loads(capsys.readouterr().out)
             assert printed == json.loads(json.dumps(builder(2, 1, 4, x_one=True).to_obj()))
 
-    def test_negative_var_cap_refused(self, tmp_path, capsys):
-        # A negative cap used to print an empty series that claimed exactness.
-        base = ["--family", "R", "-k", "2", "-i", "2", "--cutoff", "4"]
+    def test_contradicted_slack_refused(self, tmp_path, capsys):
+        # The constant term has deg_b 0 > deg_q 0 - 3, so a slack of -3 is
+        # false, and the cutoff it would give (q^8) cannot be claimed.
+        base = ["--family", "R", "-k", "2", "-i", "1", "--cutoff", "5",
+                "--sub-b", "q^-1", "--q-power", "2"]
         out = tmp_path / "series.json"
         for argv in (["series"] + base, ["export", "series"] + base + ["--out", str(out)]):
-            assert main(argv + ["--var-cap", "-1"]) == 2
+            assert main(argv + ["--slack-b", "-3"]) == 2
             printed, err = capsys.readouterr()
-            assert err == "error: --var-cap must be at least 0, got -1\n" and printed == ""
+            assert err == "error: slack['b'] = -3 is contradicted by a stored term with deg_b - deg_q = 0\n"
+            assert printed == ""
         assert not out.exists()
-        assert main(["series"] + base + ["--var-cap", "0"]) == 0
-        terms = json.loads(capsys.readouterr().out)["terms"]
-        assert {"a": 0, "b": 0, "x": 0, "q": 0, "re": 1, "im": 0} in terms
+        assert main(["series"] + base + ["--slack-b", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["q_cutoff"] == 5
 
     def test_objects_csv_refused_before_enumeration(self):
         r = run("enumerate", "--family", "B", "-k", "1", "-i", "1", "-n", "2",

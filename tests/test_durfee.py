@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import tracemalloc
 from collections import Counter
 from functools import partial
 from itertools import combinations
@@ -293,15 +295,33 @@ class TestCachedLayerOracle:
 
     def test_tables_build_no_row(self, monkeypatch):
         calls = []
-        for name in ("row_split", "_lam_prime"):
+        for name in ("row_split", "_lam_prime", "_row_reduction"):
             fn = getattr(durfee, name)
-            monkeypatch.setattr(durfee, name, lambda row, fn=fn: calls.append(row) or fn(row))
+            monkeypatch.setattr(durfee, name, lambda *args, fn=fn: calls.append(args) or fn(*args))
         durfee._durfee_table.cache_clear()
         count_admissible(3, 2, 10)
         count_self_conjugate(3, 2, 10)
         assert calls == []
         is_ki_admissible(PI, 3, 2)
         assert calls, "the spies see the predicates, which read rows"
+
+    def test_tables_leave_no_reductions_behind(self):
+        # Each (partition, length) is reduced for one table and not kept: a
+        # process-wide cache of the reductions held 2.96 MB here.
+        durfee._durfee_table.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for k in (2, 3):
+                for i in range(1, k + 1):
+                    count_admissible(k, i, 20, bound=20)
+                    count_self_conjugate(k, i, 20, bound=20)
+            durfee._durfee_table.cache_clear()
+            gc.collect()  # also empties the free lists, which keep freed tuples
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 1_000_000
 
     def test_at_most_one_tuple_leaves_a_residue(self):
         # _reduction returns the first residue it finds.  No conjugated

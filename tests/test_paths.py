@@ -295,9 +295,8 @@ class TestBijection:
 def whole_tables(k, even, q_cutoff, n_peaks):
     """Reference: the recurrence tables built for levels 0..n_peaks in one
     pass, each shifted operand formed whole and cut by the sum."""
-    cap = q_cutoff
-    one = TruncatedSeries.one(q_cutoff, cap)
-    zero = TruncatedSeries.zero(q_cutoff, cap)
+    one = TruncatedSeries.one(q_cutoff)
+    zero = TruncatedSeries.zero(q_cutoff)
     E, G = {}, {}
     for i in range(1, k + 1):
         E[(i, 0)] = one
@@ -314,10 +313,10 @@ def whole_tables(k, even, q_cutoff, n_peaks):
         for i in range(1, k):
             G[(i, N)] = G[(i - 1, N)].times_monomial(qN) + step_weights * E[(i + 1, N - 1)]
         if not even:
-            E[(k, N)] = G[(k - 1, N)].times_monomial(qN) * inv_qfactors((N,), q_cutoff, cap)
+            E[(k, N)] = G[(k - 1, N)].times_monomial(qN) * inv_qfactors((N,), q_cutoff)
         else:
             rhs = G[(k - 2, N)].times_monomial(qN) + G[(k - 1, N)].times_monomial(mono(1, q=2 * N))
-            E[(k - 1, N)] = rhs * inv_qfactors((2 * N,), q_cutoff, cap)
+            E[(k - 1, N)] = rhs * inv_qfactors((2 * N,), q_cutoff)
             E[(k, N)] = (E[(k - 1, N)] + G[(k - 1, N)]).times_monomial(qN)
         for i in range(k - 1 if not even else k - 2, 0, -1):
             E[(i, N)] = (G[(i - 1, N)] + E[(i + 1, N)]).times_monomial(qN)
@@ -329,7 +328,7 @@ class TestGeneratingFunctions:
     @pytest.mark.parametrize("even", [False, True])
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_level_tables_equal_whole_build(self, k, even, q_cutoff):
-        # == compares terms, floor, cutoff and cap, so a shifted operand cut
+        # == compares terms, floor and cutoff, so a shifted operand cut
         # too low shows even where the terms still agree.
         for n_peaks in range(7):
             E, G = _gf_tables(k, even, q_cutoff, n_peaks)

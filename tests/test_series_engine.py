@@ -16,8 +16,8 @@ from qpair.series import (
 from qpair.qtools import f_poly, inv_qfactors
 
 
-def ts(*monomials, cutoff=10, cap=10):
-    return TruncatedSeries.poly([mono(*m) for m in monomials]).truncated(cutoff, cap)
+def ts(*monomials, cutoff=10):
+    return TruncatedSeries.poly([mono(*m) for m in monomials]).truncated(cutoff)
 
 
 def poly(*monomials):
@@ -49,11 +49,11 @@ class TestGaussInt:
 
 class TestAdd:
     def test_zero_is_identity(self):
-        z = TruncatedSeries.zero(10, 10)
+        z = TruncatedSeries.zero(10)
         assert not z.terms
         s = ts((3, 1, 0, 0, 2), (1,))
         assert (z + s).terms == s.terms
-        z1 = TruncatedSeries.zero(1, 0)
+        z1 = TruncatedSeries.zero(1)
         assert not z1.terms and z1.q_cutoff == 1
 
     def test_cancellation(self):
@@ -70,12 +70,6 @@ class TestAdd:
         bq = ts((1, 0, 1, 0, 1))
         assert (aq + bq).terms == {(1, 0, 0, 1): 1, (0, 1, 0, 1): 1}
 
-    def test_cap_mismatch_errors(self):
-        s = TruncatedSeries.zero(10, 7)
-        t = TruncatedSeries.zero(10, 9)
-        with pytest.raises(ValueError, match="7.*9|9.*7"):
-            s + t
-
 
 class TestMul:
     def test_square_of_binomial(self):
@@ -84,7 +78,7 @@ class TestMul:
 
     def test_geometric_inverse_collapses(self):
         one_minus_q = ts((1,), (-1, 0, 0, 0, 1))
-        geo = geometric(mono(1, q=1), 10, 10)
+        geo = geometric(mono(1, q=1), 10)
         assert (one_minus_q * geo).terms == {(0, 0, 0, 0): 1}
 
     def test_four_term_product(self):
@@ -120,11 +114,11 @@ class TestInvert:
         assert inv.terms == {(0, 0, 0, j): 1 for j in range(8)}
 
     def test_invert_one(self):
-        assert TruncatedSeries.one(6, 4).invert().terms == {(0, 0, 0, 0): 1}
+        assert TruncatedSeries.one(6).invert().terms == {(0, 0, 0, 0): 1}
 
     def test_invert_multiply_back(self):
         # Oracle: s * invert(s) == 1 up to the cutoff.
-        s = ts((1,), (-1, 1, 1, 1, 1), cutoff=9, cap=9)
+        s = ts((1,), (-1, 1, 1, 1, 1), cutoff=9)
         inv = s.invert()
         assert (s * inv).terms == {(0, 0, 0, 0): 1}
         expected = {(m, m, m, m): 1 for m in range(0, 9, 1) if m <= 8}
@@ -155,8 +149,8 @@ class TestPochhammer:
     def test_against_direct_three_term_multiplication(self):
         # Oracle: multiply the three binomials (1 + a x q^(1+j)) by hand.
         base = mono(-1, a=1, x=1, q=1)
-        p = pochhammer(base, 3, q_cutoff=20, var_cap=20)
-        direct = TruncatedSeries.one(20, 20)
+        p = pochhammer(base, 3, q_cutoff=20)
+        direct = TruncatedSeries.one(20)
         for j in range(3):
             direct = direct * poly((1,), (1, 1, 0, 1, 1 + j))
         assert p.first_mismatch(direct) is None
@@ -164,7 +158,7 @@ class TestPochhammer:
     def test_inf_equals_stabilized_finite(self):
         # Oracle: (q;q)_inf to cutoff 6 equals the finite product with J = 6.
         inf = pochhammer_inf(mono(1, q=1), 6)
-        fin = pochhammer(mono(1, q=1), 6, q_cutoff=6, var_cap=6)
+        fin = pochhammer(mono(1, q=1), 6, q_cutoff=6)
         assert inf.first_mismatch(fin) is None
         # Euler's pentagonal signs appear.
         assert [inf.coeff_q(n) for n in range(6)] == [1, -1, -1, 0, 0, 1]
@@ -197,22 +191,22 @@ def reference_qproduct(s, num, den, step):
 
 
 KERNEL_CASES = {
-    "x=1 prefactor": (TruncatedSeries.one(12, 12), [(-1, 1, 0, 0, 1), (-1, 0, 1, 0, 1)],
+    "x=1 prefactor": (TruncatedSeries.one(12), [(-1, 1, 0, 0, 1), (-1, 0, 1, 0, 1)],
                       [(1, 0, 0, 0, 1), (1, 1, 1, 0, 1)], 1),
-    "x bases, cap below cutoff": (ts((1,), (2, 1, 0, 1, 3), (-1, 0, 1, 0, 2), cutoff=10, cap=4),
+    "x bases, cap below cutoff": (ts((1,), (2, 1, 0, 1, 3), (-1, 0, 1, 0, 2), cutoff=10),
                                   [(-1, 1, 0, 1, 1), (-1, 0, 1, 1, 1)],
                                   [(1, 0, 0, 1, 1), (1, 1, 1, 1, 1)], 1),
-    "Laurent numerator, step 2": (TruncatedSeries.one(14, 14),
+    "Laurent numerator, step 2": (TruncatedSeries.one(14),
                                   [(-1, 0, 0, 0, 4), (-1, 0, 0, 0, -2), (1, 0, 0, 0, 2)], [], 2),
-    "units, step 3, positive floor": (ts((1, 0, 0, 0, 2), (3, 1, 0, 0, 4), cutoff=12, cap=3),
+    "units, step 3, positive floor": (ts((1, 0, 0, 0, 2), (3, 1, 0, 0, 4), cutoff=12),
                                       [(GaussInt(0, 1), 0, 0, 0, 1)],
                                       [(-1, 0, 0, 0, 3), (GaussInt(0, -1), 1, 0, 0, 2)], 3),
-    "denominators only, repeated": (ts((1,), (1, 0, 1, 0, 1), cutoff=9, cap=9), [],
+    "denominators only, repeated": (ts((1,), (1, 0, 1, 0, 1), cutoff=9), [],
                                     [(1, 0, 0, 0, 1), (1, 0, 0, 0, 1)], 1),
-    "no factors": (ts((5, 0, 0, 1, 2), cutoff=7, cap=7), [], [], 2),
-    "Laurent numerator, then denominators": (TruncatedSeries.one(10, 10), [(-1, 0, 0, 0, -1)],
+    "no factors": (ts((5, 0, 0, 1, 2), cutoff=7), [], [], 2),
+    "Laurent numerator, then denominators": (TruncatedSeries.one(10), [(-1, 0, 0, 0, -1)],
                                              [(1, 0, 0, 0, 1), (1, 1, 0, 0, 2)], 2),
-    "Laurent series, denominators": (ts((1, 0, 0, 0, -2), (3, 0, 1, 0, 1), cutoff=9, cap=5), [],
+    "Laurent series, denominators": (ts((1, 0, 0, 0, -2), (3, 0, 1, 0, 1), cutoff=9), [],
                                      [(1, 0, 0, 0, 1), (-1, 1, 0, 0, 2)], 1),
 }
 
@@ -226,10 +220,10 @@ class TestQProduct:
         got = qproduct(s, num, den, step=step)
         want = reference_qproduct(s, num, den, step)
         assert dict(got.terms) == dict(want.terms)
-        assert (got.q_floor, got.q_cutoff, got.var_cap) == (want.q_floor, want.q_cutoff, want.var_cap)
+        assert (got.q_floor, got.q_cutoff) == (want.q_floor, want.q_cutoff)
 
     def test_rejects_bad_step_and_denominator(self):
-        one = TruncatedSeries.one(8, 8)
+        one = TruncatedSeries.one(8)
         with pytest.raises(ValueError, match="step"):
             qproduct(one, (mono(1, q=1),), step=0)
         with pytest.raises(ValueError, match="positive q-degree"):
@@ -238,7 +232,7 @@ class TestQProduct:
 
 class TestImmutability:
     def test_cached_series_reject_writes(self):
-        for build in (lambda: f_poly(2, 6, 6), lambda: inv_qfactors((1, 2), 6, 6)):
+        for build in (lambda: f_poly(2, 6), lambda: inv_qfactors((1, 2), 6)):
             s = build()
             before = dict(s.terms)
             key = next(iter(before))
@@ -334,14 +328,15 @@ class TestSpecialize:
         assert out.terms == {(0, 0, 0, 0): -1}
 
     def test_negative_shift_needs_slack(self):
-        s = ts((1, 1, 0, 0, 2), cutoff=8, cap=8)
+        s = ts((1, 1, 0, 0, 2), cutoff=8)
         with pytest.raises(ValueError, match="slack"):
             s.specialize(sub_a=(1, -1), q_power=2)
-        with pytest.raises(ValueError, match="var_cap"):
-            s.specialize(sub_a=(1, -1), q_power=2, slack={"a": 2})
+        # a q^2 has deg_a 1 > deg_q 2 + (-2): the slack is refuted.
+        with pytest.raises(ValueError, match="contradicted"):
+            s.specialize(sub_a=(1, -1), q_power=2, slack={"a": -2})
 
     def test_negative_shift_window(self):
-        s = ts((1, 1, 0, 0, 2), cutoff=8, cap=10)
+        s = ts((1, 1, 0, 0, 2), cutoff=8)
         out = s.specialize(sub_a=(1, -1), q_power=2, slack={"a": 2})
         # provable cutoff: (2-1)*8 - 1*2 = 6
         assert out.q_cutoff == 6
@@ -356,6 +351,8 @@ class TestSerialization:
         assert qs == sorted(qs)
         back = TruncatedSeries.from_obj(obj)
         assert back == s
+        # Files written with a degree cap still read: only the needed keys count.
+        assert TruncatedSeries.from_obj(dict(obj, var_cap=10)) == s
 
     def test_json_deterministic(self):
         s = ts((1, 1, 1, 0, 3), (2, 0, 0, 2, 1))
@@ -374,9 +371,9 @@ def small_monomials(coeffs=small_coeff, q_min=0, q_max=4):
 
 
 @st.composite
-def small_series(draw, q_min=0, cutoff=st.just(8), cap=st.just(6), max_size=5):
+def small_series(draw, q_min=0, cutoff=st.just(8), max_size=5):
     monos = draw(st.lists(small_monomials(q_min=q_min), min_size=0, max_size=max_size))
-    return TruncatedSeries.poly(monos).truncated(draw(cutoff), draw(cap))
+    return TruncatedSeries.poly(monos).truncated(draw(cutoff))
 
 
 class TestRingLaws:
@@ -401,9 +398,8 @@ class TestRingLaws:
         assert lhs2.first_mismatch(rhs2) is None
 
 
-# Laurent floors, cutoffs from 1 to 10 and caps from 1 to 6, so the cap is
-# often below the cutoff.
-windowed_series = small_series(q_min=-3, cutoff=st.integers(1, 10), cap=st.integers(1, 6), max_size=8)
+# Laurent floors and cutoffs from 1 to 10.
+windowed_series = small_series(q_min=-3, cutoff=st.integers(1, 10), max_size=8)
 unit = st.sampled_from([1, -1, GaussInt(0, 1), GaussInt(0, -1)])
 
 
@@ -418,7 +414,7 @@ def one_minus(m):
 
 
 def same_window(got, want):
-    return (got.q_floor, got.q_cutoff, got.var_cap) == (want.q_floor, want.q_cutoff, want.var_cap)
+    return (got.q_floor, got.q_cutoff) == (want.q_floor, want.q_cutoff)
 
 
 class TestSparseFactorKernels:
@@ -435,41 +431,41 @@ class TestSparseFactorKernels:
     @settings(max_examples=300, deadline=None)
     @given(windowed_series, kernel_bases(q_min=1))
     def test_over_one_minus_is_the_product(self, s, base):
-        want = s * geometric(base, s.q_cutoff, s.var_cap)
+        want = s * geometric(base, s.q_cutoff)
         got = over_one_minus(s, base)
         assert same_window(got, want)
         assert got == want
 
     @settings(max_examples=100, deadline=None)
-    @given(kernel_bases(q_min=1), st.integers(1, 12), st.integers(0, 6))
-    def test_geometric_is_the_power_list(self, base, cutoff, cap):
+    @given(kernel_bases(q_min=1), st.integers(1, 12))
+    def test_geometric_is_the_power_list(self, base, cutoff):
         c, a, b, x, q = base
         want = {}
         m, coeff = 0, 1
-        while m * q < cutoff and m * max(a, b, x) <= cap:
+        while m * q < cutoff:
             want[(m * a, m * b, m * x, m * q)] = coeff
             m, coeff = m + 1, coeff * c
-        got = geometric(base, cutoff, cap)
+        got = geometric(base, cutoff)
         assert dict(got.terms) == want
-        assert (got.q_floor, got.q_cutoff, got.var_cap) == (0, cutoff, cap)
+        assert (got.q_floor, got.q_cutoff) == (0, cutoff)
 
     def test_laurent_numerator_lowers_the_window(self):
-        s = ts((1,), (2, 1, 0, 0, 3), cutoff=6, cap=4)
+        s = ts((1,), (2, 1, 0, 0, 3), cutoff=6)
         got = times_one_minus(s, mono(GaussInt(0, 1), b=1, q=-2))
         assert (got.q_floor, got.q_cutoff) == (-2, 4)
         assert got == s * one_minus(mono(GaussInt(0, 1), b=1, q=-2))
 
     def test_negative_floor_shrinks_the_inverse_window(self):
-        s = ts((1, 0, 0, 0, -2), (1,), cutoff=7, cap=7)
+        s = ts((1, 0, 0, 0, -2), (1,), cutoff=7)
         got = over_one_minus(s, mono(-1, a=1, q=1))
         assert (got.q_floor, got.q_cutoff) == (-2, 5)
-        assert got == s * geometric(mono(-1, a=1, q=1), 7, 7)
+        assert got == s * geometric(mono(-1, a=1, q=1), 7)
 
     def test_cancellation_leaves_no_zero_terms(self):
-        s = ts((1,), (-1, 0, 0, 0, 1), cutoff=9, cap=9)  # 1 - q
+        s = ts((1,), (-1, 0, 0, 0, 1), cutoff=9)  # 1 - q
         assert over_one_minus(s, mono(1, q=1)).terms == {(0, 0, 0, 0): 1}
-        assert times_one_minus(geometric(mono(1, q=2), 9, 9), mono(1, q=2)).terms == {(0, 0, 0, 0): 1}
+        assert times_one_minus(geometric(mono(1, q=2), 9), mono(1, q=2)).terms == {(0, 0, 0, 0): 1}
 
     def test_rejects_bases_that_do_not_raise_q(self):
         with pytest.raises(ValueError, match="positive q-degree"):
-            over_one_minus(TruncatedSeries.one(5, 5), mono(1, a=1))
+            over_one_minus(TruncatedSeries.one(5), mono(1, a=1))

@@ -3,8 +3,8 @@
 Each case draws seeded random Laurent polynomials in a, b, x, q with
 Gaussian-integer coefficients, truncates them to a random window, runs one
 engine operation and compares the result with sympy's exact answer on the
-window the documented rules give (``q_floor <= deg_q < q_cutoff``, degrees
-in a, b, x at most ``var_cap``).  Below the floor sympy's answer must be 0:
+window the documented rules give (``q_floor <= deg_q < q_cutoff``).  Below
+the floor sympy's answer must be 0:
 the floor is a valuation bound.  sympy is independent of the engine, so a
 window rule that keeps one coefficient too many, or a kernel that drops
 one, shows as a mismatch.
@@ -46,7 +46,7 @@ def _sym_terms(expr) -> dict:
     return out
 
 
-def _random_series(seed: int, deg: int, cap: int) -> tuple[random.Random, list[Monomial], TruncatedSeries]:
+def _random_series(seed: int, deg: int) -> tuple[random.Random, list[Monomial], TruncatedSeries]:
     """A random polynomial and its truncation; every third seed is Laurent."""
     rng = random.Random(seed)
     q_lo = -2 if seed % 3 == 0 else 0
@@ -55,7 +55,7 @@ def _random_series(seed: int, deg: int, cap: int) -> tuple[random.Random, list[M
         c = rng.choice((rng.randint(-3, 3) or 1, rng.choice(UNITS), GaussInt(rng.randint(-2, 2), 1)))
         monos.append(mono(c, rng.randint(0, deg), rng.randint(0, deg), rng.randint(0, deg),
                           rng.randint(q_lo, 7)))
-    return rng, monos, TruncatedSeries.poly(monos).truncated(rng.randint(4, 10), cap)
+    return rng, monos, TruncatedSeries.poly(monos).truncated(rng.randint(4, 10))
 
 
 def _random_base(rng: random.Random, q_lo: int) -> Monomial:
@@ -65,19 +65,16 @@ def _random_base(rng: random.Random, q_lo: int) -> Monomial:
 
 def assert_on_window(got: TruncatedSeries, exact: dict) -> None:
     """``got`` is ``exact`` on its window, and ``exact`` is 0 below its floor."""
-    cap = got.var_cap
-    in_cap = {k: c for k, c in exact.items() if max(k[:3]) <= cap}
-    below = {k: c for k, c in in_cap.items() if k[3] < got.q_floor}
+    below = {k: c for k, c in exact.items() if k[3] < got.q_floor}
     assert below == {}, f"nonzero below the floor {got.q_floor}: {below}"
-    want = {k: c for k, c in in_cap.items() if k[3] < got.q_cutoff}
+    want = {k: c for k, c in exact.items() if k[3] < got.q_cutoff}
     assert dict(got.terms) == want
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_mul_window_rule(seed):
-    cap = 2 + seed % 3
-    _, p1, s1 = _random_series(seed, 2, cap)
-    _, p2, s2 = _random_series(seed + 1000, 2, cap)
+    _, p1, s1 = _random_series(seed, 2)
+    _, p2, s2 = _random_series(seed + 1000, 2)
     got = s1 * s2
     assert got.q_floor == s1.q_floor + s2.q_floor
     assert got.q_cutoff == min(s1.q_cutoff + s2.q_floor, s2.q_cutoff + s1.q_floor)
@@ -86,7 +83,7 @@ def test_mul_window_rule(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_shift_x(seed):
-    rng, p, s = _random_series(seed, 3, 3)
+    rng, p, s = _random_series(seed, 3)
     e = rng.randint(0, 3)
     got = s.shift_x(e)
     assert (got.q_floor, got.q_cutoff) == (s.q_floor, s.q_cutoff)
@@ -95,9 +92,8 @@ def test_shift_x(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_specialize_nonnegative_shifts(seed):
-    # The cap clips nothing (degrees <= 2 = cap), so every coefficient
-    # below the image cutoff is provable.
-    rng, p, s = _random_series(seed, 2, 2)
+    # Every coefficient below the image cutoff is provable.
+    rng, p, s = _random_series(seed, 2)
     subs, sym_subs = {}, {}
     for name, var in (("sub_a", A), ("sub_b", B), ("sub_x", X)):
         if rng.random() < 0.7:
@@ -113,7 +109,7 @@ def test_specialize_nonnegative_shifts(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_times_one_minus(seed):
-    rng, p, s = _random_series(seed, 2, 2 + seed % 3)
+    rng, p, s = _random_series(seed, 2)
     base = _random_base(rng, -3)
     got = times_one_minus(s, base)
     low = min(0, base.q)
@@ -123,7 +119,7 @@ def test_times_one_minus(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_over_one_minus(seed):
-    rng, p, s = _random_series(seed, 2, 2 + seed % 3)
+    rng, p, s = _random_series(seed, 2)
     base = _random_base(rng, 1)
     got = over_one_minus(s, base)
     assert (got.q_floor, got.q_cutoff) == (s.q_floor, min(s.q_cutoff, s.q_cutoff + s.q_floor))
@@ -135,7 +131,7 @@ def test_over_one_minus(seed):
 
 def _slack_series(seed: int) -> tuple[random.Random, list[Monomial], TruncatedSeries, int]:
     """A random polynomial with deg_b <= deg_q + slack in every monomial, and
-    its truncation at a cap that clips nothing below the cutoff.
+    its truncation.
 
     Some monomials lie past the cutoff, so the truncation drops terms whose
     images the provable cutoff has to exclude; half sit on the bound
@@ -150,8 +146,7 @@ def _slack_series(seed: int) -> tuple[random.Random, list[Monomial], TruncatedSe
         db = rng.choice((dq + slack, rng.randint(0, dq + slack)))
         monos.append(mono(rng.choice((rng.randint(-3, 3) or 1, rng.choice(UNITS))),
                           rng.randint(0, 2), db, rng.randint(0, 2), dq))
-    cap = cutoff + slack + rng.randint(0, 1)
-    return rng, monos, TruncatedSeries.poly(monos).truncated(cutoff, cap), slack
+    return rng, monos, TruncatedSeries.poly(monos).truncated(cutoff), slack
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -173,9 +168,11 @@ def test_specialize_negative_shift_with_slack(seed):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_specialize_negative_shift_refusals(seed):
-    _, _, s, slack = _slack_series(seed)
+    _, _, s, _ = _slack_series(seed)
     with pytest.raises(ValueError, match=r"needs slack\['b'\]"):
         s.specialize(sub_b=(1, -1), q_power=2)
-    short = s.truncated(var_cap=s.q_cutoff + slack - 1)
-    with pytest.raises(ValueError, match="var_cap too small"):
-        short.specialize(sub_b=(1, -1), q_power=2, slack={"b": slack})
+    # A slack below the largest stored deg_b - deg_q is refuted by that term.
+    tight = max(key[1] - key[3] for key in s.terms)
+    with pytest.raises(ValueError, match=r"slack\['b'\] = .* is contradicted"):
+        s.specialize(sub_b=(1, -1), q_power=2, slack={"b": tight - 1})
+    s.specialize(sub_b=(1, -1), q_power=2, slack={"b": tight})
