@@ -112,6 +112,13 @@ class CountTable:
         return cls(n_max, entries)
 
 
+def add_shifted(into: Counter, counts, ds: int, dt: int, dn: int, n_max: int) -> None:
+    """Add ``counts`` shifted by (ds, dt, dn) into ``into``, up to weight n_max."""
+    for (s, t, n), c in counts.items():
+        if n + dn <= n_max:
+            into[s + ds, t + dt, n + dn] += c
+
+
 def tally(members, n_max: int) -> CountTable:
     """Table of ``(weight, obj)`` members keyed by (obj.s_stat(), obj.t_stat(), weight)."""
     return CountTable(n_max, Counter((obj.s_stat(), obj.t_stat(), n) for n, obj in members))

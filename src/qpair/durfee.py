@@ -9,10 +9,10 @@ families.
 Both families are decided row by row, each through the conjugated
 associated partition of a row: admissibility reads only the bottom row, and
 self-conjugacy compares a region of the top row with one of the bottom row.
-So their count tables pair partitions, a convolution for D and a hash join
-on the swap region for D~, add the rows' marks once, and form no row.  The
-symbol streams serve the listings and are the reference the tables are
-tested against.
+So their count tables list the bottom partitions once for both tables and
+form no row: the tops that a bottom pairs with, and the marks of both rows,
+are series factors.  The symbol streams serve the listings and are the
+reference the tables are tested against.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .frobenius import (
     symbols_up_to,
 )
 from .overpartitions import check_ki, partitions
+from .series import TruncatedSeries, mono, over_one_minus
 
 Partition = tuple[int, ...]
 
@@ -129,7 +130,7 @@ def _reduction(lam2p: Partition, length: int, k: int, i: int) -> Partition | Non
     lam2p of size w with parts <= L has two when L + w <= 20 (the ``--deep``
     grid); ``tests/test_durfee.py`` checks this and compares both predicates
     with a reference that tries every tuple.  Not cached: the Durfee tables
-    ask for each (lam2p, length) once per table.
+    ask for each (lam2p, length) once per (k, i).
     """
     for tup, removals in _insertions(length, k, i):
         nu = _remove_parts(lam2p, removals)
@@ -179,7 +180,7 @@ def _regions(lam1p: Partition, lam2p: Partition, k: int) -> tuple[Partition, Par
     if split is None:
         return None
     cut, g2 = split
-    return _top_region(lam1p, cut), g2
+    return (lam1p if cut is None else tuple(p for p in lam1p if p <= cut)), g2
 
 
 def _bottom_region(lam2p: Partition, k: int) -> tuple[int | None, Partition] | None:
@@ -192,11 +193,6 @@ def _bottom_region(lam2p: Partition, k: int) -> tuple[int | None, Partition] | N
     if len(sizes) < k - 2:
         return None
     return sizes[k - 3], lam2p[sum(sizes[: k - 2]):]
-
-
-def _top_region(lam1p: Partition, cut: int | None) -> Partition:
-    """G1: the parts of lam1p at most the cut."""
-    return lam1p if cut is None else tuple(p for p in lam1p if p <= cut)
 
 
 def k_conjugate(f: FrobeniusSymbol, k: int) -> FrobeniusSymbol:
@@ -258,82 +254,86 @@ def self_conjugate_symbols(k: int, i: int, n_max: int):
 def count_admissible(k: int, i: int, n_max: int, bound: int | None = None) -> CountTable:
     """Table of (k, i)-admissible symbols by (s, t, n), without forming any.
 
-    Admissibility reads only the bottom row, so the table is a convolution
-    over L of all rows with the admissible bottom rows of length L.
+    Admissibility reads only the bottom row, so an admissible bottom row of
+    length L pairs with every top row of length L (:func:`_durfee_tables`).
     """
     check_bound(n_max, bound)
     check_ki(k, i)
-    return _durfee_table(k, i, n_max, False)
+    return _durfee_tables(k, i, n_max)[0]
 
 
 def count_self_conjugate(k: int, i: int, n_max: int, bound: int | None = None) -> CountTable:
     """Table of self-(k, i)-conjugate symbols by (s, t, n), without forming any.
 
-    A hash join of the rows of each length on the swap region: the bottom
-    rows are grouped by (cut, G2) of their reduced partition, and the top
-    rows by G1 at each cut that occurs.  A bottom row whose conjugation is
-    the identity pairs with every top row.
+    A bottom row pairs with the top rows of its length whose G1, their
+    parts at most the cut, is its G2: G2 plus any parts above the cut
+    (:func:`_durfee_tables`).  A bottom row whose conjugation is the
+    identity pairs with every top row.
     """
     check_bound(n_max, bound)
     check_ki(k, i)
-    return _durfee_table(k, i, n_max, True)
+    return _durfee_tables(k, i, n_max)[1]
 
 
 @lru_cache(maxsize=None)
-def _durfee_table(k: int, i: int, n_max: int, tilde: bool) -> CountTable:
-    """The D table, or with ``tilde`` the D~ table, built once per process:
-    a CountTable is read-only, and the four-way and bailey suites share it.
+def _durfee_tables(k: int, i: int, n_max: int) -> tuple[CountTable, CountTable]:
+    """The D and D~ tables, built together once per process: a CountTable
+    is read-only, and the four-way and bailey suites share them.
 
     By :func:`row_split` the rows of length L are the pairs of a partition
     lam' with parts <= L, the conjugated associated partition, and a set of
-    distinct marks below L.  So the rows are paired by lam' alone, counted
-    by size, and the marks are added once per length.
+    distinct marks below L.  The marks of both rows give
+    prod_{v<L} (a + q^v)(b + q^v), a and b counting the plain entries of
+    the bottom and top rows.  A bottom lam' pairs with the tops made of a
+    fixed partition G with parts <= cut and free parts in (cut, L], so it
+    is filed under the cut at weight |lam'| + |G|, and its tops add
+    1/prod_{cut<j<=L} (1 - q^j): cut 0 for every top (an admissible bottom
+    in D, a D~ bottom whose conjugation is the identity), else the
+    (k-2)nd square's size, or L for k = 2, with G = G2.  Each bottom lam'
+    is listed and reduced once for both tables, and no top is listed.
     """
-    total: Counter = Counter()
+    cutoff = n_max + 1
+    totals = [TruncatedSeries.zero(cutoff), TruncatedSeries.zero(cutoff)]
+    marks = TruncatedSeries.one(cutoff)
     for length in range(n_max + 1):
-        room = n_max - length
-        lams = [(size, lam) for size in range(room + 1) for lam in partitions(size, length)]
-        # Bottom partitions by size, keyed by the tops they pair with: None
-        # for every top, or for D~ the (cut, G2) that a top's G1 must match.
-        bottoms = defaultdict(Counter)
-        for size, lam in lams:
-            nu = _reduction(lam, length, k, i)
-            if nu is not None and (tilde or _admissible(nu, k)):
-                bottoms[_bottom_region(nu, k) if tilde else None][size] += 1
-        by_cut = {}
-        pairs: Counter = Counter()
-        for key, below in bottoms.items():
-            if key is None:
-                above = Counter(size for size, _ in lams)
-            else:
-                cut, g2 = key
-                if cut not in by_cut:
-                    by_cut[cut] = defaultdict(Counter)
-                    for size, lam in lams:
-                        by_cut[cut][_top_region(lam, cut)][size] += 1
-                above = by_cut[cut].get(g2, {})
-            for w1, top in above.items():
-                for w2, bottom in below.items():
-                    pairs[w1 + w2] += top * bottom
-        for (s, t, m), ways in _marks(length, room).items():
-            for size, count in pairs.items():
-                if size + m <= room:
-                    total[s, t, length + size + m] += count * ways
-    return CountTable(n_max, total)
+        room = cutoff - length
+        marks = marks.truncated(room)
+        # Each table's bottoms by cut, each a Counter of weights.
+        admissible, self_conjugate = defaultdict(Counter), defaultdict(Counter)
+        for size in range(room):
+            for lam in partitions(size, length):
+                nu = _reduction(lam, length, k, i)
+                if nu is None:
+                    continue
+                if _admissible(nu, k):
+                    admissible[0][size] += 1
+                region = _bottom_region(nu, k)
+                if region is None:
+                    self_conjugate[0][size] += 1
+                    continue
+                cut, g2 = region
+                if (weight := size + sum(g2)) < room:
+                    self_conjugate[length if cut is None else cut][weight] += 1
+        for t, by_cut in enumerate((admissible, self_conjugate)):
+            pairs = _pairs(by_cut, length, room)
+            totals[t] = totals[t] + (marks * pairs).times_monomial(mono(1, q=length))
+        # A running product, not the cached qtools.f_poly, so that no mark
+        # polynomial outlives the tables.
+        marks = marks * TruncatedSeries.poly([mono(1, a=1, b=1), mono(1, a=1, q=length),
+                                              mono(1, b=1, q=length), mono(1, q=2 * length)])
+    return tuple(CountTable.from_series(total, n_max) for total in totals)
 
 
-def _marks(length: int, room: int) -> Counter:
-    """The ways to mark a top and a bottom row of ``length`` entries by
-    (s, t, m <= room), m the sum of all marks: c marks leave a row
-    length - c plain entries."""
-    row = Counter({(0, 0): 1})
-    for v in range(length):
-        for (c, m), ways in list(row.items()):
-            if m + v <= room:
-                row[c + 1, m + v] += ways
-    both: Counter = Counter()
-    for (c1, m1), top in row.items():
-        for (c2, m2), bottom in row.items():
-            if m1 + m2 <= room:
-                both[length - c2, length - c1, m1 + m2] += top * bottom
-    return both
+def _pairs(by_cut, length: int, room: int) -> TruncatedSeries:
+    """The pairs of a filed bottom and a matching top of ``length`` entries,
+    by the size of their partitions, below q^room: the sum over the cuts of
+    B_cut(q) / prod_{cut<j<=length} (1 - q^j) in one upward pass.  B_cut,
+    the bottoms filed under the cut by weight, joins the sum once the
+    factors at j <= cut are applied."""
+    out = TruncatedSeries.zero(room)
+    for cut in range(length + 1):
+        if cut:
+            out = over_one_minus(out, mono(1, q=cut))
+        if cut in by_cut:
+            out = out + TruncatedSeries({(0, 0, 0, w): c for w, c in by_cut[cut].items()}, 0, room)
+    return out

@@ -18,9 +18,8 @@ from functools import lru_cache
 from itertools import product
 from operator import sub
 
-from .counts import CountTable, check_bound
+from .counts import CountTable, add_shifted, check_bound
 from .overpartitions import (
-    _add_shifted,
     canonical_parts,
     check_ki,
     least_left,
@@ -224,7 +223,7 @@ def count_rank_bounded(k: int, i: int, n_max: int, tilde: bool = False,
                     for o_top, o_bot in _OVERLINE_PAIRS:
                         ds, dt = not o_bot, not o_top
                         state = (least_left(e_top, o_top), least_left(e_bot, o_bot), d + dt - ds)
-                        _add_shifted(following[state], counts, ds, dt, 1 + e_top + e_bot, n_max)
+                        add_shifted(following[state], counts, ds, dt, 1 + e_top + e_bot, n_max)
         states = following
         for counts in states.values():
             total.update(counts)

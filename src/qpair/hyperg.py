@@ -383,20 +383,16 @@ def _nested_multisum(depth: int, i_level: int, beta, q_cutoff: int) -> Truncated
     return total
 
 
-def _lattice_prefactor(q_cutoff: int) -> TruncatedSeries:
-    """(abq)_inf / (q, -aq, -bq)_inf."""
-    return qproduct(TruncatedSeries.one(q_cutoff), (ABQ,), (Q, NEG_AQ, NEG_BQ))
-
-
 def bailey_lattice_rhs(pair: BaileyPair, k: int, i: int, q_cutoff: int) -> TruncatedSeries:
     """The alpha side of the lattice transform for a pair relative to q.
 
-    For k = 0 it is the prefactor times beta_0, by the empty-sum conventions.
+    For k = 0 it is the prefactor (abq)_inf / (q, -aq, -bq)_inf times
+    beta_0, by the empty-sum conventions.
     """
     if not (0 <= i <= k):
         raise ValueError(f"need 0 <= i <= k, got i={i}, k={k}")
     if k == 0:
-        return _lattice_prefactor(q_cutoff) * pair.betas[0]
+        return qproduct(pair.betas[0], (ABQ,), (Q, NEG_AQ, NEG_BQ))
     inv_q_inf_sq = qproduct(TruncatedSeries.one(q_cutoff), (), (Q, Q))
     rhs = inv_q_inf_sq * pair.alphas[0]
     inv_chain = TruncatedSeries.one(q_cutoff)
@@ -437,11 +433,11 @@ def bailey_lattice_sides(pair: BaileyPair, k: int, i: int, q_cutoff: int
         return rhs, rhs
     if not (0 <= i <= k):
         raise ValueError(f"need 0 <= i <= k, got i={i}, k={k}")
-    prefactor = _lattice_prefactor(q_cutoff)
     needed = q_cutoff - 1 if k == 1 else isqrt(q_cutoff - 1) + 1
     if pair.depth() < needed:
         raise ValueError(f"pair depth {pair.depth()} insufficient: need n_max >= {needed}")
-    lhs = prefactor * _nested_multisum(k, i, lambda m: pair.betas[m], q_cutoff)
+    lhs = qproduct(_nested_multisum(k, i, lambda m: pair.betas[m], q_cutoff),
+                   (ABQ,), (Q, NEG_AQ, NEG_BQ))
     return lhs, bailey_lattice_rhs(pair, k, i, q_cutoff)
 
 

@@ -21,7 +21,7 @@ from collections import Counter, defaultdict
 from functools import lru_cache
 from itertools import combinations, product
 
-from .counts import CountTable, check_bound
+from .counts import CountTable, add_shifted, check_bound
 from .gaussint import Coeff, I, cadd, cmul, unit_pow
 
 Part = tuple[int, bool]
@@ -309,19 +309,12 @@ def _frequency_table(k: int, i: int, n_max: int, parity: bool) -> CountTable:
                     if level > k - 1 or parity and level == k - 1 and par != (i - 1) % 2:
                         continue
                     state = (f_lam, (odd_prev + lam_over + mu_over) % 2)
-                    _add_shifted(following[state], counts, lam_over, mu_over, weight, n_max)
+                    add_shifted(following[state], counts, lam_over, mu_over, weight, n_max)
         states = following
     total: Counter = Counter()
     for table in states.values():
         total.update(table)
     return CountTable(n_max, total)
-
-
-def _add_shifted(into: Counter, counts, ds: int, dt: int, dn: int, n_max: int) -> None:
-    """Add ``counts`` shifted by (ds, dt, dn) into ``into``, up to weight n_max."""
-    for (s, t, n), c in counts.items():
-        if n + dn <= n_max:
-            into[s + ds, t + dt, n + dn] += c
 
 
 def _with_plain_parts(counts, j: int, n_max: int) -> Counter:

@@ -18,7 +18,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .counts import CountTable, check_bound
+from .counts import CountTable, add_shifted, check_bound
 from .frobenius import FrobeniusSymbol, rank_interval, successive_ranks
 from .hyperg import r_exponent
 from .overpartitions import check_ki
@@ -305,8 +305,7 @@ def count_paths(k: int, i: int, n_max: int, even: bool = False,
             major, ds, dt, _top = extended[6]
             odd_next = (extended[4] - extended[5]) % 2 if even else 0
             rest = completions(extended[0], extended[1], step, odd_next, budget - major)
-            for (s, t, m), c in rest.items():
-                out[s + ds, t + dt, m + major] += c
+            add_shifted(out, rest, ds, dt, major, budget)
         return out
 
     try:

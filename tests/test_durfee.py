@@ -34,6 +34,7 @@ from qpair.frobenius import (
     symbols_of,
 )
 from qpair.overpartitions import canonical_parts, count_frequency_pairs, partitions
+from qpair.series import TruncatedSeries, mono, over_one_minus
 
 
 def row(*parts):
@@ -298,17 +299,31 @@ class TestCachedLayerOracle:
         for name in ("row_split", "_lam_prime", "_row_reduction"):
             fn = getattr(durfee, name)
             monkeypatch.setattr(durfee, name, lambda *args, fn=fn: calls.append(args) or fn(*args))
-        durfee._durfee_table.cache_clear()
+        durfee._durfee_tables.cache_clear()
         count_admissible(3, 2, 10)
         count_self_conjugate(3, 2, 10)
         assert calls == []
         is_ki_admissible(PI, 3, 2)
         assert calls, "the spies see the predicates, which read rows"
 
+    def test_tables_reduce_each_bottom_partition_once(self, monkeypatch):
+        # D and D~ of one (k, i) share one pass over the bottom partitions
+        # lam' of each row length L, and list no top partition.
+        calls = []
+        reduction = durfee._reduction
+        monkeypatch.setattr(durfee, "_reduction", lambda lam, length, k, i:
+                            calls.append((lam, length)) or reduction(lam, length, k, i))
+        durfee._durfee_tables.cache_clear()
+        count_admissible(3, 2, 12)
+        count_self_conjugate(3, 2, 12)
+        listed = [(lam, length) for length in range(13)
+                  for size in range(13 - length) for lam in partitions(size, length)]
+        assert sorted(calls) == sorted(listed)
+
     def test_tables_leave_no_reductions_behind(self):
         # Each (partition, length) is reduced for one table and not kept: a
         # process-wide cache of the reductions held 2.96 MB here.
-        durfee._durfee_table.cache_clear()
+        durfee._durfee_tables.cache_clear()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -316,7 +331,7 @@ class TestCachedLayerOracle:
                 for i in range(1, k + 1):
                     count_admissible(k, i, 20, bound=20)
                     count_self_conjugate(k, i, 20, bound=20)
-            durfee._durfee_table.cache_clear()
+            durfee._durfee_tables.cache_clear()
             gc.collect()  # also empties the free lists, which keep freed tuples
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
@@ -347,8 +362,14 @@ class TestPartitionsAndMarks:
     def test_rows_are_partitions_times_marks(self):
         # The rows of length L and entry sum w with p plain entries are the
         # partitions with parts <= L of size w - m times the sets of L - p
-        # distinct marks below L of sum m.
+        # distinct marks below L of sum m: the coefficient of a^p q^w in
+        # prod_{v<L} (a + q^v) / (q)_L, the row factor the D tables use.
         for length in range(13):
+            gf = TruncatedSeries.one(13 - length)
+            for v in range(length):
+                gf = gf * TruncatedSeries.poly([mono(1, a=1), mono(1, q=v)])
+            for j in range(1, length + 1):
+                gf = over_one_minus(gf, mono(1, q=j))
             for total in range(13 - length):
                 want = Counter()
                 for c in range(length + 1):
@@ -358,6 +379,7 @@ class TestPartitionsAndMarks:
                             want[length - c] += sum(1 for _ in partitions(rest, length))
                 got = Counter(_plain_count(r) for r in rows_of(length, total))
                 assert got == want, (length, total)
+                assert {p: c for (p, _, _, w), c in gf.terms.items() if w == total} == got
 
     @pytest.mark.parametrize("count,k,i,digest", [
         (count_admissible, 2, 2, "3d2c5cd2c3d8ba5aaebd2823ff846797fabdc220f2441808d1e3feb279445b3c"),
@@ -371,4 +393,18 @@ class TestPartitionsAndMarks:
         # Pinned from the row-by-row tables, which the tally tests above
         # tie to the symbol streams.
         table = count(k, i, 20, bound=20)
+        assert hashlib.sha256(table.to_json().encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("count,k,i,digest", [
+        (count_admissible, 2, 2, "6a714d4e0491a0063e41d79ff75840704a86e82e9ea83742f7d6968faa002462"),
+        (count_admissible, 3, 2, "7a8d3cccdacee9b3a373e7214bd2b0fce264910773efb420958a5d2fc571a6b5"),
+        (count_admissible, 3, 3, "bdf6f41b17f4c71c7ada06e7f9c28b05bea5b76e699c2af59c2b7828d53e7c36"),
+        (count_self_conjugate, 2, 2, "e4fabb98ddfae6f555417d471f7dafb7dcdc26d1e8fc0a40cc0cbc9d4936fd39"),
+        (count_self_conjugate, 3, 2, "6d0ea342e7caec87374d164951d801b561191e84d2e3369dd9fe86bb2535615e"),
+        (count_self_conjugate, 3, 3, "644d5b2b6dcc58f877e276261101310d46c63be196b3415c2f4bab3be5b91b28"),
+    ])
+    def test_pinned_tables_at_weight_30(self, count, k, i, digest):
+        # Pinned from the earlier tables, which listed every top partition:
+        # past the weights the tally tests reach, an independent count.
+        table = count(k, i, 30, bound=30)
         assert hashlib.sha256(table.to_json().encode()).hexdigest() == digest
