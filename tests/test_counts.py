@@ -1,8 +1,11 @@
+import hashlib
+
 import pytest
 
 from qpair.counts import CountTable, tally
-from qpair.frobenius import FrobeniusSymbol
-from qpair.overpartitions import Overpartition, OverpartitionPair
+from qpair.frobenius import FrobeniusSymbol, count_rank_bounded
+from qpair.overpartitions import Overpartition, OverpartitionPair, count_frequency_pairs
+from qpair.paths import count_paths
 from qpair.series import TruncatedSeries, mono
 
 
@@ -38,3 +41,31 @@ def test_table_is_read_only():
     table = CountTable(1, given)
     given[(0, 0, 0)] = 1
     assert table.entries == {(0, 0, 1): 1}
+
+
+# sha256 of to_json(), pinned from the Counter-keyed tables that B, C and E
+# each built on their own.  The families share one table, so the digests at
+# n 30 are also the D pins of tests/test_durfee.py.  Every pinned table has
+# a cell above 2**16: (3, 3) at n 30 reaches 356,353.
+PINNED_TABLES = {
+    (3, 2, 30, False): "7a8d3cccdacee9b3a373e7214bd2b0fce264910773efb420958a5d2fc571a6b5",
+    (3, 2, 30, True): "6d0ea342e7caec87374d164951d801b561191e84d2e3369dd9fe86bb2535615e",
+    (3, 3, 30, False): "bdf6f41b17f4c71c7ada06e7f9c28b05bea5b76e699c2af59c2b7828d53e7c36",
+    (3, 3, 30, True): "644d5b2b6dcc58f877e276261101310d46c63be196b3415c2f4bab3be5b91b28",
+    (4, 3, 24, False): "c30d4e553a9217d551c126baa66badfb6a28b75d9f33ad0838e07742f1b2ddaf",
+    (4, 3, 24, True): "4e6bbbdb9a223da6f7fd81e9de1e13c1292df68e77459967436a364788fef938",
+    (4, 4, 24, False): "aa6b5aaa974424805f7de608b84a6a2a2eda185b084b4d69ceb43a2686c35db8",
+    (4, 4, 24, True): "08177c0a691e5807e582c476381de6b1799bbd92b2722c76c8e982f0812d643a",
+}
+FAMILY_TABLES = {
+    "B": lambda k, i, n, parity: count_frequency_pairs(k, i, n, parity=parity, bound=n),
+    "C": lambda k, i, n, parity: count_rank_bounded(k, i, n, tilde=parity, bound=n),
+    "E": lambda k, i, n, parity: count_paths(k, i, n, even=parity, bound=n),
+}
+
+
+@pytest.mark.parametrize("family,key", [
+    (family, key) for key in PINNED_TABLES for family in ("BCE" if key[2] == 30 else "B")])
+def test_pinned_tables(family, key):
+    table = FAMILY_TABLES[family](*key)
+    assert hashlib.sha256(table.to_json().encode()).hexdigest() == PINNED_TABLES[key]
