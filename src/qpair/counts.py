@@ -4,6 +4,10 @@ Entries may be integers or Gaussian integers (weighted counts).  Zero entries
 are not stored; lookups for any triple with ``n <= n_max`` default to 0, and
 lookups beyond ``n_max`` raise (the table makes no claim there).  Rows
 serialize sorted by (n, s, t).
+
+The families build their tables as count rows (:func:`shift_add`): a list
+over n of ints, each packing the (s, t) cells of one weight, which
+:meth:`CountTable.from_rows` unpacks.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import io
 import json
 from collections import Counter
 from collections.abc import Mapping
+from functools import lru_cache
 from types import MappingProxyType
 
 from .gaussint import Coeff, cadd, as_pair
@@ -111,12 +116,84 @@ class CountTable:
                 entries[s, t, n] = cadd(entries.get((s, t, n), 0), c)
         return cls(n_max, entries)
 
+    @classmethod
+    def from_rows(cls, rows: list[int], n_max: int) -> "CountTable":
+        """The table of count rows up to weight n_max (see :func:`shift_add`)."""
+        width = slot_width(n_max)
+        stride = (n_max + 1) * width
+        cell_mask, block_mask = (1 << width) - 1, (1 << stride) - 1
+        entries: dict[tuple[int, int, int], int] = {}
+        for n, row in enumerate(rows):
+            s = 0
+            while row:
+                block, t = row & block_mask, 0
+                while block:
+                    if c := block & cell_mask:
+                        entries[s, t, n] = c
+                    block >>= width
+                    t += 1
+                row >>= stride
+                s += 1
+        return cls(n_max, entries)
 
-def add_shifted(into: Counter, counts, ds: int, dt: int, dn: int, n_max: int) -> None:
-    """Add ``counts`` shifted by (ds, dt, dn) into ``into``, up to weight n_max."""
-    for (s, t, n), c in counts.items():
-        if n + dn <= n_max:
-            into[s + ds, t + dt, n + dn] += c
+
+# ------------------------------------------------------------------ count rows
+
+
+def product_counts(n_max: int, distinct, repeated) -> list[int]:
+    """Coefficients of q^0 .. q^n_max in the product of (1 + q^j) over the
+    part sizes j in ``distinct`` and 1/(1 - q^j) over those in ``repeated``:
+    each j in ``distinct`` is used at most once, each in ``repeated`` any
+    number of times.  A size listed twice is two kinds of part."""
+    counts = [1] + [0] * n_max
+    for j in distinct:
+        for n in range(n_max, j - 1, -1):
+            counts[n] += counts[n - j]
+    for j in repeated:
+        for n in range(j, n_max + 1):
+            counts[n] += counts[n - j]
+    return counts
+
+
+@lru_cache(maxsize=None)
+def slot_width(n_max: int) -> int:
+    """Bits per (s, t) cell of a count row up to weight n_max.
+
+    A count row is a list over the weights n <= n_max of ints; cell (s, t)
+    of weight n is the W-bit slot of ``row[n]`` at bit (s (n_max + 1) + t) W.
+    Reading a as 2^(W (n_max + 1)) and b as 2^W maps Z[a, b] into Z as a
+    ring map, and a shift by (ds, dt, dn) is a multiplication by a^ds b^dt
+    q^dn, so :func:`shift_add` and the sums and scalar multiples of rows
+    compute the packed image of the table exactly, whatever the sizes of
+    the cells along the way.  Unpacking that image is exact when every final
+    cell is nonnegative, has t <= n_max and is below 2^W.
+
+    Every family's cells are counts, and s, t <= n <= n_max.  A final cell
+    of weight n counts distinct objects of weight n that inject into the
+    overpartition pairs of weight n: B is a subset of them, C's symbols are
+    a subset of the Frobenius symbols of weight n, which are equinumerous
+    with them, D's symbols are a subset of C's, and E's paths inject into
+    C by ``paths.path_to_symbol``.  So W is one bit more than the bit length
+    of the largest count of overpartition pairs of one weight n <= n_max,
+    the coefficients of prod_j (1 + q^j)^2 / (1 - q^j)^2, which lists each
+    size twice.  (Listing it once counts overpartitions, too few: at n_max
+    30 a B cell holds 356,353, a 19-bit number, against 18 bits.)
+    """
+    sizes = range(1, n_max + 1)
+    return max(product_counts(n_max, [*sizes, *sizes], [*sizes, *sizes])).bit_length() + 1
+
+
+def cell_shift(ds: int, dt: int, n_max: int) -> int:
+    """The bit shift that moves a cell of a count row up to weight n_max by (ds, dt)."""
+    return (ds * (n_max + 1) + dt) * slot_width(n_max)
+
+
+def shift_add(into: list[int], row: list[int], shift: int, dn: int) -> None:
+    """Add ``row`` into ``into`` with its cells moved by ``shift`` bits (a
+    :func:`cell_shift`) and its weights by dn; weights past ``into`` are dropped."""
+    for n, cell in zip(range(dn, len(into)), row):
+        if cell:
+            into[n] += cell << shift
 
 
 def tally(members, n_max: int) -> CountTable:

@@ -11,16 +11,15 @@ associated partition of a row: admissibility reads only the bottom row, and
 self-conjugacy compares a region of the top row with one of the bottom row.
 So their count tables list the bottom partitions once for both tables and
 form no row: the tops that a bottom pairs with, and the marks of both rows,
-are series factors.  The symbol streams serve the listings and are the
+are factors of count rows (:func:`qpair.counts.shift_add`).  The symbol streams serve the listings and are the
 reference the tables are tested against.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from functools import lru_cache
 
-from .counts import CountTable, check_bound
+from .counts import CountTable, cell_shift, check_bound, shift_add
 from .frobenius import (
     FrobeniusSymbol,
     Row,
@@ -29,7 +28,6 @@ from .frobenius import (
     symbols_up_to,
 )
 from .overpartitions import check_ki, partitions
-from .series import TruncatedSeries, mono, over_one_minus
 
 Partition = tuple[int, ...]
 
@@ -282,7 +280,7 @@ def _durfee_tables(k: int, i: int, n_max: int) -> tuple[CountTable, CountTable]:
 
     By :func:`row_split` the rows of length L are the pairs of a partition
     lam' with parts <= L, the conjugated associated partition, and a set of
-    distinct marks below L.  The marks of both rows give
+    distinct marks below L.  The marks of both rows give the count row of
     prod_{v<L} (a + q^v)(b + q^v), a and b counting the plain entries of
     the bottom and top rows.  A bottom lam' pairs with the tops made of a
     fixed partition G with parts <= cut and free parts in (cut, L], so it
@@ -292,48 +290,51 @@ def _durfee_tables(k: int, i: int, n_max: int) -> tuple[CountTable, CountTable]:
     (k-2)nd square's size, or L for k = 2, with G = G2.  Each bottom lam'
     is listed and reduced once for both tables, and no top is listed.
     """
-    cutoff = n_max + 1
-    totals = [TruncatedSeries.zero(cutoff), TruncatedSeries.zero(cutoff)]
-    marks = TruncatedSeries.one(cutoff)
-    for length in range(n_max + 1):
-        room = cutoff - length
-        marks = marks.truncated(room)
-        # Each table's bottoms by cut, each a Counter of weights.
-        admissible, self_conjugate = defaultdict(Counter), defaultdict(Counter)
-        for size in range(room):
-            for lam in partitions(size, length):
+    size = n_max + 1
+    a, b, ab = (cell_shift(ds, dt, n_max) for ds, dt in ((1, 0), (0, 1), (1, 1)))
+    totals = ([0] * size, [0] * size)
+    marks = [1] + [0] * n_max
+    for length in range(size):
+        room = size - length
+        del marks[room:]
+        # Each table's bottoms by cut, each a list of counts by weight.
+        admissible, self_conjugate = ([[0] * room for _ in range(length + 1)] for _ in range(2))
+        for weight in range(room):
+            for lam in partitions(weight, length):
                 nu = _reduction(lam, length, k, i)
                 if nu is None:
                     continue
                 if _admissible(nu, k):
-                    admissible[0][size] += 1
+                    admissible[0][weight] += 1
                 region = _bottom_region(nu, k)
                 if region is None:
-                    self_conjugate[0][size] += 1
+                    self_conjugate[0][weight] += 1
                     continue
                 cut, g2 = region
-                if (weight := size + sum(g2)) < room:
-                    self_conjugate[length if cut is None else cut][weight] += 1
-        for t, by_cut in enumerate((admissible, self_conjugate)):
-            pairs = _pairs(by_cut, length, room)
-            totals[t] = totals[t] + (marks * pairs).times_monomial(mono(1, q=length))
-        # A running product, not the cached qtools.f_poly, so that no mark
-        # polynomial outlives the tables.
-        marks = marks * TruncatedSeries.poly([mono(1, a=1, b=1), mono(1, a=1, q=length),
-                                              mono(1, b=1, q=length), mono(1, q=2 * length)])
-    return tuple(CountTable.from_series(total, n_max) for total in totals)
+                if (filed := weight + sum(g2)) < room:
+                    self_conjugate[length if cut is None else cut][filed] += 1
+        for total, by_cut in zip(totals, (admissible, self_conjugate)):
+            for w, c in enumerate(_pairs(by_cut, room)):
+                if c:
+                    shift_add(total, [c * cell for cell in marks], 0, length + w)
+        following = [0] * room
+        for shift, dn in ((ab, 0), (a, length), (b, length), (0, 2 * length)):
+            shift_add(following, marks, shift, dn)
+        marks = following
+    return tuple(CountTable.from_rows(total, n_max) for total in totals)
 
 
-def _pairs(by_cut, length: int, room: int) -> TruncatedSeries:
-    """The pairs of a filed bottom and a matching top of ``length`` entries,
-    by the size of their partitions, below q^room: the sum over the cuts of
-    B_cut(q) / prod_{cut<j<=length} (1 - q^j) in one upward pass.  B_cut,
-    the bottoms filed under the cut by weight, joins the sum once the
-    factors at j <= cut are applied."""
-    out = TruncatedSeries.zero(room)
-    for cut in range(length + 1):
+def _pairs(by_cut: list[list[int]], room: int) -> list[int]:
+    """The pairs of a filed bottom and a matching top of ``len(by_cut) - 1``
+    entries, by the size of their partitions, below weight ``room``: the
+    sum over the cuts of B_cut(q) / prod_{cut<j<=length} (1 - q^j) in one
+    upward pass.  B_cut, the bottoms filed under the cut by weight, joins
+    the sum once the factors at j <= cut are applied."""
+    out = [0] * room
+    for cut, filed in enumerate(by_cut):
         if cut:
-            out = over_one_minus(out, mono(1, q=cut))
-        if cut in by_cut:
-            out = out + TruncatedSeries({(0, 0, 0, w): c for w, c in by_cut[cut].items()}, 0, room)
+            for n in range(cut, room):
+                out[n] += out[n - cut]
+        for n, c in enumerate(filed):
+            out[n] += c
     return out

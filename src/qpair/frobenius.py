@@ -13,12 +13,11 @@ reference the tables are tested against.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from functools import lru_cache
 from itertools import product
 from operator import sub
 
-from .counts import CountTable, add_shifted, check_bound
+from .counts import CountTable, cell_shift, check_bound, shift_add
 from .overpartitions import (
     canonical_parts,
     check_ki,
@@ -203,31 +202,45 @@ def count_rank_bounded(k: int, i: int, n_max: int, tilde: bool = False,
     the bottom row.  An entry left of (e, overlined) is at least
     :func:`least_left` of it, the row rule of ``canonical_parts``.  So the
     scan carries that least entry of each row and d, each state with its
-    counts by (s, t, n), and adds one column on the left at each step.
+    count row (:func:`qpair.counts.shift_add`), and adds one column on the
+    left at each step.  d is t - s, so a state's cells all lie on one
+    diagonal: its row keeps s alone, in the slots of the cells (0, s), and
+    the totals are kept by d, each a part of the table.
     """
     check_bound(n_max, bound)
     check_ki(k, i)
     lo, hi = interval if interval is not None else rank_interval(k, i, tilde)
     # The empty symbol lies in every window; a column may take any entries
     # when nothing lies right of it.
-    total = Counter({(0, 0, 0): 1})
-    states = {(0, 0, 0): total.copy()}
+    size = n_max + 1
+    # By o_bot: a plain bottom entry adds 1 to s, in the slot of t.
+    shift_s = (cell_shift(0, 1, n_max), 0)
+    totals = {0: [1] + [0] * n_max}
+    states = {(0, 0, 0): totals[0].copy()}
     while states:
-        following = defaultdict(Counter)
-        for (least_top, least_bot, d), counts in states.items():
-            room = n_max - 1 - min(n for _, _, n in counts)
+        following: dict[tuple[int, int, int], list[int]] = {}
+        for (least_top, least_bot, d), row in states.items():
+            # Only the weights from the row's lightest on can be shifted.
+            low = next(n for n, cell in enumerate(row) if cell)
+            room, row = n_max - 1 - low, row[low:]
             for e_top in range(least_top, room + 1):
                 # The column's rank e_top - e_bot + d must lie in [lo, hi].
                 for e_bot in range(max(least_bot, e_top + d - hi),
                                    min(room - e_top, e_top + d - lo) + 1):
                     for o_top, o_bot in _OVERLINE_PAIRS:
-                        ds, dt = not o_bot, not o_top
-                        state = (least_left(e_top, o_top), least_left(e_bot, o_bot), d + dt - ds)
-                        add_shifted(following[state], counts, ds, dt, 1 + e_top + e_bot, n_max)
+                        state = (least_left(e_top, o_top), least_left(e_bot, o_bot),
+                                 d + o_bot - o_top)
+                        if state not in following:
+                            following[state] = [0] * size
+                        shift_add(following[state], row, shift_s[o_bot], low + 1 + e_top + e_bot)
         states = following
-        for counts in states.values():
-            total.update(counts)
-    return CountTable(n_max, total)
+        for (_least_top, _least_bot, d), row in states.items():
+            shift_add(totals.setdefault(d, [0] * size), row, 0, 0)
+    entries = {}
+    for d, rows in totals.items():
+        for (_zero, s, n), c in CountTable.from_rows(rows, n_max).entries.items():
+            entries[s, s + d, n] = c
+    return CountTable(n_max, entries)
 
 
 # ------------------------------------------------------------------ row bijection

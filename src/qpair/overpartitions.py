@@ -17,11 +17,10 @@ counts are tested against.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from functools import lru_cache
 from itertools import combinations, product
 
-from .counts import CountTable, add_shifted, check_bound
+from .counts import CountTable, cell_shift, check_bound, product_counts, shift_add
 from .gaussint import Coeff, I, cadd, cmul, unit_pow
 
 Part = tuple[int, bool]
@@ -213,14 +212,34 @@ def check_ki(k: int, i: int) -> None:
 
 
 def partitions(n: int, max_part: int | None = None):
-    """Partitions of n as weakly decreasing tuples."""
+    """Partitions of n with parts at most ``max_part``, as weakly decreasing
+    tuples in reverse lexicographic order.
+
+    Each step lowers the last part above 1 by one and refills what follows
+    with the largest parts it allows.
+    """
     if n == 0:
         yield ()
         return
     top = n if max_part is None else min(n, max_part)
-    for first in range(top, 0, -1):
-        for rest in partitions(n - first, first):
-            yield (first,) + rest
+    if top < 1:
+        return
+    parts = [top] * (n // top)
+    if n % top:
+        parts.append(n % top)
+    while True:
+        yield tuple(parts)
+        ones = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            ones += 1
+        if not parts:
+            return
+        part = parts.pop() - 1
+        more, rest = divmod(ones + 1 + part, part)
+        parts += [part] * more
+        if rest:
+            parts.append(rest)
 
 
 def overlinings(p: tuple[int, ...]):
@@ -276,10 +295,10 @@ def count_frequency_pairs(k: int, i: int, n_max: int, parity: bool = False,
 
     The level at j - 1 reads f_{j-1}(lam), the overlined parts <= j - 1 and
     v_j, so the scan over j = 1 .. n_max + 1 carries the state
-    (f_{j-1}(lam), parity of the overlined parts <= j - 1), each with its
-    counts by (s, t, n).  At j it chooses f_j(lam), lam~_j, mu~_j and
-    f_j(mu), which give v_j, and keeps the choice when the level at j - 1
-    passes.  Starting from f_0 = k - i makes level 0 the condition
+    (f_{j-1}(lam), parity of the overlined parts <= j - 1), each with the
+    count row (:func:`qpair.counts.shift_add`) of its prefixes.  At j it
+    chooses f_j(lam), lam~_j, mu~_j and f_j(mu), which give v_j, and keeps
+    the choice when the level at j - 1 passes.  Starting from f_0 = k - i makes level 0 the condition
     v_1 <= i - 1, whose parity always matches when it is tight.
 
     A CountTable is read-only, so each table is built once per process: the
@@ -292,13 +311,21 @@ def count_frequency_pairs(k: int, i: int, n_max: int, parity: bool = False,
 
 @lru_cache(maxsize=None)
 def _frequency_table(k: int, i: int, n_max: int, parity: bool) -> CountTable:
-    states = {(k - i, 0): Counter({(0, 0, 0): 1})}
+    size = n_max + 1
+    both = cell_shift(1, 1, n_max)
+    shifts = {(lam_over, mu_over): cell_shift(lam_over, mu_over, n_max)
+              for lam_over, mu_over in product((0, 1), repeat=2)}
+    states = {(k - i, 0): [1] + [0] * n_max}
     for j in range(1, n_max + 2):
-        following = defaultdict(Counter)
-        for (f_prev, odd_prev), table in states.items():
+        following: dict[tuple[int, int], list[int]] = {}
+        for (f_prev, odd_prev), row in states.items():
             # f_j(mu) enters v_j only through f_j(mu) >= 1: one value stands
-            # for all of them, with the table summed over every such f_j(mu).
-            by_mu = ((0, table), (1, _with_plain_parts(table, j, n_max)))
+            # for all of them, with the row summed over every such f_j(mu),
+            # each plain part j of mu adding 1 to s and t and j to n.
+            plain = [0] * size
+            for n in range(j, size):
+                plain[n] = (row[n - j] + plain[n - j]) << both
+            by_mu = ((0, row), (1, plain))
             for f_lam, lam_over, mu_over in product(range(k), (0, 1), (0, 1)):
                 weight = j * (f_lam + lam_over + mu_over)
                 if weight > n_max:
@@ -309,40 +336,14 @@ def _frequency_table(k: int, i: int, n_max: int, parity: bool) -> CountTable:
                     if level > k - 1 or parity and level == k - 1 and par != (i - 1) % 2:
                         continue
                     state = (f_lam, (odd_prev + lam_over + mu_over) % 2)
-                    add_shifted(following[state], counts, lam_over, mu_over, weight, n_max)
+                    if state not in following:
+                        following[state] = [0] * size
+                    shift_add(following[state], counts, shifts[lam_over, mu_over], weight)
         states = following
-    total: Counter = Counter()
-    for table in states.values():
-        total.update(table)
-    return CountTable(n_max, total)
-
-
-def _with_plain_parts(counts, j: int, n_max: int) -> Counter:
-    """``counts`` after adding f >= 1 plain parts j to mu, summed over f: each
-    part adds 1 to s and t and j to the weight."""
-    out: Counter = Counter()
-    for (s, t, n), c in counts.items():
-        for f in range(1, (n_max - n) // j + 1):
-            out[s + f, t + f, n + j * f] += c
-    return out
+    return CountTable.from_rows([sum(cells) for cells in zip(*states.values())], n_max)
 
 
 # ------------------------------------------------------------------ corollaries
-
-
-def _product_counts(n_max: int, distinct, repeated) -> list[int]:
-    """Coefficients of q^0 .. q^n_max in the product of (1 + q^j) over the
-    part sizes j in ``distinct`` and 1/(1 - q^j) over those in ``repeated``:
-    each j in ``distinct`` is used at most once, each in ``repeated`` any
-    number of times.  A size listed twice is two kinds of part."""
-    counts = [1] + [0] * n_max
-    for j in distinct:
-        for n in range(n_max, j - 1, -1):
-            counts[n] += counts[n - j]
-    for j in repeated:
-        for n in range(j, n_max + 1):
-            counts[n] += counts[n - j]
-    return counts
 
 
 def _image_counts(entries, image_weight, n_max: int) -> list[int]:
@@ -378,7 +379,7 @@ def odd_modulus_product_side(k: int, n_max: int) -> list[int]:
     if k < 2:
         raise ValueError("need k >= 2")
     sizes = [j for j in range(1, n_max + 1) if j % (2 * k - 1)]
-    return _product_counts(n_max, sizes, sizes)
+    return product_counts(n_max, sizes, sizes)
 
 
 def overpartition_identity_sides(k: int, n_max: int, i: int | None = None) -> tuple[list[int], list[int]]:
@@ -401,7 +402,7 @@ def root_of_unity_product_side(k: int, n_max: int) -> list[int]:
     if k < 3:
         raise ValueError("need k >= 3 so that i = k-1 >= 2")
     sizes = [j for j in range(1, n_max + 1) if j % (k - 1)] + list(range(2, n_max + 1, 2))
-    return _product_counts(n_max, sizes, sizes)
+    return product_counts(n_max, sizes, sizes)
 
 
 def weighted_pair_identity_sides(k: int, n_max: int) -> tuple[list[int], list[Coeff], list[Coeff]]:
@@ -429,7 +430,7 @@ def partition_pair_product_side(k: int, i: int, n_max: int) -> list[int]:
     mod = 4 * k - 2
     banned = {0, (2 * i - 2) % mod, (mod - (2 * i - 2)) % mod}
     odd, even = range(1, n_max + 1, 2), range(2, n_max + 1, 2)
-    return _product_counts(n_max, [*odd, *odd], [*even, *(j for j in even if j % mod not in banned)])
+    return product_counts(n_max, [*odd, *odd], [*even, *(j for j in even if j % mod not in banned)])
 
 
 def partition_pair_identity_sides(k: int, i: int, n_max: int) -> tuple[list[int], list[int]]:

@@ -13,12 +13,11 @@ closed form) and the bijection with rank-bounded Frobenius symbols.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .counts import CountTable, add_shifted, check_bound
+from .counts import CountTable, cell_shift, check_bound, shift_add
 from .frobenius import FrobeniusSymbol, rank_interval, successive_ranks
 from .hyperg import r_exponent
 from .overpartitions import check_ki
@@ -281,19 +280,18 @@ def count_paths(k: int, i: int, n_max: int, even: bool = False,
 
     How a prefix can be completed depends only on its (x, y, last step), on
     (u - v) mod 2 for the even conditions, and on the major index it has
-    left to spend.  So the walk of :func:`_paths_up_to` is memoised on those:
-    each state steps by :func:`_step` from a prefix whose u, v, East parity,
-    statistics and peaks are reset, and reads what a step adds from the new
-    statistics and the peak it records.
+    left to spend.  So the walk of :func:`_paths_up_to` is memoised on those,
+    each state giving the count row (:func:`qpair.counts.shift_add`) of its
+    completions: it steps by :func:`_step` from a prefix whose u, v, East
+    parity, statistics and peaks are reset, and reads what a step adds from
+    the new statistics and the peak it records.
     """
     check_bound(n_max, bound)
     check_ki(k, i)
 
     @lru_cache(maxsize=None)
-    def completions(x: int, y: int, last, odd: int, budget: int) -> Counter:
-        out: Counter = Counter()
-        if y == 0 and last != E:
-            out[0, 0, 0] = 1
+    def completions(x: int, y: int, last, odd: int, budget: int) -> list[int]:
+        out = [int(y == 0 and last != E)] + [0] * budget
         prefix = (x, y, last, False, odd, 0) + _start(y)[6:]
         for step, mark in _AT_PEAK if last == NE else _OFF_PEAK:
             extended = _step(prefix, step, mark)
@@ -305,11 +303,11 @@ def count_paths(k: int, i: int, n_max: int, even: bool = False,
             major, ds, dt, _top = extended[6]
             odd_next = (extended[4] - extended[5]) % 2 if even else 0
             rest = completions(extended[0], extended[1], step, odd_next, budget - major)
-            add_shifted(out, rest, ds, dt, major, budget)
+            shift_add(out, rest, cell_shift(ds, dt, n_max), major)
         return out
 
     try:
-        return CountTable(n_max, completions(0, k - i, None, 0, n_max))
+        return CountTable.from_rows(completions(0, k - i, None, 0, n_max), n_max)
     finally:  # The memo refers to itself: a cycle that would outlive the call.
         completions.cache_clear()
 

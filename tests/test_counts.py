@@ -1,12 +1,15 @@
 import hashlib
+import sys
 
 import pytest
 
-from qpair.counts import CountTable, tally
+from qpair import durfee, overpartitions, series
+from qpair.counts import CountTable, cell_shift, product_counts, shift_add, slot_width, tally
 from qpair.frobenius import FrobeniusSymbol, count_rank_bounded
-from qpair.overpartitions import Overpartition, OverpartitionPair, count_frequency_pairs
+from qpair.overpartitions import Overpartition, OverpartitionPair, count_frequency_pairs, pairs_of
 from qpair.paths import count_paths
 from qpair.series import TruncatedSeries, mono
+from qpair.verify import VerifyConfig, run_suite
 
 
 def test_tally_keys_s_before_t():
@@ -69,3 +72,59 @@ FAMILY_TABLES = {
 def test_pinned_tables(family, key):
     table = FAMILY_TABLES[family](*key)
     assert hashlib.sha256(table.to_json().encode()).hexdigest() == PINNED_TABLES[key]
+
+
+def test_slot_width_counts_overpartition_pairs():
+    sizes = range(1, 7)
+    assert product_counts(6, [*sizes, *sizes], [*sizes, *sizes]) == [len(pairs_of(n)) for n in range(7)]
+    # Sized from overpartitions, one kind of part per size, the slots are
+    # too narrow for the pairs: a B cell at n 30 needs 19 bits.
+    sizes = range(1, 31)
+    too_narrow = max(product_counts(30, sizes, sizes)).bit_length() + 1
+    cell = max(count_frequency_pairs(3, 3, 30, bound=30).entries.values())
+    assert too_narrow <= cell.bit_length() == (356353).bit_length() < slot_width(30)
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 6, 30])
+def test_full_cells_round_trip(n_max):
+    # Full slots at s = t = n = n_max and beside it, and the pair-count
+    # bound at the first cell, come back from the rows unchanged.
+    full = (1 << slot_width(n_max)) - 1
+    bound = max(product_counts(n_max, [*range(1, n_max + 1)] * 2, [*range(1, n_max + 1)] * 2))
+    rows = [0] * (n_max + 1)
+    cells = {(n_max, n_max, n_max): full, (0, 0, n_max): bound}
+    if n_max:
+        cells.update({(n_max, n_max - 1, n_max): full, (n_max - 1, n_max, n_max): full})
+    for (s, t, n), c in cells.items():
+        shift_add(rows, [c], cell_shift(s, t, n_max), n)
+    assert CountTable.from_rows(rows, n_max).entries == cells
+
+
+def test_shift_add_drops_weights_past_the_row():
+    rows = [0, 0, 0]
+    shift_add(rows, [1, 2, 3], cell_shift(1, 0, 2), 1)
+    shift_add(rows, [5], 0, 3)
+    assert CountTable.from_rows(rows, 2).entries == {(1, 0, 1): 1, (1, 0, 2): 2}
+
+
+def test_four_way_suites_call_no_series_kernel(monkeypatch):
+    calls = []
+
+    def spy(owner, name):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs))
+
+    for name in ("__mul__", "__add__", "times_monomial"):
+        spy(TruncatedSeries, name)
+    for name in ("over_one_minus", "times_one_minus"):
+        fn = getattr(series, name)
+        for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "qpair"]:
+            if getattr(module, name, None) is fn:
+                spy(module, name)
+    overpartitions._frequency_table.cache_clear()
+    durfee._durfee_tables.cache_clear()
+    cfg = VerifyConfig(k_values=(2, 3), n_max=8)
+    assert run_suite("four-way", cfg).ok and run_suite("four-way-even", cfg).ok
+    assert calls == []
+    series.over_one_minus(TruncatedSeries.one(3) * TruncatedSeries.one(3), mono(1, q=1))
+    assert calls == ["__mul__", "over_one_minus"], "the spies see a series build"
