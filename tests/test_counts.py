@@ -90,7 +90,8 @@ def test_full_cells_round_trip(n_max):
     # Full slots at s = t = n = n_max and beside it, and the pair-count
     # bound at the first cell, come back from the rows unchanged.
     full = (1 << slot_width(n_max)) - 1
-    bound = max(product_counts(n_max, [*range(1, n_max + 1)] * 2, [*range(1, n_max + 1)] * 2))
+    sizes = [*range(1, n_max + 1)] * 2
+    bound = max(product_counts(n_max, sizes, sizes))
     rows = [0] * (n_max + 1)
     cells = {(n_max, n_max, n_max): full, (0, 0, n_max): bound}
     if n_max:
