@@ -36,7 +36,7 @@ from .hyperg import (
     series_R_tilde_bilateral,
 )
 from .overpartitions import Overpartition, OverpartitionPair
-from .paths import LatticePath, enumerate_paths, path_to_symbol, symbol_to_path
+from .paths import LatticePath, path_to_symbol, symbol_to_path
 from .series import INF, Monomial, TruncatedSeries, mono, pochhammer, pochhammer_inf, q_binomial
 from .verify import SUITES, VerificationReport, VerifyConfig, run_suite
 
@@ -62,7 +62,6 @@ __all__ = [
     "bailey_pair_b3",
     "bailey_pair_e3",
     "bailey_relation_mismatch",
-    "enumerate_paths",
     "is_ki_admissible",
     "is_self_ki_conjugate",
     "jacobi_triple_product",

@@ -79,20 +79,18 @@ def _setting(flag_value: int | None, flag: str, env: str, default: int, minimum:
 def _parse_sub(expr: str) -> tuple:
     """Parse a substitution like '1', '-i', 'q^-1', 'i*q^2' into (unit, shift)."""
     units = {"0": 0, "1": 1, "-1": -1, "i": GaussInt(0, 1), "-i": GaussInt(0, -1)}
-    head, _, tail = expr.partition("*")
-    if head.startswith("q^") or head == "q":
-        head, tail = "1", head
+    head, star, tail = expr.partition("*")
+    if not star and (head.startswith("q^") or head == "q"):
+        head, star, tail = "1", "*", head
     if head not in units:
         raise ValueError(f"bad substitution coefficient {head!r} (use 0, 1, -1, i, -i)")
-    shift = 0
-    if tail:
-        if tail == "q":
-            shift = 1
-        elif tail.startswith("q^"):
-            shift = int(tail[2:])
-        else:
-            raise ValueError(f"bad substitution q-power {tail!r} (use q^INT)")
-    return units[head], shift
+    if not star:
+        return units[head], 0
+    exponent = "1" if tail == "q" else tail[2:] if tail.startswith("q^") else ""
+    try:
+        return units[head], int(exponent)
+    except ValueError:
+        raise ValueError(f"bad substitution q-power {tail!r} (use q^INT)") from None
 
 
 def _series_to_csv(series: TruncatedSeries) -> str:
@@ -158,41 +156,31 @@ def cmd_series(args) -> int:
     return 0
 
 
-def _pair_obj(pair) -> dict:
-    return {
-        "lam": [{"size": s, "over": o} for s, o in pair.lam.parts],
-        "mu": [{"size": s, "over": o} for s, o in pair.mu.parts],
-    }
-
-
-def _own_obj(obj) -> dict:
-    return obj.to_obj()
-
-
-# family -> (stream of (weight, object) members up to weight n, object -> JSON,
-# the family's count table up to weight n under a bound, or None to tally the
-# stream).  The lambdas look the functions up when called, never at import.
+# family -> (stream of (weight, object) members up to weight n, the family's
+# count table up to weight n under a bound, or None to tally the stream).
+# Each object lists itself by its ``to_obj``.  The lambdas look the functions
+# up when called, never at import.
 # ``paths`` is another name for the E entry itself.
-_E_FAMILY = (lambda k, i, n: paths_up_to(k, i, n), _own_obj,
+_E_FAMILY = (lambda k, i, n: paths_up_to(k, i, n),
              lambda k, i, n, bound: count_paths(k, i, n, bound=bound))
 ENUM_FAMILIES = {
-    "B": (lambda k, i, n: frequency_pairs(k, i, n), _pair_obj,
+    "B": (lambda k, i, n: frequency_pairs(k, i, n),
           lambda k, i, n, bound: count_frequency_pairs(k, i, n, bound=bound)),
-    "Btilde": (lambda k, i, n: frequency_pairs(k, i, n, parity=True), _pair_obj,
+    "Btilde": (lambda k, i, n: frequency_pairs(k, i, n, parity=True),
                lambda k, i, n, bound: count_frequency_pairs(k, i, n, parity=True, bound=bound)),
-    "C": (lambda k, i, n: rank_bounded_symbols(k, i, n), _own_obj,
+    "C": (lambda k, i, n: rank_bounded_symbols(k, i, n),
           lambda k, i, n, bound: count_rank_bounded(k, i, n, bound=bound)),
-    "Ctilde": (lambda k, i, n: rank_bounded_symbols(k, i, n, tilde=True), _own_obj,
+    "Ctilde": (lambda k, i, n: rank_bounded_symbols(k, i, n, tilde=True),
                lambda k, i, n, bound: count_rank_bounded(k, i, n, tilde=True, bound=bound)),
-    "D": (lambda k, i, n: admissible_symbols(k, i, n), _own_obj,
+    "D": (lambda k, i, n: admissible_symbols(k, i, n),
           lambda k, i, n, bound: count_admissible(k, i, n, bound=bound)),
-    "Dtilde": (lambda k, i, n: self_conjugate_symbols(k, i, n), _own_obj,
+    "Dtilde": (lambda k, i, n: self_conjugate_symbols(k, i, n),
                lambda k, i, n, bound: count_self_conjugate(k, i, n, bound=bound)),
     "E": _E_FAMILY,
-    "Etilde": (lambda k, i, n: paths_up_to(k, i, n, even=True), _own_obj,
+    "Etilde": (lambda k, i, n: paths_up_to(k, i, n, even=True),
                lambda k, i, n, bound: count_paths(k, i, n, even=True, bound=bound)),
-    "pairs": (lambda k, i, n: pairs_up_to(n), _pair_obj, None),
-    "symbols": (lambda k, i, n: symbols_up_to(n), _own_obj, None),
+    "pairs": (lambda k, i, n: pairs_up_to(n), None),
+    "symbols": (lambda k, i, n: symbols_up_to(n), None),
     "paths": _E_FAMILY,
 }
 
@@ -202,14 +190,13 @@ def cmd_enumerate(args) -> int:
         raise ValueError(f"family {args.family} needs -k and -i")
     if args.n < 0:
         raise ValueError(f"-n must be at least 0, got {args.n}")
-    if args.bound is None:
-        args.bound = _env_int("QPAIR_BOUND", DEFAULT_BOUND)
+    args.bound = _setting(args.bound, "--bound", "QPAIR_BOUND", DEFAULT_BOUND, 0)
     check_bound(args.n, args.bound)
     if args.mode == "objects" and args.format == "csv":
         raise ValueError("objects mode only supports --format json")
-    stream, to_obj, count = ENUM_FAMILIES[args.family]
+    stream, count = ENUM_FAMILIES[args.family]
     if args.mode == "objects":
-        objs = [to_obj(obj) for m, obj in stream(args.k, args.i, args.n) if m == args.n]
+        objs = [obj.to_obj() for m, obj in stream(args.k, args.i, args.n) if m == args.n]
         _emit(args, _dump({"family": args.family, "n": args.n, "objects": objs}))
     else:
         if count is None:

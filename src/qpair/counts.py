@@ -1,9 +1,10 @@
 """Count tables keyed by (s, t, n): the comparison currency between families.
 
-Entries may be integers or Gaussian integers (weighted counts).  Zero entries
-are not stored; lookups for any triple with ``n <= n_max`` default to 0, and
-lookups beyond ``n_max`` raise (the table makes no claim there).  Rows
-serialize sorted by (n, s, t).
+Entries may be integers or Gaussian integers (weighted counts), summed with
+their own ``+``.  A table is read through its ``entries`` mapping, which
+stores only nonzero counts: a triple with ``n <= n_max`` that it lacks
+counts 0, and the table makes no claim beyond ``n_max``.  Rows serialize
+sorted by (n, s, t).
 
 The families build their tables as count rows (:func:`shift_add`): a list
 over n of ints, each packing the (s, t) cells of one weight, which
@@ -20,7 +21,7 @@ from collections.abc import Mapping
 from functools import lru_cache
 from types import MappingProxyType
 
-from .gaussint import Coeff, cadd, as_pair
+from .gaussint import Coeff, as_pair
 from .series import TruncatedSeries
 
 
@@ -39,27 +40,13 @@ def check_bound(n: int, bound: int | None) -> None:
 
 
 class CountTable:
-    """A read-only table: ``entries`` is a mapping proxy over nonzero counts, so
-    a table can be shared freely."""
+    """A read-only table up to weight ``n_max``: ``entries`` is a mapping
+    proxy over the nonzero counts, read with ``entries.get((s, t, n), 0)``,
+    so a table can be shared freely."""
 
     def __init__(self, n_max: int, entries: Mapping[tuple[int, int, int], Coeff]):
         self.n_max = n_max
         self.entries = MappingProxyType({key: c for key, c in entries.items() if c})
-
-    def get(self, s: int, t: int, n: int) -> Coeff:
-        if n > self.n_max:
-            raise ValueError(f"n={n} beyond table bound n_max={self.n_max}")
-        return self.entries.get((s, t, n), 0)
-
-    def total(self, n: int) -> Coeff:
-        """Sum over all (s, t) at weight n."""
-        if n > self.n_max:
-            raise ValueError(f"n={n} beyond table bound n_max={self.n_max}")
-        out: Coeff = 0
-        for (_s, _t, m), w in self.entries.items():
-            if m == n:
-                out = cadd(out, w)
-        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CountTable):
@@ -113,7 +100,7 @@ class CountTable:
         entries: dict[tuple[int, int, int], Coeff] = {}
         for (s, t, _m, n), c in series.terms.items():
             if 0 <= n <= n_max:
-                entries[s, t, n] = cadd(entries.get((s, t, n), 0), c)
+                entries[s, t, n] = entries.get((s, t, n), 0) + c
         return cls(n_max, entries)
 
     @classmethod

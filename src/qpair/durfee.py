@@ -207,34 +207,22 @@ def k_conjugate(f: FrobeniusSymbol, k: int) -> FrobeniusSymbol:
     return FrobeniusSymbol(_row_with_lam_prime(f.top, new1p), _row_with_lam_prime(f.bottom, new2p))
 
 
-def is_self_k_conjugate(f: FrobeniusSymbol, k: int) -> bool:
-    """Whether ``k_conjugate(f, k) == f``.
-
-    The conjugation keeps both rows' marks and swaps the region suffixes of
-    the two partitions, so it fixes f exactly when it is the identity or
-    the two regions are equal.
-    """
-    if k < 2:
-        raise ValueError("need k >= 2")
-    return _self_conjugate(_lam_prime(f.top), _lam_prime(f.bottom), k)
-
-
-def _self_conjugate(lam1p: Partition, lam2p: Partition, k: int) -> bool:
-    """:func:`is_self_k_conjugate` from the two conjugated associated partitions."""
-    regions = _regions(lam1p, lam2p, k)
-    return regions is None or regions[0] == regions[1]
-
-
 def is_self_ki_conjugate(f: FrobeniusSymbol, k: int, i: int) -> bool:
     """Whether f arises from a self-conjugate symbol by the designated
     part insertions into the conjugated bottom partition.
 
     A candidate keeps f's top row and bottom marks, so its conjugated
-    bottom partition is the reduced partition itself.
+    bottom partition is the reduced partition itself.  The conjugation
+    keeps both rows' marks and swaps the region suffixes of the two
+    partitions, so it fixes the candidate exactly when it is the identity
+    or the two regions are equal.
     """
     check_ki(k, i)
     nu = _row_reduction(f.bottom, k, i)
-    return nu is not None and _self_conjugate(_lam_prime(f.top), nu, k)
+    if nu is None:
+        return False
+    regions = _regions(_lam_prime(f.top), nu, k)
+    return regions is None or regions[0] == regions[1]
 
 
 def admissible_symbols(k: int, i: int, n_max: int):

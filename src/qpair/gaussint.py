@@ -2,9 +2,9 @@
 
 Coefficients in this package are plain Python ``int`` whenever they are
 purely real; a :class:`GaussInt` appears only when an imaginary part is
-present.  The helpers :func:`cadd`, :func:`cmul` and :func:`cneg` accept
-either form and demote back to ``int`` as soon as the imaginary part
-cancels, so purely real values round-trip with plain big integers.
+present.  Its ``+``, ``-`` and ``*`` accept either form on either side and
+demote the result back to ``int`` as soon as the imaginary part cancels, so
+purely real values stay plain big integers.
 """
 
 from __future__ import annotations
@@ -46,26 +46,32 @@ class GaussInt:
         return self.re != 0 or self.im != 0
 
     def __add__(self, other):
-        return cadd(self, other)
+        if isinstance(other, GaussInt):
+            return _norm(self.re + other.re, self.im + other.im)
+        if isinstance(other, int):
+            return _norm(self.re + other, self.im)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return cadd(self, cneg(other))
+        return self + -other
 
     def __rsub__(self, other):
-        return cadd(other, cneg(self))
+        return -self + other
 
     def __mul__(self, other):
-        return cmul(self, other)
+        if isinstance(other, GaussInt):
+            re, im = other.re, other.im
+            return _norm(self.re * re - self.im * im, self.re * im + self.im * re)
+        if isinstance(other, int):
+            return _norm(self.re * other, self.im * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __neg__(self):
         return GaussInt(-self.re, -self.im)
-
-    def conjugate(self) -> "GaussInt":
-        return GaussInt(self.re, -self.im)
 
     def is_unit(self) -> bool:
         return (abs(self.re), abs(self.im)) in ((1, 0), (0, 1))
@@ -84,28 +90,6 @@ def as_pair(c: Coeff) -> tuple[int, int]:
 
 def _norm(re: int, im: int) -> Coeff:
     return re if im == 0 else GaussInt(re, im)
-
-
-def cadd(u: Coeff, v: Coeff) -> Coeff:
-    if type(u) is int and type(v) is int:
-        return u + v
-    ur, ui = as_pair(u)
-    vr, vi = as_pair(v)
-    return _norm(ur + vr, ui + vi)
-
-
-def cneg(u: Coeff) -> Coeff:
-    if type(u) is int:
-        return -u
-    return GaussInt(-u.re, -u.im)
-
-
-def cmul(u: Coeff, v: Coeff) -> Coeff:
-    if type(u) is int and type(v) is int:
-        return u * v
-    ur, ui = as_pair(u)
-    vr, vi = as_pair(v)
-    return _norm(ur * vr - ui * vi, ur * vi + ui * vr)
 
 
 def is_unit(c: Coeff) -> bool:
@@ -132,5 +116,5 @@ def unit_pow(u: Coeff, n: int) -> Coeff:
         return 1 if (u == 1 or n % 2 == 0) else -1
     r = 1
     for _ in range(n % 4):
-        r = cmul(r, u)
+        r = r * u
     return r

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .gaussint import cneg, is_unit, unit_pow
+from .gaussint import is_unit, unit_pow
 from .overpartitions import check_ki
 from .qtools import f_poly, inv_qfactors, inv_qpoch
 from .series import Monomial, TruncatedSeries, geometric, mono, over_one_minus, pochhammer, qproduct, times_one_minus
@@ -258,7 +258,7 @@ def jacobi_triple_product(z: Monomial, q_cutoff: int) -> tuple[TruncatedSeries, 
         n += 1
     lhs = TruncatedSeries.poly(terms).truncated(q_cutoff)
     rhs = qproduct(TruncatedSeries.one(q_cutoff),
-                   (mono(cneg(u), q=e + 1), mono(cneg(unit_pow(u, -1)), q=1 - e), mono(1, q=2)), step=2)
+                   (mono(-u, q=e + 1), mono(-unit_pow(u, -1), q=1 - e), mono(1, q=2)), step=2)
     return lhs, rhs
 
 

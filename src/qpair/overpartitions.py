@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from .counts import CountTable, cell_shift, check_bound, product_counts, shift_add
-from .gaussint import Coeff, I, cadd, cmul, unit_pow
+from .gaussint import Coeff, I, unit_pow
 
 Part = tuple[int, bool]
 
@@ -64,10 +64,6 @@ class Overpartition:
         self.plain = plain
         self.over = frozenset(over)
 
-    @classmethod
-    def empty(cls) -> "Overpartition":
-        return cls(())
-
     def weight(self) -> int:
         return sum(s for s, _ in self.parts)
 
@@ -76,11 +72,6 @@ class Overpartition:
 
     def max_part(self) -> int:
         return self.parts[0][0] if self.parts else 0
-
-    def freq(self, j: int, overlined: bool = False) -> int:
-        if overlined:
-            return 1 if j in self.over else 0
-        return self.plain.get(j, 0)
 
     def __eq__(self, other):
         return isinstance(other, Overpartition) and self.parts == other.parts
@@ -124,10 +115,6 @@ class OverpartitionPair:
         """(f_j(lam), lam~_j, mu~_j, f_j(mu)): how often j occurs in each role."""
         lam, mu = self.lam, self.mu
         return lam.plain.get(j, 0), j in lam.over, j in mu.over, mu.plain.get(j, 0)
-
-    def unattached(self, j: int) -> bool:
-        """j occurs, only non-overlined, and only in mu."""
-        return _unattached(*self._counts(j))
 
     def valuation(self, j: int) -> int:
         return _valuation(*self._counts(j))
@@ -173,6 +160,12 @@ class OverpartitionPair:
             return False
         _v1, h, p = self._profile or self._facts()
         return h < k - 1 or p == (i - 1) % 2
+
+    def to_obj(self) -> dict:
+        return {
+            "lam": [{"size": s, "over": o} for s, o in self.lam.parts],
+            "mu": [{"size": s, "over": o} for s, o in self.mu.parts],
+        }
 
     def __eq__(self, other):
         return (
@@ -335,7 +328,8 @@ def _frequency_table(k: int, i: int, n_max: int, parity: bool) -> CountTable:
                     level, par = _level(j - 1, f_prev, v, odd_prev)
                     if level > k - 1 or parity and level == k - 1 and par != (i - 1) % 2:
                         continue
-                    state = (f_lam, (odd_prev + lam_over + mu_over) % 2)
+                    # The plain table never reads the parity: one state per f_j(lam).
+                    state = (f_lam, (odd_prev + lam_over + mu_over) % 2 if parity else 0)
                     if state not in following:
                         following[state] = [0] * size
                     shift_add(following[state], counts, shifts[lam_over, mu_over], weight)
@@ -417,7 +411,7 @@ def weighted_pair_identity_sides(k: int, n_max: int) -> tuple[list[int], list[Co
     even_sums, odd_sums = ([0] * (n_max + 1) for _ in range(2))
     for (s, t, n), c in count_frequency_pairs(k, k - 1, n_max, parity=True).entries.items():
         sums = even_sums if (s - t) % 2 == 0 else odd_sums
-        sums[n] = cadd(sums[n], cmul(c, root_of_unity_weight(s, t, n)))
+        sums[n] += c * root_of_unity_weight(s, t, n)
     return a_counts, even_sums, odd_sums
 
 

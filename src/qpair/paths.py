@@ -267,12 +267,6 @@ def paths_up_to(k: int, i: int, n_max: int, even: bool = False):
             if not even or satisfies_even_conditions(path, k, i))
 
 
-def enumerate_paths(k: int, i: int, n: int, even: bool = False, bound: int | None = None):
-    """Stream every (k, i)-path of major index n, odd conditions (or even)."""
-    check_bound(n, bound)
-    return (path for m, path in paths_up_to(k, i, n, even) if m == n)
-
-
 def count_paths(k: int, i: int, n_max: int, even: bool = False,
                 bound: int | None = None) -> CountTable:
     """Table of path counts by (marked-a, marked-b, major index), counted

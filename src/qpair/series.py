@@ -37,7 +37,7 @@ import json
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .gaussint import Coeff, GaussInt, as_pair, cadd, cmul, cneg, is_unit, unit_inverse, unit_pow
+from .gaussint import Coeff, GaussInt, as_pair, is_unit, unit_inverse, unit_pow
 
 INF = 10**9
 
@@ -98,7 +98,7 @@ class TruncatedSeries:
             if min(da, db, dx) < 0:
                 raise ValueError("negative degree in a/b/x is not supported")
             key = (da, db, dx, dq)
-            acc = cadd(terms.get(key, 0), c)
+            acc = terms.get(key, 0) + c
             if acc:
                 terms[key] = acc
             else:
@@ -107,9 +107,6 @@ class TruncatedSeries:
         return cls(terms, floor, INF)
 
     # ---------------------------------------------------------------- basics
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -145,7 +142,7 @@ class TruncatedSeries:
         return TruncatedSeries(terms, floor, cutoff)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries({k: cneg(c) for k, c in self.terms.items()}, self.q_floor, self.q_cutoff)
+        return TruncatedSeries({k: -c for k, c in self.terms.items()}, self.q_floor, self.q_cutoff)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self + (-other)
@@ -226,14 +223,14 @@ class TruncatedSeries:
                 for (a1, b1, x1), c1 in t_layer.items():
                     for (a2, b2, x2), c2 in s_layer.items():
                         key = (a1 + a2, b1 + b2, x1 + x2)
-                        val = cadd(acc.get(key, 0), cmul(c1, c2))
+                        val = acc.get(key, 0) + c1 * c2
                         if val:
                             acc[key] = val
                         else:
                             del acc[key]
             layer_g = {}
             for key, val in acc.items():
-                v = cneg(cmul(u_inv, val))
+                v = -(u_inv * val)
                 if v:
                     layer_g[key] = v
             if layer_g:
@@ -375,11 +372,11 @@ class TruncatedSeries:
                     dead = True
                     break
                 new_q += e * d
-                coeff = cmul(coeff, unit_pow(u, d))
+                coeff = coeff * unit_pow(u, d)
             if dead or new_q >= provable:
                 continue
             key = (degs[0], degs[1], degs[2], new_q)
-            acc = cadd(terms.get(key, 0), coeff)
+            acc = terms.get(key, 0) + coeff
             if acc:
                 terms[key] = acc
             else:
@@ -431,7 +428,7 @@ def times_one_minus(s: TruncatedSeries, base: Monomial) -> TruncatedSeries:
     floor, cutoff = _sat_add(s.q_floor, low), _sat_add(s.q_cutoff, low)
     terms = dict(s.terms) if low == 0 else {key: v for key, v in s.terms.items() if key[3] < cutoff}
     if c:
-        neg_c = cneg(c)
+        neg_c = -c
         get = terms.get
         for (a, b, x, q), v in s.terms.items():
             q += dq

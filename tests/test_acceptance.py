@@ -13,7 +13,7 @@ from qpair.durfee import k_conjugate
 from qpair.frobenius import FrobeniusSymbol, joichi_stanton, joichi_stanton_inverse, rows_of, successive_ranks, symbols_of
 from qpair.hyperg import series_R, series_R_tilde
 from qpair.overpartitions import frequency_pairs
-from qpair.paths import LatticePath, enumerate_paths, path_to_symbol, symbol_to_path
+from qpair.paths import LatticePath, path_to_symbol, paths_up_to, symbol_to_path
 from qpair.verify import VerifyConfig, run_suite
 
 
@@ -130,10 +130,9 @@ def test_criterion_8_structural_properties():
     with criterion("8 (round-trips, involutions, ring laws)"):
         # Path <-> symbol round-trips, exhaustive to weight 10.
         for k, i in ((2, 2), (3, 2)):
-            for n in range(11):
-                for path in enumerate_paths(k, i, n):
-                    f = path_to_symbol(path, k, i)
-                    assert symbol_to_path(f, k, i) == path
+            for _, path in paths_up_to(k, i, 10):
+                f = path_to_symbol(path, k, i)
+                assert symbol_to_path(f, k, i) == path
 
         # Symbol conjugation is a statistics-preserving involution.
         for n in range(11):

@@ -62,6 +62,23 @@ class TestSeriesCommand:
         assert r.returncode == 2
         assert "error" in r.stderr
 
+    @pytest.mark.parametrize("expr,message", [
+        ("i*", "bad substitution q-power ''"),
+        ("q^", "bad substitution q-power 'q^'"),
+        ("-i*q^", "bad substitution q-power 'q^'"),
+        ("1*q^x", "bad substitution q-power 'q^x'"),
+        ("i*x", "bad substitution q-power 'x'"),
+        ("q*i", "bad substitution coefficient 'q'"),
+        ("2*q", "bad substitution coefficient '2'"),
+        ("", "bad substitution coefficient ''"),
+    ])
+    def test_bad_substitution_exit_2(self, expr, message, capsys):
+        for flag in ("--sub-a", "--sub-b", "--sub-x"):
+            argv = ["series", "--family", "R", "-k", "2", "-i", "2", "--cutoff", "4", f"{flag}={expr}"]
+            assert main(argv) == 2
+            printed, err = capsys.readouterr()
+            assert err.startswith(f"error: {message} ") and printed == ""
+
     @pytest.mark.parametrize("family", sorted(SERIES_FAMILIES))
     def test_every_family_prints_its_builder(self, family, capsys):
         from qpair import hyperg
@@ -174,7 +191,7 @@ class TestEnumerateCommand:
                     assert main(args) == 0
                     table = CountTable(n, {(e["s"], e["t"], e["n"]): e["re"]
                                            for e in json.loads(capsys.readouterr().out)["entries"]})
-                    assert len(listed) == table.total(n)
+                    assert len(listed) == sum(c for (_s, _t, m), c in table.entries.items() if m == n)
                     got = CountTable(n, Counter((*_stats(obj), n) for obj in listed))
                     assert got.entries == {key: c for key, c in table.entries.items()
                                            if key[2] == n}
@@ -467,6 +484,8 @@ class TestUsageErrors:
         (("verify", "--suite", "jtp"), {"QPAIR_CUTOFF": "0"}),
         (("series", "--family", "R", "-k", "2", "-i", "2", "--cutoff", "0"), None),
         (("enumerate", "--family", "pairs", "-n", "-1"), None),
+        (("enumerate", "--family", "pairs", "-n", "0", "--bound", "-1"), None),
+        (("enumerate", "--family", "pairs", "-n", "0"), {"QPAIR_BOUND": "-1"}),
     ])
     def test_degenerate_bound_refused(self, args, env):
         r = run(*args, env_extra=env)

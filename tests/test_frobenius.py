@@ -143,7 +143,7 @@ class TestJoichiStanton:
 class TestRankBoundedCounts:
     def test_empty_symbol_counted(self):
         t = count_rank_bounded(2, 2, 0)
-        assert t.get(0, 0, 0) == 1
+        assert t.entries[0, 0, 0] == 1
 
     def test_matches_frequency_family(self):
         # Rank-window counts agree with the frequency-condition counts.
