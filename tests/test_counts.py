@@ -46,6 +46,35 @@ def test_table_is_read_only():
     assert table.entries == {(0, 0, 1): 1}
 
 
+def test_first_mismatch_is_the_least_key_in_n_s_t_order():
+    # Tuple order would pick (0, 0, 5) first; (n, s, t) order picks the
+    # weight-2 key with the least s, then t.
+    keys = [(0, 0, 5), (3, 0, 2), (1, 4, 2), (1, 2, 2)]
+    lhs = CountTable(6, {(0, 0, 0): 1, **{key: 1 for key in keys}})
+    rhs = CountTable(6, {(0, 0, 0): 1, **{key: 2 for key in keys}})
+    assert lhs.first_mismatch(rhs) == ((1, 2, 2), 1, 2)
+    assert rhs.first_mismatch(lhs) == ((1, 2, 2), 2, 1)
+
+
+def test_first_mismatch_stops_at_the_smaller_n_max():
+    lhs = CountTable(4, {(0, 0, 0): 1, (0, 0, 4): 2})
+    rhs = CountTable(6, {(0, 0, 0): 1, (0, 0, 4): 2, (1, 0, 5): 3, (0, 0, 6): 1})
+    assert lhs.first_mismatch(rhs) is None
+    assert rhs.first_mismatch(lhs) is None
+    assert CountTable(5, {(0, 0, 0): 1, (0, 0, 4): 2}).first_mismatch(rhs) == ((1, 0, 5), 0, 3)
+
+
+def test_first_mismatch_reads_a_missing_entry_as_zero():
+    lhs, rhs = CountTable(3, {(1, 1, 2): 4}), CountTable(3, {})
+    assert lhs.first_mismatch(rhs) == ((1, 1, 2), 4, 0)
+    assert rhs.first_mismatch(lhs) == ((1, 1, 2), 0, 4)
+
+
+def test_first_mismatch_of_equal_tables():
+    assert CountTable(3, {(1, 1, 2): 4}).first_mismatch(CountTable(5, {(1, 1, 2): 4})) is None
+    assert CountTable(0, {}).first_mismatch(CountTable(0, {})) is None
+
+
 # sha256 of to_json(), pinned from the Counter-keyed tables that B, C and E
 # each built on their own.  The families share one table, so the digests at
 # n 30 are also the D pins of tests/test_durfee.py.  Every pinned table has

@@ -132,6 +132,19 @@ class TestAuxiliarySeries:
                 diff = _j_from_h(k, i, C)
                 assert prod.first_mismatch(diff) is None, (k, i)
 
+    def test_h_sweep_digest(self):
+        # sha256 over the concatenated to_json() of every H~ in the sweep,
+        # windows included, recorded from the build with an n = 0 branch and
+        # one factor branch per sign of i.
+        digest = hashlib.sha256()
+        for k in range(1, 6):
+            for i in range(-k - 2, k + 3):
+                if k == 1 and abs(i) >= 2:
+                    continue
+                for c in (1, 2, 5, 9, 13, 17):
+                    digest.update(series_H_tilde(k, i, c).to_json().encode())
+        assert digest.hexdigest() == "9e01b32b1b5dbbe76e20fd4abf9c6013980f1c6ba22376b356c53ae58a5e9b0f"
+
     def test_h_rejects_nontruncating_parameters(self):
         with pytest.raises(ValueError, match="truncation"):
             series_H_tilde(1, 3, C)

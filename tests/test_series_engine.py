@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -311,6 +313,55 @@ class TestQBinomial:
                 total = sum(g.coeff_q(j) for j in range(40) if (0, 0, 0, j) in g.terms)
                 assert total == math.comb(n, k)
                 assert all(c > 0 for c in g.terms.values())
+
+
+class TestQBinomialPinned:
+    def test_sweep_digest(self):
+        # sha256 over the concatenated to_json() of every q-binomial in the
+        # sweep, recorded from the Pascal-table build.
+        digest = hashlib.sha256()
+        for n in range(12):
+            for k in range(-1, n + 2):
+                for c in (1, 3, 7, 20, 40):
+                    digest.update(q_binomial(n, k, c).to_json().encode())
+        assert digest.hexdigest() == "c3c47df4b69af18a6a5682894ade929d547d10622e5bdfc08e4028b63fa1d764"
+
+
+class TestFirstMismatch:
+    def test_least_key_in_q_a_b_x_order(self):
+        # Tuple order would pick q^5 first; (q, a, b, x) order picks the
+        # q^2 key with the least a, then b, then x.
+        same = [(1,), (4, 0, 1, 0, 1)]
+        lhs = poly(*same, (1, 0, 0, 0, 5), (1, 1, 0, 0, 2), (1, 0, 2, 0, 2), (1, 0, 1, 3, 2),
+                   (1, 0, 1, 4, 2))
+        rhs = poly(*same, (2, 0, 0, 0, 5), (2, 1, 0, 0, 2), (2, 0, 2, 0, 2), (2, 0, 1, 3, 2),
+                   (2, 0, 1, 4, 2))
+        assert lhs.first_mismatch(rhs) == ((0, 1, 3, 2), 1, 2)
+        assert rhs.first_mismatch(lhs) == ((0, 1, 3, 2), 2, 1)
+
+    def test_negative_q_degrees_come_first(self):
+        lhs, rhs = poly((1, 0, 0, 0, -1), (1, 0, 0, 0, 0)), poly((1, 0, 0, 0, 0))
+        assert lhs.first_mismatch(rhs) == ((0, 0, 0, -1), 1, 0)
+
+    def test_differences_from_the_smaller_cutoff_on_are_ignored(self):
+        lhs = ts((1,), (3, 0, 0, 0, 5), (1, 0, 0, 0, 7), cutoff=5)
+        rhs = ts((1,), (7, 0, 0, 0, 5), (2, 1, 0, 0, 6), cutoff=8)
+        assert lhs.first_mismatch(rhs) is None
+        assert rhs.first_mismatch(lhs) is None
+        assert ts((1,), cutoff=6).first_mismatch(rhs) == ((0, 0, 0, 5), 0, 7)
+
+    def test_a_key_on_one_side_reads_zero_on_the_other(self):
+        lhs, rhs = ts((1,), (7, 1, 0, 0, 2)), ts((1,))
+        assert lhs.first_mismatch(rhs) == ((1, 0, 0, 2), 7, 0)
+        assert rhs.first_mismatch(lhs) == ((1, 0, 0, 2), 0, 7)
+
+    def test_gaussian_coefficients(self):
+        lhs, rhs = ts((GaussInt(0, 1), 0, 0, 0, 1)), ts((GaussInt(0, -1), 0, 0, 0, 1))
+        assert lhs.first_mismatch(rhs) == ((0, 0, 0, 1), GaussInt(0, 1), GaussInt(0, -1))
+
+    def test_equal_maps(self):
+        assert ts((1,), (2, 0, 1, 0, 3)).first_mismatch(ts((1,), (2, 0, 1, 0, 3), cutoff=4)) is None
+        assert TruncatedSeries.zero(5).first_mismatch(TruncatedSeries.zero(3)) is None
 
 
 class TestCoeff:

@@ -5,7 +5,9 @@ report object without ``wall_time``, serialised with sorted keys and compact
 separators, then sha256.  ``perfbench/golden.json`` is only read here, so a
 change that alters any report fails this test before the benchmark runs.
 The default grid pins every suite; the enumeration stretch grid (``n_max``
-12) pins the four-way suites at the weights the default grid does not reach.
+12) pins the four-way suites at the weights the default grid does not reach,
+and the series stretch grid (cutoff 18) the series suites at the q-degrees
+it does not reach.
 The narrow grid (cutoff 6, ``n_max`` 9) has ``n_max + 1`` above the cutoff,
 so ``series-vs-enum`` and ``bailey`` build the series they share with a
 cutoff-bound check at ``n_max + 1`` there.  Its digests are pinned here, as
@@ -22,6 +24,7 @@ from qpair.verify import VerifyConfig, run_suite
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
 ENUM_STRETCH = VerifyConfig(k_values=(2, 3, 4), cutoff=12, n_max=12)
+SERIES_STRETCH = VerifyConfig(k_values=(2, 3, 4), cutoff=18, n_max=10)
 NARROW = VerifyConfig(k_values=(2, 3), cutoff=6, n_max=9)
 NARROW_DIGESTS = {
     "series-vs-enum": "a1d041573432fddd8f4173817539c5818df628b47494662e7fa67e3f519d4fc0",
@@ -51,6 +54,13 @@ def test_series_suite_report_matches_golden(suite):
 def test_enum_stretch_report_matches_golden(suite):
     expected = json.loads(GOLDEN.read_text())["enum-stretch"]["suites"][suite]
     assert _digest(suite, ENUM_STRETCH) == expected
+
+
+@pytest.mark.parametrize("suite", ["qdiff-R", "qdiff-Rtilde", "htilde-identities", "gf-paths",
+                                   "q-gauss", "jtp"])
+def test_series_stretch_report_matches_golden(suite):
+    expected = json.loads(GOLDEN.read_text())["series-stretch"]["suites"][suite]
+    assert _digest(suite, SERIES_STRETCH) == expected
 
 
 @pytest.mark.parametrize("suite", sorted(NARROW_DIGESTS))
