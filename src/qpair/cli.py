@@ -152,7 +152,7 @@ def cmd_series(args) -> int:
     if args.format == "csv":
         _emit(args, _series_to_csv(series))
     else:
-        _emit(args, _dump(series.to_obj()))
+        _emit(args, series.to_json())
     return 0
 
 
@@ -203,7 +203,7 @@ def cmd_enumerate(args) -> int:
             table = tally(stream(args.k, args.i, args.n), args.n)
         else:
             table = count(args.k, args.i, args.n, args.bound)
-        _emit(args, table.to_csv() if args.format == "csv" else _dump(table.to_obj()))
+        _emit(args, table.to_csv() if args.format == "csv" else table.to_json())
     return 0
 
 

@@ -22,7 +22,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .gaussint import Coeff, as_pair
-from .series import TruncatedSeries
+from .series import TruncatedSeries, first_difference, key_order
 
 
 DEFAULT_BOUND = 14
@@ -55,20 +55,11 @@ class CountTable:
 
     def first_mismatch(self, other: "CountTable") -> tuple[tuple[int, int, int], Coeff, Coeff] | None:
         """First differing entry in canonical (n, s, t) order, up to the smaller n_max."""
-        n_max = min(self.n_max, other.n_max)
-        keys = set(self.entries) | set(other.entries)
-        for key in sorted(keys, key=lambda k: (k[2], k[0], k[1])):
-            if key[2] > n_max:
-                continue
-            lhs = self.entries.get(key, 0)
-            rhs = other.entries.get(key, 0)
-            if lhs != rhs:
-                return key, lhs, rhs
-        return None
+        return first_difference(self.entries, other.entries, min(self.n_max, other.n_max) + 1)
 
     def rows(self) -> list[tuple[int, int, int, int, int]]:
         out = []
-        for (s, t, n) in sorted(self.entries, key=lambda k: (k[2], k[0], k[1])):
+        for (s, t, n) in sorted(self.entries, key=key_order):
             re, im = as_pair(self.entries[(s, t, n)])
             out.append((s, t, n, re, im))
         return out

@@ -126,6 +126,10 @@ def series_H_tilde(k: int, i: int, q_cutoff: int) -> TruncatedSeries:
     series is x^|i| times the H-series; identities involving negative i are
     checked in that multiplied-through form.  Parameters whose summand
     exponents do not grow (k = 1 with |i| >= 2) are rejected.
+
+    Summand n carries (x^2q^2; q^2)_(n-1) (1 + x) (x^s - x^(s+i) q^(2ni)),
+    s = max(-i, 0); at n = 0, where the first two are 1/(1 - x), it is
+    sign(i) (1 + x + ... + x^(|i|-1)), empty at i = 0.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got k={k}")
@@ -134,6 +138,7 @@ def series_H_tilde(k: int, i: int, q_cutoff: int) -> TruncatedSeries:
         raise ValueError(f"summand exponents do not grow for k=1, |i|={absi}: no truncation")
     xshift = absi if i < 0 else 0
 
+    one_plus_x = TruncatedSeries.poly([mono(1), mono(1, x=1)])
     total = TruncatedSeries.zero(q_cutoff)
     x2q2_prev = TruncatedSeries.one(q_cutoff)  # (x^2 q^2; q^2)_{n-1}
     inv_chain = TruncatedSeries.one(q_cutoff)
@@ -149,19 +154,10 @@ def series_H_tilde(k: int, i: int, q_cutoff: int) -> TruncatedSeries:
         room = q_cutoff - max(low, 0)
         x2q2_prev, inv_chain = x2q2_prev.truncated(room), inv_chain.truncated(room)
         if n == 0:
-            if i == 0:
-                t_n = TruncatedSeries.zero(q_cutoff)
-            elif i > 0:
-                t_n = TruncatedSeries.poly([mono(1, x=l) for l in range(i)]).truncated(q_cutoff)
-            else:
-                t_n = TruncatedSeries.poly([mono(-1, x=l) for l in range(absi)]).truncated(q_cutoff)
+            t_n = TruncatedSeries.poly([mono(1 if i > 0 else -1, x=l) for l in range(absi)])
         else:
-            one_plus_x = TruncatedSeries.poly([mono(1), mono(1, x=1)])
-            if i >= 0:
-                factor = TruncatedSeries.poly([mono(1, x=xshift), mono(-1, x=xshift + i, q=2 * n * i)])
-            else:
-                factor = TruncatedSeries.poly([mono(1, x=absi), mono(-1, q=2 * n * i)])
-            t_n = (x2q2_prev * one_plus_x * factor).truncated(q_cutoff)
+            factor = TruncatedSeries.poly([mono(1, x=xshift), mono(-1, x=xshift + i, q=2 * n * i)])
+            t_n = x2q2_prev * one_plus_x * factor
         term = f_poly(n, q_cutoff).truncated(room) * t_n * inv_chain
         total = total + term.times_monomial(mono(-1 if n % 2 else 1, x=(k - 1) * n, q=d_n))
         n += 1
@@ -355,8 +351,11 @@ def _nested_multisum(depth: int, i_level: int, beta, q_cutoff: int) -> Truncated
 
     The exponent is n_1 + n_2^2 + ... + n_depth^2 plus n_j for every level
     j > i_level; between levels the difference Pochhammer inverses appear,
-    and the innermost index feeds ``beta``.
+    and the innermost index feeds ``beta``.  At depth 0 the sum has no
+    index: it is ``beta(0)`` cut to the cutoff.
     """
+    if depth == 0:
+        return beta(0).truncated(q_cutoff)
     total = TruncatedSeries.zero(q_cutoff)
 
     def rec(level: int, prev: int, expo: int, partial: TruncatedSeries):
@@ -427,13 +426,12 @@ def bailey_lattice_rhs(pair: BaileyPair, k: int, i: int, q_cutoff: int) -> Trunc
 def bailey_lattice_sides(pair: BaileyPair, k: int, i: int, q_cutoff: int
                          ) -> tuple[TruncatedSeries, TruncatedSeries]:
     """Both sides of the lattice transform for a pair relative to q: the beta
-    side and :func:`bailey_lattice_rhs`, both prefactor times beta_0 at k = 0."""
-    if k == 0:
-        rhs = bailey_lattice_rhs(pair, k, i, q_cutoff)
-        return rhs, rhs
+    side and :func:`bailey_lattice_rhs`.  At k = 0 each is the prefactor times
+    beta_0, built once from the empty multisum and once from the alpha side."""
     if not (0 <= i <= k):
         raise ValueError(f"need 0 <= i <= k, got i={i}, k={k}")
-    needed = q_cutoff - 1 if k == 1 else isqrt(q_cutoff - 1) + 1
+    # The beta side reads no beta past beta_0 at k = 0.
+    needed = min(k, 1) * (q_cutoff - 1 if k == 1 else isqrt(q_cutoff - 1) + 1)
     if pair.depth() < needed:
         raise ValueError(f"pair depth {pair.depth()} insufficient: need n_max >= {needed}")
     lhs = qproduct(_nested_multisum(k, i, lambda m: pair.betas[m], q_cutoff),

@@ -190,10 +190,12 @@ class LatticePath:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "LatticePath":
-        marks = [None] * len(obj["marks"])
-        for entry in obj["marks"]:
-            marks[entry["peak"]] = entry["mark"]
-        return cls(obj["start_height"], obj["steps"], marks)
+        """The path of a :meth:`to_obj` listing, whose marks name each peak once by index."""
+        peaks = [entry["peak"] for entry in obj["marks"]]
+        if any(type(p) is not int for p in peaks) or sorted(peaks) != list(range(len(peaks))):
+            raise ValueError(f"mark peaks {peaks} are not 0 .. {len(peaks) - 1}, each once")
+        marks = sorted(obj["marks"], key=lambda entry: entry["peak"])
+        return cls(obj["start_height"], obj["steps"], [entry["mark"] for entry in marks])
 
 
 def satisfies_odd_conditions(path: LatticePath, k: int, i: int) -> bool:

@@ -66,8 +66,20 @@ def _sat_add(u: int, v: int) -> int:
     return u + v
 
 
-def _q_of(item: tuple[Key, Coeff]) -> int:
-    return item[0][3]
+def key_order(key: tuple) -> tuple:
+    """The canonical order of series and table keys: the weight (held last), then the rest."""
+    return key[-1], *key[:-1]
+
+
+def first_difference(lhs: Mapping, rhs: Mapping, limit: int) -> tuple | None:
+    """``(key, lhs[key], rhs[key])`` at the least key (by :func:`key_order`) of weight
+    below ``limit`` where two coefficient maps differ, a missing key reading 0; else None."""
+    if lhs == rhs:
+        return None
+    differ = (key for one, two in ((lhs, rhs), (rhs, lhs)) for key, c in one.items()
+              if two.get(key, 0) != c)
+    key = min((key for key in differ if key[-1] < limit), key=key_order, default=None)
+    return None if key is None else (key, lhs.get(key, 0), rhs.get(key, 0))
 
 
 class TruncatedSeries:
@@ -155,7 +167,7 @@ class TruncatedSeries:
             lhs, rhs = rhs, lhs
         # Inner terms in q order, so each row stops at the first pair past
         # the cutoff.
-        row = sorted(rhs.items(), key=_q_of)
+        row = sorted(rhs.items(), key=lambda kv: kv[0][3])
         terms: dict[Key, Coeff] = {}
         get = terms.get
         for (a1, b1, x1, q1), c1 in lhs.items():
@@ -261,22 +273,9 @@ class TruncatedSeries:
         return self.coeff(0, 0, 0, n_deg)
 
     def first_mismatch(self, other: "TruncatedSeries") -> tuple[Key, Coeff, Coeff] | None:
-        """First differing coefficient (canonical order) on the common window.
-
-        Both series are known exactly below their cutoffs (and zero below
-        their floors), so the comparison covers every q-degree below the
-        smaller cutoff.
-        """
-        cutoff = min(self.q_cutoff, other.q_cutoff)
-        keys = set(self.terms) | set(other.terms)
-        for key in sorted(keys, key=lambda k: (k[3], k[0], k[1], k[2])):
-            if key[3] >= cutoff:
-                continue
-            lhs = self.terms.get(key, 0)
-            rhs = other.terms.get(key, 0)
-            if lhs != rhs:
-                return key, lhs, rhs
-        return None
+        """First differing coefficient (canonical order) on the common window:
+        both series are exact below their cutoffs and zero below their floors."""
+        return first_difference(self.terms, other.terms, min(self.q_cutoff, other.q_cutoff))
 
     # ---------------------------------------------------------------- substitutions
 
@@ -392,7 +391,7 @@ class TruncatedSeries:
     # ---------------------------------------------------------------- serialization
 
     def sorted_terms(self) -> list[tuple[Key, Coeff]]:
-        return sorted(self.terms.items(), key=lambda kv: (kv[0][3], kv[0][0], kv[0][1], kv[0][2]))
+        return sorted(self.terms.items(), key=lambda kv: key_order(kv[0]))
 
     def to_obj(self) -> dict:
         out = []
@@ -506,7 +505,7 @@ def pochhammer(base: Monomial, n: int, q_cutoff: int = INF) -> TruncatedSeries:
     """The finite product ``(c; q)_n = prod_{j<n} (1 - c q^j)``."""
     if n < 0:
         raise ValueError("pochhammer needs n >= 0")
-    out = TruncatedSeries.one(q_cutoff) if q_cutoff < INF else TruncatedSeries.poly([mono(1)])
+    out = TruncatedSeries.one(q_cutoff)
     for j in range(n):
         out = times_one_minus(out, Monomial(base.coeff, base.a, base.b, base.x, base.q + j))
     return out
@@ -565,14 +564,11 @@ def pochhammer_inf(base: Monomial, q_cutoff: int, step: int = 1) -> TruncatedSer
 
 
 def q_binomial(n: int, k: int, q_cutoff: int) -> TruncatedSeries:
-    """Gaussian binomial coefficient as a polynomial in q (zero series if k > n)."""
+    """The Gaussian binomial (q^(n-k+1); q)_k / (q; q)_k, a polynomial in q,
+    truncated at a finite ``q_cutoff``; the zero series unless 0 <= k <= n."""
     if k < 0 or k > n:
         return TruncatedSeries.zero(q_cutoff)
-    row: list[TruncatedSeries] = [TruncatedSeries.one(q_cutoff)]
-    for m in range(1, n + 1):
-        new = [TruncatedSeries.one(q_cutoff)]
-        for j in range(1, m):
-            new.append(row[j - 1] + row[j].times_monomial(mono(1, q=j)))
-        new.append(TruncatedSeries.one(q_cutoff))
-        row = new
-    return row[k]
+    out = pochhammer(mono(1, q=n - k + 1), k, q_cutoff)
+    for j in range(1, k + 1):
+        out = over_one_minus(out, mono(1, q=j))
+    return out

@@ -441,6 +441,14 @@ class TestUsageErrors:
         assert r.stderr.startswith("error:") and message in r.stderr
         assert "Traceback" not in r.stderr and r.stdout == ""
 
+    @pytest.mark.parametrize("peaks", [[-1], [True], [1], [0, 0]])
+    def test_biject_refuses_a_bad_peak_index(self, peaks):
+        path = {"start_height": 0, "steps": ["NE", "S"] * len(peaks),
+                "marks": [{"peak": p, "mark": "a"} for p in peaks]}
+        r = run("biject", "--map", "path-to-symbol", "-k", "2", "-i", "2", stdin=json.dumps(path))
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr.startswith("error: mark peaks") and "Traceback" not in r.stderr
+
     def test_x_one_is_not_an_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["series", "--family", "R", "-k", "2", "-i", "1", "--cutoff", "4", "--x-one"])

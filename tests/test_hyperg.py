@@ -6,6 +6,7 @@ from qpair.counts import CountTable
 from qpair.gaussint import GaussInt
 from qpair.hyperg import (
     _R_family,
+    _nested_multisum,
     bailey_lattice_rhs,
     bailey_lattice_sides,
     bailey_pair_b3,
@@ -241,6 +242,14 @@ class TestBaileyLattice:
         b3 = bailey_pair_b3(9, 10)
         lhs, rhs = bailey_lattice_sides(b3, 0, 0, 8)
         assert lhs.first_mismatch(rhs) is None
+
+    def test_empty_multisum_is_beta_0(self):
+        # Depth 0 has no summation index, so it is beta_0 alone, not the
+        # depth-1 sum.
+        b3 = bailey_pair_b3(9, 12)
+        beta = lambda m: b3.betas[m]
+        assert _nested_multisum(0, 0, beta, 10) == b3.betas[0].truncated(10)
+        assert _nested_multisum(0, 0, beta, 10) != _nested_multisum(1, 0, beta, 10)
 
     def test_rhs_is_the_alpha_side(self):
         b3, e3 = bailey_pair_b3(9, 9), bailey_pair_e3(9, 9)

@@ -112,6 +112,21 @@ class TestValidation:
         for p in (FIG1, FIG2, FIG3):
             assert LatticePath.from_obj(p.to_obj()) == p
 
+    def test_json_marks_in_any_order(self):
+        obj = FIG1.to_obj()
+        obj["marks"].reverse()
+        assert LatticePath.from_obj(obj) == FIG1
+
+    @pytest.mark.parametrize("peaks", [[-1], [True], [1], [0.0], ["0"], [None], [0, 0], [1, 1], [0, 2],
+                                       [-1, 1], [False, True]])
+    def test_json_mark_peaks_are_distinct_indices(self, peaks):
+        # A peak is a position in the mark list: not counted from its end,
+        # not a bool, not a float, and not named twice.
+        obj = {"start_height": 0, "steps": ["NE", "S"] * len(peaks),
+               "marks": [{"peak": p, "mark": "a"} for p in peaks]}
+        with pytest.raises(ValueError, match="mark peaks"):
+            LatticePath.from_obj(obj)
+
 
 class TestConditions:
     def test_third_path_satisfies_odd(self):
