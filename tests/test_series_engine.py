@@ -314,8 +314,6 @@ class TestQBinomial:
                 assert total == math.comb(n, k)
                 assert all(c > 0 for c in g.terms.values())
 
-
-class TestQBinomialPinned:
     def test_sweep_digest(self):
         # sha256 over the concatenated to_json() of every q-binomial in the
         # sweep, recorded from the Pascal-table build.
