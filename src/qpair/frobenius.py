@@ -272,12 +272,15 @@ def row_split(row: Row) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def joichi_stanton_inverse(assoc, marks) -> Row:
-    """Rebuild the overpartition row from an associated partition and marks."""
-    assoc = tuple(int(v) for v in assoc)
+    """Rebuild the overpartition row from an associated partition and marks,
+    each given as ``int`` values (``bool`` is refused, not read as 0 or 1)."""
+    assoc, marks = tuple(assoc), tuple(marks)
+    if any(type(v) is not int for v in assoc + marks):
+        raise ValueError(f"associated parts {list(assoc)} and marks {list(marks)} must be integers")
     n = len(assoc)
     if any(assoc[j] < assoc[j + 1] for j in range(n - 1)) or any(v < 0 for v in assoc):
         raise ValueError("associated partition must be weakly decreasing and nonnegative")
-    marks = tuple(sorted((int(m) for m in marks), reverse=True))
+    marks = tuple(sorted(marks, reverse=True))
     if len(set(marks)) != len(marks):
         raise ValueError(f"marks must be distinct, got {marks}")
     if any(not (0 <= m < n) for m in marks):

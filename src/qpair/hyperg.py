@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
 
 from .gaussint import is_unit, unit_pow
 from .overpartitions import check_ki
@@ -193,7 +192,13 @@ def j_tilde_from_h(h_i: TruncatedSeries, h_i1: TruncatedSeries, h_i2: TruncatedS
 # ------------------------------------------------------------------ bilateral forms
 
 
+@lru_cache(maxsize=None)
 def _bilateral(k: int, i: int, q_cutoff: int, tilde: bool) -> TruncatedSeries:
+    """The x = 1 form of the plain (``tilde=False``) or even-moduli member.
+
+    Built once per process for the suites that share it; callers pass
+    ``tilde`` positionally, one key each.
+    """
     total = TruncatedSeries.zero(q_cutoff)
     inv_chain = TruncatedSeries.one(q_cutoff)
     n = 0
@@ -220,12 +225,12 @@ def _bilateral(k: int, i: int, q_cutoff: int, tilde: bool) -> TruncatedSeries:
 def series_R_bilateral(k: int, i: int, q_cutoff: int) -> TruncatedSeries:
     """The x = 1 form as a two-sided sum in three variables."""
     check_ki(k, i)
-    return _bilateral(k, i, q_cutoff, tilde=False)
+    return _bilateral(k, i, q_cutoff, False)
 
 
 def series_R_tilde_bilateral(k: int, i: int, q_cutoff: int) -> TruncatedSeries:
     check_ki(k, i)
-    return _bilateral(k, i, q_cutoff, tilde=True)
+    return _bilateral(k, i, q_cutoff, True)
 
 
 # ------------------------------------------------------------------ classic identities
@@ -346,13 +351,31 @@ def bailey_pair_e3(n_max: int, q_cutoff: int) -> BaileyPair:
     return _make_pair("E3", lambda n: n * n, 2, n_max, q_cutoff)
 
 
+def _level_exponent(level: int, n: int, i_level: int) -> int:
+    """What index ``n_level = n`` adds to the multisum exponent: n at level 1
+    and n^2 below it, plus n at every level past ``i_level``."""
+    return (n if level == 1 else n * n) + (n if level > i_level else 0)
+
+
+def _beta_demand(depth: int, i_level: int, q_cutoff: int) -> int:
+    """The largest index :func:`_nested_multisum` reads from ``beta``.
+
+    The exponents grow with each index, so n_depth = m is reached exactly
+    when n_1 = ... = n_depth = m stays below the cutoff; at depth 0 it is 0.
+    """
+    m = 0
+    while depth and sum(_level_exponent(j, m + 1, i_level) for j in range(1, depth + 1)) < q_cutoff:
+        m += 1
+    return m
+
+
 def _nested_multisum(depth: int, i_level: int, beta, q_cutoff: int) -> TruncatedSeries:
     """``sum_{n_1 >= ... >= n_depth >= 0}`` of the standard lattice summand.
 
-    The exponent is n_1 + n_2^2 + ... + n_depth^2 plus n_j for every level
-    j > i_level; between levels the difference Pochhammer inverses appear,
-    and the innermost index feeds ``beta``.  At depth 0 the sum has no
-    index: it is ``beta(0)`` cut to the cutoff.
+    The exponent adds :func:`_level_exponent` over the levels; between
+    levels the difference Pochhammer inverses appear, and the innermost
+    index feeds ``beta``.  At depth 0 the sum has no index: it is
+    ``beta(0)`` cut to the cutoff.
     """
     if depth == 0:
         return beta(0).truncated(q_cutoff)
@@ -366,7 +389,7 @@ def _nested_multisum(depth: int, i_level: int, beta, q_cutoff: int) -> Truncated
             total = total + partial * beta(prev).truncated(q_cutoff - expo)
             return
         for nj in range(prev, -1, -1):
-            e = nj * nj + (nj if level > i_level else 0)
+            e = _level_exponent(level, nj, i_level)
             if expo + e >= q_cutoff:
                 continue
             rec(level + 1, nj, expo + e, partial.times_monomial(mono(1, q=e))
@@ -374,7 +397,7 @@ def _nested_multisum(depth: int, i_level: int, beta, q_cutoff: int) -> Truncated
 
     n1 = 0
     while True:
-        e1 = n1 + (n1 if 1 > i_level else 0)
+        e1 = _level_exponent(1, n1, i_level)
         if e1 >= q_cutoff:
             break
         rec(2, n1, e1, f_poly(n1, q_cutoff).truncated(q_cutoff - e1).times_monomial(mono(1, q=e1)))
@@ -430,8 +453,7 @@ def bailey_lattice_sides(pair: BaileyPair, k: int, i: int, q_cutoff: int
     beta_0, built once from the empty multisum and once from the alpha side."""
     if not (0 <= i <= k):
         raise ValueError(f"need 0 <= i <= k, got i={i}, k={k}")
-    # The beta side reads no beta past beta_0 at k = 0.
-    needed = min(k, 1) * (q_cutoff - 1 if k == 1 else isqrt(q_cutoff - 1) + 1)
+    needed = _beta_demand(k, i, q_cutoff)
     if pair.depth() < needed:
         raise ValueError(f"pair depth {pair.depth()} insufficient: need n_max >= {needed}")
     lhs = qproduct(_nested_multisum(k, i, lambda m: pair.betas[m], q_cutoff),

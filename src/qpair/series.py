@@ -21,14 +21,17 @@ Window bookkeeping follows the rules
 so no retained coefficient is ever wrong.  Exact polynomials carry the
 sentinel cutoff :data:`INF` and combine with any finite window.
 
-Two sparse-factor kernels apply the factors every product identity is made
-of in one pass, with the window the general product would give:
+One layered loop, ``_apply_factors``, applies the sparse factors every
+product identity is made of: it unpacks a series into one dict per q-degree,
+applies each ``1 - m`` and ``1/(1 - m)`` in place, and builds the series once.
+``times_one_minus``, ``over_one_minus``, ``pochhammer``, ``q_binomial`` and
+``qproduct`` are all calls of it, with the window the general product gives:
 
-* ``times_one_minus(s, m)`` is ``s`` times the exact polynomial ``1 - m``:
-  floor and cutoff both move by ``min(0, deg_q m)`` (0 when the
-  coefficient of ``m`` is 0);
-* ``over_one_minus(s, m)``, for ``deg_q m > 0``, is
-  ``s * geometric(m, s.q_cutoff)``: floor ``f``, cutoff ``min(c, c+f)``.
+* a numerator ``1 - m`` moves floor and cutoff by ``min(0, deg_q m)``
+  (0 when the coefficient of ``m`` is 0);
+* a denominator ``1/(1 - m)``, for ``deg_q m > 0``, keeps the floor ``f`` and
+  cuts at ``min(c, c0 + f)``, with ``c0`` the cutoff of the series the loop
+  started from: the product with ``geometric(m, c0)``.
 """
 
 from __future__ import annotations
@@ -416,84 +419,84 @@ class TruncatedSeries:
 # -------------------------------------------------------------------- products
 
 
-def times_one_minus(s: TruncatedSeries, base: Monomial) -> TruncatedSeries:
-    """``s * (1 - base)`` in one pass: ``s`` plus a shifted, scaled copy.
+def _add_shifted(dst: dict, src: Iterable, c: Coeff, da: int, db: int, dx: int) -> None:
+    """Add ``c * a^da b^db x^dx`` times the layer items ``src`` into the layer ``dst``."""
+    get = dst.get
+    for (a, b, x), v in src:
+        key = (a + da, b + db, x + dx)
+        acc = get(key, 0) + c * v
+        if acc:
+            dst[key] = acc
+        else:
+            del dst[key]
 
-    Equal to the general product of ``s`` and the exact polynomial
-    ``1 - base`` in every term and in its window.
+
+def _apply_factors(s: TruncatedSeries, num: Iterable[Monomial] = (),
+                   den: Iterable[Monomial] = ()) -> TruncatedSeries:
+    """``s * prod_{m in num} (1 - m) / prod_{m in den} (1 - m)``, in place on q-layers.
+
+    ``s`` is unpacked once into one ``{(a, b, x): coeff}`` dict per q-degree
+    of its window, every factor updates those layers in place, and the series
+    is built once at the end.  ``1 - m`` subtracts ``m`` times each layer from
+    the layer ``deg_q m`` away, walking so that no layer is read after it is
+    written: top-down for a positive degree, bottom-up for a negative one
+    (which first lowers the window by that degree), from a snapshot at degree
+    0.  ``1/(1 - m)``, for ``deg_q m > 0``, adds ``m`` times each layer to the
+    layer ``deg_q m`` above, bottom-up, so each layer is final when read.
+
+    The result is the general product of ``s`` with the exact polynomials
+    ``1 - m`` and the series ``geometric(m, s.q_cutoff)``, terms and window:
+    a numerator moves floor and cutoff by ``min(0, deg_q m)`` (0 for a zero
+    coefficient), and a denominator keeps the floor and cuts at
+    ``min(cutoff, s.q_cutoff + floor)``.  These rules commute, so the factors
+    may come in any order.
     """
-    c, da, db, dx, dq = base
-    low = min(dq, 0) if c else 0
-    floor, cutoff = _sat_add(s.q_floor, low), _sat_add(s.q_cutoff, low)
-    terms = dict(s.terms) if low == 0 else {key: v for key, v in s.terms.items() if key[3] < cutoff}
-    if c:
-        neg_c = -c
-        get = terms.get
-        for (a, b, x, q), v in s.terms.items():
-            q += dq
-            if q >= cutoff:
-                continue
-            key = (a + da, b + db, x + dx, q)
-            acc = get(key, 0) + neg_c * v
-            if acc:
-                terms[key] = acc
-            else:
-                del terms[key]
+    den = tuple(den)
+    if any(m.q <= 0 for m in den):
+        raise ValueError("geometric inverse needs a base of positive q-degree")
+    num = [m for m in num if m.coeff]
+    floor, cutoff = s.q_floor, s.q_cutoff
+    if cutoff < INF:
+        top = cutoff
+    elif den:
+        raise ValueError("geometric inverse needs a series with a finite cutoff")
+    else:
+        # An exact polynomial: layers up to the highest degree the factors reach.
+        top = max((key[3] for key in s.terms), default=floor) + 1 + sum(max(m.q, 0) for m in num)
+    layers: list[dict] = [{} for _ in range(top - floor)]
+    for (a, b, x, q), v in s.terms.items():
+        layers[q - floor][(a, b, x)] = v
+    for c, da, db, dx, dq in num:
+        if dq < 0:
+            floor, cutoff = floor + dq, _sat_add(cutoff, dq)
+            layers[:0] = [{} for _ in range(-dq)]
+            walk = range(len(layers) + dq)
+        else:
+            walk = range(len(layers) - 1, dq - 1, -1)
+        for i in walk:
+            src = layers[i - dq]
+            if src:
+                _add_shifted(layers[i], list(src.items()) if dq == 0 else src.items(), -c, da, db, dx)
+        del layers[cutoff - floor:]
+    for c, da, db, dx, dq in den:
+        cutoff = min(cutoff, s.q_cutoff + floor)
+        del layers[cutoff - floor:]
+        for i in range(dq, len(layers)) if c else ():
+            src = layers[i - dq]
+            if src:
+                _add_shifted(layers[i], src.items(), c, da, db, dx)
+    terms = {(a, b, x, q): v for q, layer in enumerate(layers, floor) for (a, b, x), v in layer.items()}
     return TruncatedSeries(terms, floor, cutoff)
+
+
+def times_one_minus(s: TruncatedSeries, base: Monomial) -> TruncatedSeries:
+    """``s * (1 - base)``: the general product with the exact polynomial ``1 - base``."""
+    return _apply_factors(s, (base,))
 
 
 def over_one_minus(s: TruncatedSeries, base: Monomial) -> TruncatedSeries:
-    """``s / (1 - base)`` for a base of positive q-degree.
-
-    Solves ``t = s + base * t`` one q-layer at a time, lowest first: a term
-    of ``t`` is final once its layer is reached, and is pushed once, to the
-    layer ``deg_q base`` above.  So the work is linear in the terms of ``t``.
-    Equal to ``s * geometric(base, s.q_cutoff)`` in every term
-    and in its window.
-    """
-    c, da, db, dx, dq = base
-    if dq <= 0:
-        raise ValueError("geometric inverse needs a base of positive q-degree")
-    if s.q_cutoff >= INF:
-        raise ValueError("geometric inverse needs a series with a finite cutoff")
-    floor = s.q_floor
-    cutoff = min(s.q_cutoff, s.q_cutoff + floor)
-    terms = dict(s.terms) if floor >= 0 else {k: v for k, v in s.terms.items() if k[3] < cutoff}
-    if not c:
-        return TruncatedSeries(terms, floor, cutoff)
-    # Keys per layer that still pushes below the cutoff.  A coefficient that
-    # cancels is kept as 0 until the end, so no key is listed twice.
-    last = cutoff - dq
-    layers: dict[int, list[Key]] = {}
-    for key in terms:
-        q = key[3]
-        if q < last:
-            layers.setdefault(q, []).append(key)
-    cancelled = False
-    get = terms.get
-    for q in range(min(layers, default=last), last):
-        keys = layers.get(q)
-        if keys is None:
-            continue
-        up = q + dq
-        for key in keys:
-            v = terms[key]
-            if not v:
-                continue
-            a, b, x, _ = key
-            key = (a + da, b + db, x + dx, up)
-            old = get(key)
-            if old is None:
-                terms[key] = c * v
-                if up < last:
-                    layers.setdefault(up, []).append(key)
-            else:
-                acc = old + c * v
-                terms[key] = acc
-                cancelled = cancelled or not acc
-    if cancelled:
-        terms = {k: v for k, v in terms.items() if v}
-    return TruncatedSeries(terms, floor, cutoff)
+    """``s / (1 - base)`` for a base of positive q-degree: ``s * geometric(base, s.q_cutoff)``."""
+    return _apply_factors(s, (), (base,))
 
 
 def geometric(base: Monomial, q_cutoff: int) -> TruncatedSeries:
@@ -505,52 +508,30 @@ def pochhammer(base: Monomial, n: int, q_cutoff: int = INF) -> TruncatedSeries:
     """The finite product ``(c; q)_n = prod_{j<n} (1 - c q^j)``."""
     if n < 0:
         raise ValueError("pochhammer needs n >= 0")
-    out = TruncatedSeries.one(q_cutoff)
-    for j in range(n):
-        out = times_one_minus(out, Monomial(base.coeff, base.a, base.b, base.x, base.q + j))
-    return out
+    c, a, b, x, q = base
+    return _apply_factors(TruncatedSeries.one(q_cutoff), [Monomial(c, a, b, x, q + j) for j in range(n)])
 
 
 def qproduct(s: TruncatedSeries, num: tuple[Monomial, ...] = (), den: tuple[Monomial, ...] = (),
              step: int = 1) -> TruncatedSeries:
     """``s * prod_{m in num} (m; q^step)_inf / prod_{m in den} (m; q^step)_inf``.
 
-    The result is truncated at ``s``'s own window; factors of q-degree at or
-    above its cutoff are 1.  Numerator bases may have q-degree <= 0 (Laurent
-    factors, as in the triple product); denominator bases need a positive
-    q-degree.  The factors are applied one at a time, j outer and bases
-    inner, each by its sparse-factor kernel.  Once the cutoff has moved (a
-    Laurent numerator, or a denominator on a series with a negative floor),
-    the later denominators are general products with the geometric series at
-    the original cutoff, so the window is the one the factors give.
+    The result is truncated at ``s``'s own window.  Numerator bases may have
+    q-degree <= 0 (Laurent factors, as in the triple product); denominator
+    bases need a positive q-degree.  Every factor of q-degree below the
+    window's width (``q_cutoff`` less any negative floor) goes to one
+    :func:`_apply_factors` pass; a higher one only moves terms past the cutoff.
     """
     if step < 1:
         raise ValueError("qproduct needs step >= 1")
-    if any(m.q <= 0 for m in den):
-        raise ValueError("qproduct needs denominator bases of positive q-degree")
-    cutoff = s.q_cutoff
-    if cutoff >= INF:
+    if s.q_cutoff >= INF:
         raise ValueError("qproduct needs a series with a finite cutoff")
-    j = 0
-    while True:
-        live = False
-        for m in num:
-            e = m.q + step * j
-            if e < cutoff:
-                s = times_one_minus(s, Monomial(m.coeff, m.a, m.b, m.x, e))
-                live = True
-        for m in den:
-            e = m.q + step * j
-            if e < cutoff:
-                factor = Monomial(m.coeff, m.a, m.b, m.x, e)
-                if s.q_cutoff == cutoff:
-                    s = over_one_minus(s, factor)
-                else:
-                    s = s * geometric(factor, cutoff)
-                live = True
-        if not live:
-            return s
-        j += 1
+    width = s.q_cutoff - min(s.q_floor, 0)
+
+    def factors(bases):
+        return [Monomial(c, a, b, x, e) for c, a, b, x, q in bases for e in range(q, width, step)]
+
+    return _apply_factors(s, factors(num), factors(den))
 
 
 def pochhammer_inf(base: Monomial, q_cutoff: int, step: int = 1) -> TruncatedSeries:
@@ -568,7 +549,5 @@ def q_binomial(n: int, k: int, q_cutoff: int) -> TruncatedSeries:
     truncated at a finite ``q_cutoff``; the zero series unless 0 <= k <= n."""
     if k < 0 or k > n:
         return TruncatedSeries.zero(q_cutoff)
-    out = pochhammer(mono(1, q=n - k + 1), k, q_cutoff)
-    for j in range(1, k + 1):
-        out = over_one_minus(out, mono(1, q=j))
-    return out
+    return _apply_factors(TruncatedSeries.one(q_cutoff), [mono(1, q=n - k + 1 + j) for j in range(k)],
+                          [mono(1, q=j) for j in range(1, k + 1)])

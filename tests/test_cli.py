@@ -441,6 +441,18 @@ class TestUsageErrors:
         assert r.stderr.startswith("error:") and message in r.stderr
         assert "Traceback" not in r.stderr and r.stdout == ""
 
+    @pytest.mark.parametrize("assoc,marks", [
+        ([3, 1], [True]), ([3, 1], [1.7]), ([3, 1], ["1"]), (["3", 1.9], []),
+    ])
+    def test_js_inverse_refuses_non_integers(self, assoc, marks):
+        # Each value would read as a valid int; the same row with ints is accepted.
+        assert run("biject", "--map", "js-inverse",
+                   stdin=json.dumps({"associated": [3, 1], "marks": [1]})).returncode == 0
+        r = run("biject", "--map", "js-inverse", stdin=json.dumps({"associated": assoc, "marks": marks}))
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr.startswith("error:") and "must be integers" in r.stderr
+        assert "Traceback" not in r.stderr
+
     @pytest.mark.parametrize("peaks", [[-1], [True], [1], [0, 0]])
     def test_biject_refuses_a_bad_peak_index(self, peaks):
         path = {"start_height": 0, "steps": ["NE", "S"] * len(peaks),

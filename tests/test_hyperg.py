@@ -6,6 +6,7 @@ from qpair.counts import CountTable
 from qpair.gaussint import GaussInt
 from qpair.hyperg import (
     _R_family,
+    _beta_demand,
     _nested_multisum,
     bailey_lattice_rhs,
     bailey_lattice_sides,
@@ -133,18 +134,23 @@ class TestAuxiliarySeries:
                 diff = _j_from_h(k, i, C)
                 assert prod.first_mismatch(diff) is None, (k, i)
 
+    H_SWEEP = [(k, i) for k in range(1, 6) for i in range(-k - 2, k + 3) if k > 1 or abs(i) < 2]
+
     def test_h_sweep_digest(self):
         # sha256 over the concatenated to_json() of every H~ in the sweep,
-        # windows included, recorded from the build with an n = 0 branch and
-        # one factor branch per sign of i.
+        # windows included.
         digest = hashlib.sha256()
-        for k in range(1, 6):
-            for i in range(-k - 2, k + 3):
-                if k == 1 and abs(i) >= 2:
-                    continue
-                for c in (1, 2, 5, 9, 13, 17):
-                    digest.update(series_H_tilde(k, i, c).to_json().encode())
-        assert digest.hexdigest() == "9e01b32b1b5dbbe76e20fd4abf9c6013980f1c6ba22376b356c53ae58a5e9b0f"
+        for k, i in self.H_SWEEP:
+            for c in (1, 2, 5, 9, 13, 17):
+                digest.update(series_H_tilde(k, i, c).to_json().encode())
+        assert digest.hexdigest() == "9bd0e8738b52d643c4fea67253b69ea611899616aa30fc627ee06d192decc19f"
+
+    def test_h_sweep_agrees_across_cutoffs(self):
+        # Every coefficient a window claims is the one a larger cutoff gives.
+        for k, i in self.H_SWEEP:
+            top = series_H_tilde(k, i, 17)
+            for c in (1, 2, 5, 9, 13):
+                assert series_H_tilde(k, i, c).first_mismatch(top) is None, (k, i, c)
 
     def test_h_rejects_nontruncating_parameters(self):
         with pytest.raises(ValueError, match="truncation"):
@@ -262,6 +268,22 @@ class TestBaileyLattice:
         b3 = bailey_pair_b3(1, 10)
         with pytest.raises(ValueError, match="n_max"):
             bailey_lattice_sides(b3, 2, 1, 10)
+
+    @pytest.mark.parametrize("make", [bailey_pair_b3, bailey_pair_e3])
+    def test_depth_demand_is_the_deepest_beta_read(self, make):
+        # The beta side's demand is exactly the largest beta index the
+        # multisum reads, and a pair one shallower is refused.
+        for c in (6, 10, 16):
+            deep = make(c, c)
+            for k in range(4):
+                for i in range(k + 1):
+                    read = []
+                    _nested_multisum(k, i, lambda m: read.append(m) or deep.betas[m], c)
+                    need = _beta_demand(k, i, c)
+                    assert max(read) == need, (c, k, i)
+                    if need:
+                        with pytest.raises(ValueError, match=f"need n_max >= {need}$"):
+                            bailey_lattice_sides(make(need - 1, c), k, i, c)
 
     def test_multisums_equal_bilaterals(self):
         for k, i in ((2, 1), (2, 2), (3, 2), (3, 3)):

@@ -205,16 +205,20 @@ class TestPochhammer:
 
 
 def reference_qproduct(s, num, den, step):
-    """Base by base, factor by factor: each (1 - m q^e) as a binomial, each
-    inverse by ``invert``, and factors past the window multiplied in too."""
+    """Base by base, factor by factor: each (1 - m q^e) as a binomial and each
+    inverse by ``invert``, for every e below the window's width (the cutoff
+    less any negative floor), where a factor can reach the window.  The
+    numerators go one step further, which only moves terms past the cutoff;
+    a denominator there would still cut the window."""
     cutoff = s.q_cutoff
+    width = cutoff - min(s.q_floor, 0)
     out = s
     for m in num:
-        for j in range(cutoff - m.q + 1):
-            out = out * poly((1,), (-m.coeff, m.a, m.b, m.x, m.q + step * j))
+        for e in range(m.q, width + step, step):
+            out = out * poly((1,), (-m.coeff, m.a, m.b, m.x, e))
     for m in den:
-        for j in range(cutoff - m.q + 1):
-            out = out * poly((1,), (-m.coeff, m.a, m.b, m.x, m.q + step * j)).invert(cutoff)
+        for e in range(m.q, width, step):
+            out = out * poly((1,), (-m.coeff, m.a, m.b, m.x, e)).invert(cutoff)
     return out
 
 
@@ -523,6 +527,17 @@ class TestSparseFactorKernels:
         got = geometric(base, cutoff)
         assert dict(got.terms) == want
         assert (got.q_floor, got.q_cutoff) == (0, cutoff)
+
+    @settings(max_examples=300, deadline=None)
+    @given(windowed_series,
+           st.lists(small_monomials(st.one_of(unit, small_coeff, st.just(0)), q_min=-3, q_max=5),
+                    max_size=3),
+           st.lists(kernel_bases(q_min=1), max_size=3), st.integers(1, 3))
+    def test_qproduct_is_the_reference(self, s, num, den, step):
+        got = qproduct(s, tuple(num), tuple(den), step=step)
+        want = reference_qproduct(s, num, den, step)
+        assert dict(got.terms) == dict(want.terms)
+        assert same_window(got, want)
 
     def test_laurent_numerator_lowers_the_window(self):
         s = ts((1,), (2, 1, 0, 0, 3), cutoff=6)
