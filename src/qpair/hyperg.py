@@ -11,30 +11,26 @@ Sign conventions used throughout: ``(-ab)^n (-1/a, -1/b)_n`` is expanded as
 ``(-1)^n prod_{j<n} (a + q^j)(b + q^j)``, which keeps every numerator a
 polynomial; denominators are unrolled into geometric inverse factors.
 
-Summand rule: a summand shifted by ``q^shift`` is formed only at
-``q_cutoff - shift`` (less any negative floor of its other factors), by
-truncating its factors before they are multiplied, since nothing of it at or
-above ``q_cutoff`` survives the sum.  A running chain (a Pochhammer product or
-inverse carried from one summand to the next) is carried at the current
-summand's room; the rooms never grow with the index.  Every builder returns
-the series, window included, that full-cutoff summands would give.  The same
-rule governs the path recurrence tables in :mod:`qpair.paths`: a series
-shifted by ``q^e`` onto another is cut to the other's cutoff less e first.
+Every single-index sum (R and R~, H~, the bilateral forms, the lattice's
+alpha side, the summation lemma's left side) is a table of term ratios that
+:func:`_horner`, which holds the one truncation rule, evaluates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, count, takewhile
 
 from .gaussint import is_unit, unit_pow
 from .overpartitions import check_ki
 from .qtools import f_poly, inv_qfactors, inv_qpoch
-from .series import Monomial, TruncatedSeries, geometric, mono, over_one_minus, pochhammer, qproduct, times_one_minus
+from .series import Monomial, TruncatedSeries, _apply_factors, mono, qproduct
 
 # Bases of (-aq, -bq; q)_inf / (q, abq; q)_inf, the x = 1 prefactor.  The
 # Bailey lattice prefactor and its undoing in the verify suites regroup them.
 NEG_AQ, NEG_BQ, Q, ABQ = mono(-1, a=1, q=1), mono(-1, b=1, q=1), mono(1, q=1), mono(1, a=1, b=1, q=1)
+_ONE = TruncatedSeries.poly([mono(1)])  # the exact polynomial 1
 
 
 def r_exponent(k: int, i: int, n: int, tilde: bool) -> int:
@@ -49,52 +45,76 @@ def r_exponent(k: int, i: int, n: int, tilde: bool) -> int:
     return k * n * n + (k - i + 1) * n - n * (n - 1) // 2
 
 
-def _bracket_numerator(n: int, i: int, q_cutoff: int) -> TruncatedSeries:
-    """(1 + axq^(n+1))(1 + bxq^(n+1)) - x^i q^(2n(i-1)+i) (a + q^n)(b + q^n)."""
+def _below(floor, q_cutoff: int, start: int = 0):
+    """n = start, start + 1, ... while ``floor(n)`` lies below ``q_cutoff``."""
+    return takewhile(lambda n: floor(n) < q_cutoff, count(start))
+
+
+def _ab_plus(j: int) -> tuple[Monomial, Monomial]:
+    """``(a + q^j)(b + q^j)`` as Laurent numerators ``q^j (1 + a q^-j)`` and the same in b."""
+    return mono(-1, a=1, q=-j), mono(-1, b=1, q=-j)
+
+
+def _one_plus_ab(x: int, j: int) -> tuple[Monomial, Monomial]:
+    """The bases of ``(1 + a x^x q^j)(1 + b x^x q^j)``."""
+    return mono(-1, a=1, x=x, q=j), mono(-1, b=1, x=x, q=j)
+
+
+def _horner(levels, q_cutoff: int) -> TruncatedSeries:
+    """``sum_n q^floor_n poly_n prod_{j <= n} num_j / den_j`` by Horner's rule.
+
+    ``levels`` lists ``(floor, poly, num, den)`` for n = 0, 1, ...; a base m
+    in ``num`` is the factor ``1 - m``, in ``den`` ``1/(1 - m)``.  A
+    numerator of q-degree -d < 0 stands for ``q^d (1 - m)``, as ``a + q^d``
+    for ``q^d (1 + a q^-d)``, so no factor moves a floor: each ``poly`` has
+    its floor at or above q^0.  The tail ``t_n = (q^floor_n poly_n +
+    t_(n+1)) num_n / den_n``, whose t_0 is the sum, is held relative to
+    q^ref, ref the least floor from level n on.  One
+    :func:`~qpair.series._apply_factors` pass per level applies its factors
+    and moves the tail to the next level's ref.
+
+    Room rule: nothing at or above ``q_cutoff`` survives the sum, so each
+    tail is cut to ``q_cutoff - max(ref, 0)`` above q^ref, all that its
+    summands built at the full cutoff hold.  The sum has their terms and
+    window: floor f, the least floor, and cutoff ``q_cutoff + min(f, 0)``.
+    """
+    # The least floor from each level on, innermost first; the sum lies at q^0.
+    refs = list(accumulate((floor for floor, *_ in reversed(levels)), min))
+    tail = None
+    for (floor, poly, num, den), ref, outer in zip(reversed(levels), refs, refs[1:] + [0]):
+        head = poly.times_monomial(mono(1, q=floor - ref)).truncated(q_cutoff - max(ref, 0))
+        tail = head if tail is None else head + tail
+        tail = _apply_factors(tail, num, den, ref - outer - sum(min(m.q, 0) for m in num))
+    return tail
+
+
+def _bracket_numerator(n: int, i: int, lead: Monomial) -> TruncatedSeries:
+    """``lead`` times (1 + axq^(n+1))(1 + bxq^(n+1)) - x^i q^(2n(i-1)+i) (a + q^n)(b + q^n)."""
     g = 2 * n * (i - 1) + i
-    monos = [
-        mono(1),
-        mono(1, a=1, x=1, q=n + 1),
-        mono(1, b=1, x=1, q=n + 1),
-        mono(1, a=1, b=1, x=2, q=2 * n + 2),
-        mono(-1, a=1, b=1, x=i, q=g),
-        mono(-1, a=1, x=i, q=g + n),
-        mono(-1, b=1, x=i, q=g + n),
-        mono(-1, x=i, q=g + 2 * n),
-    ]
-    return TruncatedSeries.poly(monos).truncated(q_cutoff)
+    return TruncatedSeries.poly([m for da in (0, 1) for db in (0, 1) for m in (
+        mono(1, a=da, b=db, x=da + db, q=(da + db) * (n + 1)),
+        mono(-1, a=da, b=db, x=i, q=g + (2 - da - db) * n))]).times_monomial(lead)
 
 
 @lru_cache(maxsize=None)
 def _R_family(k: int, i: int, q_cutoff: int, tilde: bool) -> TruncatedSeries:
     """The plain (``tilde=False``) or even-moduli four-variable family member.
 
-    The two differ in the summand exponent, the x-power (k or k-1), the
-    factor (xq; q)_n or (x^2q^2; q^2)_n, and the q^n or q^2n step of the
-    inverse chain.  Built once per process for the suites that share it;
-    callers pass ``tilde`` positionally, one key each.
+    Summand n is (-1)^n x^(Kn) q^e(n) times its bracket and the factors of
+    levels 0 to n: 1/((1 + axq)(1 + bxq)), then the term ratio past the
+    brackets (a + q^(n-1))(b + q^(n-1)) (1 - x^s q^(sn))
+    / ((1 - q^(sn)) (1 + axq^(n+1)) (1 + bxq^(n+1))); K, s = k, 1 for the
+    plain family and k - 1, 2 for the other.  Built once per process for the
+    suites that share it; callers pass ``tilde`` positionally, one key each.
     """
-    step = 2 if tilde else 1
-    total = TruncatedSeries.zero(q_cutoff)
-    x_poch = TruncatedSeries.one(q_cutoff)
-    inv_chain = over_one_minus(geometric(mono(-1, a=1, x=1, q=1), q_cutoff), mono(-1, b=1, x=1, q=1))
-    n = 0
-    while True:
-        e_n = r_exponent(k, i, n, tilde)
-        if e_n >= q_cutoff:
-            break
-        room = q_cutoff - e_n
-        x_poch, inv_chain = x_poch.truncated(room), inv_chain.truncated(room)
-        term = f_poly(n, q_cutoff).truncated(room) * x_poch * inv_chain
-        term = term * _bracket_numerator(n, i, room)
-        total = total + term.times_monomial(mono(-1 if n % 2 else 1, x=(k - 1 if tilde else k) * n, q=e_n))
-        n += 1
-        x_poch = times_one_minus(x_poch, mono(1, x=step, q=step * n))
-        inv_chain = over_one_minus(inv_chain, mono(1, q=step * n))
-        inv_chain = over_one_minus(inv_chain, mono(-1, a=1, x=1, q=n + 1))
-        inv_chain = over_one_minus(inv_chain, mono(-1, b=1, x=1, q=n + 1))
+    step, xk = (2, k - 1) if tilde else (1, k)
+    levels = [(0, _bracket_numerator(0, i, mono(1)), (), _one_plus_ab(1, 1))]
+    for n in _below(lambda n: r_exponent(k, i, n, tilde), q_cutoff, 1):
+        levels.append((r_exponent(k, i, n, tilde), _bracket_numerator(n, i, mono((-1) ** n, x=xk * n)),
+                       (*_ab_plus(n - 1), mono(1, x=step, q=step * n)),
+                       (mono(1, q=step * n), *_one_plus_ab(1, n + 1))))
     # Times (-axq, -bxq)_inf / (xq, abxq)_inf.
-    return qproduct(total, (mono(-1, a=1, x=1, q=1), mono(-1, b=1, x=1, q=1)),
+    return qproduct(_horner(levels, q_cutoff), _one_plus_ab(1, 1),
                     (mono(1, x=1, q=1), mono(1, a=1, b=1, x=1, q=1)))
 
 
@@ -126,47 +146,34 @@ def series_H_tilde(k: int, i: int, q_cutoff: int) -> TruncatedSeries:
     checked in that multiplied-through form.  Parameters whose summand
     exponents do not grow (k = 1 with |i| >= 2) are rejected.
 
-    Summand n carries (x^2q^2; q^2)_(n-1) (1 + x) (x^s - x^(s+i) q^(2ni)),
-    s = max(-i, 0); at n = 0, where the first two are 1/(1 - x), it is
-    sign(i) (1 + x + ... + x^(|i|-1)), empty at i = 0.
+    Summand 0 is sign(i) (1 + x + ... + x^(|i|-1)), empty at i = 0.  Summand
+    n >= 1 is (-1)^n x^((k-1)n) (1 + x) (y^s - y^u), y = xq^(2n),
+    s = max(-i, 0), u = max(i, 0), at its floor (k-1)n^2 + (2-|i|)n, times
+    the term ratios past the polynomials up to n: (a + q^(n-1))(b + q^(n-1))
+    (1 - x^2 q^(2n-2)) / ((1 - q^(2n)) (1 + axq^n) (1 + bxq^n)), with no
+    x-factor at n = 1.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got k={k}")
     absi = abs(i)
     if k == 1 and absi >= 2:
         raise ValueError(f"summand exponents do not grow for k=1, |i|={absi}: no truncation")
-    xshift = absi if i < 0 else 0
+    s, u = max(-i, 0), max(i, 0)
 
-    one_plus_x = TruncatedSeries.poly([mono(1), mono(1, x=1)])
-    total = TruncatedSeries.zero(q_cutoff)
-    x2q2_prev = TruncatedSeries.one(q_cutoff)  # (x^2 q^2; q^2)_{n-1}
-    inv_chain = TruncatedSeries.one(q_cutoff)
-    n = 0
-    while True:
-        low = (k - 1) * n * n + (2 - absi) * n
-        if low >= q_cutoff and (k - 1) * (2 * n + 1) + 2 - absi >= 0:
-            break
-        d_n = (k - 1) * n * n + 2 * n - i * n
-        # low is the summand's floor: d_n plus the floor 2ni of the i < 0
-        # factor.  The break keeps it below the cutoff, and max(low, 0) never
-        # falls as n grows, so the chains can be cut to each room in turn.
-        room = q_cutoff - max(low, 0)
-        x2q2_prev, inv_chain = x2q2_prev.truncated(room), inv_chain.truncated(room)
-        if n == 0:
-            t_n = TruncatedSeries.poly([mono(1 if i > 0 else -1, x=l) for l in range(absi)])
-        else:
-            factor = TruncatedSeries.poly([mono(1, x=xshift), mono(-1, x=xshift + i, q=2 * n * i)])
-            t_n = x2q2_prev * one_plus_x * factor
-        term = f_poly(n, q_cutoff).truncated(room) * t_n * inv_chain
-        total = total + term.times_monomial(mono(-1 if n % 2 else 1, x=(k - 1) * n, q=d_n))
-        n += 1
-        if n >= 2:
-            x2q2_prev = times_one_minus(x2q2_prev, mono(1, x=2, q=2 * (n - 1)))
-        inv_chain = over_one_minus(inv_chain, mono(1, q=2 * n))
-        inv_chain = over_one_minus(inv_chain, mono(-1, a=1, x=1, q=n))
-        inv_chain = over_one_minus(inv_chain, mono(-1, b=1, x=1, q=n))
+    # The floors fall, then only grow, so the first at the cutoff ends the sum.
+    def floor(n: int) -> int:
+        return (k - 1) * n * n + (2 - absi) * n
+
+    levels = [(0, TruncatedSeries.poly([mono(1 if i > 0 else -1, x=l) for l in range(absi)]), (), ())]
+    for n in _below(floor, q_cutoff, 1):
+        sign, xn = (-1) ** n, (k - 1) * n
+        poly = TruncatedSeries.poly([mono(c * sign, x=xn + e + p, q=2 * n * p)
+                                     for e in (0, 1) for c, p in ((1, s), (-1, u))])
+        x_link = (mono(1, x=2, q=2 * n - 2),) if n >= 2 else ()
+        levels.append((floor(n), poly, (*_ab_plus(n - 1), *x_link),
+                       (mono(1, q=2 * n), *_one_plus_ab(1, n))))
     # Times (-axq, -bxq)_inf / (xq)_inf.
-    return qproduct(total, (mono(-1, a=1, x=1, q=1), mono(-1, b=1, x=1, q=1)), (mono(1, x=1, q=1),))
+    return qproduct(_horner(levels, q_cutoff), _one_plus_ab(1, 1), (mono(1, x=1, q=1),))
 
 
 def series_J_tilde(k: int, i: int, q_cutoff: int) -> TruncatedSeries:
@@ -196,30 +203,21 @@ def j_tilde_from_h(h_i: TruncatedSeries, h_i1: TruncatedSeries, h_i2: TruncatedS
 def _bilateral(k: int, i: int, q_cutoff: int, tilde: bool) -> TruncatedSeries:
     """The x = 1 form of the plain (``tilde=False``) or even-moduli member.
 
-    Built once per process for the suites that share it; callers pass
-    ``tilde`` positionally, one key each.
+    Summand n is (-1)^n (q^e(n) + q^(e(-n) + 2n)), one term at n = 0, times
+    the term ratios past the powers of q up to n, (a + q^(n-1))(b + q^(n-1))
+    / ((1 + aq^n)(1 + bq^n)).  Built once per process for the suites that
+    share it; callers pass ``tilde`` positionally, one key each.
     """
-    total = TruncatedSeries.zero(q_cutoff)
-    inv_chain = TruncatedSeries.one(q_cutoff)
-    n = 0
-    while True:
-        e_pos = r_exponent(k, i, n, tilde)
-        e_neg = r_exponent(k, i, -n, tilde) + 2 * n if n >= 1 else None
-        if e_pos >= q_cutoff and (e_neg is None or e_neg >= q_cutoff) and n >= 1:
-            break
-        sign = -1 if n % 2 else 1
-        # Both exponents are nonnegative and only grow with n.
-        room = q_cutoff - (e_pos if e_neg is None else min(e_pos, e_neg))
-        inv_chain = inv_chain.truncated(room)
-        term = f_poly(n, q_cutoff).truncated(room) * inv_chain
-        if e_pos < q_cutoff:
-            total = total + term.times_monomial(mono(sign, q=e_pos))
-        if e_neg is not None and e_neg < q_cutoff:
-            total = total + term.times_monomial(mono(sign, q=e_neg))
-        n += 1
-        inv_chain = over_one_minus(inv_chain, mono(-1, a=1, q=n))
-        inv_chain = over_one_minus(inv_chain, mono(-1, b=1, q=n))
-    return qproduct(total, (NEG_AQ, NEG_BQ), (Q, ABQ))
+    def exponents(n: int) -> tuple[int, int]:
+        return r_exponent(k, i, n, tilde), r_exponent(k, i, -n, tilde) + 2 * n
+
+    # Both exponents only grow with n.
+    levels = [(0, _ONE, (), ())]
+    for n in _below(lambda n: min(exponents(n)), q_cutoff, 1):
+        es = exponents(n)
+        levels.append((min(es), TruncatedSeries.poly([mono((-1) ** n, q=e - min(es)) for e in es]),
+                       _ab_plus(n - 1), _one_plus_ab(0, n)))
+    return qproduct(_horner(levels, q_cutoff), (NEG_AQ, NEG_BQ), (Q, ABQ))
 
 
 def series_R_bilateral(k: int, i: int, q_cutoff: int) -> TruncatedSeries:
@@ -270,27 +268,16 @@ def q_gauss_sides(n: int, q_cutoff: int) -> tuple[TruncatedSeries, TruncatedSeri
     conversions reduce the n < 0 summand to the n > 0 one, so both sides
     are built from m = |n| alone: the sides at -n and n are one computation,
     and comparing them cannot fail.
+
+    The left side's summand N = m is (-aq, -bq)_m / (q)_2m, and the term
+    ratio into N is q (a + q^(N-1))(b + q^(N-1)) / ((1 - q^(N-m))(1 - q^(N+m))).
     """
     m = abs(n)
-    poch_ab_m = pochhammer(NEG_AQ, m, q_cutoff) * pochhammer(NEG_BQ, m, q_cutoff)
-    lhs = TruncatedSeries.zero(q_cutoff)
-    running = TruncatedSeries.one(q_cutoff)  # prod_{j=m}^{N-1} (a+q^j)(b+q^j)
-    inv_lo = TruncatedSeries.one(q_cutoff)  # 1/(q)_{N-m}
-    inv_hi = inv_qpoch(2 * m, q_cutoff)  # 1/(q)_{N+m}
-    big_n = m
-    while big_n - m < q_cutoff:
-        room = q_cutoff - (big_n - m)
-        poch_ab_m, running = poch_ab_m.truncated(room), running.truncated(room)
-        inv_lo, inv_hi = inv_lo.truncated(room), inv_hi.truncated(room)
-        term = (poch_ab_m * running * inv_lo * inv_hi).times_monomial(mono(1, q=big_n - m))
-        lhs = lhs + term
-        big_n += 1
-        j = big_n - 1
-        running = running * TruncatedSeries.poly([mono(1, a=1), mono(1, q=j)])
-        running = running * TruncatedSeries.poly([mono(1, b=1), mono(1, q=j)])
-        inv_lo = over_one_minus(inv_lo, mono(1, q=big_n - m))
-        inv_hi = over_one_minus(inv_hi, mono(1, q=big_n + m))
-    return lhs, qproduct(TruncatedSeries.one(q_cutoff), (NEG_AQ, NEG_BQ), (Q, ABQ))
+    levels = [(0, _ONE, [b for j in range(1, m + 1) for b in _one_plus_ab(0, j)],
+               [mono(1, q=j) for j in range(1, 2 * m + 1)])]
+    levels += [(t, _ONE, _ab_plus(m + t - 1), (mono(1, q=t), mono(1, q=t + 2 * m)))
+               for t in range(1, q_cutoff)]
+    return _horner(levels, q_cutoff), qproduct(TruncatedSeries.one(q_cutoff), (NEG_AQ, NEG_BQ), (Q, ABQ))
 
 
 # ------------------------------------------------------------------ Bailey machinery
@@ -363,10 +350,10 @@ def _beta_demand(depth: int, i_level: int, q_cutoff: int) -> int:
     The exponents grow with each index, so n_depth = m is reached exactly
     when n_1 = ... = n_depth = m stays below the cutoff; at depth 0 it is 0.
     """
-    m = 0
-    while depth and sum(_level_exponent(j, m + 1, i_level) for j in range(1, depth + 1)) < q_cutoff:
-        m += 1
-    return m
+    def floor(m: int) -> int:
+        return sum(_level_exponent(j, m, i_level) for j in range(1, depth + 1))
+
+    return sum(1 for _ in _below(floor, q_cutoff, 1)) if depth else 0
 
 
 def _nested_multisum(depth: int, i_level: int, beta, q_cutoff: int) -> TruncatedSeries:
@@ -395,18 +382,36 @@ def _nested_multisum(depth: int, i_level: int, beta, q_cutoff: int) -> Truncated
             rec(level + 1, nj, expo + e, partial.times_monomial(mono(1, q=e))
                 * inv_qpoch(prev - nj, q_cutoff).truncated(q_cutoff - expo - e))
 
-    n1 = 0
-    while True:
+    for n1 in _below(lambda n: _level_exponent(1, n, i_level), q_cutoff):
         e1 = _level_exponent(1, n1, i_level)
-        if e1 >= q_cutoff:
-            break
         rec(2, n1, e1, f_poly(n1, q_cutoff).truncated(q_cutoff - e1).times_monomial(mono(1, q=e1)))
-        n1 += 1
     return total
+
+
+def _alpha_exponents(k: int, i: int, n: int) -> tuple[int, int]:
+    """The q-shifts of the two branches of lattice summand n >= 1, the one
+    through alpha_n and the one through alpha_(n-1).  Alpha valuations are
+    nonnegative, so the lesser is a floor of the summand; it never falls as
+    n grows."""
+    base = (n * n - n) * (i - 1) + i * n
+    return base + (n * n + n) * (k - i), base + ((n - 1) ** 2 + (n - 1)) * (k - i) + 2 * n - 1
+
+
+def _alpha_demand(k: int, i: int, q_cutoff: int) -> int:
+    """The largest index :func:`bailey_lattice_rhs` reads from ``alphas``: the
+    last summand n whose floor lies below the cutoff, or 0.  At k = 0 the
+    alpha side reads no alpha."""
+    return sum(1 for _ in _below(lambda n: min(_alpha_exponents(k, i, n)), q_cutoff, 1)) if k else 0
 
 
 def bailey_lattice_rhs(pair: BaileyPair, k: int, i: int, q_cutoff: int) -> TruncatedSeries:
     """The alpha side of the lattice transform for a pair relative to q.
+
+    For k >= 1 it is 1/(q)_inf^2 times alpha_0 plus, for n >= 1, the Bailey
+    polynomial rho_n q^b1 - rho_(n-1) q^b2 (:func:`_alpha_exponents`;
+    rho_n = alpha_n (1 - q) / (1 - q^(2n+1)) is (-1)^n q^valuation(n) for B3
+    and E3) times the term ratios past the polynomials up to n,
+    (a + q^(n-1))(b + q^(n-1)) / ((1 + aq^n)(1 + bq^n)).
 
     For k = 0 it is the prefactor (abq)_inf / (q, -aq, -bq)_inf times
     beta_0, by the empty-sum conventions.
@@ -415,50 +420,37 @@ def bailey_lattice_rhs(pair: BaileyPair, k: int, i: int, q_cutoff: int) -> Trunc
         raise ValueError(f"need 0 <= i <= k, got i={i}, k={k}")
     if k == 0:
         return qproduct(pair.betas[0], (ABQ,), (Q, NEG_AQ, NEG_BQ))
-    inv_q_inf_sq = qproduct(TruncatedSeries.one(q_cutoff), (), (Q, Q))
-    rhs = inv_q_inf_sq * pair.alphas[0]
-    inv_chain = TruncatedSeries.one(q_cutoff)
-    n = 1
-    while True:
-        # Alpha valuations are nonnegative, so these bound both branches.
-        base = (n * n - n) * (i - 1) + i * n
-        b1 = base + (n * n + n) * (k - i)
-        b2 = base + ((n - 1) ** 2 + (n - 1)) * (k - i) + 2 * n - 1
-        if min(b1, b2) >= q_cutoff:
-            break
-        if n > pair.depth():
-            raise ValueError(f"pair depth {pair.depth()} insufficient for the alpha side")
-        # The product starts at q^min(b1, b2), which never falls as n grows,
-        # so the outer factor and its chain are cut to the room above it, and
-        # the branches and 1/(q)_inf^2 to what the product can still reach.
-        room = q_cutoff - min(b1, b2)
-        inv_chain = over_one_minus(inv_chain.truncated(room), mono(-1, a=1, q=n))
-        inv_chain = over_one_minus(inv_chain, mono(-1, b=1, q=n))
-        outer = times_one_minus(f_poly(n, q_cutoff).truncated(room) * inv_chain, mono(1, q=1))
-        outer = outer.times_monomial(mono(1, q=base))
-        branch1 = pair.alphas[n] * geometric(mono(1, q=2 * n + 1), q_cutoff)
-        branch1 = branch1.times_monomial(mono(1, q=(n * n + n) * (k - i)))
-        branch2 = pair.alphas[n - 1] * geometric(mono(1, q=2 * n - 1), q_cutoff)
-        branch2 = branch2.times_monomial(mono(-1, q=((n - 1) ** 2 + (n - 1)) * (k - i) + 2 * n - 1))
-        product = outer * (branch1 + branch2).truncated(q_cutoff - base)
-        rhs = rhs + inv_q_inf_sq.truncated(q_cutoff - product.q_floor) * product
-        n += 1
-    return rhs
+    needed = _alpha_demand(k, i, q_cutoff)
+    if pair.depth() < needed:
+        raise ValueError(f"pair depth {pair.depth()} insufficient for the alpha side: "
+                         f"need n_max >= {needed}")
+    rho = [_apply_factors(pair.alphas[n].truncated(q_cutoff), (Q,), (mono(1, q=2 * n + 1),))
+           for n in range(needed + 1)]
+    levels = [(0, pair.alphas[0], (), ())]
+    for n in range(1, needed + 1):
+        b1, b2 = _alpha_exponents(k, i, n)
+        floor = min(b1, b2)
+        poly = rho[n].times_monomial(mono(1, q=b1 - floor)) - rho[n - 1].times_monomial(mono(1, q=b2 - floor))
+        levels.append((floor, poly, _ab_plus(n - 1), _one_plus_ab(0, n)))
+    return qproduct(_horner(levels, q_cutoff), (), (Q, Q))
 
 
 def bailey_lattice_sides(pair: BaileyPair, k: int, i: int, q_cutoff: int
                          ) -> tuple[TruncatedSeries, TruncatedSeries]:
     """Both sides of the lattice transform for a pair relative to q: the beta
     side and :func:`bailey_lattice_rhs`.  At k = 0 each is the prefactor times
-    beta_0, built once from the empty multisum and once from the alpha side."""
+    beta_0, built once from the empty multisum and once from the alpha side.
+
+    A pair too shallow for either side is refused before either is built."""
     if not (0 <= i <= k):
         raise ValueError(f"need 0 <= i <= k, got i={i}, k={k}")
     needed = _beta_demand(k, i, q_cutoff)
     if pair.depth() < needed:
         raise ValueError(f"pair depth {pair.depth()} insufficient: need n_max >= {needed}")
+    rhs = bailey_lattice_rhs(pair, k, i, q_cutoff)
     lhs = qproduct(_nested_multisum(k, i, lambda m: pair.betas[m], q_cutoff),
                    (ABQ,), (Q, NEG_AQ, NEG_BQ))
-    return lhs, bailey_lattice_rhs(pair, k, i, q_cutoff)
+    return lhs, rhs
 
 
 def multisum_admissible(k: int, i: int, q_cutoff: int) -> TruncatedSeries:

@@ -9,7 +9,8 @@ from .series import TruncatedSeries, mono, over_one_minus
 
 @lru_cache(maxsize=None)
 def f_poly(n: int, q_cutoff: int) -> TruncatedSeries:
-    """``prod_{j<n} (a + q^j)(b + q^j)`` truncated."""
+    """``prod_{j<n} (a + q^j)(b + q^j)`` truncated, for ``hyperg._nested_multisum``
+    and ``paths.gf_closed``; the single-sum builders take these factors as term ratios."""
     if n == 0:
         return TruncatedSeries.one(q_cutoff)
     out = f_poly(n - 1, q_cutoff)

@@ -432,8 +432,8 @@ def _add_shifted(dst: dict, src: Iterable, c: Coeff, da: int, db: int, dx: int) 
 
 
 def _apply_factors(s: TruncatedSeries, num: Iterable[Monomial] = (),
-                   den: Iterable[Monomial] = ()) -> TruncatedSeries:
-    """``s * prod_{m in num} (1 - m) / prod_{m in den} (1 - m)``, in place on q-layers.
+                   den: Iterable[Monomial] = (), shift: int = 0) -> TruncatedSeries:
+    """``q^shift s prod_{m in num} (1 - m) / prod_{m in den} (1 - m)``, in place on q-layers.
 
     ``s`` is unpacked once into one ``{(a, b, x): coeff}`` dict per q-degree
     of its window, every factor updates those layers in place, and the series
@@ -449,7 +449,7 @@ def _apply_factors(s: TruncatedSeries, num: Iterable[Monomial] = (),
     a numerator moves floor and cutoff by ``min(0, deg_q m)`` (0 for a zero
     coefficient), and a denominator keeps the floor and cuts at
     ``min(cutoff, s.q_cutoff + floor)``.  These rules commute, so the factors
-    may come in any order.
+    may come in any order; the shift moves terms and window last.
     """
     den = tuple(den)
     if any(m.q <= 0 for m in den):
@@ -485,6 +485,7 @@ def _apply_factors(s: TruncatedSeries, num: Iterable[Monomial] = (),
             src = layers[i - dq]
             if src:
                 _add_shifted(layers[i], src.items(), c, da, db, dx)
+    floor, cutoff = floor + shift, _sat_add(cutoff, shift)
     terms = {(a, b, x, q): v for q, layer in enumerate(layers, floor) for (a, b, x), v in layer.items()}
     return TruncatedSeries(terms, floor, cutoff)
 

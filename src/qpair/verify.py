@@ -182,6 +182,9 @@ def suite_qdiff_R_tilde(rep: VerificationReport, cfg: VerifyConfig) -> None:
 
 
 def suite_htilde(rep: VerificationReport, cfg: VerifyConfig) -> None:
+    """H~ vanishing, reflection and difference identities, and J~ by both routes.
+    Needs k >= 2: J~ goes through ``check_ki``, whose refusal at k = 1 (exit 2)
+    does not name the suite."""
     c = cfg.cutoff
     rep.params = {"k": list(cfg.k_values), "cutoff": c}
     zero = TruncatedSeries.zero(c)

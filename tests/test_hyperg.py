@@ -1,12 +1,17 @@
 import hashlib
+from itertools import count, takewhile
 
 import pytest
 
 from qpair.counts import CountTable
 from qpair.gaussint import GaussInt
+import qpair.hyperg as hyperg
 from qpair.hyperg import (
+    BaileyPair,
     _R_family,
+    _alpha_demand,
     _beta_demand,
+    _horner,
     _nested_multisum,
     bailey_lattice_rhs,
     bailey_lattice_sides,
@@ -27,7 +32,8 @@ from qpair.hyperg import (
 )
 from qpair.overpartitions import count_frequency_pairs, pairs_of
 from qpair.paths import gf_closed, gf_gamma_closed
-from qpair.series import TruncatedSeries, geometric, mono, pochhammer_inf
+from qpair.series import (TruncatedSeries, geometric, mono, over_one_minus, pochhammer_inf, qproduct,
+                          times_one_minus)
 from qpair.verify import VerifyConfig, run_suite
 
 C = 10
@@ -226,8 +232,6 @@ class TestBaileyPairs:
         assert e3.betas[1].first_mismatch(geometric(mono(1, q=2), 10)) is None
 
     def test_corrupted_pair_rejected(self):
-        from qpair.hyperg import BaileyPair
-
         b3 = bailey_pair_b3(3, 10)
         bad = BaileyPair("bad", b3.alphas, b3.alphas, 10)
         (n, *_), lhs, rhs = bailey_relation_mismatch(bad)
@@ -285,6 +289,36 @@ class TestBaileyLattice:
                         with pytest.raises(ValueError, match=f"need n_max >= {need}$"):
                             bailey_lattice_sides(make(need - 1, c), k, i, c)
 
+    @pytest.mark.parametrize("make", [bailey_pair_b3, bailey_pair_e3])
+    def test_alpha_demand_is_the_deepest_alpha_read(self, make, monkeypatch):
+        # The alpha side's demand is exactly the largest alpha index it
+        # reads.  A pair deep enough for the beta side but one short for the
+        # alpha side is refused before the multisum is built.
+        read = []
+
+        class Reads(tuple):
+            def __getitem__(self, n):
+                read.append(n)
+                return tuple.__getitem__(self, n)
+
+        multisums = []
+        monkeypatch.setattr(hyperg, "_nested_multisum", lambda *args: multisums.append(args))
+        refused = set()
+        for c in (6, 10, 16):
+            deep = make(c, c)
+            for k in range(1, 4):
+                for i in range(k + 1):
+                    read.clear()
+                    bailey_lattice_rhs(BaileyPair(deep.label, Reads(deep.alphas), deep.betas, c), k, i, c)
+                    need = _alpha_demand(k, i, c)
+                    assert max(read) == need, (c, k, i)
+                    if need > _beta_demand(k, i, c):
+                        with pytest.raises(ValueError, match=f"alpha side: need n_max >= {need}$"):
+                            bailey_lattice_sides(make(need - 1, c), k, i, c)
+                        refused.add((c, k, i))
+        assert not multisums
+        assert refused == {(c, k, 0) for c in (6, 10, 16) for k in (1, 2, 3)} | {(10, 3, 1)}
+
     def test_multisums_equal_bilaterals(self):
         for k, i in ((2, 1), (2, 2), (3, 2), (3, 3)):
             d = multisum_admissible(k, i, C)
@@ -295,6 +329,69 @@ class TestBaileyLattice:
     def test_multisum_constant_terms(self):
         assert multisum_admissible(3, 2, 6).coeff(0, 0, 0, 0) == 1
         assert multisum_self_conjugate(3, 2, 6).coeff(0, 0, 0, 0) == 1
+
+
+class TestHornerDriver:
+    # Euler's two sums and the q-binomial theorem, as level tables against
+    # their products: sum x^n q^n / (q)_n = 1/(xq)_inf,
+    # sum x^n q^(n(n+1)/2) / (q)_n = (-xq)_inf and
+    # sum (a + 1)(a + q)...(a + q^(n-1)) x^n q^n / (q)_n = (-xq)_inf / (axq)_inf,
+    # the last through Laurent numerators.
+    @staticmethod
+    def _levels(floor, num, c, planted=None):
+        levels = [(0, TruncatedSeries.poly([mono(1)]), (), ())]
+        for n in (n for n in range(1, c) if floor(n) < c):
+            sign = -1 if n == planted else 1
+            levels.append((floor(n), TruncatedSeries.poly([mono(1, x=n)]), num(n), (mono(sign, q=n),)))
+        return levels
+
+    CASES = [
+        (lambda n: n, lambda n: (), (), (mono(1, x=1, q=1),)),
+        (lambda n: n * (n + 1) // 2, lambda n: (), (mono(-1, x=1, q=1),), ()),
+        (lambda n: n, lambda n: (mono(-1, a=1, q=1 - n),), (mono(-1, x=1, q=1),), (mono(1, a=1, x=1, q=1),)),
+    ]
+
+    @pytest.mark.parametrize("floor,num,prod_num,prod_den", CASES, ids=["euler-1", "euler-2", "q-binomial"])
+    def test_sums_equal_products(self, floor, num, prod_num, prod_den):
+        for c in range(1, 21):
+            got = _horner(self._levels(floor, num, c), c)
+            assert (got.q_floor, got.q_cutoff) == (0, c)
+            assert got.first_mismatch(qproduct(TruncatedSeries.one(c), prod_num, prod_den)) is None, c
+
+    def test_planted_wrong_sign_is_caught(self):
+        # 1/(1 + q^3) in place of 1/(1 - q^3) on Euler's first sum.
+        floor, num, prod_num, prod_den = self.CASES[0]
+        got = _horner(self._levels(floor, num, 12, planted=3), 12)
+        assert got.first_mismatch(qproduct(TruncatedSeries.one(12), prod_num, prod_den)) is not None
+
+    @staticmethod
+    def _summand_at_full_cutoff(levels, n, c):
+        # The factors of levels 0 to n, one at a time on the series 1 at
+        # cutoff c (a Laurent numerator shifted back up), times poly_n,
+        # shifted to floor_n.
+        s = TruncatedSeries.one(c)
+        for _, _, num, den in levels[:n + 1]:
+            for m in num:
+                s = times_one_minus(s, m).times_monomial(mono(1, q=max(-m.q, 0)))
+            for m in den:
+                s = over_one_minus(s, m)
+        floor, poly = levels[n][:2]
+        return (s * poly).times_monomial(mono(1, q=floor))
+
+    @pytest.mark.parametrize("floor", [lambda n: n * n - 4 * n, lambda n: n * (n + 1) // 2],
+                             ids=["falling", "rising"])
+    def test_sum_is_the_full_cutoff_summands(self, floor):
+        # Terms and window are those of the summands built at the full
+        # cutoff, also where the floors fall for several levels, so later
+        # summands lie below earlier ones (as H~'s do for |i| >= 3k).
+        for c in range(1, 13):
+            levels = [(floor(n), TruncatedSeries.poly([mono(1, x=n), mono(-1, a=1, x=n, q=1)]),
+                       (mono(-1, a=1, q=1 - n), mono(1, x=1, q=n)) if n else (),
+                       (mono(1, q=n), mono(-1, b=1, q=n)) if n else (mono(-1, b=1, q=1),))
+                      for n in takewhile(lambda n: floor(n) < c, count())]
+            want = sum((self._summand_at_full_cutoff(levels, n, c) for n in range(len(levels))),
+                       TruncatedSeries.zero(c))
+            assert _horner(levels, c) == want, c
 
 
 # ---------------------------------------------------------------- summand windows
