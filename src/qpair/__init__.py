@@ -37,7 +37,7 @@ from .hyperg import (
 )
 from .overpartitions import Overpartition, OverpartitionPair
 from .paths import LatticePath, path_to_symbol, symbol_to_path
-from .series import INF, Monomial, TruncatedSeries, mono, pochhammer, pochhammer_inf, q_binomial
+from .series import INF, Monomial, TruncatedSeries, mono, pochhammer_inf, q_binomial
 from .verify import SUITES, VerificationReport, VerifyConfig, run_suite
 
 __version__ = "0.1.0"
@@ -72,7 +72,6 @@ __all__ = [
     "multisum_admissible",
     "multisum_self_conjugate",
     "path_to_symbol",
-    "pochhammer",
     "pochhammer_inf",
     "q_binomial",
     "q_gauss_sides",

@@ -11,20 +11,21 @@ Sign conventions used throughout: ``(-ab)^n (-1/a, -1/b)_n`` is expanded as
 ``(-1)^n prod_{j<n} (a + q^j)(b + q^j)``, which keeps every numerator a
 polynomial; denominators are unrolled into geometric inverse factors.
 
-Every single-index sum (R and R~, H~, the bilateral forms, the lattice's
-alpha side, the summation lemma's left side) is a table of term ratios that
+Every sum (R and R~, H~, the bilateral forms, the lattice's alpha side, the
+summation lemma's left side, the Bailey relation's sum side and, one level
+at a time, the Durfee multisum) is a table of term ratios that
 :func:`_horner`, which holds the one truncation rule, evaluates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, count, takewhile
 
 from .gaussint import is_unit, unit_pow
 from .overpartitions import check_ki
-from .qtools import f_poly, inv_qfactors, inv_qpoch
+from .qtools import f_poly, inv_qpoch
 from .series import Monomial, TruncatedSeries, _apply_factors, mono, qproduct
 
 # Bases of (-aq, -bq; q)_inf / (q, abq; q)_inf, the x = 1 prefactor.  The
@@ -75,17 +76,21 @@ def _horner(levels, q_cutoff: int) -> TruncatedSeries:
 
     Room rule: nothing at or above ``q_cutoff`` survives the sum, so each
     tail is cut to ``q_cutoff - max(ref, 0)`` above q^ref, all that its
-    summands built at the full cutoff hold.  The sum has their terms and
-    window: floor f, the least floor, and cutoff ``q_cutoff + min(f, 0)``.
+    summands built at the full cutoff hold, and the innermost levels whose
+    ref is at or past the cutoff are dropped.  The sum has their terms and
+    window: floor f, the least floor, and cutoff ``q_cutoff + min(f, 0)``;
+    a table with no level below the cutoff sums to the zero series.
     """
     # The least floor from each level on, innermost first; the sum lies at q^0.
+    # Innermost levels whose least floor is at or past the cutoff add nothing.
     refs = list(accumulate((floor for floor, *_ in reversed(levels)), min))
+    refs = refs[sum(ref >= q_cutoff for ref in refs):]
     tail = None
-    for (floor, poly, num, den), ref, outer in zip(reversed(levels), refs, refs[1:] + [0]):
+    for (floor, poly, num, den), ref, outer in zip(reversed(levels[:len(refs)]), refs, refs[1:] + [0]):
         head = poly.times_monomial(mono(1, q=floor - ref)).truncated(q_cutoff - max(ref, 0))
         tail = head if tail is None else head + tail
         tail = _apply_factors(tail, num, den, ref - outer - sum(min(m.q, 0) for m in num))
-    return tail
+    return TruncatedSeries.zero(q_cutoff) if tail is None else tail
 
 
 def _bracket_numerator(n: int, i: int, lead: Monomial) -> TruncatedSeries:
@@ -271,13 +276,20 @@ def q_gauss_sides(n: int, q_cutoff: int) -> tuple[TruncatedSeries, TruncatedSeri
 
     The left side's summand N = m is (-aq, -bq)_m / (q)_2m, and the term
     ratio into N is q (a + q^(N-1))(b + q^(N-1)) / ((1 - q^(N-m))(1 - q^(N+m))).
+    The right side does not depend on n; it is built once per cutoff.
     """
     m = abs(n)
     levels = [(0, _ONE, [b for j in range(1, m + 1) for b in _one_plus_ab(0, j)],
                [mono(1, q=j) for j in range(1, 2 * m + 1)])]
     levels += [(t, _ONE, _ab_plus(m + t - 1), (mono(1, q=t), mono(1, q=t + 2 * m)))
                for t in range(1, q_cutoff)]
-    return _horner(levels, q_cutoff), qproduct(TruncatedSeries.one(q_cutoff), (NEG_AQ, NEG_BQ), (Q, ABQ))
+    return _horner(levels, q_cutoff), _q_gauss_rhs(q_cutoff)
+
+
+@lru_cache(maxsize=None)
+def _q_gauss_rhs(q_cutoff: int) -> TruncatedSeries:
+    """The summation lemma's right side for every n, (-aq, -bq)_inf / (q, abq)_inf."""
+    return qproduct(TruncatedSeries.one(q_cutoff), (NEG_AQ, NEG_BQ), (Q, ABQ))
 
 
 # ------------------------------------------------------------------ Bailey machinery
@@ -300,15 +312,16 @@ class BaileyPair:
 def bailey_relation_mismatch(pair: BaileyPair) -> tuple | None:
     """The first failure of beta_n = sum_r alpha_r / ((q)_{n-r} (q^2; q)_{n+r})
     over the stored indices n, as ``((n, a, b, x, q), sum side, beta_n)``;
-    None when the relation holds at every n."""
+    None when the relation holds at every n.  The sum side is a :func:`_horner`
+    table: alpha_0 over (q)_n (q^2; q)_n, and into r the ratio past alpha_r
+    (1 - q^(n-r+1)) / (1 - q^(n+r+1))."""
     c = pair.q_cutoff
+    alphas = [(alpha.q_floor, alpha.times_monomial(mono(1, q=-alpha.q_floor))) for alpha in pair.alphas]
     for n in range(pair.depth() + 1):
-        acc = TruncatedSeries.zero(c)
-        for r in range(n + 1):
-            term = pair.alphas[r] * inv_qpoch(n - r, c)
-            term = term * inv_qfactors(tuple(range(2, n + r + 2)), c)
-            acc = acc + term
-        bad = acc.first_mismatch(pair.betas[n])
+        levels = [(floor, alpha, (mono(1, q=n - r + 1),), (mono(1, q=n + r + 1),))
+                  for r, (floor, alpha) in enumerate(alphas[1:n + 1], 1)]
+        levels.insert(0, (*alphas[0], (), [mono(1, q=j) for j in (*range(1, n + 1), *range(2, n + 2))]))
+        bad = _horner(levels, c).first_mismatch(pair.betas[n])
         if bad is not None:
             key, lhs, rhs = bad
             return (n,) + key, lhs, rhs
@@ -350,42 +363,42 @@ def _beta_demand(depth: int, i_level: int, q_cutoff: int) -> int:
     The exponents grow with each index, so n_depth = m is reached exactly
     when n_1 = ... = n_depth = m stays below the cutoff; at depth 0 it is 0.
     """
-    def floor(m: int) -> int:
-        return sum(_level_exponent(j, m, i_level) for j in range(1, depth + 1))
-
-    return sum(1 for _ in _below(floor, q_cutoff, 1)) if depth else 0
+    return sum(1 for _ in _below(lambda m: sum(_level_exponent(j, m, i_level) for j in range(1, depth + 1)),
+                                 q_cutoff, 1)) if depth else 0
 
 
 def _nested_multisum(depth: int, i_level: int, beta, q_cutoff: int) -> TruncatedSeries:
-    """``sum_{n_1 >= ... >= n_depth >= 0}`` of the standard lattice summand.
-
-    The exponent adds :func:`_level_exponent` over the levels; between
-    levels the difference Pochhammer inverses appear, and the innermost
-    index feeds ``beta``.  At depth 0 the sum has no index: it is
+    """``sum_{n_1 >= ... >= n_depth >= 0}`` of q to the sum of
+    :func:`_level_exponent` over the levels, times ``f_poly(n_1)``,
+    1/(q)_(n_(j-1) - n_j) between levels and ``beta(n_depth)``; at depth 0,
     ``beta(0)`` cut to the cutoff.
+
+    Summed one level at a time: ``sums[m]`` is the sum over the indices so
+    far whose last index is m, as its floor and the series relative to it
+    (at level 1 the cached, uncut ``f_poly(m)``).  The next level's entry at
+    n is q^e(n) sum_{m >= n} sums[m] / (q)_(m-n), one :func:`_horner` table
+    with the term ratio 1/(1 - q^(m-n)) into m.  The floors grow with the
+    index, so a level ends at the first n whose floor plus e(n) reaches the
+    cutoff; no later n reads ``sums[n]``.  Each innermost entry meets
+    ``beta`` in one product.
     """
     if depth == 0:
         return beta(0).truncated(q_cutoff)
-    total = TruncatedSeries.zero(q_cutoff)
-
-    def rec(level: int, prev: int, expo: int, partial: TruncatedSeries):
-        nonlocal total
-        # ``partial`` carries its shift q^expo, so each new factor is cut to
-        # the room above it and the product stops at q_cutoff.
-        if level > depth:
-            total = total + partial * beta(prev).truncated(q_cutoff - expo)
-            return
-        for nj in range(prev, -1, -1):
-            e = _level_exponent(level, nj, i_level)
-            if expo + e >= q_cutoff:
-                continue
-            rec(level + 1, nj, expo + e, partial.times_monomial(mono(1, q=e))
-                * inv_qpoch(prev - nj, q_cutoff).truncated(q_cutoff - expo - e))
-
-    for n1 in _below(lambda n: _level_exponent(1, n, i_level), q_cutoff):
-        e1 = _level_exponent(1, n1, i_level)
-        rec(2, n1, e1, f_poly(n1, q_cutoff).truncated(q_cutoff - e1).times_monomial(mono(1, q=e1)))
-    return total
+    first = partial(_level_exponent, 1, i_level=i_level)
+    sums = [(first(m), f_poly(m, q_cutoff)) for m in _below(first, q_cutoff)]
+    for level in range(2, depth + 1):
+        entries = []
+        for n, (floor, _) in enumerate(sums):
+            e = _level_exponent(level, n, i_level)
+            if floor + e >= q_cutoff:
+                break
+            table = [(f - floor, s, (), (mono(1, q=m - n),) if m > n else ())
+                     for m, (f, s) in enumerate(sums[n:], n)]
+            entries.append((floor + e, _horner(table, q_cutoff - floor - e)))
+            sums[n] = None
+        sums = entries
+    return sum((s * beta(m).truncated(q_cutoff - floor).times_monomial(mono(1, q=floor))
+                for m, (floor, s) in enumerate(sums)), TruncatedSeries.zero(q_cutoff))
 
 
 def _alpha_exponents(k: int, i: int, n: int) -> tuple[int, int]:

@@ -24,8 +24,8 @@ sentinel cutoff :data:`INF` and combine with any finite window.
 One layered loop, ``_apply_factors``, applies the sparse factors every
 product identity is made of: it unpacks a series into one dict per q-degree,
 applies each ``1 - m`` and ``1/(1 - m)`` in place, and builds the series once.
-``times_one_minus``, ``over_one_minus``, ``pochhammer``, ``q_binomial`` and
-``qproduct`` are all calls of it, with the window the general product gives:
+``over_one_minus``, ``q_binomial`` and ``qproduct`` are calls of it, as is
+every sum in :mod:`~qpair.hyperg`, with the window the general product gives:
 
 * a numerator ``1 - m`` moves floor and cutoff by ``min(0, deg_q m)``
   (0 when the coefficient of ``m`` is 0);
@@ -490,11 +490,6 @@ def _apply_factors(s: TruncatedSeries, num: Iterable[Monomial] = (),
     return TruncatedSeries(terms, floor, cutoff)
 
 
-def times_one_minus(s: TruncatedSeries, base: Monomial) -> TruncatedSeries:
-    """``s * (1 - base)``: the general product with the exact polynomial ``1 - base``."""
-    return _apply_factors(s, (base,))
-
-
 def over_one_minus(s: TruncatedSeries, base: Monomial) -> TruncatedSeries:
     """``s / (1 - base)`` for a base of positive q-degree: ``s * geometric(base, s.q_cutoff)``."""
     return _apply_factors(s, (), (base,))
@@ -503,14 +498,6 @@ def over_one_minus(s: TruncatedSeries, base: Monomial) -> TruncatedSeries:
 def geometric(base: Monomial, q_cutoff: int) -> TruncatedSeries:
     """``1/(1 - base)`` as the geometric series, for base of positive q-degree."""
     return over_one_minus(TruncatedSeries.one(q_cutoff), base)
-
-
-def pochhammer(base: Monomial, n: int, q_cutoff: int = INF) -> TruncatedSeries:
-    """The finite product ``(c; q)_n = prod_{j<n} (1 - c q^j)``."""
-    if n < 0:
-        raise ValueError("pochhammer needs n >= 0")
-    c, a, b, x, q = base
-    return _apply_factors(TruncatedSeries.one(q_cutoff), [Monomial(c, a, b, x, q + j) for j in range(n)])
 
 
 def qproduct(s: TruncatedSeries, num: tuple[Monomial, ...] = (), den: tuple[Monomial, ...] = (),

@@ -32,8 +32,8 @@ from qpair.hyperg import (
 )
 from qpair.overpartitions import count_frequency_pairs, pairs_of
 from qpair.paths import gf_closed, gf_gamma_closed
-from qpair.series import (TruncatedSeries, geometric, mono, over_one_minus, pochhammer_inf, qproduct,
-                          times_one_minus)
+from qpair.qtools import f_poly, inv_qpoch
+from qpair.series import TruncatedSeries, geometric, mono, over_one_minus, pochhammer_inf, qproduct
 from qpair.verify import VerifyConfig, run_suite
 
 C = 10
@@ -207,6 +207,43 @@ class TestQGauss:
         _, rhs = q_gauss_sides(0, 6)
         assert rhs.coeff(0, 0, 0, 0) == 1
 
+    def test_suite_builds_one_rhs(self, monkeypatch):
+        # The right side does not depend on n: the suite's five sides share
+        # one build of it.
+        builds = []
+        monkeypatch.setattr(hyperg, "qproduct", lambda *args: builds.append(args) or qproduct(*args))
+        hyperg._q_gauss_rhs.cache_clear()
+        assert run_suite("q-gauss", VerifyConfig(cutoff=C)).ok
+        assert len(builds) == 1
+        assert len({id(q_gauss_sides(n, C)[1]) for n in range(-2, 3)}) == 1
+
+
+def _recursive_multisum(depth, i_level, beta, q_cutoff):
+    """The lattice multisum index tuple by index tuple: the reference for
+    ``hyperg._nested_multisum``, which sums one level at a time."""
+    if depth == 0:
+        return beta(0).truncated(q_cutoff)
+    total = TruncatedSeries.zero(q_cutoff)
+
+    def rec(level, prev, expo, partial):
+        nonlocal total
+        # ``partial`` carries its shift q^expo, so each new factor is cut to
+        # the room above it and the product stops at q_cutoff.
+        if level > depth:
+            total = total + partial * beta(prev).truncated(q_cutoff - expo)
+            return
+        for nj in range(prev, -1, -1):
+            e = hyperg._level_exponent(level, nj, i_level)
+            if expo + e >= q_cutoff:
+                continue
+            rec(level + 1, nj, expo + e, partial.times_monomial(mono(1, q=e))
+                * inv_qpoch(prev - nj, q_cutoff).truncated(q_cutoff - expo - e))
+
+    for n1 in takewhile(lambda n: hyperg._level_exponent(1, n, i_level) < q_cutoff, count()):
+        e1 = hyperg._level_exponent(1, n1, i_level)
+        rec(2, n1, e1, f_poly(n1, q_cutoff).truncated(q_cutoff - e1).times_monomial(mono(1, q=e1)))
+    return total
+
 
 class TestBaileyPairs:
     def test_constructors_verify_relation(self):
@@ -236,6 +273,22 @@ class TestBaileyPairs:
         bad = BaileyPair("bad", b3.alphas, b3.alphas, 10)
         (n, *_), lhs, rhs = bailey_relation_mismatch(bad)
         assert n == 1 and lhs != rhs
+
+    @pytest.mark.parametrize("make", [bailey_pair_b3, bailey_pair_e3])
+    def test_planted_alpha_term_is_caught_where_planted(self, make):
+        # alpha_r first enters the sum side at n = r, over (q)_0 (q^2; q)_2r
+        # = 1 + O(q^2), so one extra term in alpha_r shows there, at its own
+        # key and with its own coefficient.
+        c = 12
+        pair = make(6, c)
+        for r in range(pair.depth() + 1):
+            for term in (mono(1, q=0), mono(-2, a=1, x=1, q=r), mono(GaussInt(0, 1), b=2, q=c - 1)):
+                alphas = list(pair.alphas)
+                alphas[r] = alphas[r] + TruncatedSeries.poly([term])
+                planted = BaileyPair("planted", tuple(alphas), pair.betas, c)
+                (n, *key), lhs, rhs = bailey_relation_mismatch(planted)
+                assert (n, tuple(key)) == (r, tuple(term[1:])), (r, term)
+                assert lhs - rhs == term.coeff, (r, term)
 
 
 class TestBaileyLattice:
@@ -319,8 +372,38 @@ class TestBaileyLattice:
         assert not multisums
         assert refused == {(c, k, 0) for c in (6, 10, 16) for k in (1, 2, 3)} | {(10, 3, 1)}
 
+    @pytest.mark.parametrize("make", [bailey_pair_b3, bailey_pair_e3, None], ids=["B3", "E3", "1/(q)_m"])
+    def test_multisum_is_the_recursive_sum(self, make):
+        # Terms and window equal the index-by-index sum, for the lattice's
+        # pairs and the Durfee families' beta.
+        pair = make(14, 14) if make else None
+        for c in range(1, 15):
+            beta = (lambda m: pair.betas[m]) if pair else (lambda m: inv_qpoch(m, c))
+            for depth in range(5):
+                for i_level in range(depth + 1):
+                    want = _recursive_multisum(depth, i_level, beta, c)
+                    assert _nested_multisum(depth, i_level, beta, c) == want, (c, depth, i_level)
+
+    def test_one_product_per_innermost_index(self, monkeypatch):
+        # beta is read, and multiplied in, once per innermost index: the
+        # indices 0 to the demand.
+        c = 14
+        b3 = bailey_pair_b3(c, c)
+        for m in range(c):
+            f_poly(m, c)
+        products = []
+        mul = TruncatedSeries.__mul__
+        monkeypatch.setattr(TruncatedSeries, "__mul__", lambda s, t: products.append(1) or mul(s, t))
+        for depth in range(1, 5):
+            for i_level in range(depth + 1):
+                read = []
+                products.clear()
+                _nested_multisum(depth, i_level, lambda m: read.append(m) or b3.betas[m], c)
+                assert read == list(range(_beta_demand(depth, i_level, c) + 1)), (depth, i_level)
+                assert len(products) == len(read), (depth, i_level)
+
     def test_multisums_equal_bilaterals(self):
-        for k, i in ((2, 1), (2, 2), (3, 2), (3, 3)):
+        for k, i in ((k, i) for k in range(2, 6) for i in range(1, k + 1)):
             d = multisum_admissible(k, i, C)
             assert d.first_mismatch(series_R_bilateral(k, i, C)) is None
             dt = multisum_self_conjugate(k, i, C)
@@ -372,7 +455,8 @@ class TestHornerDriver:
         s = TruncatedSeries.one(c)
         for _, _, num, den in levels[:n + 1]:
             for m in num:
-                s = times_one_minus(s, m).times_monomial(mono(1, q=max(-m.q, 0)))
+                one_minus = TruncatedSeries.poly([mono(1), m._replace(coeff=-m.coeff)])
+                s = (s * one_minus).times_monomial(mono(1, q=max(-m.q, 0)))
             for m in den:
                 s = over_one_minus(s, m)
         floor, poly = levels[n][:2]
@@ -392,6 +476,22 @@ class TestHornerDriver:
             want = sum((self._summand_at_full_cutoff(levels, n, c) for n in range(len(levels))),
                        TruncatedSeries.zero(c))
             assert _horner(levels, c) == want, c
+
+    @pytest.mark.parametrize("floor", [lambda n: n * n - 4 * n, lambda n: n * (n + 1) // 2],
+                             ids=["falling", "rising"])
+    def test_levels_past_the_cutoff_add_nothing(self, floor):
+        # Innermost levels whose least floor is at or past the cutoff are
+        # dropped: the table equals the one that stops before them, and a
+        # table with no level below the cutoff sums to the zero series.
+        def levels(c):
+            return [(floor(n), TruncatedSeries.poly([mono(1, x=n), mono(-1, a=1, x=n, q=1)]),
+                     (mono(-1, a=1, q=1 - n),) if n else (), (mono(1, q=n),) if n else ())
+                    for n in takewhile(lambda n: floor(n) < c, count())]
+
+        for c in range(1, 13):
+            assert _horner(levels(c + 6), c) == _horner(levels(c), c), c
+            past = [(c + n, poly, num, den) for n, (_, poly, num, den) in enumerate(levels(c + 6))]
+            assert _horner(past, c) == TruncatedSeries.zero(c), c
 
 
 # ---------------------------------------------------------------- summand windows

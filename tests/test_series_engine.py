@@ -5,15 +5,15 @@ from hypothesis import given, settings, strategies as st
 
 from qpair.gaussint import GaussInt, unit_inverse, unit_pow
 from qpair.series import (
+    INF,
     TruncatedSeries,
+    _apply_factors,
     geometric,
     mono,
     over_one_minus,
-    pochhammer,
     pochhammer_inf,
     q_binomial,
     qproduct,
-    times_one_minus,
 )
 from qpair.qtools import f_poly, inv_qfactors
 
@@ -166,27 +166,36 @@ class TestInvert:
         assert (s * inv).terms == {(0, 0, 0, 0): 1}
 
 
+def binomials(*monomials, cutoff=INF):
+    """``prod (1 - m)`` over the monomials, binomial by binomial with the general product."""
+    out = TruncatedSeries.one(cutoff)
+    for m in monomials:
+        out = out * poly((1,), (-m.coeff, m.a, m.b, m.x, m.q))
+    return out
+
+
 class TestPochhammer:
     def test_small_product(self):
-        p = pochhammer(mono(1, q=1), 2)
+        p = _apply_factors(poly((1,)), (mono(1, q=1), mono(1, q=2)))
         assert p.terms == {(0, 0, 0, 0): 1, (0, 0, 0, 1): -1, (0, 0, 0, 2): -1, (0, 0, 0, 3): 1}
+        assert p == binomials(mono(1, q=1), mono(1, q=2))
 
     def test_empty_product(self):
-        assert pochhammer(mono(1, a=2, q=5), 0).terms == {(0, 0, 0, 0): 1}
+        assert qproduct(TruncatedSeries.one(5), (mono(1, a=2, q=5),)).terms == {(0, 0, 0, 0): 1}
 
     def test_against_direct_three_term_multiplication(self):
         # Oracle: multiply the three binomials (1 + a x q^(1+j)) by hand.
-        base = mono(-1, a=1, x=1, q=1)
-        p = pochhammer(base, 3, q_cutoff=20)
         direct = TruncatedSeries.one(20)
         for j in range(3):
             direct = direct * poly((1,), (1, 1, 0, 1, 1 + j))
-        assert p.first_mismatch(direct) is None
+        bases = [mono(-1, a=1, x=1, q=1 + j) for j in range(3)]
+        assert binomials(*bases, cutoff=20) == direct
+        assert _apply_factors(TruncatedSeries.one(20), bases) == direct
 
     def test_inf_equals_stabilized_finite(self):
         # Oracle: (q;q)_inf to cutoff 6 equals the finite product with J = 6.
         inf = pochhammer_inf(mono(1, q=1), 6)
-        fin = pochhammer(mono(1, q=1), 6, q_cutoff=6)
+        fin = binomials(*(mono(1, q=1 + j) for j in range(6)), cutoff=6)
         assert inf.first_mismatch(fin) is None
         # Euler's pentagonal signs appear.
         assert [inf.coeff_q(n) for n in range(6)] == [1, -1, -1, 0, 0, 1]
@@ -488,7 +497,7 @@ def kernel_bases(q_min):
 
 
 def one_minus(m):
-    """The exact polynomial ``1 - m``, the factor ``times_one_minus`` applies."""
+    """The exact polynomial ``1 - m``, the factor a numerator ``m`` of ``_apply_factors`` applies."""
     return TruncatedSeries.poly([mono(1), mono(-m.coeff, m.a, m.b, m.x, m.q)])
 
 
@@ -503,7 +512,7 @@ class TestSparseFactorKernels:
     @given(windowed_series, kernel_bases(q_min=-3))
     def test_times_one_minus_is_the_product(self, s, base):
         want = s * one_minus(base)
-        got = times_one_minus(s, base)
+        got = _apply_factors(s, (base,))
         assert same_window(got, want)
         assert got == want
 
@@ -541,7 +550,7 @@ class TestSparseFactorKernels:
 
     def test_laurent_numerator_lowers_the_window(self):
         s = ts((1,), (2, 1, 0, 0, 3), cutoff=6)
-        got = times_one_minus(s, mono(GaussInt(0, 1), b=1, q=-2))
+        got = _apply_factors(s, (mono(GaussInt(0, 1), b=1, q=-2),))
         assert (got.q_floor, got.q_cutoff) == (-2, 4)
         assert got == s * one_minus(mono(GaussInt(0, 1), b=1, q=-2))
 
@@ -554,7 +563,7 @@ class TestSparseFactorKernels:
     def test_cancellation_leaves_no_zero_terms(self):
         s = ts((1,), (-1, 0, 0, 0, 1), cutoff=9)  # 1 - q
         assert over_one_minus(s, mono(1, q=1)).terms == {(0, 0, 0, 0): 1}
-        assert times_one_minus(geometric(mono(1, q=2), 9), mono(1, q=2)).terms == {(0, 0, 0, 0): 1}
+        assert _apply_factors(geometric(mono(1, q=2), 9), (mono(1, q=2),)).terms == {(0, 0, 0, 0): 1}
 
     def test_rejects_bases_that_do_not_raise_q(self):
         with pytest.raises(ValueError, match="positive q-degree"):

@@ -15,7 +15,7 @@ import random
 import pytest
 
 from qpair.gaussint import GaussInt, as_pair
-from qpair.series import Monomial, TruncatedSeries, mono, over_one_minus, times_one_minus
+from qpair.series import Monomial, TruncatedSeries, _apply_factors, mono, over_one_minus
 
 sp = pytest.importorskip("sympy")
 
@@ -111,7 +111,7 @@ def test_specialize_nonnegative_shifts(seed):
 def test_times_one_minus(seed):
     rng, p, s = _random_series(seed, 2)
     base = _random_base(rng, -3)
-    got = times_one_minus(s, base)
+    got = _apply_factors(s, (base,))
     low = min(0, base.q)
     assert (got.q_floor, got.q_cutoff) == (s.q_floor + low, s.q_cutoff + low)
     assert_on_window(got, _sym_terms(_sym(p) * (1 - _sym([base]))))
