@@ -22,7 +22,8 @@ from qpair.paths import (
     satisfies_odd_conditions,
     symbol_to_path,
 )
-from qpair.qtools import inv_qfactors
+from qpair.hyperg import r_exponent
+from qpair.qtools import f_poly, inv_qfactors, inv_qpoch
 from qpair.series import TruncatedSeries, mono
 
 
@@ -334,7 +335,45 @@ def whole_tables(k, even, q_cutoff, n_peaks):
     return E, G
 
 
+def reference_closed_sum(n_peaks, summands, q_cutoff):
+    """Summand by summand: f_poly(n_peaks) times the sum of
+    ``(-1)^n q^e / ((q)_m1 (q)_m2)`` over the ``(m1, m2, n, e)`` with e below
+    the cutoff, each product formed below ``q_cutoff - e``."""
+    total = TruncatedSeries.zero(q_cutoff)
+    for m1, m2, n, e in summands:
+        if e >= q_cutoff:
+            continue
+        room = q_cutoff - e
+        term = inv_qpoch(m1, q_cutoff).truncated(room) * inv_qpoch(m2, q_cutoff).truncated(room)
+        total = total + term.times_monomial(mono(-1 if n % 2 else 1, q=e))
+    return f_poly(n_peaks, q_cutoff) * total
+
+
+def reference_gf_closed(k, i, n_peaks, q_cutoff, even):
+    return reference_closed_sum(n_peaks, [(n_peaks - n, n_peaks + n, n, r_exponent(k, i, n, even) - n + n_peaks)
+                                          for n in range(-n_peaks, n_peaks + 1)], q_cutoff)
+
+
+def reference_gf_gamma_closed(k, i, n_peaks, q_cutoff, even):
+    return reference_closed_sum(n_peaks, [(n_peaks - n - 1, n_peaks + n, n, r_exponent(k, i + 1, n, even) - n)
+                                          for n in range(-n_peaks, n_peaks)], q_cutoff)
+
+
 class TestGeneratingFunctions:
+    @pytest.mark.parametrize("even", [False, True])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_closed_sums_are_the_summand_by_summand_sums(self, k, even):
+        # == compares terms, floor and cutoff; some exponents are negative,
+        # so the windows reach below q^0.
+        for q_cutoff in range(1, 17):
+            for n_peaks in range(8):
+                for i in range(1, k + 1):
+                    want = reference_gf_closed(k, i, n_peaks, q_cutoff, even)
+                    assert gf_closed(k, i, n_peaks, q_cutoff, even=even) == want, (i, n_peaks, q_cutoff)
+                for i in range(k):
+                    want = reference_gf_gamma_closed(k, i, n_peaks, q_cutoff, even)
+                    assert gf_gamma_closed(k, i, n_peaks, q_cutoff, even=even) == want, (i, n_peaks, q_cutoff)
+
     @pytest.mark.parametrize("q_cutoff", [1, 6, 12])
     @pytest.mark.parametrize("even", [False, True])
     @pytest.mark.parametrize("k", [2, 3, 4, 5])

@@ -496,6 +496,14 @@ def kernel_bases(q_min):
     return small_monomials(st.one_of(unit, small_coeff), q_min=q_min, q_max=5)
 
 
+def path_bases(q_min):
+    """Pure powers of q (no a, b or x) or general bases, with unit coefficients
+    and 2 and i beside them: the shapes of every closing product and Horner level."""
+    coeff = st.sampled_from([1, -1, 2, GaussInt(0, 1)])
+    return st.one_of(st.builds(mono, coeff, q=st.integers(q_min, 5)),
+                     small_monomials(coeff, q_min=q_min, q_max=5))
+
+
 def one_minus(m):
     """The exact polynomial ``1 - m``, the factor a numerator ``m`` of ``_apply_factors`` applies."""
     return TruncatedSeries.poly([mono(1), mono(-m.coeff, m.a, m.b, m.x, m.q)])
@@ -543,6 +551,15 @@ class TestSparseFactorKernels:
                     max_size=3),
            st.lists(kernel_bases(q_min=1), max_size=3), st.integers(1, 3))
     def test_qproduct_is_the_reference(self, s, num, den, step):
+        got = qproduct(s, tuple(num), tuple(den), step=step)
+        want = reference_qproduct(s, num, den, step)
+        assert dict(got.terms) == dict(want.terms)
+        assert same_window(got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(windowed_series, st.lists(path_bases(q_min=-3), max_size=3),
+           st.lists(path_bases(q_min=1), max_size=3), st.integers(1, 3))
+    def test_pure_q_and_unit_factors_are_the_reference(self, s, num, den, step):
         got = qproduct(s, tuple(num), tuple(den), step=step)
         want = reference_qproduct(s, num, den, step)
         assert dict(got.terms) == dict(want.terms)
