@@ -14,7 +14,8 @@ polynomial; denominators are unrolled into geometric inverse factors.
 Every sum (R and R~, H~, the bilateral forms, the lattice's alpha side, the
 summation lemma's left side, the Bailey relation's sum side and, one level
 at a time, the Durfee multisum) is a table of term ratios that
-:func:`_horner`, which holds the one truncation rule, evaluates.
+:func:`_horner`, which holds the one truncation rule, evaluates on one list
+of q-layers, the infinite product that closes the series included.
 """
 
 from __future__ import annotations
@@ -26,11 +27,14 @@ from itertools import accumulate, count, takewhile
 from .gaussint import is_unit, unit_pow
 from .overpartitions import check_ki
 from .qtools import f_poly, inv_qpoch
-from .series import Monomial, TruncatedSeries, _apply_factors, mono, qproduct
+from .series import (Monomial, TruncatedSeries, _add_terms, _apply_factors, _factor_layers, _pack,
+                     _product_factors, mono, qproduct)
 
-# Bases of (-aq, -bq; q)_inf / (q, abq; q)_inf, the x = 1 prefactor.  The
-# Bailey lattice prefactor and its undoing in the verify suites regroup them.
+# Bases of (-aq, -bq; q)_inf / (q, abq; q)_inf, the x = 1 prefactor, which
+# the Bailey lattice prefactor regroups, and of xq and abxq.
 NEG_AQ, NEG_BQ, Q, ABQ = mono(-1, a=1, q=1), mono(-1, b=1, q=1), mono(1, q=1), mono(1, a=1, b=1, q=1)
+XQ, ABXQ = mono(1, x=1, q=1), mono(1, a=1, b=1, x=1, q=1)
+X_ONE_PRODUCT = ((NEG_AQ, NEG_BQ), (Q, ABQ))
 _ONE = TruncatedSeries.poly([mono(1)])  # the exact polynomial 1
 
 
@@ -61,36 +65,50 @@ def _one_plus_ab(x: int, j: int) -> tuple[Monomial, Monomial]:
     return mono(-1, a=1, x=x, q=j), mono(-1, b=1, x=x, q=j)
 
 
-def _horner(levels, q_cutoff: int) -> TruncatedSeries:
-    """``sum_n q^floor_n poly_n prod_{j <= n} num_j / den_j`` by Horner's rule.
+def _horner(levels, q_cutoff: int, close=((), ())) -> TruncatedSeries:
+    """``sum_n q^floor_n poly_n prod_{j <= n} num_j / den_j`` by Horner's rule,
+    times ``prod (m; q)_inf`` over the bases of ``close[0]`` over that of ``close[1]``.
 
     ``levels`` lists ``(floor, poly, num, den)`` for n = 0, 1, ...; a base m
     in ``num`` is the factor ``1 - m``, in ``den`` ``1/(1 - m)``.  A
     numerator of q-degree -d < 0 stands for ``q^d (1 - m)``, as ``a + q^d``
     for ``q^d (1 + a q^-d)``, so no factor moves a floor: each ``poly`` has
     its floor at or above q^0.  The tail ``t_n = (q^floor_n poly_n +
-    t_(n+1)) num_n / den_n``, whose t_0 is the sum, is held relative to
-    q^ref, ref the least floor from level n on.  One
-    :func:`~qpair.series._apply_factors` pass per level applies its factors
-    and moves the tail to the next level's ref.
+    t_(n+1)) num_n / den_n``, whose t_0 is the sum, is one list of q-layers
+    relative to q^ref, ref the least floor from level n on: each level adds
+    its ``poly``, applies its factors by :func:`~qpair.series._factor_layers`
+    and moves to the next ref by the floor index alone.  The close goes onto
+    the same layers, and the series is built once.
 
     Room rule: nothing at or above ``q_cutoff`` survives the sum, so each
     tail is cut to ``q_cutoff - max(ref, 0)`` above q^ref, all that its
     summands built at the full cutoff hold, and the innermost levels whose
     ref is at or past the cutoff are dropped.  The sum has their terms and
     window: floor f, the least floor, and cutoff ``q_cutoff + min(f, 0)``;
-    a table with no level below the cutoff sums to the zero series.
+    a table with no level below the cutoff sums to the zero series.  The
+    close is the :func:`~qpair.series.qproduct` of that sum, terms and window.
     """
     # The least floor from each level on, innermost first; the sum lies at q^0.
     # Innermost levels whose least floor is at or past the cutoff add nothing.
     refs = list(accumulate((floor for floor, *_ in reversed(levels)), min))
     refs = refs[sum(ref >= q_cutoff for ref in refs):]
-    tail = None
+    layers = None
     for (floor, poly, num, den), ref, outer in zip(reversed(levels[:len(refs)]), refs, refs[1:] + [0]):
-        head = poly.times_monomial(mono(1, q=floor - ref)).truncated(q_cutoff - max(ref, 0))
-        tail = head if tail is None else head + tail
-        tail = _apply_factors(tail, num, den, ref - outer - sum(min(m.q, 0) for m in num))
-    return TruncatedSeries.zero(q_cutoff) if tail is None else tail
+        # The head q^(floor - ref) poly, cut to the room, joins the tail's window [lo, hi).
+        head_hi = min(poly.q_cutoff + floor - ref, q_cutoff - max(ref, 0))
+        head_lo = min(poly.q_floor + floor - ref, head_hi - 1)
+        if layers is None:
+            layers, lo, hi = [], head_lo, head_hi
+        layers[:0] = [{} for _ in range(lo - head_lo)]
+        lo, hi = min(lo, head_lo), min(hi, head_hi)
+        layers[hi - lo:] = [{} for _ in range(hi - lo - len(layers))]
+        _add_terms(layers, lo, poly.terms, floor - ref)
+        move = ref - outer - sum(min(m.q, 0) for m in num)
+        lo, hi = (end + move for end in _factor_layers(layers, lo, hi, num, den))
+    if layers is None:
+        return TruncatedSeries.zero(q_cutoff)
+    num, den = (_product_factors(bases, lo, hi) for bases in close)
+    return _pack(layers, *_factor_layers(layers, lo, hi, num, den))
 
 
 def _bracket_numerator(n: int, i: int, lead: Monomial) -> TruncatedSeries:
@@ -119,8 +137,7 @@ def _R_family(k: int, i: int, q_cutoff: int, tilde: bool) -> TruncatedSeries:
                        (*_ab_plus(n - 1), mono(1, x=step, q=step * n)),
                        (mono(1, q=step * n), *_one_plus_ab(1, n + 1))))
     # Times (-axq, -bxq)_inf / (xq, abxq)_inf.
-    return qproduct(_horner(levels, q_cutoff), _one_plus_ab(1, 1),
-                    (mono(1, x=1, q=1), mono(1, a=1, b=1, x=1, q=1)))
+    return _horner(levels, q_cutoff, (_one_plus_ab(1, 1), (XQ, ABXQ)))
 
 
 def series_R(k: int, i: int, q_cutoff: int, x_one: bool = False) -> TruncatedSeries:
@@ -178,12 +195,12 @@ def series_H_tilde(k: int, i: int, q_cutoff: int) -> TruncatedSeries:
         levels.append((floor(n), poly, (*_ab_plus(n - 1), *x_link),
                        (mono(1, q=2 * n), *_one_plus_ab(1, n))))
     # Times (-axq, -bxq)_inf / (xq)_inf.
-    return qproduct(_horner(levels, q_cutoff), _one_plus_ab(1, 1), (mono(1, x=1, q=1),))
+    return _horner(levels, q_cutoff, (_one_plus_ab(1, 1), (XQ,)))
 
 
 def series_J_tilde(k: int, i: int, q_cutoff: int) -> TruncatedSeries:
     """The J-series, (abxq)_inf times the even-moduli series."""
-    return qproduct(series_R_tilde(k, i, q_cutoff), (mono(1, a=1, b=1, x=1, q=1),))
+    return qproduct(series_R_tilde(k, i, q_cutoff), (ABXQ,))
 
 
 def j_tilde_from_h(h_i: TruncatedSeries, h_i1: TruncatedSeries, h_i2: TruncatedSeries,
@@ -222,7 +239,7 @@ def _bilateral(k: int, i: int, q_cutoff: int, tilde: bool) -> TruncatedSeries:
         es = exponents(n)
         levels.append((min(es), TruncatedSeries.poly([mono((-1) ** n, q=e - min(es)) for e in es]),
                        _ab_plus(n - 1), _one_plus_ab(0, n)))
-    return qproduct(_horner(levels, q_cutoff), (NEG_AQ, NEG_BQ), (Q, ABQ))
+    return _horner(levels, q_cutoff, X_ONE_PRODUCT)
 
 
 def series_R_bilateral(k: int, i: int, q_cutoff: int) -> TruncatedSeries:
@@ -289,7 +306,7 @@ def q_gauss_sides(n: int, q_cutoff: int) -> tuple[TruncatedSeries, TruncatedSeri
 @lru_cache(maxsize=None)
 def _q_gauss_rhs(q_cutoff: int) -> TruncatedSeries:
     """The summation lemma's right side for every n, (-aq, -bq)_inf / (q, abq)_inf."""
-    return qproduct(TruncatedSeries.one(q_cutoff), (NEG_AQ, NEG_BQ), (Q, ABQ))
+    return qproduct(TruncatedSeries.one(q_cutoff), *X_ONE_PRODUCT)
 
 
 # ------------------------------------------------------------------ Bailey machinery
@@ -417,22 +434,11 @@ def _alpha_demand(k: int, i: int, q_cutoff: int) -> int:
     return sum(1 for _ in _below(lambda n: min(_alpha_exponents(k, i, n)), q_cutoff, 1)) if k else 0
 
 
-def bailey_lattice_rhs(pair: BaileyPair, k: int, i: int, q_cutoff: int) -> TruncatedSeries:
-    """The alpha side of the lattice transform for a pair relative to q.
-
-    For k >= 1 it is 1/(q)_inf^2 times alpha_0 plus, for n >= 1, the Bailey
-    polynomial rho_n q^b1 - rho_(n-1) q^b2 (:func:`_alpha_exponents`;
-    rho_n = alpha_n (1 - q) / (1 - q^(2n+1)) is (-1)^n q^valuation(n) for B3
-    and E3) times the term ratios past the polynomials up to n,
-    (a + q^(n-1))(b + q^(n-1)) / ((1 + aq^n)(1 + bq^n)).
-
-    For k = 0 it is the prefactor (abq)_inf / (q, -aq, -bq)_inf times
-    beta_0, by the empty-sum conventions.
-    """
-    if not (0 <= i <= k):
-        raise ValueError(f"need 0 <= i <= k, got i={i}, k={k}")
-    if k == 0:
-        return qproduct(pair.betas[0], (ABQ,), (Q, NEG_AQ, NEG_BQ))
+def _alpha_levels(pair: BaileyPair, k: int, i: int, q_cutoff: int) -> list:
+    """The :func:`_horner` table of the alpha side's sum, k >= 1: alpha_0 and, for n >= 1,
+    the Bailey polynomial rho_n q^b1 - rho_(n-1) q^b2 (:func:`_alpha_exponents`; rho_n =
+    alpha_n (1 - q) / (1 - q^(2n+1)) is (-1)^n q^valuation(n) for B3 and E3) with the
+    term ratio into n, (a + q^(n-1))(b + q^(n-1)) / ((1 + aq^n)(1 + bq^n))."""
     needed = _alpha_demand(k, i, q_cutoff)
     if pair.depth() < needed:
         raise ValueError(f"pair depth {pair.depth()} insufficient for the alpha side: "
@@ -445,7 +451,30 @@ def bailey_lattice_rhs(pair: BaileyPair, k: int, i: int, q_cutoff: int) -> Trunc
         floor = min(b1, b2)
         poly = rho[n].times_monomial(mono(1, q=b1 - floor)) - rho[n - 1].times_monomial(mono(1, q=b2 - floor))
         levels.append((floor, poly, _ab_plus(n - 1), _one_plus_ab(0, n)))
-    return qproduct(_horner(levels, q_cutoff), (), (Q, Q))
+    return levels
+
+
+def bailey_lattice_rhs(pair: BaileyPair, k: int, i: int, q_cutoff: int) -> TruncatedSeries:
+    """The alpha side of the lattice transform for a pair relative to q.
+
+    For k >= 1 it is 1/(q)_inf^2 times the sum of :func:`_alpha_levels`.
+    For k = 0 it is the prefactor (abq)_inf / (q, -aq, -bq)_inf times
+    beta_0, by the empty-sum conventions.
+    """
+    if not (0 <= i <= k):
+        raise ValueError(f"need 0 <= i <= k, got i={i}, k={k}")
+    if k == 0:
+        return qproduct(pair.betas[0], (ABQ,), (Q, NEG_AQ, NEG_BQ))
+    return _horner(_alpha_levels(pair, k, i, q_cutoff), q_cutoff, ((), (Q, Q)))
+
+
+def bailey_chain_bilateral(pair: BaileyPair, k: int, i: int, q_cutoff: int) -> TruncatedSeries:
+    """:func:`bailey_lattice_rhs` times (q, -aq, -bq)_inf / (abq)_inf for k >= 1, its
+    sum closed by the x = 1 prefactor: from B3 (E3), the plain (even-moduli)
+    bilateral form at k + 1, i + 1."""
+    if not (0 <= i <= k and k >= 1):
+        raise ValueError(f"need 0 <= i <= k and k >= 1, got i={i}, k={k}")
+    return _horner(_alpha_levels(pair, k, i, q_cutoff), q_cutoff, X_ONE_PRODUCT)
 
 
 def bailey_lattice_sides(pair: BaileyPair, k: int, i: int, q_cutoff: int

@@ -21,7 +21,7 @@ from .counts import CountTable, cell_shift, check_bound, shift_add
 from .frobenius import FrobeniusSymbol, rank_interval, successive_ranks
 from .hyperg import r_exponent
 from .overpartitions import check_ki
-from .qtools import f_poly as _f_poly, inv_qfactors as _inv_qfactors, inv_qpoch as _inv_qpoch
+from .qtools import f_poly as _f_poly, inv_qfactors as _inv_qfactors
 from .series import TruncatedSeries, mono
 
 NE, SE, S, SW, E = "NE", "SE", "S", "SW", "E"
@@ -487,18 +487,31 @@ def gf_gamma_recurrence(k: int, i: int, n_peaks: int, q_cutoff: int, even: bool 
     return G[(i, n_peaks)]
 
 
+@lru_cache(maxsize=None)
+def _pair_row(m1: int, m2: int, q_cutoff: int) -> tuple[int, ...]:
+    """The coefficients of q^0 .. q^(q_cutoff - 1) in 1/((q)_m1 (q)_m2), m1 <= m2:
+    the row of (m1, m2 - 1) divided by 1 - q^m2."""
+    if m2 == 0:
+        return (1,) + (0,) * (q_cutoff - 1)
+    row = list(_pair_row(min(m1, m2 - 1), max(m1, m2 - 1), q_cutoff))
+    for d in range(m2, q_cutoff):
+        row[d] += row[d - m2]
+    return tuple(row)
+
+
 def _closed_sum(n_peaks: int, summands, q_cutoff: int) -> TruncatedSeries:
-    """f_poly(n_peaks) times the sum of ``(-1)^n q^e / ((q)_m1 (q)_m2)`` over
-    the ``(m1, m2, n, e)`` in ``summands``, each formed only below
-    ``q_cutoff - e`` (a negative e leaves the factors whole)."""
-    total = TruncatedSeries.zero(q_cutoff)
+    """f_poly(n_peaks) times the sum of ``(-1)^n q^e / ((q)_m1 (q)_m2)`` over the ``(m1, m2,
+    n, e)`` in ``summands`` with e below ``q_cutoff``: one row of integers on [f, q_cutoff + f),
+    f the least of 0 and those e, summed from the cached rows of :func:`_pair_row`."""
+    summands = [s for s in summands if s[3] < q_cutoff]
+    floor = min([0] + [e for *_, e in summands])
+    row = [0] * q_cutoff
     for m1, m2, n, e in summands:
-        if e >= q_cutoff:
-            continue
-        room = q_cutoff - e
-        term = _inv_qpoch(m1, q_cutoff).truncated(room) * _inv_qpoch(m2, q_cutoff).truncated(room)
-        total = total + term.times_monomial(mono(-1 if n % 2 else 1, q=e))
-    return _f_poly(n_peaks, q_cutoff) * total
+        sign, shift = -1 if n % 2 else 1, e - floor
+        for d, v in enumerate(_pair_row(min(m1, m2), max(m1, m2), q_cutoff)[:q_cutoff - shift], shift):
+            row[d] += sign * v
+    terms = {(0, 0, 0, floor + d): v for d, v in enumerate(row) if v}
+    return _f_poly(n_peaks, q_cutoff) * TruncatedSeries(terms, floor, q_cutoff + floor)
 
 
 def gf_closed(k: int, i: int, n_peaks: int, q_cutoff: int, even: bool = False) -> TruncatedSeries:

@@ -21,17 +21,17 @@ Window bookkeeping follows the rules
 so no retained coefficient is ever wrong.  Exact polynomials carry the
 sentinel cutoff :data:`INF` and combine with any finite window.
 
-One layered loop, ``_apply_factors``, applies the sparse factors every
-product identity is made of: it unpacks a series into one dict per q-degree,
-applies each ``1 - m`` and ``1/(1 - m)`` in place, and builds the series once.
-``over_one_minus``, ``q_binomial`` and ``qproduct`` are calls of it, as is
-every sum in :mod:`~qpair.hyperg`, with the window the general product gives:
+One layered loop, ``_factor_layers``, applies each ``1 - m`` and ``1/(1 - m)``
+of a product identity in place on one dict per q-degree.  ``_apply_factors``
+(and so ``over_one_minus``, ``q_binomial`` and ``qproduct``) unpacks a series
+into such layers once, and every sum in :mod:`~qpair.hyperg` runs the loop on
+its own, with the window the general product gives:
 
 * a numerator ``1 - m`` moves floor and cutoff by ``min(0, deg_q m)``
   (0 when the coefficient of ``m`` is 0);
 * a denominator ``1/(1 - m)``, for ``deg_q m > 0``, keeps the floor ``f`` and
-  cuts at ``min(c, c0 + f)``, with ``c0`` the cutoff of the series the loop
-  started from: the product with ``geometric(m, c0)``.
+  cuts at ``min(c, c0 + f)``, with ``c0`` the cutoff the loop started
+  from: the product with ``geometric(m, c0)``.
 """
 
 from __future__ import annotations
@@ -419,42 +419,88 @@ class TruncatedSeries:
 # -------------------------------------------------------------------- products
 
 
-def _add_shifted(dst: dict, src: Iterable, c: Coeff, da: int, db: int, dx: int) -> None:
-    """Add ``c * a^da b^db x^dx`` times the layer items ``src`` into the layer ``dst``."""
-    get = dst.get
-    for (a, b, x), v in src:
-        key = (a + da, b + db, x + dx)
-        acc = get(key, 0) + c * v
-        if acc:
-            dst[key] = acc
-        else:
-            del dst[key]
+def _add_terms(layers: list, floor: int, terms: Mapping[Key, Coeff], shift: int = 0) -> None:
+    """Add ``q^shift`` times ``terms`` into ``layers``, the ``{(a, b, x): coeff}``
+    dicts of q-degrees ``floor, floor + 1, ...``; terms past the last layer drop."""
+    for (a, b, x, q), v in terms.items():
+        if q + shift - floor < len(layers):
+            layer, key = layers[q + shift - floor], (a, b, x)
+            layer[key] = layer.get(key, 0) + v
+            if not layer[key]:
+                del layer[key]
+
+
+def _factor_layers(layers: list, floor: int, cutoff: int, num: Iterable[Monomial] = (),
+                   den: Iterable[Monomial] = ()) -> tuple[int, int]:
+    """``prod_{m in num} (1 - m) / prod_{m in den} (1 - m)`` in place on ``layers``,
+    one ``{(a, b, x): coeff}`` dict per q-degree of the window ``[floor, cutoff)``
+    (``c0`` of the module docstring's rules is this cutoff); returns the new window.
+
+    ``1 - m`` subtracts ``m`` times each layer from the layer ``deg_q m`` away,
+    walking so that no layer is read after it is written: top-down for a
+    positive degree, bottom-up for a negative one (which first lowers the
+    window by that degree), from a snapshot at degree 0.  ``1/(1 - m)`` adds
+    ``m`` times each layer to the layer ``deg_q m`` above, bottom-up, so each
+    layer is final when read.  A base in q alone adds into the same keys.
+    """
+    top = cutoff
+    for inverse, factors in ((False, num), (True, den)):
+        for c, da, db, dx, dq in factors:
+            if inverse:
+                cutoff = min(cutoff, top + floor)
+                del layers[cutoff - floor:]
+                walk = range(dq, len(layers)) if c else ()
+            elif not c:
+                continue
+            elif dq < 0:
+                floor, cutoff = floor + dq, _sat_add(cutoff, dq)
+                layers[:0] = [{} for _ in range(-dq)]
+                walk = range(len(layers) + dq)
+            else:
+                walk = range(len(layers) - 1, dq - 1, -1)
+            c = c if inverse else -c
+            pure = not (da or db or dx)
+            for i in walk:
+                src, dst = layers[i - dq], layers[i]
+                if not src:
+                    continue
+                get = dst.get
+                items = list(src.items()) if src is dst else src.items()
+                if pure:
+                    for key, v in items:
+                        acc = get(key, 0) + c * v
+                        if acc:
+                            dst[key] = acc
+                        else:
+                            del dst[key]
+                    continue
+                for (a, b, x), v in items:
+                    key = (a + da, b + db, x + dx)
+                    acc = get(key, 0) + c * v
+                    if acc:
+                        dst[key] = acc
+                    else:
+                        del dst[key]
+            del layers[cutoff - floor:]
+    return floor, cutoff
+
+
+def _pack(layers: list, floor: int, cutoff: int) -> TruncatedSeries:
+    """The series on ``[floor, cutoff)`` whose q^(floor + j) terms are ``layers[j]``."""
+    terms = {(a, b, x, q): v for q, layer in enumerate(layers, floor) for (a, b, x), v in layer.items()}
+    return TruncatedSeries(terms, floor, cutoff)
 
 
 def _apply_factors(s: TruncatedSeries, num: Iterable[Monomial] = (),
-                   den: Iterable[Monomial] = (), shift: int = 0) -> TruncatedSeries:
-    """``q^shift s prod_{m in num} (1 - m) / prod_{m in den} (1 - m)``, in place on q-layers.
-
-    ``s`` is unpacked once into one ``{(a, b, x): coeff}`` dict per q-degree
-    of its window, every factor updates those layers in place, and the series
-    is built once at the end.  ``1 - m`` subtracts ``m`` times each layer from
-    the layer ``deg_q m`` away, walking so that no layer is read after it is
-    written: top-down for a positive degree, bottom-up for a negative one
-    (which first lowers the window by that degree), from a snapshot at degree
-    0.  ``1/(1 - m)``, for ``deg_q m > 0``, adds ``m`` times each layer to the
-    layer ``deg_q m`` above, bottom-up, so each layer is final when read.
-
-    The result is the general product of ``s`` with the exact polynomials
-    ``1 - m`` and the series ``geometric(m, s.q_cutoff)``, terms and window:
-    a numerator moves floor and cutoff by ``min(0, deg_q m)`` (0 for a zero
-    coefficient), and a denominator keeps the floor and cuts at
-    ``min(cutoff, s.q_cutoff + floor)``.  These rules commute, so the factors
-    may come in any order; the shift moves terms and window last.
-    """
+                   den: Iterable[Monomial] = ()) -> TruncatedSeries:
+    """``s prod_{m in num} (1 - m) / prod_{m in den} (1 - m)``, ``s`` unpacked into
+    q-layers once for :func:`_factor_layers`: the general product of ``s`` with
+    the polynomials ``1 - m`` and the series ``geometric(m, s.q_cutoff)``, terms
+    and window, by rules that commute, so the factors may come in any order."""
     den = tuple(den)
     if any(m.q <= 0 for m in den):
         raise ValueError("geometric inverse needs a base of positive q-degree")
-    num = [m for m in num if m.coeff]
+    num = tuple(num)
     floor, cutoff = s.q_floor, s.q_cutoff
     if cutoff < INF:
         top = cutoff
@@ -462,32 +508,10 @@ def _apply_factors(s: TruncatedSeries, num: Iterable[Monomial] = (),
         raise ValueError("geometric inverse needs a series with a finite cutoff")
     else:
         # An exact polynomial: layers up to the highest degree the factors reach.
-        top = max((key[3] for key in s.terms), default=floor) + 1 + sum(max(m.q, 0) for m in num)
+        top = max((key[3] for key in s.terms), default=floor) + 1 + sum(max(m.q, 0) for m in num if m.coeff)
     layers: list[dict] = [{} for _ in range(top - floor)]
-    for (a, b, x, q), v in s.terms.items():
-        layers[q - floor][(a, b, x)] = v
-    for c, da, db, dx, dq in num:
-        if dq < 0:
-            floor, cutoff = floor + dq, _sat_add(cutoff, dq)
-            layers[:0] = [{} for _ in range(-dq)]
-            walk = range(len(layers) + dq)
-        else:
-            walk = range(len(layers) - 1, dq - 1, -1)
-        for i in walk:
-            src = layers[i - dq]
-            if src:
-                _add_shifted(layers[i], list(src.items()) if dq == 0 else src.items(), -c, da, db, dx)
-        del layers[cutoff - floor:]
-    for c, da, db, dx, dq in den:
-        cutoff = min(cutoff, s.q_cutoff + floor)
-        del layers[cutoff - floor:]
-        for i in range(dq, len(layers)) if c else ():
-            src = layers[i - dq]
-            if src:
-                _add_shifted(layers[i], src.items(), c, da, db, dx)
-    floor, cutoff = floor + shift, _sat_add(cutoff, shift)
-    terms = {(a, b, x, q): v for q, layer in enumerate(layers, floor) for (a, b, x), v in layer.items()}
-    return TruncatedSeries(terms, floor, cutoff)
+    _add_terms(layers, floor, s.terms)
+    return _pack(layers, *_factor_layers(layers, floor, cutoff, num, den))
 
 
 def over_one_minus(s: TruncatedSeries, base: Monomial) -> TruncatedSeries:
@@ -500,26 +524,28 @@ def geometric(base: Monomial, q_cutoff: int) -> TruncatedSeries:
     return over_one_minus(TruncatedSeries.one(q_cutoff), base)
 
 
+def _product_factors(bases: Iterable[Monomial], floor: int, cutoff: int, step: int = 1) -> list[Monomial]:
+    """The factors ``1 - m q^(j step)`` of ``prod_{m in bases} (m; q^step)_inf`` of q-degree
+    below the window's width, ``cutoff`` less any negative floor; past it they only
+    move terms past the cutoff."""
+    width = cutoff - min(floor, 0)
+    return [Monomial(c, a, b, x, e) for c, a, b, x, q in bases for e in range(q, width, step)]
+
+
 def qproduct(s: TruncatedSeries, num: tuple[Monomial, ...] = (), den: tuple[Monomial, ...] = (),
              step: int = 1) -> TruncatedSeries:
     """``s * prod_{m in num} (m; q^step)_inf / prod_{m in den} (m; q^step)_inf``.
 
     The result is truncated at ``s``'s own window.  Numerator bases may have
     q-degree <= 0 (Laurent factors, as in the triple product); denominator
-    bases need a positive q-degree.  Every factor of q-degree below the
-    window's width (``q_cutoff`` less any negative floor) goes to one
-    :func:`_apply_factors` pass; a higher one only moves terms past the cutoff.
+    bases need a positive q-degree.  The factors that can reach the window
+    (:func:`_product_factors`) go to one :func:`_apply_factors` pass.
     """
     if step < 1:
         raise ValueError("qproduct needs step >= 1")
     if s.q_cutoff >= INF:
         raise ValueError("qproduct needs a series with a finite cutoff")
-    width = s.q_cutoff - min(s.q_floor, 0)
-
-    def factors(bases):
-        return [Monomial(c, a, b, x, e) for c, a, b, x, q in bases for e in range(q, width, step)]
-
-    return _apply_factors(s, factors(num), factors(den))
+    return _apply_factors(s, *(_product_factors(bases, s.q_floor, s.q_cutoff, step) for bases in (num, den)))
 
 
 def pochhammer_inf(base: Monomial, q_cutoff: int, step: int = 1) -> TruncatedSeries:

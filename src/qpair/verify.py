@@ -18,11 +18,8 @@ from .durfee import count_admissible, count_self_conjugate
 from .frobenius import count_rank_bounded, rank_interval
 from .gaussint import GaussInt
 from .hyperg import (
-    ABQ,
-    NEG_AQ,
-    NEG_BQ,
-    Q,
-    bailey_lattice_rhs,
+    ABXQ,
+    bailey_chain_bilateral,
     bailey_lattice_sides,
     bailey_pair_b3,
     bailey_pair_e3,
@@ -49,7 +46,7 @@ from .overpartitions import (
     root_of_unity_product_side,
 )
 from .paths import count_paths, gf_closed, gf_gamma_closed, gf_gamma_recurrence, gf_recurrence
-from .series import TruncatedSeries, geometric, mono, qproduct
+from .series import TruncatedSeries, mono, over_one_minus, qproduct
 
 
 @dataclass
@@ -141,9 +138,10 @@ def _mutated_interval(k: int, i: int, tilde: bool) -> tuple[int, int] | None:
 
 
 def suite_qdiff_R(rep: VerificationReport, cfg: VerifyConfig) -> None:
+    """Each right side here and in qdiff-Rtilde is q^s times a series on [f >= 0, c), with floor
+    >= s: ``over_one_minus`` keeps its cutoff c + s, as the product with ``geometric(abxq, c)`` does."""
     c = cfg.cutoff
     rep.params = {"k": list(cfg.k_values), "cutoff": c}
-    inv_abxq = geometric(mono(1, a=1, b=1, x=1, q=1), c)
     ab_sum = TruncatedSeries.poly([mono(1, a=1), mono(1, b=1)])
     for k in cfg.k_values:
         r = {i: series_R(k, i, c) for i in range(1, k + 1)}
@@ -152,18 +150,17 @@ def suite_qdiff_R(rep: VerificationReport, cfg: VerifyConfig) -> None:
         rhs = shifted[k - 1].times_monomial(mono(1, x=1, q=1)) + shifted[k] * TruncatedSeries.poly(
             [mono(1, a=1, x=1, q=1), mono(1, b=1, x=1, q=1), mono(1, a=1, b=1, x=1, q=1)]
         )
-        rep.coeff_check("index-2-step", {"k": k}, r[2] - r[1], rhs * inv_abxq)
+        rep.coeff_check("index-2-step", {"k": k}, r[2] - r[1], over_one_minus(rhs, ABXQ))
         for i in range(3, k + 1):
             inner = shifted[k - i + 1] + shifted[k - i + 2] * ab_sum
             inner = inner + shifted[k - i + 3].times_monomial(mono(1, a=1, b=1))
-            rhs = inner.times_monomial(mono(1, x=i - 1, q=i - 1)) * inv_abxq
+            rhs = over_one_minus(inner.times_monomial(mono(1, x=i - 1, q=i - 1)), ABXQ)
             rep.coeff_check("index-step", {"k": k, "i": i}, r[i] - r[i - 1], rhs)
 
 
 def suite_qdiff_R_tilde(rep: VerificationReport, cfg: VerifyConfig) -> None:
     c = cfg.cutoff
     rep.params = {"k": list(cfg.k_values), "cutoff": c}
-    inv_abxq = geometric(mono(1, a=1, b=1, x=1, q=1), c)
     ab_sum = TruncatedSeries.poly([mono(1, a=1), mono(1, b=1)])
     one_plus_xq = TruncatedSeries.poly([mono(1), mono(1, x=1, q=1)])
     for k in cfg.k_values:
@@ -173,11 +170,11 @@ def suite_qdiff_R_tilde(rep: VerificationReport, cfg: VerifyConfig) -> None:
         rhs = shifted[k - 1] * one_plus_xq + shifted[k] * TruncatedSeries.poly(
             [mono(1, a=1, x=1, q=1), mono(1, b=1, x=1, q=1)]
         )
-        rep.coeff_check("index-2-value", {"k": k}, r[2], rhs * inv_abxq)
+        rep.coeff_check("index-2-value", {"k": k}, r[2], over_one_minus(rhs, ABXQ))
         for i in range(3, k + 1):
             inner = shifted[k - i + 1] + shifted[k - i + 2] * ab_sum
             inner = inner + shifted[k - i + 3].times_monomial(mono(1, a=1, b=1))
-            rhs = (inner * one_plus_xq).times_monomial(mono(1, x=i - 2, q=i - 2)) * inv_abxq
+            rhs = over_one_minus((inner * one_plus_xq).times_monomial(mono(1, x=i - 2, q=i - 2)), ABXQ)
             rep.coeff_check("index-double-step", {"k": k, "i": i}, r[i] - r[i - 2], rhs)
 
 
@@ -289,11 +286,6 @@ def suite_jtp(rep: VerificationReport, cfg: VerifyConfig) -> None:
         rep.coeff_check("triple-product", {"z": label}, lhs, rhs)
 
 
-def _dress_lattice_rhs(rhs: TruncatedSeries) -> TruncatedSeries:
-    """Multiply by (q)inf (-aq)inf (-bq)inf / (abq)inf."""
-    return qproduct(rhs, (Q, NEG_AQ, NEG_BQ), (ABQ,))
-
-
 def suite_bailey(rep: VerificationReport, cfg: VerifyConfig) -> None:
     c = cfg.cutoff
     lattice_c = min(c, 10)
@@ -313,12 +305,10 @@ def suite_bailey(rep: VerificationReport, cfg: VerifyConfig) -> None:
         for i in range(1, k + 1):
             bilateral = series_R_bilateral(k, i, c)
             bilateral_t = series_R_tilde_bilateral(k, i, c)
-            rhs = bailey_lattice_rhs(pairs["B3"], k - 1, i - 1, c)
             rep.coeff_check("lattice-reproduces-bilateral", {"k": k, "i": i},
-                            _dress_lattice_rhs(rhs), bilateral)
-            rhs_t = bailey_lattice_rhs(pairs["E3"], k - 1, i - 1, c)
+                            bailey_chain_bilateral(pairs["B3"], k - 1, i - 1, c), bilateral)
             rep.coeff_check("lattice-reproduces-bilateral-even", {"k": k, "i": i},
-                            _dress_lattice_rhs(rhs_t), bilateral_t)
+                            bailey_chain_bilateral(pairs["E3"], k - 1, i - 1, c), bilateral_t)
             # One build serves the count and the bilateral check (common window).
             d_series = multisum_admissible(k, i, multisum_c)
             rep.coeff_check("multisum-vs-durfee-enum", {"k": k, "i": i},

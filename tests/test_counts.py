@@ -146,7 +146,7 @@ def test_four_way_suites_call_no_series_kernel(monkeypatch):
 
     for name in ("__mul__", "__add__", "times_monomial"):
         spy(TruncatedSeries, name)
-    for name in ("over_one_minus", "_apply_factors"):
+    for name in ("over_one_minus", "_apply_factors", "_factor_layers"):
         fn = getattr(series, name)
         for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "qpair"]:
             if getattr(module, name, None) is fn:
@@ -157,4 +157,5 @@ def test_four_way_suites_call_no_series_kernel(monkeypatch):
     assert run_suite("four-way", cfg).ok and run_suite("four-way-even", cfg).ok
     assert calls == []
     series.over_one_minus(TruncatedSeries.one(3) * TruncatedSeries.one(3), mono(1, q=1))
-    assert calls == ["__mul__", "over_one_minus", "_apply_factors"], "the spies see a series build"
+    assert calls == ["__mul__", "over_one_minus", "_apply_factors", "_factor_layers"], \
+        "the spies see a series build"

@@ -1,4 +1,5 @@
 import hashlib
+from functools import partial
 from itertools import count, takewhile
 
 import pytest
@@ -7,12 +8,17 @@ from qpair.counts import CountTable
 from qpair.gaussint import GaussInt
 import qpair.hyperg as hyperg
 from qpair.hyperg import (
+    ABQ,
+    NEG_AQ,
+    NEG_BQ,
+    Q,
     BaileyPair,
     _R_family,
     _alpha_demand,
     _beta_demand,
     _horner,
     _nested_multisum,
+    bailey_chain_bilateral,
     bailey_lattice_rhs,
     bailey_lattice_sides,
     bailey_pair_b3,
@@ -321,6 +327,21 @@ class TestBaileyLattice:
                 for i in range(k + 1):
                     assert bailey_lattice_rhs(pair, k, i, 9) == bailey_lattice_sides(pair, k, i, 9)[1]
 
+    def test_chain_bilateral_is_the_dressed_alpha_side(self):
+        # The alpha side closed by (-aq, -bq)_inf / (q, abq)_inf equals the
+        # alpha side times (q, -aq, -bq)_inf / (abq)_inf, terms and window,
+        # and from B3 (E3) the bilateral form one step up.
+        for c in range(4, 21, 3):
+            for pair, bilateral in ((bailey_pair_b3(c, c), series_R_bilateral),
+                                    (bailey_pair_e3(c, c), series_R_tilde_bilateral)):
+                for k in range(1, 5):
+                    for i in range(k + 1):
+                        got = bailey_chain_bilateral(pair, k, i, c)
+                        assert got == qproduct(bailey_lattice_rhs(pair, k, i, c), (Q, NEG_AQ, NEG_BQ), (ABQ,))
+                        assert got.first_mismatch(bilateral(k + 1, i + 1, c)) is None, (pair.label, k, i, c)
+        with pytest.raises(ValueError, match="k >= 1"):
+            bailey_chain_bilateral(bailey_pair_b3(4, 8), 0, 0, 8)
+
     def test_insufficient_depth_reported(self):
         b3 = bailey_pair_b3(1, 10)
         with pytest.raises(ValueError, match="n_max"):
@@ -476,6 +497,45 @@ class TestHornerDriver:
             want = sum((self._summand_at_full_cutoff(levels, n, c) for n in range(len(levels))),
                        TruncatedSeries.zero(c))
             assert _horner(levels, c) == want, c
+
+    def test_fused_close_is_the_product_of_the_sum(self, monkeypatch):
+        # Each builder that closes its sum with an infinite product gives the
+        # terms and window of qproduct on the unclosed sum, or the same error
+        # where that window is empty (H~ at large |i| and small cutoffs).
+        tables = []
+
+        def spy(levels, q_cutoff, close=((), ())):
+            tables.append((levels, q_cutoff, close))
+            return _horner(levels, q_cutoff, close)
+
+        def outcome(build):
+            try:
+                s = build()
+            except ValueError as exc:
+                return str(exc)
+            return dict(s.terms), s.q_floor, s.q_cutoff
+
+        monkeypatch.setattr(hyperg, "_horner", spy)
+        _R_family.cache_clear()
+        hyperg._bilateral.cache_clear()
+        for c in range(1, 17):
+            pairs = (bailey_pair_b3(c, c), bailey_pair_e3(c, c))
+            for k in range(1, 6):
+                builds = [partial(series_H_tilde, k, i, c) for i in range(-3 * k - 3, 3 * k + 4)
+                          if k > 1 or abs(i) < 2]
+                builds += [partial(bailey_lattice_rhs, pair, k, i, c) for pair in pairs for i in range(k + 1)]
+                builds += [partial(build, k, i, c) for build in (series_R, series_R_tilde, series_R_bilateral,
+                                                                 series_R_tilde_bilateral)
+                           for i in range(1, k + 1) if k > 1]
+                for build in builds:
+                    tables.clear()
+                    got = outcome(build)
+                    [(levels, q_cutoff, close)] = tables
+                    assert close != ((), ())
+                    want = outcome(lambda: qproduct(_horner(levels, q_cutoff), *close))
+                    assert got == want, (build, c)
+        _R_family.cache_clear()
+        hyperg._bilateral.cache_clear()
 
     @pytest.mark.parametrize("floor", [lambda n: n * n - 4 * n, lambda n: n * (n + 1) // 2],
                              ids=["falling", "rising"])
