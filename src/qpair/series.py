@@ -441,7 +441,7 @@ def _factor_layers(layers: list, floor: int, cutoff: int, num: Iterable[Monomial
     positive degree, bottom-up for a negative one (which first lowers the
     window by that degree), from a snapshot at degree 0.  ``1/(1 - m)`` adds
     ``m`` times each layer to the layer ``deg_q m`` above, bottom-up, so each
-    layer is final when read.  A base in q alone adds into the same keys.
+    layer is final when read.
     """
     top = cutoff
     for inverse, factors in ((False, num), (True, den)):
@@ -459,21 +459,12 @@ def _factor_layers(layers: list, floor: int, cutoff: int, num: Iterable[Monomial
             else:
                 walk = range(len(layers) - 1, dq - 1, -1)
             c = c if inverse else -c
-            pure = not (da or db or dx)
             for i in walk:
                 src, dst = layers[i - dq], layers[i]
                 if not src:
                     continue
                 get = dst.get
                 items = list(src.items()) if src is dst else src.items()
-                if pure:
-                    for key, v in items:
-                        acc = get(key, 0) + c * v
-                        if acc:
-                            dst[key] = acc
-                        else:
-                            del dst[key]
-                    continue
                 for (a, b, x), v in items:
                     key = (a + da, b + db, x + dx)
                     acc = get(key, 0) + c * v
