@@ -201,22 +201,41 @@ def count_rank_bounded(k: int, i: int, n_max: int, tilde: bool = False,
     is the number of plain entries right of it in the top row less those in
     the bottom row.  An entry left of (e, overlined) is at least
     :func:`least_left` of it, the row rule of ``canonical_parts``.  So the
-    scan carries that least entry of each row and d, each state with its
-    count row (:func:`qpair.counts.shift_add`), and adds one column on the
-    left at each step.  d is t - s, so a state's cells all lie on one
-    diagonal: its row keeps s alone, in the slots of the cells (0, s), and
-    the totals are kept by d, each a part of the table.
+    scan carries that least entry of each row and d' = d + i, each state
+    with its count row (:func:`qpair.counts.shift_add`), and adds one column
+    on the left at each step.  In d' the (k, i) window is [2, 2k - 1]
+    ([2, 2k - 2] for tilde) for every i, so one scan (:func:`_scan_rows`)
+    from the starts d' = 1 .. k serves every i; ``interval`` scans from the
+    one start d' = 0.  d is t - s, so a state's cells of one start lie on one
+    diagonal: its row keeps start i in the high slot i - 1 and s in the low
+    slots, and the totals are kept by d', each a part of every i's table.
     """
     check_bound(n_max, bound)
     check_ki(k, i)
-    lo, hi = interval if interval is not None else rank_interval(k, i, tilde)
-    # The empty symbol lies in every window; a column may take any entries
-    # when nothing lies right of it.
+    if interval is None:
+        window, starts, start = rank_interval(k, 0, tilde), tuple(range(1, k + 1)), i
+    else:
+        window, starts, start = tuple(interval), (0,), 0
+    shift = cell_shift(starts.index(start), 0, n_max)
+    mask = (1 << cell_shift(1, 0, n_max)) - 1
+    entries = {}
+    for d, rows in _scan_rows(*window, starts, n_max):
+        slot = [(row >> shift) & mask for row in rows]
+        for (_zero, s, n), c in CountTable.from_rows(slot, n_max).entries.items():
+            entries[s, s + d - start, n] = c
+    return CountTable(n_max, entries)
+
+
+@lru_cache(maxsize=None)
+def _scan_rows(lo: int, hi: int, starts: tuple[int, ...], n_max: int):
+    """The totals of the column scan of :func:`count_rank_bounded` in the
+    window [lo, hi], as (d', count rows) pairs: the empty symbol of start
+    slot j has d' = ``starts[j]``, and lies in every window."""
     size = n_max + 1
-    # By o_bot: a plain bottom entry adds 1 to s, in the slot of t.
+    # By o_bot: a plain bottom entry adds 1 to s, in the low slots.
     shift_s = (cell_shift(0, 1, n_max), 0)
-    totals = {0: [1] + [0] * n_max}
-    states = {(0, 0, 0): totals[0].copy()}
+    totals = {d: [1 << cell_shift(j, 0, n_max)] + [0] * n_max for j, d in enumerate(starts)}
+    states = {(0, 0, d): row.copy() for d, row in totals.items()}
     while states:
         following: dict[tuple[int, int, int], list[int]] = {}
         for (least_top, least_bot, d), row in states.items():
@@ -236,11 +255,7 @@ def count_rank_bounded(k: int, i: int, n_max: int, tilde: bool = False,
         states = following
         for (_least_top, _least_bot, d), row in states.items():
             shift_add(totals.setdefault(d, [0] * size), row, 0, 0)
-    entries = {}
-    for d, rows in totals.items():
-        for (_zero, s, n), c in CountTable.from_rows(rows, n_max).entries.items():
-            entries[s, s + d, n] = c
-    return CountTable(n_max, entries)
+    return tuple((d, tuple(rows)) for d, rows in totals.items())
 
 
 # ------------------------------------------------------------------ row bijection

@@ -275,15 +275,23 @@ def count_paths(k: int, i: int, n_max: int, even: bool = False,
     without building any path.
 
     How a prefix can be completed depends only on its (x, y, last step), on
-    (u - v) mod 2 for the even conditions, and on the major index it has
-    left to spend.  So the walk of :func:`_paths_up_to` is memoised on those,
-    each state giving the count row (:func:`qpair.counts.shift_add`) of its
-    completions: it steps by :func:`_step` from a prefix whose u, v, East
-    parity, statistics and peaks are reset, and reads what a step adds from
-    the new statistics and the peak it records.
+    (u - v + i - 1) mod 2 for the even conditions, and on the major index it
+    has left to spend.  So the walk of :func:`_paths_up_to` is memoised on
+    those, each state giving the count row (:func:`qpair.counts.shift_add`)
+    of its completions: it steps by :func:`_step` from a prefix whose u, v,
+    East parity, statistics and peaks are reset, and reads what a step adds
+    from the new statistics and the peak it records.  With i - 1 folded into
+    the parity no state depends on i, so one memo of :func:`_walk_rows`
+    serves the starts (0, k - i) of every i.
     """
     check_bound(n_max, bound)
     check_ki(k, i)
+    return CountTable.from_rows(_walk_rows(k, even, n_max)[i - 1], n_max)
+
+
+@lru_cache(maxsize=None)
+def _walk_rows(k: int, even: bool, n_max: int) -> tuple[tuple[int, ...], ...]:
+    """The count rows of :func:`count_paths` for i = 1 .. k."""
 
     @lru_cache(maxsize=None)
     def completions(x: int, y: int, last, odd: int, budget: int) -> list[int]:
@@ -294,7 +302,8 @@ def count_paths(k: int, i: int, n_max: int, even: bool = False,
             if not _kept(extended, step, k, budget):
                 continue
             peaks = extended[7]
-            if even and peaks and _breaks_parity(peaks[0], k, i):
+            # The peak's u holds u - v + i - 1: the parity test of i = 1.
+            if even and peaks and _breaks_parity(peaks[0], k, 1):
                 continue
             major, ds, dt, _top = extended[6]
             odd_next = (extended[4] - extended[5]) % 2 if even else 0
@@ -303,7 +312,8 @@ def count_paths(k: int, i: int, n_max: int, even: bool = False,
         return out
 
     try:
-        return CountTable.from_rows(completions(0, k - i, None, 0, n_max), n_max)
+        return tuple(tuple(completions(0, k - i, None, (i - 1) % 2 if even else 0, n_max))
+                     for i in range(1, k + 1))
     finally:  # The memo refers to itself: a cycle that would outlive the call.
         completions.cache_clear()
 

@@ -4,7 +4,8 @@ import sys
 import pytest
 
 from qpair import durfee, overpartitions, series
-from qpair.counts import CountTable, cell_shift, product_counts, shift_add, slot_width, tally
+from qpair.counts import (BoundExceededError, CountTable, cell_shift, product_counts, shift_add,
+                          slot_width, tally)
 from qpair.frobenius import FrobeniusSymbol, count_rank_bounded
 from qpair.overpartitions import Overpartition, OverpartitionPair, count_frequency_pairs, pairs_of
 from qpair.paths import count_paths
@@ -135,6 +136,16 @@ def test_shift_add_drops_weights_past_the_row():
     shift_add(rows, [1, 2, 3], cell_shift(1, 0, 2), 1)
     shift_add(rows, [5], 0, 3)
     assert CountTable.from_rows(rows, 2).entries == {(1, 0, 1): 1, (1, 0, 2): 2}
+
+
+@pytest.mark.parametrize("count", [count_frequency_pairs, count_rank_bounded,
+                                   durfee.count_admissible, durfee.count_self_conjugate,
+                                   count_paths])
+def test_negative_n_max_is_refused(count):
+    # A negative n_max once gave packed rows of stride 0, whose unpacking never ended.
+    with pytest.raises(ValueError, match="at least 0") as err:
+        count(2, 1, -1)
+    assert not isinstance(err.value, BoundExceededError)
 
 
 def test_four_way_suites_call_no_series_kernel(monkeypatch):

@@ -1,5 +1,6 @@
 import pytest
 
+from qpair import frobenius
 from qpair.counts import BoundExceededError, CountTable, tally
 from qpair.frobenius import (
     FrobeniusSymbol,
@@ -164,10 +165,11 @@ class TestColumnScan:
     ties the C tables to the objects."""
 
     @pytest.mark.parametrize("tilde", [False, True])
-    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_equals_tally_of_the_stream(self, k, tilde):
+        # At k 6 six starts share one row; the tally stops at weight 8 there.
         for i in range(1, k + 1):
-            for n in (0, 1, 5, 10, 12):
+            for n in (0, 1, 5, 8) if k == 6 else (0, 1, 5, 10, 12):
                 want = tally(rank_bounded_symbols(k, i, n, tilde), n)
                 assert count_rank_bounded(k, i, n, tilde) == want, (i, n)
 
@@ -189,6 +191,35 @@ class TestColumnScan:
         only_empty = CountTable(10, {(0, 0, 0): 1})
         assert tally(rank_bounded_symbols(3, 2, 10, interval=(1, 0)), 10) == only_empty
         assert count_rank_bounded(3, 2, 10, interval=(1, 0)) == only_empty
+
+    @pytest.mark.parametrize("tilde", [False, True])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_shared_scan_equals_the_one_start_scan(self, k, tilde):
+        # The default table reads start i of the scan shared by every i; the
+        # same window given as ``interval`` is scanned from one start.
+        for i in range(1, k + 1):
+            window = rank_interval(k, i, tilde)
+            for n in range(13):
+                assert count_rank_bounded(k, i, n, tilde) == \
+                    count_rank_bounded(k, i, n, tilde, interval=window), (i, n)
+
+    @pytest.mark.parametrize("tilde", [False, True])
+    def test_every_i_shares_one_scan(self, tilde):
+        frobenius._scan_rows.cache_clear()
+        tables = [count_rank_bounded(4, i, 9, tilde) for i in range(1, 5)]
+        assert frobenius._scan_rows.cache_info().misses == 1
+        assert len(set(map(CountTable.to_json, tables))) == 4
+
+    def test_scan_caches_ints_not_tables(self):
+        count_rank_bounded(3, 2, 7)
+        for d, rows in frobenius._scan_rows(*rank_interval(3, 0), (1, 2, 3), 7):
+            assert type(d) is int and type(rows) is tuple and rows
+            assert all(type(row) is int for row in rows)
+
+    def test_interval_given_as_a_list(self):
+        window = rank_interval(3, 2, True)
+        assert count_rank_bounded(3, 2, 9, interval=list(window)) == \
+            count_rank_bounded(3, 2, 9, interval=window) == count_rank_bounded(3, 2, 9, tilde=True)
 
     def test_bound_is_checked_before_ki(self):
         with pytest.raises(BoundExceededError):

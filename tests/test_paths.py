@@ -3,7 +3,8 @@ import tracemalloc
 
 import pytest
 
-from qpair.counts import tally
+from qpair import paths
+from qpair.counts import CountTable, tally
 from qpair.frobenius import FrobeniusSymbol, successive_ranks
 from qpair.overpartitions import count_frequency_pairs
 from qpair.paths import (
@@ -174,16 +175,31 @@ class TestMemoisedWalk:
     ties the E tables to the objects."""
 
     @pytest.mark.parametrize("even", [False, True])
-    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_equals_tally_of_the_stream(self, k, even):
+        # At k 6 six starts share one memo; the tally stops at weight 8 there.
         for i in range(1, k + 1):
-            for n in (0, 1, 5, 10):
+            for n in (0, 1, 5, 8) if k == 6 else (0, 1, 5, 10):
                 want = tally(paths_up_to(k, i, n, even), n)
                 assert count_paths(k, i, n, even) == want, (i, n)
 
+    @pytest.mark.parametrize("even", [False, True])
+    def test_every_i_shares_one_walk(self, even):
+        paths._walk_rows.cache_clear()
+        tables = [count_paths(4, i, 9, even) for i in range(1, 5)]
+        assert paths._walk_rows.cache_info().misses == 1
+        assert len(set(map(CountTable.to_json, tables))) == 4
+
+    def test_walk_caches_ints_not_tables(self):
+        rows = paths._walk_rows(3, True, 7)
+        assert len(rows) == 3 and all(type(row) is tuple and len(row) == 8 for row in rows)
+        assert all(type(cell) is int for row in rows for cell in row)
+
     def test_memo_does_not_outlive_the_call(self):
         # The memo refers to itself; with the cycle collector off, a memo
-        # kept after the call held 3.7 MB here.
+        # kept after the call held 3.7 MB here.  The rows are cached per
+        # (k, parity, n_max), so the walk is built afresh.
+        paths._walk_rows.cache_clear()
         gc.disable()
         tracemalloc.start()
         try:
