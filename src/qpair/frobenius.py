@@ -14,14 +14,12 @@ reference the tables are tested against.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
-from operator import sub
+from operator import add, itemgetter, sub
 
-from .counts import CountTable, cell_shift, check_bound, shift_add
+from .counts import CountTable, cell_shift, check_bound
 from .overpartitions import (
     canonical_parts,
     check_ki,
-    least_left,
     overlinings,
     partitions,
 )
@@ -187,9 +185,6 @@ def rank_bounded_symbols(k: int, i: int, n_max: int, tilde: bool = False,
     return ((n, f) for n, f in symbols_up_to(n_max) if f._ranks_within(lo, hi))
 
 
-_OVERLINE_PAIRS = tuple(product((False, True), repeat=2))
-
-
 def count_rank_bounded(k: int, i: int, n_max: int, tilde: bool = False,
                        bound: int | None = None,
                        interval: tuple[int, int] | None = None) -> CountTable:
@@ -199,11 +194,11 @@ def count_rank_bounded(k: int, i: int, n_max: int, tilde: bool = False,
     s counts non-overlined bottom entries, t non-overlined top entries.  By
     :func:`_rank_profile` the rank at a column is e_top - e_bot + d, where d
     is the number of plain entries right of it in the top row less those in
-    the bottom row.  An entry left of (e, overlined) is at least
-    :func:`least_left` of it, the row rule of ``canonical_parts``.  So the
-    scan carries that least entry of each row and d' = d + i, each state
-    with its count row (:func:`qpair.counts.shift_add`), and adds one column
-    on the left at each step.  In d' the (k, i) window is [2, 2k - 1]
+    the bottom row.  An entry left of (e, overlined) is at least e +
+    overlined, the row rule of ``canonical_parts``.  So the scan carries
+    that least entry of each row and d' = d + i, each state with its count
+    row (:func:`qpair.counts.shift_add`), and adds one column on the left
+    at each step in two half-steps.  In d' the (k, i) window is [2, 2k - 1]
     ([2, 2k - 2] for tilde) for every i, so one scan (:func:`_scan_rows`)
     from the starts d' = 1 .. k serves every i; ``interval`` scans from the
     one start d' = 0.  d is t - s, so a state's cells of one start lie on one
@@ -230,31 +225,74 @@ def count_rank_bounded(k: int, i: int, n_max: int, tilde: bool = False,
 def _scan_rows(lo: int, hi: int, starts: tuple[int, ...], n_max: int):
     """The totals of the column scan of :func:`count_rank_bounded` in the
     window [lo, hi], as (d', count rows) pairs: the empty symbol of start
-    slot j has d' = ``starts[j]``, and lies in every window."""
+    slot j has d' = ``starts[j]``, and lies in every window.
+
+    A state is (lt, lb, d'), each row's least next entry and d'.  A column
+    goes on in two half-steps.  The top one takes (lt, lb, d') to
+    (e + o_top, lb, r = e + d') for each top entry e >= lt, adding 1 + e to
+    the weight.  The bottom one takes (lt', lb, r) to (lt', f + o_bot,
+    r - lt' + o_bot) for each bottom entry f >= lb with rank r - f in
+    [lo, hi], adding f, and 1 to s when it is plain.  Each walks e (or f)
+    upward with one running sum of the states that admit it, all of which
+    step alike, cut to the weights the column can still reach.
+    """
     size = n_max + 1
-    # By o_bot: a plain bottom entry adds 1 to s, in the low slots.
-    shift_s = (cell_shift(0, 1, n_max), 0)
+    plain_bot = cell_shift(0, 1, n_max)
     totals = {d: [1 << cell_shift(j, 0, n_max)] + [0] * n_max for j, d in enumerate(starts)}
     states = {(0, 0, d): row.copy() for d, row in totals.items()}
     while states:
-        following: dict[tuple[int, int, int], list[int]] = {}
+        tops: dict[tuple[int, int], list] = {}
         for (least_top, least_bot, d), row in states.items():
-            # Only the weights from the row's lightest on can be shifted.
-            low = next(n for n, cell in enumerate(row) if cell)
-            room, row = n_max - 1 - low, row[low:]
-            for e_top in range(least_top, room + 1):
-                # The column's rank e_top - e_bot + d must lie in [lo, hi].
-                for e_bot in range(max(least_bot, e_top + d - hi),
-                                   min(room - e_top, e_top + d - lo) + 1):
-                    for o_top, o_bot in _OVERLINE_PAIRS:
-                        state = (least_left(e_top, o_top), least_left(e_bot, o_bot),
-                                 d + o_bot - o_top)
-                        if state not in following:
-                            following[state] = [0] * size
-                        shift_add(following[state], row, shift_s[o_bot], low + 1 + e_top + e_bot)
-        states = following
+            tops.setdefault((least_bot, d), []).append((least_top, row))
+        middle: dict[tuple[int, int, int], list[int]] = {}
+        for (least_bot, d), group in tops.items():
+            group.sort(key=itemgetter(0))
+            # Some bottom entry f >= least_bot must give a rank e - f + d' >= lo.
+            first = max(group[0][0], least_bot + lo - d)
+            run, j = [0] * size, 0
+            for e in range(first, n_max):
+                # The column adds 1 + e + f, with f >= least_bot and e - f + d' <= hi.
+                room = n_max - e - max(least_bot, e + d - hi)
+                if room <= 0:
+                    break
+                del run[room:]
+                while j < len(group) and group[j][0] <= e:
+                    run = list(map(add, run, group[j][1]))
+                    j += 1
+                if not any(run):
+                    continue
+                plain = middle.setdefault((e, least_bot, e + d), [0] * size)
+                over = middle.setdefault((e + 1, least_bot, e + d), [0] * size)
+                for n, cell in enumerate(run, 1 + e):
+                    if cell:
+                        plain[n] += cell
+                        over[n] += cell
+        bottoms: dict[tuple[int, int], list] = {}
+        for (least_top, least_bot, r), row in middle.items():
+            bottoms.setdefault((least_top, r), []).append((least_bot, row))
+        states = {}
+        for (least_top, r), group in bottoms.items():
+            group.sort(key=itemgetter(0))
+            run, j = [0] * size, 0
+            for f in range(max(group[0][0], r - hi), min(r - lo, n_max) + 1):
+                del run[n_max - f + 1:]
+                while j < len(group) and group[j][0] <= f:
+                    run = list(map(add, run, group[j][1]))
+                    j += 1
+                if not any(run):
+                    continue
+                d = r - least_top
+                plain = states.setdefault((least_top, f, d), [0] * size)
+                over = states.setdefault((least_top, f + 1, d + 1), [0] * size)
+                for n, cell in enumerate(run, f):
+                    if cell:
+                        plain[n] += cell << plain_bot
+                        over[n] += cell
         for (_least_top, _least_bot, d), row in states.items():
-            shift_add(totals.setdefault(d, [0] * size), row, 0, 0)
+            total = totals.setdefault(d, [0] * size)
+            for n, cell in enumerate(row):
+                if cell:
+                    total[n] += cell
     return tuple((d, tuple(rows)) for d, rows in totals.items())
 
 

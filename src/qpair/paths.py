@@ -17,12 +17,12 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .counts import CountTable, cell_shift, check_bound, shift_add
+from .counts import CountTable, cell_shift, check_bound
 from .frobenius import FrobeniusSymbol, rank_interval, successive_ranks
 from .hyperg import r_exponent
 from .overpartitions import check_ki
-from .qtools import f_poly as _f_poly, inv_qfactors as _inv_qfactors
-from .series import TruncatedSeries, mono
+from .qtools import f_poly as _f_poly
+from .series import TruncatedSeries, mono, over_one_minus
 
 NE, SE, S, SW, E = "NE", "SE", "S", "SW", "E"
 STEPS = (NE, SE, S, SW, E)
@@ -223,15 +223,15 @@ _AT_PEAK = ((NE, None),) + tuple(
 _OFF_PEAK = ((NE, None), (SE, None), (E, None))
 
 
-def _kept(extended, step, k: int, budget: int) -> bool:
-    """Whether a (k, i)-walk keeps ``extended``, what :func:`_step` made of a
-    prefix by ``step``: a prefix below height k whose major index, plus the
-    least that a completion adds, is within ``budget``.  After NE to x a peak
-    lies at x or beyond, after E to x at x + 1 or beyond."""
+def _least_major(extended, step, k: int) -> int | None:
+    """The least major index of a (k, i)-path through ``extended``, what
+    :func:`_step` made of a prefix by ``step``, or None for a refused step or
+    a prefix at height k or above.  After NE to x a peak lies at x or beyond,
+    after E to x at x + 1 or beyond."""
     if type(extended) is str or extended[1] >= k:
-        return False
+        return None
     x, major = extended[0], extended[6][0]
-    return major + (x if step == NE else x + 1 if step == E else 0) <= budget
+    return major + (x if step == NE else x + 1 if step == E else 0)
 
 
 def _paths_up_to(k: int, i: int, n_max: int) -> tuple[LatticePath, ...]:
@@ -252,7 +252,8 @@ def _paths_up_to(k: int, i: int, n_max: int) -> tuple[LatticePath, ...]:
             out.append(LatticePath._walked(k - i, steps, prefix))
         for step, mark in _AT_PEAK if last == NE else _OFF_PEAK:
             extended = _step(prefix, step, mark)
-            if not _kept(extended, step, k, n_max):
+            least = _least_major(extended, step, k)
+            if least is None or least > n_max:
                 continue
             steps.append(step)
             walk(extended)
@@ -282,7 +283,11 @@ def count_paths(k: int, i: int, n_max: int, even: bool = False,
     East parity, statistics and peaks are reset, and reads what a step adds
     from the new statistics and the peak it records.  With i - 1 folded into
     the parity no state depends on i, so one memo of :func:`_walk_rows`
-    serves the starts (0, k - i) of every i.
+    serves the starts (0, k - i) of every i.  A state's steps do not depend
+    on the major index left, so a second memo tables them once per
+    (x, y, last step, parity): the least major index a completion adds (the
+    bound of :func:`_least_major`), the major index, the cell shift and the
+    next state.
     """
     check_bound(n_max, bound)
     check_ki(k, i)
@@ -294,12 +299,15 @@ def _walk_rows(k: int, even: bool, n_max: int) -> tuple[tuple[int, ...], ...]:
     """The count rows of :func:`count_paths` for i = 1 .. k."""
 
     @lru_cache(maxsize=None)
-    def completions(x: int, y: int, last, odd: int, budget: int) -> list[int]:
-        out = [int(y == 0 and last != E)] + [0] * budget
+    def steps_from(x: int, y: int, last, odd: int) -> tuple[tuple, ...]:
+        """(least major index, major index, cell shift, next state) of each
+        step a walk keeps from the state."""
+        out = []
         prefix = (x, y, last, False, odd, 0) + _start(y)[6:]
         for step, mark in _AT_PEAK if last == NE else _OFF_PEAK:
             extended = _step(prefix, step, mark)
-            if not _kept(extended, step, k, budget):
+            least = _least_major(extended, step, k)
+            if least is None:
                 continue
             peaks = extended[7]
             # The peak's u holds u - v + i - 1: the parity test of i = 1.
@@ -307,15 +315,26 @@ def _walk_rows(k: int, even: bool, n_max: int) -> tuple[tuple[int, ...], ...]:
                 continue
             major, ds, dt, _top = extended[6]
             odd_next = (extended[4] - extended[5]) % 2 if even else 0
-            rest = completions(extended[0], extended[1], step, odd_next, budget - major)
-            shift_add(out, rest, cell_shift(ds, dt, n_max), major)
+            out.append((least, major, cell_shift(ds, dt, n_max),
+                        (extended[0], extended[1], step, odd_next)))
+        return tuple(out)
+
+    @lru_cache(maxsize=None)
+    def completions(x: int, y: int, last, odd: int, budget: int) -> list[int]:
+        out = [int(y == 0 and last != E)] + [0] * budget
+        for least, major, shift, state in steps_from(x, y, last, odd):
+            if least <= budget:
+                for n, cell in enumerate(completions(*state, budget - major), major):
+                    if cell:
+                        out[n] += cell << shift
         return out
 
     try:
         return tuple(tuple(completions(0, k - i, None, (i - 1) % 2 if even else 0, n_max))
                      for i in range(1, k + 1))
-    finally:  # The memo refers to itself: a cycle that would outlive the call.
+    finally:  # completions refers to itself: a cycle that would keep both memos past the call.
         completions.cache_clear()
+        steps_from.cache_clear()
 
 
 # ------------------------------------------------------------------ bijection
@@ -472,10 +491,10 @@ def _gf_tables(k: int, even: bool, q_cutoff: int, n_peaks: int):
     for i in range(1, k):
         G[(i, N)] = _plus_shifted(step_weights * E[(i + 1, N - 1)], G[(i - 1, N)], N)
     if not even:
-        E[(k, N)] = G[(k - 1, N)].times_monomial(qN) * _inv_qfactors((N,), q_cutoff)
+        E[(k, N)] = over_one_minus(G[(k - 1, N)].times_monomial(qN), qN)
     else:
         rhs = _plus_shifted(G[(k - 2, N)].times_monomial(qN), G[(k - 1, N)], 2 * N)
-        E[(k - 1, N)] = rhs * _inv_qfactors((2 * N,), q_cutoff)
+        E[(k - 1, N)] = over_one_minus(rhs, mono(1, q=2 * N))
         E[(k, N)] = (E[(k - 1, N)] + G[(k - 1, N)]).times_monomial(qN)
     for i in range(k - 1 if not even else k - 2, 0, -1):
         E[(i, N)] = (G[(i - 1, N)] + E[(i + 1, N)]).times_monomial(qN)

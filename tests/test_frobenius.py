@@ -1,7 +1,9 @@
+from itertools import product
+
 import pytest
 
 from qpair import frobenius
-from qpair.counts import BoundExceededError, CountTable, tally
+from qpair.counts import BoundExceededError, CountTable, cell_shift, shift_add, tally
 from qpair.frobenius import (
     FrobeniusSymbol,
     canonical_row,
@@ -15,7 +17,7 @@ from qpair.frobenius import (
     symbols_of,
     symbols_up_to,
 )
-from qpair.overpartitions import count_frequency_pairs, pairs_of
+from qpair.overpartitions import count_frequency_pairs, least_left, pairs_of
 
 
 def row(*parts):
@@ -216,6 +218,22 @@ class TestColumnScan:
             assert type(d) is int and type(rows) is tuple and rows
             assert all(type(row) is int for row in rows)
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_half_steps_equal_the_pair_scan(self, k):
+        # Both windows of the shared scan, row for row by d'.
+        for tilde in (False, True):
+            window = rank_interval(k, 0, tilde)
+            for n in range(15):
+                got = frobenius._scan_rows(*window, tuple(range(1, k + 1)), n)
+                want = reference_scan_rows(*window, tuple(range(1, k + 1)), n)
+                assert nonzero_rows(got) == nonzero_rows(want), (tilde, n)
+
+    @pytest.mark.parametrize("window", [(0, 3), (-1, 2), (1, 4), (2, 2), (1, 0)])
+    def test_half_steps_equal_the_pair_scan_from_one_start(self, window):
+        for n in range(15):
+            got = frobenius._scan_rows(*window, (0,), n)
+            assert nonzero_rows(got) == nonzero_rows(reference_scan_rows(*window, (0,), n)), n
+
     def test_interval_given_as_a_list(self):
         window = rank_interval(3, 2, True)
         assert count_rank_bounded(3, 2, 9, interval=list(window)) == \
@@ -227,6 +245,39 @@ class TestColumnScan:
         with pytest.raises(ValueError, match="need k >= 2") as err:
             count_rank_bounded(1, 1, 8)
         assert not isinstance(err.value, BoundExceededError)
+
+
+def nonzero_rows(scan):
+    """A scan's totals by d', without its all-zero rows."""
+    return {d: rows for d, rows in scan if any(rows)}
+
+
+def reference_scan_rows(lo, hi, starts, n_max):
+    """The column scan one (top entry, bottom entry, overlines) choice at a
+    time: each state (least top, least bottom, d') steps to every column
+    whose rank e_top - e_bot + d' lies in [lo, hi]."""
+    size = n_max + 1
+    shift_s = (cell_shift(0, 1, n_max), 0)
+    totals = {d: [1 << cell_shift(j, 0, n_max)] + [0] * n_max for j, d in enumerate(starts)}
+    states = {(0, 0, d): row.copy() for d, row in totals.items()}
+    while states:
+        following = {}
+        for (least_top, least_bot, d), row in states.items():
+            low = next(n for n, cell in enumerate(row) if cell)
+            room, row = n_max - 1 - low, row[low:]
+            for e_top in range(least_top, room + 1):
+                for e_bot in range(max(least_bot, e_top + d - hi),
+                                   min(room - e_top, e_top + d - lo) + 1):
+                    for o_top, o_bot in product((False, True), repeat=2):
+                        state = (least_left(e_top, o_top), least_left(e_bot, o_bot),
+                                 d + o_bot - o_top)
+                        if state not in following:
+                            following[state] = [0] * size
+                        shift_add(following[state], row, shift_s[o_bot], low + 1 + e_top + e_bot)
+        states = following
+        for (_least_top, _least_bot, d), row in states.items():
+            shift_add(totals.setdefault(d, [0] * size), row, 0, 0)
+    return tuple((d, tuple(rows)) for d, rows in totals.items())
 
 
 def ref_rank_bounded(n_max, lo, hi):

@@ -1,17 +1,25 @@
 import gc
 import tracemalloc
+from functools import lru_cache
 
 import pytest
 
 from qpair import paths
-from qpair.counts import CountTable, tally
+from qpair.counts import CountTable, cell_shift, shift_add, tally
 from qpair.frobenius import FrobeniusSymbol, successive_ranks
 from qpair.overpartitions import count_frequency_pairs
 from qpair.paths import (
+    E,
     MARKS,
+    NE,
+    _AT_PEAK,
+    _OFF_PEAK,
     LatticePath,
+    _breaks_parity,
     _gf_tables,
     _paths_up_to,
+    _start,
+    _step,
     count_paths,
     gf_closed,
     gf_gamma_closed,
@@ -195,10 +203,18 @@ class TestMemoisedWalk:
         assert len(rows) == 3 and all(type(row) is tuple and len(row) == 8 for row in rows)
         assert all(type(cell) is int for row in rows for cell in row)
 
+    @pytest.mark.parametrize("even", [False, True])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_step_tables_equal_the_stepwise_walk(self, k, even):
+        for n in range(17):
+            assert paths._walk_rows(k, even, n) == reference_walk_rows(k, even, n), n
+
     def test_memo_does_not_outlive_the_call(self):
         # The memo refers to itself; with the cycle collector off, a memo
         # kept after the call held 3.7 MB here.  The rows are cached per
-        # (k, parity, n_max), so the walk is built afresh.
+        # (k, parity, n_max), so the walk is built afresh.  Both memos of
+        # the walk, the completions and the step table of each state, are
+        # left empty: the cycle keeps them alive until it is collected.
         paths._walk_rows.cache_clear()
         gc.disable()
         tracemalloc.start()
@@ -206,10 +222,42 @@ class TestMemoisedWalk:
             before = tracemalloc.get_traced_memory()[0]
             count_paths(3, 2, 16, bound=16)
             held = tracemalloc.get_traced_memory()[0] - before
+            memos = [obj for obj in gc.get_objects() if type(obj) is type(paths._walk_rows)
+                     and obj.__qualname__.startswith("_walk_rows.<locals>.")]
         finally:
             tracemalloc.stop()
             gc.enable()
         assert held < 1_000_000
+        assert {memo.__name__ for memo in memos} == {"completions", "steps_from"}
+        assert all(memo.cache_info().currsize == 0 for memo in memos)
+
+
+def reference_walk_rows(k, even, n_max):
+    """The count rows of the memoised walk with every step taken afresh for
+    each major index left to spend."""
+
+    @lru_cache(maxsize=None)
+    def completions(x, y, last, odd, budget):
+        out = [int(y == 0 and last != E)] + [0] * budget
+        prefix = (x, y, last, False, odd, 0) + _start(y)[6:]
+        for step, mark in _AT_PEAK if last == NE else _OFF_PEAK:
+            extended = _step(prefix, step, mark)
+            if type(extended) is str or extended[1] >= k:
+                continue
+            end_x, major = extended[0], extended[6][0]
+            if major + (end_x if step == NE else end_x + 1 if step == E else 0) > budget:
+                continue
+            peaks = extended[7]
+            if even and peaks and _breaks_parity(peaks[0], k, 1):
+                continue
+            major, ds, dt, _top = extended[6]
+            odd_next = (extended[4] - extended[5]) % 2 if even else 0
+            rest = completions(extended[0], extended[1], step, odd_next, budget - major)
+            shift_add(out, rest, cell_shift(ds, dt, n_max), major)
+        return out
+
+    return tuple(tuple(completions(0, k - i, None, (i - 1) % 2 if even else 0, n_max))
+                 for i in range(1, k + 1))
 
 
 _REF_MOVES = {"NE": (1, 1), "SE": (1, -1), "S": (0, -1), "SW": (-1, -1), "E": (1, 0)}
