@@ -18,6 +18,7 @@ from operator import add, itemgetter, sub
 
 from .counts import CountTable, cell_shift, check_bound
 from .overpartitions import (
+    ReadOnlyFields,
     canonical_parts,
     check_ki,
     overlinings,
@@ -53,17 +54,16 @@ def _canonical_row(row: tuple) -> Row:
     return _canonical_row(out)
 
 
-class FrobeniusSymbol:
+class FrobeniusSymbol(ReadOnlyFields):
     __slots__ = ("top", "bottom", "_rank_range")
 
     def __init__(self, top, bottom):
-        self.top: Row = canonical_row(top)
-        self.bottom: Row = canonical_row(bottom)
-        if len(self.top) != len(self.bottom):
-            raise ValueError(
-                f"rows must have equal length, got {len(self.top)} and {len(self.bottom)}"
-            )
-        self._rank_range: tuple[int, int] | None = None
+        top, bottom = canonical_row(top), canonical_row(bottom)
+        if len(top) != len(bottom):
+            raise ValueError(f"rows must have equal length, got {len(top)} and {len(bottom)}")
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "bottom", bottom)
+        object.__setattr__(self, "_rank_range", None)
 
     def _ranks_within(self, lo: int, hi: int) -> bool:
         """Whether every successive rank lies in [lo, hi]; a symbol with no

@@ -14,15 +14,17 @@ polynomial; denominators are unrolled into geometric inverse factors.
 Every sum (R and R~, H~, the bilateral forms, the lattice's alpha side, the
 summation lemma's left side, the Bailey relation's sum side and, one level
 at a time, the Durfee multisum) is a table of term ratios that
-:func:`_horner`, which holds the one truncation rule, evaluates on one list
-of q-layers, the infinite product that closes the series included.
+:func:`_horner` evaluates on one list of q-layers, the infinite product that
+closes the series included.  The layers keep the window rules of
+:mod:`~qpair.series`: every coefficient below the cutoff is exact, also
+where summand floors fall below q^0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import accumulate, count, takewhile
+from itertools import count, takewhile
 
 from .gaussint import is_unit, unit_pow
 from .overpartitions import check_ki
@@ -72,41 +74,27 @@ def _horner(levels, q_cutoff: int, close=((), ())) -> TruncatedSeries:
     ``levels`` lists ``(floor, poly, num, den)`` for n = 0, 1, ...; a base m
     in ``num`` is the factor ``1 - m``, in ``den`` ``1/(1 - m)``.  A
     numerator of q-degree -d < 0 stands for ``q^d (1 - m)``, as ``a + q^d``
-    for ``q^d (1 + a q^-d)``, so no factor moves a floor: each ``poly`` has
-    its floor at or above q^0.  The tail ``t_n = (q^floor_n poly_n +
-    t_(n+1)) num_n / den_n``, whose t_0 is the sum, is one list of q-layers
-    relative to q^ref, ref the least floor from level n on: each level adds
-    its ``poly``, applies its factors by :func:`~qpair.series._factor_layers`
-    and moves to the next ref by the floor index alone.  The close goes onto
-    the same layers, and the series is built once.
+    for ``q^d (1 + a q^-d)``, so every factor is a power series from q^0 on.
+    The tail ``t_n = (q^floor_n poly_n + t_(n+1)) num_n / den_n``, whose t_0
+    is the sum, is one list of q-layers over the sum's window [lo, hi): each
+    level adds its ``poly`` at ``floor_n`` and applies its factors by
+    :func:`~qpair.series._factor_layers`.  The close goes onto the same
+    layers, and the series is built once.
 
-    Room rule: nothing at or above ``q_cutoff`` survives the sum, so each
-    tail is cut to ``q_cutoff - max(ref, 0)`` above q^ref, all that its
-    summands built at the full cutoff hold, and the innermost levels whose
-    ref is at or past the cutoff are dropped.  The sum has their terms and
-    window: floor f, the least floor, and cutoff ``q_cutoff + min(f, 0)``;
-    a table with no level below the cutoff sums to the zero series.  The
-    close is the :func:`~qpair.series.qproduct` of that sum, terms and window.
+    The window is exact: lo is the least floor ``floor_n + poly_n.q_floor``,
+    hi the least of ``q_cutoff`` and each ``floor_n + poly_n.q_cutoff`` (so
+    lo < hi), and each factor keeps every coefficient it is given.  A table
+    with no summand below the cutoff sums to the zero series.
     """
-    # The least floor from each level on, innermost first; the sum lies at q^0.
-    # Innermost levels whose least floor is at or past the cutoff add nothing.
-    refs = list(accumulate((floor for floor, *_ in reversed(levels)), min))
-    refs = refs[sum(ref >= q_cutoff for ref in refs):]
-    layers = None
-    for (floor, poly, num, den), ref, outer in zip(reversed(levels[:len(refs)]), refs, refs[1:] + [0]):
-        # The head q^(floor - ref) poly, cut to the room, joins the tail's window [lo, hi).
-        head_hi = min(poly.q_cutoff + floor - ref, q_cutoff - max(ref, 0))
-        head_lo = min(poly.q_floor + floor - ref, head_hi - 1)
-        if layers is None:
-            layers, lo, hi = [], head_lo, head_hi
-        layers[:0] = [{} for _ in range(lo - head_lo)]
-        lo, hi = min(lo, head_lo), min(hi, head_hi)
-        layers[hi - lo:] = [{} for _ in range(hi - lo - len(layers))]
-        _add_terms(layers, lo, poly.terms, floor - ref)
-        move = ref - outer - sum(min(m.q, 0) for m in num)
-        lo, hi = (end + move for end in _factor_layers(layers, lo, hi, num, den))
-    if layers is None:
+    lo = min((floor + poly.q_floor for floor, poly, *_ in levels), default=q_cutoff)
+    if lo >= q_cutoff:
         return TruncatedSeries.zero(q_cutoff)
+    hi = min([q_cutoff] + [floor + poly.q_cutoff for floor, poly, *_ in levels])
+    layers = [{} for _ in range(hi - lo)]
+    for floor, poly, num, den in reversed(levels):
+        _add_terms(layers, lo, poly.terms, floor)
+        # A numerator of q-degree -d lowers the window by d: q^d (1 - m) raises it back.
+        _factor_layers(layers, lo, hi, num, den)
     num, den = (_product_factors(bases, lo, hi) for bases in close)
     return _pack(layers, *_factor_layers(layers, lo, hi, num, den))
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product
+from types import MappingProxyType
 
 from .counts import CountTable, cell_shift, check_bound, product_counts, shift_add
 from .gaussint import Coeff, I, unit_pow
@@ -49,20 +50,40 @@ def least_left(size: int, overlined: bool) -> int:
     return size + overlined
 
 
-class Overpartition:
+class ReadOnlyFields:
+    """Public fields are read-only: the listings are cached and shared, so a
+    write would change the object every later caller gets.  ``__init__`` sets
+    them with ``object.__setattr__``; the ``_``-prefixed slots are lazy memos
+    and fill in when first read."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        if not name.startswith("_"):
+            raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        if not name.startswith("_"):
+            raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+        object.__delattr__(self, name)
+
+
+class Overpartition(ReadOnlyFields):
     __slots__ = ("parts", "plain", "over")
 
     def __init__(self, parts):
-        self.parts = canonical_parts(parts)
+        parts = canonical_parts(parts)
         plain: dict[int, int] = {}
         over: set[int] = set()
-        for size, o in self.parts:
+        for size, o in parts:
             if o:
                 over.add(size)
             else:
                 plain[size] = plain.get(size, 0) + 1
-        self.plain = plain
-        self.over = frozenset(over)
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "plain", MappingProxyType(plain))
+        object.__setattr__(self, "over", frozenset(over))
 
     def weight(self) -> int:
         return sum(s for s, _ in self.parts)
@@ -84,15 +105,15 @@ class Overpartition:
         return f"Overpartition({inner})"
 
 
-class OverpartitionPair:
+class OverpartitionPair(ReadOnlyFields):
     """A pair (lam, mu) of overpartitions; weight is the sum of weights."""
 
     __slots__ = ("lam", "mu", "_profile")
 
     def __init__(self, lam: Overpartition, mu: Overpartition):
-        self.lam = lam
-        self.mu = mu
-        self._profile: tuple[int, int, int | None] | None = None
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "_profile", None)
 
     def weight(self) -> int:
         return self.lam.weight() + self.mu.weight()

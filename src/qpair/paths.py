@@ -530,17 +530,19 @@ def _pair_row(m1: int, m2: int, q_cutoff: int) -> tuple[int, ...]:
 
 def _closed_sum(n_peaks: int, summands, q_cutoff: int) -> TruncatedSeries:
     """f_poly(n_peaks) times the sum of ``(-1)^n q^e / ((q)_m1 (q)_m2)`` over the ``(m1, m2,
-    n, e)`` in ``summands`` with e below ``q_cutoff``: one row of integers on [f, q_cutoff + f),
-    f the least of 0 and those e, summed from the cached rows of :func:`_pair_row`."""
-    summands = [s for s in summands if s[3] < q_cutoff]
-    floor = min([0] + [e for *_, e in summands])
+    n, e)`` in ``summands`` with e below ``q_cutoff``: one row of integers on [0, q_cutoff),
+    summed from the cached rows of :func:`_pair_row`.  Every e is >= 0: :func:`gf_closed`
+    gives (k - 1/2) n^2 + (k - i + 1/2) n + N, or (k - 1) n^2 + (k - i) n + N when even, and
+    :func:`gf_gamma_closed` the same with i + 1 for i and no + N; each is at least m i at
+    n = -m, and each of its terms is >= 0 at n >= 0."""
     row = [0] * q_cutoff
     for m1, m2, n, e in summands:
-        sign, shift = -1 if n % 2 else 1, e - floor
-        for d, v in enumerate(_pair_row(min(m1, m2), max(m1, m2), q_cutoff)[:q_cutoff - shift], shift):
-            row[d] += sign * v
-    terms = {(0, 0, 0, floor + d): v for d, v in enumerate(row) if v}
-    return _f_poly(n_peaks, q_cutoff) * TruncatedSeries(terms, floor, q_cutoff + floor)
+        if e < q_cutoff:
+            sign = -1 if n % 2 else 1
+            for d, v in enumerate(_pair_row(min(m1, m2), max(m1, m2), q_cutoff)[:q_cutoff - e], e):
+                row[d] += sign * v
+    terms = {(0, 0, 0, d): v for d, v in enumerate(row) if v}
+    return _f_poly(n_peaks, q_cutoff) * TruncatedSeries(terms, 0, q_cutoff)
 
 
 def gf_closed(k: int, i: int, n_peaks: int, q_cutoff: int, even: bool = False) -> TruncatedSeries:

@@ -25,20 +25,20 @@ One layered loop, ``_factor_layers``, applies each ``1 - m`` and ``1/(1 - m)``
 of a product identity in place on one dict per q-degree.  ``_apply_factors``
 (and so ``over_one_minus``, ``q_binomial`` and ``qproduct``) unpacks a series
 into such layers once, and every sum in :mod:`~qpair.hyperg` runs the loop on
-its own, with the window the general product gives:
+its own.  The loop keeps every coefficient its input holds exactly:
 
-* a numerator ``1 - m`` moves floor and cutoff by ``min(0, deg_q m)``
-  (0 when the coefficient of ``m`` is 0);
-* a denominator ``1/(1 - m)``, for ``deg_q m > 0``, keeps the floor ``f`` and
-  cuts at ``min(c, c0 + f)``, with ``c0`` the cutoff the loop started
-  from: the product with ``geometric(m, c0)``.
+* a numerator ``1 - m`` keeps the window when ``deg_q m >= 0`` and moves
+  floor and cutoff by ``deg_q m`` when it is negative (no move when the
+  coefficient of ``m`` is 0): the window of the general product;
+* a denominator ``1/(1 - m)``, for ``deg_q m > 0``, keeps the window: each
+  layer it writes reads only itself and the layers below it, all exact.
 """
 
 from __future__ import annotations
 
 import json
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .gaussint import Coeff, GaussInt, as_pair, is_unit, unit_inverse, unit_pow
 
@@ -433,27 +433,24 @@ def _add_terms(layers: list, floor: int, terms: Mapping[Key, Coeff], shift: int 
 def _factor_layers(layers: list, floor: int, cutoff: int, num: Iterable[Monomial] = (),
                    den: Iterable[Monomial] = ()) -> tuple[int, int]:
     """``prod_{m in num} (1 - m) / prod_{m in den} (1 - m)`` in place on ``layers``,
-    one ``{(a, b, x): coeff}`` dict per q-degree of the window ``[floor, cutoff)``
-    (``c0`` of the module docstring's rules is this cutoff); returns the new window.
+    one ``{(a, b, x): coeff}`` dict per q-degree of the finite window ``[floor,
+    cutoff)``; returns the new window, by the module docstring's rules.
 
     ``1 - m`` subtracts ``m`` times each layer from the layer ``deg_q m`` away,
     walking so that no layer is read after it is written: top-down for a
     positive degree, bottom-up for a negative one (which first lowers the
-    window by that degree), from a snapshot at degree 0.  ``1/(1 - m)`` adds
-    ``m`` times each layer to the layer ``deg_q m`` above, bottom-up, so each
-    layer is final when read.
+    window by that degree and then drops the layers past its cutoff), from a
+    snapshot at degree 0.  ``1/(1 - m)`` adds ``m`` times each layer to the
+    layer ``deg_q m`` above, bottom-up, so each layer is final when read.
     """
-    top = cutoff
     for inverse, factors in ((False, num), (True, den)):
         for c, da, db, dx, dq in factors:
-            if inverse:
-                cutoff = min(cutoff, top + floor)
-                del layers[cutoff - floor:]
-                walk = range(dq, len(layers)) if c else ()
-            elif not c:
+            if not c:
                 continue
+            if inverse:
+                walk = range(dq, len(layers))
             elif dq < 0:
-                floor, cutoff = floor + dq, _sat_add(cutoff, dq)
+                floor, cutoff = floor + dq, cutoff + dq
                 layers[:0] = [{} for _ in range(-dq)]
                 walk = range(len(layers) + dq)
             else:
@@ -484,29 +481,21 @@ def _pack(layers: list, floor: int, cutoff: int) -> TruncatedSeries:
 
 def _apply_factors(s: TruncatedSeries, num: Iterable[Monomial] = (),
                    den: Iterable[Monomial] = ()) -> TruncatedSeries:
-    """``s prod_{m in num} (1 - m) / prod_{m in den} (1 - m)``, ``s`` unpacked into
-    q-layers once for :func:`_factor_layers`: the general product of ``s`` with
-    the polynomials ``1 - m`` and the series ``geometric(m, s.q_cutoff)``, terms
-    and window, by rules that commute, so the factors may come in any order."""
+    """``s prod_{m in num} (1 - m) / prod_{m in den} (1 - m)`` for ``s`` of finite
+    cutoff, unpacked into q-layers once for :func:`_factor_layers`.  Every
+    coefficient ``s`` holds stays exact, so the factors may come in any order."""
+    if s.q_cutoff >= INF:
+        raise ValueError("a product of factors needs a series with a finite cutoff")
     den = tuple(den)
     if any(m.q <= 0 for m in den):
         raise ValueError("geometric inverse needs a base of positive q-degree")
-    num = tuple(num)
-    floor, cutoff = s.q_floor, s.q_cutoff
-    if cutoff < INF:
-        top = cutoff
-    elif den:
-        raise ValueError("geometric inverse needs a series with a finite cutoff")
-    else:
-        # An exact polynomial: layers up to the highest degree the factors reach.
-        top = max((key[3] for key in s.terms), default=floor) + 1 + sum(max(m.q, 0) for m in num if m.coeff)
-    layers: list[dict] = [{} for _ in range(top - floor)]
-    _add_terms(layers, floor, s.terms)
-    return _pack(layers, *_factor_layers(layers, floor, cutoff, num, den))
+    layers: list[dict] = [{} for _ in range(s.q_cutoff - s.q_floor)]
+    _add_terms(layers, s.q_floor, s.terms)
+    return _pack(layers, *_factor_layers(layers, s.q_floor, s.q_cutoff, num, den))
 
 
 def over_one_minus(s: TruncatedSeries, base: Monomial) -> TruncatedSeries:
-    """``s / (1 - base)`` for a base of positive q-degree: ``s * geometric(base, s.q_cutoff)``."""
+    """``s / (1 - base)`` for a base of positive q-degree, on ``s``'s own window."""
     return _apply_factors(s, (), (base,))
 
 
@@ -515,27 +504,25 @@ def geometric(base: Monomial, q_cutoff: int) -> TruncatedSeries:
     return over_one_minus(TruncatedSeries.one(q_cutoff), base)
 
 
-def _product_factors(bases: Iterable[Monomial], floor: int, cutoff: int, step: int = 1) -> list[Monomial]:
+def _product_factors(bases: Iterable[Monomial], floor: int, cutoff: int, step: int = 1) -> Iterator[Monomial]:
     """The factors ``1 - m q^(j step)`` of ``prod_{m in bases} (m; q^step)_inf`` of q-degree
-    below the window's width, ``cutoff`` less any negative floor; past it they only
-    move terms past the cutoff."""
-    width = cutoff - min(floor, 0)
-    return [Monomial(c, a, b, x, e) for c, a, b, x, q in bases for e in range(q, width, step)]
+    below the window's width ``cutoff - floor``, which no factor changes; past it they
+    only move terms past the cutoff."""
+    return (Monomial(c, a, b, x, e) for c, a, b, x, q in bases for e in range(q, cutoff - floor, step))
 
 
 def qproduct(s: TruncatedSeries, num: tuple[Monomial, ...] = (), den: tuple[Monomial, ...] = (),
              step: int = 1) -> TruncatedSeries:
     """``s * prod_{m in num} (m; q^step)_inf / prod_{m in den} (m; q^step)_inf``.
 
-    The result is truncated at ``s``'s own window.  Numerator bases may have
-    q-degree <= 0 (Laurent factors, as in the triple product); denominator
-    bases need a positive q-degree.  The factors that can reach the window
-    (:func:`_product_factors`) go to one :func:`_apply_factors` pass.
+    The result keeps ``s``'s window, moved down by the Laurent numerators.
+    Numerator bases may have q-degree <= 0 (Laurent factors, as in the triple
+    product); denominator bases need a positive q-degree.  The factors that
+    can reach the window (:func:`_product_factors`) go to one
+    :func:`_apply_factors` pass.
     """
     if step < 1:
         raise ValueError("qproduct needs step >= 1")
-    if s.q_cutoff >= INF:
-        raise ValueError("qproduct needs a series with a finite cutoff")
     return _apply_factors(s, *(_product_factors(bases, s.q_floor, s.q_cutoff, step) for bases in (num, den)))
 
 

@@ -57,6 +57,14 @@ class TestSeriesCommand:
         obj = json.loads(r.stdout)
         assert all(t["a"] == 0 and t["b"] == 0 for t in obj["terms"])
 
+    def test_negative_floor_keeps_the_cutoff(self):
+        # H~ at k 2, i -9 has summand floors down to q^-12; the series holds
+        # every coefficient up to the requested cutoff.
+        r = run("series", "--family", "Htilde", "-k", "2", "-i", "-9", "--cutoff", "12")
+        assert r.returncode == 0, r.stderr
+        obj = json.loads(r.stdout)
+        assert (obj["q_floor"], obj["q_cutoff"]) == (-12, 12)
+
     def test_bad_params_exit_2(self):
         r = run("series", "--family", "R", "-k", "2", "-i", "5", "--cutoff", "6")
         assert r.returncode == 2

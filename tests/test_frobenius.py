@@ -98,6 +98,20 @@ class TestEnumeration:
         for n in range(9):
             assert len(symbols_of(n)) == len(pairs_of(n))
 
+    def test_cached_symbols_are_read_only(self):
+        # symbols_of is cached and shared: no caller can change the symbol a
+        # later one gets, and the lazy rank range still fills in.
+        f = symbols_of(2)[0]
+        for field in ("top", "bottom"):
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(f, field, ((5, False),))
+            with pytest.raises(AttributeError, match="read-only"):
+                delattr(f, field)
+        assert symbols_of(2)[0].weight() == 2
+        fresh = FrobeniusSymbol(f.top, f.bottom)
+        assert fresh._rank_range is None
+        assert fresh._ranks_within(-2, 2) and fresh._rank_range == (-1, -1)
+
     def test_rows_allow_overlined_zero(self):
         rows = rows_of(2, 0)
         assert ((0, True), (0, False)) in rows

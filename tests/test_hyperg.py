@@ -3,6 +3,7 @@ from functools import partial
 from itertools import count, takewhile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qpair.counts import CountTable
 from qpair.gaussint import GaussInt
@@ -155,7 +156,7 @@ class TestAuxiliarySeries:
         for k, i in self.H_SWEEP:
             for c in (1, 2, 5, 9, 13, 17):
                 digest.update(series_H_tilde(k, i, c).to_json().encode())
-        assert digest.hexdigest() == "9bd0e8738b52d643c4fea67253b69ea611899616aa30fc627ee06d192decc19f"
+        assert digest.hexdigest() == "695b02d675215acac37ef18beeb13ac869f7ad681349f3e268d08bcddb8c1c10"
 
     def test_h_sweep_agrees_across_cutoffs(self):
         # Every coefficient a window claims is the one a larger cutoff gives.
@@ -163,6 +164,18 @@ class TestAuxiliarySeries:
             top = series_H_tilde(k, i, 17)
             for c in (1, 2, 5, 9, 13):
                 assert series_H_tilde(k, i, c).first_mismatch(top) is None, (k, i, c)
+
+    def test_h_negative_floors_keep_the_cutoff(self):
+        # Past |i| = k + 1 the summand floors fall below q^0 (to q^-14 at
+        # k 4, |i| 15), and each build still holds every coefficient below
+        # the requested cutoff: the ones a cutoff-24 build gives.
+        for k in (2, 3, 4):
+            for i in (-3 * k - 3, -2 * k - 1, -k - 2, 3 * k + 3):
+                top = series_H_tilde(k, i, 24)
+                for c in (1, 5, 9, 13):
+                    s = series_H_tilde(k, i, c)
+                    assert s.q_cutoff == c and s.q_floor < c, (k, i, c)
+                    assert s.first_mismatch(top) is None, (k, i, c)
 
     def test_h_rejects_nontruncating_parameters(self):
         with pytest.raises(ValueError, match="truncation"):
@@ -435,6 +448,13 @@ class TestBaileyLattice:
         assert multisum_self_conjugate(3, 2, 6).coeff(0, 0, 0, 0) == 1
 
 
+def level_monomials(q_min, q_max):
+    """A unit, 2 or i times a, b and x to degree at most 1 and a q-power: the
+    shapes of a Horner level's polynomial and factors."""
+    return st.builds(mono, st.sampled_from([1, -1, 2, GaussInt(0, 1)]), st.integers(0, 1),
+                     st.integers(0, 1), st.integers(0, 1), st.integers(q_min, q_max))
+
+
 class TestHornerDriver:
     # Euler's two sums and the q-binomial theorem, as level tables against
     # their products: sum x^n q^n / (q)_n = 1/(xq)_inf,
@@ -471,22 +491,22 @@ class TestHornerDriver:
     @staticmethod
     def _summand_at_full_cutoff(levels, n, c):
         # The factors of levels 0 to n, one at a time on the series 1 at
-        # cutoff c (a Laurent numerator shifted back up), times poly_n,
-        # shifted to floor_n.
-        s = TruncatedSeries.one(c)
+        # cutoff c - min(floor_n, 0) (a Laurent numerator shifted back up),
+        # times poly_n, shifted to floor_n: exact below the absolute cutoff c.
+        floor, poly = levels[n][:2]
+        s = TruncatedSeries.one(c - min(floor, 0))
         for _, _, num, den in levels[:n + 1]:
             for m in num:
                 one_minus = TruncatedSeries.poly([mono(1), m._replace(coeff=-m.coeff)])
                 s = (s * one_minus).times_monomial(mono(1, q=max(-m.q, 0)))
             for m in den:
                 s = over_one_minus(s, m)
-        floor, poly = levels[n][:2]
         return (s * poly).times_monomial(mono(1, q=floor))
 
     @pytest.mark.parametrize("floor", [lambda n: n * n - 4 * n, lambda n: n * (n + 1) // 2],
                              ids=["falling", "rising"])
     def test_sum_is_the_full_cutoff_summands(self, floor):
-        # Terms and window are those of the summands built at the full
+        # Terms and window are those of the summands built exactly to the
         # cutoff, also where the floors fall for several levels, so later
         # summands lie below earlier ones (as H~'s do for |i| >= 3k).
         for c in range(1, 13):
@@ -500,8 +520,9 @@ class TestHornerDriver:
 
     def test_fused_close_is_the_product_of_the_sum(self, monkeypatch):
         # Each builder that closes its sum with an infinite product gives the
-        # terms and window of qproduct on the unclosed sum, or the same error
-        # where that window is empty (H~ at large |i| and small cutoffs).
+        # terms and window of qproduct on the unclosed sum.  Both keep the
+        # sum's window, so neither raises, H~ at large |i| and small cutoffs
+        # included; an error on either side would still have to match.
         tables = []
 
         def spy(levels, q_cutoff, close=((), ())):
@@ -536,6 +557,48 @@ class TestHornerDriver:
                     assert got == want, (build, c)
         _R_family.cache_clear()
         hyperg._bilateral.cache_clear()
+
+    @staticmethod
+    def _exact_summand(levels, n, far):
+        # q^floor_n poly_n times the factors of levels 0 to n by general
+        # products, each inverse taken far enough to be exact below ``far``.
+        floor, poly = levels[n][:2]
+        s = poly.times_monomial(mono(1, q=floor))
+        for _, _, num, den in levels[:n + 1]:
+            for m in num:
+                # A Laurent numerator of degree -d stands for q^d (1 - m).
+                s = s * TruncatedSeries.poly([mono(1, q=max(-m.q, 0)),
+                                              m._replace(coeff=-m.coeff, q=max(m.q, 0))])
+            for m in den:
+                one_minus = TruncatedSeries.poly([mono(1), m._replace(coeff=-m.coeff)])
+                s = s * one_minus.invert(far - min(s.q_floor, 0))
+        return s
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-4, 8), st.lists(level_monomials(0, 3), max_size=3),
+                              st.lists(level_monomials(-3, 3), max_size=2),
+                              st.lists(level_monomials(1, 4), max_size=2)),
+                    min_size=1, max_size=4),
+           st.integers(1, 8), st.lists(level_monomials(1, 2), max_size=1),
+           st.lists(level_monomials(1, 2), max_size=1))
+    def test_sum_keeps_every_known_coefficient(self, table, c, close_num, close_den):
+        # A random table, closed or not, against the sum of its summands
+        # built exactly to 12 degrees past the cutoff and closed there.
+        levels = [(floor, TruncatedSeries.poly(monos), tuple(num), tuple(den))
+                  for floor, monos, num, den in table]
+        got = _horner(levels, c, (tuple(close_num), tuple(close_den)))
+        lo = min(floor + poly.q_floor for floor, poly, *_ in levels)
+        assert (got.q_floor, got.q_cutoff) == ((lo, c) if lo < c else (0, c))
+        far = c + 12
+        want = sum((self._exact_summand(levels, n, far) for n in range(len(levels))),
+                   TruncatedSeries.zero(far))
+        for bases, invert in ((close_num, False), (close_den, True)):
+            for m in bases:
+                for e in range(m.q, far - min(want.q_floor, 0)):
+                    factor = TruncatedSeries.poly([mono(1), m._replace(coeff=-m.coeff, q=e)])
+                    want = want * (factor.invert(far - min(want.q_floor, 0)) if invert else factor)
+        assert want.q_cutoff >= far
+        assert got.first_mismatch(want) is None
 
     @pytest.mark.parametrize("floor", [lambda n: n * n - 4 * n, lambda n: n * (n + 1) // 2],
                              ids=["falling", "rising"])
@@ -581,9 +644,8 @@ WINDOW_BUILDERS = {
     "R-x-one": _all(lambda k, i, c: series_R(k, i, c, x_one=True), KI),
     "Rtilde": _all(series_R_tilde, KI),
     "Rtilde-x-one": _all(lambda k, i, c: series_R_tilde(k, i, c, x_one=True), KI),
-    # Below i = -(k + 1) the summand floors dip under 0 and the cutoff
-    # shrinks with them, so a cut-back series has a wider window by design;
-    # the pinned H~(3, -5) output covers that case.
+    # Below i = -(k + 1) the summand floors dip under 0; the pinned
+    # H~(3, -5) output and the negative-floor sweep cover that case.
     "Htilde": _all(series_H_tilde, [(1, i) for i in (-1, 0, 1)]
                    + [(k, i) for k in (2, 3, 4) for i in range(-k - 1, k + 1)]),
     # At small cutoffs H~ with |i| >= 3 has x-degrees above the cutoff,
@@ -641,7 +703,7 @@ PINNED = [
     ("Htilde(2,-1,9)", lambda: series_H_tilde(2, -1, 9),
      "498df1c3162dfa6aa4c7dcd9f1ba3b6c65dab948727279bb917785b1a2d56605"),
     ("Htilde(3,-5,9)", lambda: series_H_tilde(3, -5, 9),
-     "75bbc9eef87b605c481d0ebe744b742b31f1b584f5ff5947f63c963b828f3538"),
+     "d5498ea1426d5c324581568abeec3f35447c666352a2bbfbe40f7aa5c19d339f"),
     ("Jtilde(3,2,9,difference)", lambda: _j_from_h(3, 2, 9),
      "17422304e557a8d627249004dca7f41e83055d1cab16466725efc09defad029a"),
     ("Rbilateral(3,1,9)", lambda: series_R_bilateral(3, 1, 9),

@@ -241,6 +241,25 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             O([(0, False)])
 
+    def test_cached_listings_are_read_only(self):
+        # The pair (1 | ∅) of the cached pairs_of(1) holds the cached
+        # overpartition (1) itself, so a write to either would reach every
+        # later caller; the pair's lazy profile still fills in.
+        one = overpartitions_of(1)[0]
+        [pair] = [p for p in pairs_of(1) if p.lam is one]
+        with pytest.raises(TypeError):
+            one.plain[1] = 3
+        for obj, fields in ((one, ("parts", "plain", "over")), (pair, ("lam", "mu"))):
+            for field in fields:
+                with pytest.raises(AttributeError, match="read-only"):
+                    setattr(obj, field, getattr(obj, field))
+                with pytest.raises(AttributeError, match="read-only"):
+                    delattr(obj, field)
+        assert pair.valuation(1) == 1 and pair.satisfies_frequency_conditions(3, 3)
+        fresh = OverpartitionPair(one, O(()))
+        assert fresh._profile is None
+        assert fresh.satisfies_frequency_conditions(3, 3) and fresh._profile == pair._profile
+
 
 class TestTransferMatrix:
     """The transfer matrix against the tally of the pairs it counts, which

@@ -427,8 +427,7 @@ class TestGeneratingFunctions:
     @pytest.mark.parametrize("even", [False, True])
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_closed_sums_are_the_summand_by_summand_sums(self, k, even):
-        # == compares terms, floor and cutoff; some exponents are negative,
-        # so the windows reach below q^0.
+        # == compares terms, floor and cutoff.
         for q_cutoff in range(1, 17):
             for n_peaks in range(8):
                 for i in range(1, k + 1):
@@ -437,6 +436,25 @@ class TestGeneratingFunctions:
                 for i in range(k):
                     want = reference_gf_gamma_closed(k, i, n_peaks, q_cutoff, even)
                     assert gf_gamma_closed(k, i, n_peaks, q_cutoff, even=even) == want, (i, n_peaks, q_cutoff)
+
+    def test_closed_sum_exponents_are_nonnegative(self, monkeypatch):
+        # _closed_sum builds its row on [0, q_cutoff): every exponent the two
+        # closed forms give it is at least 0, for k 2-8, N < 40, both parities.
+        least = []
+
+        def spy(n_peaks, summands, q_cutoff):
+            least.append(min(e for *_, e in summands))
+            return TruncatedSeries.zero(q_cutoff)
+
+        monkeypatch.setattr(paths, "_closed_sum", spy)
+        for k in range(2, 9):
+            for even in (False, True):
+                for n_peaks in range(1, 40):
+                    for i in range(1, k + 1):
+                        gf_closed(k, i, n_peaks, 1, even=even)
+                    for i in range(k):
+                        gf_gamma_closed(k, i, n_peaks, 1, even=even)
+        assert len(least) == 2 * 39 * sum(2 * k for k in range(2, 9)) and min(least) == 0
 
     @pytest.mark.parametrize("q_cutoff", [1, 6, 12])
     @pytest.mark.parametrize("even", [False, True])

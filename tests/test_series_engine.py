@@ -176,9 +176,9 @@ def binomials(*monomials, cutoff=INF):
 
 class TestPochhammer:
     def test_small_product(self):
-        p = _apply_factors(poly((1,)), (mono(1, q=1), mono(1, q=2)))
+        p = _apply_factors(TruncatedSeries.one(10), (mono(1, q=1), mono(1, q=2)))
         assert p.terms == {(0, 0, 0, 0): 1, (0, 0, 0, 1): -1, (0, 0, 0, 2): -1, (0, 0, 0, 3): 1}
-        assert p == binomials(mono(1, q=1), mono(1, q=2))
+        assert p == binomials(mono(1, q=1), mono(1, q=2), cutoff=10)
 
     def test_empty_product(self):
         assert qproduct(TruncatedSeries.one(5), (mono(1, a=2, q=5),)).terms == {(0, 0, 0, 0): 1}
@@ -215,19 +215,19 @@ class TestPochhammer:
 
 def reference_qproduct(s, num, den, step):
     """Base by base, factor by factor: each (1 - m q^e) as a binomial and each
-    inverse by ``invert``, for every e below the window's width (the cutoff
-    less any negative floor), where a factor can reach the window.  The
-    numerators go one step further, which only moves terms past the cutoff;
-    a denominator there would still cut the window."""
-    cutoff = s.q_cutoff
-    width = cutoff - min(s.q_floor, 0)
+    inverse by ``invert``, for every e below the cutoff less any negative
+    floor, past which a factor cannot reach the window.  The numerators go
+    one step further, which only moves terms past the cutoff.  Each inverse
+    is taken to that same width, so the general product keeps the whole
+    window."""
+    width = s.q_cutoff - min(s.q_floor, 0)
     out = s
     for m in num:
         for e in range(m.q, width + step, step):
             out = out * poly((1,), (-m.coeff, m.a, m.b, m.x, e))
     for m in den:
         for e in range(m.q, width, step):
-            out = out * poly((1,), (-m.coeff, m.a, m.b, m.x, e)).invert(cutoff)
+            out = out * poly((1,), (-m.coeff, m.a, m.b, m.x, e)).invert(width)
     return out
 
 
@@ -527,7 +527,8 @@ class TestSparseFactorKernels:
     @settings(max_examples=300, deadline=None)
     @given(windowed_series, kernel_bases(q_min=1))
     def test_over_one_minus_is_the_product(self, s, base):
-        want = s * geometric(base, s.q_cutoff)
+        # The geometric series long enough to cover the whole window.
+        want = s * geometric(base, s.q_cutoff - min(s.q_floor, 0))
         got = over_one_minus(s, base)
         assert same_window(got, want)
         assert got == want
@@ -571,11 +572,11 @@ class TestSparseFactorKernels:
         assert (got.q_floor, got.q_cutoff) == (-2, 4)
         assert got == s * one_minus(mono(GaussInt(0, 1), b=1, q=-2))
 
-    def test_negative_floor_shrinks_the_inverse_window(self):
+    def test_negative_floor_keeps_the_inverse_window(self):
         s = ts((1, 0, 0, 0, -2), (1,), cutoff=7)
         got = over_one_minus(s, mono(-1, a=1, q=1))
-        assert (got.q_floor, got.q_cutoff) == (-2, 5)
-        assert got == s * geometric(mono(-1, a=1, q=1), 7)
+        assert (got.q_floor, got.q_cutoff) == (-2, 7)
+        assert got == s * geometric(mono(-1, a=1, q=1), 9)
 
     def test_cancellation_leaves_no_zero_terms(self):
         s = ts((1,), (-1, 0, 0, 0, 1), cutoff=9)  # 1 - q
@@ -585,3 +586,30 @@ class TestSparseFactorKernels:
     def test_rejects_bases_that_do_not_raise_q(self):
         with pytest.raises(ValueError, match="positive q-degree"):
             over_one_minus(TruncatedSeries.one(5), mono(1, a=1))
+
+
+class TestExactWindows:
+    """Every coefficient a product of factors claims is the one the uncut
+    series gives: the same factors on the series cut 20 degrees higher agree
+    on the whole claimed window."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(small_monomials(q_min=-3, q_max=12), max_size=8), st.integers(-2, 10),
+           st.lists(small_monomials(st.one_of(unit, small_coeff, st.just(0)), q_min=-3, q_max=5),
+                    max_size=3),
+           st.lists(kernel_bases(q_min=1), max_size=3))
+    def test_apply_factors_keeps_every_known_coefficient(self, monos, c, num, den):
+        p = TruncatedSeries.poly(monos)
+        cut = p.truncated(c)
+        got = _apply_factors(cut, num, den)
+        shift = sum(m.q for m in num if m.coeff and m.q < 0)
+        assert (got.q_floor, got.q_cutoff) == (cut.q_floor + shift, c + shift)
+        far = _apply_factors(p.truncated(c + 20), num, den)
+        assert far.q_cutoff == got.q_cutoff + 20
+        assert got.first_mismatch(far) is None
+
+    def test_exact_polynomials_are_refused(self):
+        for build in (lambda: _apply_factors(poly((1,)), (mono(1, q=1),)),
+                      lambda: qproduct(poly((1,)), (mono(1, q=1),))):
+            with pytest.raises(ValueError, match="finite cutoff"):
+                build()
