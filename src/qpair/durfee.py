@@ -9,9 +9,9 @@ families.
 Both families are decided row by row, each through the conjugated
 associated partition of a row: admissibility reads only the bottom row, and
 self-conjugacy compares a region of the top row with one of the bottom row.
-So their count tables list the bottom partitions once for both tables and
-form no row: the tops that a bottom pairs with, and the marks of both rows,
-are factors of count rows (:func:`qpair.counts.shift_add`).  The symbol streams serve the listings and are the
+So their count tables list the bottom partitions once for both tables of
+every i and form no row: the tops that a bottom pairs with, and the marks
+of both rows, are factors of count rows (:func:`qpair.counts.shift_add`).  The symbol streams serve the listings and are the
 reference the tables are tested against.
 """
 
@@ -65,12 +65,6 @@ def durfee_squares(parts: Partition) -> tuple[int, ...]:
     return tuple(sizes)
 
 
-def successive_sizes(parts, count: int) -> tuple[int, ...]:
-    """The first ``count`` successive Durfee square sizes, zero-padded."""
-    sizes = durfee_squares(parts)
-    return (sizes + (0,) * count)[:count]
-
-
 def _remove_parts(parts: Partition, removals) -> Partition | None:
     """Remove one occurrence of each requested value (zeros are free).
 
@@ -84,24 +78,48 @@ def _remove_parts(parts: Partition, removals) -> Partition | None:
     return parts if len(out) == len(parts) else tuple(out)
 
 
-def _square_tuples(n2_max: int, depth: int):
-    """Weakly decreasing tuples (n2 >= ... >= n_{k-1} >= 0) of given depth."""
-    if depth == 0:
+def successive_sizes(parts: Partition, count: int) -> tuple[int, ...]:
+    """The first ``count`` successive Durfee square sizes, zero-padded,
+    peeled afresh: the Durfee tables ask this of partitions that no later
+    call meets, which the cache of :func:`durfee_squares` would keep."""
+    sizes = []
+    top = 0
+    for _ in range(count):
+        d = 0
+        while top + d < len(parts) and parts[top + d] > d:
+            d += 1
+        sizes.append(d)
+        top += d
+    return tuple(sizes)
+
+
+def _short_tuples(tops: tuple[int, ...], slack: int, cap: int):
+    """Weakly decreasing tuples (n_1 >= n_2 >= ... >= 0), n_1 <= cap, with
+    n_j <= tops[j] and a total shortfall sum(tops) - sum(n) of at most
+    ``slack``, in descending lexicographic order."""
+    if not tops:
         yield ()
         return
-    for first in range(n2_max, -1, -1):
-        for rest in _square_tuples(first, depth - 1):
+    top = tops[0]
+    for first in range(min(cap, top), max(top - slack, 0) - 1, -1):
+        for rest in _short_tuples(tops[1:], slack - (top - first), first):
             yield (first,) + rest
 
 
 @lru_cache(maxsize=None)
-def _insertions(n1: int, k: int, i: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Each candidate square tuple with the part sizes the (k, i) family
-    inserts under it (the 0th square size is the column count n1)."""
+def _window(sizes: tuple[int, ...], length: int, k: int,
+            i: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The square tuples that can leave a residue of a bottom partition
+    whose first k-2 successive square sizes are ``sizes`` and whose row has
+    ``length`` entries (the column count n_1), each with the part sizes the
+    (k, i) family inserts under it, in descending order: the tuples that
+    fall short of ``sizes`` by no more than the nonzero parts they remove
+    (see :func:`_reduction`)."""
     out = []
-    for tup in _square_tuples(n1, k - 2):
-        removals = tup[max(i, 2) - 2: k - 1]
-        out.append((tup, removals + (n1,) if i == 1 else removals))
+    for tup in _short_tuples(sizes, k - 1 if i == 1 else k - i, length):
+        removals = tup[max(i, 2) - 2:] + ((length,) if i == 1 else ())
+        if sum(sizes) - sum(tup) <= sum(1 for v in removals if v):
+            out.append((tup, removals))
     return tuple(out)
 
 
@@ -118,21 +136,44 @@ def _row_with_lam_prime(row: Row, lam_p: Partition) -> Row:
     return joichi_stanton_inverse(assoc, row_split(row)[1])
 
 
-def _reduction(lam2p: Partition, length: int, k: int, i: int) -> Partition | None:
+def _reduction(lam2p: Partition, sizes: tuple[int, ...], length: int, k: int,
+               i: int) -> Partition | None:
     """The partition the (k, i) family reduces a bottom row of ``length``
     entries and conjugated associated partition lam2p to, or None.
 
-    Remove the would-be inserted parts of a candidate square-size tuple from
-    lam2p; the residue counts when its first k-2 successive squares
-    reproduce the tuple.  The first such residue is returned.  At k <= 5 no
-    lam2p of size w with parts <= L has two when L + w <= 20 (the ``--deep``
-    grid); ``tests/test_durfee.py`` checks this and compares both predicates
-    with a reference that tries every tuple.  Not cached: the Durfee tables
-    ask for each (lam2p, length) once per (k, i).
+    ``sizes`` holds the first k-2 successive square sizes of lam2p, numbered
+    s_2, ..., s_{k-1} like the candidate tuples (n_2, ..., n_{k-1}), whose
+    size n_1 is the column count.  Remove the would-be inserted parts of a
+    candidate tuple from lam2p; the residue nu counts when its first k-2
+    successive squares reproduce the tuple.  The first such residue in
+    descending tuple order is returned.  Only the tuples of :func:`_window`
+    are tried: n_j <= s_j, and sum_j (s_j - n_j) <= r, the number of
+    nonzero parts the tuple removes, so s_j - r <= n_j <= s_j.  No other
+    tuple can leave a residue:
+
+    *Removing one positive part from a partition lowers exactly one of its
+    zero-padded successive square sizes by 1 and keeps the others.*  Let d
+    be the first size, so lam_d >= d >= lam_{d+1}, and remove the part at
+    position p.  If p > d, the first d parts stay, and so does d; the rest
+    lam_{d+1}, lam_{d+2}, ... loses one part.  If p <= d and lam_{d+1} = d,
+    the d-th part is now lam_{d+1} = d, so d stays, and the rest loses its
+    first part.  If p <= d and lam_{d+1} < d, the first size falls to d - 1
+    (the (d-1)st part is lam_d >= d, the d-th lam_{d+1} < d), and the rest
+    begins, as before, at lam_{d+1}: it is unchanged.  Peeling the next
+    squares off the rest proves the claim by induction.
+
+    So nu, lam2p less r positive parts, has s_j(nu) <= s_j and
+    sum_j (s_j - s_j(nu)) = r over all its squares, hence at most r over
+    j <= k-1, and a residue has s_j(nu) = n_j for j <= k-1.  At k <= 5 no
+    lam2p of size w with parts <= L has two residues when L + w <= 20 (the
+    ``--deep`` grid); ``tests/test_durfee.py`` checks this, and that the
+    window returns what the search over every tuple returns.  Not cached:
+    the Durfee tables ask for each (lam2p, length) once per (k, i).
     """
-    for tup, removals in _insertions(length, k, i):
+    for tup, removals in _window(sizes, length, k, i):
         nu = _remove_parts(lam2p, removals)
-        if nu is not None and successive_sizes(nu, k - 2) == tup:
+        # With nothing removed, the window holds only ``sizes`` itself.
+        if nu is lam2p or nu is not None and successive_sizes(nu, k - 2) == tup:
             return nu
     return None
 
@@ -141,12 +182,13 @@ def _reduction(lam2p: Partition, length: int, k: int, i: int) -> Partition | Non
 def _row_reduction(row: Row, k: int, i: int) -> Partition | None:
     """:func:`_reduction` of a bottom row, cached by row for the predicates,
     which the symbol streams ask about every symbol sharing that row."""
-    return _reduction(_lam_prime(row), len(row), k, i)
+    lam = _lam_prime(row)
+    return _reduction(lam, successive_sizes(lam, k - 2), len(row), k, i)
 
 
 def _admissible(nu: Partition | None, k: int) -> bool:
     """Whether a bottom row with this reduction is (k, i)-admissible."""
-    return nu is not None and len(durfee_squares(nu)) <= k - 2
+    return nu is not None and not successive_sizes(nu, k - 1)[-1]
 
 
 def is_ki_admissible(f: FrobeniusSymbol, k: int, i: int) -> bool:
@@ -187,10 +229,10 @@ def _bottom_region(lam2p: Partition, k: int) -> tuple[int | None, Partition] | N
     (k-2)nd square's size, or None for k = 2, where G1 is all of lam1p."""
     if k == 2:
         return None, lam2p
-    sizes = durfee_squares(lam2p)
-    if len(sizes) < k - 2:
+    sizes = successive_sizes(lam2p, k - 2)
+    if not sizes[-1]:
         return None
-    return sizes[k - 3], lam2p[sum(sizes[: k - 2]):]
+    return sizes[-1], lam2p[sum(sizes):]
 
 
 def k_conjugate(f: FrobeniusSymbol, k: int) -> FrobeniusSymbol:
@@ -245,7 +287,7 @@ def count_admissible(k: int, i: int, n_max: int, bound: int | None = None) -> Co
     """
     check_bound(n_max, bound)
     check_ki(k, i)
-    return _durfee_tables(k, i, n_max)[0]
+    return _durfee_tables(k, n_max)[i - 1][0]
 
 
 def count_self_conjugate(k: int, i: int, n_max: int, bound: int | None = None) -> CountTable:
@@ -258,13 +300,14 @@ def count_self_conjugate(k: int, i: int, n_max: int, bound: int | None = None) -
     """
     check_bound(n_max, bound)
     check_ki(k, i)
-    return _durfee_tables(k, i, n_max)[1]
+    return _durfee_tables(k, n_max)[i - 1][1]
 
 
 @lru_cache(maxsize=None)
-def _durfee_tables(k: int, i: int, n_max: int) -> tuple[CountTable, CountTable]:
-    """The D and D~ tables, built together once per process: a CountTable
-    is read-only, and the four-way and bailey suites share them.
+def _durfee_tables(k: int, n_max: int) -> tuple[tuple[CountTable, CountTable], ...]:
+    """The D and D~ tables of i = 1 .. k, built together once per process:
+    a CountTable is read-only, and the four-way and bailey suites share
+    them.
 
     By :func:`row_split` the rows of length L are the pairs of a partition
     lam' with parts <= L, the conjugated associated partition, and a set of
@@ -275,41 +318,48 @@ def _durfee_tables(k: int, i: int, n_max: int) -> tuple[CountTable, CountTable]:
     is filed under the cut at weight |lam'| + |G|, and its tops add
     1/prod_{cut<j<=L} (1 - q^j): cut 0 for every top (an admissible bottom
     in D, a D~ bottom whose conjugation is the identity), else the
-    (k-2)nd square's size, or L for k = 2, with G = G2.  Each bottom lam'
-    is listed and reduced once for both tables, and no top is listed.
+    (k-2)nd square's size, or L for k = 2, with G = G2.  The residue nu is
+    admissible exactly when G2 is empty or the conjugation is the identity.
+    Each bottom lam' is listed, and its first k-2 square sizes peeled, once
+    for every i; it is reduced once per i for both tables, and no top is
+    listed.
     """
     size = n_max + 1
     a, b, ab = (cell_shift(ds, dt, n_max) for ds, dt in ((1, 0), (0, 1), (1, 1)))
-    totals = ([0] * size, [0] * size)
+    totals = [([0] * size, [0] * size) for _ in range(k)]
     marks = [1] + [0] * n_max
     for length in range(size):
         room = size - length
         del marks[room:]
-        # Each table's bottoms by cut, each a list of counts by weight.
-        admissible, self_conjugate = ([[0] * room for _ in range(length + 1)] for _ in range(2))
+        # Per i, each table's bottoms by cut, each a list of counts by weight.
+        filed = [tuple([[0] * room for _ in range(length + 1)] for _ in range(2)) for _ in range(k)]
         for weight in range(room):
             for lam in partitions(weight, length):
-                nu = _reduction(lam, length, k, i)
-                if nu is None:
-                    continue
-                if _admissible(nu, k):
-                    admissible[0][weight] += 1
-                region = _bottom_region(nu, k)
-                if region is None:
-                    self_conjugate[0][weight] += 1
-                    continue
-                cut, g2 = region
-                if (filed := weight + sum(g2)) < room:
-                    self_conjugate[length if cut is None else cut][filed] += 1
-        for total, by_cut in zip(totals, (admissible, self_conjugate)):
-            for w, c in enumerate(_pairs(by_cut, room)):
-                if c:
-                    shift_add(total, [c * cell for cell in marks], 0, length + w)
+                sizes = successive_sizes(lam, k - 2)
+                for i, (admissible, self_conjugate) in enumerate(filed, 1):
+                    nu = _reduction(lam, sizes, length, k, i)
+                    if nu is None:
+                        continue
+                    region = _bottom_region(nu, k)
+                    if region is None:
+                        admissible[0][weight] += 1
+                        self_conjugate[0][weight] += 1
+                        continue
+                    cut, g2 = region
+                    if not g2:
+                        admissible[0][weight] += 1
+                    if (at := weight + sum(g2)) < room:
+                        self_conjugate[length if cut is None else cut][at] += 1
+        for pair, by_cuts in zip(totals, filed):
+            for total, by_cut in zip(pair, by_cuts):
+                for w, c in enumerate(_pairs(by_cut, room)):
+                    if c:
+                        shift_add(total, [c * cell for cell in marks], 0, length + w)
         following = [0] * room
         for shift, dn in ((ab, 0), (a, length), (b, length), (0, 2 * length)):
             shift_add(following, marks, shift, dn)
         marks = following
-    return tuple(CountTable.from_rows(total, n_max) for total in totals)
+    return tuple(tuple(CountTable.from_rows(total, n_max) for total in pair) for pair in totals)
 
 
 def _pairs(by_cut: list[list[int]], room: int) -> list[int]:

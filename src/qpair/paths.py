@@ -275,19 +275,12 @@ def count_paths(k: int, i: int, n_max: int, even: bool = False,
     """Table of path counts by (marked-a, marked-b, major index), counted
     without building any path.
 
-    How a prefix can be completed depends only on its (x, y, last step), on
-    (u - v + i - 1) mod 2 for the even conditions, and on the major index it
-    has left to spend.  So the walk of :func:`_paths_up_to` is memoised on
-    those, each state giving the count row (:func:`qpair.counts.shift_add`)
-    of its completions: it steps by :func:`_step` from a prefix whose u, v,
-    East parity, statistics and peaks are reset, and reads what a step adds
-    from the new statistics and the peak it records.  With i - 1 folded into
-    the parity no state depends on i, so one memo of :func:`_walk_rows`
-    serves the starts (0, k - i) of every i.  A state's steps do not depend
-    on the major index left, so a second memo tables them once per
-    (x, y, last step, parity): the least major index a completion adds (the
-    bound of :func:`_least_major`), the major index, the cell shift and the
-    next state.
+    How a prefix can be completed depends only on its walk state (x, y,
+    last step), with (u - v + i - 1) mod 2 for the even conditions, so
+    :func:`_walk_rows` gives each state one count row
+    (:func:`qpair.counts.shift_add`) of its completions by the major index
+    they add.  With i - 1 folded into the parity no state depends on i, and
+    one walk serves the starts (0, k - i) of every i.
     """
     check_bound(n_max, bound)
     check_ki(k, i)
@@ -296,45 +289,87 @@ def count_paths(k: int, i: int, n_max: int, even: bool = False,
 
 @lru_cache(maxsize=None)
 def _walk_rows(k: int, even: bool, n_max: int) -> tuple[tuple[int, ...], ...]:
-    """The count rows of :func:`count_paths` for i = 1 .. k."""
+    """The count rows of :func:`count_paths` for i = 1 .. k: the rows of
+    the starts in :func:`_state_rows`."""
+    rows = _state_rows(k, even, n_max)
+    return tuple(tuple(rows[_start_state(k, i, even)]) for i in range(1, k + 1))
 
-    @lru_cache(maxsize=None)
-    def steps_from(x: int, y: int, last, odd: int) -> tuple[tuple, ...]:
-        """(least major index, major index, cell shift, next state) of each
-        step a walk keeps from the state."""
-        out = []
-        prefix = (x, y, last, False, odd, 0) + _start(y)[6:]
-        for step, mark in _AT_PEAK if last == NE else _OFF_PEAK:
-            extended = _step(prefix, step, mark)
-            least = _least_major(extended, step, k)
-            if least is None:
+
+def _start_state(k: int, i: int, even: bool) -> tuple:
+    """The walk state of the empty (k, i)-path prefix."""
+    return (0, k - i, None, (i - 1) % 2 if even else 0)
+
+
+def _state_steps(state: tuple, k: int, even: bool, n_max: int) -> list[tuple]:
+    """(least major index, major index, cell shift, next state) of each step
+    a (k, i)-walk keeps from ``state``.  It steps by :func:`_step` from a
+    prefix whose u, v, East parity, statistics and peaks are reset, and reads
+    what the step adds from the new statistics and the peak it records; the
+    least major index is the bound of :func:`_least_major`."""
+    x, y, last, odd = state
+    out = []
+    prefix = (x, y, last, False, odd, 0) + _start(y)[6:]
+    for step, mark in _AT_PEAK if last == NE else _OFF_PEAK:
+        extended = _step(prefix, step, mark)
+        least = _least_major(extended, step, k)
+        if least is None:
+            continue
+        peaks = extended[7]
+        # The peak's u holds u - v + i - 1: the parity test of i = 1.
+        if even and peaks and _breaks_parity(peaks[0], k, 1):
+            continue
+        major, ds, dt, _top = extended[6]
+        odd_next = (extended[4] - extended[5]) % 2 if even else 0
+        out.append((least, major, cell_shift(ds, dt, n_max),
+                    (extended[0], extended[1], step, odd_next)))
+    return out
+
+
+def _state_rows(k: int, even: bool, n_max: int) -> dict[tuple, list[int]]:
+    """Each walk state's count row of completions, up to the major index it
+    has left: the cells 0 .. n_max - spent, where spent is the least major
+    index a walk from a start (0, k - i) spends to reach the state.
+
+    No step whose least major index exceeds b adds anything at or below b,
+    so the completions within a budget b are the first b + 1 cells of the
+    row; a state needs no more than it can have left.  A label-correcting
+    pass over the step table (:func:`_state_steps`) finds the states and
+    their spent, keeping a step when spent + least <= n_max.  The rows are
+    then filled weight by weight, and within one weight in decreasing x:
+    the steps that add major index 0 (NE, SE off a peak, E) all raise x,
+    and every other step leaves a peak at x >= 1, so each cell reads only
+    cells already final.
+    """
+    starts = [_start_state(k, i, even) for i in range(1, k + 1)]
+    spent = dict.fromkeys(starts, 0)
+    steps: dict[tuple, list[tuple]] = {}
+    todo = list(starts)
+    while todo:
+        state = todo.pop()
+        if state not in steps:
+            steps[state] = _state_steps(state, k, even, n_max)
+        here = spent[state]
+        for least, major, _shift, nxt in steps[state]:
+            if here + least <= n_max and here + major < spent.get(nxt, n_max + 1):
+                spent[nxt] = here + major
+                todo.append(nxt)
+    rows: dict[tuple, list[int]] = {state: [] for state in spent}
+    plan = []
+    for state in sorted(spent, key=lambda state: -state[0]):
+        room = n_max - spent[state]
+        moves = [(least, major, shift, rows[nxt]) for least, major, shift, nxt in steps[state]
+                 if least <= room]
+        plan.append((room, rows[state], int(state[1] == 0 and state[2] != E), moves))
+    for n in range(n_max + 1):
+        for room, row, ends, moves in plan:
+            if n > room:
                 continue
-            peaks = extended[7]
-            # The peak's u holds u - v + i - 1: the parity test of i = 1.
-            if even and peaks and _breaks_parity(peaks[0], k, 1):
-                continue
-            major, ds, dt, _top = extended[6]
-            odd_next = (extended[4] - extended[5]) % 2 if even else 0
-            out.append((least, major, cell_shift(ds, dt, n_max),
-                        (extended[0], extended[1], step, odd_next)))
-        return tuple(out)
-
-    @lru_cache(maxsize=None)
-    def completions(x: int, y: int, last, odd: int, budget: int) -> list[int]:
-        out = [int(y == 0 and last != E)] + [0] * budget
-        for least, major, shift, state in steps_from(x, y, last, odd):
-            if least <= budget:
-                for n, cell in enumerate(completions(*state, budget - major), major):
-                    if cell:
-                        out[n] += cell << shift
-        return out
-
-    try:
-        return tuple(tuple(completions(0, k - i, None, (i - 1) % 2 if even else 0, n_max))
-                     for i in range(1, k + 1))
-    finally:  # completions refers to itself: a cycle that would keep both memos past the call.
-        completions.cache_clear()
-        steps_from.cache_clear()
+            cell = ends if n == 0 else 0
+            for least, major, shift, rest in moves:
+                if least <= n and (c := rest[n - major]):
+                    cell += c << shift
+            row.append(cell)
+    return rows
 
 
 # ------------------------------------------------------------------ bijection

@@ -23,7 +23,7 @@ from qpair.durfee import (
     successive_sizes,
 )
 from qpair.counts import BoundExceededError, tally
-from qpair.durfee import _remove_parts, _square_tuples
+from qpair.durfee import _reduction, _remove_parts
 from qpair.frobenius import (
     FrobeniusSymbol,
     _plain_count,
@@ -196,9 +196,30 @@ def ref_k_conjugate(top, bottom, k):
     return ref_with_lam_prime(top, new1p), ref_with_lam_prime(bottom, new2p)
 
 
+def ref_square_tuples(n2_max, depth):
+    """Weakly decreasing tuples (n2 >= ... >= n_{k-1} >= 0) of given depth,
+    in descending lexicographic order."""
+    if depth == 0:
+        yield ()
+        return
+    for first in range(n2_max, -1, -1):
+        for rest in ref_square_tuples(first, depth - 1):
+            yield (first,) + rest
+
+
 def ref_insertions(n1, k, i):
-    for tup in _square_tuples(n1, k - 2):
+    for tup in ref_square_tuples(n1, k - 2):
         yield tup, list(tup[max(i, 2) - 2: k - 1]) + ([n1] if i == 1 else [])
+
+
+def ref_reduction(lam2p, length, k, i):
+    """The reduction by a search over every square tuple: the first tuple in
+    descending order whose removals leave a residue reproducing it."""
+    for tup, removals in ref_insertions(length, k, i):
+        nu = _remove_parts(lam2p, removals)
+        if nu is not None and ref_sizes(nu, k - 2) == tup:
+            return nu
+    return None
 
 
 def ref_admissible(bottom, k, i):
@@ -302,23 +323,31 @@ class TestCachedLayerOracle:
         assert calls, "the spies see the predicates, which read rows"
 
     def test_tables_reduce_each_bottom_partition_once(self, monkeypatch):
-        # D and D~ of one (k, i) share one pass over the bottom partitions
-        # lam' of each row length L, and list no top partition.
-        calls = []
-        reduction = durfee._reduction
-        monkeypatch.setattr(durfee, "_reduction", lambda lam, length, k, i:
-                            calls.append((lam, length)) or reduction(lam, length, k, i))
+        # D and D~ of every i share one listing of the bottom partitions
+        # lam' of each row length L, which reduces each once per i, and
+        # list no top partition.
+        listed, reduced = [], []
+        listing, reduction = durfee.partitions, durfee._reduction
+        monkeypatch.setattr(durfee, "partitions", lambda size, length:
+                            listed.append((size, length)) or listing(size, length))
+        monkeypatch.setattr(durfee, "_reduction", lambda lam, sizes, length, k, i:
+                            reduced.append((lam, length, i)) or reduction(lam, sizes, length, k, i))
         durfee._durfee_tables.cache_clear()
-        count_admissible(3, 2, 12)
-        count_self_conjugate(3, 2, 12)
-        listed = [(lam, length) for length in range(13)
-                  for size in range(13 - length) for lam in partitions(size, length)]
-        assert sorted(calls) == sorted(listed)
+        for i in (1, 2, 3):
+            count_admissible(3, i, 12)
+            count_self_conjugate(3, i, 12)
+        assert sorted(listed) == [(size, length) for size in range(13) for length in range(13 - size)]
+        bottoms = [(lam, length) for length in range(13)
+                   for size in range(13 - length) for lam in partitions(size, length)]
+        assert sorted(reduced) == sorted((lam, length, i) for lam, length in bottoms for i in (1, 2, 3))
 
     def test_tables_leave_no_reductions_behind(self):
         # Each (partition, length) is reduced for one table and not kept: a
-        # process-wide cache of the reductions held 2.96 MB here.
+        # process-wide cache of the reductions held 2.96 MB here, and the
+        # residues once filled the cache of durfee_squares (37,338 entries,
+        # about 12 MB, after D at k 2-3 and n 40).
         durfee._durfee_tables.cache_clear()
+        durfee_squares.cache_clear()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -326,12 +355,27 @@ class TestCachedLayerOracle:
                 for i in range(1, k + 1):
                     count_admissible(k, i, 20, bound=20)
                     count_self_conjugate(k, i, 20, bound=20)
+            assert durfee_squares.cache_info().currsize == 0
             durfee._durfee_tables.cache_clear()
             gc.collect()  # also empties the free lists, which keep freed tuples
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         assert held < 1_000_000
+
+    def test_window_finds_what_the_full_search_finds(self):
+        # _reduction tries only the square tuples of its window; on every
+        # bottom row of a symbol of weight <= 20 it returns the residue, or
+        # None, of the search over every tuple.
+        for length in range(21):
+            lams = [lam for size in range(21 - length) for lam in partitions(size, length)]
+            for k in (2, 3, 4, 5):
+                for lam2p in lams:
+                    sizes = successive_sizes(lam2p, k - 2)
+                    assert sizes == ref_sizes(lam2p, k - 2)
+                    for i in range(1, k + 1):
+                        assert _reduction(lam2p, sizes, length, k, i) == ref_reduction(lam2p, length, k, i), \
+                            (lam2p, length, k, i)
 
     def test_at_most_one_tuple_leaves_a_residue(self):
         # _reduction returns the first residue it finds.  No conjugated

@@ -179,13 +179,13 @@ class TestEnumeration:
 
 
 class TestMemoisedWalk:
-    """The memoised walk against the tally of the paths it counts, which
-    ties the E tables to the objects."""
+    """The walk's count rows against the tally of the paths it counts, which
+    ties the E tables to the objects, and against the stepwise walk."""
 
     @pytest.mark.parametrize("even", [False, True])
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_equals_tally_of_the_stream(self, k, even):
-        # At k 6 six starts share one memo; the tally stops at weight 8 there.
+        # At k 6 six starts share one walk; the tally stops at weight 8 there.
         for i in range(1, k + 1):
             for n in (0, 1, 5, 8) if k == 6 else (0, 1, 5, 10):
                 want = tally(paths_up_to(k, i, n, even), n)
@@ -209,12 +209,26 @@ class TestMemoisedWalk:
         for n in range(17):
             assert paths._walk_rows(k, even, n) == reference_walk_rows(k, even, n), n
 
+    @pytest.mark.parametrize("even", [False, True])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_each_budget_is_a_prefix_of_the_state_row(self, k, even):
+        # The reference's completions of a state within budget b are the
+        # first b + 1 cells of the state's one row, which is as long as the
+        # largest budget the reference visits the state with.
+        for n in range(17):
+            visited = reference_completions(k, even, n)
+            rows = paths._state_rows(k, even, n)
+            longest = {}
+            for (*state, budget), want in visited.items():
+                assert rows[tuple(state)][:budget + 1] == want, (n, state, budget)
+                longest[tuple(state)] = max(longest.get(tuple(state), 0), budget + 1)
+            assert {state: len(row) for state, row in rows.items()} == longest, n
+
     def test_memo_does_not_outlive_the_call(self):
-        # The memo refers to itself; with the cycle collector off, a memo
-        # kept after the call held 3.7 MB here.  The rows are cached per
-        # (k, parity, n_max), so the walk is built afresh.  Both memos of
-        # the walk, the completions and the step table of each state, are
-        # left empty: the cycle keeps them alive until it is collected.
+        # With the cycle collector off, a memo of the walk that referred to
+        # itself held 3.7 MB after this call.  The rows are cached per
+        # (k, parity, n_max), so the walk is built afresh, and all it may
+        # keep is the rows of the starts.
         paths._walk_rows.cache_clear()
         gc.disable()
         tracemalloc.start()
@@ -222,19 +236,15 @@ class TestMemoisedWalk:
             before = tracemalloc.get_traced_memory()[0]
             count_paths(3, 2, 16, bound=16)
             held = tracemalloc.get_traced_memory()[0] - before
-            memos = [obj for obj in gc.get_objects() if type(obj) is type(paths._walk_rows)
-                     and obj.__qualname__.startswith("_walk_rows.<locals>.")]
         finally:
             tracemalloc.stop()
             gc.enable()
         assert held < 1_000_000
-        assert {memo.__name__ for memo in memos} == {"completions", "steps_from"}
-        assert all(memo.cache_info().currsize == 0 for memo in memos)
 
 
-def reference_walk_rows(k, even, n_max):
-    """The count rows of the memoised walk with every step taken afresh for
-    each major index left to spend."""
+def reference_completions(k, even, n_max):
+    """The completions of each (state, budget) the stepwise walk visits,
+    with every step taken afresh for each major index left to spend."""
 
     @lru_cache(maxsize=None)
     def completions(x, y, last, odd, budget):
@@ -254,9 +264,19 @@ def reference_walk_rows(k, even, n_max):
             odd_next = (extended[4] - extended[5]) % 2 if even else 0
             rest = completions(extended[0], extended[1], step, odd_next, budget - major)
             shift_add(out, rest, cell_shift(ds, dt, n_max), major)
+        memo[x, y, last, odd, budget] = out
         return out
 
-    return tuple(tuple(completions(0, k - i, None, (i - 1) % 2 if even else 0, n_max))
+    memo = {}
+    for i in range(1, k + 1):
+        completions(0, k - i, None, (i - 1) % 2 if even else 0, n_max)
+    return memo
+
+
+def reference_walk_rows(k, even, n_max):
+    """The count rows of the start states in :func:`reference_completions`."""
+    memo = reference_completions(k, even, n_max)
+    return tuple(tuple(memo[0, k - i, None, (i - 1) % 2 if even else 0, n_max])
                  for i in range(1, k + 1))
 
 
