@@ -53,18 +53,6 @@ def durfee_size(parts) -> int:
     return d
 
 
-@lru_cache(maxsize=None)
-def durfee_squares(parts: Partition) -> tuple[int, ...]:
-    """Sizes of the successive Durfee squares, peeled until nothing remains."""
-    rest = tuple(int(p) for p in parts if p > 0)
-    sizes = []
-    while rest:
-        d = durfee_size(rest)
-        sizes.append(d)
-        rest = rest[d:]
-    return tuple(sizes)
-
-
 def _remove_parts(parts: Partition, removals) -> Partition | None:
     """Remove one occurrence of each requested value (zeros are free).
 
@@ -79,9 +67,11 @@ def _remove_parts(parts: Partition, removals) -> Partition | None:
 
 
 def successive_sizes(parts: Partition, count: int) -> tuple[int, ...]:
-    """The first ``count`` successive Durfee square sizes, zero-padded,
-    peeled afresh: the Durfee tables ask this of partitions that no later
-    call meets, which the cache of :func:`durfee_squares` would keep."""
+    """The first ``count`` successive Durfee square sizes, zero-padded.
+
+    Not cached: the Durfee tables ask this of partitions that no later call
+    meets.
+    """
     sizes = []
     top = 0
     for _ in range(count):
@@ -116,6 +106,8 @@ def _window(sizes: tuple[int, ...], length: int, k: int,
     fall short of ``sizes`` by no more than the nonzero parts they remove
     (see :func:`_reduction`)."""
     out = []
+    # The slack, the number of removals, only prunes: it bounds the
+    # nonzero removals that the filter below compares with.
     for tup in _short_tuples(sizes, k - 1 if i == 1 else k - i, length):
         removals = tup[max(i, 2) - 2:] + ((length,) if i == 1 else ())
         if sum(sizes) - sum(tup) <= sum(1 for v in removals if v):

@@ -15,7 +15,6 @@ from qpair.durfee import (
     count_admissible,
     count_self_conjugate,
     durfee_size,
-    durfee_squares,
     is_ki_admissible,
     is_self_ki_conjugate,
     k_conjugate,
@@ -58,8 +57,8 @@ class TestPartitionBasics:
                 assert conjugate(conjugate(p)) == p
 
     def test_durfee_empty_and_square(self):
-        assert durfee_squares(()) == ()
-        assert durfee_squares((2, 2)) == (2,)
+        assert successive_sizes((), 2) == (0, 0)
+        assert successive_sizes((2, 2), 2) == (2, 0)
 
     def test_worked_conjugates(self):
         assoc1, _ = joichi_stanton(PI.top)
@@ -69,8 +68,8 @@ class TestPartitionBasics:
 
     def test_worked_successive_sizes(self):
         lam2p = (8, 8, 7, 6, 5, 4, 4, 3, 2, 1, 1)
-        assert durfee_squares(lam2p)[:2] == (5, 3)
         assert successive_sizes(lam2p, 2) == (5, 3)
+        assert successive_sizes(lam2p, 6) == (5, 3, 1, 1, 1, 0)
 
     def test_durfee_size(self):
         assert durfee_size((5, 4, 3, 2)) == 3
@@ -136,10 +135,10 @@ class TestAdmissibility:
         # are all zero and admissibility holds with no actual insertion.
         for n in range(8):
             for f in symbols_of(n):
-                squares = durfee_squares(conjugate(joichi_stanton(f.bottom)[0]))
+                squares = successive_sizes(conjugate(joichi_stanton(f.bottom)[0]), 3)
                 for k in (3, 4):
                     for i in range(2, k + 1):
-                        if len(squares) <= i - 2:
+                        if not squares[i - 2]:
                             assert is_ki_admissible(f, k, i)
 
     def test_sequential_reading_comparison(self):
@@ -307,7 +306,7 @@ class TestCachedLayerOracle:
                 count(3, 2, 6, bound=5)
 
     def test_cached_values_are_immutable(self):
-        assert type(durfee_squares((5, 3, 3, 1))) is tuple
+        assert type(durfee._lam_prime(PI.bottom)) is tuple
         assert type(conjugation_regions(PI, 4)[0]) is tuple
 
     def test_tables_build_no_row(self, monkeypatch):
@@ -343,11 +342,10 @@ class TestCachedLayerOracle:
 
     def test_tables_leave_no_reductions_behind(self):
         # Each (partition, length) is reduced for one table and not kept: a
-        # process-wide cache of the reductions held 2.96 MB here, and the
-        # residues once filled the cache of durfee_squares (37,338 entries,
-        # about 12 MB, after D at k 2-3 and n 40).
+        # process-wide cache of the reductions held 2.96 MB here, and a
+        # cache of every residue's square sizes held 37,338 entries, about
+        # 12 MB, after D at k 2-3 and n 40.
         durfee._durfee_tables.cache_clear()
-        durfee_squares.cache_clear()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -355,7 +353,6 @@ class TestCachedLayerOracle:
                 for i in range(1, k + 1):
                     count_admissible(k, i, 20, bound=20)
                     count_self_conjugate(k, i, 20, bound=20)
-            assert durfee_squares.cache_info().currsize == 0
             durfee._durfee_tables.cache_clear()
             gc.collect()  # also empties the free lists, which keep freed tuples
             held = tracemalloc.get_traced_memory()[0] - before
