@@ -188,8 +188,6 @@ ENUM_FAMILIES = {
 def cmd_enumerate(args) -> int:
     if args.family not in ("pairs", "symbols") and (args.k is None or args.i is None):
         raise ValueError(f"family {args.family} needs -k and -i")
-    if args.n < 0:
-        raise ValueError(f"-n must be at least 0, got {args.n}")
     args.bound = _setting(args.bound, "--bound", "QPAIR_BOUND", DEFAULT_BOUND, 0)
     check_bound(args.n, args.bound)
     if args.mode == "objects" and args.format == "csv":

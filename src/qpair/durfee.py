@@ -1,18 +1,23 @@
 """Durfee-square machinery on Frobenius symbols.
 
 Everything here works through the row decomposition of
-:mod:`qpair.frobenius`: the bottom row's associated partition is conjugated
-and its successive Durfee squares drive admissibility, the symbol
-conjugation that swaps the two small-part regions, and the fixed-point
-families.
+:mod:`qpair.frobenius`: a row is read through its conjugated associated
+partition lam'.  The successive Durfee squares of a bottom row's lam' are
+numbered from the 0th, whose size is the column count L.  The (k, i)
+family reduces lam' to a residue nu whose squares 1 .. k-2 it matches
+(:func:`_reduction`), and :func:`_split` reads nu once, as the cut, the
+(k-2)nd square's size, and G2, the parts of nu below its first k-2
+squares.  Admissibility asks that G2 be empty.  The symbol conjugation
+swaps G2 with G1, the parts of the top row's lam' at most the cut; a cut
+of 0 leaves G1 = G2 = (), and the conjugation is the identity.
 
-Both families are decided row by row, each through the conjugated
-associated partition of a row: admissibility reads only the bottom row, and
-self-conjugacy compares a region of the top row with one of the bottom row.
+Both families are decided row by row: admissibility reads only the bottom
+row, and self-conjugacy compares the top row's G1 with the bottom row's G2.
 So their count tables list the bottom partitions once for both tables of
 every i and form no row: the tops that a bottom pairs with, and the marks
-of both rows, are factors of count rows (:func:`qpair.counts.shift_add`).  The symbol streams serve the listings and are the
-reference the tables are tested against.
+of both rows, are factors of count rows (:func:`qpair.counts.shift_add`).
+The symbol streams serve the listings and are the reference the tables are
+tested against.
 """
 
 from __future__ import annotations
@@ -100,16 +105,17 @@ def _short_tuples(tops: tuple[int, ...], slack: int, cap: int):
 def _window(sizes: tuple[int, ...], length: int, k: int,
             i: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """The square tuples that can leave a residue of a bottom partition
-    whose first k-2 successive square sizes are ``sizes`` and whose row has
-    ``length`` entries (the column count n_1), each with the part sizes the
-    (k, i) family inserts under it, in descending order: the tuples that
-    fall short of ``sizes`` by no more than the nonzero parts they remove
-    (see :func:`_reduction`)."""
+    whose squares 1 .. k-2 have sizes ``sizes`` and whose row has
+    ``length`` entries, each with the part sizes the (k, i) family inserts
+    under it, in descending order: the tuples that fall short of ``sizes``
+    by no more than the nonzero parts they remove (see :func:`_reduction`).
+    The family inserts one part of each square size i-1 .. k-2, with the
+    column count as the 0th square."""
     out = []
     # The slack, the number of removals, only prunes: it bounds the
     # nonzero removals that the filter below compares with.
-    for tup in _short_tuples(sizes, k - 1 if i == 1 else k - i, length):
-        removals = tup[max(i, 2) - 2:] + ((length,) if i == 1 else ())
+    for tup in _short_tuples(sizes, k - i, length):
+        removals = ((length,) + tup)[i - 1:]
         if sum(sizes) - sum(tup) <= sum(1 for v in removals if v):
             out.append((tup, removals))
     return tuple(out)
@@ -129,19 +135,21 @@ def _row_with_lam_prime(row: Row, lam_p: Partition) -> Row:
 
 
 def _reduction(lam2p: Partition, sizes: tuple[int, ...], length: int, k: int,
-               i: int) -> Partition | None:
-    """The partition the (k, i) family reduces a bottom row of ``length``
-    entries and conjugated associated partition lam2p to, or None.
+               i: int) -> tuple[Partition, tuple[int, ...]] | None:
+    """The residue nu the (k, i) family reduces a bottom row of ``length``
+    entries and conjugated associated partition lam2p to, with the sizes
+    of nu's squares 1 .. k-2, or None.
 
-    ``sizes`` holds the first k-2 successive square sizes of lam2p, numbered
-    s_2, ..., s_{k-1} like the candidate tuples (n_2, ..., n_{k-1}), whose
-    size n_1 is the column count.  Remove the would-be inserted parts of a
-    candidate tuple from lam2p; the residue nu counts when its first k-2
-    successive squares reproduce the tuple.  The first such residue in
-    descending tuple order is returned.  Only the tuples of :func:`_window`
-    are tried: n_j <= s_j, and sum_j (s_j - n_j) <= r, the number of
-    nonzero parts the tuple removes, so s_j - r <= n_j <= s_j.  No other
-    tuple can leave a residue:
+    ``sizes`` holds the sizes s_1, ..., s_{k-2} of lam2p's squares 1 ..
+    k-2, numbered like the candidate tuples (n_1, ..., n_{k-2}); the 0th
+    square is the column count.  Remove the would-be inserted parts of a
+    candidate tuple from lam2p; the residue nu counts when its squares 1 ..
+    k-2 reproduce the tuple, which comes back with it, so no caller peels
+    nu again.  The first such residue in descending tuple order is
+    returned.  Only the tuples of :func:`_window` are tried: n_j <= s_j,
+    and sum_j (s_j - n_j) <= r, the number of nonzero parts the tuple
+    removes, so s_j - r <= n_j <= s_j.  No other tuple can leave a
+    residue:
 
     *Removing one positive part from a partition lowers exactly one of its
     zero-padded successive square sizes by 1 and keeps the others.*  Let d
@@ -156,7 +164,7 @@ def _reduction(lam2p: Partition, sizes: tuple[int, ...], length: int, k: int,
 
     So nu, lam2p less r positive parts, has s_j(nu) <= s_j and
     sum_j (s_j - s_j(nu)) = r over all its squares, hence at most r over
-    j <= k-1, and a residue has s_j(nu) = n_j for j <= k-1.  At k <= 5 no
+    j <= k-2, and a residue has s_j(nu) = n_j for j <= k-2.  At k <= 5 no
     lam2p of size w with parts <= L has two residues when L + w <= 20 (the
     ``--deep`` grid); ``tests/test_durfee.py`` checks this, and that the
     window returns what the search over every tuple returns.  Not cached:
@@ -166,31 +174,37 @@ def _reduction(lam2p: Partition, sizes: tuple[int, ...], length: int, k: int,
         nu = _remove_parts(lam2p, removals)
         # With nothing removed, the window holds only ``sizes`` itself.
         if nu is lam2p or nu is not None and successive_sizes(nu, k - 2) == tup:
-            return nu
+            return nu, tup
     return None
 
 
+def _split(parts: Partition, sizes: tuple[int, ...], length: int) -> tuple[int, Partition]:
+    """The cut and G2 of a partition in a row of ``length`` entries whose
+    squares 1 .. k-2 have sizes ``sizes``: the (k-2)nd square's size, the
+    column count at k = 2, and the parts below those squares.  A cut of 0
+    leaves G2 empty."""
+    return ((length,) + sizes)[-1], parts[sum(sizes):]
+
+
 @lru_cache(maxsize=None)
-def _row_reduction(row: Row, k: int, i: int) -> Partition | None:
-    """:func:`_reduction` of a bottom row, cached by row for the predicates,
-    which the symbol streams ask about every symbol sharing that row."""
+def _row_reduction(row: Row, k: int, i: int) -> tuple[int, Partition] | None:
+    """The :func:`_split` of a bottom row's :func:`_reduction`, or None,
+    cached by row for the predicates, which the symbol streams ask about
+    every symbol sharing that row."""
     lam = _lam_prime(row)
-    return _reduction(lam, successive_sizes(lam, k - 2), len(row), k, i)
-
-
-def _admissible(nu: Partition | None, k: int) -> bool:
-    """Whether a bottom row with this reduction is (k, i)-admissible."""
-    return nu is not None and not successive_sizes(nu, k - 1)[-1]
+    reduced = _reduction(lam, successive_sizes(lam, k - 2), len(row), k, i)
+    return None if reduced is None else _split(*reduced, len(row))
 
 
 def is_ki_admissible(f: FrobeniusSymbol, k: int, i: int) -> bool:
     """Whether the bottom row's conjugated associated partition is built
-    from a partition with at most k-2 Durfee squares by inserting one part
-    of each designated square size (sizes taken from the inner partition;
-    the 0th square size is the column count).
+    from a partition with at most k-2 Durfee squares, one whose G2 is
+    empty, by inserting one part of each square size i-1 .. k-2 (sizes
+    taken from the inner partition; the 0th square is the column count).
     """
     check_ki(k, i)
-    return _admissible(_row_reduction(f.bottom, k, i), k)
+    split = _row_reduction(f.bottom, k, i)
+    return split is not None and not split[1]
 
 
 def conjugation_regions(f: FrobeniusSymbol, k: int) -> tuple[Partition, Partition] | None:
@@ -198,33 +212,18 @@ def conjugation_regions(f: FrobeniusSymbol, k: int) -> tuple[Partition, Partitio
 
     G2 is the part of the conjugated bottom partition below its first k-2
     successive squares; G1 holds the parts of the conjugated top partition
-    at most the (k-2)nd square's size.  For k = 2 the regions are the whole
-    partitions (the 0th square has the column count as its size).
+    at most the cut, the (k-2)nd square's size (:func:`_split`).  For k = 2
+    the regions are the whole partitions: the 0th square has the column
+    count as its size.
     """
     if k < 2:
         raise ValueError("need k >= 2")
-    return _regions(_lam_prime(f.top), _lam_prime(f.bottom), k)
-
-
-def _regions(lam1p: Partition, lam2p: Partition, k: int) -> tuple[Partition, Partition] | None:
-    """:func:`conjugation_regions` from the two conjugated associated partitions."""
-    split = _bottom_region(lam2p, k)
-    if split is None:
+    lam2p = _lam_prime(f.bottom)
+    cut, g2 = _split(lam2p, successive_sizes(lam2p, k - 2), len(f.bottom))
+    # The empty symbol has cut 0 at k = 2 too, but its regions are ((), ()).
+    if k > 2 and not cut:
         return None
-    cut, g2 = split
-    return (lam1p if cut is None else tuple(p for p in lam1p if p <= cut)), g2
-
-
-def _bottom_region(lam2p: Partition, k: int) -> tuple[int | None, Partition] | None:
-    """The cut that G1 is read at and G2, both from the bottom partition
-    alone, or None when the conjugation is the identity.  The cut is the
-    (k-2)nd square's size, or None for k = 2, where G1 is all of lam1p."""
-    if k == 2:
-        return None, lam2p
-    sizes = successive_sizes(lam2p, k - 2)
-    if not sizes[-1]:
-        return None
-    return sizes[-1], lam2p[sum(sizes):]
+    return tuple(p for p in _lam_prime(f.top) if p <= cut), g2
 
 
 def k_conjugate(f: FrobeniusSymbol, k: int) -> FrobeniusSymbol:
@@ -248,15 +247,16 @@ def is_self_ki_conjugate(f: FrobeniusSymbol, k: int, i: int) -> bool:
     A candidate keeps f's top row and bottom marks, so its conjugated
     bottom partition is the reduced partition itself.  The conjugation
     keeps both rows' marks and swaps the region suffixes of the two
-    partitions, so it fixes the candidate exactly when it is the identity
-    or the two regions are equal.
+    partitions, so it fixes the candidate exactly when the top's G1, its
+    parts at most the residue's cut, is the residue's G2: both are empty
+    when the conjugation is the identity.
     """
     check_ki(k, i)
-    nu = _row_reduction(f.bottom, k, i)
-    if nu is None:
+    split = _row_reduction(f.bottom, k, i)
+    if split is None:
         return False
-    regions = _regions(_lam_prime(f.top), nu, k)
-    return regions is None or regions[0] == regions[1]
+    cut, g2 = split
+    return tuple(p for p in _lam_prime(f.top) if p <= cut) == g2
 
 
 def admissible_symbols(k: int, i: int, n_max: int):
@@ -308,13 +308,12 @@ def _durfee_tables(k: int, n_max: int) -> tuple[tuple[CountTable, CountTable], .
     the bottom and top rows.  A bottom lam' pairs with the tops made of a
     fixed partition G with parts <= cut and free parts in (cut, L], so it
     is filed under the cut at weight |lam'| + |G|, and its tops add
-    1/prod_{cut<j<=L} (1 - q^j): cut 0 for every top (an admissible bottom
-    in D, a D~ bottom whose conjugation is the identity), else the
-    (k-2)nd square's size, or L for k = 2, with G = G2.  The residue nu is
-    admissible exactly when G2 is empty or the conjugation is the identity.
-    Each bottom lam' is listed, and its first k-2 square sizes peeled, once
-    for every i; it is reduced once per i for both tables, and no top is
-    listed.
+    1/prod_{cut<j<=L} (1 - q^j).  Its residue's :func:`_split` gives both:
+    in D, an admissible bottom (G2 empty) pairs with every top, cut 0; in
+    D~, a bottom pairs with the tops whose G1 is G2, under the residue's
+    cut, which is 0 when the conjugation is the identity.  Each bottom lam'
+    is listed, and its squares 1 .. k-2 peeled, once for every i; it is
+    reduced once per i for both tables, and no top is listed.
     """
     size = n_max + 1
     a, b, ab = (cell_shift(ds, dt, n_max) for ds, dt in ((1, 0), (0, 1), (1, 1)))
@@ -329,19 +328,14 @@ def _durfee_tables(k: int, n_max: int) -> tuple[tuple[CountTable, CountTable], .
             for lam in partitions(weight, length):
                 sizes = successive_sizes(lam, k - 2)
                 for i, (admissible, self_conjugate) in enumerate(filed, 1):
-                    nu = _reduction(lam, sizes, length, k, i)
-                    if nu is None:
+                    reduced = _reduction(lam, sizes, length, k, i)
+                    if reduced is None:
                         continue
-                    region = _bottom_region(nu, k)
-                    if region is None:
-                        admissible[0][weight] += 1
-                        self_conjugate[0][weight] += 1
-                        continue
-                    cut, g2 = region
+                    cut, g2 = _split(*reduced, length)
                     if not g2:
                         admissible[0][weight] += 1
                     if (at := weight + sum(g2)) < room:
-                        self_conjugate[length if cut is None else cut][at] += 1
+                        self_conjugate[cut][at] += 1
         for pair, by_cuts in zip(totals, filed):
             for total, by_cut in zip(pair, by_cuts):
                 for w, c in enumerate(_pairs(by_cut, room)):

@@ -198,26 +198,24 @@ def count_rank_bounded(k: int, i: int, n_max: int, tilde: bool = False,
     overlined, the row rule of ``canonical_parts``.  So the scan carries
     that least entry of each row and d' = d + i, each state with its count
     row (:func:`qpair.counts.shift_add`), and adds one column on the left
-    at each step in two half-steps.  In d' the (k, i) window is [2, 2k - 1]
-    ([2, 2k - 2] for tilde) for every i, so one scan (:func:`_scan_rows`)
-    from the starts d' = 1 .. k serves every i; ``interval`` scans from the
-    one start d' = 0.  d is t - s, so a state's cells of one start lie on one
-    diagonal: its row keeps start i in the high slot i - 1 and s in the low
-    slots, and the totals are kept by d', each a part of every i's table.
+    at each step in two half-steps.  A window [lo, hi], the (k, i) one or
+    ``interval``, is [lo + i, hi + i] in d', and the (k, i) window is [2,
+    2k - 1] ([2, 2k - 2] for tilde) for every i, so one scan
+    (:func:`_scan_rows`) from the starts d' = 1 .. k serves every i.  d is
+    t - s, so a state's cells of one start lie on one diagonal: its row
+    keeps start i in the high slot i - 1 and s in the low slots, and the
+    totals are kept by d', each a part of every i's table.
     """
     check_bound(n_max, bound)
     check_ki(k, i)
-    if interval is None:
-        window, starts, start = rank_interval(k, 0, tilde), tuple(range(1, k + 1)), i
-    else:
-        window, starts, start = tuple(interval), (0,), 0
-    shift = cell_shift(starts.index(start), 0, n_max)
+    lo, hi = interval if interval is not None else rank_interval(k, i, tilde)
+    shift = cell_shift(i - 1, 0, n_max)
     mask = (1 << cell_shift(1, 0, n_max)) - 1
     entries = {}
-    for d, rows in _scan_rows(*window, starts, n_max):
+    for d, rows in _scan_rows(lo + i, hi + i, tuple(range(1, k + 1)), n_max):
         slot = [(row >> shift) & mask for row in rows]
         for (_zero, s, n), c in CountTable.from_rows(slot, n_max).entries.items():
-            entries[s, s + d - start, n] = c
+            entries[s, s + d - i, n] = c
     return CountTable(n_max, entries)
 
 

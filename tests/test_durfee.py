@@ -22,7 +22,7 @@ from qpair.durfee import (
     successive_sizes,
 )
 from qpair.counts import BoundExceededError, tally
-from qpair.durfee import _reduction, _remove_parts
+from qpair.durfee import _reduction, _remove_parts, _split
 from qpair.frobenius import (
     FrobeniusSymbol,
     _plain_count,
@@ -101,6 +101,19 @@ class TestKConjugation:
         f = FrobeniusSymbol(row(2, 1, 0), row(1, 1, 0))
         assert conjugation_regions(f, 4) is None
         assert k_conjugate(f, 4) == f
+
+    def test_regions_match_the_first_reading(self):
+        # None exactly for the identity at k > 2; the empty symbol keeps its
+        # empty regions at k = 2.
+        empty = FrobeniusSymbol([], [])
+        assert conjugation_regions(empty, 2) == ((), ())
+        assert conjugation_regions(empty, 3) is None
+        for n in range(9):
+            for f in symbols_of(n):
+                top = canonical_parts(list(f.top), min_part=0)
+                bottom = canonical_parts(list(f.bottom), min_part=0)
+                for k in (2, 3, 4, 5):
+                    assert conjugation_regions(f, k) == ref_regions(top, bottom, k), (f, k)
 
     def test_self_conjugate_iff_regions_match(self):
         for n in range(8):
@@ -219,6 +232,43 @@ def ref_reduction(lam2p, length, k, i):
         if nu is not None and ref_sizes(nu, k - 2) == tup:
             return nu
     return None
+
+
+def ref_residue_admissible(nu, k):
+    """Admissibility of a residue as first read: it has no (k-1)st square."""
+    return nu is not None and not ref_sizes(nu, k - 1)[-1]
+
+
+def ref_bottom_region(lam2p, k):
+    """The cut and G2 of a bottom partition as first read, each square peeled
+    afresh: None when the conjugation is the identity, and cut None at k = 2,
+    where G1 is the whole top partition."""
+    if k == 2:
+        return None, lam2p
+    sizes = ref_sizes(lam2p, k - 2)
+    if not sizes[-1]:
+        return None
+    return sizes[-1], lam2p[sum(sizes):]
+
+
+def ref_split(lam2p, length, k):
+    """:func:`ref_bottom_region` in the form of ``_split``: the identity is
+    cut 0 with no G2, and the k = 2 cut is the column count."""
+    region = ref_bottom_region(lam2p, k)
+    if region is None:
+        return 0, ()
+    cut, g2 = region
+    return (length if cut is None else cut), g2
+
+
+def ref_regions(top, bottom, k):
+    """The conjugation regions as first read, or None for the identity."""
+    region = ref_bottom_region(ref_lam_prime(bottom), k)
+    if region is None:
+        return None
+    cut, g2 = region
+    lam1p = ref_lam_prime(top)
+    return (lam1p if cut is None else tuple(p for p in lam1p if p <= cut)), g2
 
 
 def ref_admissible(bottom, k, i):
@@ -363,7 +413,7 @@ class TestCachedLayerOracle:
     def test_window_finds_what_the_full_search_finds(self):
         # _reduction tries only the square tuples of its window; on every
         # bottom row of a symbol of weight <= 20 it returns the residue, or
-        # None, of the search over every tuple.
+        # None, of the search over every tuple, with the residue's sizes.
         for length in range(21):
             lams = [lam for size in range(21 - length) for lam in partitions(size, length)]
             for k in (2, 3, 4, 5):
@@ -371,8 +421,30 @@ class TestCachedLayerOracle:
                     sizes = successive_sizes(lam2p, k - 2)
                     assert sizes == ref_sizes(lam2p, k - 2)
                     for i in range(1, k + 1):
-                        assert _reduction(lam2p, sizes, length, k, i) == ref_reduction(lam2p, length, k, i), \
+                        reduced = _reduction(lam2p, sizes, length, k, i)
+                        nu = ref_reduction(lam2p, length, k, i)
+                        assert (reduced if nu is None else reduced[0]) == nu, (lam2p, length, k, i)
+                        if nu is not None:
+                            assert reduced[1] == ref_sizes(nu, k - 2), (lam2p, length, k, i)
+
+    def test_split_reads_what_peeling_afresh_reads(self):
+        # On every bottom (lam', L) with L + |lam'| <= 20, the split of
+        # lam' and of each residue gives the region, and the residue's split
+        # the admissibility, that peeling the partition afresh gives.
+        for length in range(21):
+            lams = [lam for size in range(21 - length) for lam in partitions(size, length)]
+            for k in (2, 3, 4, 5):
+                for lam2p in lams:
+                    sizes = successive_sizes(lam2p, k - 2)
+                    assert _split(lam2p, sizes, length) == ref_split(lam2p, length, k), (lam2p, length, k)
+                    for i in range(1, k + 1):
+                        reduced = _reduction(lam2p, sizes, length, k, i)
+                        split = None if reduced is None else _split(*reduced, length)
+                        nu = None if reduced is None else reduced[0]
+                        assert (split is not None and not split[1]) == ref_residue_admissible(nu, k), \
                             (lam2p, length, k, i)
+                        if nu is not None:
+                            assert split == ref_split(nu, length, k), (lam2p, length, k, i)
 
     def test_at_most_one_tuple_leaves_a_residue(self):
         # _reduction returns the first residue it finds.  No conjugated

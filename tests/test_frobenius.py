@@ -211,13 +211,15 @@ class TestColumnScan:
     @pytest.mark.parametrize("tilde", [False, True])
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_shared_scan_equals_the_one_start_scan(self, k, tilde):
-        # The default table reads start i of the scan shared by every i; the
-        # same window given as ``interval`` is scanned from one start.
+        # A table reads start i of the scan shared by every i, for the (k, i)
+        # window and for one widened as by the verify self-test hook; the
+        # scan of the same window from the one start d' = 0 counts the same.
         for i in range(1, k + 1):
-            window = rank_interval(k, i, tilde)
+            lo, hi = rank_interval(k, i, tilde)
             for n in range(13):
-                assert count_rank_bounded(k, i, n, tilde) == \
-                    count_rank_bounded(k, i, n, tilde, interval=window), (i, n)
+                assert count_rank_bounded(k, i, n, tilde) == one_start_table(lo, hi, n), (i, n)
+                assert count_rank_bounded(k, i, n, tilde, interval=(lo, hi + 1)) == \
+                    one_start_table(lo, hi + 1, n), (i, n)
 
     @pytest.mark.parametrize("tilde", [False, True])
     def test_every_i_shares_one_scan(self, tilde):
@@ -225,6 +227,12 @@ class TestColumnScan:
         tables = [count_rank_bounded(4, i, 9, tilde) for i in range(1, 5)]
         assert frobenius._scan_rows.cache_info().misses == 1
         assert len(set(map(CountTable.to_json, tables))) == 4
+        # So do the self-test hook's windows, one wider than each (k, i) window.
+        frobenius._scan_rows.cache_clear()
+        for i in range(1, 5):
+            lo, hi = rank_interval(4, i, tilde)
+            count_rank_bounded(4, i, 9, tilde, interval=(lo, hi + 1))
+        assert frobenius._scan_rows.cache_info().misses == 1
 
     def test_scan_caches_ints_not_tables(self):
         count_rank_bounded(3, 2, 7)
@@ -259,6 +267,16 @@ class TestColumnScan:
         with pytest.raises(ValueError, match="need k >= 2") as err:
             count_rank_bounded(1, 1, 8)
         assert not isinstance(err.value, BoundExceededError)
+
+
+def one_start_table(lo, hi, n_max):
+    """The table of the ranks in [lo, hi] from the scan of that window from
+    the one start d' = 0, where d' is d."""
+    entries = {}
+    for d, rows in frobenius._scan_rows(lo, hi, (0,), n_max):
+        for (_zero, s, n), c in CountTable.from_rows(rows, n_max).entries.items():
+            entries[s, s + d, n] = c
+    return CountTable(n_max, entries)
 
 
 def nonzero_rows(scan):
