@@ -28,6 +28,7 @@ from .frobenius import (
     joichi_stanton,
     joichi_stanton_inverse,
     rank_bounded_symbols,
+    row_from_obj,
     symbols_up_to,
 )
 from .gaussint import GaussInt
@@ -212,10 +213,6 @@ BIJECT_MAPS = {
 }
 
 
-def _row_from_obj(obj) -> list[tuple[int, bool]]:
-    return [(t["size"], t["over"]) for t in obj]
-
-
 def cmd_biject(args) -> int:
     from .paths import path_to_symbol, symbol_to_path
 
@@ -231,7 +228,7 @@ def cmd_biject(args) -> int:
         elif args.map == "k-conjugate":
             out = k_conjugate(FrobeniusSymbol.from_obj(payload), args.k).to_obj()
         elif args.map == "joichi-stanton":
-            assoc, marks = joichi_stanton(_row_from_obj(payload))
+            assoc, marks = joichi_stanton(row_from_obj(payload))
             out = {"associated": list(assoc), "marks": list(marks)}
         else:
             row = joichi_stanton_inverse(payload["associated"], payload["marks"])

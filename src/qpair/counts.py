@@ -36,7 +36,7 @@ def check_bound(n: int, bound: int | None) -> None:
     """Refuse an enumeration up to a negative weight ``n`` (``ValueError``) or
     one beyond ``bound`` (default DEFAULT_BOUND)."""
     if n < 0:
-        raise ValueError(f"n_max must be at least 0, got {n}")
+        raise ValueError(f"the largest weight must be at least 0, got {n}")
     limit = DEFAULT_BOUND if bound is None else bound
     if n > limit:
         raise BoundExceededError(f"n={n} exceeds the enumeration bound {limit}")

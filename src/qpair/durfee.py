@@ -47,17 +47,6 @@ def conjugate(parts) -> Partition:
     return tuple(out)
 
 
-def durfee_size(parts) -> int:
-    """Side of the largest upper-left-justified square in the diagram."""
-    d = 0
-    for idx, p in enumerate(parts, start=1):
-        if p >= idx:
-            d = idx
-        else:
-            break
-    return d
-
-
 def _remove_parts(parts: Partition, removals) -> Partition | None:
     """Remove one occurrence of each requested value (zeros are free).
 

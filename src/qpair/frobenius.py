@@ -54,6 +54,16 @@ def _canonical_row(row: tuple) -> Row:
     return _canonical_row(out)
 
 
+def row_from_obj(obj) -> list[tuple[int, bool]]:
+    """The parts of a row listed as ``{"size": s, "over": o}`` entries, with
+    each s a JSON integer and each o a JSON boolean: a bool is no size, and
+    no other value reads as an overline."""
+    row = [(t["size"], t["over"]) for t in obj]
+    if any(type(s) is not int or type(o) is not bool for s, o in row):
+        raise ValueError(f"row {row} needs integer sizes and boolean overlines")
+    return row
+
+
 class FrobeniusSymbol(ReadOnlyFields):
     __slots__ = ("top", "bottom", "_rank_range")
 
@@ -115,10 +125,7 @@ class FrobeniusSymbol(ReadOnlyFields):
 
     @classmethod
     def from_obj(cls, obj: dict) -> "FrobeniusSymbol":
-        return cls(
-            [(t["size"], t["over"]) for t in obj["top"]],
-            [(t["size"], t["over"]) for t in obj["bottom"]],
-        )
+        return cls(row_from_obj(obj["top"]), row_from_obj(obj["bottom"]))
 
 
 @lru_cache(maxsize=None)
@@ -176,12 +183,11 @@ def rank_interval(k: int, i: int, tilde: bool = False) -> tuple[int, int]:
     return (-i + 2, hi)
 
 
-def rank_bounded_symbols(k: int, i: int, n_max: int, tilde: bool = False,
-                         interval: tuple[int, int] | None = None):
+def rank_bounded_symbols(k: int, i: int, n_max: int, tilde: bool = False):
     """``(n, symbol)`` for each symbol of weight n <= n_max whose successive
-    ranks stay in the (k, i) window (or in ``interval``), in listing order."""
+    ranks stay in the (k, i) window, in listing order."""
     check_ki(k, i)
-    lo, hi = interval if interval is not None else rank_interval(k, i, tilde)
+    lo, hi = rank_interval(k, i, tilde)
     return ((n, f) for n, f in symbols_up_to(n_max) if f._ranks_within(lo, hi))
 
 

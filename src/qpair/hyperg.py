@@ -203,7 +203,7 @@ def j_tilde_from_h(h_i: TruncatedSeries, h_i1: TruncatedSeries, h_i2: TruncatedS
         raise ValueError(f"need i >= 1, got i={i}")
     ab_xq = TruncatedSeries.poly([mono(1, a=1, x=1, q=1), mono(1, b=1, x=1, q=1)])
     lift = mono(1, a=1, b=1, x=2, q=2) if i >= 2 else mono(1, a=1, b=1, x=1, q=1)
-    return h_i.shift_x(1) + h_i1.shift_x(1) * ab_xq + h_i2.shift_x(1).times_monomial(lift)
+    return h_i.shift_x() + h_i1.shift_x() * ab_xq + h_i2.shift_x().times_monomial(lift)
 
 
 # ------------------------------------------------------------------ bilateral forms

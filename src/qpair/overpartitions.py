@@ -397,17 +397,17 @@ def odd_modulus_product_side(k: int, n_max: int) -> list[int]:
     return product_counts(n_max, sizes, sizes)
 
 
-def overpartition_identity_sides(k: int, n_max: int, i: int | None = None) -> tuple[list[int], list[int]]:
-    """Both sides of the overpartition identity at modulus 2k-1.
+def overpartition_identity_sides(k: int, n_max: int) -> tuple[list[int], list[int]]:
+    """Both sides of the overpartition identity at modulus 2k-1, at i = k,
+    the case in which side A is an infinite product.
 
     Side A is :func:`odd_modulus_product_side`.  Side B counts the images
-    of the pairs of :func:`count_frequency_pairs` under the part map of
-    :func:`odd_modulus_image_weight`, which is onto the overpartitions that
-    obey the even-level conditions.  The parameter i defaults to k, the case
-    in which side A is an infinite product.
+    of the (k, k) pairs of :func:`count_frequency_pairs` under the part map
+    of :func:`odd_modulus_image_weight`, which is onto the overpartitions
+    that obey the even-level conditions.
     """
     a_counts = odd_modulus_product_side(k, n_max)
-    b_pairs = count_frequency_pairs(k, k if i is None else i, n_max).entries
+    b_pairs = count_frequency_pairs(k, k, n_max).entries
     return a_counts, _image_counts(b_pairs, odd_modulus_image_weight, n_max)
 
 

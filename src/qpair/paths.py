@@ -25,8 +25,6 @@ from .qtools import f_poly as _f_poly
 from .series import TruncatedSeries, mono, over_one_minus
 
 NE, SE, S, SW, E = "NE", "SE", "S", "SW", "E"
-STEPS = (NE, SE, S, SW, E)
-MARKS = ("one", "a", "b", "ab")
 
 _MOVES = {NE: (1, 1), SE: (1, -1), S: (0, -1), SW: (-1, -1), E: (1, 0)}
 
@@ -55,8 +53,6 @@ _PEAK_MARKS = {
     S: (("a", "b"), "an S-followed peak must be marked a or b"),
     SW: (("ab",), "a SW-followed peak must be marked ab"),
 }
-# A mark that records a peak without being checked against the step.
-_UNCHECKED = object()
 
 
 def _start(height: int) -> tuple:
@@ -70,8 +66,8 @@ def _step(prefix: tuple, step, mark):
     A prefix is (x, y, last step, East parity, u, v, stats, peaks), with
     stats (major index, marked a, marked b, max height) and peaks the
     :class:`PeakRecord` of each peak so far.  When ``step`` leaves a peak,
-    the peak is recorded with ``mark``, which must fit the step unless it is
-    ``_UNCHECKED``; otherwise ``mark`` is ignored.
+    the peak is recorded with ``mark``, unchecked; otherwise ``mark`` is
+    ignored.
     """
     x, y, last, east_odd, u, v, stats, peaks = prefix
     move = _MOVES.get(step)
@@ -82,9 +78,6 @@ def _step(prefix: tuple, step, mark):
             return "E step only allowed at height 0"
         east_odd = not east_odd
     elif last == NE and step != NE:  # (x, y) is a peak
-        allowed, message = _PEAK_MARKS[step]
-        if mark not in allowed and mark is not _UNCHECKED:
-            return message
         peaks += (PeakRecord(x, y, mark, east_odd, u, v),)
         major, marked_a, marked_b, top = stats
         stats = (major + x, marked_a + (mark in ("a", "ab")), marked_b + (mark in ("b", "ab")), top)
@@ -104,31 +97,24 @@ class LatticePath:
     __slots__ = ("start_height", "steps", "marks", "_peaks", "_stats")
 
     def __init__(self, start_height: int, steps, marks):
-        """Validate the path by folding :func:`_step` over its steps.
+        """Validate the path by folding :func:`_step` over its steps, then
+        each peak's mark against the step leaving it.
 
         Faults are reported in a fixed order: the first bad step, the end
         point, a trailing E, the number of marks, then the first peak whose
         mark does not fit the step leaving it.
         """
         self.start_height = int(start_height)
-        self.steps = tuple(steps)
+        self.steps = steps = tuple(steps)
         self.marks = marks = tuple(marks)
         if self.start_height < 0:
             raise ValueError("start height must be nonnegative")
         prefix = _start(self.start_height)
-        bad_mark = None
-        for step in self.steps:
+        for step in steps:
             n_peaks = len(prefix[7])
-            mark = marks[n_peaks] if n_peaks < len(marks) else _UNCHECKED
-            extended = _step(prefix, step, mark)
-            if type(extended) is str and mark is not _UNCHECKED:
-                # Either an ill-fitting mark, which waits for the shape
-                # faults, or a bad step, which fails again without the mark.
-                bad_mark = bad_mark or extended
-                extended = _step(prefix, step, _UNCHECKED)
-            if type(extended) is str:
-                raise ValueError(extended)
-            prefix = extended
+            prefix = _step(prefix, step, marks[n_peaks] if n_peaks < len(marks) else None)
+            if type(prefix) is str:
+                raise ValueError(prefix)
         _x, y, last, *_, peaks = prefix
         if y != 0:
             raise ValueError(f"path must end on the x-axis, ended at height {y}")
@@ -136,8 +122,12 @@ class LatticePath:
             raise ValueError("path may not end with an E step")
         if len(marks) != len(peaks):
             raise ValueError(f"expected {len(peaks)} peak marks, got {len(marks)}")
-        if bad_mark is not None:
-            raise ValueError(bad_mark)
+        # The walk took each peak's leaving step right after an NE.
+        leaving = (step for last, step in zip(steps, steps[1:]) if last == NE and step != NE)
+        for step, mark in zip(leaving, marks):
+            allowed, message = _PEAK_MARKS[step]
+            if mark not in allowed:
+                raise ValueError(message)
         self._stats, self._peaks = prefix[6:]
 
     @classmethod
@@ -190,7 +180,10 @@ class LatticePath:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "LatticePath":
-        """The path of a :meth:`to_obj` listing, whose marks name each peak once by index."""
+        """The path of a :meth:`to_obj` listing, whose start height is a JSON
+        integer and whose marks name each peak once by index."""
+        if type(obj["start_height"]) is not int:
+            raise ValueError(f"start height {obj['start_height']!r} must be an integer")
         peaks = [entry["peak"] for entry in obj["marks"]]
         if any(type(p) is not int for p in peaks) or sorted(peaks) != list(range(len(peaks))):
             raise ValueError(f"mark peaks {peaks} are not 0 .. {len(peaks) - 1}, each once")

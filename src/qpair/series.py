@@ -282,16 +282,12 @@ class TruncatedSeries:
 
     # ---------------------------------------------------------------- substitutions
 
-    def shift_x(self, e: int = 1) -> "TruncatedSeries":
-        """Replace x by ``x * q**e`` (e >= 0): each term gains ``q**(e*dx)``."""
-        if e < 0:
-            raise ValueError("shift_x requires a nonnegative shift")
-        if e == 0:
-            return self
+    def shift_x(self) -> "TruncatedSeries":
+        """Replace x by ``x * q``: each term gains ``q**dx``."""
         cutoff = self.q_cutoff
         terms = {}
         for (a, b, x, q), c in self.terms.items():
-            dq = q + e * x
+            dq = q + x
             if dq < cutoff:
                 terms[(a, b, x, dq)] = c
         return TruncatedSeries(terms, self.q_floor, cutoff)

@@ -145,7 +145,7 @@ def suite_qdiff_R(rep: VerificationReport, cfg: VerifyConfig) -> None:
     ab_sum = TruncatedSeries.poly([mono(1, a=1), mono(1, b=1)])
     for k in cfg.k_values:
         r = {i: series_R(k, i, c) for i in range(1, k + 1)}
-        shifted = {i: r[i].shift_x(1) for i in range(1, k + 1)}
+        shifted = {i: r[i].shift_x() for i in range(1, k + 1)}
         rep.coeff_check("index-1-shift", {"k": k}, r[1], shifted[k])
         rhs = shifted[k - 1].times_monomial(mono(1, x=1, q=1)) + shifted[k] * TruncatedSeries.poly(
             [mono(1, a=1, x=1, q=1), mono(1, b=1, x=1, q=1), mono(1, a=1, b=1, x=1, q=1)]
@@ -165,7 +165,7 @@ def suite_qdiff_R_tilde(rep: VerificationReport, cfg: VerifyConfig) -> None:
     one_plus_xq = TruncatedSeries.poly([mono(1), mono(1, x=1, q=1)])
     for k in cfg.k_values:
         r = {i: series_R_tilde(k, i, c) for i in range(1, k + 1)}
-        shifted = {i: r[i].shift_x(1) for i in range(1, k + 1)}
+        shifted = {i: r[i].shift_x() for i in range(1, k + 1)}
         rep.coeff_check("index-1-shift", {"k": k}, r[1], shifted[k])
         rhs = shifted[k - 1] * one_plus_xq + shifted[k] * TruncatedSeries.poly(
             [mono(1, a=1, x=1, q=1), mono(1, b=1, x=1, q=1)]
@@ -356,7 +356,7 @@ def suite_corollaries(rep: VerificationReport, cfg: VerifyConfig) -> None:
         rep.mismatch_check("odd-modulus-product", {"k": k},
                            list_mismatch(spec_counts, odd_modulus_product_side(k, prod_cutoff - 1)))
         rep.mismatch_check("odd-modulus-series-vs-counts", {"k": k},
-                           list_mismatch(spec_counts[:n_max + 1], a))
+                           list_mismatch(spec_counts[:n_max + 1], b))
     for k in (3, 4):
         a, even, odd = weighted_pair_identity_sides(k, n_max)
         rep.mismatch_check("root-of-unity-sides", {"k": k}, list_mismatch(a, even))

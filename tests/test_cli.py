@@ -335,8 +335,9 @@ class TestVerifyCommand:
 
     def test_planted_corollary_defect_names_its_weight(self, monkeypatch, capsys):
         # One extra entry at weight 4 in the odd-modulus B side: the report
-        # keys the failure by that weight and shows both entries there.  The
-        # suite counts to n_max + 2 = 6.
+        # keys the failure by that weight and shows both entries there, once
+        # against side A and once against the specialised series.  The suite
+        # counts to n_max + 2 = 6.
         from qpair import overpartitions, verify
 
         def planted(k, n_max):
@@ -348,10 +349,11 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "corollaries", "--n-max", "4"]) == 1
         report = json.loads(capsys.readouterr().out)["reports"][0]
         want = []
-        for k in (2, 3):
-            a, _ = overpartitions.overpartition_identity_sides(k, 6)
-            want.append({"identity": "odd-modulus-sides", "params": {"k": k},
-                         "key": [4], "lhs": str(a[4]), "rhs": str(a[4] + 1)})
+        for identity in ("odd-modulus-series-vs-counts", "odd-modulus-sides"):  # the report's order
+            for k in (2, 3):
+                a, _ = overpartitions.overpartition_identity_sides(k, 6)
+                want.append({"identity": identity, "params": {"k": k},
+                             "key": [4], "lhs": str(a[4]), "rhs": str(a[4] + 1)})
         assert report["failures"] == want
 
     def test_list_mismatch_sees_a_length_difference(self):
@@ -461,6 +463,31 @@ class TestUsageErrors:
         assert r.stderr.startswith("error:") and "must be integers" in r.stderr
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("argv,good,bad", [
+        (("joichi-stanton",), [{"size": 2, "over": True}], [{"size": 2, "over": "no"}]),
+        (("joichi-stanton",), [{"size": 2, "over": True}], [{"size": 2, "over": 1}]),
+        (("joichi-stanton",), [{"size": 2, "over": True}], [{"size": 2.9, "over": True}]),
+        (("joichi-stanton",), [{"size": 1, "over": True}], [{"size": True, "over": True}]),
+        (("k-conjugate", "-k", "2"),
+         {"top": [{"size": 2, "over": False}], "bottom": [{"size": 0, "over": True}]},
+         {"top": [{"size": 2.9, "over": False}], "bottom": [{"size": 0, "over": True}]}),
+        (("symbol-to-path", "-k", "2", "-i", "1"),
+         {"top": [], "bottom": []}, {"top": [{"size": "1", "over": False}], "bottom": [{"size": 0, "over": False}]}),
+        (("path-to-symbol", "-k", "2", "-i", "1"),
+         {"start_height": 1, "steps": ["SE"], "marks": []},
+         {"start_height": True, "steps": ["SE"], "marks": []}),
+        (("path-to-symbol", "-k", "2", "-i", "1"),
+         {"start_height": 1, "steps": ["SE"], "marks": []},
+         {"start_height": 1.0, "steps": ["SE"], "marks": []}),
+    ])
+    def test_biject_refuses_coerced_json(self, argv, good, bad):
+        # Each bad value would read as a valid int or bool; the good input is accepted.
+        assert run("biject", "--map", *argv, stdin=json.dumps(good)).returncode == 0
+        r = run("biject", "--map", *argv, stdin=json.dumps(bad))
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr.startswith("error:") and "integer" in r.stderr
+        assert "Traceback" not in r.stderr
+
     @pytest.mark.parametrize("peaks", [[-1], [True], [1], [0, 0]])
     def test_biject_refuses_a_bad_peak_index(self, peaks):
         path = {"start_height": 0, "steps": ["NE", "S"] * len(peaks),
@@ -520,6 +547,13 @@ class TestUsageErrors:
         assert r.returncode == 2
         assert r.stderr.startswith("error:") and "must be at least" in r.stderr
         assert r.stdout == ""
+
+    def test_negative_weight_names_the_weight(self):
+        # enumerate leaves -n to the shared bound check, whose message must
+        # not name n_max, which is no enumerate flag.
+        r = run("enumerate", "--family", "pairs", "-n", "-1")
+        assert r.returncode == 2
+        assert r.stderr == "error: the largest weight must be at least 0, got -1\n"
 
 
 class TestExportCommand:

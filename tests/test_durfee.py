@@ -14,7 +14,6 @@ from qpair.durfee import (
     conjugation_regions,
     count_admissible,
     count_self_conjugate,
-    durfee_size,
     is_ki_admissible,
     is_self_ki_conjugate,
     k_conjugate,
@@ -169,6 +168,17 @@ class TestAdmissibility:
 
 # A cache-free copy of the Durfee layer as first written, on plain rows:
 # every row is split afresh and every Durfee decomposition recomputed.
+
+
+def durfee_size(parts) -> int:
+    """Side of the largest upper-left-justified square in the diagram."""
+    d = 0
+    for idx, p in enumerate(parts, start=1):
+        if p >= idx:
+            d = idx
+        else:
+            break
+    return d
 
 
 def ref_sizes(parts, count=None):

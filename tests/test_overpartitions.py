@@ -13,6 +13,7 @@ from qpair.overpartitions import (
     frequency_pairs,
     odd_modulus_image_weight,
     overpartitions_of,
+    _image_counts,
     _unattached,
     pairs_of,
     partition_pair_product_side,
@@ -349,8 +350,7 @@ class TestASidesFromProducts:
     def test_odd_modulus(self, k):
         want = [sum(1 for lam in overpartitions_of(n) if all(s % (2 * k - 1) for s, _ in lam.parts))
                 for n in range(self.N + 1)]
-        for i in range(1, k + 1):
-            assert overpartition_identity_sides(k, self.N, i=i)[0] == want, i
+        assert overpartition_identity_sides(k, self.N)[0] == want
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_root_of_unity(self, k):
@@ -481,6 +481,12 @@ def _stream_odd_side(k, i, n_max):
     return counts
 
 
+def _table_odd_side(k, i, n_max):
+    """The odd-modulus B side at any i, which the identity states only at
+    i = k: the (k, i) count table's pairs by image weight."""
+    return _image_counts(count_frequency_pairs(k, i, n_max).entries, odd_modulus_image_weight, n_max)
+
+
 def _stream_even_side(k, i, n_max):
     """Reference even-modulus B side: the images of the stream's pairs with
     no plain 1 in mu, mapped part by part and tallied by weight."""
@@ -513,7 +519,10 @@ class TestBSidesFromTables:
     def test_odd_modulus(self, k):
         for i in range(1, k + 1):
             for n in self.N:
-                assert overpartition_identity_sides(k, n, i=i)[1] == _stream_odd_side(k, i, n), (i, n)
+                want = _stream_odd_side(k, i, n)
+                assert _table_odd_side(k, i, n) == want, (i, n)
+                if i == k:
+                    assert overpartition_identity_sides(k, n)[1] == want, n
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_even_modulus(self, k):
@@ -534,8 +543,7 @@ class TestOddModulusIdentity:
         # even-level conditions directly.
         for k in (2, 3, 4):
             for i in range(1, k + 1):
-                _, b = overpartition_identity_sides(k, 10, i=i)
-                assert b == _even_level_b_side(k, i, 10), (k, i)
+                assert _table_odd_side(k, i, 10) == _even_level_b_side(k, i, 10), (k, i)
 
     def test_sides_agree(self):
         for k in (2, 3):

@@ -10,7 +10,6 @@ from qpair.frobenius import FrobeniusSymbol, successive_ranks
 from qpair.overpartitions import count_frequency_pairs
 from qpair.paths import (
     E,
-    MARKS,
     NE,
     _AT_PEAK,
     _OFF_PEAK,
@@ -34,6 +33,8 @@ from qpair.paths import (
 from qpair.hyperg import r_exponent
 from qpair.qtools import f_poly, inv_qfactors, inv_qpoch
 from qpair.series import TruncatedSeries, mono
+
+MARKS = ("one", "a", "b", "ab")
 
 
 def row(*parts):
