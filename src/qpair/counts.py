@@ -8,7 +8,9 @@ sorted by (n, s, t).
 
 The families build their tables as count rows (:func:`shift_add`): a list
 over n of ints, each packing the (s, t) cells of one weight, which
-:meth:`CountTable.from_rows` unpacks.
+:meth:`CountTable.from_rows` unpacks.  B, C and E are walks through finitely
+many local states, and :func:`state_rows` builds the row of each state from
+a table of its steps.
 """
 
 from __future__ import annotations
@@ -147,7 +149,10 @@ def slot_width(n_max: int) -> int:
     q^dn, so :func:`shift_add` and the sums and scalar multiples of rows
     compute the packed image of the table exactly, whatever the sizes of
     the cells along the way.  Unpacking that image is exact when every final
-    cell is nonnegative, has t <= n_max and is below 2^W.
+    cell is nonnegative, has t <= n_max and is below 2^W.  Only final rows
+    are unpacked: of :func:`state_rows`, the rows of the start states, whose
+    cells count the family's objects; the other states' rows are sums and
+    shifts on the way.
 
     Every family's cells are counts, and s, t <= n <= n_max.  A final cell
     of weight n counts distinct objects of weight n that inject into the
@@ -175,6 +180,59 @@ def shift_add(into: list[int], row: list[int], shift: int, dn: int) -> None:
     for n, cell in zip(range(dn, len(into)), row):
         if cell:
             into[n] += cell << shift
+
+
+def state_rows(starts, table, order, n_max: int) -> dict:
+    """Each state's count row of completions by the weight they add: the
+    transfer-matrix method over finitely many local states.
+
+    ``table(state)`` is ``(ends, steps)``: ends is 1 when a walk may stop
+    there, and each step is (least, dn, shift, next), the least weight a
+    completion through it adds, the weight it adds, its :func:`cell_shift`
+    and the next state.  No step whose least exceeds a budget b adds
+    anything at or below b, so a state's row stops at n_max less the least
+    weight spent to reach it from a start, found by a label-correcting pass.
+    The rows are filled weight by weight, and within one weight in
+    increasing ``order(state)``.  ``ValueError`` refuses a kept step with
+    least < dn, which would read a row from its end, and a zero-weight step
+    to a state that does not sort earlier, which would read an unfilled cell.
+    """
+    spent = dict.fromkeys(starts, 0)
+    steps: dict = {}
+    todo = list(starts)
+    while todo:
+        state = todo.pop()
+        if state not in steps:
+            steps[state] = table(state)
+        here = spent[state]
+        for least, dn, _shift, nxt in steps[state][1]:
+            if here + least <= n_max and here + dn < spent.get(nxt, n_max + 1):
+                spent[nxt] = here + dn
+                todo.append(nxt)
+    rows: dict = {state: [] for state in spent}
+    plan = []
+    for state in sorted(spent, key=order):
+        room = n_max - spent[state]
+        ends, moves = steps[state]
+        kept = []
+        for least, dn, shift, nxt in moves:
+            if least > room:
+                continue
+            if least < dn or dn == 0 and not order(nxt) < order(state):
+                raise ValueError(f"step {state} -> {nxt} of least {least} and weight {dn} "
+                                 "would read a cell out of order")
+            kept.append((least, dn, shift, rows[nxt]))
+        plan.append((room, rows[state], ends, kept))
+    for n in range(n_max + 1):
+        for room, row, ends, moves in plan:
+            if n > room:
+                continue
+            cell = ends if n == 0 else 0
+            for least, dn, shift, rest in moves:
+                if least <= n and (c := rest[n - dn]):
+                    cell += c << shift
+            row.append(cell)
+    return rows
 
 
 def tally(members, n_max: int) -> CountTable:

@@ -6,17 +6,18 @@ all entries.  Successive ranks live here, as does the row bijection that
 splits an overpartition into an associated plain partition plus a partition
 of distinct marks (used heavily by :mod:`qpair.durfee`).
 
-The rank-bounded table is counted by a scan over the columns that forms no
-symbol.  The enumeration of symbols serves the listings and is the
-reference the tables are tested against.
+The rank-bounded table is counted by a walk over the columns
+(:func:`qpair.counts.state_rows`) that forms no symbol.  The enumeration of
+symbols serves the listings and is the reference the tables are tested
+against.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add, itemgetter, sub
+from operator import sub
 
-from .counts import CountTable, cell_shift, check_bound
+from .counts import CountTable, cell_shift, check_bound, state_rows
 from .overpartitions import (
     ReadOnlyFields,
     canonical_parts,
@@ -39,11 +40,15 @@ def canonical_row(row) -> Row:
 
     Equal rows come back as one shared tuple, so the row-keyed caches below
     and in :mod:`qpair.durfee` see each distinct row once: a canonical row
-    of (int, bool) parts is its own key, since (3, 1) == (3, True).
+    of (int, bool) parts is its own key, since (3, 1) == (3, True).  So a
+    row the cache answers with another tuple is checked, as (2.0, 1) is too.
     """
     if type(row) is not tuple:
         row = tuple(tuple(part) for part in row)
-    return _canonical_row(row)
+    out = _canonical_row(row)
+    if out is not row:
+        canonical_parts(row, min_part=0)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -194,110 +199,73 @@ def rank_bounded_symbols(k: int, i: int, n_max: int, tilde: bool = False):
 def count_rank_bounded(k: int, i: int, n_max: int, tilde: bool = False,
                        bound: int | None = None,
                        interval: tuple[int, int] | None = None) -> CountTable:
-    """Table of :func:`rank_bounded_symbols` by (s, t, n), built by a
-    right-to-left scan over the columns without forming any symbol.
+    """Table of :func:`rank_bounded_symbols` by (s, t, n), counted right to
+    left over the columns without forming any symbol.
 
     s counts non-overlined bottom entries, t non-overlined top entries.  By
     :func:`_rank_profile` the rank at a column is e_top - e_bot + d, where d
     is the number of plain entries right of it in the top row less those in
-    the bottom row.  An entry left of (e, overlined) is at least e +
-    overlined, the row rule of ``canonical_parts``.  So the scan carries
-    that least entry of each row and d' = d + i, each state with its count
-    row (:func:`qpair.counts.shift_add`), and adds one column on the left
-    at each step in two half-steps.  A window [lo, hi], the (k, i) one or
-    ``interval``, is [lo + i, hi + i] in d', and the (k, i) window is [2,
-    2k - 1] ([2, 2k - 2] for tilde) for every i, so one scan
-    (:func:`_scan_rows`) from the starts d' = 1 .. k serves every i.  d is
-    t - s, so a state's cells of one start lie on one diagonal: its row
-    keeps start i in the high slot i - 1 and s in the low slots, and the
-    totals are kept by d', each a part of every i's table.
+    the bottom row; :func:`_rank_steps` walks the columns with d' = d + i.
+    A window [lo, hi], the (k, i) one or ``interval``, is [lo + i, hi + i]
+    in d', and the (k, i) window is [2, 2k - 1] ([2, 2k - 2] for tilde) for
+    every i, so one walk (:func:`_rank_rows`) from the starts d' = 1 .. k
+    serves every i.
     """
     check_bound(n_max, bound)
     check_ki(k, i)
     lo, hi = interval if interval is not None else rank_interval(k, i, tilde)
-    shift = cell_shift(i - 1, 0, n_max)
-    mask = (1 << cell_shift(1, 0, n_max)) - 1
-    entries = {}
-    for d, rows in _scan_rows(lo + i, hi + i, tuple(range(1, k + 1)), n_max):
-        slot = [(row >> shift) & mask for row in rows]
-        for (_zero, s, n), c in CountTable.from_rows(slot, n_max).entries.items():
-            entries[s, s + d - i, n] = c
-    return CountTable(n_max, entries)
+    return CountTable.from_rows(_rank_rows(lo + i, hi + i, k, n_max)[i - 1], n_max)
+
+
+# The kinds of node of the column walk, in the order the rows are filled.
+_TOP, _ROW, _BOTTOM = range(3)
 
 
 @lru_cache(maxsize=None)
-def _scan_rows(lo: int, hi: int, starts: tuple[int, ...], n_max: int):
-    """The totals of the column scan of :func:`count_rank_bounded` in the
-    window [lo, hi], as (d', count rows) pairs: the empty symbol of start
-    slot j has d' = ``starts[j]``, and lies in every window.
+def _rank_rows(lo: int, hi: int, k: int, n_max: int) -> tuple[tuple[int, ...], ...]:
+    """The count rows of the symbols whose ranks plus d' lie in [lo, hi],
+    from the empty symbol with d' = 1 .. k: the rows of those starts in
+    :func:`qpair.counts.state_rows` over :func:`_rank_steps`."""
+    starts = [(_ROW, 0, 0, d) for d in range(1, k + 1)]
+    rows = state_rows(starts, lambda node: _rank_steps(node, lo, hi, n_max),
+                      lambda node: (node[0], -node[1]), n_max)
+    return tuple(tuple(rows[start]) for start in starts)
 
-    A state is (lt, lb, d'), each row's least next entry and d'.  A column
-    goes on in two half-steps.  The top one takes (lt, lb, d') to
-    (e + o_top, lb, r = e + d') for each top entry e >= lt, adding 1 + e to
-    the weight.  The bottom one takes (lt', lb, r) to (lt', f + o_bot,
-    r - lt' + o_bot) for each bottom entry f >= lb with rank r - f in
-    [lo, hi], adding f, and 1 to s when it is plain.  Each walks e (or f)
-    upward with one running sum of the states that admit it, all of which
-    step alike, cut to the weights the column can still reach.
+
+def _rank_steps(node: tuple, lo: int, hi: int, n_max: int) -> tuple[int, list[tuple]]:
+    """The step table of a node of the column walk in the window [lo, hi].
+
+    A row node (lt, lb, d') holds the columns so far, lt and lb each row's
+    least next entry (an entry left of (e, o) is at least e + o), and d'
+    corrects the next rank: a symbol may end there, or go on to the top node
+    T(lt, lb, d').  T(e, lb, d') takes the top entry e, adding 1 + e to the
+    weight and 1 to t when it is plain, to the bottom node (e + o_top, lb,
+    r = e + d'), or takes none and moves on to T(e + 1, lb, d').  The bottom
+    node (lt', lb, r) takes each bottom entry f >= lb whose rank r - f lies
+    in the window, adding f and 1 to s when it is plain, to the row node
+    (lt', f + o_bot, r - lt' + o_bot).  A row node goes straight to the
+    least e that some such f admits, e >= lb + lo - d', and a column through
+    T(e, lb, d') adds at least 1 + e + max(lb, e + d' - hi).  The
+    zero-weight steps go to an earlier node in the order T by decreasing
+    e, then the row nodes, then the bottom nodes.
     """
-    size = n_max + 1
-    plain_bot = cell_shift(0, 1, n_max)
-    totals = {d: [1 << cell_shift(j, 0, n_max)] + [0] * n_max for j, d in enumerate(starts)}
-    states = {(0, 0, d): row.copy() for d, row in totals.items()}
-    while states:
-        tops: dict[tuple[int, int], list] = {}
-        for (least_top, least_bot, d), row in states.items():
-            tops.setdefault((least_bot, d), []).append((least_top, row))
-        middle: dict[tuple[int, int, int], list[int]] = {}
-        for (least_bot, d), group in tops.items():
-            group.sort(key=itemgetter(0))
-            # Some bottom entry f >= least_bot must give a rank e - f + d' >= lo.
-            first = max(group[0][0], least_bot + lo - d)
-            run, j = [0] * size, 0
-            for e in range(first, n_max):
-                # The column adds 1 + e + f, with f >= least_bot and e - f + d' <= hi.
-                room = n_max - e - max(least_bot, e + d - hi)
-                if room <= 0:
-                    break
-                del run[room:]
-                while j < len(group) and group[j][0] <= e:
-                    run = list(map(add, run, group[j][1]))
-                    j += 1
-                if not any(run):
-                    continue
-                plain = middle.setdefault((e, least_bot, e + d), [0] * size)
-                over = middle.setdefault((e + 1, least_bot, e + d), [0] * size)
-                for n, cell in enumerate(run, 1 + e):
-                    if cell:
-                        plain[n] += cell
-                        over[n] += cell
-        bottoms: dict[tuple[int, int], list] = {}
-        for (least_top, least_bot, r), row in middle.items():
-            bottoms.setdefault((least_top, r), []).append((least_bot, row))
-        states = {}
-        for (least_top, r), group in bottoms.items():
-            group.sort(key=itemgetter(0))
-            run, j = [0] * size, 0
-            for f in range(max(group[0][0], r - hi), min(r - lo, n_max) + 1):
-                del run[n_max - f + 1:]
-                while j < len(group) and group[j][0] <= f:
-                    run = list(map(add, run, group[j][1]))
-                    j += 1
-                if not any(run):
-                    continue
-                d = r - least_top
-                plain = states.setdefault((least_top, f, d), [0] * size)
-                over = states.setdefault((least_top, f + 1, d + 1), [0] * size)
-                for n, cell in enumerate(run, f):
-                    if cell:
-                        plain[n] += cell << plain_bot
-                        over[n] += cell
-        for (_least_top, _least_bot, d), row in states.items():
-            total = totals.setdefault(d, [0] * size)
-            for n, cell in enumerate(row):
-                if cell:
-                    total[n] += cell
-    return tuple((d, tuple(rows)) for d, rows in totals.items())
+    kind, least_top, least_bot, d = node
+    if kind == _BOTTOM:
+        lower = d - least_top
+        return 0, [step for f in range(max(least_bot, d - hi), d - lo + 1) for step in (
+            (f, f, cell_shift(1, 0, n_max), (_ROW, least_top, f, lower)),
+            (f, f, 0, (_ROW, least_top, f + 1, lower + 1)))]
+
+    def least(e: int) -> int:
+        return 1 + e + max(least_bot, e + d - hi)
+
+    if kind == _ROW:
+        e = max(least_top, least_bot + lo - d)
+        return 1, [(least(e), 0, 0, (_TOP, e, least_bot, d))] if lo <= hi else []
+    e = least_top
+    return 0, [(least(e), 1 + e, cell_shift(0, 1, n_max), (_BOTTOM, e, least_bot, e + d)),
+               (least(e), 1 + e, 0, (_BOTTOM, e + 1, least_bot, e + d)),
+               (least(e + 1), 0, 0, (_TOP, e + 1, least_bot, d))]
 
 
 # ------------------------------------------------------------------ row bijection

@@ -6,13 +6,13 @@ symbols (which allow zero parts) live in :mod:`qpair.frobenius` and share the
 validation helper below.
 
 This module is pure combinatorics: the part frequency conditions that carve
-out the families counted by the series in :mod:`qpair.hyperg`, a transfer
-matrix that counts the frequency-conditioned pairs by (s, t, n) without
-building them, and the specialization identities.  Their A sides are
-products over the allowed part sizes, and their B sides are transforms of
-the count tables; neither builds an object.  The enumeration of
-overpartitions and pairs serves the listings and is the reference the
-counts are tested against.
+out the families counted by the series in :mod:`qpair.hyperg`, a walk over
+the part sizes (:func:`qpair.counts.state_rows`) that counts the
+frequency-conditioned pairs by (s, t, n) without building them, and the
+specialization identities.  Their A sides are products over the allowed
+part sizes, and their B sides are transforms of the count tables; neither
+builds an object.  The enumeration of overpartitions and pairs serves the
+listings and is the reference the counts are tested against.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from types import MappingProxyType
 
-from .counts import CountTable, cell_shift, check_bound, product_counts, shift_add
+from .counts import CountTable, cell_shift, check_bound, product_counts, state_rows
 from .gaussint import Coeff, I, unit_pow
 
 Part = tuple[int, bool]
@@ -30,10 +30,15 @@ Part = tuple[int, bool]
 def canonical_parts(parts, min_part: int = 1) -> tuple[Part, ...]:
     """Sort and validate a sequence of (size, overlined) parts.
 
-    Sizes weakly decreasing; among equal sizes the (single) overlined copy
-    comes first.
+    Each size is an ``int`` (a ``bool`` is no size) and each overline a
+    ``bool`` or the int 0 or 1; nothing else is coerced.  Sizes weakly
+    decreasing; among equal sizes the (single) overlined copy comes first.
     """
-    out = tuple(sorted(((int(s), bool(o)) for s, o in parts), key=lambda p: (-p[0], not p[1])))
+    parts = tuple(parts)
+    for size, over in parts:
+        if type(size) is not int or type(over) not in (bool, int) or over not in (0, 1):
+            raise ValueError(f"part {(size, over)!r} needs an integer size and a boolean overline")
+    out = tuple(sorted(((s, bool(o)) for s, o in parts), key=lambda p: (-p[0], not p[1])))
     for size, _ in out:
         if size < min_part:
             raise ValueError(f"part {size} below minimum {min_part}")
@@ -304,58 +309,66 @@ def frequency_pairs(k: int, i: int, n_max: int, parity: bool = False):
 
 def count_frequency_pairs(k: int, i: int, n_max: int, parity: bool = False,
                           bound: int | None = None) -> CountTable:
-    """Table of (s, t, n) counts of :func:`frequency_pairs`, built by a
-    transfer matrix over the part sizes without forming any pair.
+    """Table of (s, t, n) counts of :func:`frequency_pairs`, counted over
+    the part sizes (:func:`_pair_steps`) without forming any pair.
 
-    The level at j - 1 reads f_{j-1}(lam), the overlined parts <= j - 1 and
-    v_j, so the scan over j = 1 .. n_max + 1 carries the state
-    (f_{j-1}(lam), parity of the overlined parts <= j - 1), each with the
-    count row (:func:`qpair.counts.shift_add`) of its prefixes.  At j it
-    chooses f_j(lam), lam~_j, mu~_j and f_j(mu), which give v_j, and keeps
-    the choice when the level at j - 1 passes.  Starting from f_0 = k - i makes level 0 the condition
-    v_1 <= i - 1, whose parity always matches when it is tight.
-
-    A CountTable is read-only, so each table is built once per process: the
-    series-vs-enum, four-way and corollaries suites ask for the same ones.
+    Starting from f_0 = k - i makes level 0 the condition v_1 <= i - 1,
+    whose parity always matches when it is tight.  With i - 1 folded into
+    the parity no state depends on i, so one walk (:func:`_pair_rows`) from
+    the starts of every i serves them all.
     """
     check_bound(n_max, bound)
     check_ki(k, i)
-    return _frequency_table(k, i, n_max, parity)
+    return CountTable.from_rows(_pair_rows(k, parity, n_max)[i - 1], n_max)
+
+
+# The kinds of node of one part size j, in the order their rows are filled.
+_MU, _SIZE = range(2)
 
 
 @lru_cache(maxsize=None)
-def _frequency_table(k: int, i: int, n_max: int, parity: bool) -> CountTable:
-    size = n_max + 1
-    both = cell_shift(1, 1, n_max)
-    shifts = {(lam_over, mu_over): cell_shift(lam_over, mu_over, n_max)
-              for lam_over, mu_over in product((0, 1), repeat=2)}
-    states = {(k - i, 0): [1] + [0] * n_max}
-    for j in range(1, n_max + 2):
-        following: dict[tuple[int, int], list[int]] = {}
-        for (f_prev, odd_prev), row in states.items():
-            # f_j(mu) enters v_j only through f_j(mu) >= 1: one value stands
-            # for all of them, with the row summed over every such f_j(mu),
-            # each plain part j of mu adding 1 to s and t and j to n.
-            plain = [0] * size
-            for n in range(j, size):
-                plain[n] = (row[n - j] + plain[n - j]) << both
-            by_mu = ((0, row), (1, plain))
-            for f_lam, lam_over, mu_over in product(range(k), (0, 1), (0, 1)):
-                weight = j * (f_lam + lam_over + mu_over)
-                if weight > n_max:
-                    continue
-                for f_mu, counts in by_mu:
-                    v = _valuation(f_lam, lam_over, mu_over, f_mu)
-                    level, par = _level(j - 1, f_prev, v, odd_prev)
-                    if level > k - 1 or parity and level == k - 1 and par != (i - 1) % 2:
-                        continue
-                    # The plain table never reads the parity: one state per f_j(lam).
-                    state = (f_lam, (odd_prev + lam_over + mu_over) % 2 if parity else 0)
-                    if state not in following:
-                        following[state] = [0] * size
-                    shift_add(following[state], counts, shifts[lam_over, mu_over], weight)
-        states = following
-    return CountTable.from_rows([sum(cells) for cells in zip(*states.values())], n_max)
+def _pair_rows(k: int, parity: bool, n_max: int) -> tuple[tuple[int, ...], ...]:
+    """The count rows of :func:`count_frequency_pairs` for i = 1 .. k: the
+    rows of the starts (1, _SIZE, k - i, i - 1) in
+    :func:`qpair.counts.state_rows` over :func:`_pair_steps`."""
+    starts = [(1, _SIZE, k - i, (i - 1) % 2 if parity else 0) for i in range(1, k + 1)]
+    rows = state_rows(starts, lambda node: _pair_steps(node, k, parity, n_max),
+                      lambda node: (-node[0], node[1]), n_max)
+    return tuple(tuple(rows[start]) for start in starts)
+
+
+def _pair_steps(node: tuple, k: int, parity: bool, n_max: int) -> tuple[int, list[tuple]]:
+    """The step table of a node of the walk over the part sizes.
+
+    The level at j - 1 reads f_{j-1}(lam), the overlined parts <= j - 1 and
+    v_j.  So the node (j, _SIZE, f_{j-1}(lam), odd), odd the parity of the
+    overlined parts <= j - 1 plus i - 1, has one step per choice of
+    f_j(lam), lam~_j and mu~_j, and whether mu has a plain part j, whose
+    level at j - 1 passes.  f_j(mu) enters v_j only through f_j(mu) >= 1,
+    so the plain parts j of mu go through the node (j, _MU, f_j(lam), odd'),
+    whose self-step and step to (j + 1, _SIZE, f_j(lam), odd') each add one
+    such part: j to the weight and 1 to s and t.  A node past j = n_max ends
+    when its last level passes.  The zero-weight steps go to an earlier node
+    in the order by decreasing j, the mu node first.
+    """
+    j, kind, f_prev, odd = node
+    if kind == _MU:
+        both = cell_shift(1, 1, n_max)
+        return 0, [(j, j, both, node), (j, j, both, (j + 1, _SIZE, f_prev, odd))]
+    if j > n_max:
+        level, par = _level(j - 1, f_prev, 0, odd)
+        return int(level < k - 1 or not parity or par == 0), []
+    out = []
+    for f_lam, lam_over, mu_over in product(range(k), (0, 1), (0, 1)):
+        weight = j * (f_lam + lam_over + mu_over)
+        odd_next = (odd + lam_over + mu_over) % 2 if parity else 0
+        for f_mu in (0, 1):
+            level, par = _level(j - 1, f_prev, _valuation(f_lam, lam_over, mu_over, f_mu), odd)
+            if level > k - 1 or parity and level == k - 1 and par:
+                continue
+            nxt = (j, _MU, f_lam, odd_next) if f_mu else (j + 1, _SIZE, f_lam, odd_next)
+            out.append((weight, weight, cell_shift(lam_over, mu_over, n_max), nxt))
+    return 0, out
 
 
 # ------------------------------------------------------------------ corollaries

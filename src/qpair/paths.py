@@ -17,7 +17,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .counts import CountTable, cell_shift, check_bound
+from .counts import CountTable, cell_shift, check_bound, state_rows
 from .frobenius import FrobeniusSymbol, rank_interval, successive_ranks
 from .hyperg import r_exponent
 from .overpartitions import check_ki
@@ -100,15 +100,16 @@ class LatticePath:
         """Validate the path by folding :func:`_step` over its steps, then
         each peak's mark against the step leaving it.
 
-        Faults are reported in a fixed order: the first bad step, the end
-        point, a trailing E, the number of marks, then the first peak whose
-        mark does not fit the step leaving it.
+        Faults are reported in a fixed order: a start height that is not a
+        nonnegative ``int`` (a ``bool`` included), the first bad step, the
+        end point, a trailing E, the number of marks, then the first peak
+        whose mark does not fit the step leaving it.
         """
-        self.start_height = int(start_height)
+        if type(start_height) is not int or start_height < 0:
+            raise ValueError(f"start height {start_height!r} must be a nonnegative integer")
+        self.start_height = start_height
         self.steps = steps = tuple(steps)
         self.marks = marks = tuple(marks)
-        if self.start_height < 0:
-            raise ValueError("start height must be nonnegative")
         prefix = _start(self.start_height)
         for step in steps:
             n_peaks = len(prefix[7])
@@ -180,10 +181,8 @@ class LatticePath:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "LatticePath":
-        """The path of a :meth:`to_obj` listing, whose start height is a JSON
-        integer and whose marks name each peak once by index."""
-        if type(obj["start_height"]) is not int:
-            raise ValueError(f"start height {obj['start_height']!r} must be an integer")
+        """The path of a :meth:`to_obj` listing, whose marks name each peak
+        once by index."""
         peaks = [entry["peak"] for entry in obj["marks"]]
         if any(type(p) is not int for p in peaks) or sorted(peaks) != list(range(len(peaks))):
             raise ValueError(f"mark peaks {peaks} are not 0 .. {len(peaks) - 1}, each once")
@@ -270,10 +269,9 @@ def count_paths(k: int, i: int, n_max: int, even: bool = False,
 
     How a prefix can be completed depends only on its walk state (x, y,
     last step), with (u - v + i - 1) mod 2 for the even conditions, so
-    :func:`_walk_rows` gives each state one count row
-    (:func:`qpair.counts.shift_add`) of its completions by the major index
-    they add.  With i - 1 folded into the parity no state depends on i, and
-    one walk serves the starts (0, k - i) of every i.
+    :func:`_walk_rows` gives each state one count row of its completions
+    by the major index they add.  With i - 1 folded into the parity no state
+    depends on i, and one walk serves the starts (0, k - i) of every i.
     """
     check_bound(n_max, bound)
     check_ki(k, i)
@@ -282,23 +280,25 @@ def count_paths(k: int, i: int, n_max: int, even: bool = False,
 
 @lru_cache(maxsize=None)
 def _walk_rows(k: int, even: bool, n_max: int) -> tuple[tuple[int, ...], ...]:
-    """The count rows of :func:`count_paths` for i = 1 .. k: the rows of
-    the starts in :func:`_state_rows`."""
-    rows = _state_rows(k, even, n_max)
-    return tuple(tuple(rows[_start_state(k, i, even)]) for i in range(1, k + 1))
+    """The count rows of :func:`count_paths` for i = 1 .. k: the rows of the
+    walk states of the empty (k, i)-path prefixes in
+    :func:`qpair.counts.state_rows` over :func:`_state_steps`.  Rows are
+    filled in decreasing x: the steps that add major index 0 (NE, SE off a
+    peak, E) all raise x, and every other step leaves a peak at x >= 1."""
+    starts = [(0, k - i, None, (i - 1) % 2 if even else 0) for i in range(1, k + 1)]
+    rows = state_rows(starts, lambda state: _state_steps(state, k, even, n_max),
+                      lambda state: -state[0], n_max)
+    return tuple(tuple(rows[start]) for start in starts)
 
 
-def _start_state(k: int, i: int, even: bool) -> tuple:
-    """The walk state of the empty (k, i)-path prefix."""
-    return (0, k - i, None, (i - 1) % 2 if even else 0)
-
-
-def _state_steps(state: tuple, k: int, even: bool, n_max: int) -> list[tuple]:
-    """(least major index, major index, cell shift, next state) of each step
-    a (k, i)-walk keeps from ``state``.  It steps by :func:`_step` from a
-    prefix whose u, v, East parity, statistics and peaks are reset, and reads
-    what the step adds from the new statistics and the peak it records; the
-    least major index is the bound of :func:`_least_major`."""
+def _state_steps(state: tuple, k: int, even: bool, n_max: int) -> tuple[int, list[tuple]]:
+    """The step table of ``state`` for :func:`qpair.counts.state_rows`:
+    whether a path may end there, and the (least major index, major index,
+    cell shift, next state) of each step a (k, i)-walk keeps from it.  It
+    steps by :func:`_step` from a prefix whose u, v, East parity, statistics
+    and peaks are reset, and reads what the step adds from the new
+    statistics and the peak it records; the least major index is the bound
+    of :func:`_least_major`."""
     x, y, last, odd = state
     out = []
     prefix = (x, y, last, False, odd, 0) + _start(y)[6:]
@@ -315,54 +315,7 @@ def _state_steps(state: tuple, k: int, even: bool, n_max: int) -> list[tuple]:
         odd_next = (extended[4] - extended[5]) % 2 if even else 0
         out.append((least, major, cell_shift(ds, dt, n_max),
                     (extended[0], extended[1], step, odd_next)))
-    return out
-
-
-def _state_rows(k: int, even: bool, n_max: int) -> dict[tuple, list[int]]:
-    """Each walk state's count row of completions, up to the major index it
-    has left: the cells 0 .. n_max - spent, where spent is the least major
-    index a walk from a start (0, k - i) spends to reach the state.
-
-    No step whose least major index exceeds b adds anything at or below b,
-    so the completions within a budget b are the first b + 1 cells of the
-    row; a state needs no more than it can have left.  A label-correcting
-    pass over the step table (:func:`_state_steps`) finds the states and
-    their spent, keeping a step when spent + least <= n_max.  The rows are
-    then filled weight by weight, and within one weight in decreasing x:
-    the steps that add major index 0 (NE, SE off a peak, E) all raise x,
-    and every other step leaves a peak at x >= 1, so each cell reads only
-    cells already final.
-    """
-    starts = [_start_state(k, i, even) for i in range(1, k + 1)]
-    spent = dict.fromkeys(starts, 0)
-    steps: dict[tuple, list[tuple]] = {}
-    todo = list(starts)
-    while todo:
-        state = todo.pop()
-        if state not in steps:
-            steps[state] = _state_steps(state, k, even, n_max)
-        here = spent[state]
-        for least, major, _shift, nxt in steps[state]:
-            if here + least <= n_max and here + major < spent.get(nxt, n_max + 1):
-                spent[nxt] = here + major
-                todo.append(nxt)
-    rows: dict[tuple, list[int]] = {state: [] for state in spent}
-    plan = []
-    for state in sorted(spent, key=lambda state: -state[0]):
-        room = n_max - spent[state]
-        moves = [(least, major, shift, rows[nxt]) for least, major, shift, nxt in steps[state]
-                 if least <= room]
-        plan.append((room, rows[state], int(state[1] == 0 and state[2] != E), moves))
-    for n in range(n_max + 1):
-        for room, row, ends, moves in plan:
-            if n > room:
-                continue
-            cell = ends if n == 0 else 0
-            for least, major, shift, rest in moves:
-                if least <= n and (c := rest[n - major]):
-                    cell += c << shift
-            row.append(cell)
-    return rows
+    return int(y == 0 and last != E), out
 
 
 # ------------------------------------------------------------------ bijection

@@ -367,7 +367,7 @@ class TestVerifyCommand:
         # Every B, C and D table is counted without objects and every
         # corollary A side comes from a product over part sizes: a verify run
         # over all suites builds no overpartition, pair, row, symbol or path,
-        # and each B table once.
+        # and B's rows once per (k, parity, n_max).
         from qpair import durfee, frobenius, overpartitions, paths
         from qpair.verify import SUITES, VerifyConfig, run_suite
 
@@ -385,17 +385,17 @@ class TestVerifyCommand:
                 return fn(*args, **kwargs)
             monkeypatch.setattr(module, name, record)
 
-        table = overpartitions._frequency_table
+        table = overpartitions._pair_rows
         table.cache_clear()
         durfee._durfee_tables.cache_clear()
         for module, name in ((overpartitions, "overpartitions_of"), (overpartitions, "pairs_of"),
                              (frobenius, "rows_of"), (frobenius, "symbols_of"),
-                             (paths, "_paths_up_to"), (overpartitions, "_frequency_table")):
+                             (paths, "_paths_up_to"), (overpartitions, "_pair_rows")):
             spy(module, name)
         cfg = VerifyConfig(k_values=(2, 3), cutoff=6, n_max=4)
         assert all(run_suite(name, cfg).ok for name in SUITES)
-        keys = [args for name, args in calls if name == "_frequency_table"]
-        assert [name for name, _ in calls if name != "_frequency_table"] == []
+        keys = [args for name, args in calls if name == "_pair_rows"]
+        assert [name for name, _ in calls if name != "_pair_rows"] == []
         assert rows_of.cache_info() == rows_looked_up
         assert len(keys) > len(set(keys)) and table.cache_info().misses == len(set(keys))
 

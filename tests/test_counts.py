@@ -5,7 +5,7 @@ import pytest
 
 from qpair import durfee, overpartitions, series
 from qpair.counts import (BoundExceededError, CountTable, cell_shift, product_counts, shift_add,
-                          slot_width, tally)
+                          slot_width, state_rows, tally)
 from qpair.frobenius import FrobeniusSymbol, count_rank_bounded
 from qpair.overpartitions import Overpartition, OverpartitionPair, count_frequency_pairs, pairs_of
 from qpair.paths import count_paths
@@ -138,6 +138,23 @@ def test_shift_add_drops_weights_past_the_row():
     assert CountTable.from_rows(rows, 2).entries == {(1, 0, 1): 1, (1, 0, 2): 2}
 
 
+def test_state_rows_cut_each_row_at_the_weight_left():
+    # "a" ends or steps to "b" by weight 1; "b" ends, with 2 of 3 left.
+    table = {"a": (1, [(1, 1, cell_shift(0, 1, 3), "b")]), "b": (1, [])}
+    rows = state_rows(["a"], table.__getitem__, "ab".index, 3)
+    assert rows == {"a": [1, 1 << cell_shift(0, 1, 3), 0, 0], "b": [1, 0, 0]}
+
+
+@pytest.mark.parametrize("step", [
+    (0, 1, 0, "b"),  # least below dn: it would read rows["b"][-1]
+    (0, 0, 0, "b"),  # no weight, to a state that sorts later: rows["b"][0] is not yet filled
+])
+def test_state_rows_refuse_a_step_that_reads_no_filled_cell(step):
+    table = {"a": (0, [step]), "b": (1, [])}
+    with pytest.raises(ValueError, match="would read a cell out of order"):
+        state_rows(["a"], table.__getitem__, "ab".index, 3)
+
+
 @pytest.mark.parametrize("count", [count_frequency_pairs, count_rank_bounded,
                                    durfee.count_admissible, durfee.count_self_conjugate,
                                    count_paths])
@@ -162,7 +179,7 @@ def test_four_way_suites_call_no_series_kernel(monkeypatch):
         for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "qpair"]:
             if getattr(module, name, None) is fn:
                 spy(module, name)
-    overpartitions._frequency_table.cache_clear()
+    overpartitions._pair_rows.cache_clear()
     durfee._durfee_tables.cache_clear()
     cfg = VerifyConfig(k_values=(2, 3), n_max=8)
     assert run_suite("four-way", cfg).ok and run_suite("four-way-even", cfg).ok

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from qpair import durfee
+from qpair import durfee, overpartitions
 from qpair.durfee import (
     admissible_symbols,
     conjugate,
@@ -357,11 +357,15 @@ class TestCachedLayerOracle:
                         assert is_self_ki_conjugate(f, k, i) == ref_self_ki_conjugate(top, bottom, k, i)
 
     def test_tables_are_built_once_and_bounded_on_every_call(self):
+        # D keeps its tables; B keeps its count rows and unpacks a table per call.
+        rows = overpartitions._pair_rows.cache_info
         for count in (count_admissible, count_self_conjugate,
                       partial(count_frequency_pairs, parity=False),
                       partial(count_frequency_pairs, parity=True)):
-            table = count(3, 2, 6)
-            assert count(3, 2, 6, bound=6) is table
+            table, misses = count(3, 2, 6), rows().misses
+            again = count(3, 2, 6, bound=6)
+            assert again is table if count in (count_admissible, count_self_conjugate) else again == table
+            assert rows().misses == misses
             with pytest.raises(BoundExceededError):
                 count(3, 2, 6, bound=5)
 

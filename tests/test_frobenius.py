@@ -223,38 +223,41 @@ class TestColumnScan:
 
     @pytest.mark.parametrize("tilde", [False, True])
     def test_every_i_shares_one_scan(self, tilde):
-        frobenius._scan_rows.cache_clear()
+        frobenius._rank_rows.cache_clear()
         tables = [count_rank_bounded(4, i, 9, tilde) for i in range(1, 5)]
-        assert frobenius._scan_rows.cache_info().misses == 1
+        assert frobenius._rank_rows.cache_info().misses == 1
         assert len(set(map(CountTable.to_json, tables))) == 4
         # So do the self-test hook's windows, one wider than each (k, i) window.
-        frobenius._scan_rows.cache_clear()
+        frobenius._rank_rows.cache_clear()
         for i in range(1, 5):
             lo, hi = rank_interval(4, i, tilde)
             count_rank_bounded(4, i, 9, tilde, interval=(lo, hi + 1))
-        assert frobenius._scan_rows.cache_info().misses == 1
+        assert frobenius._rank_rows.cache_info().misses == 1
 
     def test_scan_caches_ints_not_tables(self):
         count_rank_bounded(3, 2, 7)
-        for d, rows in frobenius._scan_rows(*rank_interval(3, 0), (1, 2, 3), 7):
-            assert type(d) is int and type(rows) is tuple and rows
-            assert all(type(row) is int for row in rows)
+        rows = frobenius._rank_rows(*rank_interval(3, 0), 3, 7)
+        assert len(rows) == 3 and all(type(row) is tuple and len(row) == 8 for row in rows)
+        assert all(type(cell) is int for row in rows for cell in row)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_half_steps_equal_the_pair_scan(self, k):
-        # Both windows of the shared scan, row for row by d'.
+        # Both windows and the widened ones, from the starts d' = 1 .. k of
+        # the reference as in the walk, every i at once.
+        starts = tuple(range(1, k + 1))
         for tilde in (False, True):
-            window = rank_interval(k, 0, tilde)
+            lo, hi = rank_interval(k, 0, tilde)
             for n in range(15):
-                got = frobenius._scan_rows(*window, tuple(range(1, k + 1)), n)
-                want = reference_scan_rows(*window, tuple(range(1, k + 1)), n)
-                assert nonzero_rows(got) == nonzero_rows(want), (tilde, n)
+                for widen in (0, 1):
+                    want = reference_tables(lo, hi + widen, starts, n)
+                    got = [count_rank_bounded(k, i, n, tilde, interval=(lo - i, hi + widen - i))
+                           for i in starts]
+                    assert got == want, (tilde, widen, n)
 
     @pytest.mark.parametrize("window", [(0, 3), (-1, 2), (1, 4), (2, 2), (1, 0)])
     def test_half_steps_equal_the_pair_scan_from_one_start(self, window):
         for n in range(15):
-            got = frobenius._scan_rows(*window, (0,), n)
-            assert nonzero_rows(got) == nonzero_rows(reference_scan_rows(*window, (0,), n)), n
+            assert count_rank_bounded(2, 1, n, interval=window) == one_start_table(*window, n), n
 
     def test_interval_given_as_a_list(self):
         window = rank_interval(3, 2, True)
@@ -270,18 +273,26 @@ class TestColumnScan:
 
 
 def one_start_table(lo, hi, n_max):
-    """The table of the ranks in [lo, hi] from the scan of that window from
-    the one start d' = 0, where d' is d."""
-    entries = {}
-    for d, rows in frobenius._scan_rows(lo, hi, (0,), n_max):
-        for (_zero, s, n), c in CountTable.from_rows(rows, n_max).entries.items():
-            entries[s, s + d, n] = c
-    return CountTable(n_max, entries)
+    """The table of the ranks in [lo, hi] from the reference scan of that
+    window from the one start d' = 0, where d' is d."""
+    return reference_tables(lo, hi, (0,), n_max)[0]
 
 
-def nonzero_rows(scan):
-    """A scan's totals by d', without its all-zero rows."""
-    return {d: rows for d, rows in scan if any(rows)}
+def reference_tables(lo, hi, starts, n_max):
+    """The table of each start of :func:`reference_scan_rows`, read from its
+    totals by d': start j keeps s in the t slots of its high slot j, and t is
+    s + d' less the start."""
+    scan = reference_scan_rows(lo, hi, starts, n_max)
+    mask = (1 << cell_shift(1, 0, n_max)) - 1
+    tables = []
+    for j, start in enumerate(starts):
+        entries = {}
+        for d, rows in scan:
+            slot = [(row >> cell_shift(j, 0, n_max)) & mask for row in rows]
+            for (_zero, s, n), c in CountTable.from_rows(slot, n_max).entries.items():
+                entries[s, s + d - start, n] = c
+        tables.append(CountTable(n_max, entries))
+    return tables
 
 
 def reference_scan_rows(lo, hi, starts, n_max):
@@ -387,6 +398,11 @@ class TestCanonicalRows:
         r = tuple((size, over) for size, over in [(103, True), (103, False), (101, False)])
         assert canonical_row(r) is r
         assert canonical_row(list(r)) is r
+
+    @pytest.mark.parametrize("top", [[(2.9, "no")], [(2.9, True)], [(2, "no")], [(False, True)]])
+    def test_entries_are_not_coerced(self, top):
+        with pytest.raises(ValueError, match="integer size and a boolean overline"):
+            FrobeniusSymbol(top, [(0, 0)])
 
     def test_int_flags_come_back_as_bools(self):
         # (3, 1) == (3, True), so the canonical form must not be the key.

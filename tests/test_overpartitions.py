@@ -1,6 +1,10 @@
+import gc
+import tracemalloc
+
 import pytest
 
-from qpair.counts import BoundExceededError, tally
+from qpair import overpartitions
+from qpair.counts import BoundExceededError, CountTable, tally
 from qpair.gaussint import I, unit_pow
 from qpair.overpartitions import (
     Overpartition,
@@ -242,6 +246,14 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             O([(0, False)])
 
+    @pytest.mark.parametrize("part", [(3.5, 0), ("4", 1), (True, False), (3, 2), (3, 1.0), (3, "no"),
+                                      (3, None)])
+    def test_parts_are_not_coerced(self, part):
+        # A size is an int and not a bool; an overline is a bool or 0 or 1.
+        with pytest.raises(ValueError, match="integer size and a boolean overline"):
+            O([part])
+        assert O([(3, 1)]).parts == O([(3, True)]).parts == ((3, True),)
+
     def test_cached_listings_are_read_only(self):
         # The pair (1 | ∅) of the cached pairs_of(1) holds the cached
         # overpartition (1) itself, so a write to either would reach every
@@ -273,6 +285,33 @@ class TestTransferMatrix:
             for n in (0, 1, 5, 10):
                 want = tally(frequency_pairs(k, i, n, parity), n)
                 assert count_frequency_pairs(k, i, n, parity) == want, (i, n)
+
+    @pytest.mark.parametrize("parity", [False, True])
+    def test_every_i_shares_one_walk(self, parity):
+        overpartitions._pair_rows.cache_clear()
+        tables = [count_frequency_pairs(4, i, 9, parity) for i in range(1, 5)]
+        assert overpartitions._pair_rows.cache_info().misses == 1
+        assert len(set(map(CountTable.to_json, tables))) == 4
+
+    def test_walk_caches_ints_not_tables(self):
+        rows = overpartitions._pair_rows(3, True, 7)
+        assert len(rows) == 3 and all(type(row) is tuple and len(row) == 8 for row in rows)
+        assert all(type(cell) is int for row in rows for cell in row)
+
+    def test_build_does_not_outlive_the_call(self):
+        # The rows are cached per (k, parity, n_max), so all the walk may
+        # keep after the call is the rows of the starts.
+        overpartitions._pair_rows.cache_clear()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            count_frequency_pairs(3, 2, 16, bound=16)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert held < 1_000_000
 
 
 def _even_level_ok(lam, k, i):

@@ -5,7 +5,7 @@ from functools import lru_cache
 import pytest
 
 from qpair import paths
-from qpair.counts import CountTable, cell_shift, shift_add, tally
+from qpair.counts import CountTable, cell_shift, shift_add, state_rows, tally
 from qpair.frobenius import FrobeniusSymbol, successive_ranks
 from qpair.overpartitions import count_frequency_pairs
 from qpair.paths import (
@@ -119,6 +119,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="expected 1 peak marks"):
             LatticePath(0, ["NE", "S"], [])
 
+    @pytest.mark.parametrize("height", [True, False, 1.7, 1.0, "1", None, -1])
+    def test_start_height_is_an_int(self, height):
+        # All but -1 would once have read as int(height).
+        with pytest.raises(ValueError, match="must be a nonnegative integer"):
+            LatticePath(height, ["SE"], [])
+
     def test_json_round_trip(self):
         for p in (FIG1, FIG2, FIG3):
             assert LatticePath.from_obj(p.to_obj()) == p
@@ -212,13 +218,17 @@ class TestMemoisedWalk:
 
     @pytest.mark.parametrize("even", [False, True])
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
-    def test_each_budget_is_a_prefix_of_the_state_row(self, k, even):
+    def test_each_budget_is_a_prefix_of_the_state_row(self, k, even, monkeypatch):
         # The reference's completions of a state within budget b are the
         # first b + 1 cells of the state's one row, which is as long as the
         # largest budget the reference visits the state with.
+        built = []
+        monkeypatch.setattr(paths, "state_rows", lambda *args: built.append(state_rows(*args)) or built[-1])
         for n in range(17):
             visited = reference_completions(k, even, n)
-            rows = paths._state_rows(k, even, n)
+            paths._walk_rows.cache_clear()
+            paths._walk_rows(k, even, n)
+            rows = built[-1]
             longest = {}
             for (*state, budget), want in visited.items():
                 assert rows[tuple(state)][:budget + 1] == want, (n, state, budget)
