@@ -6,11 +6,11 @@ stores only nonzero counts: a triple with ``n <= n_max`` that it lacks
 counts 0, and the table makes no claim beyond ``n_max``.  Rows serialize
 sorted by (n, s, t).
 
-The families build their tables as count rows (:func:`shift_add`): a list
+The families build their tables as count rows (:func:`cell_shift`): a list
 over n of ints, each packing the (s, t) cells of one weight, which
-:meth:`CountTable.from_rows` unpacks.  B, C and E are walks through finitely
-many local states, and :func:`state_rows` builds the row of each state from
-a table of its steps.
+:meth:`CountTable.from_rows` unpacks.  B, C, D and E are walks through
+finitely many local states, and :func:`state_rows` builds the row of each
+state from a table of its steps.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ class CountTable:
 
     @classmethod
     def from_rows(cls, rows: list[int], n_max: int) -> "CountTable":
-        """The table of count rows up to weight n_max (see :func:`shift_add`)."""
+        """The table of count rows up to weight n_max (see :func:`cell_shift`)."""
         width = slot_width(n_max)
         stride = (n_max + 1) * width
         cell_mask, block_mask = (1 << width) - 1, (1 << stride) - 1
@@ -146,10 +146,11 @@ def slot_width(n_max: int) -> int:
     of weight n is the W-bit slot of ``row[n]`` at bit (s (n_max + 1) + t) W.
     Reading a as 2^(W (n_max + 1)) and b as 2^W maps Z[a, b] into Z as a
     ring map, and a shift by (ds, dt, dn) is a multiplication by a^ds b^dt
-    q^dn, so :func:`shift_add` and the sums and scalar multiples of rows
-    compute the packed image of the table exactly, whatever the sizes of
-    the cells along the way.  Unpacking that image is exact when every final
-    cell is nonnegative, has t <= n_max and is below 2^W.  Only final rows
+    q^dn: a :func:`cell_shift` of each int, moved dn places along the list.
+    So the shifts and the sums and scalar multiples of rows compute the
+    packed image of the table exactly, whatever the sizes of the cells
+    along the way.  Unpacking that image is exact when every final cell is
+    nonnegative, has t <= n_max and is below 2^W.  Only final rows
     are unpacked: of :func:`state_rows`, the rows of the start states, whose
     cells count the family's objects; the other states' rows are sums and
     shifts on the way.
@@ -172,14 +173,6 @@ def slot_width(n_max: int) -> int:
 def cell_shift(ds: int, dt: int, n_max: int) -> int:
     """The bit shift that moves a cell of a count row up to weight n_max by (ds, dt)."""
     return (ds * (n_max + 1) + dt) * slot_width(n_max)
-
-
-def shift_add(into: list[int], row: list[int], shift: int, dn: int) -> None:
-    """Add ``row`` into ``into`` with its cells moved by ``shift`` bits (a
-    :func:`cell_shift`) and its weights by dn; weights past ``into`` are dropped."""
-    for n, cell in zip(range(dn, len(into)), row):
-        if cell:
-            into[n] += cell << shift
 
 
 def state_rows(starts, table, order, n_max: int) -> dict:

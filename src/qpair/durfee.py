@@ -13,18 +13,20 @@ of 0 leaves G1 = G2 = (), and the conjugation is the identity.
 
 Both families are decided row by row: admissibility reads only the bottom
 row, and self-conjugacy compares the top row's G1 with the bottom row's G2.
-So their count tables list the bottom partitions once for both tables of
-every i and form no row: the tops that a bottom pairs with, and the marks
-of both rows, are factors of count rows (:func:`qpair.counts.shift_add`).
-The symbol streams serve the listings and are the reference the tables are
-tested against.
+So their count tables form no row: one walk down the marks, the column
+count and the residue's squares (:func:`_durfee_steps` on
+:func:`qpair.counts.state_rows`) serves every i, and the tops a bottom
+pairs with are factors along it.  The walk counts pairs (residue, square
+tuple), which are the bottom rows: no bottom partition has two residues
+(:func:`_reduction`).  The symbol streams serve the listings and are the
+reference the tables are tested against.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .counts import CountTable, cell_shift, check_bound, shift_add
+from .counts import CountTable, cell_shift, check_bound, state_rows
 from .frobenius import (
     FrobeniusSymbol,
     Row,
@@ -32,7 +34,7 @@ from .frobenius import (
     row_split,
     symbols_up_to,
 )
-from .overpartitions import check_ki, partitions
+from .overpartitions import check_ki
 
 Partition = tuple[int, ...]
 
@@ -47,24 +49,11 @@ def conjugate(parts) -> Partition:
     return tuple(out)
 
 
-def _remove_parts(parts: Partition, removals) -> Partition | None:
-    """Remove one occurrence of each requested value (zeros are free).
-
-    With nothing to remove, ``parts`` itself comes back, not a copy of it.
-    """
-    out = list(parts)
-    for v in filter(None, removals):
-        if v not in out:
-            return None
-        out.remove(v)
-    return parts if len(out) == len(parts) else tuple(out)
-
-
 def successive_sizes(parts: Partition, count: int) -> tuple[int, ...]:
     """The first ``count`` successive Durfee square sizes, zero-padded.
 
-    Not cached: the Durfee tables ask this of partitions that no later call
-    meets.
+    Not cached: its callers are the predicates, whose answers
+    :func:`_row_reduction` caches by row, and the conjugation.
     """
     sizes = []
     top = 0
@@ -75,39 +64,6 @@ def successive_sizes(parts: Partition, count: int) -> tuple[int, ...]:
         sizes.append(d)
         top += d
     return tuple(sizes)
-
-
-def _short_tuples(tops: tuple[int, ...], slack: int, cap: int):
-    """Weakly decreasing tuples (n_1 >= n_2 >= ... >= 0), n_1 <= cap, with
-    n_j <= tops[j] and a total shortfall sum(tops) - sum(n) of at most
-    ``slack``, in descending lexicographic order."""
-    if not tops:
-        yield ()
-        return
-    top = tops[0]
-    for first in range(min(cap, top), max(top - slack, 0) - 1, -1):
-        for rest in _short_tuples(tops[1:], slack - (top - first), first):
-            yield (first,) + rest
-
-
-@lru_cache(maxsize=None)
-def _window(sizes: tuple[int, ...], length: int, k: int,
-            i: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """The square tuples that can leave a residue of a bottom partition
-    whose squares 1 .. k-2 have sizes ``sizes`` and whose row has
-    ``length`` entries, each with the part sizes the (k, i) family inserts
-    under it, in descending order: the tuples that fall short of ``sizes``
-    by no more than the nonzero parts they remove (see :func:`_reduction`).
-    The family inserts one part of each square size i-1 .. k-2, with the
-    column count as the 0th square."""
-    out = []
-    # The slack, the number of removals, only prunes: it bounds the
-    # nonzero removals that the filter below compares with.
-    for tup in _short_tuples(sizes, k - i, length):
-        removals = ((length,) + tup)[i - 1:]
-        if sum(sizes) - sum(tup) <= sum(1 for v in removals if v):
-            out.append((tup, removals))
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -123,48 +79,46 @@ def _row_with_lam_prime(row: Row, lam_p: Partition) -> Row:
     return joichi_stanton_inverse(assoc, row_split(row)[1])
 
 
-def _reduction(lam2p: Partition, sizes: tuple[int, ...], length: int, k: int,
+def _reduction(lam2p: Partition, length: int, k: int,
                i: int) -> tuple[Partition, tuple[int, ...]] | None:
     """The residue nu the (k, i) family reduces a bottom row of ``length``
     entries and conjugated associated partition lam2p to, with the sizes
-    of nu's squares 1 .. k-2, or None.
+    (n_1, ..., n_{k-2}) of nu's squares 1 .. k-2, or None.
 
-    ``sizes`` holds the sizes s_1, ..., s_{k-2} of lam2p's squares 1 ..
-    k-2, numbered like the candidate tuples (n_1, ..., n_{k-2}); the 0th
-    square is the column count.  Remove the would-be inserted parts of a
-    candidate tuple from lam2p; the residue nu counts when its squares 1 ..
-    k-2 reproduce the tuple, which comes back with it, so no caller peels
-    nu again.  The first such residue in descending tuple order is
-    returned.  Only the tuples of :func:`_window` are tried: n_j <= s_j,
-    and sum_j (s_j - n_j) <= r, the number of nonzero parts the tuple
-    removes, so s_j - r <= n_j <= s_j.  No other tuple can leave a
-    residue:
-
-    *Removing one positive part from a partition lowers exactly one of its
-    zero-padded successive square sizes by 1 and keeps the others.*  Let d
-    be the first size, so lam_d >= d >= lam_{d+1}, and remove the part at
-    position p.  If p > d, the first d parts stay, and so does d; the rest
-    lam_{d+1}, lam_{d+2}, ... loses one part.  If p <= d and lam_{d+1} = d,
-    the d-th part is now lam_{d+1} = d, so d stays, and the rest loses its
-    first part.  If p <= d and lam_{d+1} < d, the first size falls to d - 1
-    (the (d-1)st part is lam_d >= d, the d-th lam_{d+1} < d), and the rest
-    begins, as before, at lam_{d+1}: it is unchanged.  Peeling the next
-    squares off the rest proves the claim by induction.
-
-    So nu, lam2p less r positive parts, has s_j(nu) <= s_j and
-    sum_j (s_j - s_j(nu)) = r over all its squares, hence at most r over
-    j <= k-2, and a residue has s_j(nu) = n_j for j <= k-2.  At k <= 5 no
-    lam2p of size w with parts <= L has two residues when L + w <= 20 (the
-    ``--deep`` grid); ``tests/test_durfee.py`` checks this, and that the
-    window returns what the search over every tuple returns.  Not cached:
-    the Durfee tables ask for each (lam2p, length) once per (k, i).
+    The family inserts into nu one part of each size n_j, i-1 <= j <= k-2,
+    with the column count L as n_0; parts of size 0 are free.  At most one
+    residue exists, and one pass reads it off lam2p.  Write nu as B_1, ...,
+    B_{k-2}, G2, where B_j holds the n_j rows of nu's jth square, each at
+    least n_j, and every row after B_j is at most n_j.  So the inserted
+    part n_j sorts right after B_j, and lam2p is (L), B_1, (n_1), B_2,
+    (n_2), ..., G2 in order, with the inserted parts from j = i-1 on.  From
+    the first row of B_j on, lam2p has n_j rows >= n_j and then one <= n_j,
+    so its first square there has size n_j: lam2p fixes each n_j, where
+    B_{j+1} begins, and so nu.  The pass peels those squares in turn and
+    asks that the inserted parts be where they must be; what it keeps is a
+    residue, since every kept row after B_j is at most n_j.  Hence the
+    count tables, which count pairs (nu, square tuple), count bottom rows.
+    ``tests/test_durfee.py`` also checks that no lam2p of size w with parts
+    <= L leaves two residues when L + w <= 20 and k <= 5, and that the
+    tables equal a listing of the bottom rows to weight 30 at k 2-6.  Not
+    cached: only the predicates call it, through :func:`_row_reduction`.
     """
-    for tup, removals in _window(sizes, length, k, i):
-        nu = _remove_parts(lam2p, removals)
-        # With nothing removed, the window holds only ``sizes`` itself.
-        if nu is lam2p or nu is not None and successive_sizes(nu, k - 2) == tup:
-            return nu, tup
-    return None
+    top = 0
+    if i == 1 and length:
+        if lam2p[:1] != (length,):
+            return None
+        top = 1
+    blocks, sizes = [], []
+    for j in range(1, k - 1):
+        (d,) = successive_sizes(lam2p[top:], 1)
+        blocks.append(lam2p[top:top + d])
+        sizes.append(d)
+        top += d
+        if d and j >= i - 1:
+            if lam2p[top:top + 1] != (d,):
+                return None
+            top += 1
+    return sum(blocks, ()) + lam2p[top:], tuple(sizes)
 
 
 def _split(parts: Partition, sizes: tuple[int, ...], length: int) -> tuple[int, Partition]:
@@ -180,8 +134,7 @@ def _row_reduction(row: Row, k: int, i: int) -> tuple[int, Partition] | None:
     """The :func:`_split` of a bottom row's :func:`_reduction`, or None,
     cached by row for the predicates, which the symbol streams ask about
     every symbol sharing that row."""
-    lam = _lam_prime(row)
-    reduced = _reduction(lam, successive_sizes(lam, k - 2), len(row), k, i)
+    reduced = _reduction(_lam_prime(row), len(row), k, i)
     return None if reduced is None else _split(*reduced, len(row))
 
 
@@ -264,11 +217,15 @@ def count_admissible(k: int, i: int, n_max: int, bound: int | None = None) -> Co
     """Table of (k, i)-admissible symbols by (s, t, n), without forming any.
 
     Admissibility reads only the bottom row, so an admissible bottom row of
-    length L pairs with every top row of length L (:func:`_durfee_tables`).
+    length L pairs with every top row of length L (:func:`_durfee_steps`).
+    The walk counts pairs (residue, square tuple), which are the bottom
+    rows, as no bottom partition has two residues (:func:`_reduction`).
+    The tests check that to weight 30 at k 2-6 against a listing of the
+    bottom rows, and tuple by tuple to L + w <= 20 at k <= 5.
     """
     check_bound(n_max, bound)
     check_ki(k, i)
-    return _durfee_tables(k, n_max)[i - 1][0]
+    return CountTable.from_rows(_durfee_rows(k, False, n_max)[i - 1], n_max)
 
 
 def count_self_conjugate(k: int, i: int, n_max: int, bound: int | None = None) -> CountTable:
@@ -276,78 +233,75 @@ def count_self_conjugate(k: int, i: int, n_max: int, bound: int | None = None) -
 
     A bottom row pairs with the top rows of its length whose G1, their
     parts at most the cut, is its G2: G2 plus any parts above the cut
-    (:func:`_durfee_tables`).  A bottom row whose conjugation is the
-    identity pairs with every top row.
+    (:func:`_durfee_steps`).  A bottom row whose conjugation is the
+    identity pairs with every top row.  Like :func:`count_admissible`, it
+    counts pairs (residue, square tuple), the bottom rows, checked to the
+    same bounds.
     """
     check_bound(n_max, bound)
     check_ki(k, i)
-    return _durfee_tables(k, n_max)[i - 1][1]
+    return CountTable.from_rows(_durfee_rows(k, True, n_max)[i - 1], n_max)
+
+
+# The kinds of node of the walk down the columns and the squares, in the
+# order their rows are filled.
+_PARTS, _LEVEL, _MARKS = range(3)
 
 
 @lru_cache(maxsize=None)
-def _durfee_tables(k: int, n_max: int) -> tuple[tuple[CountTable, CountTable], ...]:
-    """The D and D~ tables of i = 1 .. k, built together once per process:
-    a CountTable is read-only, and the four-way and bailey suites share
-    them.
+def _durfee_rows(k: int, tilde: bool, n_max: int) -> tuple[tuple[int, ...], ...]:
+    """The count rows of D (D~ if ``tilde``) for i = 1 .. k: the rows of
+    the starts (_MARKS, 0, i - 1) in :func:`qpair.counts.state_rows` over
+    :func:`_durfee_steps`, filled by increasing part size, then from the
+    last level up, each by increasing gap part, then by decreasing mark
+    position."""
+    starts = [(_MARKS, 0, i - 1) for i in range(1, k + 1)]
+    rows = state_rows(starts, lambda node: _durfee_steps(node, k, tilde, n_max),
+                      lambda node: (node[0], node[1] if node[0] == _PARTS else -node[1], node[-1]),
+                      n_max)
+    return tuple(tuple(rows[start]) for start in starts)
+
+
+def _durfee_steps(node: tuple, k: int, tilde: bool, n_max: int) -> tuple[int, list[tuple]]:
+    """The step table of a node of the walk down the columns and the
+    Durfee squares of the residue.
 
     By :func:`row_split` the rows of length L are the pairs of a partition
-    lam' with parts <= L, the conjugated associated partition, and a set of
-    distinct marks below L.  The marks of both rows give the count row of
-    prod_{v<L} (a + q^v)(b + q^v), a and b counting the plain entries of
-    the bottom and top rows.  A bottom lam' pairs with the tops made of a
-    fixed partition G with parts <= cut and free parts in (cut, L], so it
-    is filed under the cut at weight |lam'| + |G|, and its tops add
-    1/prod_{cut<j<=L} (1 - q^j).  Its residue's :func:`_split` gives both:
-    in D, an admissible bottom (G2 empty) pairs with every top, cut 0; in
-    D~, a bottom pairs with the tops whose G1 is G2, under the residue's
-    cut, which is 0 when the conjugation is the identity.  Each bottom lam'
-    is listed, and its squares 1 .. k-2 peeled, once for every i; it is
-    reduced once per i for both tables, and no top is listed.
+    lam' with parts <= L and a set of distinct marks below L.  The marks
+    node (v, skip) chooses whether each row marks v, adding v per mark and
+    1 to s or t per plain entry, or stops at L = v.  Level j holds m: L at
+    j = 0, the residue's jth square n_j at j >= 1.  Arriving there adds m
+    at j = 0 or m^2 at j >= 1, and m again, the part the (k, i) family
+    inserts, once skip is 0: i - 1 at the start, less one per later
+    arrival.  A residue with parts <= L has generating function
+    q^(sum n_j^2) prod_j [n_{j-1}; n_j] times that of G2, its parts <= the
+    cut n_{k-2} (Andrews' successive Durfee dissection), and D's tops add
+    1/(q)_L = 1/(q)_cut prod_j (q)_{n_j}/(q)_{n_{j-1}}.  So the level node
+    (j, m, skip, p) first walks the parts <= p = n_{j-1} - m of
+    1/(q)_p = [n_{j-1}; m] (q)_m/(q)_{n_{j-1}}, then steps to each next
+    square m' <= m.  Past level k - 2 the parts node walks the parts <= the
+    cut: D's tops, G2 being empty, or, in D~, G1 = G2, each part twice.
     """
-    size = n_max + 1
-    a, b, ab = (cell_shift(ds, dt, n_max) for ds, dt in ((1, 0), (0, 1), (1, 1)))
-    totals = [([0] * size, [0] * size) for _ in range(k)]
-    marks = [1] + [0] * n_max
-    for length in range(size):
-        room = size - length
-        del marks[room:]
-        # Per i, each table's bottoms by cut, each a list of counts by weight.
-        filed = [tuple([[0] * room for _ in range(length + 1)] for _ in range(2)) for _ in range(k)]
-        for weight in range(room):
-            for lam in partitions(weight, length):
-                sizes = successive_sizes(lam, k - 2)
-                for i, (admissible, self_conjugate) in enumerate(filed, 1):
-                    reduced = _reduction(lam, sizes, length, k, i)
-                    if reduced is None:
-                        continue
-                    cut, g2 = _split(*reduced, length)
-                    if not g2:
-                        admissible[0][weight] += 1
-                    if (at := weight + sum(g2)) < room:
-                        self_conjugate[cut][at] += 1
-        for pair, by_cuts in zip(totals, filed):
-            for total, by_cut in zip(pair, by_cuts):
-                for w, c in enumerate(_pairs(by_cut, room)):
-                    if c:
-                        shift_add(total, [c * cell for cell in marks], 0, length + w)
-        following = [0] * room
-        for shift, dn in ((ab, 0), (a, length), (b, length), (0, 2 * length)):
-            shift_add(following, marks, shift, dn)
-        marks = following
-    return tuple(tuple(CountTable.from_rows(total, n_max) for total in pair) for pair in totals)
-
-
-def _pairs(by_cut: list[list[int]], room: int) -> list[int]:
-    """The pairs of a filed bottom and a matching top of ``len(by_cut) - 1``
-    entries, by the size of their partitions, below weight ``room``: the
-    sum over the cuts of B_cut(q) / prod_{cut<j<=length} (1 - q^j) in one
-    upward pass.  B_cut, the bottoms filed under the cut by weight, joins
-    the sum once the factors at j <= cut are applied."""
-    out = [0] * room
-    for cut, filed in enumerate(by_cut):
-        if cut:
-            for n in range(cut, room):
-                out[n] += out[n - cut]
-        for n, c in enumerate(filed):
-            out[n] += c
-    return out
+    kind = node[0]
+    if kind == _PARTS:
+        p = node[1]
+        part = 2 * p if tilde else p
+        return int(not p), [(part, part, 0, node), (0, 0, 0, (_PARTS, p - 1))] if p else []
+    if kind == _LEVEL:
+        _, j, m, skip, p = node
+        if p:
+            return 0, [(p, p, 0, node), (0, 0, 0, (_LEVEL, j, m, skip, p - 1))]
+        if j == k - 2:
+            return 0, [(0, 0, 0, (_PARTS, m))]
+        skip, out = max(skip - 1, 0), []
+        for low in range(m + 1):
+            arrive = low * low + (0 if skip else low)
+            out.append((arrive, arrive, 0, (_LEVEL, j + 1, low, skip, m - low)))
+        return 0, out
+    _, v, skip = node
+    stop, after = (v if skip else 2 * v), (_MARKS, v + 1, skip)
+    return 0, [(v + 1, 0, cell_shift(1, 1, n_max), after),
+               (2 * v + 1, v, cell_shift(1, 0, n_max), after),
+               (2 * v + 1, v, cell_shift(0, 1, n_max), after),
+               (3 * v + 1, 2 * v, 0, after),
+               (stop, stop, 0, (_LEVEL, 0, v, skip, 0))]

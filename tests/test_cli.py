@@ -387,7 +387,7 @@ class TestVerifyCommand:
 
         table = overpartitions._pair_rows
         table.cache_clear()
-        durfee._durfee_tables.cache_clear()
+        durfee._durfee_rows.cache_clear()
         for module, name in ((overpartitions, "overpartitions_of"), (overpartitions, "pairs_of"),
                              (frobenius, "rows_of"), (frobenius, "symbols_of"),
                              (paths, "_paths_up_to"), (overpartitions, "_pair_rows")):

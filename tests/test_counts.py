@@ -4,8 +4,8 @@ import sys
 import pytest
 
 from qpair import durfee, overpartitions, series
-from qpair.counts import (BoundExceededError, CountTable, cell_shift, product_counts, shift_add,
-                          slot_width, state_rows, tally)
+from qpair.counts import (BoundExceededError, CountTable, cell_shift, product_counts, slot_width,
+                          state_rows, tally)
 from qpair.frobenius import FrobeniusSymbol, count_rank_bounded
 from qpair.overpartitions import Overpartition, OverpartitionPair, count_frequency_pairs, pairs_of
 from qpair.paths import count_paths
@@ -115,6 +115,14 @@ def test_slot_width_counts_overpartition_pairs():
     assert too_narrow <= cell.bit_length() == (356353).bit_length() < slot_width(30)
 
 
+def shift_add(into, row, shift, dn):
+    """Add ``row`` into ``into`` with its cells moved by ``shift`` bits (a
+    ``cell_shift``) and its weights by dn; weights past ``into`` are dropped."""
+    for n, cell in zip(range(dn, len(into)), row):
+        if cell:
+            into[n] += cell << shift
+
+
 @pytest.mark.parametrize("n_max", [0, 1, 6, 30])
 def test_full_cells_round_trip(n_max):
     # Full slots at s = t = n = n_max and beside it, and the pair-count
@@ -180,7 +188,7 @@ def test_four_way_suites_call_no_series_kernel(monkeypatch):
             if getattr(module, name, None) is fn:
                 spy(module, name)
     overpartitions._pair_rows.cache_clear()
-    durfee._durfee_tables.cache_clear()
+    durfee._durfee_rows.cache_clear()
     cfg = VerifyConfig(k_values=(2, 3), n_max=8)
     assert run_suite("four-way", cfg).ok and run_suite("four-way-even", cfg).ok
     assert calls == []

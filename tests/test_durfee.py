@@ -20,8 +20,8 @@ from qpair.durfee import (
     self_conjugate_symbols,
     successive_sizes,
 )
-from qpair.counts import BoundExceededError, tally
-from qpair.durfee import _reduction, _remove_parts, _split
+from qpair.counts import BoundExceededError, CountTable, cell_shift, state_rows, tally
+from qpair.durfee import _reduction, _split
 from qpair.frobenius import (
     FrobeniusSymbol,
     _plain_count,
@@ -218,6 +218,16 @@ def ref_k_conjugate(top, bottom, k):
     return ref_with_lam_prime(top, new1p), ref_with_lam_prime(bottom, new2p)
 
 
+def remove_parts(parts, removals):
+    """Remove one occurrence of each requested value (zeros are free), or None."""
+    out = list(parts)
+    for v in filter(None, removals):
+        if v not in out:
+            return None
+        out.remove(v)
+    return tuple(out)
+
+
 def ref_square_tuples(n2_max, depth):
     """Weakly decreasing tuples (n2 >= ... >= n_{k-1} >= 0) of given depth,
     in descending lexicographic order."""
@@ -238,7 +248,7 @@ def ref_reduction(lam2p, length, k, i):
     """The reduction by a search over every square tuple: the first tuple in
     descending order whose removals leave a residue reproducing it."""
     for tup, removals in ref_insertions(length, k, i):
-        nu = _remove_parts(lam2p, removals)
+        nu = remove_parts(lam2p, removals)
         if nu is not None and ref_sizes(nu, k - 2) == tup:
             return nu
     return None
@@ -284,7 +294,7 @@ def ref_regions(top, bottom, k):
 def ref_admissible(bottom, k, i):
     lam2p = ref_lam_prime(bottom)
     for tup, removals in ref_insertions(len(bottom), k, i):
-        nu = _remove_parts(lam2p, removals)
+        nu = remove_parts(lam2p, removals)
         if nu is not None and len(ref_sizes(nu)) <= k - 2 and ref_sizes(nu, k - 2) == tup:
             return True
     return False
@@ -297,7 +307,7 @@ def ref_seq_admissible(bottom, k, i):
         if j > k - 1:
             return len(ref_sizes(parts)) <= k - 2
         for v in ({n1} if j == 1 else set(parts) | {0}):
-            rest = _remove_parts(parts, [v])
+            rest = remove_parts(parts, [v])
             if rest is None:
                 continue
             expected = n1 if j == 1 else ref_sizes(rest, k - 1)[j - 2]
@@ -313,7 +323,7 @@ def ref_self_ki_conjugate(top, bottom, k, i):
         return ref_k_conjugate(top, bottom, k) == (top, bottom)
     lam2p = ref_lam_prime(bottom)
     for tup, removals in ref_insertions(len(bottom), k, i):
-        reduced = _remove_parts(lam2p, removals)
+        reduced = remove_parts(lam2p, removals)
         if reduced is None or ref_sizes(reduced, k - 2) != tup:
             continue
         candidate = ref_with_lam_prime(bottom, reduced)
@@ -322,13 +332,98 @@ def ref_self_ki_conjugate(top, bottom, k, i):
     return False
 
 
+# The D and D~ tables as first counted on count rows: a listing of every
+# bottom partition of every row length, kept as the oracle of the walk.
+
+
+def shift_add(into, row, shift, dn):
+    """Add ``row`` into ``into`` with its cells moved by ``shift`` bits (a
+    ``cell_shift``) and its weights by dn; weights past ``into`` are dropped."""
+    for n, cell in zip(range(dn, len(into)), row):
+        if cell:
+            into[n] += cell << shift
+
+
+def listed_tables(k, n_max):
+    """The D and D~ tables of i = 1 .. k from a listing of the bottom rows.
+
+    The rows of length L are the pairs of a partition lam' with parts <= L
+    and a set of distinct marks below L, and the marks of both rows give
+    the count row of prod_{v<L} (a + q^v)(b + q^v).  A bottom lam' pairs
+    with the tops made of a fixed partition G with parts <= cut and free
+    parts in (cut, L], so it is filed under the cut at weight |lam'| + |G|,
+    and its tops add 1/prod_{cut<j<=L} (1 - q^j).  Its residue's split
+    gives both: in D, an admissible bottom (G2 empty) pairs with every top,
+    cut 0; in D~, a bottom pairs with the tops whose G1 is G2, under the
+    residue's cut.  Each bottom is counted once, whatever number of
+    residues it has.
+    """
+    size = n_max + 1
+    a, b, ab = (cell_shift(ds, dt, n_max) for ds, dt in ((1, 0), (0, 1), (1, 1)))
+    totals = [([0] * size, [0] * size) for _ in range(k)]
+    marks = [1] + [0] * n_max
+    for length in range(size):
+        room = size - length
+        del marks[room:]
+        # Per i, each table's bottoms by cut, each a list of counts by weight.
+        filed = [tuple([[0] * room for _ in range(length + 1)] for _ in range(2)) for _ in range(k)]
+        for weight in range(room):
+            for lam in partitions(weight, length):
+                for i, (admissible, self_conjugate) in enumerate(filed, 1):
+                    reduced = _reduction(lam, length, k, i)
+                    if reduced is None:
+                        continue
+                    cut, g2 = _split(*reduced, length)
+                    if not g2:
+                        admissible[0][weight] += 1
+                    if (at := weight + sum(g2)) < room:
+                        self_conjugate[cut][at] += 1
+        for pair, by_cuts in zip(totals, filed):
+            for total, by_cut in zip(pair, by_cuts):
+                for w, c in enumerate(listed_pairs(by_cut, room)):
+                    if c:
+                        shift_add(total, [c * cell for cell in marks], 0, length + w)
+        following = [0] * room
+        for shift, dn in ((ab, 0), (a, length), (b, length), (0, 2 * length)):
+            shift_add(following, marks, shift, dn)
+        marks = following
+    return tuple(tuple(CountTable.from_rows(total, n_max) for total in pair) for pair in totals)
+
+
+def listed_pairs(by_cut, room):
+    """The pairs of a filed bottom and a matching top of ``len(by_cut) - 1``
+    entries, by the size of their partitions, below weight ``room``: the
+    sum over the cuts of B_cut(q) / prod_{cut<j<=length} (1 - q^j) in one
+    upward pass.  B_cut, the bottoms filed under the cut by weight, joins
+    the sum once the factors at j <= cut are applied."""
+    out = [0] * room
+    for cut, filed in enumerate(by_cut):
+        if cut:
+            for n in range(cut, room):
+                out[n] += out[n - cut]
+        for n, c in enumerate(filed):
+            out[n] += c
+    return out
+
+
 class TestRowPairing:
-    """The D convolution and the D~ hash join against the tally of the
-    symbols they count, which ties the D tables to the objects."""
+    """The walk's D and D~ tables against the listing of the bottom rows
+    and against the tally of the symbols they count, which ties the tables
+    to the objects."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_walk_equals_the_listing(self, k):
+        # The walk counts (residue, square tuple) pairs and the listing
+        # bottom rows: the same while no bottom has two residues.
+        for n in (0, 1, 2, 3, 5, 12, 30):
+            listed = listed_tables(k, n)
+            for i in range(1, k + 1):
+                assert count_admissible(k, i, n, bound=n) == listed[i - 1][0], (i, n)
+                assert count_self_conjugate(k, i, n, bound=n) == listed[i - 1][1], (i, n)
 
     @pytest.mark.parametrize("count,stream", [(count_admissible, admissible_symbols),
                                               (count_self_conjugate, self_conjugate_symbols)])
-    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_equals_tally_of_the_stream(self, k, count, stream):
         for i in range(1, k + 1):
             for n in (0, 1, 5, 10, 12):
@@ -357,14 +452,13 @@ class TestCachedLayerOracle:
                         assert is_self_ki_conjugate(f, k, i) == ref_self_ki_conjugate(top, bottom, k, i)
 
     def test_tables_are_built_once_and_bounded_on_every_call(self):
-        # D keeps its tables; B keeps its count rows and unpacks a table per call.
-        rows = overpartitions._pair_rows.cache_info
-        for count in (count_admissible, count_self_conjugate,
-                      partial(count_frequency_pairs, parity=False),
-                      partial(count_frequency_pairs, parity=True)):
+        # D and B keep their count rows and unpack a table per call.
+        for count, rows in ((count_admissible, durfee._durfee_rows.cache_info),
+                            (count_self_conjugate, durfee._durfee_rows.cache_info),
+                            (partial(count_frequency_pairs, parity=False), overpartitions._pair_rows.cache_info),
+                            (partial(count_frequency_pairs, parity=True), overpartitions._pair_rows.cache_info)):
             table, misses = count(3, 2, 6), rows().misses
-            again = count(3, 2, 6, bound=6)
-            assert again is table if count in (count_admissible, count_self_conjugate) else again == table
+            assert count(3, 2, 6, bound=6) == table
             assert rows().misses == misses
             with pytest.raises(BoundExceededError):
                 count(3, 2, 6, bound=5)
@@ -378,38 +472,35 @@ class TestCachedLayerOracle:
         for name in ("row_split", "_lam_prime", "_row_reduction"):
             fn = getattr(durfee, name)
             monkeypatch.setattr(durfee, name, lambda *args, fn=fn: calls.append(args) or fn(*args))
-        durfee._durfee_tables.cache_clear()
+        durfee._durfee_rows.cache_clear()
         count_admissible(3, 2, 10)
         count_self_conjugate(3, 2, 10)
         assert calls == []
         is_ki_admissible(PI, 3, 2)
         assert calls, "the spies see the predicates, which read rows"
 
-    def test_tables_reduce_each_bottom_partition_once(self, monkeypatch):
-        # D and D~ of every i share one listing of the bottom partitions
-        # lam' of each row length L, which reduces each once per i, and
-        # list no top partition.
-        listed, reduced = [], []
-        listing, reduction = durfee.partitions, durfee._reduction
-        monkeypatch.setattr(durfee, "partitions", lambda size, length:
-                            listed.append((size, length)) or listing(size, length))
-        monkeypatch.setattr(durfee, "_reduction", lambda lam, sizes, length, k, i:
-                            reduced.append((lam, length, i)) or reduction(lam, sizes, length, k, i))
-        durfee._durfee_tables.cache_clear()
+    def test_tables_walk_once_for_every_i_and_reduce_nothing(self, monkeypatch):
+        # D and D~ each take one walk for every i, which lists no bottom
+        # partition and neither reduces nor peels one.
+        calls, walks = [], []
+        for name in ("_reduction", "successive_sizes", "_split"):
+            fn = getattr(durfee, name)
+            monkeypatch.setattr(durfee, name, lambda *args, fn=fn: calls.append(args) or fn(*args))
+        monkeypatch.setattr(durfee, "state_rows", lambda *args: walks.append(args[0]) or state_rows(*args))
+        durfee._durfee_rows.cache_clear()
         for i in (1, 2, 3):
             count_admissible(3, i, 12)
             count_self_conjugate(3, i, 12)
-        assert sorted(listed) == [(size, length) for size in range(13) for length in range(13 - size)]
-        bottoms = [(lam, length) for length in range(13)
-                   for size in range(13 - length) for lam in partitions(size, length)]
-        assert sorted(reduced) == sorted((lam, length, i) for lam, length in bottoms for i in (1, 2, 3))
+        assert calls == [] and len(walks) == 2
+        conjugation_regions(PI, 4)
+        assert calls, "the spies see the conjugation, which peels and splits"
 
     def test_tables_leave_no_reductions_behind(self):
-        # Each (partition, length) is reduced for one table and not kept: a
-        # process-wide cache of the reductions held 2.96 MB here, and a
-        # cache of every residue's square sizes held 37,338 entries, about
-        # 12 MB, after D at k 2-3 and n 40.
-        durfee._durfee_tables.cache_clear()
+        # The walk keeps only its start rows: clearing the rows cache frees
+        # every row it built.  A process-wide cache of the reductions once
+        # held 2.96 MB here, and a cache of every residue's square sizes
+        # 37,338 entries, about 12 MB, after D at k 2-3 and n 40.
+        durfee._durfee_rows.cache_clear()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -417,17 +508,17 @@ class TestCachedLayerOracle:
                 for i in range(1, k + 1):
                     count_admissible(k, i, 20, bound=20)
                     count_self_conjugate(k, i, 20, bound=20)
-            durfee._durfee_tables.cache_clear()
+            durfee._durfee_rows.cache_clear()
             gc.collect()  # also empties the free lists, which keep freed tuples
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         assert held < 1_000_000
 
-    def test_window_finds_what_the_full_search_finds(self):
-        # _reduction tries only the square tuples of its window; on every
-        # bottom row of a symbol of weight <= 20 it returns the residue, or
-        # None, of the search over every tuple, with the residue's sizes.
+    def test_reduction_finds_what_the_full_search_finds(self):
+        # _reduction reads one square tuple off lam'; on every bottom row
+        # of a symbol of weight <= 20 it returns the residue, or None, of
+        # the search over every tuple, with the residue's sizes.
         for length in range(21):
             lams = [lam for size in range(21 - length) for lam in partitions(size, length)]
             for k in (2, 3, 4, 5):
@@ -435,7 +526,7 @@ class TestCachedLayerOracle:
                     sizes = successive_sizes(lam2p, k - 2)
                     assert sizes == ref_sizes(lam2p, k - 2)
                     for i in range(1, k + 1):
-                        reduced = _reduction(lam2p, sizes, length, k, i)
+                        reduced = _reduction(lam2p, length, k, i)
                         nu = ref_reduction(lam2p, length, k, i)
                         assert (reduced if nu is None else reduced[0]) == nu, (lam2p, length, k, i)
                         if nu is not None:
@@ -452,7 +543,7 @@ class TestCachedLayerOracle:
                     sizes = successive_sizes(lam2p, k - 2)
                     assert _split(lam2p, sizes, length) == ref_split(lam2p, length, k), (lam2p, length, k)
                     for i in range(1, k + 1):
-                        reduced = _reduction(lam2p, sizes, length, k, i)
+                        reduced = _reduction(lam2p, length, k, i)
                         split = None if reduced is None else _split(*reduced, length)
                         nu = None if reduced is None else reduced[0]
                         assert (split is not None and not split[1]) == ref_residue_admissible(nu, k), \
@@ -461,10 +552,11 @@ class TestCachedLayerOracle:
                             assert split == ref_split(nu, length, k), (lam2p, length, k, i)
 
     def test_at_most_one_tuple_leaves_a_residue(self):
-        # _reduction returns the first residue it finds.  No conjugated
-        # associated partition of size w with parts <= L, so no bottom row
-        # of length L and entry sum at least w, leaves two when
-        # L + w <= 20: every bottom row of a symbol of weight <= 20.
+        # _reduction's docstring proves that no conjugated associated
+        # partition leaves two residues.  Checked here on those of size w
+        # with parts <= L, so on every bottom row of length L and entry sum
+        # at least w, when L + w <= 20: every bottom row of a symbol of
+        # weight <= 20.
         for length in range(21):
             lams = [lam for size in range(21 - length) for lam in partitions(size, length)]
             for k in (2, 3, 4, 5):
@@ -472,7 +564,7 @@ class TestCachedLayerOracle:
                     insertions = list(ref_insertions(length, k, i))
                     for lam2p in lams:
                         residues = [tup for tup, removals in insertions
-                                    if (nu := _remove_parts(lam2p, removals)) is not None
+                                    if (nu := remove_parts(lam2p, removals)) is not None
                                     and ref_sizes(nu, k - 2) == tup]
                         assert len(residues) <= 1, (lam2p, length, k, i, residues)
 

@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 from qpair import frobenius
-from qpair.counts import BoundExceededError, CountTable, cell_shift, shift_add, tally
+from qpair.counts import BoundExceededError, CountTable, cell_shift, tally
 from qpair.frobenius import (
     FrobeniusSymbol,
     canonical_row,
@@ -270,6 +270,14 @@ class TestColumnScan:
         with pytest.raises(ValueError, match="need k >= 2") as err:
             count_rank_bounded(1, 1, 8)
         assert not isinstance(err.value, BoundExceededError)
+
+
+def shift_add(into, row, shift, dn):
+    """Add ``row`` into ``into`` with its cells moved by ``shift`` bits (a
+    ``cell_shift``) and its weights by dn; weights past ``into`` are dropped."""
+    for n, cell in zip(range(dn, len(into)), row):
+        if cell:
+            into[n] += cell << shift
 
 
 def one_start_table(lo, hi, n_max):

@@ -5,7 +5,7 @@ from functools import lru_cache
 import pytest
 
 from qpair import paths
-from qpair.counts import CountTable, cell_shift, shift_add, state_rows, tally
+from qpair.counts import CountTable, cell_shift, state_rows, tally
 from qpair.frobenius import FrobeniusSymbol, successive_ranks
 from qpair.overpartitions import count_frequency_pairs
 from qpair.paths import (
@@ -251,6 +251,14 @@ class TestMemoisedWalk:
             tracemalloc.stop()
             gc.enable()
         assert held < 1_000_000
+
+
+def shift_add(into, row, shift, dn):
+    """Add ``row`` into ``into`` with its cells moved by ``shift`` bits (a
+    ``cell_shift``) and its weights by dn; weights past ``into`` are dropped."""
+    for n, cell in zip(range(dn, len(into)), row):
+        if cell:
+            into[n] += cell << shift
 
 
 def reference_completions(k, even, n_max):
