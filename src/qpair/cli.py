@@ -245,6 +245,9 @@ def cmd_verify(args) -> int:
     if "all" in names:
         names = list(SUITES)
     ks = tuple(args.k) if args.k else _env_ks((2, 3, 4))
+    if low := [k for k in ks if k < 2]:
+        # The paper's families need k >= 2; a suite would skip or misread a lower k.
+        raise ValueError(f"-k (or QPAIR_KSET) must be at least 2, got {low[0]}")
     cutoff = _setting(args.cutoff, "--cutoff", "QPAIR_CUTOFF", 12, 1)
     n_max = _setting(args.n_max, "--n-max", "QPAIR_NMAX", 10, 0)
     if args.deep:

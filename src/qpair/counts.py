@@ -8,9 +8,11 @@ sorted by (n, s, t).
 
 The families build their tables as count rows (:func:`cell_shift`): a list
 over n of ints, each packing the (s, t) cells of one weight, which
-:meth:`CountTable.from_rows` unpacks.  B, C, D and E are walks through
-finitely many local states, and :func:`state_rows` builds the row of each
-state from a table of its steps.
+:meth:`CountTable.from_rows` keeps: two such tables up to one n_max compare
+row by row, and a table unpacks its ``entries`` only when they are read.
+B, C, D and E are walks through finitely many local states, and
+:func:`state_rows` builds the row of each state from a table of its steps,
+settling each state once.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import csv
 import io
 import json
 from collections import Counter
-from collections.abc import Mapping
-from functools import lru_cache
+from collections.abc import Mapping, Sequence
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 from .gaussint import Coeff, as_pair
@@ -47,19 +49,40 @@ def check_bound(n: int, bound: int | None) -> None:
 class CountTable:
     """A read-only table up to weight ``n_max``: ``entries`` is a mapping
     proxy over the nonzero counts, read with ``entries.get((s, t, n), 0)``,
-    so a table can be shared freely."""
+    so a table can be shared freely.  A table built :meth:`from_rows` keeps
+    its rows and unpacks ``entries`` on first read."""
+
+    _packed: tuple[int, ...] | None = None
 
     def __init__(self, n_max: int, entries: Mapping[tuple[int, int, int], Coeff]):
         self.n_max = n_max
         self.entries = MappingProxyType({key: c for key, c in entries.items() if c})
 
+    @cached_property
+    def entries(self) -> Mapping[tuple[int, int, int], int]:
+        """The cells of the rows of a table built :meth:`from_rows`."""
+        return MappingProxyType(_unpack(self._packed, self.n_max))
+
+    def _same_rows(self, other: "CountTable") -> bool | None:
+        """Whether two tables built from rows up to one ``n_max`` are equal,
+        read from their rows, which determine their cells and are determined
+        by them; None for any other two tables."""
+        if self._packed is None or other._packed is None or self.n_max != other.n_max:
+            return None
+        return self._packed == other._packed
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, CountTable):
             return NotImplemented
+        same = self._same_rows(other)
+        if same is not None:
+            return same
         return self.n_max == other.n_max and self.entries == other.entries
 
     def first_mismatch(self, other: "CountTable") -> tuple[tuple[int, int, int], Coeff, Coeff] | None:
         """First differing entry in canonical (n, s, t) order, up to the smaller n_max."""
+        if self._same_rows(other):
+            return None
         return first_difference(self.entries, other.entries, min(self.n_max, other.n_max) + 1)
 
     def rows(self) -> list[tuple[int, int, int, int, int]]:
@@ -100,24 +123,41 @@ class CountTable:
         return cls(n_max, entries)
 
     @classmethod
-    def from_rows(cls, rows: list[int], n_max: int) -> "CountTable":
-        """The table of count rows up to weight n_max (see :func:`cell_shift`)."""
-        width = slot_width(n_max)
-        stride = (n_max + 1) * width
-        cell_mask, block_mask = (1 << width) - 1, (1 << stride) - 1
-        entries: dict[tuple[int, int, int], int] = {}
+    def from_rows(cls, rows: Sequence[int], n_max: int) -> "CountTable":
+        """The table of count rows up to weight n_max (see :func:`cell_shift`),
+        one row per weight.  ``ValueError`` refuses a list of another length
+        and a row n that is negative or has bits past the cells of s <= n."""
+        stride = cell_shift(1, 0, n_max)
+        rows = tuple(rows)
+        if len(rows) != n_max + 1:
+            raise ValueError(f"a table up to weight {n_max} needs {n_max + 1} count rows, got {len(rows)}")
         for n, row in enumerate(rows):
-            s = 0
-            while row:
-                block, t = row & block_mask, 0
-                while block:
-                    if c := block & cell_mask:
-                        entries[s, t, n] = c
-                    block >>= width
-                    t += 1
-                row >>= stride
-                s += 1
-        return cls(n_max, entries)
+            if row < 0 or row.bit_length() > (n + 1) * stride:
+                raise ValueError(f"count row {n} up to weight {n_max} is negative "
+                                 f"or has bits past its cells of s <= {n}")
+        table = cls.__new__(cls)
+        table.n_max, table._packed = n_max, rows
+        return table
+
+
+def _unpack(rows: tuple[int, ...], n_max: int) -> dict[tuple[int, int, int], int]:
+    """The nonzero cells of count rows up to weight n_max, keyed by (s, t, n)."""
+    width = slot_width(n_max)
+    stride = (n_max + 1) * width
+    cell_mask, block_mask = (1 << width) - 1, (1 << stride) - 1
+    entries: dict[tuple[int, int, int], int] = {}
+    for n, row in enumerate(rows):
+        s = 0
+        while row:
+            block, t = row & block_mask, 0
+            while block:
+                if c := block & cell_mask:
+                    entries[s, t, n] = c
+                block >>= width
+                t += 1
+            row >>= stride
+            s += 1
+    return entries
 
 
 # ------------------------------------------------------------------ count rows
@@ -151,7 +191,7 @@ def slot_width(n_max: int) -> int:
     packed image of the table exactly, whatever the sizes of the cells
     along the way.  Unpacking that image is exact when every final cell is
     nonnegative, has t <= n_max and is below 2^W.  Only final rows
-    are unpacked: of :func:`state_rows`, the rows of the start states, whose
+    become tables: of :func:`state_rows`, the rows of the start states, whose
     cells count the family's objects; the other states' rows are sums and
     shifts on the way.
 
@@ -184,38 +224,43 @@ def state_rows(starts, table, order, n_max: int) -> dict:
     completion through it adds, the weight it adds, its :func:`cell_shift`
     and the next state.  No step whose least exceeds a budget b adds
     anything at or below b, so a state's row stops at n_max less the least
-    weight spent to reach it from a start, found by a label-correcting pass.
+    weight spent to reach it from a start.  Every step weight is a
+    nonnegative integer, so one pass over the weights spent, 0 .. n_max, in
+    turn settles each state the first time it reaches it, at that least
+    weight (Dial's bucket queue), and reads its table and ``order`` once.
     The rows are filled weight by weight, and within one weight in
     increasing ``order(state)``.  ``ValueError`` refuses a kept step with
     least < dn, which would read a row from its end, and a zero-weight step
     to a state that does not sort earlier, which would read an unfilled cell.
     """
-    spent = dict.fromkeys(starts, 0)
-    steps: dict = {}
-    todo = list(starts)
-    while todo:
-        state = todo.pop()
-        if state not in steps:
-            steps[state] = table(state)
-        here = spent[state]
-        for least, dn, _shift, nxt in steps[state][1]:
-            if here + least <= n_max and here + dn < spent.get(nxt, n_max + 1):
-                spent[nxt] = here + dn
-                todo.append(nxt)
-    rows: dict = {state: [] for state in spent}
-    plan = []
-    for state in sorted(spent, key=order):
-        room = n_max - spent[state]
-        ends, moves = steps[state]
-        kept = []
-        for least, dn, shift, nxt in moves:
-            if least > room:
+    rows: dict = {}
+    rank: dict = {}
+    settled: dict = {}
+    zero_steps = []
+    buckets = [list(starts)] + [[] for _ in range(n_max)]
+    for spent, bucket in enumerate(buckets):
+        room = n_max - spent
+        for state in bucket:  # a zero-weight step appends to the bucket in hand
+            if state in rank:
                 continue
-            if least < dn or dn == 0 and not order(nxt) < order(state):
-                raise ValueError(f"step {state} -> {nxt} of least {least} and weight {dn} "
-                                 "would read a cell out of order")
-            kept.append((least, dn, shift, rows[nxt]))
-        plan.append((room, rows[state], ends, kept))
+            rank[state] = order(state)
+            ends, steps = table(state)
+            kept = []
+            for least, dn, shift, nxt in steps:
+                if least > room:
+                    continue
+                if least < dn:
+                    _refuse(state, nxt, least, dn)
+                if dn == 0:
+                    zero_steps.append((state, nxt, least))
+                if nxt not in rank:
+                    buckets[spent + dn].append(nxt)
+                kept.append((least, dn, shift, rows.setdefault(nxt, [])))
+            settled[state] = (room, rows.setdefault(state, []), ends, kept)
+    for state, nxt, least in zero_steps:
+        if not rank[nxt] < rank[state]:
+            _refuse(state, nxt, least, 0)
+    plan = [settled[state] for state in sorted(settled, key=rank.__getitem__)]
     for n in range(n_max + 1):
         for room, row, ends, moves in plan:
             if n > room:
@@ -226,6 +271,11 @@ def state_rows(starts, table, order, n_max: int) -> dict:
                     cell += c << shift
             row.append(cell)
     return rows
+
+
+def _refuse(state, nxt, least: int, dn: int):
+    raise ValueError(f"step {state} -> {nxt} of least {least} and weight {dn} "
+                     "would read a cell out of order")
 
 
 def tally(members, n_max: int) -> CountTable:

@@ -433,6 +433,20 @@ class TestUsageErrors:
         assert r.stderr == "error: suite four-way runs no checks for k in [5]\n"
         assert r.stdout == ""
 
+    @pytest.mark.parametrize("args,env,k", [
+        (("-k", "0", "--suite", "qdiff-R"), None, 0),
+        (("-k", "-1", "--suite", "qdiff-Rtilde"), None, -1),
+        (("-k", "2", "-k", "1", "--suite", "bailey"), None, 1),
+        (("--suite", "qdiff-R"), {"QPAIR_KSET": "0"}, 0),
+        (("--suite", "jtp"), {"QPAIR_KSET": "3,1"}, 1),
+    ])
+    def test_k_below_two_refused(self, args, env, k):
+        # -k 0 once reached qdiff-R and failed there with a bare "error: 1".
+        r = run("verify", *args, env_extra=env)
+        assert r.returncode == 2
+        assert r.stderr == f"error: -k (or QPAIR_KSET) must be at least 2, got {k}\n"
+        assert r.stdout == ""
+
     def test_bad_bound_environment_value(self):
         r = run("enumerate", "--family", "pairs", "-n", "1", env_extra={"QPAIR_BOUND": "big"})
         assert r.returncode == 2

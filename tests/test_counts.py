@@ -1,9 +1,10 @@
 import hashlib
 import sys
+from collections import Counter
 
 import pytest
 
-from qpair import durfee, overpartitions, series
+from qpair import counts, durfee, frobenius, overpartitions, paths, series
 from qpair.counts import (BoundExceededError, CountTable, cell_shift, product_counts, slot_width,
                           state_rows, tally)
 from qpair.frobenius import FrobeniusSymbol, count_rank_bounded
@@ -144,6 +145,142 @@ def test_shift_add_drops_weights_past_the_row():
     shift_add(rows, [1, 2, 3], cell_shift(1, 0, 2), 1)
     shift_add(rows, [5], 0, 3)
     assert CountTable.from_rows(rows, 2).entries == {(1, 0, 1): 1, (1, 0, 2): 2}
+
+
+@pytest.mark.parametrize("rows,message", [
+    ([-1, 0, 0], "row 0 up to weight 2 is negative"),
+    ([1, 0, -(1 << 90)], "row 2 up to weight 2 is negative"),
+    # Bits past s = 1 at n = 1: the old unpacking read them as cell (13, 1, 1).
+    ([0, 1 << 200, 0], "row 1 up to weight 2 is negative or has bits past its cells of s <= 1"),
+    ([1 << cell_shift(1, 0, 2), 0, 0], "row 0 up to weight 2 is negative or has bits past"),
+    ([-1], "needs 3 count rows, got 1"),
+    ([1, 0, 0, 0], "needs 3 count rows, got 4"),
+])
+def test_from_rows_refuses_rows_that_hold_no_cells(rows, message):
+    # A negative row once made the unpacking loop forever.
+    with pytest.raises(ValueError, match=message):
+        CountTable.from_rows(rows, 2)
+
+
+def test_from_rows_takes_the_last_cell_of_each_weight():
+    # s = n and t = n_max: the highest slot a row n may hold.
+    rows = [1 << cell_shift(n, 2, 2) for n in range(3)]
+    assert CountTable.from_rows(rows, 2).entries == {(n, 2, n): 1 for n in range(3)}
+
+
+def planted(rows, s, t, n, by):
+    """``rows`` with cell (s, t) of weight n moved by ``by``."""
+    rows = list(rows)
+    rows[n] += by << cell_shift(s, t, len(rows) - 1)
+    return rows
+
+
+@pytest.mark.parametrize("s,t,n,by", [(1, 1, 7, 1), (0, 0, 9, -1), (5, 0, 5, 1), (0, 12, 12, 1)])
+def test_packed_comparison_reports_what_the_entries_report(s, t, n, by):
+    rows = overpartitions._pair_rows(3, False, 12)[1]
+    good, bad = CountTable.from_rows(rows, 12), CountTable.from_rows(planted(rows, s, t, n, by), 12)
+    unpacked = [CountTable(12, table.entries) for table in (good, bad)]
+    before = good.entries.get((s, t, n), 0)
+    assert good.first_mismatch(bad) == unpacked[0].first_mismatch(unpacked[1]) == ((s, t, n), before, before + by)
+    assert bad.first_mismatch(good) == unpacked[1].first_mismatch(unpacked[0])
+    assert good != bad and bad != good and good == CountTable.from_rows(rows, 12) == unpacked[0]
+    assert good.first_mismatch(CountTable.from_rows(list(rows), 12)) is None
+
+
+def test_packed_comparison_needs_one_n_max():
+    # The slot width grows with n_max, so the same cells pack to other rows.
+    short, long = (CountTable.from_rows(overpartitions._pair_rows(2, False, n)[0], n) for n in (4, 6))
+    assert short._packed != long._packed[:5]
+    assert short.first_mismatch(long) is None and long.first_mismatch(short) is None
+    assert short != long
+    cut = CountTable(4, {key: c for key, c in long.entries.items() if key[2] <= 4})
+    assert short == cut and cut == short
+
+
+def test_four_way_suites_compare_packed_tables(monkeypatch):
+    unpacked = []
+    unpack = counts._unpack
+    monkeypatch.setattr(counts, "_unpack", lambda rows, n_max: unpacked.append(n_max) or unpack(rows, n_max))
+    cfg = VerifyConfig(k_values=(2, 3), n_max=30)
+    reports = [run_suite("four-way", cfg), run_suite("four-way-even", cfg)]
+    assert all(r.ok and r.checks_run == 15 for r in reports)
+    assert unpacked == []
+    assert count_paths(2, 1, 3).entries and unpacked == [3], "the spy sees an unpacking"
+
+
+def label_correcting_rows(starts, table, order, n_max):
+    """The count-row driver before it settled each state once: a LIFO
+    label-correcting pass for the least weight spent to reach each state,
+    then a plan of every state's kept steps, filled as the driver fills."""
+    spent = dict.fromkeys(starts, 0)
+    steps = {}
+    todo = list(starts)
+    while todo:
+        state = todo.pop()
+        if state not in steps:
+            steps[state] = table(state)
+        here = spent[state]
+        for least, dn, _shift, nxt in steps[state][1]:
+            if here + least <= n_max and here + dn < spent.get(nxt, n_max + 1):
+                spent[nxt] = here + dn
+                todo.append(nxt)
+    rows = {state: [] for state in spent}
+    plan = []
+    for state in sorted(spent, key=order):
+        room = n_max - spent[state]
+        ends, moves = steps[state]
+        kept = [(least, dn, shift, rows[nxt]) for least, dn, shift, nxt in moves if least <= room]
+        plan.append((room, rows[state], ends, kept))
+    for n in range(n_max + 1):
+        for room, row, ends, moves in plan:
+            if n > room:
+                continue
+            cell = ends if n == 0 else 0
+            for least, dn, shift, rest in moves:
+                if least <= n and (c := rest[n - dn]):
+                    cell += c << shift
+            row.append(cell)
+    return rows
+
+
+# Each walk's cached rows, with a call that builds them for (k, parity, n_max).
+WALKS = {
+    "B": (overpartitions, overpartitions._pair_rows,
+          lambda k, parity, n: [count_frequency_pairs(k, i, n, parity=parity, bound=n)
+                                for i in range(1, k + 1)]),
+    "C": (frobenius, frobenius._rank_rows,
+          lambda k, parity, n: [count_rank_bounded(k, i, n, tilde=parity, bound=n)
+                                for i in range(1, k + 1)]),
+    "D": (durfee, durfee._durfee_rows,
+          lambda k, parity, n: [(durfee.count_self_conjugate if parity else durfee.count_admissible)(
+              k, i, n, bound=n) for i in range(1, k + 1)]),
+    "E": (paths, paths._walk_rows,
+          lambda k, parity, n: [count_paths(k, i, n, even=parity, bound=n) for i in range(1, k + 1)]),
+}
+
+
+@pytest.mark.parametrize("family", WALKS)
+def test_state_rows_settle_each_state_once_to_the_rows_of_label_correcting(family, monkeypatch):
+    module, cached, build = WALKS[family]
+    walks = []
+
+    def spy(starts, table, order, n_max):
+        reads = Counter()
+        rows = state_rows(starts, lambda state: reads.update([state]) or table(state), order, n_max)
+        walks.append((starts, table, order, n_max, reads, rows))
+        return rows
+
+    monkeypatch.setattr(module, "state_rows", spy)
+    cached.cache_clear()
+    for k in range(2, 6):
+        for parity in (False, True):
+            for n in (0, 1, 4, 9, 20):
+                build(k, parity, n)
+    cached.cache_clear()
+    assert len(walks) >= 4 * 2 * 5
+    for starts, table, order, n_max, reads, rows in walks:
+        assert reads.keys() == rows.keys() and set(reads.values()) == {1}
+        assert rows == label_correcting_rows(starts, table, order, n_max), (starts, n_max)
 
 
 def test_state_rows_cut_each_row_at_the_weight_left():
