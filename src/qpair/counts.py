@@ -117,9 +117,10 @@ class CountTable:
         if series.q_cutoff <= n_max:
             raise ValueError(f"series cutoff {series.q_cutoff} cannot cover n_max={n_max}")
         entries: dict[tuple[int, int, int], Coeff] = {}
-        for (s, t, _m, n), c in series.terms.items():
+        for n, layer in enumerate(series._layers, series.q_floor):
             if 0 <= n <= n_max:
-                entries[s, t, n] = entries.get((s, t, n), 0) + c
+                for (s, t, _m), c in layer.items():
+                    entries[s, t, n] = entries.get((s, t, n), 0) + c
         return cls(n_max, entries)
 
     @classmethod

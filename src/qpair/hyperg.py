@@ -29,7 +29,7 @@ from itertools import count, takewhile
 from .gaussint import is_unit, unit_pow
 from .overpartitions import check_ki
 from .qtools import f_poly, inv_qpoch
-from .series import (Monomial, TruncatedSeries, _add_terms, _apply_factors, _factor_layers, _pack,
+from .series import (Monomial, TruncatedSeries, _add_layers, _apply_factors, _factor_layers, _pack,
                      _product_factors, mono, qproduct)
 
 # Bases of (-aq, -bq; q)_inf / (q, abq; q)_inf, the x = 1 prefactor, which
@@ -92,7 +92,7 @@ def _horner(levels, q_cutoff: int, close=((), ())) -> TruncatedSeries:
     hi = min([q_cutoff] + [floor + poly.q_cutoff for floor, poly, *_ in levels])
     layers = [{} for _ in range(hi - lo)]
     for floor, poly, num, den in reversed(levels):
-        _add_terms(layers, lo, poly.terms, floor)
+        _add_layers(layers, floor + poly.q_floor - lo, poly._layers)
         # A numerator of q-degree -d lowers the window by d: q^d (1 - m) raises it back.
         _factor_layers(layers, lo, hi, num, den)
     num, den = (_product_factors(bases, lo, hi) for bases in close)

@@ -1,6 +1,6 @@
 """Truncated formal power series over the Gaussian integers in a, b, x, q.
 
-A :class:`TruncatedSeries` stores monomials ``c * a^da * b^db * x^dx * q^dq``
+A :class:`TruncatedSeries` holds monomials ``c * a^da * b^db * x^dx * q^dq``
 with exact :mod:`~qpair.gaussint` coefficients.  The degrees in a, b, x are
 nonnegative; the q-degree may be negative (Laurent support).  The builders'
 series are generating functions whose q^n coefficient counts finitely many
@@ -11,9 +11,17 @@ q alone.  The window semantics are:
 * it is stored exactly for ``q_floor <= dq < q_cutoff``,
 * nothing is claimed at or above ``q_cutoff``.
 
-All operations are pure and ``terms`` is a read-only mapping, so instances,
-including the cached ones in :mod:`~qpair.qtools`, can be shared freely.
-Window bookkeeping follows the rules
+The stored form is dense in q and sparse in (a, b, x): a list of q-layers,
+one ``{(a, b, x): coeff}`` dict for each q-degree ``q_floor, q_floor + 1,
+...``, with no zero coefficient and no trailing empty layer, so two series
+are equal when their windows and layer lists are.  ``terms``, the read-only
+``{(a, b, x, q): coeff}`` mapping, is a view built from the layers on first
+read.  Operations share layers between series (``+`` shares a layer that
+only one side holds, ``times_monomial`` by a power of q and ``truncated``
+share them all), so a stored layer is never written: everything that writes
+in place, as :func:`_factor_layers` does, works on copies.  All operations
+are pure, and instances, including the cached ones in :mod:`~qpair.qtools`,
+can be shared freely.  Window bookkeeping follows the rules
 
 * ``add``:  floor ``min``, cutoff ``min``;
 * ``mul``:  floor ``f1+f2``, cutoff ``min(c1+f2, c2+f1)``,
@@ -23,8 +31,8 @@ sentinel cutoff :data:`INF` and combine with any finite window.
 
 One layered loop, ``_factor_layers``, applies each ``1 - m`` and ``1/(1 - m)``
 of a product identity in place on one dict per q-degree.  ``_apply_factors``
-(and so ``over_one_minus``, ``q_binomial`` and ``qproduct``) unpacks a series
-into such layers once, and every sum in :mod:`~qpair.hyperg` runs the loop on
+(and so ``over_one_minus``, ``q_binomial`` and ``qproduct``) copies a
+series' layers once, and every sum in :mod:`~qpair.hyperg` runs the loop on
 its own.  The loop keeps every coefficient its input holds exactly:
 
 * a numerator ``1 - m`` keeps the window when ``deg_q m >= 0`` and moves
@@ -37,6 +45,7 @@ its own.  The loop keeps every coefficient its input holds exactly:
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -45,6 +54,9 @@ from .gaussint import Coeff, GaussInt, as_pair, is_unit, unit_inverse, unit_pow
 INF = 10**9
 
 Key = tuple[int, int, int, int]
+Layer = dict[tuple[int, int, int], Coeff]
+
+_NO_LAYER: Mapping = MappingProxyType({})  # what a series holds outside its layer list
 
 
 class Monomial(NamedTuple):
@@ -85,58 +97,98 @@ def first_difference(lhs: Mapping, rhs: Mapping, limit: int) -> tuple | None:
     return None if key is None else (key, lhs.get(key, 0), rhs.get(key, 0))
 
 
+def _fold(acc: Layer, layer: Mapping) -> None:
+    """Add ``layer`` into ``acc`` in place, dropping the coefficients that cancel."""
+    get = acc.get
+    for key, v in layer.items():
+        v = get(key, 0) + v
+        if v:
+            acc[key] = v
+        else:
+            del acc[key]
+
+
 class TruncatedSeries:
-    __slots__ = ("terms", "q_floor", "q_cutoff")
+    __slots__ = ("_layers", "_terms", "q_floor", "q_cutoff")
 
     def __init__(self, terms: Mapping[Key, Coeff], q_floor: int, q_cutoff: int):
+        """The series of ``terms`` on the window ``[q_floor, q_cutoff)``; ``ValueError``
+        refuses a key outside the window or of negative degree in a, b or x."""
+        layers: list[Layer] = []
+        for (a, b, x, q), c in terms.items():
+            if not q_floor <= q < q_cutoff:
+                raise ValueError(f"term at q^{q} lies outside the window [{q_floor},{q_cutoff})")
+            if min(a, b, x) < 0:
+                raise ValueError("negative degree in a/b/x is not supported")
+            if c:
+                layers.extend({} for _ in range(q - q_floor + 1 - len(layers)))
+                layers[q - q_floor][a, b, x] = c
+        self._store(layers, q_floor, q_cutoff)
+
+    def _store(self, layers: list[Layer], q_floor: int, q_cutoff: int) -> None:
         if q_cutoff <= q_floor:
             raise ValueError(f"empty window: q_floor={q_floor}, q_cutoff={q_cutoff}")
-        self.terms = terms if isinstance(terms, MappingProxyType) else MappingProxyType(terms)
-        self.q_floor = q_floor
-        self.q_cutoff = q_cutoff
+        while layers and not layers[-1]:
+            layers.pop()
+        self._layers, self._terms, self.q_floor, self.q_cutoff = layers, None, q_floor, q_cutoff
+
+    @classmethod
+    def _of_layers(cls, layers: list[Layer], q_floor: int, q_cutoff: int) -> "TruncatedSeries":
+        """The series whose q^(q_floor + j) terms are ``layers[j]``, which hold no zero
+        coefficient; it takes the list (and trims its trailing empty layers)."""
+        s = cls.__new__(cls)
+        s._store(layers, q_floor, q_cutoff)
+        return s
+
+    @property
+    def terms(self) -> Mapping[Key, Coeff]:
+        """The read-only ``{(a, b, x, q): coeff}`` view of the layers."""
+        if self._terms is None:
+            self._terms = MappingProxyType({(a, b, x, q): c for q, layer in self._items()
+                                            for (a, b, x), c in layer.items()})
+        return self._terms
+
+    def _items(self) -> Iterator[tuple[int, Layer]]:
+        """``(q, layer)`` for each stored layer, in q order."""
+        return enumerate(self._layers, self.q_floor)
+
+    def _at(self, q: int) -> Mapping:
+        """The layer of q-degree q (not to be written)."""
+        j = q - self.q_floor
+        return self._layers[j] if 0 <= j < len(self._layers) else _NO_LAYER
 
     # ---------------------------------------------------------------- constructors
 
     @classmethod
     def zero(cls, q_cutoff: int, q_floor: int = 0) -> "TruncatedSeries":
-        return cls({}, q_floor, q_cutoff)
+        return cls._of_layers([], q_floor, q_cutoff)
 
     @classmethod
     def one(cls, q_cutoff: int) -> "TruncatedSeries":
-        return cls({(0, 0, 0, 0): 1}, 0, q_cutoff)
+        return cls._of_layers([{(0, 0, 0): 1}], 0, q_cutoff)
 
     @classmethod
     def poly(cls, monomials: Iterable[Monomial]) -> "TruncatedSeries":
         """An exact polynomial: trusted at every q-degree (cutoff INF)."""
         terms: dict[Key, Coeff] = {}
         for c, da, db, dx, dq in monomials:
-            if min(da, db, dx) < 0:
-                raise ValueError("negative degree in a/b/x is not supported")
             key = (da, db, dx, dq)
-            acc = terms.get(key, 0) + c
-            if acc:
-                terms[key] = acc
-            else:
-                terms.pop(key, None)
-        floor = min((k[3] for k in terms), default=0)
-        return cls(terms, floor, INF)
+            terms[key] = terms.get(key, 0) + c
+        terms = {key: c for key, c in terms.items() if c}
+        return cls(terms, min((k[3] for k in terms), default=0), INF)
 
     # ---------------------------------------------------------------- basics
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return (
-            self.terms == other.terms
-            and self.q_floor == other.q_floor
-            and self.q_cutoff == other.q_cutoff
-        )
+        return (self.q_floor, self.q_cutoff, self._layers) == (other.q_floor, other.q_cutoff, other._layers)
 
     def __hash__(self):
         return hash((frozenset(self.terms.items()), self.q_floor, self.q_cutoff))
 
     def __repr__(self) -> str:
-        n = len(self.terms)
+        n = sum(map(len, self._layers))
         return f"<TruncatedSeries {n} terms, window [{self.q_floor},{self.q_cutoff})>"
 
     # ---------------------------------------------------------------- arithmetic
@@ -144,20 +196,24 @@ class TruncatedSeries:
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         floor = min(self.q_floor, other.q_floor)
         cutoff = min(self.q_cutoff, other.q_cutoff)
-        terms = {}
-        for src in (self.terms, other.terms):
-            for key, c in src.items():
-                if key[3] >= cutoff:
-                    continue
-                acc = terms.get(key, 0) + c
-                if acc:
-                    terms[key] = acc
-                else:
-                    del terms[key]
-        return TruncatedSeries(terms, floor, cutoff)
+        lhs, rhs = ([{} for _ in range(s.q_floor - floor)] + s._layers for s in (self, other))
+        if len(lhs) < len(rhs):
+            lhs, rhs = rhs, lhs
+        layers = lhs[:cutoff - floor]
+        for j, v in enumerate(rhs[:cutoff - floor]):
+            u = layers[j]
+            if not u:
+                layers[j] = v
+            elif v:
+                if len(u) < len(v):
+                    u, v = v, u
+                layers[j] = acc = dict(u)
+                _fold(acc, v)
+        return TruncatedSeries._of_layers(layers, floor, cutoff)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries({k: -c for k, c in self.terms.items()}, self.q_floor, self.q_cutoff)
+        return TruncatedSeries._of_layers([{k: -c for k, c in layer.items()} for layer in self._layers],
+                                          self.q_floor, self.q_cutoff)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self + (-other)
@@ -165,46 +221,46 @@ class TruncatedSeries:
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         floor = _sat_add(self.q_floor, other.q_floor)
         cutoff = min(_sat_add(self.q_cutoff, other.q_floor), _sat_add(other.q_cutoff, self.q_floor))
-        lhs, rhs = self.terms, other.terms
-        if len(lhs) > len(rhs):
-            lhs, rhs = rhs, lhs
-        # Inner terms in q order, so each row stops at the first pair past
-        # the cutoff.
-        row = sorted(rhs.items(), key=lambda kv: kv[0][3])
-        terms: dict[Key, Coeff] = {}
-        get = terms.get
-        for (a1, b1, x1, q1), c1 in lhs.items():
-            room = cutoff - q1
-            for (a2, b2, x2, q2), c2 in row:
-                if q2 >= room:
-                    break
-                key = (a1 + a2, b1 + b2, x1 + x2, q1 + q2)
-                acc = get(key, 0) + c1 * c2
-                if acc:
-                    terms[key] = acc
-                else:
-                    del terms[key]
-        return TruncatedSeries(terms, floor, cutoff)
+        outer, inner = self._layers, other._layers
+        if sum(map(len, outer)) > sum(map(len, inner)):
+            outer, inner = inner, outer
+        # The inner terms once, in layer order with their layer j, so each row
+        # stops at the first term past the cutoff.
+        row = [(j, a, b, x, c) for j, layer in enumerate(inner) for (a, b, x), c in layer.items()]
+        width = min(cutoff - floor, len(outer) + len(inner) - 1)
+        layers: list[Layer] = [{} for _ in range(width)]
+        for i, layer in enumerate(outer[:width]):
+            room = width - i
+            for (a1, b1, x1), c1 in layer.items():
+                for j, a2, b2, x2, c2 in row:
+                    if j >= room:
+                        break
+                    dst = layers[i + j]
+                    key = (a1 + a2, b1 + b2, x1 + x2)
+                    acc = dst.get(key, 0) + c1 * c2
+                    if acc:
+                        dst[key] = acc
+                    else:
+                        del dst[key]
+        return TruncatedSeries._of_layers(layers, floor, cutoff)
 
     def times_monomial(self, m: Monomial) -> "TruncatedSeries":
-        """Fast path for multiplication by a single monomial."""
+        """Fast path for multiplication by a single monomial; a power of q shares the layers."""
         c0, da0, db0, dx0, dq0 = m
+        floor, cutoff = _sat_add(self.q_floor, dq0), _sat_add(self.q_cutoff, dq0)
         if not c0:
-            return TruncatedSeries.zero(_sat_add(self.q_cutoff, dq0), _sat_add(self.q_floor, dq0))
-        cutoff = _sat_add(self.q_cutoff, dq0)
-        floor = _sat_add(self.q_floor, dq0)
-        terms = {}
-        for (a, b, x, q), c in self.terms.items():
-            dq = q + dq0
-            if dq < cutoff:
-                terms[(a + da0, b + db0, x + dx0, dq)] = c * c0
-        return TruncatedSeries(terms, floor, cutoff)
+            return TruncatedSeries.zero(cutoff, floor)
+        if c0 == 1 and da0 == db0 == dx0 == 0:
+            return TruncatedSeries._of_layers(list(self._layers), floor, cutoff)
+        return TruncatedSeries._of_layers(
+            [{(a + da0, b + db0, x + dx0): c * c0 for (a, b, x), c in layer.items()} for layer in self._layers],
+            floor, cutoff)
 
     def truncated(self, q_cutoff: int) -> "TruncatedSeries":
         """Restrict to a smaller window (never enlarges)."""
         cutoff = min(self.q_cutoff, q_cutoff)
-        terms = {k: c for k, c in self.terms.items() if k[3] < cutoff}
-        return TruncatedSeries(terms, min(self.q_floor, cutoff - 1), cutoff)
+        return TruncatedSeries._of_layers(self._layers[:max(cutoff - self.q_floor, 0)],
+                                          min(self.q_floor, cutoff - 1), cutoff)
 
     def invert(self, q_cutoff: int | None = None) -> "TruncatedSeries":
         """Multiplicative inverse up to the cutoff.
@@ -215,24 +271,20 @@ class TruncatedSeries:
         cutoff = self.q_cutoff if q_cutoff is None else min(self.q_cutoff, q_cutoff)
         if cutoff >= INF:
             raise ValueError("inverting an exact polynomial requires an explicit q_cutoff")
-        layers: dict[int, dict[tuple[int, int, int], Coeff]] = {}
-        for (a, b, x, q), c in self.terms.items():
-            if q < cutoff:
-                layers.setdefault(q, {})[(a, b, x)] = c
-        low = min(layers) if layers else 0
+        low = next((q for q, layer in self._items() if layer and q < cutoff), 0)
         if low < 0:
             raise ValueError(f"cannot invert: nonzero terms below q^0 (lowest at q^{low})")
-        zero_layer = layers.get(0, {})
+        zero_layer = self._at(0)
         const = zero_layer.get((0, 0, 0), 0)
         if len(zero_layer) != 1 or not is_unit(const):
             raise ValueError(f"cannot invert: constant term {const!r} is not a Gaussian unit "
                              f"(q^0 layer has {len(zero_layer)} terms)")
         u_inv = unit_inverse(const)
-        inv_layers: dict[int, dict[tuple[int, int, int], Coeff]] = {0: {(0, 0, 0): u_inv}}
+        inv_layers: list[Layer] = [{(0, 0, 0): u_inv}]
         for g in range(1, cutoff):
-            acc: dict[tuple[int, int, int], Coeff] = {}
-            for h, t_layer in inv_layers.items():
-                s_layer = layers.get(g - h)
+            acc: Layer = {}
+            for h, t_layer in enumerate(inv_layers):
+                s_layer = self._at(g - h)
                 if not s_layer:
                     continue
                 for (a1, b1, x1), c1 in t_layer.items():
@@ -243,18 +295,8 @@ class TruncatedSeries:
                             acc[key] = val
                         else:
                             del acc[key]
-            layer_g = {}
-            for key, val in acc.items():
-                v = -(u_inv * val)
-                if v:
-                    layer_g[key] = v
-            if layer_g:
-                inv_layers[g] = layer_g
-        terms = {}
-        for g, layer in inv_layers.items():
-            for (a, b, x), c in layer.items():
-                terms[(a, b, x, g)] = c
-        return TruncatedSeries(terms, 0, cutoff)
+            inv_layers.append({key: -(u_inv * val) for key, val in acc.items()})
+        return TruncatedSeries._of_layers(inv_layers, 0, cutoff)
 
     # ---------------------------------------------------------------- queries
 
@@ -269,7 +311,7 @@ class TruncatedSeries:
             raise ValueError(
                 f"q-degree {n_deg} at or above the trusted cutoff {self.q_cutoff}"
             )
-        return self.terms.get((s_deg, t_deg, m_deg, n_deg), 0)
+        return self._at(n_deg).get((s_deg, t_deg, m_deg), 0)
 
     def coeff_q(self, n_deg: int) -> Coeff:
         """Coefficient of ``q^n`` for series free of a, b, x."""
@@ -278,19 +320,27 @@ class TruncatedSeries:
     def first_mismatch(self, other: "TruncatedSeries") -> tuple[Key, Coeff, Coeff] | None:
         """First differing coefficient (canonical order) on the common window:
         both series are exact below their cutoffs and zero below their floors."""
-        return first_difference(self.terms, other.terms, min(self.q_cutoff, other.q_cutoff))
+        top = min(self.q_cutoff, other.q_cutoff,
+                  max(s.q_floor + len(s._layers) for s in (self, other)))
+        for q in range(min(self.q_floor, other.q_floor), top):
+            lhs, rhs = self._at(q), other._at(q)
+            if lhs != rhs:
+                key = min(key for one, two in ((lhs, rhs), (rhs, lhs)) for key, c in one.items()
+                          if two.get(key, 0) != c)
+                return (*key, q), lhs.get(key, 0), rhs.get(key, 0)
+        return None
 
     # ---------------------------------------------------------------- substitutions
 
     def shift_x(self) -> "TruncatedSeries":
         """Replace x by ``x * q``: each term gains ``q**dx``."""
         cutoff = self.q_cutoff
-        terms = {}
-        for (a, b, x, q), c in self.terms.items():
-            dq = q + x
-            if dq < cutoff:
-                terms[(a, b, x, dq)] = c
-        return TruncatedSeries(terms, self.q_floor, cutoff)
+        layers: defaultdict[int, Layer] = defaultdict(dict)
+        for q, layer in self._items():
+            for (a, b, x), c in layer.items():
+                if q + x < cutoff:
+                    layers[q + x][a, b, x] = c
+        return _from_q_layers(layers, self.q_floor, cutoff)
 
     def specialize(
         self,
@@ -315,14 +365,14 @@ class TruncatedSeries:
         """
         if q_power < 1:
             raise ValueError("q_power must be a positive integer")
-        subs: list[tuple[int, str, Coeff, int]] = []
+        subs: list[tuple[int, str, Coeff, int, list[Coeff]]] = []
         for idx, name, sub in ((0, "a", sub_a), (1, "b", sub_b), (2, "x", sub_x)):
             if sub is None:
                 continue
             u, e = sub
             if u != 0 and not is_unit(u):
                 raise ValueError(f"substitution for {name} must be a Gaussian unit or 0, got {u!r}")
-            subs.append((idx, name, u, e))
+            subs.append((idx, name, u, e, [unit_pow(u, n) for n in range(4)] if u else []))  # u^4 = 1
 
         if self.q_cutoff >= INF:
             # Exact polynomial: nothing is missing, every image is exact.
@@ -331,7 +381,7 @@ class TruncatedSeries:
             drop = 0
             slack_total = 0
             slack = slack or {}
-            for idx, name, u, e in subs:
+            for idx, name, u, e, _powers in subs:
                 if u == 0 or e >= 0:
                     continue
                 if name not in slack:
@@ -340,7 +390,7 @@ class TruncatedSeries:
                         f"(a bound with deg_{name} <= deg_q + slack)"
                     )
                 sigma = slack[name]
-                excess = max((key[idx] - key[3] for key in self.terms), default=sigma)
+                excess = max((key[idx] - q for q, layer in self._items() for key in layer), default=sigma)
                 if excess > sigma:
                     raise ValueError(
                         f"slack[{name!r}] = {sigma} is contradicted by a stored term "
@@ -355,42 +405,39 @@ class TruncatedSeries:
                 )
             provable = (q_power - drop) * self.q_cutoff - slack_total
 
-        terms: dict[Key, Coeff] = {}
-        for (da, db, dx, dq), c in self.terms.items():
-            degs = [da, db, dx]
-            new_q = q_power * dq
-            coeff = c
-            dead = False
-            for idx, _name, u, e in subs:
-                d = degs[idx]
-                degs[idx] = 0
-                if d == 0:
+        layers: defaultdict[int, Layer] = defaultdict(dict)
+        for dq, layer in self._items():
+            for (da, db, dx), c in layer.items():
+                degs = [da, db, dx]
+                new_q = q_power * dq
+                coeff = c
+                dead = False
+                for idx, _name, u, e, powers in subs:
+                    d = degs[idx]
+                    degs[idx] = 0
+                    if d == 0:
+                        continue
+                    if u == 0:
+                        dead = True
+                        break
+                    new_q += e * d
+                    coeff = coeff * powers[d % 4]
+                if dead or new_q >= provable:
                     continue
-                if u == 0:
-                    dead = True
-                    break
-                new_q += e * d
-                coeff = coeff * unit_pow(u, d)
-            if dead or new_q >= provable:
-                continue
-            key = (degs[0], degs[1], degs[2], new_q)
-            acc = terms.get(key, 0) + coeff
-            if acc:
-                terms[key] = acc
-            else:
-                del terms[key]
-        if terms:
-            floor = min(k[3] for k in terms)
-        elif provable < INF:
-            floor = provable - 1
-        else:
-            floor = 0
-        return TruncatedSeries(terms, floor, provable)
+                dst = layers[new_q]
+                key = (degs[0], degs[1], degs[2])
+                acc = dst.get(key, 0) + coeff
+                if acc:
+                    dst[key] = acc
+                else:
+                    del dst[key]
+        floor = min((q for q, layer in layers.items() if layer), default=provable - 1 if provable < INF else 0)
+        return _from_q_layers(layers, floor, provable)
 
     # ---------------------------------------------------------------- serialization
 
     def sorted_terms(self) -> list[tuple[Key, Coeff]]:
-        return sorted(self.terms.items(), key=lambda kv: key_order(kv[0]))
+        return [((*key, q), c) for q, layer in self._items() for key, c in sorted(layer.items())]
 
     def to_obj(self) -> dict:
         out = []
@@ -406,24 +453,28 @@ class TruncatedSeries:
     def from_obj(cls, obj: dict) -> "TruncatedSeries":
         terms: dict[Key, Coeff] = {}
         for t in obj["terms"]:
-            c: Coeff = t["re"] if t["im"] == 0 else GaussInt(t["re"], t["im"])
-            if c:
-                terms[(t["a"], t["b"], t["x"], t["q"])] = c
+            terms[(t["a"], t["b"], t["x"], t["q"])] = t["re"] if t["im"] == 0 else GaussInt(t["re"], t["im"])
         return cls(terms, obj["q_floor"], obj["q_cutoff"])
+
+
+def _from_q_layers(layers: Mapping[int, Layer], floor: int, cutoff: int) -> TruncatedSeries:
+    """The series on ``[floor, cutoff)`` whose q^q terms are ``layers[q]`` (none below floor)."""
+    top = max(layers, default=floor - 1)
+    return TruncatedSeries._of_layers([layers.get(q, {}) for q in range(floor, top + 1)], floor, cutoff)
 
 
 # -------------------------------------------------------------------- products
 
 
-def _add_terms(layers: list, floor: int, terms: Mapping[Key, Coeff], shift: int = 0) -> None:
-    """Add ``q^shift`` times ``terms`` into ``layers``, the ``{(a, b, x): coeff}``
-    dicts of q-degrees ``floor, floor + 1, ...``; terms past the last layer drop."""
-    for (a, b, x, q), v in terms.items():
-        if q + shift - floor < len(layers):
-            layer, key = layers[q + shift - floor], (a, b, x)
-            layer[key] = layer.get(key, 0) + v
-            if not layer[key]:
-                del layer[key]
+def _add_layers(layers: list[Layer], start: int, src: list[Layer]) -> None:
+    """Add the layers ``src`` into ``layers`` from index ``start`` on, copying each
+    one that lands on an empty layer, so that the kernel never writes a stored
+    layer; those past the last layer drop."""
+    for j, layer in enumerate(src[:max(len(layers) - start, 0)], start):
+        if layers[j]:
+            _fold(layers[j], layer)
+        else:
+            layers[j] = dict(layer)
 
 
 def _factor_layers(layers: list, floor: int, cutoff: int, num: Iterable[Monomial] = (),
@@ -470,23 +521,24 @@ def _factor_layers(layers: list, floor: int, cutoff: int, num: Iterable[Monomial
 
 
 def _pack(layers: list, floor: int, cutoff: int) -> TruncatedSeries:
-    """The series on ``[floor, cutoff)`` whose q^(floor + j) terms are ``layers[j]``."""
-    terms = {(a, b, x, q): v for q, layer in enumerate(layers, floor) for (a, b, x), v in layer.items()}
-    return TruncatedSeries(terms, floor, cutoff)
+    """The series on ``[floor, cutoff)`` whose q^(floor + j) terms are ``layers[j]``.
+    Each layer is copied: a dict keeps the room its inserts and deletes left, and
+    the kernel's deletes leave much of it."""
+    return TruncatedSeries._of_layers([dict(layer) for layer in layers], floor, cutoff)
 
 
 def _apply_factors(s: TruncatedSeries, num: Iterable[Monomial] = (),
                    den: Iterable[Monomial] = ()) -> TruncatedSeries:
     """``s prod_{m in num} (1 - m) / prod_{m in den} (1 - m)`` for ``s`` of finite
-    cutoff, unpacked into q-layers once for :func:`_factor_layers`.  Every
+    cutoff, on a copy of its q-layers for :func:`_factor_layers`.  Every
     coefficient ``s`` holds stays exact, so the factors may come in any order."""
     if s.q_cutoff >= INF:
         raise ValueError("a product of factors needs a series with a finite cutoff")
     den = tuple(den)
     if any(m.q <= 0 for m in den):
         raise ValueError("geometric inverse needs a base of positive q-degree")
-    layers: list[dict] = [{} for _ in range(s.q_cutoff - s.q_floor)]
-    _add_terms(layers, s.q_floor, s.terms)
+    layers: list[Layer] = [{} for _ in range(s.q_cutoff - s.q_floor)]
+    _add_layers(layers, 0, s._layers)
     return _pack(layers, *_factor_layers(layers, s.q_floor, s.q_cutoff, num, den))
 
 

@@ -3,7 +3,9 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qpair import hyperg, series
 from qpair.gaussint import GaussInt, unit_inverse, unit_pow
+from qpair.hyperg import _horner
 from qpair.series import (
     INF,
     TruncatedSeries,
@@ -16,6 +18,7 @@ from qpair.series import (
     qproduct,
 )
 from qpair.qtools import f_poly, inv_qfactors
+from qpair.verify import VerifyConfig, run_suite
 
 
 def ts(*monomials, cutoff=10):
@@ -613,3 +616,249 @@ class TestExactWindows:
                       lambda: qproduct(poly((1,)), (mono(1, q=1),))):
             with pytest.raises(ValueError, match="finite cutoff"):
                 build()
+
+
+class TestConstructor:
+    """``TruncatedSeries(terms, floor, cutoff)`` holds exactly what its window can."""
+
+    def test_term_below_the_floor_is_refused(self):
+        with pytest.raises(ValueError, match="outside the window"):
+            TruncatedSeries({(0, 0, 0, -2): 1}, 0, 5)
+
+    def test_term_at_the_cutoff_is_refused(self):
+        with pytest.raises(ValueError, match="outside the window"):
+            TruncatedSeries({(0, 0, 0, 5): 1}, 0, 5)
+
+    def test_zero_coefficients_are_dropped(self):
+        s = TruncatedSeries({(0, 0, 0, 1): 0, (1, 0, 0, 0): 3}, 0, 5)
+        assert s.terms == {(1, 0, 0, 0): 3}
+        assert (TruncatedSeries({(0, 0, 0, 1): 0}, 0, 5) + TruncatedSeries.zero(5)) == TruncatedSeries.zero(5)
+
+    @pytest.mark.parametrize("key", [(-1, 0, 0, 1), (0, -1, 0, 1), (0, 0, -1, 1)])
+    def test_negative_degree_is_refused(self, key):
+        with pytest.raises(ValueError, match="negative degree"):
+            TruncatedSeries({key: 1}, 0, 5)
+
+
+# The reference: the flat form, one {(a, b, x, q): coeff} dict per series, here
+# (terms, floor, cutoff), and the operations on it.
+
+def flat(s):
+    return dict(s.terms), s.q_floor, s.q_cutoff
+
+
+def flat_add(s, t):
+    floor, cutoff = min(s[1], t[1]), min(s[2], t[2])
+    terms = {}
+    for src in (s[0], t[0]):
+        for key, c in src.items():
+            if key[3] >= cutoff:
+                continue
+            acc = terms.get(key, 0) + c
+            if acc:
+                terms[key] = acc
+            else:
+                del terms[key]
+    return terms, floor, cutoff
+
+
+def flat_mul(s, t):
+    floor = series._sat_add(s[1], t[1])
+    cutoff = min(series._sat_add(s[2], t[1]), series._sat_add(t[2], s[1]))
+    lhs, rhs = s[0], t[0]
+    if len(lhs) > len(rhs):
+        lhs, rhs = rhs, lhs
+    row = sorted(rhs.items(), key=lambda kv: kv[0][3])
+    terms = {}
+    for (a1, b1, x1, q1), c1 in lhs.items():
+        room = cutoff - q1
+        for (a2, b2, x2, q2), c2 in row:
+            if q2 >= room:
+                break
+            key = (a1 + a2, b1 + b2, x1 + x2, q1 + q2)
+            acc = terms.get(key, 0) + c1 * c2
+            if acc:
+                terms[key] = acc
+            else:
+                del terms[key]
+    return terms, floor, cutoff
+
+
+def flat_times_monomial(s, m):
+    c0, da0, db0, dx0, dq0 = m
+    cutoff, floor = series._sat_add(s[2], dq0), series._sat_add(s[1], dq0)
+    if not c0:
+        return {}, floor, cutoff
+    terms = {}
+    for (a, b, x, q), c in s[0].items():
+        if q + dq0 < cutoff:
+            terms[(a + da0, b + db0, x + dx0, q + dq0)] = c * c0
+    return terms, floor, cutoff
+
+
+def flat_truncated(s, q_cutoff):
+    cutoff = min(s[2], q_cutoff)
+    return {k: c for k, c in s[0].items() if k[3] < cutoff}, min(s[1], cutoff - 1), cutoff
+
+
+def flat_shift_x(s):
+    terms = {}
+    for (a, b, x, q), c in s[0].items():
+        if q + x < s[2]:
+            terms[(a, b, x, q + x)] = c
+    return terms, s[1], s[2]
+
+
+def flat_first_difference(lhs, rhs, limit):
+    if lhs == rhs:
+        return None
+    differ = (key for one, two in ((lhs, rhs), (rhs, lhs)) for key, c in one.items()
+              if two.get(key, 0) != c)
+    key = min((key for key in differ if key[3] < limit), key=lambda k: (k[3], *k[:3]), default=None)
+    return None if key is None else (key, lhs.get(key, 0), rhs.get(key, 0))
+
+
+def assert_stored_form(s):
+    """No zero coefficient, no trailing empty layer, nothing outside the window."""
+    layers = s._layers
+    assert all(c for layer in layers for c in layer.values())
+    assert not layers or layers[-1]
+    assert len(layers) <= s.q_cutoff - s.q_floor
+    assert all(min(key) >= 0 for layer in layers for key in layer)
+
+
+def assert_is_flat(got, want):
+    assert_stored_form(got)
+    assert flat(got) == want
+    assert got.first_mismatch(TruncatedSeries(*want)) is None
+
+
+@st.composite
+def layered_series(draw):
+    """Floors -3..3, finite or INF cutoffs, Gaussian-integer coefficients (zeros too,
+    which the constructor drops)."""
+    floor = draw(st.integers(-3, 3))
+    cutoff = draw(st.one_of(st.just(INF), st.integers(floor + 1, floor + 8)))
+    keys = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),
+                     st.integers(floor, min(cutoff, floor + 8) - 1))
+    return TruncatedSeries(draw(st.dictionaries(keys, st.one_of(small_coeff, st.just(0)), max_size=8)),
+                           floor, cutoff)
+
+
+@st.composite
+def finite_layered_series(draw):
+    s = draw(layered_series())
+    return s if s.q_cutoff < INF else s.truncated(s.q_floor + draw(st.integers(1, 8)))
+
+
+multipliers = st.one_of(
+    st.builds(mono, st.just(1), q=st.integers(-3, 3)),
+    st.builds(mono, st.sampled_from([0, 1, -1, 2, GaussInt(0, 1)]), st.integers(0, 2), st.integers(0, 2),
+              st.integers(0, 2), st.integers(-3, 3)),
+)
+
+
+class TestLayersAgainstTheFlatForm:
+    """Each operation on the layers gives the flat form's terms, window and
+    first mismatch, and leaves the stored form canonical."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(layered_series(), layered_series())
+    def test_add_and_mul(self, s, t):
+        assert_stored_form(s)
+        assert_is_flat(s + t, flat_add(flat(s), flat(t)))
+        assert_is_flat(t + s, flat_add(flat(t), flat(s)))
+        assert_is_flat(s * t, flat_mul(flat(s), flat(t)))
+        assert_is_flat(s - s, flat_add(flat(s), ({k: -c for k, c in s.terms.items()}, s.q_floor, s.q_cutoff)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(layered_series(), layered_series())
+    def test_first_mismatch(self, s, t):
+        limit = min(s.q_cutoff, t.q_cutoff)
+        assert s.first_mismatch(t) == flat_first_difference(dict(s.terms), dict(t.terms), limit)
+        assert t.first_mismatch(s) == flat_first_difference(dict(t.terms), dict(s.terms), limit)
+        u = s + t
+        assert u.first_mismatch(s) == flat_first_difference(dict(u.terms), dict(s.terms),
+                                                            min(u.q_cutoff, s.q_cutoff))
+
+    @settings(max_examples=300, deadline=None)
+    @given(layered_series(), multipliers, st.integers(-6, 12))
+    def test_times_monomial_truncated_and_shift_x(self, s, m, c):
+        assert_is_flat(s.times_monomial(m), flat_times_monomial(flat(s), m))
+        assert_is_flat(s.truncated(s.q_floor + c), flat_truncated(flat(s), s.q_floor + c))
+        assert_is_flat(s.shift_x(), flat_shift_x(flat(s)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(layered_series())
+    def test_queries(self, s):
+        top = min(s.q_cutoff, s.q_floor + 10)
+        assert all(s.coeff(a, b, x, q) == s.terms.get((a, b, x, q), 0)
+                   for a in range(3) for b in range(3) for x in range(3) for q in range(s.q_floor - 2, top))
+        assert s.sorted_terms() == sorted(s.terms.items(), key=lambda kv: (kv[0][3], *kv[0][:3]))
+        assert_stored_form(-s)
+        assert TruncatedSeries.from_obj(s.to_obj()) == s
+
+
+def stored(s):
+    """A copy of what ``s`` stores."""
+    return s.q_floor, s.q_cutoff, [dict(layer) for layer in s._layers]
+
+
+def use_shared_layers(s, t):
+    """Every operation that shares ``s``'s layers, and a write-in-place build on each result."""
+    width = s.q_cutoff - s.q_floor
+    base = mono(-1, a=1, q=1)
+    sums = [s + t, t + s, s.times_monomial(mono(1, q=2)), s.truncated(s.q_floor + max(width - 1, 1))]
+    for r in sums:
+        qproduct(r, (base,), (mono(1, q=1),))
+        _apply_factors(r, (mono(1, b=1, q=-1),))
+        r + t
+    qproduct(s, (base, mono(1, x=1, q=0)), (mono(1, q=2),))
+    _horner([(0, s, (base,), ()), (1, t, (), (mono(1, q=1),)), (2, s, (mono(1, q=-1),), ())],
+            max(min(s.q_cutoff, t.q_cutoff), 1), ((base,), (mono(1, q=1),)))
+
+
+def sharing_add_layers(layers, start, src):
+    """``_add_layers`` with its copy taken out: the kernel then writes stored layers."""
+    for j, layer in enumerate(src[:max(len(layers) - start, 0)], start):
+        if layers[j]:
+            series._fold(layers[j], layer)
+        else:
+            layers[j] = layer
+
+
+class TestSharedLayers:
+    """Series share layers, so nothing may write a stored one."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(finite_layered_series(), finite_layered_series())
+    def test_operands_keep_their_layers(self, s, t):
+        before = stored(s), stored(t)
+        use_shared_layers(s, t)
+        assert (stored(s), stored(t)) == before
+
+    def test_a_write_into_a_shared_layer_is_seen(self, monkeypatch):
+        monkeypatch.setattr(series, "_add_layers", sharing_add_layers)
+        monkeypatch.setattr(hyperg, "_add_layers", sharing_add_layers)
+        s, t = ts((1,), (2, 1, 0, 0, 1), (1, 0, 1, 1, 2), cutoff=6), ts((3,), (1, 0, 0, 1, 1), cutoff=7)
+        before = stored(s), stored(t)
+        use_shared_layers(s, t)
+        assert (stored(s), stored(t)) != before
+
+    def test_cached_families_keep_their_layers(self, monkeypatch):
+        seen = {}
+        for name in ("_R_family", "_bilateral"):
+            cached = getattr(hyperg, name)
+            cached.cache_clear()
+
+            def spy(*args, cached=cached):
+                s = cached(*args)
+                seen.setdefault(id(s), (s, stored(s)))
+                return s
+            monkeypatch.setattr(hyperg, name, spy)
+        cfg = VerifyConfig(k_values=(2, 3), cutoff=10, n_max=6)
+        for _ in range(2):
+            for suite in ("qdiff-R", "qdiff-Rtilde", "series-vs-enum", "gf-paths", "bailey", "corollaries"):
+                assert run_suite(suite, cfg).ok
+        assert len(seen) > 10
+        assert all(stored(s) == before for s, before in seen.values())
